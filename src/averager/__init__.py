@@ -53,7 +53,6 @@ from .normal_form import (
     xyz_to_jordan,
 )
 from .shooting import (
-    IntegratorMethod,
     IntegratorSpec,
     NoReturn,
     PeriodicOrbitRecord,
@@ -61,7 +60,6 @@ from .shooting import (
     ShootingDiverged,
     SweepEntry,
     SweepResult,
-    Trajectory,
     integrate,
     monodromy,
     period_trace,
@@ -79,7 +77,6 @@ __all__ = [
     "EquilibriumClass",
     "EquilibriumKind",
     "HypothesisViolated",
-    "IntegratorMethod",
     "IntegratorSpec",
     "NoReturn",
     "NotAnEquilibrium",
@@ -96,7 +93,6 @@ __all__ = [
     "SweepEntry",
     "SweepResult",
     "SystemParams",
-    "Trajectory",
     "UnfoldingParams",
     "average_first",
     "average_second",

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from dataclasses import replace
 from enum import Enum
@@ -35,12 +36,8 @@ from .config import ConfigError, RunConfig, load_config, to_dict
 from .jerk import EquilibriumKind, classify_equilibrium, equilibria
 from .normal_form import jerk_standard_form, unfold
 from .shooting import (
-    NoReturn,
+    SHOOTING_ERRORS,
     PeriodicOrbitRecord,
-    SeedInvalid,
-    ShootingDiverged,
-    StepLimitExceeded,
-    StepUnderflow,
     period_trace,
     shoot_orbit,
     sweep_epsilon,
@@ -58,14 +55,14 @@ ORACLE_TOL = 1e-8
 GRID_R = (0.5, 8.0)
 GRID_W = (-2.0, 2.0)
 GRID_N = 20
-TRACE_SAMPLES = 512
-
-_SHOOT_ERRORS = (ShootingDiverged, NoReturn, SeedInvalid,
-                 StepLimitExceeded, StepUnderflow)
 
 
 def _jsonable(obj):
-    """Recursively convert numbers, arrays and enums to JSON-safe values."""
+    """Recursively convert numbers, arrays and enums to JSON-safe values.
+
+    NaN, which marks a missing value such as a failed sweep entry's
+    max_coords, becomes null.
+    """
     if isinstance(obj, Enum):
         return obj.value
     if isinstance(obj, dict):
@@ -76,8 +73,8 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (complex, np.complexfloating)):
         return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, np.floating):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        return None if math.isnan(obj) else float(obj)
     if isinstance(obj, np.integer):
         return int(obj)
     return obj
@@ -95,7 +92,8 @@ def _record_doc(rec: PeriodicOrbitRecord) -> dict:
 
 
 def _write_summary(out_dir: Path, doc: dict, args) -> None:
-    text = json.dumps(_jsonable(doc), sort_keys=True, indent=2) + "\n"
+    text = json.dumps(_jsonable(doc), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
     (out_dir / "summary.json").write_text(text, encoding="utf-8")
     if args.json:
         sys.stdout.write(text)
@@ -245,13 +243,12 @@ def cmd_orbits(cfg: RunConfig, out_dir: Path, args) -> int:
     for i, root in enumerate(prediction.roots):
         try:
             rec = shoot_orbit(u, cfg.eps, root, cfg.integrator)
-        except _SHOOT_ERRORS as exc:
+        except SHOOTING_ERRORS as exc:
             failures[str(i)] = f"{type(exc).__name__}: {exc}"
             _say(args, f"orbit {i}: failed ({type(exc).__name__})")
             continue
         trace_name = f"orbit_{i}.csv"
-        t, states = period_trace(p, rec.section_point, rec.period,
-                                 cfg.integrator, TRACE_SAMPLES)
+        t, states = period_trace(p, rec.section_point, rec.period, cfg.integrator)
         _write_trace(out_dir / trace_name, t, states)
         entry = _record_doc(rec)
         entry["root"] = list(root)
@@ -287,13 +284,10 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, args) -> int:
     for entry in result.entries:
         eps_dir = out_dir / "sweep" / str(entry.eps)
         eps_dir.mkdir(parents=True, exist_ok=True)
-        p = unfold(u, entry.eps)
         records = {}
         for i, rec in sorted(entry.records.items()):
             trace_name = f"orbit_{i}.csv"
-            t, states = period_trace(p, rec.section_point, rec.period,
-                                     cfg.integrator, TRACE_SAMPLES)
-            _write_trace(eps_dir / trace_name, t, states)
+            _write_trace(eps_dir / trace_name, *entry.traces[i])
             rec_doc = _record_doc(rec)
             rec_doc["trace"] = f"sweep/{entry.eps}/{trace_name}"
             records[str(i)] = rec_doc

@@ -62,27 +62,22 @@ def g_closed(r: float, w: float, a2: float, b2: float, delta: float) -> np.ndarr
 
 
 def _degeneracies(a2: float, b2: float, delta: float, tol: float):
-    """Reasons why the root-family analysis breaks down, empty if none."""
-    d2 = delta ** 2
-    reasons = []
-    if abs(3.0 - d2) <= tol:
-        reasons.append("delta^2 = 3 (vanishing cubic coefficient)")
-    if abs(2.0 * a2 * d2 - b2) <= tol:
-        reasons.append("2*a2*delta^2 = b2 (paired family at w = 0)")
-    if abs(a2 * d2 - b2) <= tol:
-        reasons.append("a2*delta^2 = b2 (w = 0 family collapses to r = 0)")
-    if abs(a2 * d2 + 2.0 * b2) <= tol:
-        reasons.append("a2*delta^2 = -2*b2 (paired family collapses to r = 0)")
-    return reasons
+    """(reason, violates the case hypotheses) for each boundary within tol.
 
-
-def _real_families(a2: float, b2: float, delta: float):
-    """(family1 present, family2 present, r1sq, r2sq, w2sq)."""
+    On the first two boundaries the case analysis does not apply at all; on
+    the two collapse boundaries a root family merges into r = 0.
+    """
     d2 = delta ** 2
-    r1sq = 4.0 * (a2 * d2 - b2) * d2 / (3.0 - d2)
-    r2sq = -4.0 * (a2 * d2 + 2.0 * b2) * d2 / (5.0 * (3.0 - d2))
-    w2sq = (2.0 * a2 * d2 - b2) / 5.0
-    return r1sq > 0.0, r2sq > 0.0 and w2sq > 0.0, r1sq, r2sq, w2sq
+    table = [
+        (3.0 - d2, "delta^2 = 3 (vanishing cubic coefficient)", True),
+        (2.0 * a2 * d2 - b2, "2*a2*delta^2 = b2 (paired family at w = 0)", True),
+        (a2 * d2 - b2, "a2*delta^2 = b2 (w = 0 family collapses to r = 0)",
+         False),
+        (a2 * d2 + 2.0 * b2,
+         "a2*delta^2 = -2*b2 (paired family collapses to r = 0)", False),
+    ]
+    return [(reason, violates) for value, reason, violates in table
+            if abs(value) <= tol]
 
 
 def predicted_roots(
@@ -102,16 +97,18 @@ def predicted_roots(
     if reasons:
         return OrbitPrediction(
             roots=[], jac_dets=[], count=OrbitCount.DEGENERATE,
-            degenerate_reason="; ".join(reasons),
+            degenerate_reason="; ".join(reason for reason, _ in reasons),
         )
     d2 = delta ** 2
-    has1, has2, r1sq, r2sq, w2sq = _real_families(a2, b2, delta)
+    r1sq = 4.0 * (a2 * d2 - b2) * d2 / (3.0 - d2)
+    r2sq = -4.0 * (a2 * d2 + 2.0 * b2) * d2 / (5.0 * (3.0 - d2))
+    w2sq = (2.0 * a2 * d2 - b2) / 5.0
     roots = []
     dets = []
-    if has1:
+    if r1sq > 0.0:
         roots.append((float(np.sqrt(r1sq)), 0.0))
         dets.append(-(a2 * d2 - b2) * (2.0 * a2 * d2 - b2) / d2 ** 3)
-    if has2:
+    if r2sq > 0.0 and w2sq > 0.0:
         r2 = float(np.sqrt(r2sq))
         w2 = float(np.sqrt(w2sq))
         det2 = -2.0 * (a2 * d2 + 2.0 * b2) * (2.0 * a2 * d2 - b2) / (5.0 * d2 ** 3)
@@ -127,13 +124,9 @@ def classify(
 ) -> OrbitCount:
     """Orbit-count case label for an unfolding direction (a2, b2, delta).
 
-    With Qp = (a2*delta^2 + 2*b2)/(3 - delta^2) and
-    Qm = (a2*delta^2 - b2)/(3 - delta^2), the w = 0 family is real exactly
-    when Qm > 0 and the paired family exactly when Qp < 0 together with
-    2*a2*delta^2 > b2. The label is the resulting real-root count, so it
-    always matches len(predicted_roots(...).roots) away from the degenerate
-    sets. On the collapse boundaries (a2*delta^2 = b2 or = -2*b2) the label
-    is DEGENERATE rather than an arbitrary choice of side.
+    The label is predicted_roots(...).count: the number of real roots, or
+    DEGENERATE on the collapse boundaries (a2*delta^2 = b2 or = -2*b2),
+    rather than an arbitrary choice of side.
 
     Raises
     ------
@@ -142,14 +135,7 @@ def classify(
     """
     if not (np.isfinite(delta) and delta > 0.0):
         raise HypothesisViolated(f"delta must be positive and finite, got {delta}")
-    d2 = delta ** 2
-    if abs(3.0 - d2) <= tol:
-        raise HypothesisViolated("delta^2 = 3 violates the case hypotheses")
-    if abs(2.0 * a2 * d2 - b2) <= tol:
-        raise HypothesisViolated("2*a2*delta^2 = b2 violates the case hypotheses")
-    if abs(a2 * d2 - b2) <= tol or abs(a2 * d2 + 2.0 * b2) <= tol:
-        return OrbitCount.DEGENERATE
-    has1, has2, *_ = _real_families(a2, b2, delta)
-    n = (1 if has1 else 0) + (2 if has2 else 0)
-    return {0: OrbitCount.ZERO, 1: OrbitCount.ONE,
-            2: OrbitCount.TWO, 3: OrbitCount.THREE}[n]
+    reasons = _degeneracies(a2, b2, delta, tol)
+    if any(violates for _, violates in reasons):
+        raise HypothesisViolated("; ".join(reason for reason, _ in reasons))
+    return predicted_roots(a2, b2, delta, tol).count

@@ -9,13 +9,14 @@ with shortest round-trip precision).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 from .averaging import QuadratureRule, QuadratureSpec
 from .jerk import SystemParams
 from .normal_form import UnfoldingParams
-from .shooting import MAX_EPS, IntegratorMethod, IntegratorSpec
+from .shooting import MAX_EPS, IntegratorSpec
 
 
 class ConfigError(ValueError):
@@ -37,7 +38,6 @@ class RunConfig:
     quadrature: QuadratureSpec
     integrator: IntegratorSpec
     output_dir: str
-    seed: int
 
 
 def _require_keys(mapping: dict, allowed: set, where: str) -> None:
@@ -101,20 +101,9 @@ def _parse_quadrature(node: dict) -> QuadratureSpec:
 
 
 def _parse_integrator(node: dict) -> IntegratorSpec:
-    _require_keys(
-        node, {"method", "abs_tol", "rel_tol", "max_step", "max_steps"}, "integrator"
-    )
-    method_name = node.get("method", IntegratorMethod.RK45_ADAPTIVE.value)
-    try:
-        method = IntegratorMethod(method_name)
-    except ValueError:
-        raise ConfigError(
-            f"integrator.method: expected one of "
-            f"{[m.value for m in IntegratorMethod]}, got {method_name!r}"
-        ) from None
+    _require_keys(node, {"abs_tol", "rel_tol", "max_step", "max_steps"}, "integrator")
     try:
         return IntegratorSpec(
-            method=method,
             abs_tol=_number(node, "abs_tol", "integrator", 1e-11),
             rel_tol=_number(node, "rel_tol", "integrator", 1e-11),
             max_step=_number(node, "max_step", "integrator", float("inf")),
@@ -131,7 +120,7 @@ def from_dict(doc: dict) -> RunConfig:
     _require_keys(
         doc,
         {"unfolding", "params", "eps", "eps_list", "quadrature", "integrator",
-         "output_dir", "seed"},
+         "output_dir"},
         "config",
     )
     if ("unfolding" in doc) == ("params" in doc):
@@ -194,12 +183,14 @@ def from_dict(doc: dict) -> RunConfig:
         quadrature=_parse_quadrature(quad_node),
         integrator=_parse_integrator(integ_node),
         output_dir=output_dir,
-        seed=_integer(doc, "seed", "config", 0),
     )
 
 
 def to_dict(cfg: RunConfig) -> dict:
-    """Canonical echo of a RunConfig; from_dict(to_dict(cfg)) == cfg."""
+    """Canonical echo of a RunConfig; from_dict(to_dict(cfg)) == cfg.
+
+    An unbounded max_step, the default, is omitted: JSON has no infinity.
+    """
     doc: dict = {}
     if cfg.unfolding is not None:
         u = cfg.unfolding
@@ -219,22 +210,27 @@ def to_dict(cfg: RunConfig) -> dict:
         "rule": cfg.quadrature.rule.value,
     }
     doc["integrator"] = {
-        "method": cfg.integrator.method.value,
         "abs_tol": cfg.integrator.abs_tol,
         "rel_tol": cfg.integrator.rel_tol,
-        "max_step": cfg.integrator.max_step,
         "max_steps": cfg.integrator.max_steps,
     }
+    if math.isfinite(cfg.integrator.max_step):
+        doc["integrator"]["max_step"] = cfg.integrator.max_step
     doc["output_dir"] = cfg.output_dir
-    doc["seed"] = cfg.seed
     return doc
 
 
 def load_config(path) -> RunConfig:
-    """Parse and validate a JSON config file."""
+    """Parse and validate a JSON config file.
+
+    The file must be strict JSON: NaN and Infinity are rejected.
+    """
+    def reject(name):
+        raise ConfigError(f"config {path}: {name} is not a JSON number")
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+            doc = json.load(handle, parse_constant=reject)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

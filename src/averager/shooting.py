@@ -6,20 +6,20 @@ the coordinate pipeline at theta = 0 they give points on the plane section
 return map of that section turns each prediction into an actual periodic
 orbit of the full nonlinear system, and the variational flow along one
 period yields the Floquet multipliers.
+
+Every flow, section crossing and variational pass is integrated by scipy's
+adaptive RK45 (Dormand-Prince 5(4)) under the budget of an IntegratorSpec.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicHermiteSpline
-from scipy.optimize import brentq
 
 from .closed_form import HypothesisViolated, OrbitCount, predicted_roots
 from .jerk import SystemParams, jacobian_at, vector_field
@@ -57,14 +57,15 @@ class SeedInvalid(ValueError):
     """The averaged seed is unusable (r <= 0 or not finite)."""
 
 
-class IntegratorMethod(Enum):
-    RK4_FIXED = "rk4"
-    RK45_ADAPTIVE = "rk45"
+#: the failures of one orbit's shooting that a caller records and moves past
+SHOOTING_ERRORS = (ShootingDiverged, NoReturn, SeedInvalid,
+                   StepLimitExceeded, StepUnderflow)
 
 
 @dataclass(frozen=True)
 class IntegratorSpec:
-    method: IntegratorMethod = IntegratorMethod.RK45_ADAPTIVE
+    """Tolerances and step budget of the RK45 integrator."""
+
     abs_tol: float = 1e-11
     rel_tol: float = 1e-11
     max_step: float = math.inf
@@ -85,19 +86,6 @@ class PeriodicOrbitRecord:
     residual: float
     floquet: np.ndarray
     seed: tuple
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Sampled trajectory with dense evaluation between samples."""
-
-    t: np.ndarray
-    states: np.ndarray
-    _dense: Callable = field(repr=False)
-
-    def at(self, t):
-        """State at time t; rows for array input."""
-        return self._dense(t)
 
 
 def _rhs(p: SystemParams) -> Callable:
@@ -121,7 +109,7 @@ def _augmented_rhs(p: SystemParams) -> Callable:
     return rhs
 
 
-def _solve_adaptive(fun, s0, t_end, spec, events=None):
+def _solve(fun, s0, t_end, spec, events=None):
     sol = solve_ivp(
         fun,
         (0.0, float(t_end)),
@@ -142,36 +130,11 @@ def _solve_adaptive(fun, s0, t_end, spec, events=None):
     return sol
 
 
-def _solve_rk4(fun, s0, t_end, spec):
-    """Classic fixed-step RK4 with a cubic Hermite dense output."""
-    s0 = np.asarray(s0, dtype=float)
-    h_target = spec.max_step if math.isfinite(spec.max_step) else t_end / 1024.0
-    n_steps = max(1, int(np.ceil(t_end / h_target)))
-    if n_steps > spec.max_steps:
-        raise StepLimitExceeded(f"{n_steps} steps exceed the limit {spec.max_steps}")
-    h = t_end / n_steps
-    if h < 1e-14 * max(1.0, t_end):
-        raise StepUnderflow(f"fixed step {h:.3e} below resolvable size")
-    t = np.linspace(0.0, t_end, n_steps + 1)
-    states = np.empty((n_steps + 1, len(s0)))
-    derivs = np.empty_like(states)
-    states[0] = s0
-    derivs[0] = fun(0.0, s0)
-    s = s0
-    for i in range(n_steps):
-        ti = t[i]
-        k1 = np.asarray(fun(ti, s))
-        k2 = np.asarray(fun(ti + h / 2.0, s + h / 2.0 * k1))
-        k3 = np.asarray(fun(ti + h / 2.0, s + h / 2.0 * k2))
-        k4 = np.asarray(fun(ti + h, s + h * k3))
-        s = s + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states[i + 1] = s
-        derivs[i + 1] = fun(t[i + 1], s)
-    return t, states, CubicHermiteSpline(t, states, derivs, axis=0)
-
-
-def integrate(p: SystemParams, s0, t_end: float, spec: IntegratorSpec) -> Trajectory:
+def integrate(p: SystemParams, s0, t_end: float, spec: IntegratorSpec) -> Callable:
     """Numerical flow of the jerk system from s0 over [0, t_end].
+
+    Returns the dense output t -> state: a 3-vector for scalar t, one row
+    per time for an array of times in [0, t_end].
 
     Raises
     ------
@@ -179,61 +142,35 @@ def integrate(p: SystemParams, s0, t_end: float, spec: IntegratorSpec) -> Trajec
     """
     if t_end <= 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
-    fun = _rhs(p)
-    if spec.method is IntegratorMethod.RK45_ADAPTIVE:
-        sol = _solve_adaptive(fun, s0, t_end, spec)
-        dense = sol.sol
-        return Trajectory(
-            t=sol.t, states=sol.y.T,
-            _dense=lambda tt: np.asarray(dense(tt)).T,
-        )
-    t, states, spline = _solve_rk4(fun, s0, t_end, spec)
-    return Trajectory(t=t, states=states, _dense=spline)
-
-
-def _polish_crossing(fun, dense, t_cross, t_lo, t_hi):
-    """Newton in time on the dense output until |z| < CROSSING_TOL."""
-    for _ in range(8):
-        state = np.asarray(dense(t_cross), dtype=float)
-        if abs(state[2]) < CROSSING_TOL:
-            break
-        zdot = fun(t_cross, state)[2]
-        if zdot == 0.0:
-            break
-        t_cross = min(max(t_cross - state[2] / zdot, t_lo), t_hi)
-    return t_cross, np.asarray(dense(t_cross), dtype=float)
+    dense = _solve(_rhs(p), s0, t_end, spec).sol
+    return lambda t: np.asarray(dense(t)).T
 
 
 def _first_crossing(p: SystemParams, s0, spec: IntegratorSpec,
                     direction: int, t_max: float):
     """First z = 0 crossing with sign(dz/dt) = direction, or None.
 
-    A start exactly on the section does not count as a crossing.
-    Returns (t_cross, state_cross).
+    A start exactly on the section does not count as a crossing. The event
+    time is polished by Newton in time on the dense output until
+    |z| < CROSSING_TOL. Returns (t_cross, state_cross).
     """
     fun = _rhs(p)
-    if spec.method is IntegratorMethod.RK45_ADAPTIVE:
-        event = lambda t, s: s[2]
-        event.terminal = True
-        event.direction = float(direction)
-        sol = _solve_adaptive(fun, s0, t_max, spec, events=[event])
-        if len(sol.t_events[0]) == 0:
-            return None
-        t_cross = float(sol.t_events[0][0])
-        t_cross, state = _polish_crossing(fun, sol.sol, t_cross, 0.0, sol.t[-1])
-        return t_cross, state
-    t, states, spline = _solve_rk4(fun, s0, t_max, spec)
-    z = states[:, 2]
-    for i in range(len(t) - 1):
-        lo, hi = z[i], z[i + 1]
-        if direction < 0 and not (lo > 0.0 > hi):
-            continue
-        if direction > 0 and not (lo < 0.0 < hi):
-            continue
-        t_cross = brentq(lambda tt: spline(tt)[2], t[i], t[i + 1], xtol=1e-14)
-        t_cross, state = _polish_crossing(fun, spline, t_cross, t[i], t[i + 1])
-        return t_cross, state
-    return None
+    event = lambda t, s: s[2]
+    event.terminal = True
+    event.direction = float(direction)
+    sol = _solve(fun, s0, t_max, spec, events=[event])
+    if len(sol.t_events[0]) == 0:
+        return None
+    t_cross = float(sol.t_events[0][0])
+    for _ in range(8):
+        state = np.asarray(sol.sol(t_cross), dtype=float)
+        if abs(state[2]) < CROSSING_TOL:
+            break
+        zdot = fun(t_cross, state)[2]
+        if zdot == 0.0:
+            break
+        t_cross = min(max(t_cross - state[2] / zdot, 0.0), sol.t[-1])
+    return t_cross, np.asarray(sol.sol(t_cross), dtype=float)
 
 
 def poincare_return(p: SystemParams, q, spec: IntegratorSpec,
@@ -279,12 +216,8 @@ def poincare_return(p: SystemParams, q, spec: IntegratorSpec,
 def monodromy(p: SystemParams, s0, period: float, spec: IntegratorSpec) -> np.ndarray:
     """Fundamental matrix over one period from the variational equations."""
     aug0 = np.concatenate([np.asarray(s0, dtype=float), np.eye(3).ravel()])
-    fun = _augmented_rhs(p)
-    if spec.method is IntegratorMethod.RK45_ADAPTIVE:
-        sol = _solve_adaptive(fun, aug0, period, spec)
-        return sol.y[3:, -1].reshape(3, 3)
-    _, states, _ = _solve_rk4(fun, aug0, period, spec)
-    return states[-1, 3:].reshape(3, 3)
+    sol = _solve(_augmented_rhs(p), aug0, period, spec)
+    return sol.y[3:, -1].reshape(3, 3)
 
 
 def _nontrivial_multipliers(mono: np.ndarray):
@@ -297,16 +230,21 @@ def _nontrivial_multipliers(mono: np.ndarray):
 
 
 def _newton_return(p, q0, spec, shoot_tol, max_iter):
-    """Newton on P(q) - q; returns the fixed point or None."""
+    """Newton on P(q) - q.
+
+    Returns (q, |P(q) - q|, flight time of P at q) at the fixed point, or
+    None when Newton fails.
+    """
     q = np.array(q0, dtype=float)
     try:
-        res_vec = poincare_return(p, q, spec)[0] - q
+        returned, flight = poincare_return(p, q, spec)
     except NoReturn:
         return None
+    res_vec = returned - q
     res = float(np.linalg.norm(res_vec))
     for _ in range(max_iter):
         if res < shoot_tol:
-            return q
+            return q, res, flight
         h = 1e-7 * (1.0 + float(np.linalg.norm(q)))
         jac = np.empty((2, 2))
         try:
@@ -320,7 +258,8 @@ def _newton_return(p, q0, spec, shoot_tol, max_iter):
             lam = 1.0
             for _ in range(12):
                 q_new = q + lam * step
-                new_vec = poincare_return(p, q_new, spec)[0] - q_new
+                returned, new_flight = poincare_return(p, q_new, spec)
+                new_vec = returned - q_new
                 new_res = float(np.linalg.norm(new_vec))
                 if new_res < res or new_res < shoot_tol:
                     break
@@ -329,8 +268,8 @@ def _newton_return(p, q0, spec, shoot_tol, max_iter):
                 return None
         except (NoReturn, np.linalg.LinAlgError):
             return None
-        q, res_vec, res = q_new, new_vec, new_res
-    return q if res < shoot_tol else None
+        q, res_vec, res, flight = q_new, new_vec, new_res, new_flight
+    return (q, res, flight) if res < shoot_tol else None
 
 
 def shoot_orbit(
@@ -375,10 +314,11 @@ def shoot_orbit(
     if initial_point is not None:
         candidates.insert(0, ("warm-start", np.asarray(initial_point, dtype=float)))
 
-    fixed = None
+    found = None
     for tag, q0 in candidates:
-        fixed = _newton_return(p, q0, spec, shoot_tol, max_iter)
-        if fixed is not None:
+        found = _newton_return(p, q0, spec, shoot_tol, max_iter)
+        if found is not None:
+            fixed, residual, period = found
             logger.info(
                 "seed (r=%.6g, w=%.6g) eps=%.6g: converged from %s start; "
                 "fixed point at %.3e from eps*(w, r), %.3e from the alternate",
@@ -387,13 +327,11 @@ def shoot_orbit(
                 float(np.linalg.norm(fixed - q_alternate)),
             )
             break
-    if fixed is None:
+    if found is None:
         raise ShootingDiverged(
             f"no candidate seed converged for (r, w) = ({r}, {w}) at eps = {eps}"
         )
 
-    returned, period = poincare_return(p, fixed, spec)
-    residual = float(np.linalg.norm(returned - fixed))
     mono = monodromy(p, np.array([fixed[0], fixed[1], 0.0]), period, spec)
     floq, trivial = _nontrivial_multipliers(mono)
     logger.debug(
@@ -414,15 +352,21 @@ def period_trace(p: SystemParams, section_point, period: float,
                  spec: IntegratorSpec, n_samples: int = 512):
     """(times, states) sampled uniformly over one period from the section."""
     s0 = np.array([section_point[0], section_point[1], 0.0])
-    traj = integrate(p, s0, period, spec)
+    flow = integrate(p, s0, period, spec)
     t = np.linspace(0.0, period, n_samples)
-    return t, np.asarray(traj.at(t), dtype=float)
+    return t, np.asarray(flow(t), dtype=float)
 
 
 @dataclass(frozen=True)
 class SweepEntry:
+    """Located orbits at one eps, keyed by root index.
+
+    traces[i] is the period_trace (times, states) of records[i].
+    """
+
     eps: float
     records: dict
+    traces: dict
     failures: dict
 
 
@@ -472,6 +416,7 @@ def sweep_epsilon(
     max_coords: dict[int, list] = {i: [] for i in range(len(prediction.roots))}
     for eps in eps_list:
         records: dict[int, PeriodicOrbitRecord] = {}
+        traces: dict[int, tuple] = {}
         failures: dict[int, str] = {}
         for i, root in enumerate(prediction.roots):
             start = None
@@ -481,18 +426,18 @@ def sweep_epsilon(
                 rec = shoot_orbit(
                     u, eps, root, spec, shoot_tol=shoot_tol, initial_point=start
                 )
-            except (ShootingDiverged, NoReturn, SeedInvalid,
-                    StepLimitExceeded, StepUnderflow) as exc:
+            except SHOOTING_ERRORS as exc:
                 failures[i] = f"{type(exc).__name__}: {exc}"
                 warm.pop(i, None)
                 max_coords[i].append(math.nan)
                 continue
             records[i] = rec
             warm[i] = rec.section_point
-            _, states = period_trace(unfold(u, eps), rec.section_point,
+            traces[i] = period_trace(unfold(u, eps), rec.section_point,
                                      rec.period, spec)
-            max_coords[i].append(float(np.max(np.abs(states))))
-        entries.append(SweepEntry(eps=eps, records=records, failures=failures))
+            max_coords[i].append(float(np.max(np.abs(traces[i][1]))))
+        entries.append(SweepEntry(eps=eps, records=records, traces=traces,
+                                  failures=failures))
         prev_eps = eps
 
     amp_slopes = {}

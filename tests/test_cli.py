@@ -1,10 +1,11 @@
 """Command-line behavior: exit codes, outputs, determinism."""
 
 import json
+import math
 
 import pytest
 
-from averager.cli import main
+from averager.cli import _jsonable, main
 from averager.config import from_dict
 
 THREE_ORBIT_DOC = {
@@ -184,6 +185,20 @@ def test_summary_config_echo_reparses_identically(tmp_path):
     assert code == 0
     echoed = read_summary(out)["config"]
     assert from_dict(echoed) == from_dict(dict(THREE_ORBIT_DOC))
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_summary_is_strict_json(tmp_path):
+    """No Infinity or NaN: summary.json parses under RFC 8259."""
+    code, out = run(tmp_path, "classify", THREE_ORBIT_DOC)
+    assert code == 0
+    text = (out / "summary.json").read_text(encoding="utf-8")
+    doc = json.loads(text, parse_constant=_reject_constant)
+    assert "max_step" not in doc["config"]["integrator"]
+    assert _jsonable({"0": [0.5, math.nan]}) == {"0": [0.5, None]}
 
 
 def test_reruns_are_byte_identical(tmp_path):

@@ -6,7 +6,6 @@ import pytest
 
 from averager.averaging import QuadratureRule
 from averager.config import ConfigError, from_dict, load_config, to_dict
-from averager.shooting import IntegratorMethod
 
 
 def minimal_doc():
@@ -21,10 +20,8 @@ def test_minimal_config_fills_defaults():
     assert cfg.eps_list is None
     assert cfg.quadrature.nodes == 64
     assert cfg.quadrature.rule is QuadratureRule.GAUSS_LEGENDRE
-    assert cfg.integrator.method is IntegratorMethod.RK45_ADAPTIVE
     assert cfg.integrator.abs_tol == 1e-11
     assert cfg.output_dir == "results"
-    assert cfg.seed == 0
 
 
 def test_direct_params_mode():
@@ -39,10 +36,9 @@ def test_round_trip_identity():
                       "c1": 0.5, "c2": -0.75, "delta": 2.0},
         "eps": 0.1,
         "quadrature": {"nodes": 32, "inner_nodes": 128, "rule": "simpson"},
-        "integrator": {"method": "rk4", "abs_tol": 1e-9, "rel_tol": 1e-9,
+        "integrator": {"abs_tol": 1e-9, "rel_tol": 1e-9,
                        "max_step": 0.001, "max_steps": 500000},
         "output_dir": "out",
-        "seed": 7,
     }
     cfg = from_dict(doc)
     assert from_dict(to_dict(cfg)) == cfg
@@ -72,6 +68,14 @@ def test_unknown_keys_rejected_at_every_level():
     doc = minimal_doc()
     doc["integrator"] = {"tol": 1e-9}
     with pytest.raises(ConfigError, match="tol"):
+        from_dict(doc)
+    doc = minimal_doc()
+    doc["integrator"] = {"method": "rk45"}
+    with pytest.raises(ConfigError, match="method"):
+        from_dict(doc)
+    doc = minimal_doc()
+    doc["seed"] = 0
+    with pytest.raises(ConfigError, match="seed"):
         from_dict(doc)
 
 
@@ -115,8 +119,8 @@ def test_type_errors_have_path_context():
     with pytest.raises(ConfigError, match="unfolding.delta"):
         from_dict(doc)
     doc = minimal_doc()
-    doc["seed"] = 1.5
-    with pytest.raises(ConfigError, match="seed"):
+    doc["integrator"] = {"max_steps": 1.5}
+    with pytest.raises(ConfigError, match="integrator.max_steps"):
         from_dict(doc)
     doc = minimal_doc()
     doc["quadrature"] = {"rule": "romberg"}
@@ -142,3 +146,9 @@ def test_load_config_from_file(tmp_path):
         load_config(bad)
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "missing.json")
+    nonfinite = tmp_path / "nonfinite.json"
+    nonfinite.write_text('{"unfolding": {"delta": 2.0}, '
+                         '"integrator": {"abs_tol": Infinity}}',
+                         encoding="utf-8")
+    with pytest.raises(ConfigError, match="Infinity"):
+        load_config(nonfinite)

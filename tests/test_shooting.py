@@ -7,7 +7,6 @@ from averager.closed_form import HypothesisViolated, predicted_roots
 from averager.jerk import SystemParams
 from averager.normal_form import UnfoldingParams, unfold
 from averager.shooting import (
-    IntegratorMethod,
     IntegratorSpec,
     SeedInvalid,
     _first_crossing,
@@ -32,10 +31,8 @@ def records():
 
 def test_integrate_constant_at_equilibrium():
     p = SystemParams(3.6, 1.3, 0.1)
-    for method in IntegratorMethod:
-        spec = IntegratorSpec(method=method, max_step=0.01)
-        traj = integrate(p, (0.0, 0.0, 0.0), 5.0, spec)
-        assert np.max(np.abs(traj.states)) < 1e-12
+    flow = integrate(p, (0.0, 0.0, 0.0), 5.0, IntegratorSpec(max_step=0.01))
+    assert np.max(np.abs(flow(np.linspace(0.0, 5.0, 101)))) < 1e-12
 
 
 def test_integrate_linearized_rotation():
@@ -46,9 +43,9 @@ def test_integrate_linearized_rotation():
     """
     p = SystemParams(0.0, 0.0, -4.0)
     tight = IntegratorSpec(abs_tol=1e-14, rel_tol=1e-13)
-    traj = integrate(p, (0.0, 1e-6, 0.0), np.pi, tight)
-    assert abs(traj.at(np.pi / 2.0)[1] + 1e-6) < 1e-12
-    assert abs(traj.at(np.pi)[1] - 1e-6) < 1e-12
+    flow = integrate(p, (0.0, 1e-6, 0.0), np.pi, tight)
+    assert abs(flow(np.pi / 2.0)[1] + 1e-6) < 1e-12
+    assert abs(flow(np.pi)[1] - 1e-6) < 1e-12
 
 
 def test_integrate_tolerance_convergence():
@@ -56,7 +53,7 @@ def test_integrate_tolerance_convergence():
     s0 = (0.05, 0.3, 0.0)
     loose = integrate(p, s0, 3.0, IntegratorSpec(abs_tol=1e-9, rel_tol=1e-9))
     tight = integrate(p, s0, 3.0, IntegratorSpec(abs_tol=1e-12, rel_tol=1e-12))
-    assert np.max(np.abs(loose.at(3.0) - tight.at(3.0))) < 1e-7
+    assert np.max(np.abs(loose(3.0) - tight(3.0))) < 1e-7
 
 
 def test_integrate_rejects_nonpositive_time():
@@ -133,12 +130,22 @@ def test_trivial_floquet_multiplier(records):
         assert rec.floquet.shape == (2,)
 
 
+def test_shoot_reports_the_return_at_the_fixed_point(records):
+    """Period and residual are those of the return map at the fixed point."""
+    p = unfold(THREE_ORBIT, EPS)
+    for rec in records:
+        returned, flight = poincare_return(p, rec.section_point, SPEC)
+        assert rec.period == flight
+        assert rec.residual == float(np.linalg.norm(returned
+                                                    - rec.section_point))
+
+
 def test_orbit_closes_after_one_period(records):
     p = unfold(THREE_ORBIT, EPS)
     for rec in records:
         s0 = np.array([rec.section_point[0], rec.section_point[1], 0.0])
-        traj = integrate(p, s0, rec.period, SPEC)
-        assert np.linalg.norm(traj.at(rec.period) - s0) < 1e-9
+        flow = integrate(p, s0, rec.period, SPEC)
+        assert np.linalg.norm(flow(rec.period) - s0) < 1e-9
 
 
 def test_period_trace_sampling(records):
@@ -157,14 +164,6 @@ def test_shoot_rejects_bad_input():
         shoot_orbit(THREE_ORBIT, EPS, (-1.0, 0.0), SPEC)
     with pytest.raises(ValueError):
         shoot_orbit(THREE_ORBIT, 0.5, (4.0, 0.0), SPEC)
-
-
-def test_rk4_and_adaptive_agree():
-    p = unfold(THREE_ORBIT, EPS)
-    rk4 = IntegratorSpec(method=IntegratorMethod.RK4_FIXED, max_step=1e-3)
-    _, t_fixed = poincare_return(p, (0.0, 0.4), rk4)
-    _, t_adaptive = poincare_return(p, (0.0, 0.4), SPEC)
-    assert abs(t_fixed - t_adaptive) < 1e-6
 
 
 def test_one_orbit_region():
@@ -186,6 +185,13 @@ def test_sweep_two_eps():
             assert abs(rec.period - np.pi) < 0.5 * entry.eps
     assert result.monotone
     assert set(result.amp_slopes) == {0, 1, 2}
+    for entry in result.entries:
+        p = unfold(THREE_ORBIT, entry.eps)
+        assert set(entry.traces) == set(entry.records)
+        for i, rec in entry.records.items():
+            t, states = period_trace(p, rec.section_point, rec.period, SPEC)
+            assert np.array_equal(entry.traces[i][0], t)
+            assert np.array_equal(entry.traces[i][1], states)
 
 
 def test_sweep_validates_input():
