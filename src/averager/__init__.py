@@ -12,7 +12,6 @@ from .averaging import (
     AveragedRoot,
     DegreeSign,
     QuadratureNotConverged,
-    QuadratureRule,
     QuadratureSpec,
     average_first,
     average_second,
@@ -84,7 +83,6 @@ __all__ = [
     "OrbitPrediction",
     "PeriodicOrbitRecord",
     "QuadratureNotConverged",
-    "QuadratureRule",
     "QuadratureSpec",
     "RunConfig",
     "SeedInvalid",

@@ -2,9 +2,10 @@
 
 Works on any StandardFormSystem. The first averaged function is the time
 mean of F1; the second adds the mean of DF1(z, s) . int_0^s F1(z, t) dt
-+ F2(z, s). Simple zeros of these functions, certified by a nonzero
-Jacobian determinant, correspond to periodic solutions of the underlying
-periodic system for small eps.
++ F2(z, s). Both means are Gauss-Legendre quadratures over one period,
+accepted after an (N, 2N) agreement check. Simple zeros of these
+functions, certified by a nonzero Jacobian determinant, correspond to
+periodic solutions of the underlying periodic system for small eps.
 """
 
 from __future__ import annotations
@@ -41,11 +42,6 @@ class QuadratureAccuracyWarning(UserWarning):
     """Doubling the node count moved the result more than the target accuracy."""
 
 
-class QuadratureRule(Enum):
-    GAUSS_LEGENDRE = "gauss-legendre"
-    SIMPSON = "simpson"
-
-
 class DegreeSign(Enum):
     PLUS = "plus"
     MINUS = "minus"
@@ -56,14 +52,13 @@ class DegreeSign(Enum):
 class QuadratureSpec:
     """Node budget for the averaging quadratures.
 
-    nodes is the outer rule size N (the result is accepted only after an
-    (N, 2N) agreement check); inner_nodes is the uniform grid size for the
-    cumulative inner integral of F1.
+    nodes is the outer Gauss-Legendre size N (the result is accepted only
+    after an (N, 2N) agreement check); inner_nodes is the uniform grid size
+    for the cumulative inner integral of F1.
     """
 
     nodes: int = 64
     inner_nodes: int = 64
-    rule: QuadratureRule = QuadratureRule.GAUSS_LEGENDRE
 
     def __post_init__(self):
         if self.nodes < 16 or self.inner_nodes < 16:
@@ -83,57 +78,18 @@ class AveragedRoot:
 
 
 @lru_cache(maxsize=64)
-def _rule_nodes(rule: QuadratureRule, n_nodes: int, period: float):
-    """Nodes and weights on [0, period] for the requested rule.
+def _rule_nodes(n_nodes: int, period: float):
+    """Gauss-Legendre nodes and weights on [0, period].
 
-    Cached because Gauss-Legendre node generation costs far more than the
-    quadrature itself when averaging over large evaluation grids. The
-    returned arrays are read-only.
+    Cached because node generation costs far more than the quadrature
+    itself when averaging over large evaluation grids. The returned arrays
+    are read-only.
     """
-    if rule is QuadratureRule.GAUSS_LEGENDRE:
-        x, w = np.polynomial.legendre.leggauss(n_nodes)
-        s, w = 0.5 * period * (x + 1.0), 0.5 * period * w
-    else:
-        # composite Simpson with an even number of intervals
-        m = n_nodes if n_nodes % 2 == 0 else n_nodes + 1
-        s = np.linspace(0.0, period, m + 1)
-        w = np.ones(m + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        w = w * (period / (3.0 * m))
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    s, w = 0.5 * period * (x + 1.0), 0.5 * period * w
     s.flags.writeable = False
     w.flags.writeable = False
     return s, w
-
-
-def _on_nodes(fn: Callable, z, s: np.ndarray, vectorized: bool) -> np.ndarray:
-    """Evaluate fn(z, .) on all nodes, shape (n, len(s))."""
-    if vectorized:
-        return np.asarray(fn(z, s), dtype=float)
-    return np.stack([np.asarray(fn(z, t), dtype=float) for t in s], axis=-1)
-
-
-def _df1_on_nodes(sys: StandardFormSystem, z, s: np.ndarray) -> np.ndarray:
-    """DF1 on all nodes, shape (n, n, len(s)); finite differences if needed."""
-    if sys.df1 is not None:
-        if sys.vectorized:
-            out = np.asarray(sys.df1(z, s), dtype=float)
-            if out.ndim == 2:
-                out = np.repeat(out[:, :, None], len(s), axis=2)
-            return out
-        return np.stack(
-            [np.asarray(sys.df1(z, t), dtype=float) for t in s], axis=-1
-        )
-    z = np.asarray(z, dtype=float)
-    h = FD_STEP * (1.0 + np.max(np.abs(z)))
-    cols = []
-    for j in range(sys.dim):
-        dz = np.zeros_like(z)
-        dz[j] = h
-        hi = _on_nodes(sys.f1, z + dz, s, sys.vectorized)
-        lo = _on_nodes(sys.f1, z - dz, s, sys.vectorized)
-        cols.append((hi - lo) / (2.0 * h))
-    return np.stack(cols, axis=1)
 
 
 def _cumulative_from_samples(vals: np.ndarray, period: float) -> Callable:
@@ -186,8 +142,8 @@ def average_first(sys: StandardFormSystem, z, q: QuadratureSpec) -> np.ndarray:
     """First averaged function f(z) = (1/T) int_0^T F1(z, s) ds."""
 
     def compute(n_nodes: int) -> np.ndarray:
-        s, w = _rule_nodes(q.rule, n_nodes, sys.period)
-        return _on_nodes(sys.f1, z, s, sys.vectorized) @ w / sys.period
+        s, w = _rule_nodes(n_nodes, sys.period)
+        return np.asarray(sys.f1(z, s), dtype=float) @ w / sys.period
 
     return _refined_mean(compute, q.nodes, "average_first")
 
@@ -201,14 +157,14 @@ def average_second(sys: StandardFormSystem, z, q: QuadratureSpec) -> np.ndarray:
     antiderivative.
     """
     inner_s = np.arange(q.inner_nodes) * (sys.period / q.inner_nodes)
-    f1_samples = _on_nodes(sys.f1, z, inner_s, sys.vectorized)
+    f1_samples = np.asarray(sys.f1(z, inner_s), dtype=float)
     cumulative = _cumulative_from_samples(f1_samples, sys.period)
 
     def compute(n_nodes: int) -> np.ndarray:
-        s, w = _rule_nodes(q.rule, n_nodes, sys.period)
-        jac = _df1_on_nodes(sys, z, s)
+        s, w = _rule_nodes(n_nodes, sys.period)
+        jac = np.asarray(sys.df1(z, s), dtype=float)
         integrand = np.einsum("ijm,jm->im", jac, cumulative(s))
-        integrand += _on_nodes(sys.f2, z, s, sys.vectorized)
+        integrand += np.asarray(sys.f2(z, s), dtype=float)
         return integrand @ w / sys.period
 
     return _refined_mean(compute, q.nodes, "average_second")

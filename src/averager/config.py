@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .averaging import QuadratureRule, QuadratureSpec
+from .averaging import QuadratureSpec
 from .jerk import SystemParams
 from .normal_form import UnfoldingParams
 from .shooting import MAX_EPS, IntegratorSpec
@@ -64,53 +64,50 @@ def _integer(mapping: dict, key: str, where: str, default: int) -> int:
     return value
 
 
+def _construct(cls, where: str, **fields):
+    """cls(**fields), reporting the dataclass's own ValueError under where.
+
+    The fields are parsed before the call, so a ConfigError from _number or
+    _integer, which already names its full path, passes through unchanged.
+    """
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def _parse_unfolding(node: dict) -> UnfoldingParams:
     _require_keys(node, {"a1", "a2", "b1", "b2", "c1", "c2", "delta"}, "unfolding")
-    try:
-        return UnfoldingParams(
-            a1=_number(node, "a1", "unfolding", 0.0),
-            a2=_number(node, "a2", "unfolding", 0.0),
-            b1=_number(node, "b1", "unfolding", 0.0),
-            b2=_number(node, "b2", "unfolding", 0.0),
-            c1=_number(node, "c1", "unfolding", 0.0),
-            c2=_number(node, "c2", "unfolding", 0.0),
-            delta=_number(node, "delta", "unfolding"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"unfolding: {exc}") from exc
+    return _construct(
+        UnfoldingParams, "unfolding",
+        a1=_number(node, "a1", "unfolding", 0.0),
+        a2=_number(node, "a2", "unfolding", 0.0),
+        b1=_number(node, "b1", "unfolding", 0.0),
+        b2=_number(node, "b2", "unfolding", 0.0),
+        c1=_number(node, "c1", "unfolding", 0.0),
+        c2=_number(node, "c2", "unfolding", 0.0),
+        delta=_number(node, "delta", "unfolding"),
+    )
 
 
 def _parse_quadrature(node: dict) -> QuadratureSpec:
-    _require_keys(node, {"nodes", "inner_nodes", "rule"}, "quadrature")
-    rule_name = node.get("rule", QuadratureRule.GAUSS_LEGENDRE.value)
-    try:
-        rule = QuadratureRule(rule_name)
-    except ValueError:
-        raise ConfigError(
-            f"quadrature.rule: expected one of "
-            f"{[r.value for r in QuadratureRule]}, got {rule_name!r}"
-        ) from None
-    try:
-        return QuadratureSpec(
-            nodes=_integer(node, "nodes", "quadrature", 64),
-            inner_nodes=_integer(node, "inner_nodes", "quadrature", 64),
-            rule=rule,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"quadrature: {exc}") from exc
+    _require_keys(node, {"nodes", "inner_nodes"}, "quadrature")
+    return _construct(
+        QuadratureSpec, "quadrature",
+        nodes=_integer(node, "nodes", "quadrature", 64),
+        inner_nodes=_integer(node, "inner_nodes", "quadrature", 64),
+    )
 
 
 def _parse_integrator(node: dict) -> IntegratorSpec:
     _require_keys(node, {"abs_tol", "rel_tol", "max_step", "max_steps"}, "integrator")
-    try:
-        return IntegratorSpec(
-            abs_tol=_number(node, "abs_tol", "integrator", 1e-11),
-            rel_tol=_number(node, "rel_tol", "integrator", 1e-11),
-            max_step=_number(node, "max_step", "integrator", float("inf")),
-            max_steps=_integer(node, "max_steps", "integrator", 1_000_000),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"integrator: {exc}") from exc
+    return _construct(
+        IntegratorSpec, "integrator",
+        abs_tol=_number(node, "abs_tol", "integrator", 1e-11),
+        rel_tol=_number(node, "rel_tol", "integrator", 1e-11),
+        max_step=_number(node, "max_step", "integrator", float("inf")),
+        max_steps=_integer(node, "max_steps", "integrator", 1_000_000),
+    )
 
 
 def from_dict(doc: dict) -> RunConfig:
@@ -207,7 +204,6 @@ def to_dict(cfg: RunConfig) -> dict:
     doc["quadrature"] = {
         "nodes": cfg.quadrature.nodes,
         "inner_nodes": cfg.quadrature.inner_nodes,
-        "rule": cfg.quadrature.rule.value,
     }
     doc["integrator"] = {
         "abs_tol": cfg.integrator.abs_tol,

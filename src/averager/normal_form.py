@@ -11,7 +11,7 @@ is what the averaging engine consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -58,17 +58,15 @@ class UnfoldingParams:
 class StandardFormSystem:
     """A T-periodic field dz/dt = eps F1(z, t) + eps^2 F2(z, t) + O(eps^3).
 
-    f1 and f2 map (z, t) to an n-vector; df1, when given, is the analytic
-    Jacobian of f1 with respect to z. With vectorized=True the evaluators
-    accept an array of times and return an extra trailing axis.
+    Each evaluator takes a state z of length n and an array of m times and
+    returns one column per time: f1 and f2 give shape (n, m), and df1, the
+    Jacobian of f1 with respect to z, gives shape (n, n, m).
     """
 
-    dim: int
     period: float
     f1: Callable
     f2: Callable
-    df1: Optional[Callable] = None
-    vectorized: bool = False
+    df1: Callable
 
 
 def unfold(u: UnfoldingParams, eps: float) -> SystemParams:
@@ -205,6 +203,4 @@ def jerk_standard_form(unfolding: UnfoldingParams) -> StandardFormSystem:
             [-dh_dr / d * ones, -hw / d * ones],
         ])
 
-    return StandardFormSystem(
-        dim=2, period=2.0 * np.pi, f1=f1, f2=f2, df1=df1, vectorized=True
-    )
+    return StandardFormSystem(period=2.0 * np.pi, f1=f1, f2=f2, df1=df1)

@@ -74,6 +74,8 @@ class IntegratorSpec:
     def __post_init__(self):
         if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
             raise ValueError("integrator tolerances must be positive")
+        if not self.max_step > 0.0:
+            raise ValueError(f"max_step must be positive, got {self.max_step}")
 
 
 @dataclass(frozen=True)

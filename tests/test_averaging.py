@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from averager.averaging import (
     DegreeSign,
     QuadratureNotConverged,
-    QuadratureRule,
     QuadratureSpec,
     average_first,
     average_second,
@@ -22,6 +22,14 @@ from averager.normal_form import (
 QUAD = QuadratureSpec()
 
 
+def toy_system(f1, f2):
+    """2-pi periodic system with F1 independent of z, so DF1 is zero."""
+    return StandardFormSystem(
+        period=2.0 * np.pi, f1=f1, f2=f2,
+        df1=lambda z, t: np.zeros((2, 2, np.size(t))),
+    )
+
+
 def slice_system(a2, b2, delta, c1=0.0, c2=0.0):
     """Standard form on the a1 = b1 = 0 slice, where the closed g applies."""
     return jerk_standard_form(
@@ -30,10 +38,9 @@ def slice_system(a2, b2, delta, c1=0.0, c2=0.0):
 
 
 def test_average_first_of_pure_sinusoids():
-    sys = StandardFormSystem(
-        dim=2, period=2.0 * np.pi,
+    sys = toy_system(
         f1=lambda z, t: np.array([np.sin(t), np.cos(t)]),
-        f2=lambda z, t: np.zeros(2),
+        f2=lambda z, t: np.zeros((2, np.size(t))),
     )
     val = average_first(sys, np.zeros(2), QUAD)
     assert np.max(np.abs(val)) < 1e-14
@@ -86,10 +93,9 @@ def test_average_second_independent_of_c_coefficients():
 
 
 def test_average_second_of_constant_f2():
-    sys = StandardFormSystem(
-        dim=2, period=2.0 * np.pi,
-        f1=lambda z, t: np.zeros(2),
-        f2=lambda z, t: np.array([1.0, -1.0]),
+    sys = toy_system(
+        f1=lambda z, t: np.zeros((2, np.size(t))),
+        f2=lambda z, t: np.outer([1.0, -1.0], np.ones(np.size(t))),
     )
     val = average_second(sys, np.zeros(2), QUAD)
     assert np.allclose(val, [1.0, -1.0], atol=1e-13)
@@ -119,32 +125,48 @@ def test_oracle_equivalence_on_grid():
         assert worst < 1e-9
 
 
-def test_rule_independence():
+def second_average_by_ode(sys, z):
+    """g(z) from integrating I' = F1, G' = DF1 . I + F2 over one period.
+
+    Independent of the engine's quadrature nodes and of its spectral
+    cumulative integral: G(T) / T is the second averaged function.
+    """
+    n = len(z)
+
+    def rhs(s, y):
+        t = np.array([s])
+        inner = y[:n]
+        return np.concatenate([
+            sys.f1(z, t)[:, 0],
+            sys.df1(z, t)[:, :, 0] @ inner + sys.f2(z, t)[:, 0],
+        ])
+
+    sol = solve_ivp(rhs, (0.0, sys.period), np.zeros(2 * n),
+                    method="DOP853", rtol=1e-13, atol=1e-13)
+    assert sol.success
+    return sol.y[n:, -1] / sys.period
+
+
+def test_average_second_matches_independent_oracle():
     z = np.array([2.0, 0.5])
-    # periodic cumulative (a1 = b1 = 0) keeps composite Simpson spectral
+    # on the a1 = b1 = 0 slice the inner integral of F1 is periodic
     sys = slice_system(1.0, 5.0, 2.0, c1=0.9)
-    gl = average_second(sys, z, QuadratureSpec(rule=QuadratureRule.GAUSS_LEGENDRE))
-    si = average_second(sys, z, QuadratureSpec(rule=QuadratureRule.SIMPSON))
-    assert np.max(np.abs(gl - si)) < 1e-10
-    # general coefficients need a larger Simpson budget for the same target
+    assert np.max(np.abs(
+        average_second(sys, z, QUAD) - second_average_by_ode(sys, z))) < 1e-10
+    # off the slice it also grows linearly in s through the mean of F1
     u = UnfoldingParams(a1=0.4, b1=-1.1, a2=1.0, b2=5.0, c1=0.9, delta=2.0)
     sys = jerk_standard_form(u)
-    gl = average_second(sys, z, QuadratureSpec(nodes=64))
-    si = average_second(
-        sys, z,
-        QuadratureSpec(nodes=2048, rule=QuadratureRule.SIMPSON))
-    assert np.max(np.abs(gl - si)) < 1e-8
+    assert np.max(np.abs(
+        average_second(sys, z, QUAD) - second_average_by_ode(sys, z))) < 1e-8
 
 
 def test_quadrature_divergence_detection():
-    sys = StandardFormSystem(
-        dim=2, period=2.0 * np.pi,
-        f1=lambda z, t: np.array([np.cos(64.0 * t), 0.0]),
-        f2=lambda z, t: np.zeros(2),
+    sys = toy_system(
+        f1=lambda z, t: np.array([np.cos(64.0 * t), np.zeros_like(t)]),
+        f2=lambda z, t: np.zeros((2, np.size(t))),
     )
-    spec = QuadratureSpec(nodes=64, rule=QuadratureRule.SIMPSON)
     with pytest.raises(QuadratureNotConverged):
-        average_first(sys, np.zeros(2), spec)
+        average_first(sys, np.zeros(2), QuadratureSpec(nodes=64))
 
 
 def test_quadrature_spec_validates_node_floor():

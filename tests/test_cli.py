@@ -163,6 +163,15 @@ def test_config_errors_exit_one(tmp_path):
     assert main(["classify", "--config", missing]) == 1
 
 
+def test_orbits_rejects_non_positive_max_step(tmp_path, capsys):
+    doc = dict(THREE_ORBIT_DOC, integrator={"max_step": 0})
+    code, _ = run(tmp_path, "orbits", doc)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "max_step" in err
+    assert "Traceback" not in err
+
+
 def test_usage_errors_map_to_config_exit(capsys):
     assert main(["classify"]) == 1  # --config required
     assert main(["frobnicate", "--config", "x"]) == 1

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from averager.averaging import QuadratureRule
 from averager.config import ConfigError, from_dict, load_config, to_dict
 
 
@@ -19,7 +18,6 @@ def test_minimal_config_fills_defaults():
     assert cfg.eps == 0.1
     assert cfg.eps_list is None
     assert cfg.quadrature.nodes == 64
-    assert cfg.quadrature.rule is QuadratureRule.GAUSS_LEGENDRE
     assert cfg.integrator.abs_tol == 1e-11
     assert cfg.output_dir == "results"
 
@@ -35,7 +33,7 @@ def test_round_trip_identity():
         "unfolding": {"a1": 0.25, "b1": -1.5, "a2": 1.0, "b2": 5.0,
                       "c1": 0.5, "c2": -0.75, "delta": 2.0},
         "eps": 0.1,
-        "quadrature": {"nodes": 32, "inner_nodes": 128, "rule": "simpson"},
+        "quadrature": {"nodes": 32, "inner_nodes": 128},
         "integrator": {"abs_tol": 1e-9, "rel_tol": 1e-9,
                        "max_step": 0.001, "max_steps": 500000},
         "output_dir": "out",
@@ -72,6 +70,10 @@ def test_unknown_keys_rejected_at_every_level():
     doc = minimal_doc()
     doc["integrator"] = {"method": "rk45"}
     with pytest.raises(ConfigError, match="method"):
+        from_dict(doc)
+    doc = minimal_doc()
+    doc["quadrature"] = {"rule": "gauss-legendre"}
+    with pytest.raises(ConfigError, match="rule"):
         from_dict(doc)
     doc = minimal_doc()
     doc["seed"] = 0
@@ -114,18 +116,27 @@ def test_eps_list_must_decrease():
 
 
 def test_type_errors_have_path_context():
-    doc = minimal_doc()
-    doc["unfolding"]["delta"] = "two"
-    with pytest.raises(ConfigError, match="unfolding.delta"):
-        from_dict(doc)
-    doc = minimal_doc()
-    doc["integrator"] = {"max_steps": 1.5}
-    with pytest.raises(ConfigError, match="integrator.max_steps"):
-        from_dict(doc)
-    doc = minimal_doc()
-    doc["quadrature"] = {"rule": "romberg"}
-    with pytest.raises(ConfigError, match="rule"):
-        from_dict(doc)
+    cases = [
+        ("unfolding", "delta", "two", "unfolding.delta"),
+        ("integrator", "max_steps", 1.5, "integrator.max_steps"),
+        ("quadrature", "nodes", 1.5, "quadrature.nodes"),
+    ]
+    for section, key, value, path in cases:
+        doc = minimal_doc()
+        doc.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigError) as info:
+            from_dict(doc)
+        message = str(info.value)
+        assert message.startswith(path + ":"), message
+        assert message.count(section) == 1, message
+
+
+def test_non_positive_max_step_rejected():
+    for value in (0, 0.0, -1e-3):
+        doc = minimal_doc()
+        doc["integrator"] = {"max_step": value}
+        with pytest.raises(ConfigError, match="max_step"):
+            from_dict(doc)
 
 
 def test_invalid_delta_is_config_error():

@@ -171,8 +171,12 @@ def test_standard_form_periodicity():
     rng = np.random.default_rng(13)
     u = random_unfolding(rng)
     sys = jerk_standard_form(u)
-    assert sys.dim == 2
     assert np.isclose(sys.period, 2.0 * np.pi)
+    z = np.array([1.5, -0.5])
+    thetas = np.linspace(0.0, sys.period, 5)
+    assert sys.f1(z, thetas).shape == (2, 5)
+    assert sys.f2(z, thetas).shape == (2, 5)
+    assert sys.df1(z, thetas).shape == (2, 2, 5)
     for _ in range(10):
         z = np.array([rng.uniform(0.5, 4.0), rng.uniform(-2.0, 2.0)])
         theta = rng.uniform(0.0, 2.0 * np.pi)
