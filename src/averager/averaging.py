@@ -33,6 +33,16 @@ FD_STEP = 1e-6
 #: roots closer than this are considered duplicates
 DEDUP_TOL = 1e-6
 
+#: largest accepted node count; the (N, 2N) check builds a dense 2N x 2N
+#: eigenproblem for the Gauss-Legendre nodes, whose memory grows as N^2
+MAX_NODES = 1024
+
+#: residual bound for accepting a converged root
+ROOT_TOL = 1e-10
+
+#: below this |jac_det| a root's degree sign is DEGENERATE
+DET_TOL = 1e-8
+
 
 class QuadratureNotConverged(RuntimeError):
     """Doubling the node count moved the result more than the hard limit."""
@@ -54,16 +64,17 @@ class QuadratureSpec:
 
     nodes is the outer Gauss-Legendre size N (the result is accepted only
     after an (N, 2N) agreement check); inner_nodes is the uniform grid size
-    for the cumulative inner integral of F1.
+    for the cumulative inner integral of F1. Both lie in [16, MAX_NODES].
     """
 
     nodes: int = 64
     inner_nodes: int = 64
 
     def __post_init__(self):
-        if self.nodes < 16 or self.inner_nodes < 16:
+        if not all(16 <= n <= MAX_NODES for n in (self.nodes, self.inner_nodes)):
             raise ValueError(
-                f"node counts must be >= 16, got {self.nodes}/{self.inner_nodes}"
+                f"node counts must lie in [16, {MAX_NODES}], "
+                f"got {self.nodes}/{self.inner_nodes}"
             )
 
 
@@ -183,13 +194,13 @@ def _fd_jacobian(fun: Callable, z: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def _damped_newton(fun: Callable, z0, root_tol: float, max_iter: int = 60):
+def _damped_newton(fun: Callable, z0, max_iter: int = 60):
     """Newton with step halving; None when it fails to converge."""
     z = np.array(z0, dtype=float)
     fz = np.asarray(fun(z), dtype=float)
     res = float(np.linalg.norm(fz))
     for _ in range(max_iter):
-        if res < root_tol:
+        if res < ROOT_TOL:
             return z
         try:
             step = np.linalg.solve(_fd_jacobian(fun, z), -fz)
@@ -202,13 +213,13 @@ def _damped_newton(fun: Callable, z0, root_tol: float, max_iter: int = 60):
             z_new = z + lam * step
             f_new = np.asarray(fun(z_new), dtype=float)
             res_new = float(np.linalg.norm(f_new))
-            if res_new < res or res_new < root_tol:
+            if res_new < res or res_new < ROOT_TOL:
                 break
             lam *= 0.5
         else:
             return None  # stalled even with the smallest damped step
         z, fz, res = z_new, f_new, res_new
-    return z if res < root_tol else None
+    return z if res < ROOT_TOL else None
 
 
 def _grid_seeds(fun, box, grids):
@@ -249,13 +260,7 @@ def _grid_seeds(fun, box, grids):
     return seeds
 
 
-def find_roots(
-    fun: Callable,
-    box: Sequence,
-    grid=32,
-    root_tol: float = 1e-10,
-    det_tol: float = 1e-8,
-) -> list[AveragedRoot]:
+def find_roots(fun: Callable, box: Sequence, grid=32) -> list[AveragedRoot]:
     """All zeros of fun inside the box, with degree certificates.
 
     Parameters
@@ -263,13 +268,13 @@ def find_roots(
     fun : callable mapping an n-vector to an n-vector
     box : sequence of (lo, hi) pairs, one per coordinate
     grid : cells per axis for seeding (int or per-axis sequence)
-    root_tol : residual bound for accepting a converged point
-    det_tol : below this |jac_det| the degree sign is Degenerate
 
     Returns
     -------
-    Roots sorted lexicographically by coordinates. Converged points outside
-    the box are discarded, so an empty list is a valid outcome.
+    Roots sorted lexicographically by coordinates, each with residual below
+    ROOT_TOL; the degree sign is DEGENERATE when |jac_det| < DET_TOL.
+    Converged points outside the box are discarded, so an empty list is a
+    valid outcome.
     """
     box = [(float(lo), float(hi)) for lo, hi in box]
     n = len(box)
@@ -277,7 +282,7 @@ def find_roots(
 
     accepted: list[np.ndarray] = []
     for seed in _grid_seeds(fun, box, grids):
-        z = _damped_newton(fun, seed, root_tol)
+        z = _damped_newton(fun, seed)
         if z is None:
             continue
         if any(z[i] < lo or z[i] > hi for i, (lo, hi) in enumerate(box)):
@@ -290,7 +295,7 @@ def find_roots(
     roots = []
     for z in accepted:
         det = float(np.linalg.det(_fd_jacobian(fun, z)))
-        if abs(det) < det_tol:
+        if abs(det) < DET_TOL:
             sign = DegreeSign.DEGENERATE
         elif det > 0:
             sign = DegreeSign.PLUS

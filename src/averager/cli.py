@@ -35,13 +35,7 @@ from .closed_form import (
 from .config import ConfigError, RunConfig, load_config, to_dict
 from .jerk import EquilibriumKind, classify_equilibrium, equilibria
 from .normal_form import jerk_standard_form, unfold
-from .shooting import (
-    SHOOTING_ERRORS,
-    PeriodicOrbitRecord,
-    period_trace,
-    shoot_orbit,
-    sweep_epsilon,
-)
+from .shooting import PeriodicOrbitRecord, sweep_epsilon
 
 logger = logging.getLogger(__name__)
 
@@ -104,6 +98,18 @@ def _say(args, message: str) -> None:
         print(message)
 
 
+_REFUSAL_TEXT = {"HypothesisViolated": "hypothesis violated",
+                 "DegeneratePrediction": "degenerate prediction"}
+
+
+def _refuse(out_dir: Path, doc: dict, args, kind: str, reason: str) -> int:
+    """Write a summary recording why the run was refused; exit code 2."""
+    doc["error"] = {"kind": kind, "reason": reason}
+    _say(args, f"{_REFUSAL_TEXT[kind]}: {reason}")
+    _write_summary(out_dir, doc, args)
+    return EXIT_HYPOTHESIS
+
+
 def _write_trace(path: Path, t: np.ndarray, states: np.ndarray) -> None:
     lines = ["t,x,y,z"]
     for ti, row in zip(t, states):
@@ -152,10 +158,7 @@ def cmd_classify(cfg: RunConfig, out_dir: Path, args) -> int:
     try:
         label = classify(u.a2, u.b2, u.delta)
     except HypothesisViolated as exc:
-        doc["error"] = {"kind": "HypothesisViolated", "reason": str(exc)}
-        _say(args, f"hypothesis violated: {exc}")
-        _write_summary(out_dir, doc, args)
-        return EXIT_HYPOTHESIS
+        return _refuse(out_dir, doc, args, "HypothesisViolated", str(exc))
     prediction = predicted_roots(u.a2, u.b2, u.delta)
     doc["case"] = label
     doc["roots"] = [list(root) for root in prediction.roots]
@@ -224,46 +227,37 @@ def cmd_orbits(cfg: RunConfig, out_dir: Path, args) -> int:
     try:
         label = classify(u.a2, u.b2, u.delta)
     except HypothesisViolated as exc:
-        doc["error"] = {"kind": "HypothesisViolated", "reason": str(exc)}
-        _say(args, f"hypothesis violated: {exc}")
-        _write_summary(out_dir, doc, args)
-        return EXIT_HYPOTHESIS
+        return _refuse(out_dir, doc, args, "HypothesisViolated", str(exc))
     prediction = predicted_roots(u.a2, u.b2, u.delta)
     doc["case"] = label
     if prediction.count is OrbitCount.DEGENERATE:
-        doc["error"] = {"kind": "DegeneratePrediction",
-                        "reason": prediction.degenerate_reason}
-        _say(args, f"degenerate prediction: {prediction.degenerate_reason}")
-        _write_summary(out_dir, doc, args)
-        return EXIT_HYPOTHESIS
+        return _refuse(out_dir, doc, args, "DegeneratePrediction",
+                       prediction.degenerate_reason)
 
-    p = unfold(u, cfg.eps)
+    entry = sweep_epsilon(u, [cfg.eps], cfg.integrator).entries[0]
     orbits = []
-    failures = {}
     for i, root in enumerate(prediction.roots):
-        try:
-            rec = shoot_orbit(u, cfg.eps, root, cfg.integrator)
-        except SHOOTING_ERRORS as exc:
-            failures[str(i)] = f"{type(exc).__name__}: {exc}"
-            _say(args, f"orbit {i}: failed ({type(exc).__name__})")
+        if i in entry.failures:
+            kind = entry.failures[i].partition(":")[0]
+            _say(args, f"orbit {i}: failed ({kind})")
             continue
+        rec = entry.records[i]
         trace_name = f"orbit_{i}.csv"
-        t, states = period_trace(p, rec.section_point, rec.period, cfg.integrator)
-        _write_trace(out_dir / trace_name, t, states)
-        entry = _record_doc(rec)
-        entry["root"] = list(root)
-        entry["jac_det"] = prediction.jac_dets[i]
-        entry["trace"] = trace_name
-        orbits.append(entry)
+        _write_trace(out_dir / trace_name, *entry.traces[i])
+        rec_doc = _record_doc(rec)
+        rec_doc["root"] = list(root)
+        rec_doc["jac_det"] = prediction.jac_dets[i]
+        rec_doc["trace"] = trace_name
+        orbits.append(rec_doc)
         _say(args, f"orbit {i}: period {rec.period:.12g}, "
                    f"residual {rec.residual:.3e}")
 
     doc["orbits"] = orbits
-    doc["failures"] = failures
+    doc["failures"] = entry.failures
     doc["predicted_count"] = len(prediction.roots)
     doc["located_count"] = len(orbits)
     _write_summary(out_dir, doc, args)
-    return EXIT_OK if len(orbits) >= len(prediction.roots) else EXIT_SHOOTING
+    return EXIT_SHOOTING if entry.failures else EXIT_OK
 
 
 def cmd_sweep(cfg: RunConfig, out_dir: Path, args) -> int:
@@ -274,10 +268,7 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, args) -> int:
     try:
         result = sweep_epsilon(u, cfg.eps_list, cfg.integrator)
     except HypothesisViolated as exc:
-        doc["error"] = {"kind": "HypothesisViolated", "reason": str(exc)}
-        _say(args, f"hypothesis violated: {exc}")
-        _write_summary(out_dir, doc, args)
-        return EXIT_HYPOTHESIS
+        return _refuse(out_dir, doc, args, "HypothesisViolated", str(exc))
 
     any_failure = False
     entries = []

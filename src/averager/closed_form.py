@@ -61,8 +61,9 @@ def g_closed(r: float, w: float, a2: float, b2: float, delta: float) -> np.ndarr
     return np.array([g1, g2])
 
 
-def _degeneracies(a2: float, b2: float, delta: float, tol: float):
-    """(reason, violates the case hypotheses) for each boundary within tol.
+def _degeneracies(a2: float, b2: float, delta: float):
+    """(reason, violates the case hypotheses) for each boundary within
+    DEGENERACY_TOL.
 
     On the first two boundaries the case analysis does not apply at all; on
     the two collapse boundaries a root family merges into r = 0.
@@ -77,12 +78,10 @@ def _degeneracies(a2: float, b2: float, delta: float, tol: float):
          "a2*delta^2 = -2*b2 (paired family collapses to r = 0)", False),
     ]
     return [(reason, violates) for value, reason, violates in table
-            if abs(value) <= tol]
+            if abs(value) <= DEGENERACY_TOL]
 
 
-def predicted_roots(
-    a2: float, b2: float, delta: float, tol: float = DEGENERACY_TOL
-) -> OrbitPrediction:
+def predicted_roots(a2: float, b2: float, delta: float) -> OrbitPrediction:
     """Real (r, w) roots of g_closed with their Jacobian determinants.
 
     The w = 0 family has r^2 = 4(a2*delta^2 - b2)*delta^2/(3 - delta^2); the
@@ -93,7 +92,7 @@ def predicted_roots(
     """
     if not (np.isfinite(delta) and delta > 0.0):
         raise ValueError(f"delta must be positive and finite, got {delta}")
-    reasons = _degeneracies(a2, b2, delta, tol)
+    reasons = _degeneracies(a2, b2, delta)
     if reasons:
         return OrbitPrediction(
             roots=[], jac_dets=[], count=OrbitCount.DEGENERATE,
@@ -119,9 +118,7 @@ def predicted_roots(
     return OrbitPrediction(roots=roots, jac_dets=dets, count=count)
 
 
-def classify(
-    a2: float, b2: float, delta: float, tol: float = DEGENERACY_TOL
-) -> OrbitCount:
+def classify(a2: float, b2: float, delta: float) -> OrbitCount:
     """Orbit-count case label for an unfolding direction (a2, b2, delta).
 
     The label is predicted_roots(...).count: the number of real roots, or
@@ -130,12 +127,13 @@ def classify(
 
     Raises
     ------
-    HypothesisViolated when delta^2 = 3 or 2*a2*delta^2 = b2 (within tol),
+    HypothesisViolated when delta^2 = 3 or 2*a2*delta^2 = b2 (within
+    DEGENERACY_TOL),
     or when delta is not a positive real.
     """
     if not (np.isfinite(delta) and delta > 0.0):
         raise HypothesisViolated(f"delta must be positive and finite, got {delta}")
-    reasons = _degeneracies(a2, b2, delta, tol)
+    reasons = _degeneracies(a2, b2, delta)
     if any(violates for _, violates in reasons):
         raise HypothesisViolated("; ".join(reason for reason, _ in reasons))
-    return predicted_roots(a2, b2, delta, tol).count
+    return predicted_roots(a2, b2, delta).count

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Optional
 
 from .averaging import QuadratureSpec
@@ -46,68 +46,48 @@ def _require_keys(mapping: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
 
 
-def _number(mapping: dict, key: str, where: str, default=None) -> Optional[float]:
-    if key not in mapping:
-        if default is None:
-            raise ConfigError(f"{where}: missing required key '{key}'")
-        return default
+def _number(mapping: dict, key: str, where: str) -> float:
     value = mapping[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}.{key}: expected a number, got {value!r}")
-    return float(value)
+    # a literal beyond the double range parses to inf (1e400) or to an
+    # integer that float() cannot convert (a 400-digit one)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}.{key}: expected a finite number, got {value!r}")
+    return number
 
 
-def _integer(mapping: dict, key: str, where: str, default: int) -> int:
-    value = mapping.get(key, default)
+def _integer(mapping: dict, key: str, where: str) -> int:
+    value = mapping[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where}.{key}: expected an integer, got {value!r}")
     return value
 
 
-def _construct(cls, where: str, **fields):
-    """cls(**fields), reporting the dataclass's own ValueError under where.
+def _parse(cls, node: dict, where: str, required=()):
+    """cls built from node, one key per dataclass field.
 
-    The fields are parsed before the call, so a ConfigError from _number or
-    _integer, which already names its full path, passes through unchanged.
+    Each present key is checked against its field's type; an absent key
+    takes the dataclass default, unless the field has none or is named in
+    required. The dataclass's own ValueError is reported under where; a
+    ConfigError from _number or _integer already names its full path.
     """
+    _require_keys(node, {f.name for f in fields(cls)}, where)
+    values = {}
+    for f in fields(cls):
+        if f.name in node:
+            parse = _integer if f.type == "int" else _number
+            values[f.name] = parse(node, f.name, where)
+        elif f.name in required or f.default is MISSING:
+            raise ConfigError(f"{where}: missing required key '{f.name}'")
     try:
-        return cls(**fields)
+        return cls(**values)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _parse_unfolding(node: dict) -> UnfoldingParams:
-    _require_keys(node, {"a1", "a2", "b1", "b2", "c1", "c2", "delta"}, "unfolding")
-    return _construct(
-        UnfoldingParams, "unfolding",
-        a1=_number(node, "a1", "unfolding", 0.0),
-        a2=_number(node, "a2", "unfolding", 0.0),
-        b1=_number(node, "b1", "unfolding", 0.0),
-        b2=_number(node, "b2", "unfolding", 0.0),
-        c1=_number(node, "c1", "unfolding", 0.0),
-        c2=_number(node, "c2", "unfolding", 0.0),
-        delta=_number(node, "delta", "unfolding"),
-    )
-
-
-def _parse_quadrature(node: dict) -> QuadratureSpec:
-    _require_keys(node, {"nodes", "inner_nodes"}, "quadrature")
-    return _construct(
-        QuadratureSpec, "quadrature",
-        nodes=_integer(node, "nodes", "quadrature", 64),
-        inner_nodes=_integer(node, "inner_nodes", "quadrature", 64),
-    )
-
-
-def _parse_integrator(node: dict) -> IntegratorSpec:
-    _require_keys(node, {"abs_tol", "rel_tol", "max_step", "max_steps"}, "integrator")
-    return _construct(
-        IntegratorSpec, "integrator",
-        abs_tol=_number(node, "abs_tol", "integrator", 1e-11),
-        rel_tol=_number(node, "rel_tol", "integrator", 1e-11),
-        max_step=_number(node, "max_step", "integrator", float("inf")),
-        max_steps=_integer(node, "max_steps", "integrator", 1_000_000),
-    )
 
 
 def from_dict(doc: dict) -> RunConfig:
@@ -127,17 +107,13 @@ def from_dict(doc: dict) -> RunConfig:
     if "unfolding" in doc:
         if not isinstance(doc["unfolding"], dict):
             raise ConfigError("unfolding: expected an object")
-        unfolding = _parse_unfolding(doc["unfolding"])
+        unfolding = _parse(UnfoldingParams, doc["unfolding"], "unfolding",
+                           required=("delta",))
     else:
         node = doc["params"]
         if not isinstance(node, dict):
             raise ConfigError("params: expected an object")
-        _require_keys(node, {"a", "b", "c"}, "params")
-        params = SystemParams(
-            a=_number(node, "a", "params"),
-            b=_number(node, "b", "params"),
-            c=_number(node, "c", "params"),
-        )
+        params = _parse(SystemParams, node, "params")
 
     if "eps" in doc and "eps_list" in doc:
         raise ConfigError("config: 'eps' and 'eps_list' are mutually exclusive")
@@ -177,8 +153,8 @@ def from_dict(doc: dict) -> RunConfig:
         params=params,
         eps=eps,
         eps_list=eps_list,
-        quadrature=_parse_quadrature(quad_node),
-        integrator=_parse_integrator(integ_node),
+        quadrature=_parse(QuadratureSpec, quad_node, "quadrature"),
+        integrator=_parse(IntegratorSpec, integ_node, "integrator"),
         output_dir=output_dir,
     )
 
@@ -188,38 +164,19 @@ def to_dict(cfg: RunConfig) -> dict:
 
     An unbounded max_step, the default, is omitted: JSON has no infinity.
     """
-    doc: dict = {}
-    if cfg.unfolding is not None:
-        u = cfg.unfolding
-        doc["unfolding"] = {
-            "a1": u.a1, "a2": u.a2, "b1": u.b1, "b2": u.b2,
-            "c1": u.c1, "c2": u.c2, "delta": u.delta,
-        }
-    if cfg.params is not None:
-        doc["params"] = {"a": cfg.params.a, "b": cfg.params.b, "c": cfg.params.c}
-    if cfg.eps is not None:
-        doc["eps"] = cfg.eps
+    doc = {key: value for key, value in asdict(cfg).items() if value is not None}
     if cfg.eps_list is not None:
         doc["eps_list"] = list(cfg.eps_list)
-    doc["quadrature"] = {
-        "nodes": cfg.quadrature.nodes,
-        "inner_nodes": cfg.quadrature.inner_nodes,
-    }
-    doc["integrator"] = {
-        "abs_tol": cfg.integrator.abs_tol,
-        "rel_tol": cfg.integrator.rel_tol,
-        "max_steps": cfg.integrator.max_steps,
-    }
-    if math.isfinite(cfg.integrator.max_step):
-        doc["integrator"]["max_step"] = cfg.integrator.max_step
-    doc["output_dir"] = cfg.output_dir
+    if math.isinf(cfg.integrator.max_step):
+        del doc["integrator"]["max_step"]
     return doc
 
 
 def load_config(path) -> RunConfig:
     """Parse and validate a JSON config file.
 
-    The file must be strict JSON: NaN and Infinity are rejected.
+    The file must be strict JSON in UTF-8: NaN and Infinity are rejected,
+    and so is a number literal beyond the double range.
     """
     def reject(name):
         raise ConfigError(f"config {path}: {name} is not a JSON number")
@@ -229,6 +186,8 @@ def load_config(path) -> RunConfig:
             doc = json.load(handle, parse_constant=reject)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return from_dict(doc)

@@ -12,10 +12,10 @@ from enum import Enum
 
 import numpy as np
 
-#: default tolerance for calling an eigenvalue (or its real part) zero
+#: tolerance for calling an eigenvalue (or its real part) zero
 TOL_EIG = 1e-10
 
-#: default residual bound for accepting a state as an equilibrium
+#: residual bound for accepting a state as an equilibrium
 RESIDUAL_TOL = 1e-9
 
 
@@ -95,53 +95,48 @@ def _eigenvalues(p: SystemParams, x: float) -> np.ndarray:
     return lams[order].astype(complex)
 
 
-def _kind_of(eigs: np.ndarray, tol_eig: float) -> EquilibriumKind:
+def _kind_of(eigs: np.ndarray) -> EquilibriumKind:
     # zero-Hopf: one eigenvalue of modulus ~0 plus a conjugate pair on the
     # imaginary axis but away from the origin
     by_modulus = sorted(range(3), key=lambda i: abs(eigs[i]))
     lam0 = eigs[by_modulus[0]]
     pair = eigs[by_modulus[1]], eigs[by_modulus[2]]
     if (
-        abs(lam0) < tol_eig
-        and all(abs(lam.real) < tol_eig for lam in pair)
-        and all(abs(lam.imag) > tol_eig for lam in pair)
-        and abs(pair[0] - np.conj(pair[1])) < tol_eig
+        abs(lam0) < TOL_EIG
+        and all(abs(lam.real) < TOL_EIG for lam in pair)
+        and all(abs(lam.imag) > TOL_EIG for lam in pair)
+        and abs(pair[0] - np.conj(pair[1])) < TOL_EIG
     ):
         return EquilibriumKind.ZERO_HOPF
-    if any(abs(lam.real) < tol_eig for lam in eigs):
+    if any(abs(lam.real) < TOL_EIG for lam in eigs):
         return EquilibriumKind.OTHER_NONHYPERBOLIC
     return EquilibriumKind.HYPERBOLIC
 
 
-def classify_equilibrium(
-    p: SystemParams,
-    s,
-    tol_eig: float = TOL_EIG,
-    residual_tol: float = RESIDUAL_TOL,
-) -> EquilibriumClass:
+def classify_equilibrium(p: SystemParams, s) -> EquilibriumClass:
     """Classify an equilibrium of the jerk system by its eigenvalues.
 
     Parameters
     ----------
     p : SystemParams
-    s : state triple, must be an equilibrium up to residual_tol
-    tol_eig : tolerance deciding when eigenvalues sit on the imaginary axis
+    s : state triple, must be an equilibrium up to RESIDUAL_TOL
 
     Returns
     -------
     EquilibriumClass with eigenvalues sorted by (real, imag) and the kind
     flag. ZERO_HOPF means one zero eigenvalue plus a purely imaginary
     conjugate pair, which for the origin happens exactly at a = b = 0, c < 0.
+    Eigenvalues within TOL_EIG of the imaginary axis count as on it.
 
     Raises
     ------
-    NotAnEquilibrium if the vector field residual at s exceeds residual_tol.
+    NotAnEquilibrium if the vector field residual at s exceeds RESIDUAL_TOL.
     """
     s = np.asarray(s, dtype=float)
     residual = np.max(np.abs(vector_field(p, s)))
-    if residual > residual_tol:
+    if residual > RESIDUAL_TOL:
         raise NotAnEquilibrium(
             f"state {s.tolist()} has field residual {residual:.3e}"
         )
     eigs = _eigenvalues(p, s[0])
-    return EquilibriumClass(point=s, eigenvalues=eigs, kind=_kind_of(eigs, tol_eig))
+    return EquilibriumClass(point=s, eigenvalues=eigs, kind=_kind_of(eigs))

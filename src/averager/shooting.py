@@ -27,14 +27,20 @@ from .normal_form import UnfoldingParams, unfold
 
 logger = logging.getLogger(__name__)
 
-#: default bound on |eps| accepted by the shooter
+#: bound on |eps| accepted by the shooter
 MAX_EPS = 0.2
 
-#: default residual bound on the return-map displacement
+#: residual bound on the return-map displacement
 SHOOT_TOL = 1e-10
 
-#: the refined crossing must satisfy |z| below this
-CROSSING_TOL = 1e-12
+#: Newton iterations on the return map before a candidate seed is given up
+MAX_NEWTON_ITER = 25
+
+#: total flight-time budget of one return to the section
+RETURN_T_MAX = 100.0
+
+#: samples per period in a period_trace
+TRACE_SAMPLES = 512
 
 
 class StepLimitExceeded(RuntimeError):
@@ -152,31 +158,20 @@ def _first_crossing(p: SystemParams, s0, spec: IntegratorSpec,
                     direction: int, t_max: float):
     """First z = 0 crossing with sign(dz/dt) = direction, or None.
 
-    A start exactly on the section does not count as a crossing. The event
-    time is polished by Newton in time on the dense output until
-    |z| < CROSSING_TOL. Returns (t_cross, state_cross).
+    A start exactly on the section does not count as a crossing. Returns
+    (t_cross, state_cross) at the integrator's event root.
     """
-    fun = _rhs(p)
     event = lambda t, s: s[2]
     event.terminal = True
     event.direction = float(direction)
-    sol = _solve(fun, s0, t_max, spec, events=[event])
+    sol = _solve(_rhs(p), s0, t_max, spec, events=[event])
     if len(sol.t_events[0]) == 0:
         return None
-    t_cross = float(sol.t_events[0][0])
-    for _ in range(8):
-        state = np.asarray(sol.sol(t_cross), dtype=float)
-        if abs(state[2]) < CROSSING_TOL:
-            break
-        zdot = fun(t_cross, state)[2]
-        if zdot == 0.0:
-            break
-        t_cross = min(max(t_cross - state[2] / zdot, 0.0), sol.t[-1])
-    return t_cross, np.asarray(sol.sol(t_cross), dtype=float)
+    return float(sol.t_events[0][0]), sol.y_events[0][0]
 
 
 def poincare_return(p: SystemParams, q, spec: IntegratorSpec,
-                    orientation: int = -1, t_max: float = 100.0):
+                    orientation: int = -1):
     """First return to the section {z = 0} with the chosen orientation.
 
     The default orientation -1 is the section {z = 0, y > 0} crossed with
@@ -187,27 +182,31 @@ def poincare_return(p: SystemParams, q, spec: IntegratorSpec,
     ----------
     q : (x, y) coordinates on the section
     spec : integrator budget
-    t_max : total flight-time budget before giving up
 
     Returns
     -------
-    ((x', y'), flight_time) at the next same-orientation crossing with the
-    correct y sign, refined to |z| < 1e-12.
+    ((x', y'), flight_time) at the event root of the next same-orientation
+    crossing with the correct y sign.
 
     Raises
     ------
-    NoReturn when the budget is exhausted without an admissible crossing.
+    NoReturn when the flight-time budget RETURN_T_MAX is exhausted without
+    an admissible crossing.
     """
     state = np.array([q[0], q[1], 0.0])
     elapsed = 0.0
     for _ in range(8):
-        half = _first_crossing(p, state, spec, -orientation, t_max - elapsed)
+        half = _first_crossing(p, state, spec, -orientation,
+                               RETURN_T_MAX - elapsed)
         if half is None:
-            raise NoReturn(f"no {-orientation:+d} crossing within t_max={t_max}")
+            raise NoReturn(f"no {-orientation:+d} crossing within "
+                           f"t_max={RETURN_T_MAX}")
         elapsed += half[0]
-        full = _first_crossing(p, half[1], spec, orientation, t_max - elapsed)
+        full = _first_crossing(p, half[1], spec, orientation,
+                               RETURN_T_MAX - elapsed)
         if full is None:
-            raise NoReturn(f"no {orientation:+d} crossing within t_max={t_max}")
+            raise NoReturn(f"no {orientation:+d} crossing within "
+                           f"t_max={RETURN_T_MAX}")
         elapsed += full[0]
         state = full[1]
         if state[1] * orientation < 0.0:  # y > 0 for orientation -1
@@ -231,7 +230,7 @@ def _nontrivial_multipliers(mono: np.ndarray):
     return rest[order], mults[i0]
 
 
-def _newton_return(p, q0, spec, shoot_tol, max_iter):
+def _newton_return(p, q0, spec):
     """Newton on P(q) - q.
 
     Returns (q, |P(q) - q|, flight time of P at q) at the fixed point, or
@@ -244,8 +243,8 @@ def _newton_return(p, q0, spec, shoot_tol, max_iter):
         return None
     res_vec = returned - q
     res = float(np.linalg.norm(res_vec))
-    for _ in range(max_iter):
-        if res < shoot_tol:
+    for _ in range(MAX_NEWTON_ITER):
+        if res < SHOOT_TOL:
             return q, res, flight
         h = 1e-7 * (1.0 + float(np.linalg.norm(q)))
         jac = np.empty((2, 2))
@@ -263,7 +262,7 @@ def _newton_return(p, q0, spec, shoot_tol, max_iter):
                 returned, new_flight = poincare_return(p, q_new, spec)
                 new_vec = returned - q_new
                 new_res = float(np.linalg.norm(new_vec))
-                if new_res < res or new_res < shoot_tol:
+                if new_res < res or new_res < SHOOT_TOL:
                     break
                 lam *= 0.5
             else:
@@ -271,7 +270,7 @@ def _newton_return(p, q0, spec, shoot_tol, max_iter):
         except (NoReturn, np.linalg.LinAlgError):
             return None
         q, res_vec, res, flight = q_new, new_vec, new_res, new_flight
-    return (q, res, flight) if res < shoot_tol else None
+    return (q, res, flight) if res < SHOOT_TOL else None
 
 
 def shoot_orbit(
@@ -279,9 +278,6 @@ def shoot_orbit(
     eps: float,
     seed,
     spec: Optional[IntegratorSpec] = None,
-    shoot_tol: float = SHOOT_TOL,
-    max_iter: int = 25,
-    max_eps: float = MAX_EPS,
     initial_point=None,
 ) -> PeriodicOrbitRecord:
     """Locate the periodic orbit predicted by the averaged root (r, w).
@@ -301,14 +297,14 @@ def shoot_orbit(
     Raises
     ------
     SeedInvalid for r <= 0 or non-finite seeds; ShootingDiverged when no
-    candidate converges; ValueError for |eps| beyond max_eps.
+    candidate converges; ValueError for eps outside (0, MAX_EPS].
     """
     spec = spec or IntegratorSpec()
     r, w = float(seed[0]), float(seed[1])
     if not (np.isfinite(r) and np.isfinite(w)) or r <= 0.0:
         raise SeedInvalid(f"seed (r, w) = ({r}, {w}) needs finite values, r > 0")
-    if not (0.0 < eps <= max_eps):
-        raise ValueError(f"eps = {eps} outside the shooting range (0, {max_eps}]")
+    if not (0.0 < eps <= MAX_EPS):
+        raise ValueError(f"eps = {eps} outside the shooting range (0, {MAX_EPS}]")
     p = unfold(u, eps)
     q_section = np.array([eps * w, eps * r])
     q_alternate = np.array([eps * (w + r / u.delta), eps * r])
@@ -318,7 +314,7 @@ def shoot_orbit(
 
     found = None
     for tag, q0 in candidates:
-        found = _newton_return(p, q0, spec, shoot_tol, max_iter)
+        found = _newton_return(p, q0, spec)
         if found is not None:
             fixed, residual, period = found
             logger.info(
@@ -351,11 +347,11 @@ def shoot_orbit(
 
 
 def period_trace(p: SystemParams, section_point, period: float,
-                 spec: IntegratorSpec, n_samples: int = 512):
-    """(times, states) sampled uniformly over one period from the section."""
+                 spec: IntegratorSpec):
+    """(times, states) at TRACE_SAMPLES uniform times over one period."""
     s0 = np.array([section_point[0], section_point[1], 0.0])
     flow = integrate(p, s0, period, spec)
-    t = np.linspace(0.0, period, n_samples)
+    t = np.linspace(0.0, period, TRACE_SAMPLES)
     return t, np.asarray(flow(t), dtype=float)
 
 
@@ -363,7 +359,8 @@ def period_trace(p: SystemParams, section_point, period: float,
 class SweepEntry:
     """Located orbits at one eps, keyed by root index.
 
-    traces[i] is the period_trace (times, states) of records[i].
+    traces[i] is the period_trace (times, states) of records[i];
+    failures[i] reads "<error type>: <message>" for a root not located.
     """
 
     eps: float
@@ -394,7 +391,6 @@ def sweep_epsilon(
     u: UnfoldingParams,
     eps_list,
     spec: Optional[IntegratorSpec] = None,
-    shoot_tol: float = SHOOT_TOL,
 ) -> SweepResult:
     """Shoot all predicted orbits for each eps in a decreasing list.
 
@@ -425,9 +421,7 @@ def sweep_epsilon(
             if i in warm and prev_eps is not None:
                 start = warm[i] * (eps / prev_eps)
             try:
-                rec = shoot_orbit(
-                    u, eps, root, spec, shoot_tol=shoot_tol, initial_point=start
-                )
+                rec = shoot_orbit(u, eps, root, spec, initial_point=start)
             except SHOOTING_ERRORS as exc:
                 failures[i] = f"{type(exc).__name__}: {exc}"
                 warm.pop(i, None)

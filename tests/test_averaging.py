@@ -172,6 +172,12 @@ def test_quadrature_divergence_detection():
 def test_quadrature_spec_validates_node_floor():
     with pytest.raises(ValueError):
         QuadratureSpec(nodes=8)
+    # the ceiling bounds the dense eigenproblem behind the Gauss-Legendre nodes
+    with pytest.raises(ValueError, match="1024"):
+        QuadratureSpec(nodes=1025)
+    with pytest.raises(ValueError, match="1024"):
+        QuadratureSpec(inner_nodes=1025)
+    assert QuadratureSpec(nodes=1024, inner_nodes=1024).nodes == 1024
 
 
 def test_find_roots_on_closed_g():

@@ -147,6 +147,30 @@ def test_sweep_outputs(tmp_path):
             assert (out / "sweep" / eps / f"orbit_{i}.csv").exists()
 
 
+def test_orbits_equals_first_sweep_entry(tmp_path):
+    """orbits at eps is the first entry of a sweep that starts at eps."""
+    sweep_doc = {"unfolding": THREE_ORBIT_DOC["unfolding"],
+                 "eps_list": [0.1, 0.05]}
+    (tmp_path / "orbits").mkdir()
+    (tmp_path / "sweep").mkdir()
+    code, orbits_out = run(tmp_path / "orbits", "orbits", THREE_ORBIT_DOC)
+    assert code == 0
+    code, sweep_out = run(tmp_path / "sweep", "sweep", sweep_doc)
+    assert code == 0
+    orbits = read_summary(orbits_out)["orbits"]
+    entry = read_summary(sweep_out)["entries"][0]
+    assert entry["eps"] == 0.1
+    assert len(orbits) == len(entry["records"]) == 3
+    for i, orbit in enumerate(orbits):
+        rec = entry["records"][str(i)]
+        for key in ("eps", "section_point", "period", "residual", "floquet",
+                    "seed"):
+            assert orbit[key] == rec[key], key
+        trace = f"orbit_{i}.csv"
+        assert ((orbits_out / trace).read_bytes()
+                == (sweep_out / "sweep" / "0.1" / trace).read_bytes())
+
+
 def test_sweep_requires_eps_list(tmp_path):
     code, _ = run(tmp_path, "sweep", THREE_ORBIT_DOC)
     assert code == 1
@@ -161,6 +185,11 @@ def test_config_errors_exit_one(tmp_path):
     assert code == 1
     missing = str(tmp_path / "missing.json")
     assert main(["classify", "--config", missing]) == 1
+    overflow = tmp_path / "overflow.json"
+    overflow.write_text('{"unfolding": {"a2": 1e400, "b2": 5.0, "delta": 2.0}}',
+                        encoding="utf-8")
+    assert main(["classify", "--config", str(overflow),
+                 "--out", str(tmp_path / "out")]) == 1
 
 
 def test_orbits_rejects_non_positive_max_step(tmp_path, capsys):

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from averager.averaging import QuadratureSpec
 from averager.config import ConfigError, from_dict, load_config, to_dict
+from averager.shooting import IntegratorSpec
 
 
 def minimal_doc():
@@ -19,6 +21,8 @@ def test_minimal_config_fills_defaults():
     assert cfg.eps_list is None
     assert cfg.quadrature.nodes == 64
     assert cfg.integrator.abs_tol == 1e-11
+    assert cfg.quadrature == QuadratureSpec()
+    assert cfg.integrator == IntegratorSpec()
     assert cfg.output_dir == "results"
 
 
@@ -163,3 +167,20 @@ def test_load_config_from_file(tmp_path):
                          encoding="utf-8")
     with pytest.raises(ConfigError, match="Infinity"):
         load_config(nonfinite)
+    # number literals beyond the double range parse to inf or a huge int
+    for key, literal in [("a2", "1e400"), ("a2", "1" + "0" * 400),
+                         ("b2", "-1e400")]:
+        overflow = tmp_path / "overflow.json"
+        overflow.write_text('{"unfolding": {"delta": 2.0, "%s": %s}}'
+                            % (key, literal), encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"unfolding.{key}: .*finite"):
+            load_config(overflow)
+    huge_step = tmp_path / "huge_step.json"
+    huge_step.write_text('{"unfolding": {"delta": 2.0}, '
+                         '"integrator": {"max_step": 1e999}}', encoding="utf-8")
+    with pytest.raises(ConfigError, match="integrator.max_step"):
+        load_config(huge_step)
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"output_dir": "r\xe9sultats"}'.encode("latin-1"))
+    with pytest.raises(ConfigError, match="UTF-8"):
+        load_config(latin1)

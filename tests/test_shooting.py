@@ -117,6 +117,7 @@ def test_mirrored_seed_orbits_are_reflections(records):
         p, np.array([q_plus[0], q_plus[1], 0.0]), SPEC, +1, 10.0)
     assert crossing is not None
     _, state = crossing
+    assert abs(state[2]) < 1e-12  # the event root lies on the section
     assert np.max(np.abs(-state[:2] - q_minus)) < 1e-8
 
 
