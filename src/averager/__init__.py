@@ -60,7 +60,6 @@ from .shooting import (
     SweepEntry,
     SweepResult,
     integrate,
-    monodromy,
     period_trace,
     poincare_return,
     shoot_orbit,
@@ -109,7 +108,6 @@ __all__ = [
     "jerk_standard_form",
     "jordan_to_xyz",
     "load_config",
-    "monodromy",
     "period_trace",
     "poincare_return",
     "predicted_roots",

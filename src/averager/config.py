@@ -190,4 +190,8 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except ConfigError:
+        raise
+    except ValueError as exc:  # e.g. an integer literal beyond 4300 digits
+        raise ConfigError(f"config {path} cannot be parsed: {exc}") from exc
     return from_dict(doc)

@@ -4,11 +4,13 @@ The predictions of the averaged analysis are (r, w) roots; mapped through
 the coordinate pipeline at theta = 0 they give points on the plane section
 {z = 0, y > 0}, crossed with dz/dt < 0. Newton iteration on the first
 return map of that section turns each prediction into an actual periodic
-orbit of the full nonlinear system, and the variational flow along one
-period yields the Floquet multipliers.
+orbit of the full nonlinear system. Each return is one pass of the flow
+and its variational equations, which gives the return point, the exact
+Jacobian of the return map and, at the fixed point, the monodromy matrix
+whose eigenvalues are the Floquet multipliers.
 
-Every flow, section crossing and variational pass is integrated by scipy's
-adaptive RK45 (Dormand-Prince 5(4)) under the budget of an IntegratorSpec.
+Every flow is integrated by scipy's adaptive RK45 (Dormand-Prince 5(4))
+under the budget of an IntegratorSpec.
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .closed_form import HypothesisViolated, OrbitCount, predicted_roots
-from .jerk import SystemParams, jacobian_at, vector_field
+from .jerk import SystemParams
 from .normal_form import UnfoldingParams, unfold
 
 logger = logging.getLogger(__name__)
@@ -106,18 +107,26 @@ def _rhs(p: SystemParams) -> Callable:
     return rhs
 
 
-def _augmented_rhs(p: SystemParams) -> Callable:
+def _variational_rhs(p: SystemParams) -> Callable:
+    """The flow and Phi' = J Phi on (x, y, z, Phi), Phi row-major in s[3:12]."""
+    a, b, c = p.a, p.b, p.c
+
     def rhs(t, s):
-        state = s[:3]
-        phi = s[3:].reshape(3, 3)
-        return np.concatenate(
-            [vector_field(p, state), (jacobian_at(p, state) @ phi).ravel()]
-        )
+        x, y, z, p0, p1, p2, p3, p4, p5, p6, p7, p8 = s.tolist()
+        jx = -b + y * y - 3.0 * x * x  # d(dz/dt)/dx
+        jy = c + 2.0 * x * y  # d(dz/dt)/dy
+        return (y, z, -a * z - b * x + c * y + x * y * y - x ** 3,
+                p3, p4, p5, p6, p7, p8,
+                jx * p0 + jy * p3 - a * p6,
+                jx * p1 + jy * p4 - a * p7,
+                jx * p2 + jy * p5 - a * p8)
 
     return rhs
 
 
 def _solve(fun, s0, t_end, spec, events=None):
+    from scipy.integrate import solve_ivp  # deferred: classify never integrates
+
     sol = solve_ivp(
         fun,
         (0.0, float(t_end)),
@@ -154,17 +163,17 @@ def integrate(p: SystemParams, s0, t_end: float, spec: IntegratorSpec) -> Callab
     return lambda t: np.asarray(dense(t)).T
 
 
-def _first_crossing(p: SystemParams, s0, spec: IntegratorSpec,
-                    direction: int, t_max: float):
-    """First z = 0 crossing with sign(dz/dt) = direction, or None.
+def _first_crossing(fun, s0, spec: IntegratorSpec, direction: int,
+                    t_max: float):
+    """First z = 0 crossing of the flow of fun with sign(dz/dt) = direction.
 
     A start exactly on the section does not count as a crossing. Returns
-    (t_cross, state_cross) at the integrator's event root.
+    (t_cross, state_cross) at the integrator's event root, or None.
     """
     event = lambda t, s: s[2]
     event.terminal = True
     event.direction = float(direction)
-    sol = _solve(_rhs(p), s0, t_max, spec, events=[event])
+    sol = _solve(fun, s0, t_max, spec, events=[event])
     if len(sol.t_events[0]) == 0:
         return None
     return float(sol.t_events[0][0]), sol.y_events[0][0]
@@ -185,40 +194,35 @@ def poincare_return(p: SystemParams, q, spec: IntegratorSpec,
 
     Returns
     -------
-    ((x', y'), flight_time) at the event root of the next same-orientation
-    crossing with the correct y sign.
+    ((x', y'), flight_time, dP/dq, Phi) at the event root of the next
+    same-orientation crossing with the correct y sign. Phi is the
+    fundamental matrix over the flight from (q, 0), the monodromy matrix
+    at a fixed point; dP/dq is Phi projected along the field f at the
+    crossing onto the section, (Phi - outer(f, Phi[2]) / f[2])[:2, :2].
 
     Raises
     ------
     NoReturn when the flight-time budget RETURN_T_MAX is exhausted without
     an admissible crossing.
     """
-    state = np.array([q[0], q[1], 0.0])
+    fun = _variational_rhs(p)
+    state = np.concatenate([(q[0], q[1], 0.0), np.eye(3).ravel()])
     elapsed = 0.0
     for _ in range(8):
-        half = _first_crossing(p, state, spec, -orientation,
-                               RETURN_T_MAX - elapsed)
-        if half is None:
-            raise NoReturn(f"no {-orientation:+d} crossing within "
-                           f"t_max={RETURN_T_MAX}")
-        elapsed += half[0]
-        full = _first_crossing(p, half[1], spec, orientation,
-                               RETURN_T_MAX - elapsed)
-        if full is None:
-            raise NoReturn(f"no {orientation:+d} crossing within "
-                           f"t_max={RETURN_T_MAX}")
-        elapsed += full[0]
-        state = full[1]
+        for direction in (-orientation, orientation):  # half-turn, then full
+            crossing = _first_crossing(fun, state, spec, direction,
+                                       RETURN_T_MAX - elapsed)
+            if crossing is None:
+                raise NoReturn(f"no {direction:+d} crossing within "
+                               f"t_max={RETURN_T_MAX}")
+            elapsed += crossing[0]
+            state = crossing[1]
         if state[1] * orientation < 0.0:  # y > 0 for orientation -1
-            return np.array([state[0], state[1]]), elapsed
+            f = np.array(fun(elapsed, state)[:3])
+            phi = state[3:].reshape(3, 3)
+            jac = (phi - np.outer(f, phi[2]) / f[2])[:2, :2]
+            return state[:2].copy(), elapsed, jac, phi
     raise NoReturn(f"no admissible section point after {elapsed:.3f} time units")
-
-
-def monodromy(p: SystemParams, s0, period: float, spec: IntegratorSpec) -> np.ndarray:
-    """Fundamental matrix over one period from the variational equations."""
-    aug0 = np.concatenate([np.asarray(s0, dtype=float), np.eye(3).ravel()])
-    sol = _solve(_augmented_rhs(p), aug0, period, spec)
-    return sol.y[3:, -1].reshape(3, 3)
 
 
 def _nontrivial_multipliers(mono: np.ndarray):
@@ -231,46 +235,35 @@ def _nontrivial_multipliers(mono: np.ndarray):
 
 
 def _newton_return(p, q0, spec):
-    """Newton on P(q) - q.
+    """Damped Newton on P(q) - q with the exact Jacobian of the return map.
 
-    Returns (q, |P(q) - q|, flight time of P at q) at the fixed point, or
-    None when Newton fails.
+    Each step solves (dP/dq - I) dq = -(P(q) - q); the pass of an accepted
+    trial point supplies the next Jacobian, so an undamped step costs one
+    return. Returns (q, |P(q) - q|, flight time of P at q, monodromy
+    matrix at q) at the fixed point, or None when Newton fails.
     """
     q = np.array(q0, dtype=float)
     try:
-        returned, flight = poincare_return(p, q, spec)
-    except NoReturn:
-        return None
-    res_vec = returned - q
-    res = float(np.linalg.norm(res_vec))
-    for _ in range(MAX_NEWTON_ITER):
-        if res < SHOOT_TOL:
-            return q, res, flight
-        h = 1e-7 * (1.0 + float(np.linalg.norm(q)))
-        jac = np.empty((2, 2))
-        try:
-            for j in range(2):
-                dq = np.zeros(2)
-                dq[j] = h
-                hi = poincare_return(p, q + dq, spec)[0] - (q + dq)
-                lo = poincare_return(p, q - dq, spec)[0] - (q - dq)
-                jac[:, j] = (hi - lo) / (2.0 * h)
-            step = np.linalg.solve(jac, -res_vec)
+        ret = poincare_return(p, q, spec)
+        res = float(np.linalg.norm(ret[0] - q))
+        for _ in range(MAX_NEWTON_ITER):
+            if res < SHOOT_TOL:
+                break
+            step = np.linalg.solve(ret[2] - np.eye(2), q - ret[0])
             lam = 1.0
             for _ in range(12):
-                q_new = q + lam * step
-                returned, new_flight = poincare_return(p, q_new, spec)
-                new_vec = returned - q_new
-                new_res = float(np.linalg.norm(new_vec))
-                if new_res < res or new_res < SHOOT_TOL:
+                trial = q + lam * step
+                trial_ret = poincare_return(p, trial, spec)
+                trial_res = float(np.linalg.norm(trial_ret[0] - trial))
+                if trial_res < res:
                     break
                 lam *= 0.5
             else:
                 return None
-        except (NoReturn, np.linalg.LinAlgError):
-            return None
-        q, res_vec, res, flight = q_new, new_vec, new_res, new_flight
-    return (q, res, flight) if res < SHOOT_TOL else None
+            q, ret, res = trial, trial_ret, trial_res
+    except (NoReturn, np.linalg.LinAlgError):
+        return None
+    return (q, res, ret[1], ret[3]) if res < SHOOT_TOL else None
 
 
 def shoot_orbit(
@@ -316,7 +309,7 @@ def shoot_orbit(
     for tag, q0 in candidates:
         found = _newton_return(p, q0, spec)
         if found is not None:
-            fixed, residual, period = found
+            fixed, residual, period, mono = found
             logger.info(
                 "seed (r=%.6g, w=%.6g) eps=%.6g: converged from %s start; "
                 "fixed point at %.3e from eps*(w, r), %.3e from the alternate",
@@ -330,7 +323,6 @@ def shoot_orbit(
             f"no candidate seed converged for (r, w) = ({r}, {w}) at eps = {eps}"
         )
 
-    mono = monodromy(p, np.array([fixed[0], fixed[1], 0.0]), period, spec)
     floq, trivial = _nontrivial_multipliers(mono)
     logger.debug(
         "orbit at eps=%.6g: period=%.12g, trivial multiplier defect %.3e",

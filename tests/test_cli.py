@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import averager
 from averager.cli import _jsonable, main
 from averager.config import from_dict
 
@@ -190,6 +195,11 @@ def test_config_errors_exit_one(tmp_path):
                         encoding="utf-8")
     assert main(["classify", "--config", str(overflow),
                  "--out", str(tmp_path / "out")]) == 1
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text('{"unfolding": {"a2": %s, "b2": 5.0, "delta": 2.0}}'
+                        % ("1" * 5000), encoding="utf-8")
+    assert main(["classify", "--config", str(long_int),
+                 "--out", str(tmp_path / "out")]) == 1
 
 
 def test_orbits_rejects_non_positive_max_step(tmp_path, capsys):
@@ -199,6 +209,18 @@ def test_orbits_rejects_non_positive_max_step(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "max_step" in err
     assert "Traceback" not in err
+
+
+def test_cli_import_leaves_the_integrator_unloaded():
+    """classify and average never integrate, so they skip scipy.integrate."""
+    src = str(Path(averager.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    probe = "import sys, averager.cli; print('scipy.integrate' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_usage_errors_map_to_config_exit(capsys):

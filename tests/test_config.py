@@ -184,3 +184,9 @@ def test_load_config_from_file(tmp_path):
     latin1.write_bytes('{"output_dir": "r\xe9sultats"}'.encode("latin-1"))
     with pytest.raises(ConfigError, match="UTF-8"):
         load_config(latin1)
+    # beyond Python's 4300-digit limit on int parsing
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text('{"unfolding": {"delta": 2.0, "a2": %s}}'
+                        % ("1" * 5000), encoding="utf-8")
+    with pytest.raises(ConfigError, match="long_int.json cannot be parsed"):
+        load_config(long_int)

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from averager.closed_form import HypothesisViolated, predicted_roots
-from averager.jerk import SystemParams
+from averager.jerk import SystemParams, jacobian_at, vector_field
 from averager.normal_form import UnfoldingParams, unfold
 from averager.shooting import (
     IntegratorSpec,
     SeedInvalid,
     _first_crossing,
+    _variational_rhs,
     integrate,
-    monodromy,
     period_trace,
     poincare_return,
     shoot_orbit,
@@ -63,13 +63,13 @@ def test_integrate_rejects_nonpositive_time():
 
 def test_return_flight_time_near_linear_period():
     p = SystemParams(0.0, 0.0, -4.0)
-    _, flight = poincare_return(p, (0.001, 0.001), SPEC)
+    _, flight, _, _ = poincare_return(p, (0.001, 0.001), SPEC)
     assert abs(flight - np.pi) < 1e-3
 
 
 def test_return_flight_time_perturbed():
     p = unfold(THREE_ORBIT, EPS)
-    _, flight = poincare_return(p, (0.2, 0.4), SPEC)
+    _, flight, _, _ = poincare_return(p, (0.2, 0.4), SPEC)
     assert abs(flight - np.pi) < 0.02 * np.pi
 
 
@@ -77,8 +77,8 @@ def test_return_map_equivariance():
     """The field is odd, so the mirrored section gives the mirrored map."""
     p = unfold(THREE_ORBIT, EPS)
     q = np.array([0.05, 0.35])
-    fwd, t_fwd = poincare_return(p, q, SPEC, orientation=-1)
-    mir, t_mir = poincare_return(p, -q, SPEC, orientation=+1)
+    fwd, t_fwd, _, _ = poincare_return(p, q, SPEC, orientation=-1)
+    mir, t_mir, _, _ = poincare_return(p, -q, SPEC, orientation=+1)
     assert np.max(np.abs(mir + fwd)) < 1e-9
     assert abs(t_mir - t_fwd) < 1e-9
 
@@ -113,8 +113,8 @@ def test_mirrored_seed_orbits_are_reflections(records):
     p = unfold(THREE_ORBIT, EPS)
     q_plus = records[1].section_point
     q_minus = records[2].section_point
-    crossing = _first_crossing(
-        p, np.array([q_plus[0], q_plus[1], 0.0]), SPEC, +1, 10.0)
+    s0 = np.concatenate([(q_plus[0], q_plus[1], 0.0), np.eye(3).ravel()])
+    crossing = _first_crossing(_variational_rhs(p), s0, SPEC, +1, 10.0)
     assert crossing is not None
     _, state = crossing
     assert abs(state[2]) < 1e-12  # the event root lies on the section
@@ -124,18 +124,60 @@ def test_mirrored_seed_orbits_are_reflections(records):
 def test_trivial_floquet_multiplier(records):
     p = unfold(THREE_ORBIT, EPS)
     for rec in records:
-        s0 = np.array([rec.section_point[0], rec.section_point[1], 0.0])
-        mono = monodromy(p, s0, rec.period, SPEC)
+        _, _, _, mono = poincare_return(p, rec.section_point, SPEC)
         mults = np.linalg.eigvals(mono)
         assert np.min(np.abs(mults - 1.0)) < 1e-6
         assert rec.floquet.shape == (2,)
+
+
+def test_floquet_matches_independent_monodromy(records):
+    """The multipliers agree with a separate DOP853 variational pass.
+
+    The reference integrates Phi' = jacobian_at(p, s) Phi over one period
+    from the identity, at tolerances far below the default budget, and
+    drops the eigenvalue closest to 1.
+    """
+    from scipy.integrate import solve_ivp
+
+    p = unfold(THREE_ORBIT, EPS)
+
+    def rhs(t, s):
+        phi = jacobian_at(p, s[:3]) @ s[3:].reshape(3, 3)
+        return np.concatenate([vector_field(p, s[:3]), phi.ravel()])
+
+    for rec in records:
+        s0 = np.concatenate([(rec.section_point[0], rec.section_point[1], 0.0),
+                             np.eye(3).ravel()])
+        sol = solve_ivp(rhs, (0.0, rec.period), s0, method="DOP853",
+                        rtol=1e-12, atol=1e-12)
+        mults = np.linalg.eigvals(sol.y[3:, -1].reshape(3, 3))
+        rest = np.delete(mults, np.argmin(np.abs(mults - 1.0)))
+        rest = rest[np.lexsort((rest.imag, rest.real))]
+        assert np.max(np.abs(rest - rec.floquet)) < 1e-8
+
+
+def test_return_jacobian_matches_central_differences(records):
+    """dP/dq from the variational pass agrees with central differences."""
+    p = unfold(THREE_ORBIT, EPS)
+    h = 1e-5
+    for rec in records:
+        q = rec.section_point + np.array([2e-3, -1e-3])
+        _, _, jac, _ = poincare_return(p, q, SPEC)
+        fd = np.empty((2, 2))
+        for j in range(2):
+            dq = np.zeros(2)
+            dq[j] = h
+            hi = poincare_return(p, q + dq, SPEC)[0]
+            lo = poincare_return(p, q - dq, SPEC)[0]
+            fd[:, j] = (hi - lo) / (2.0 * h)
+        assert np.max(np.abs(jac - fd)) < 1e-7
 
 
 def test_shoot_reports_the_return_at_the_fixed_point(records):
     """Period and residual are those of the return map at the fixed point."""
     p = unfold(THREE_ORBIT, EPS)
     for rec in records:
-        returned, flight = poincare_return(p, rec.section_point, SPEC)
+        returned, flight, _, _ = poincare_return(p, rec.section_point, SPEC)
         assert rec.period == flight
         assert rec.residual == float(np.linalg.norm(returned
                                                     - rec.section_point))
