@@ -59,8 +59,6 @@ from .shooting import (
     ShootingDiverged,
     SweepEntry,
     SweepResult,
-    integrate,
-    period_trace,
     poincare_return,
     shoot_orbit,
     sweep_epsilon,
@@ -103,12 +101,10 @@ __all__ = [
     "g_closed",
     "h1",
     "h2",
-    "integrate",
     "jacobian_at",
     "jerk_standard_form",
     "jordan_to_xyz",
     "load_config",
-    "period_trace",
     "poincare_return",
     "predicted_roots",
     "scale_state",

@@ -3,11 +3,13 @@
 Subcommands classify, average, orbits and sweep drive the full pipeline
 from a JSON config file. Every command writes a summary.json into the
 output directory; orbits and sweep additionally emit orbit_<i>.csv traces
-with columns t,x,y,z at 17 significant digits. Output is deterministic:
-re-running a command with the same config produces byte-identical files.
+with columns t,x,y,z at 17 significant digits, each the record's trace:
+the dense output of the return that located the orbit, sampled at 512
+times over one period. Output is deterministic: re-running a command
+with the same config produces byte-identical files.
 
-Exit codes: 0 ok, 1 config error, 2 hypothesis violation, 3 oracle
-mismatch, 4 shooting shortfall.
+Exit codes: 0 ok, 1 config error or unwritable output, 2 hypothesis
+violation, 3 oracle mismatch, 4 shooting shortfall.
 """
 
 from __future__ import annotations
@@ -243,7 +245,7 @@ def cmd_orbits(cfg: RunConfig, out_dir: Path, args) -> int:
             continue
         rec = entry.records[i]
         trace_name = f"orbit_{i}.csv"
-        _write_trace(out_dir / trace_name, *entry.traces[i])
+        _write_trace(out_dir / trace_name, *rec.trace)
         rec_doc = _record_doc(rec)
         rec_doc["root"] = list(root)
         rec_doc["jac_det"] = prediction.jac_dets[i]
@@ -278,7 +280,7 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, args) -> int:
         records = {}
         for i, rec in sorted(entry.records.items()):
             trace_name = f"orbit_{i}.csv"
-            _write_trace(eps_dir / trace_name, *entry.traces[i])
+            _write_trace(eps_dir / trace_name, *rec.trace)
             rec_doc = _record_doc(rec)
             rec_doc["trace"] = f"sweep/{entry.eps}/{trace_name}"
             records[str(i)] = rec_doc
@@ -352,6 +354,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](cfg, out_dir, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except HypothesisViolated as exc:
         print(f"hypothesis violated: {exc}", file=sys.stderr)

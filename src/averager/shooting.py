@@ -6,11 +6,15 @@ the coordinate pipeline at theta = 0 they give points on the plane section
 return map of that section turns each prediction into an actual periodic
 orbit of the full nonlinear system. Each return is one pass of the flow
 and its variational equations, which gives the return point, the exact
-Jacobian of the return map and, at the fixed point, the monodromy matrix
-whose eigenvalues are the Floquet multipliers.
+Jacobian of the return map, the dense output of the flight and, at the
+fixed point, the monodromy matrix whose eigenvalues are the Floquet
+multipliers. The accepted return at the fixed point is the only
+integration of a located orbit: its trace is sampled from that return's
+dense output.
 
 Every flow is integrated by scipy's adaptive RK45 (Dormand-Prince 5(4))
-under the budget of an IntegratorSpec.
+under the budget of an IntegratorSpec, with its continuous extension as
+the dense output.
 """
 
 from __future__ import annotations
@@ -40,8 +44,11 @@ MAX_NEWTON_ITER = 25
 #: total flight-time budget of one return to the section
 RETURN_T_MAX = 100.0
 
-#: samples per period in a period_trace
+#: samples per period in an orbit's trace
 TRACE_SAMPLES = 512
+
+#: smallest rel_tol RK45 honours; scipy raises anything below it to this
+MIN_REL_TOL = 100 * np.finfo(float).eps
 
 
 class StepLimitExceeded(RuntimeError):
@@ -71,7 +78,11 @@ SHOOTING_ERRORS = (ShootingDiverged, NoReturn, SeedInvalid,
 
 @dataclass(frozen=True)
 class IntegratorSpec:
-    """Tolerances and step budget of the RK45 integrator."""
+    """Tolerances and step budget of the RK45 integrator.
+
+    max_steps bounds the steps of each integration leg between section
+    crossings and is checked when the leg ends.
+    """
 
     abs_tol: float = 1e-11
     rel_tol: float = 1e-11
@@ -81,8 +92,13 @@ class IntegratorSpec:
     def __post_init__(self):
         if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
             raise ValueError("integrator tolerances must be positive")
+        if self.rel_tol < MIN_REL_TOL:
+            raise ValueError(f"rel_tol must be at least {MIN_REL_TOL:.3g}, "
+                             f"got {self.rel_tol}")
         if not self.max_step > 0.0:
             raise ValueError(f"max_step must be positive, got {self.max_step}")
+        if self.max_steps < 1:
+            raise ValueError(f"max_steps must be at least 1, got {self.max_steps}")
 
 
 @dataclass(frozen=True)
@@ -95,16 +111,9 @@ class PeriodicOrbitRecord:
     residual: float
     floquet: np.ndarray
     seed: tuple
-
-
-def _rhs(p: SystemParams) -> Callable:
-    a, b, c = p.a, p.b, p.c
-
-    def rhs(t, s):
-        x, y, z = s
-        return (y, z, -a * z - b * x + c * y + x * y * y - x ** 3)
-
-    return rhs
+    #: (times, states): TRACE_SAMPLES uniform times over [0, period] and the
+    #: (TRACE_SAMPLES, 3) states there, from the return that located the orbit
+    trace: tuple
 
 
 def _variational_rhs(p: SystemParams) -> Callable:
@@ -124,19 +133,30 @@ def _variational_rhs(p: SystemParams) -> Callable:
     return rhs
 
 
-def _solve(fun, s0, t_end, spec, events=None):
+def _first_crossing(fun, s0, spec: IntegratorSpec, direction: int,
+                    t_max: float):
+    """First z = 0 crossing of the flow of fun with sign(dz/dt) = direction.
+
+    A start exactly on the section does not count as a crossing. Returns
+    (t_cross, state_cross, dense) at the integrator's event root, where
+    dense is the continuous extension of the solve over [0, t_cross], or
+    None when no crossing occurs before t_max.
+    """
     from scipy.integrate import solve_ivp  # deferred: classify never integrates
 
+    event = lambda t, s: s[2]
+    event.terminal = True
+    event.direction = float(direction)
     sol = solve_ivp(
         fun,
-        (0.0, float(t_end)),
+        (0.0, float(t_max)),
         np.asarray(s0, dtype=float),
         method="RK45",
         rtol=spec.rel_tol,
         atol=spec.abs_tol,
         max_step=spec.max_step,
         dense_output=True,
-        events=events,
+        events=[event],
     )
     if sol.status == -1:
         raise StepUnderflow(sol.message)
@@ -144,39 +164,9 @@ def _solve(fun, s0, t_end, spec, events=None):
         raise StepLimitExceeded(
             f"{len(sol.t) - 1} steps exceed the limit {spec.max_steps}"
         )
-    return sol
-
-
-def integrate(p: SystemParams, s0, t_end: float, spec: IntegratorSpec) -> Callable:
-    """Numerical flow of the jerk system from s0 over [0, t_end].
-
-    Returns the dense output t -> state: a 3-vector for scalar t, one row
-    per time for an array of times in [0, t_end].
-
-    Raises
-    ------
-    StepLimitExceeded, StepUnderflow on integrator budget failures.
-    """
-    if t_end <= 0.0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
-    dense = _solve(_rhs(p), s0, t_end, spec).sol
-    return lambda t: np.asarray(dense(t)).T
-
-
-def _first_crossing(fun, s0, spec: IntegratorSpec, direction: int,
-                    t_max: float):
-    """First z = 0 crossing of the flow of fun with sign(dz/dt) = direction.
-
-    A start exactly on the section does not count as a crossing. Returns
-    (t_cross, state_cross) at the integrator's event root, or None.
-    """
-    event = lambda t, s: s[2]
-    event.terminal = True
-    event.direction = float(direction)
-    sol = _solve(fun, s0, t_max, spec, events=[event])
     if len(sol.t_events[0]) == 0:
         return None
-    return float(sol.t_events[0][0]), sol.y_events[0][0]
+    return float(sol.t_events[0][0]), sol.y_events[0][0], sol.sol
 
 
 def poincare_return(p: SystemParams, q, spec: IntegratorSpec,
@@ -194,11 +184,14 @@ def poincare_return(p: SystemParams, q, spec: IntegratorSpec,
 
     Returns
     -------
-    ((x', y'), flight_time, dP/dq, Phi) at the event root of the next
-    same-orientation crossing with the correct y sign. Phi is the
+    ((x', y'), flight_time, dP/dq, Phi, flow) at the event root of the
+    next same-orientation crossing with the correct y sign. Phi is the
     fundamental matrix over the flight from (q, 0), the monodromy matrix
     at a fixed point; dP/dq is Phi projected along the field f at the
     crossing onto the section, (Phi - outer(f, Phi[2]) / f[2])[:2, :2].
+    flow maps an array of times in [0, flight_time] to the (len(t), 3)
+    states there, read from the dense output of the integration legs
+    between crossings; flow(0) is (q, 0) exactly.
 
     Raises
     ------
@@ -208,6 +201,17 @@ def poincare_return(p: SystemParams, q, spec: IntegratorSpec,
     fun = _variational_rhs(p)
     state = np.concatenate([(q[0], q[1], 0.0), np.eye(3).ravel()])
     elapsed = 0.0
+    starts, legs = [], []  # start time and dense output of each leg
+
+    def flow(t):
+        t = np.asarray(t, dtype=float)
+        leg = np.searchsorted(starts[1:], t, side="right")
+        states = np.empty((t.size, 3))
+        for k in np.unique(leg):
+            at = leg == k
+            states[at] = legs[k](t[at] - starts[k])[:3].T
+        return states
+
     for _ in range(8):
         for direction in (-orientation, orientation):  # half-turn, then full
             crossing = _first_crossing(fun, state, spec, direction,
@@ -215,13 +219,15 @@ def poincare_return(p: SystemParams, q, spec: IntegratorSpec,
             if crossing is None:
                 raise NoReturn(f"no {direction:+d} crossing within "
                                f"t_max={RETURN_T_MAX}")
+            starts.append(elapsed)
+            legs.append(crossing[2])
             elapsed += crossing[0]
             state = crossing[1]
         if state[1] * orientation < 0.0:  # y > 0 for orientation -1
             f = np.array(fun(elapsed, state)[:3])
             phi = state[3:].reshape(3, 3)
             jac = (phi - np.outer(f, phi[2]) / f[2])[:2, :2]
-            return state[:2].copy(), elapsed, jac, phi
+            return state[:2].copy(), elapsed, jac, phi, flow
     raise NoReturn(f"no admissible section point after {elapsed:.3f} time units")
 
 
@@ -240,7 +246,8 @@ def _newton_return(p, q0, spec):
     Each step solves (dP/dq - I) dq = -(P(q) - q); the pass of an accepted
     trial point supplies the next Jacobian, so an undamped step costs one
     return. Returns (q, |P(q) - q|, flight time of P at q, monodromy
-    matrix at q) at the fixed point, or None when Newton fails.
+    matrix at q, flow of that return) at the fixed point, or None when
+    Newton fails.
     """
     q = np.array(q0, dtype=float)
     try:
@@ -263,7 +270,7 @@ def _newton_return(p, q0, spec):
             q, ret, res = trial, trial_ret, trial_res
     except (NoReturn, np.linalg.LinAlgError):
         return None
-    return (q, res, ret[1], ret[3]) if res < SHOOT_TOL else None
+    return (q, res, ret[1], ret[3], ret[4]) if res < SHOOT_TOL else None
 
 
 def shoot_orbit(
@@ -284,8 +291,9 @@ def shoot_orbit(
     Returns
     -------
     PeriodicOrbitRecord with the converged section point, the period (the
-    return flight time), the residual of the return displacement and the
-    two nontrivial Floquet multipliers.
+    return flight time), the residual of the return displacement, the
+    two nontrivial Floquet multipliers and the trace of one period,
+    sampled from the dense output of the return at the fixed point.
 
     Raises
     ------
@@ -309,7 +317,7 @@ def shoot_orbit(
     for tag, q0 in candidates:
         found = _newton_return(p, q0, spec)
         if found is not None:
-            fixed, residual, period, mono = found
+            fixed, residual, period, mono, flow = found
             logger.info(
                 "seed (r=%.6g, w=%.6g) eps=%.6g: converged from %s start; "
                 "fixed point at %.3e from eps*(w, r), %.3e from the alternate",
@@ -328,6 +336,7 @@ def shoot_orbit(
         "orbit at eps=%.6g: period=%.12g, trivial multiplier defect %.3e",
         eps, period, abs(trivial - 1.0),
     )
+    t = np.linspace(0.0, period, TRACE_SAMPLES)
     return PeriodicOrbitRecord(
         eps=eps,
         section_point=fixed,
@@ -335,29 +344,20 @@ def shoot_orbit(
         residual=residual,
         floquet=floq,
         seed=(r, w),
+        trace=(t, flow(t)),
     )
-
-
-def period_trace(p: SystemParams, section_point, period: float,
-                 spec: IntegratorSpec):
-    """(times, states) at TRACE_SAMPLES uniform times over one period."""
-    s0 = np.array([section_point[0], section_point[1], 0.0])
-    flow = integrate(p, s0, period, spec)
-    t = np.linspace(0.0, period, TRACE_SAMPLES)
-    return t, np.asarray(flow(t), dtype=float)
 
 
 @dataclass(frozen=True)
 class SweepEntry:
     """Located orbits at one eps, keyed by root index.
 
-    traces[i] is the period_trace (times, states) of records[i];
+    records[i] is the PeriodicOrbitRecord, trace included, of root i;
     failures[i] reads "<error type>: <message>" for a root not located.
     """
 
     eps: float
     records: dict
-    traces: dict
     failures: dict
 
 
@@ -406,7 +406,6 @@ def sweep_epsilon(
     max_coords: dict[int, list] = {i: [] for i in range(len(prediction.roots))}
     for eps in eps_list:
         records: dict[int, PeriodicOrbitRecord] = {}
-        traces: dict[int, tuple] = {}
         failures: dict[int, str] = {}
         for i, root in enumerate(prediction.roots):
             start = None
@@ -421,11 +420,8 @@ def sweep_epsilon(
                 continue
             records[i] = rec
             warm[i] = rec.section_point
-            traces[i] = period_trace(unfold(u, eps), rec.section_point,
-                                     rec.period, spec)
-            max_coords[i].append(float(np.max(np.abs(traces[i][1]))))
-        entries.append(SweepEntry(eps=eps, records=records, traces=traces,
-                                  failures=failures))
+            max_coords[i].append(float(np.max(np.abs(rec.trace[1]))))
+        entries.append(SweepEntry(eps=eps, records=records, failures=failures))
         prev_eps = eps
 
     amp_slopes = {}

@@ -200,6 +200,19 @@ def test_config_errors_exit_one(tmp_path):
                         % ("1" * 5000), encoding="utf-8")
     assert main(["classify", "--config", str(long_int),
                  "--out", str(tmp_path / "out")]) == 1
+    code, _ = run(tmp_path, "orbits",
+                  dict(THREE_ORBIT_DOC, integrator={"max_steps": 0}))
+    assert code == 1
+
+
+def test_unwritable_output_exits_one(tmp_path, capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("", encoding="utf-8")
+    cfg = write_config(tmp_path, THREE_ORBIT_DOC)
+    assert main(["classify", "--config", cfg, "--out", str(blocker)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output:")
+    assert "Traceback" not in err
 
 
 def test_orbits_rejects_non_positive_max_step(tmp_path, capsys):

@@ -143,6 +143,20 @@ def test_non_positive_max_step_rejected():
             from_dict(doc)
 
 
+def test_unrunnable_integrator_budgets_rejected():
+    """max_steps below 1 fails every leg; rel_tol below scipy's floor
+    would run at 100 * machine epsilon while the echo reports the input."""
+    for key, value in (("max_steps", 0), ("max_steps", -3),
+                       ("rel_tol", 1e-20), ("rel_tol", 2e-14)):
+        doc = minimal_doc()
+        doc["integrator"] = {key: value}
+        with pytest.raises(ConfigError, match=f"^integrator: {key} must be"):
+            from_dict(doc)
+    doc = minimal_doc()
+    doc["integrator"] = {"max_steps": 1, "rel_tol": 2.3e-14}
+    assert from_dict(doc).integrator.max_steps == 1
+
+
 def test_invalid_delta_is_config_error():
     with pytest.raises(ConfigError):
         from_dict({"unfolding": {"delta": -1.0}})

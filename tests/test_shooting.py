@@ -1,4 +1,4 @@
-"""Full-system confirmation: integration, return map, shooting, sweep."""
+"""Full-system confirmation: return map and its flow, shooting, sweep."""
 
 import numpy as np
 import pytest
@@ -11,8 +11,6 @@ from averager.shooting import (
     SeedInvalid,
     _first_crossing,
     _variational_rhs,
-    integrate,
-    period_trace,
     poincare_return,
     shoot_orbit,
     sweep_epsilon,
@@ -29,10 +27,14 @@ def records():
     return [shoot_orbit(THREE_ORBIT, EPS, root, SPEC) for root in pred.roots]
 
 
-def test_integrate_constant_at_equilibrium():
-    p = SystemParams(3.6, 1.3, 0.1)
-    flow = integrate(p, (0.0, 0.0, 0.0), 5.0, IntegratorSpec(max_step=0.01))
-    assert np.max(np.abs(flow(np.linspace(0.0, 5.0, 101)))) < 1e-12
+def dop853_states(p, s0, t):
+    """(len(t), 3) states of the jerk flow from s0, by DOP853 at 1e-13."""
+    from scipy.integrate import solve_ivp
+
+    sol = solve_ivp(lambda _, s: vector_field(p, s), (0.0, t[-1]),
+                    np.asarray(s0, dtype=float), method="DOP853", t_eval=t,
+                    rtol=1e-13, atol=1e-13)
+    return sol.y.T
 
 
 def test_integrate_linearized_rotation():
@@ -43,33 +45,32 @@ def test_integrate_linearized_rotation():
     """
     p = SystemParams(0.0, 0.0, -4.0)
     tight = IntegratorSpec(abs_tol=1e-14, rel_tol=1e-13)
-    flow = integrate(p, (0.0, 1e-6, 0.0), np.pi, tight)
-    assert abs(flow(np.pi / 2.0)[1] + 1e-6) < 1e-12
-    assert abs(flow(np.pi)[1] - 1e-6) < 1e-12
+    _, flight, _, _, flow = poincare_return(p, (0.0, 1e-6), tight)
+    assert abs(flight - np.pi) < 1e-9
+    y = flow(np.array([np.pi / 2.0, np.pi]))[:, 1]
+    assert abs(y[0] + 1e-6) < 1e-12
+    assert abs(y[1] - 1e-6) < 1e-12
 
 
 def test_integrate_tolerance_convergence():
     p = SystemParams(0.01, 0.05, -4.0)
-    s0 = (0.05, 0.3, 0.0)
-    loose = integrate(p, s0, 3.0, IntegratorSpec(abs_tol=1e-9, rel_tol=1e-9))
-    tight = integrate(p, s0, 3.0, IntegratorSpec(abs_tol=1e-12, rel_tol=1e-12))
-    assert np.max(np.abs(loose(3.0) - tight(3.0))) < 1e-7
-
-
-def test_integrate_rejects_nonpositive_time():
-    with pytest.raises(ValueError):
-        integrate(SystemParams(0.0, 0.0, -4.0), (0.0, 0.1, 0.0), 0.0, SPEC)
+    q = (0.05, 0.3)
+    t = np.linspace(0.0, 3.0, 31)
+    loose = poincare_return(p, q, IntegratorSpec(abs_tol=1e-9, rel_tol=1e-9))
+    tight = poincare_return(p, q, IntegratorSpec(abs_tol=1e-12, rel_tol=1e-12))
+    assert min(loose[1], tight[1]) > t[-1]
+    assert np.max(np.abs(loose[4](t) - tight[4](t))) < 1e-7
 
 
 def test_return_flight_time_near_linear_period():
     p = SystemParams(0.0, 0.0, -4.0)
-    _, flight, _, _ = poincare_return(p, (0.001, 0.001), SPEC)
+    _, flight, _, _, _ = poincare_return(p, (0.001, 0.001), SPEC)
     assert abs(flight - np.pi) < 1e-3
 
 
 def test_return_flight_time_perturbed():
     p = unfold(THREE_ORBIT, EPS)
-    _, flight, _, _ = poincare_return(p, (0.2, 0.4), SPEC)
+    _, flight, _, _, _ = poincare_return(p, (0.2, 0.4), SPEC)
     assert abs(flight - np.pi) < 0.02 * np.pi
 
 
@@ -77,8 +78,8 @@ def test_return_map_equivariance():
     """The field is odd, so the mirrored section gives the mirrored map."""
     p = unfold(THREE_ORBIT, EPS)
     q = np.array([0.05, 0.35])
-    fwd, t_fwd, _, _ = poincare_return(p, q, SPEC, orientation=-1)
-    mir, t_mir, _, _ = poincare_return(p, -q, SPEC, orientation=+1)
+    fwd, t_fwd, _, _, _ = poincare_return(p, q, SPEC, orientation=-1)
+    mir, t_mir, _, _, _ = poincare_return(p, -q, SPEC, orientation=+1)
     assert np.max(np.abs(mir + fwd)) < 1e-9
     assert abs(t_mir - t_fwd) < 1e-9
 
@@ -116,7 +117,7 @@ def test_mirrored_seed_orbits_are_reflections(records):
     s0 = np.concatenate([(q_plus[0], q_plus[1], 0.0), np.eye(3).ravel()])
     crossing = _first_crossing(_variational_rhs(p), s0, SPEC, +1, 10.0)
     assert crossing is not None
-    _, state = crossing
+    _, state, _ = crossing
     assert abs(state[2]) < 1e-12  # the event root lies on the section
     assert np.max(np.abs(-state[:2] - q_minus)) < 1e-8
 
@@ -124,7 +125,7 @@ def test_mirrored_seed_orbits_are_reflections(records):
 def test_trivial_floquet_multiplier(records):
     p = unfold(THREE_ORBIT, EPS)
     for rec in records:
-        _, _, _, mono = poincare_return(p, rec.section_point, SPEC)
+        _, _, _, mono, _ = poincare_return(p, rec.section_point, SPEC)
         mults = np.linalg.eigvals(mono)
         assert np.min(np.abs(mults - 1.0)) < 1e-6
         assert rec.floquet.shape == (2,)
@@ -162,7 +163,7 @@ def test_return_jacobian_matches_central_differences(records):
     h = 1e-5
     for rec in records:
         q = rec.section_point + np.array([2e-3, -1e-3])
-        _, _, jac, _ = poincare_return(p, q, SPEC)
+        _, _, jac, _, _ = poincare_return(p, q, SPEC)
         fd = np.empty((2, 2))
         for j in range(2):
             dq = np.zeros(2)
@@ -177,7 +178,8 @@ def test_shoot_reports_the_return_at_the_fixed_point(records):
     """Period and residual are those of the return map at the fixed point."""
     p = unfold(THREE_ORBIT, EPS)
     for rec in records:
-        returned, flight, _, _ = poincare_return(p, rec.section_point, SPEC)
+        returned, flight, _, _, _ = poincare_return(p, rec.section_point,
+                                                    SPEC)
         assert rec.period == flight
         assert rec.residual == float(np.linalg.norm(returned
                                                     - rec.section_point))
@@ -187,14 +189,12 @@ def test_orbit_closes_after_one_period(records):
     p = unfold(THREE_ORBIT, EPS)
     for rec in records:
         s0 = np.array([rec.section_point[0], rec.section_point[1], 0.0])
-        flow = integrate(p, s0, rec.period, SPEC)
-        assert np.linalg.norm(flow(rec.period) - s0) < 1e-9
+        end = dop853_states(p, s0, np.array([0.0, rec.period]))[-1]
+        assert np.linalg.norm(end - s0) < 1e-9
 
 
 def test_period_trace_sampling(records):
-    p = unfold(THREE_ORBIT, EPS)
-    t, states = period_trace(p, records[0].section_point, records[0].period,
-                             SPEC)
+    t, states = records[0].trace
     assert t.shape == (512,)
     assert states.shape == (512, 3)
     assert t[0] == 0.0
@@ -228,13 +228,15 @@ def test_sweep_two_eps():
             assert abs(rec.period - np.pi) < 0.5 * entry.eps
     assert result.monotone
     assert set(result.amp_slopes) == {0, 1, 2}
-    for entry in result.entries:
+    for k, entry in enumerate(result.entries):
         p = unfold(THREE_ORBIT, entry.eps)
-        assert set(entry.traces) == set(entry.records)
         for i, rec in entry.records.items():
-            t, states = period_trace(p, rec.section_point, rec.period, SPEC)
-            assert np.array_equal(entry.traces[i][0], t)
-            assert np.array_equal(entry.traces[i][1], states)
+            t, states = rec.trace
+            assert t[0] == 0.0 and t[-1] == rec.period
+            assert np.array_equal(states[0], [*rec.section_point, 0.0])
+            oracle = dop853_states(p, states[0], t)
+            assert np.max(np.abs(states - oracle)) < 1e-9
+            assert result.max_coords[i][k] == np.max(np.abs(states))
 
 
 def test_sweep_validates_input():
