@@ -3,9 +3,11 @@
 Works on any StandardFormSystem. The first averaged function is the time
 mean of F1; the second adds the mean of DF1(z, s) . int_0^s F1(z, t) dt
 + F2(z, s). Both means are Gauss-Legendre quadratures over one period,
-accepted after an (N, 2N) agreement check. Simple zeros of these
-functions, certified by a nonzero Jacobian determinant, correspond to
-periodic solutions of the underlying periodic system for small eps.
+and the inner integral of the second is the spectral integration matrix
+of the same rule, so one node set serves both. Each result is accepted
+after an (N, 2N) agreement check. Simple zeros of these functions,
+certified by a nonzero Jacobian determinant, correspond to periodic
+solutions of the underlying periodic system for small eps.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ FD_STEP = 1e-6
 DEDUP_TOL = 1e-6
 
 #: largest accepted node count; the (N, 2N) check builds a dense 2N x 2N
-#: eigenproblem for the Gauss-Legendre nodes, whose memory grows as N^2
+#: eigenproblem for the Gauss-Legendre nodes and caches a dense 2N x 2N
+#: integration matrix, whose memory grows as N^2 (33.6 MB at 2N = 2048)
 MAX_NODES = 1024
 
 #: residual bound for accepting a converged root
@@ -62,19 +65,17 @@ class DegreeSign(Enum):
 class QuadratureSpec:
     """Node budget for the averaging quadratures.
 
-    nodes is the outer Gauss-Legendre size N (the result is accepted only
-    after an (N, 2N) agreement check); inner_nodes is the uniform grid size
-    for the cumulative inner integral of F1. Both lie in [16, MAX_NODES].
+    nodes is the Gauss-Legendre size N, in [16, MAX_NODES], shared by the
+    outer mean and the inner integral of the second average; a result is
+    accepted only after an (N, 2N) agreement check.
     """
 
     nodes: int = 64
-    inner_nodes: int = 64
 
     def __post_init__(self):
-        if not all(16 <= n <= MAX_NODES for n in (self.nodes, self.inner_nodes)):
+        if not 16 <= self.nodes <= MAX_NODES:
             raise ValueError(
-                f"node counts must lie in [16, {MAX_NODES}], "
-                f"got {self.nodes}/{self.inner_nodes}"
+                f"node count must lie in [16, {MAX_NODES}], got {self.nodes}"
             )
 
 
@@ -90,43 +91,27 @@ class AveragedRoot:
 
 @lru_cache(maxsize=64)
 def _rule_nodes(n_nodes: int, period: float):
-    """Gauss-Legendre nodes and weights on [0, period].
+    """Gauss-Legendre nodes s, weights w and integration matrix S on [0, period].
 
-    Cached because node generation costs far more than the quadrature
-    itself when averaging over large evaluation grids. The returned arrays
-    are read-only.
+    For samples f at s, (S @ f)[i] is the integral from 0 to s_i of their
+    degree n_nodes - 1 interpolant (Greengard, SIAM J. Numer. Anal. 28,
+    1991). The rule itself maps the samples to Legendre coefficients,
+    exactly since it integrates degree 2 n_nodes - 1 exactly; they are
+    integrated term by term and evaluated back at the nodes. Cached
+    because building the rule costs far more than applying it when
+    averaging over large evaluation grids. The returned arrays are
+    read-only.
     """
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    leg = np.polynomial.legendre
+    x, w = leg.leggauss(n_nodes)
+    k = np.arange(n_nodes)[:, None]
+    coeffs = (k + 0.5) * leg.legvander(x, n_nodes - 1).T * w
+    S = leg.legvander(x, n_nodes) @ leg.legint(coeffs, lbnd=-1.0)
+    S *= 0.5 * period
     s, w = 0.5 * period * (x + 1.0), 0.5 * period * w
-    s.flags.writeable = False
-    w.flags.writeable = False
-    return s, w
-
-
-def _cumulative_from_samples(vals: np.ndarray, period: float) -> Callable:
-    """Cumulative integral s -> int_0^s of a periodic sampled function.
-
-    vals holds samples on the uniform grid j*period/m, one row per
-    component. The trigonometric interpolant is integrated term by term,
-    which is exact for band-limited integrands and spectrally accurate for
-    smooth ones; the nonzero mean contributes the linear-in-s part.
-    """
-    n, m = vals.shape
-    coeff = np.fft.rfft(vals, axis=1)
-    mean = coeff[:, 0].real / m
-    k = np.arange(1, coeff.shape[1])
-    weight = np.full(k.shape, 2.0)
-    if m % 2 == 0:
-        weight[-1] = 1.0  # Nyquist mode appears once
-    omega = 2.0 * np.pi * k / period
-    ck = coeff[:, 1:] * (weight / m)
-
-    def cumulative(s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        phases = (np.exp(1j * np.outer(s, omega)) - 1.0) / (1j * omega)
-        return mean[:, None] * s[None, :] + (ck @ phases.T).real
-
-    return cumulative
+    for arr in (s, w, S):
+        arr.flags.writeable = False
+    return s, w, S
 
 
 def _refined_mean(compute: Callable, n_nodes: int, what: str) -> np.ndarray:
@@ -153,7 +138,7 @@ def average_first(sys: StandardFormSystem, z, q: QuadratureSpec) -> np.ndarray:
     """First averaged function f(z) = (1/T) int_0^T F1(z, s) ds."""
 
     def compute(n_nodes: int) -> np.ndarray:
-        s, w = _rule_nodes(n_nodes, sys.period)
+        s, w, _ = _rule_nodes(n_nodes, sys.period)
         return np.asarray(sys.f1(z, s), dtype=float) @ w / sys.period
 
     return _refined_mean(compute, q.nodes, "average_first")
@@ -163,18 +148,16 @@ def average_second(sys: StandardFormSystem, z, q: QuadratureSpec) -> np.ndarray:
     """Second averaged function g(z).
 
     g(z) = (1/T) int_0^T [ DF1(z, s) . int_0^s F1(z, t) dt + F2(z, s) ] ds.
-    The inner integral is precomputed once from inner_nodes uniform samples
-    of F1 and evaluated at the outer nodes through its spectral
-    antiderivative.
+    Both integrals use the same nodes: the inner one is the integration
+    matrix of the rule applied to the samples of F1, so each pass of the
+    (N, 2N) check carries its own inner integral and the check covers both.
     """
-    inner_s = np.arange(q.inner_nodes) * (sys.period / q.inner_nodes)
-    f1_samples = np.asarray(sys.f1(z, inner_s), dtype=float)
-    cumulative = _cumulative_from_samples(f1_samples, sys.period)
 
     def compute(n_nodes: int) -> np.ndarray:
-        s, w = _rule_nodes(n_nodes, sys.period)
+        s, w, S = _rule_nodes(n_nodes, sys.period)
+        inner = np.asarray(sys.f1(z, s), dtype=float) @ S.T
         jac = np.asarray(sys.df1(z, s), dtype=float)
-        integrand = np.einsum("ijm,jm->im", jac, cumulative(s))
+        integrand = np.einsum("ijm,jm->im", jac, inner)
         integrand += np.asarray(sys.f2(z, s), dtype=float)
         return integrand @ w / sys.period
 

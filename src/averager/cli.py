@@ -9,7 +9,8 @@ times over one period. Output is deterministic: re-running a command
 with the same config produces byte-identical files.
 
 Exit codes: 0 ok, 1 config error or unwritable output, 2 hypothesis
-violation, 3 oracle mismatch, 4 shooting shortfall.
+violation, 3 oracle mismatch or unconverged quadrature, 4 shooting
+shortfall.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .averaging import average_first, average_second
+from .averaging import QuadratureNotConverged, average_first, average_second
 from .closed_form import (
     HypothesisViolated,
     OrbitCount,
@@ -57,7 +58,8 @@ def _jsonable(obj):
     """Recursively convert numbers, arrays and enums to JSON-safe values.
 
     NaN, which marks a missing value such as a failed sweep entry's
-    max_coords, becomes null.
+    max_coords, becomes null, and so does an infinity such as an
+    overflowed deviation.
     """
     if isinstance(obj, Enum):
         return obj.value
@@ -70,7 +72,7 @@ def _jsonable(obj):
     if isinstance(obj, (complex, np.complexfloating)):
         return [float(obj.real), float(obj.imag)]
     if isinstance(obj, (float, np.floating)):
-        return None if math.isnan(obj) else float(obj)
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, np.integer):
         return int(obj)
     return obj
@@ -361,6 +363,9 @@ def main(argv=None) -> int:
     except HypothesisViolated as exc:
         print(f"hypothesis violated: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
+    except QuadratureNotConverged as exc:
+        print(f"quadrature not converged: {exc}", file=sys.stderr)
+        return EXIT_ORACLE
 
 
 if __name__ == "__main__":

@@ -46,10 +46,12 @@ def _require_keys(mapping: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
 
 
-def _number(mapping: dict, key: str, where: str) -> float:
-    value = mapping[key]
+def _number(container, key, where: str) -> float:
+    """container[key] as a finite float; container is an object or a list."""
+    value = container[key]
+    path = f"{where}[{key}]" if isinstance(container, list) else f"{where}.{key}"
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key}: expected a number, got {value!r}")
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
     # a literal beyond the double range parses to inf (1e400) or to an
     # integer that float() cannot convert (a 400-digit one)
     try:
@@ -57,7 +59,7 @@ def _number(mapping: dict, key: str, where: str) -> float:
     except OverflowError:
         number = math.inf
     if not math.isfinite(number):
-        raise ConfigError(f"{where}.{key}: expected a finite number, got {value!r}")
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
     return number
 
 
@@ -127,11 +129,7 @@ def from_dict(doc: dict) -> RunConfig:
         raw = doc["eps_list"]
         if not isinstance(raw, list) or len(raw) < 2:
             raise ConfigError("eps_list: expected a list of at least two numbers")
-        values = []
-        for i, item in enumerate(raw):
-            if isinstance(item, bool) or not isinstance(item, (int, float)):
-                raise ConfigError(f"eps_list[{i}]: expected a number, got {item!r}")
-            values.append(float(item))
+        values = [_number(raw, i, "eps_list") for i in range(len(raw))]
         if any(not (0.0 < e <= MAX_EPS) for e in values):
             raise ConfigError(f"eps_list: entries must lie in (0, {MAX_EPS}]")
         if any(b >= a for a, b in zip(values, values[1:])):

@@ -128,8 +128,8 @@ def test_oracle_equivalence_on_grid():
 def second_average_by_ode(sys, z):
     """g(z) from integrating I' = F1, G' = DF1 . I + F2 over one period.
 
-    Independent of the engine's quadrature nodes and of its spectral
-    cumulative integral: G(T) / T is the second averaged function.
+    Independent of the engine's quadrature nodes and of its integration
+    matrix for the inner integral: G(T) / T is the second averaged function.
     """
     n = len(z)
 
@@ -160,6 +160,28 @@ def test_average_second_matches_independent_oracle():
         average_second(sys, z, QUAD) - second_average_by_ode(sys, z))) < 1e-8
 
 
+def test_inner_integral_resolved_at_the_outer_nodes():
+    """A fast inner integrand is resolved by the nodes that resolve DF1.
+
+    With F1 = (cos 40t, 0) and DF1[1, 0] = sin 40t the mean of
+    sin(40 s) * sin(40 s) / 40 is 1 / 80. A separate uniform inner grid of
+    64 samples would alias cos 40t and return about 0 without a warning.
+    """
+    def df1(z, t):
+        jac = np.zeros((2, 2, np.size(t)))
+        jac[1, 0] = np.sin(40.0 * t)
+        return jac
+
+    sys = StandardFormSystem(
+        period=2.0 * np.pi,
+        f1=lambda z, t: np.array([np.cos(40.0 * t), np.zeros_like(t)]),
+        f2=lambda z, t: np.zeros((2, np.size(t))),
+        df1=df1,
+    )
+    val = average_second(sys, np.zeros(2), QuadratureSpec(nodes=256))
+    assert np.max(np.abs(val - [0.0, 1.0 / 80.0])) < 1e-12
+
+
 def test_quadrature_divergence_detection():
     sys = toy_system(
         f1=lambda z, t: np.array([np.cos(64.0 * t), np.zeros_like(t)]),
@@ -175,9 +197,7 @@ def test_quadrature_spec_validates_node_floor():
     # the ceiling bounds the dense eigenproblem behind the Gauss-Legendre nodes
     with pytest.raises(ValueError, match="1024"):
         QuadratureSpec(nodes=1025)
-    with pytest.raises(ValueError, match="1024"):
-        QuadratureSpec(inner_nodes=1025)
-    assert QuadratureSpec(nodes=1024, inner_nodes=1024).nodes == 1024
+    assert QuadratureSpec(nodes=1024).nodes == 1024
 
 
 def test_find_roots_on_closed_g():

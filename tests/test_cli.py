@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import averager
+from averager.averaging import QuadratureAccuracyWarning
 from averager.cli import _jsonable, main
 from averager.config import from_dict
 
@@ -200,9 +201,39 @@ def test_config_errors_exit_one(tmp_path):
                         % ("1" * 5000), encoding="utf-8")
     assert main(["classify", "--config", str(long_int),
                  "--out", str(tmp_path / "out")]) == 1
+    huge_eps = tmp_path / "huge_eps.json"
+    huge_eps.write_text('{"unfolding": {"a2": 1.0, "b2": 5.0, "delta": 2.0}, '
+                        '"eps_list": [0.1, %s]}' % ("1" + "0" * 400),
+                        encoding="utf-8")
+    assert main(["sweep", "--config", str(huge_eps),
+                 "--out", str(tmp_path / "out")]) == 1
+    code, _ = run(tmp_path, "average", {"unfolding": {"delta": 2.0},
+                                        "quadrature": {"inner_nodes": 64}})
+    assert code == 1
     code, _ = run(tmp_path, "orbits",
                   dict(THREE_ORBIT_DOC, integrator={"max_steps": 0}))
     assert code == 1
+
+
+def test_unconverged_quadrature_exits_three(tmp_path, capsys):
+    doc = {"unfolding": {"a2": 1.0, "b2": 5.0, "delta": 2.0, "c1": 1e5}}
+    with pytest.warns(QuadratureAccuracyWarning):
+        code, _ = run(tmp_path, "average", doc)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("quadrature not converged: average_second")
+    assert "Traceback" not in err
+
+
+def test_overflowed_deviation_is_written_as_null(tmp_path):
+    doc = {"unfolding": {"a1": 1e307, "a2": 1.0, "b2": 5.0, "delta": 2.0}}
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code, out = run(tmp_path, "average", doc)
+    assert code == 3
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"),
+                         parse_constant=_reject_constant)
+    assert summary["max_abs_dev_first"] is None
+    assert summary["oracle_ok"] is False
 
 
 def test_unwritable_output_exits_one(tmp_path, capsys):

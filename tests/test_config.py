@@ -37,7 +37,7 @@ def test_round_trip_identity():
         "unfolding": {"a1": 0.25, "b1": -1.5, "a2": 1.0, "b2": 5.0,
                       "c1": 0.5, "c2": -0.75, "delta": 2.0},
         "eps": 0.1,
-        "quadrature": {"nodes": 32, "inner_nodes": 128},
+        "quadrature": {"nodes": 32},
         "integrator": {"abs_tol": 1e-9, "rel_tol": 1e-9,
                        "max_step": 0.001, "max_steps": 500000},
         "output_dir": "out",
@@ -82,6 +82,10 @@ def test_unknown_keys_rejected_at_every_level():
     doc = minimal_doc()
     doc["seed"] = 0
     with pytest.raises(ConfigError, match="seed"):
+        from_dict(doc)
+    doc = minimal_doc()
+    doc["quadrature"] = {"inner_nodes": 64}
+    with pytest.raises(ConfigError, match="inner_nodes"):
         from_dict(doc)
 
 
@@ -204,3 +208,8 @@ def test_load_config_from_file(tmp_path):
                         % ("1" * 5000), encoding="utf-8")
     with pytest.raises(ConfigError, match="long_int.json cannot be parsed"):
         load_config(long_int)
+    huge_eps = tmp_path / "huge_eps.json"
+    huge_eps.write_text('{"unfolding": {"delta": 2.0}, "eps_list": [0.1, %s]}'
+                        % ("1" + "0" * 400), encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"eps_list\[1\]: .*finite"):
+        load_config(huge_eps)
