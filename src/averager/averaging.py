@@ -37,7 +37,9 @@ DEDUP_TOL = 1e-6
 
 #: largest accepted node count; the (N, 2N) check builds a dense 2N x 2N
 #: eigenproblem for the Gauss-Legendre nodes and caches a dense 2N x 2N
-#: integration matrix, whose memory grows as N^2 (33.6 MB at 2N = 2048)
+#: integration matrix, whose memory grows as N^2 (33.6 MB at 2N = 2048);
+#: a batch of points holds every point's samples at once, so the jerk
+#: standard form peaks at about 0.2 MB per point at 2N = 2048
 MAX_NODES = 1024
 
 #: residual bound for accepting a converged root
@@ -114,34 +116,41 @@ def _rule_nodes(n_nodes: int, period: float):
     return s, w, S
 
 
-def _refined_mean(compute: Callable, n_nodes: int, what: str) -> np.ndarray:
+def _refined_mean(compute: Callable, z, n_nodes: int, what: str) -> np.ndarray:
     coarse = compute(n_nodes)
     fine = compute(2 * n_nodes)
-    # thresholds scale with the result so that large-amplitude integrands
-    # are judged at the precision floating point can deliver
-    scale = max(1.0, float(np.max(np.abs(fine))))
-    diff = float(np.max(np.abs(fine - coarse)))
-    if diff > CONVERGENCE_TOL * scale:
-        raise QuadratureNotConverged(
-            f"{what}: (N, 2N) disagreement {diff:.3e} at N={n_nodes}"
-        )
-    if diff > ACCURACY_TOL * scale:
-        warnings.warn(
-            f"{what}: (N, 2N) agreement only {diff:.3e} at N={n_nodes}",
-            QuadratureAccuracyWarning,
-            stacklevel=3,
-        )
+    # thresholds scale with each point's result so that large-amplitude
+    # integrands are judged at the precision floating point can deliver,
+    # and a large point never loosens the threshold of another in its batch
+    scale = np.maximum(1.0, np.max(np.abs(fine), axis=0))
+    diff = np.max(np.abs(fine - coarse), axis=0)
+    loose = diff > ACCURACY_TOL * scale
+    if not loose.any():
+        return fine
+    worst = np.argmax(np.divide(diff, scale, out=np.zeros_like(diff),
+                                where=loose))
+    where = (f"{diff.flat[worst]:.3e} at N={n_nodes}, "
+             f"z = {np.reshape(z, (len(z), -1))[:, worst].tolist()}")
+    if np.any(diff > CONVERGENCE_TOL * scale):
+        raise QuadratureNotConverged(f"{what}: (N, 2N) disagreement {where}")
+    warnings.warn(f"{what}: (N, 2N) agreement only {where}",
+                  QuadratureAccuracyWarning, stacklevel=3)
     return fine
 
 
 def average_first(sys: StandardFormSystem, z, q: QuadratureSpec) -> np.ndarray:
-    """First averaged function f(z) = (1/T) int_0^T F1(z, s) ds."""
+    """First averaged function f(z) = (1/T) int_0^T F1(z, s) ds.
+
+    z is one point of shape (n,) or a batch of shape (n, *batch); the
+    result has the same shape. Each point passes its own (N, 2N) check,
+    and the error or warning names the worst point.
+    """
 
     def compute(n_nodes: int) -> np.ndarray:
         s, w, _ = _rule_nodes(n_nodes, sys.period)
         return np.asarray(sys.f1(z, s), dtype=float) @ w / sys.period
 
-    return _refined_mean(compute, q.nodes, "average_first")
+    return _refined_mean(compute, z, q.nodes, "average_first")
 
 
 def average_second(sys: StandardFormSystem, z, q: QuadratureSpec) -> np.ndarray:
@@ -151,30 +160,26 @@ def average_second(sys: StandardFormSystem, z, q: QuadratureSpec) -> np.ndarray:
     Both integrals use the same nodes: the inner one is the integration
     matrix of the rule applied to the samples of F1, so each pass of the
     (N, 2N) check carries its own inner integral and the check covers both.
+    z is one point or a batch, shaped as in average_first.
     """
 
     def compute(n_nodes: int) -> np.ndarray:
         s, w, S = _rule_nodes(n_nodes, sys.period)
         inner = np.asarray(sys.f1(z, s), dtype=float) @ S.T
         jac = np.asarray(sys.df1(z, s), dtype=float)
-        integrand = np.einsum("ijm,jm->im", jac, inner)
+        integrand = np.einsum("ij...m,j...m->i...m", jac, inner)
         integrand += np.asarray(sys.f2(z, s), dtype=float)
         return integrand @ w / sys.period
 
-    return _refined_mean(compute, q.nodes, "average_second")
+    return _refined_mean(compute, z, q.nodes, "average_second")
 
 
 def _fd_jacobian(fun: Callable, z: np.ndarray) -> np.ndarray:
+    n = len(z)
     h = FD_STEP * (1.0 + np.max(np.abs(z)))
-    cols = []
-    for j in range(len(z)):
-        dz = np.zeros_like(z)
-        dz[j] = h
-        cols.append(
-            (np.asarray(fun(z + dz), float) - np.asarray(fun(z - dz), float))
-            / (2.0 * h)
-        )
-    return np.stack(cols, axis=1)
+    shifts = h * np.eye(n)
+    vals = np.asarray(fun(z[:, None] + np.hstack([shifts, -shifts])), float)
+    return (vals[:, :n] - vals[:, n:]) / (2.0 * h)
 
 
 def _damped_newton(fun: Callable, z0, max_iter: int = 60):
@@ -209,13 +214,10 @@ def _grid_seeds(fun, box, grids):
     """Seed points from corner sign changes and local minima of |fun|."""
     n = len(box)
     axes = [np.linspace(lo, hi, g + 1) for (lo, hi), g in zip(box, grids)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=-1)
-    vals = np.stack([np.asarray(fun(pt), dtype=float) for pt in points])
-    vals = vals.reshape(*[g + 1 for g in grids], n)
+    mesh = np.array(np.meshgrid(*axes, indexing="ij"))
+    vals = np.moveaxis(np.asarray(fun(mesh), dtype=float), 0, -1)
     norms = np.linalg.norm(vals, axis=-1)
 
-    seeds = []
     # cells where every component straddles zero among the 2^n corners
     views = [
         vals[tuple(slice(o, o + g) for o, g in zip(offset, grids))]
@@ -225,10 +227,9 @@ def _grid_seeds(fun, box, grids):
         (np.minimum.reduce(views) <= 0.0) & (np.maximum.reduce(views) >= 0.0),
         axis=-1,
     )
-    for idx in np.argwhere(straddle):
-        seeds.append(
-            np.array([0.5 * (ax[i] + ax[i + 1]) for ax, i in zip(axes, idx)])
-        )
+    mids = np.array(np.meshgrid(*[0.5 * (ax[:-1] + ax[1:]) for ax in axes],
+                                indexing="ij"))
+    seeds = list(mids[:, straddle].T)
     # grid points that are local minima of the residual norm
     padded = np.pad(norms, 1, constant_values=np.inf)
     core = padded[(slice(1, -1),) * n]
@@ -238,9 +239,7 @@ def _grid_seeds(fun, box, grids):
             sl = [slice(1, -1)] * n
             sl[ax] = slice(1 + off, padded.shape[ax] - 1 + off)
             is_min &= core <= padded[tuple(sl)]
-    for idx in np.argwhere(is_min):
-        seeds.append(np.array([ax[i] for ax, i in zip(axes, idx)]))
-    return seeds
+    return seeds + list(mesh[:, is_min].T)
 
 
 def find_roots(fun: Callable, box: Sequence, grid=32) -> list[AveragedRoot]:
@@ -248,13 +247,15 @@ def find_roots(fun: Callable, box: Sequence, grid=32) -> list[AveragedRoot]:
 
     Parameters
     ----------
-    fun : callable mapping an n-vector to an n-vector
+    fun : callable mapping points of shape (n, *batch) to values of shape
+        (n, *batch); it gets single points and batches of them
     box : sequence of (lo, hi) pairs, one per coordinate
     grid : cells per axis for seeding (int or per-axis sequence)
 
     Returns
     -------
-    Roots sorted lexicographically by coordinates, each with residual below
+    Roots sorted by their coordinates rounded to multiples of DEDUP_TOL,
+    so roundoff never orders a mirror pair, each with residual below
     ROOT_TOL; the degree sign is DEGENERATE when |jac_det| < DET_TOL.
     Converged points outside the box are discarded, so an empty list is a
     valid outcome.
@@ -274,7 +275,7 @@ def find_roots(fun: Callable, box: Sequence, grid=32) -> list[AveragedRoot]:
             continue
         accepted.append(z)
 
-    accepted.sort(key=lambda z: tuple(z))
+    accepted.sort(key=lambda z: tuple(np.round(z / DEDUP_TOL)))
     roots = []
     for z in accepted:
         det = float(np.linalg.det(_fd_jacobian(fun, z)))

@@ -114,6 +114,21 @@ def _refuse(out_dir: Path, doc: dict, args, kind: str, reason: str) -> int:
     return EXIT_HYPOTHESIS
 
 
+def _orbit_prediction(u, out_dir: Path, doc: dict, args):
+    """Case label into doc and the predicted roots; None once refused."""
+    try:
+        doc["case"] = classify(u.a2, u.b2, u.delta)
+    except HypothesisViolated as exc:
+        _refuse(out_dir, doc, args, "HypothesisViolated", str(exc))
+        return None
+    prediction = predicted_roots(u.a2, u.b2, u.delta)
+    if prediction.count is OrbitCount.DEGENERATE:
+        _refuse(out_dir, doc, args, "DegeneratePrediction",
+                prediction.degenerate_reason)
+        return None
+    return prediction
+
+
 def _write_trace(path: Path, t: np.ndarray, states: np.ndarray) -> None:
     lines = ["t,x,y,z"]
     for ti, row in zip(t, states):
@@ -180,24 +195,19 @@ def cmd_average(cfg: RunConfig, out_dir: Path, args) -> int:
     slice_u = replace(u, a1=0.0, b1=0.0)
     sys_second = jerk_standard_form(slice_u)
 
-    r_grid = np.linspace(GRID_R[0], GRID_R[1], GRID_N)
-    w_grid = np.linspace(GRID_W[0], GRID_W[1], GRID_N)
+    z = np.array(np.meshgrid(np.linspace(*GRID_R, GRID_N),
+                             np.linspace(*GRID_W, GRID_N), indexing="ij"))
+    f_num = average_first(sys_first, z, cfg.quadrature)
+    f_ref = f_closed(*z, u.a1, u.b1, u.delta)
+    g_num = average_second(sys_second, z, cfg.quadrature)
+    g_ref = g_closed(*z, u.a2, u.b2, u.delta)
+    dev_first = float(np.max(np.abs(f_num - f_ref)))
+    dev_second = float(np.max(np.abs(g_num - g_ref)))
+    table = np.concatenate([z, f_num, f_ref, g_num, g_ref]).reshape(10, -1).T
     rows = ["r,w,f1_num,f2_num,f1_closed,f2_closed,"
             "g1_num,g2_num,g1_closed,g2_closed"]
-    dev_first = 0.0
-    dev_second = 0.0
-    for r in r_grid:
-        for w in w_grid:
-            z = np.array([r, w])
-            f_num = average_first(sys_first, z, cfg.quadrature)
-            f_ref = f_closed(r, w, u.a1, u.b1, u.delta)
-            g_num = average_second(sys_second, z, cfg.quadrature)
-            g_ref = g_closed(r, w, u.a2, u.b2, u.delta)
-            dev_first = max(dev_first, float(np.max(np.abs(f_num - f_ref))))
-            dev_second = max(dev_second, float(np.max(np.abs(g_num - g_ref))))
-            rows.append(",".join(format(float(v), ".17g") for v in
-                                 (r, w, f_num[0], f_num[1], f_ref[0], f_ref[1],
-                                  g_num[0], g_num[1], g_ref[0], g_ref[1])))
+    rows += [",".join(format(v, ".17g") for v in row)
+             for row in table.tolist()]
     (out_dir / "average_table.csv").write_text("\n".join(rows) + "\n",
                                                encoding="utf-8")
 
@@ -228,15 +238,9 @@ def cmd_orbits(cfg: RunConfig, out_dir: Path, args) -> int:
     if cfg.eps is None:
         raise ConfigError("orbits needs 'eps'; use the sweep command for eps_list")
     doc: dict = {"command": "orbits", "config": to_dict(cfg)}
-    try:
-        label = classify(u.a2, u.b2, u.delta)
-    except HypothesisViolated as exc:
-        return _refuse(out_dir, doc, args, "HypothesisViolated", str(exc))
-    prediction = predicted_roots(u.a2, u.b2, u.delta)
-    doc["case"] = label
-    if prediction.count is OrbitCount.DEGENERATE:
-        return _refuse(out_dir, doc, args, "DegeneratePrediction",
-                       prediction.degenerate_reason)
+    prediction = _orbit_prediction(u, out_dir, doc, args)
+    if prediction is None:
+        return EXIT_HYPOTHESIS
 
     entry = sweep_epsilon(u, [cfg.eps], cfg.integrator).entries[0]
     orbits = []
@@ -269,10 +273,9 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, args) -> int:
     if cfg.eps_list is None:
         raise ConfigError("sweep needs 'eps_list' in the config")
     doc: dict = {"command": "sweep", "config": to_dict(cfg)}
-    try:
-        result = sweep_epsilon(u, cfg.eps_list, cfg.integrator)
-    except HypothesisViolated as exc:
-        return _refuse(out_dir, doc, args, "HypothesisViolated", str(exc))
+    if _orbit_prediction(u, out_dir, doc, args) is None:
+        return EXIT_HYPOTHESIS
+    result = sweep_epsilon(u, cfg.eps_list, cfg.integrator)
 
     any_failure = False
     entries = []

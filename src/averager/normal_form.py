@@ -58,9 +58,10 @@ class UnfoldingParams:
 class StandardFormSystem:
     """A T-periodic field dz/dt = eps F1(z, t) + eps^2 F2(z, t) + O(eps^3).
 
-    Each evaluator takes a state z of length n and an array of m times and
-    returns one column per time: f1 and f2 give shape (n, m), and df1, the
-    Jacobian of f1 with respect to z, gives shape (n, n, m).
+    Each evaluator takes states z of shape (n, *batch) and times of shape
+    m: f1 and f2 give shape (n, *batch, m), and df1, the Jacobian of f1
+    with respect to z, gives (n, n, *batch, m), or (n, n, m) when it does
+    not depend on z. A single state is the case batch = ().
     """
 
     period: float
@@ -167,7 +168,8 @@ def jerk_standard_form(unfolding: UnfoldingParams) -> StandardFormSystem:
     h1, h2 evaluated at (r*cos(theta), r*sin(theta), w). These are the first
     and second order terms of the eps-expansion of theta_rhs; a Richardson
     test against the exact quotient pins the O(eps^3) remainder. The domain
-    requires r > 0. df1 is analytic since h1 is linear in its arguments.
+    requires r > 0. df1 is analytic and independent of z since h1 is linear
+    in its arguments, so it has shape (2, 2, m).
     """
     d = unfolding.delta
     # h1 = hu*u + hv*v + hw*w with constant coefficients
@@ -175,17 +177,19 @@ def jerk_standard_form(unfolding: UnfoldingParams) -> StandardFormSystem:
     hv = unfolding.b1 / d ** 3 - unfolding.a1 / d
     hw = unfolding.b1 / d ** 2
 
-    def f1(z, theta):
-        r, w = z
+    def angles(z, theta):
+        """(r, w, sin, cos), with z's batch axes ahead of theta's axes."""
         th = np.asarray(theta, dtype=float)
-        sin, cos = np.sin(th), np.cos(th)
+        r, w = np.reshape(z, np.shape(z) + (1,) * th.ndim)
+        return r, w, np.sin(th), np.cos(th)
+
+    def f1(z, theta):
+        r, w, sin, cos = angles(z, theta)
         h = hu * r * cos + hv * r * sin + hw * w
-        return np.array([h * sin, -h / d * np.ones_like(th)])
+        return np.array([h * sin, -h / d])
 
     def f2(z, theta):
-        r, w = z
-        th = np.asarray(theta, dtype=float)
-        sin, cos = np.sin(th), np.cos(th)
+        r, w, sin, cos = angles(z, theta)
         u, v = r * cos, r * sin
         h1v = hu * u + hv * v + hw * w
         h2v = h2((u, v, w), unfolding)
@@ -193,14 +197,9 @@ def jerk_standard_form(unfolding: UnfoldingParams) -> StandardFormSystem:
         return np.array([common * sin, -common / d])
 
     def df1(z, theta):
-        r, w = z
-        th = np.asarray(theta, dtype=float)
-        sin, cos = np.sin(th), np.cos(th)
-        dh_dr = hu * cos + hv * sin
-        ones = np.ones_like(th)
-        return np.array([
-            [sin * dh_dr, hw * sin],
-            [-dh_dr / d * ones, -hw / d * ones],
-        ])
+        sin, cos = np.sin(theta), np.cos(theta)
+        # dh/dr and dh/dw, the same for every z
+        grad = np.array(np.broadcast_arrays(hu * cos + hv * sin, hw))
+        return np.array([sin * grad, -grad / d])
 
     return StandardFormSystem(period=2.0 * np.pi, f1=f1, f2=f2, df1=df1)

@@ -282,11 +282,9 @@ def shoot_orbit(
 ) -> PeriodicOrbitRecord:
     """Locate the periodic orbit predicted by the averaged root (r, w).
 
-    Two candidate section seeds are tried in turn: eps*(w, r), which is the
-    theta = 0 image of the root under the coordinate pipeline, and the
-    alternate reading eps*(w + r/delta, r); their discrepancy is logged.
-    An explicit initial_point, e.g. a warm start from a nearby eps, takes
-    precedence over both.
+    The section seed is eps*(w, r), the theta = 0 image of the root under
+    the coordinate pipeline. An explicit initial_point, e.g. a warm start
+    from a nearby eps, is tried first, and the section seed after it.
 
     Returns
     -------
@@ -308,8 +306,7 @@ def shoot_orbit(
         raise ValueError(f"eps = {eps} outside the shooting range (0, {MAX_EPS}]")
     p = unfold(u, eps)
     q_section = np.array([eps * w, eps * r])
-    q_alternate = np.array([eps * (w + r / u.delta), eps * r])
-    candidates = [("section-image", q_section), ("alternate", q_alternate)]
+    candidates = [("section-image", q_section)]
     if initial_point is not None:
         candidates.insert(0, ("warm-start", np.asarray(initial_point, dtype=float)))
 
@@ -320,10 +317,8 @@ def shoot_orbit(
             fixed, residual, period, mono, flow = found
             logger.info(
                 "seed (r=%.6g, w=%.6g) eps=%.6g: converged from %s start; "
-                "fixed point at %.3e from eps*(w, r), %.3e from the alternate",
-                r, w, eps, tag,
-                float(np.linalg.norm(fixed - q_section)),
-                float(np.linalg.norm(fixed - q_alternate)),
+                "fixed point at %.3e from eps*(w, r)",
+                r, w, eps, tag, float(np.linalg.norm(fixed - q_section)),
             )
             break
     if found is None:

@@ -6,6 +6,7 @@ from scipy.integrate import solve_ivp
 
 from averager.averaging import (
     DegreeSign,
+    QuadratureAccuracyWarning,
     QuadratureNotConverged,
     QuadratureSpec,
     average_first,
@@ -125,6 +126,41 @@ def test_oracle_equivalence_on_grid():
         assert worst < 1e-9
 
 
+def test_batched_averages_match_per_point_calls():
+    u = UnfoldingParams(a1=0.3, b1=-0.7, a2=1.2, b2=-0.9, c1=0.4, c2=-0.6,
+                        delta=1.3)
+    sys = jerk_standard_form(u)
+    z = np.array(np.meshgrid(np.linspace(0.5, 8.0, 20),
+                             np.linspace(-2.0, 2.0, 20), indexing="ij"))
+    for average in (average_first, average_second):
+        batch = average(sys, z, QUAD)
+        assert batch.shape == (2, 20, 20)
+        for i in range(20):
+            for j in range(20):
+                single = average(sys, z[:, i, j], QUAD)
+                assert np.all(np.abs(batch[:, i, j] - single)
+                              <= 1e-12 * np.maximum(1.0, np.abs(single)))
+
+
+def test_batch_judges_each_point_at_its_own_scale():
+    """A large point in a batch does not hide a small point's warning.
+
+    With F1 = (r + w cos 4t, 0) the mean at N = 16 is off by 6e-11, which
+    only warns for the point (0, 1). A threshold scaled by the batch's
+    largest value, 1e8 at (1e8, 0), would let it pass silently.
+    """
+    def f1(z, t):
+        r, w = np.asarray(z)[..., None]
+        return np.array([r + w * np.cos(4.0 * t), 0.0 * w * t])
+
+    sys = toy_system(f1, f2=None)
+    q = QuadratureSpec(nodes=16)
+    with pytest.warns(QuadratureAccuracyWarning,
+                      match=r"z = \[0\.0, 1\.0\]"):
+        val = average_first(sys, np.array([[1e8, 0.0], [0.0, 1.0]]), q)
+    assert np.allclose(val[0], [1e8, 0.0], atol=1e-9)
+
+
 def second_average_by_ode(sys, z):
     """g(z) from integrating I' = F1, G' = DF1 . I + F2 over one period.
 
@@ -242,3 +278,16 @@ def test_find_roots_negated_function():
         assert np.allclose(a.z, b.z, atol=1e-8)
         # dimension 2: determinant unchanged under negation
         assert np.isclose(a.jac_det, b.jac_det, rtol=1e-4)
+
+
+def test_find_roots_orders_numeric_roots_like_closed_form():
+    """The mirror pair (r2, +-w2) is ordered by w, not by roundoff in r."""
+    sys = slice_system(1.0, 5.0, 2.0)
+    box = [(0.5, 8.0), (-2.0, 2.0)]
+    for grid in (16, 32):
+        num = find_roots(lambda z: average_second(sys, z, QUAD), box, grid)
+        ref = find_roots(lambda z: g_closed(z[0], z[1], 1.0, 5.0, 2.0), box,
+                         grid)
+        assert len(num) == len(ref) == 3
+        for a, b in zip(num, ref):
+            assert np.allclose(a.z, b.z, atol=1e-8)

@@ -85,6 +85,18 @@ def test_classify_degenerate_boundary_is_reported_not_fatal(tmp_path):
     assert "degenerate_reason" in summary
 
 
+@pytest.mark.parametrize("command", ["orbits", "sweep"])
+def test_collapse_boundary_is_refused_as_degenerate(tmp_path, command):
+    """classify reports this boundary as degenerate; shooting refuses it."""
+    eps = {"orbits": {"eps": 0.1}, "sweep": {"eps_list": [0.1, 0.05]}}
+    doc = {"unfolding": {"a2": 1.0, "b2": 1.0, "delta": 1.0}, **eps[command]}
+    code, out = run(tmp_path, command, doc)
+    assert code == 2
+    summary = read_summary(out)
+    assert summary["case"] == "degenerate"
+    assert summary["error"]["kind"] == "DegeneratePrediction"
+
+
 def test_average_oracle_match(tmp_path):
     code, out = run(tmp_path, "average", THREE_ORBIT_DOC)
     assert code == 0

@@ -177,6 +177,10 @@ def test_standard_form_periodicity():
     assert sys.f1(z, thetas).shape == (2, 5)
     assert sys.f2(z, thetas).shape == (2, 5)
     assert sys.df1(z, thetas).shape == (2, 2, 5)
+    batch = z[:, None, None] * np.ones((3, 4))
+    assert sys.f1(batch, thetas).shape == (2, 3, 4, 5)
+    assert sys.f2(batch, thetas).shape == (2, 3, 4, 5)
+    assert sys.f2(batch, thetas[0]).shape == (2, 3, 4)
     for _ in range(10):
         z = np.array([rng.uniform(0.5, 4.0), rng.uniform(-2.0, 2.0)])
         theta = rng.uniform(0.0, 2.0 * np.pi)
