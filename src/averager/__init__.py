@@ -18,6 +18,7 @@ from .averaging import (
     find_roots,
 )
 from .closed_form import (
+    DegeneratePrediction,
     HypothesisViolated,
     OrbitCount,
     OrbitPrediction,
@@ -69,6 +70,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AveragedRoot",
     "ConfigError",
+    "DegeneratePrediction",
     "DegreeSign",
     "EquilibriumClass",
     "EquilibriumKind",

@@ -22,6 +22,14 @@ class HypothesisViolated(ValueError):
     """The classifier was called on a degenerate parameter combination."""
 
 
+class DegeneratePrediction(HypothesisViolated):
+    """A root family collapses into r = 0, so no orbit count is predicted.
+
+    Raised on the collapse boundaries, where classify returns DEGENERATE;
+    a HypothesisViolated, so handlers of the broader refusal catch it.
+    """
+
+
 class OrbitCount(Enum):
     THREE = "three"
     TWO = "two"

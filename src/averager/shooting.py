@@ -12,9 +12,16 @@ multipliers. The accepted return at the fixed point is the only
 integration of a located orbit: its trace is sampled from that return's
 dense output.
 
-Every flow is integrated by scipy's adaptive RK45 (Dormand-Prince 5(4))
-under the budget of an IntegratorSpec, with its continuous extension as
-the dense output.
+The field is a cubic polynomial, so every flow is integrated by a Taylor
+series method (Jorba and Zou, Experimental Mathematics 14, 2005): short
+recurrences give the Taylor coefficients of the flow and of its
+variational equations, and the step polynomials are the dense output. The
+budget of an IntegratorSpec sets each step. The order is
+ceil(1 - ln(tol) / 2), where tol is abs_tol while rel_tol times the state's
+largest coordinate stays below it and rel_tol otherwise; the step is the
+radius of convergence estimated from the last two coefficients, divided by
+e^2 and capped by max_step. max_steps bounds the steps of each leg between
+section crossings.
 """
 
 from __future__ import annotations
@@ -22,12 +29,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from operator import mul
+from typing import Optional
 
 import numpy as np
 
-from .closed_form import HypothesisViolated, OrbitCount, predicted_roots
-from .jerk import SystemParams
+from .closed_form import (DegeneratePrediction, OrbitCount, classify,
+                          predicted_roots)
+from .jerk import SystemParams, vector_field
 from .normal_form import UnfoldingParams, unfold
 
 logger = logging.getLogger(__name__)
@@ -47,8 +56,13 @@ RETURN_T_MAX = 100.0
 #: samples per period in an orbit's trace
 TRACE_SAMPLES = 512
 
-#: smallest rel_tol RK45 honours; scipy raises anything below it to this
+#: smallest rel_tol accepted: a relative error below 100 units in the
+#: last place is lost in the round-off of the Taylor sums
 MIN_REL_TOL = 100 * np.finfo(float).eps
+
+#: fractions of a Taylor step at which its z polynomial is sampled for a
+#: crossing: the start, 8 interior points and the end
+_CROSSING_FRACTIONS = np.linspace(0.0, 1.0, 10)
 
 
 class StepLimitExceeded(RuntimeError):
@@ -78,10 +92,11 @@ SHOOTING_ERRORS = (ShootingDiverged, NoReturn, SeedInvalid,
 
 @dataclass(frozen=True)
 class IntegratorSpec:
-    """Tolerances and step budget of the RK45 integrator.
+    """Tolerances and step budget of the Taylor integrator.
 
-    max_steps bounds the steps of each integration leg between section
-    crossings and is checked when the leg ends.
+    abs_tol and rel_tol set the order and the step length of each step
+    (see the module docstring); max_step caps the step length; max_steps
+    bounds the steps of each integration leg between section crossings.
     """
 
     abs_tol: float = 1e-11
@@ -116,57 +131,141 @@ class PeriodicOrbitRecord:
     trace: tuple
 
 
-def _variational_rhs(p: SystemParams) -> Callable:
-    """The flow and Phi' = J Phi on (x, y, z, Phi), Phi row-major in s[3:12]."""
-    a, b, c = p.a, p.b, p.c
+def _taylor_coefficients(p: SystemParams, m: np.ndarray,
+                         order: int) -> np.ndarray:
+    """Taylor coefficients of the flow and of Phi' = J Phi at m = [s | Phi].
 
-    def rhs(t, s):
-        x, y, z, p0, p1, p2, p3, p4, p5, p6, p7, p8 = s.tolist()
-        jx = -b + y * y - 3.0 * x * x  # d(dz/dt)/dx
-        jy = c + 2.0 * x * y  # d(dz/dt)/dy
-        return (y, z, -a * z - b * x + c * y + x * y * y - x ** 3,
-                p3, p4, p5, p6, p7, p8,
-                jx * p0 + jy * p3 - a * p6,
-                jx * p1 + jy * p4 - a * p7,
-                jx * p2 + jy * p5 - a * p8)
-
-    return rhs
-
-
-def _first_crossing(fun, s0, spec: IntegratorSpec, direction: int,
-                    t_max: float):
-    """First z = 0 crossing of the flow of fun with sign(dz/dt) = direction.
-
-    A start exactly on the section does not count as a crossing. Returns
-    (t_cross, state_cross, dense) at the integrator's event root, where
-    dense is the continuous extension of the solve over [0, t_cross], or
-    None when no crossing occurs before t_max.
+    Returns the (order + 1, 3, 4) array whose k-th entry holds the k-th
+    coefficients of [s | Phi]. The derivative [f(s) | J Phi] has rows 1
+    and 2 of [s | Phi] as its rows 0 and 1, so only row 2 needs products:
+    z' = -a z - b x + c y + x (y^2 - x^2) takes the Cauchy products x^2,
+    xy, y^2 and x (y^2 - x^2), and row 2 of Phi' is
+    (-b + y^2 - 3 x^2, c + 2 x y) times rows 0 and 1 of Phi, minus a times
+    its row 2.
     """
-    from scipy.integrate import solve_ivp  # deferred: classify never integrates
+    a, b, c = p.a, p.b, p.c
+    (x0, *phi0), (y0, *phi1), (z0, *phi2) = m.tolist()
+    x, y, z = [x0], [y0], [z0]
+    quad = []  # y^2 - x^2
+    jac = []  # the series of (-b + y^2 - 3 x^2, c + 2 x y), interleaved
+    # per column of Phi: rows 0 and 1 interleaved, newest first, so that
+    # the Cauchy product with jac is one sum, and row 2 in order
+    low = [[u, v] for u, v in zip(phi0, phi1)]
+    high = [[w] for w in phi2]
+    for k in range(order):
+        xx = sum(map(mul, x, reversed(x)))
+        xy = sum(map(mul, x, reversed(y)))
+        yy = sum(map(mul, y, reversed(y)))
+        quad.append(yy - xx)
+        if k:
+            jac += yy - 3.0 * xx, 2.0 * xy
+        else:
+            jac += yy - 3.0 * xx - b, 2.0 * xy + c
+        inv = 1.0 / (k + 1)
+        z.append((c * y[k] - b * x[k] - a * z[k]
+                  + sum(map(mul, x, reversed(quad)))) * inv)
+        x.append(y[k] * inv)
+        y.append(z[k] * inv)
+        for uv, w in zip(low, high):
+            w.append((sum(map(mul, jac, uv)) - a * w[k]) * inv)
+            uv[:0] = uv[1] * inv, w[k] * inv
+    rows = [x, *(uv[-2::-2] for uv in low), y, *(uv[::-2] for uv in low),
+            z, *high]
+    return np.array(rows).T.reshape(order + 1, 3, 4)
 
-    event = lambda t, s: s[2]
-    event.terminal = True
-    event.direction = float(direction)
-    sol = solve_ivp(
-        fun,
-        (0.0, float(t_max)),
-        np.asarray(s0, dtype=float),
-        method="RK45",
-        rtol=spec.rel_tol,
-        atol=spec.abs_tol,
-        max_step=spec.max_step,
-        dense_output=True,
-        events=[event],
-    )
-    if sol.status == -1:
-        raise StepUnderflow(sol.message)
-    if len(sol.t) - 1 > spec.max_steps:
-        raise StepLimitExceeded(
-            f"{len(sol.t) - 1} steps exceed the limit {spec.max_steps}"
-        )
-    if len(sol.t_events[0]) == 0:
-        return None
-    return float(sol.t_events[0][0]), sol.y_events[0][0], sol.sol
+
+def _crossing_root(poly: list, lo: float, hi: float) -> float:
+    """Root in [lo, hi] of sum(poly[k] u^k), whose signs at lo and hi differ.
+
+    Newton steps from the midpoint, with a bisection wherever a step would
+    leave the bracket, which shrinks around the root as it goes.
+    """
+    def value_and_slope(u):
+        value = slope = 0.0
+        for pk in reversed(poly):
+            slope = slope * u + value
+            value = value * u + pk
+        return value, slope
+
+    negative_at_lo = value_and_slope(lo)[0] < 0.0
+    u = 0.5 * (lo + hi)
+    for _ in range(100):
+        value, slope = value_and_slope(u)
+        if value == 0.0:
+            break
+        if (value < 0.0) == negative_at_lo:
+            lo = u
+        else:
+            hi = u
+        nxt = u - value / slope if slope != 0.0 else lo
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - u) <= 1e-15:
+            return nxt
+        u = nxt
+    return u
+
+
+def _first_crossing(p: SystemParams, m0, spec: IntegratorSpec, direction: int,
+                    t_max: float):
+    """First z = 0 crossing of the flow with sign(dz/dt) = direction.
+
+    m0 = [s | Phi] is the (3, 4) start of the flow and of Phi' = J Phi.
+    Each Taylor step takes the order and the length of Jorba and Zou's
+    rule (see the module docstring). Its z polynomial is sampled at the
+    _CROSSING_FRACTIONS of the step, and the first sign change in the
+    sought direction is polished to a root by Newton on that polynomial.
+    A start exactly on the section does not count as a crossing.
+
+    Returns (t_cross, m_cross, steps), with m_cross on the section (its z
+    set to 0) and steps the (start time, coefficients) of each Taylor
+    step over [0, t_cross], or None when no crossing occurs before t_max.
+
+    Raises
+    ------
+    StepLimitExceeded when the leg needs more than spec.max_steps steps;
+    StepUnderflow when a step falls below what double precision resolves
+    or the Taylor coefficients are not finite.
+    """
+    m = np.asarray(m0, dtype=float)
+    t = 0.0
+    steps = []
+    while t < t_max:
+        if len(steps) == spec.max_steps:
+            raise StepLimitExceeded(
+                f"more than {spec.max_steps} steps before t = {t_max}")
+        size = float(np.max(np.abs(m[:, 0])))
+        if spec.rel_tol * size <= spec.abs_tol:
+            tol, scale = spec.abs_tol, 1.0
+        else:
+            tol, scale = spec.rel_tol, size
+        order = math.ceil(1.0 - 0.5 * math.log(tol))
+        coef = _taylor_coefficients(p, m, order)
+        last = np.max(np.abs(coef[-2:, :, 0]), axis=1).tolist()
+        if not max(last) < math.inf:
+            raise StepUnderflow(f"non-finite Taylor coefficients at t = {t:.6g}")
+        radius = min((scale / norm) ** (1.0 / j) if norm > 0.0 else math.inf
+                     for j, norm in zip((order - 1, order), last))
+        h = min(radius * math.exp(-2.0), spec.max_step)
+        if not h > 10.0 * math.ulp(t):
+            raise StepUnderflow(f"step {h:.3g} below the resolution at "
+                                f"t = {t:.6g}")
+        h = min(h, t_max - t)
+        steps.append((t, coef))
+        powers = np.arange(order + 1)
+        flat = coef.reshape(order + 1, 12)
+        z = coef[:, 2, 0] * h ** powers  # z as a polynomial in u = tau / h
+        samples = (_CROSSING_FRACTIONS[:, None] ** powers @ z).tolist()
+        for i in range(len(samples) - 1):
+            if direction * samples[i] < 0.0 <= direction * samples[i + 1]:
+                u = _crossing_root(z.tolist(), _CROSSING_FRACTIONS[i],
+                                   _CROSSING_FRACTIONS[i + 1])
+                m = ((u * h) ** powers @ flat).reshape(3, 4)
+                m[2, 0] = 0.0
+                return t + u * h, m, steps
+        m = (h ** powers @ flat).reshape(3, 4)
+        t = t + h if h < t_max - t else t_max
+    return None
 
 
 def poincare_return(p: SystemParams, q, spec: IntegratorSpec,
@@ -184,50 +283,50 @@ def poincare_return(p: SystemParams, q, spec: IntegratorSpec,
 
     Returns
     -------
-    ((x', y'), flight_time, dP/dq, Phi, flow) at the event root of the
+    ((x', y'), flight_time, dP/dq, Phi, flow) at the polished root of the
     next same-orientation crossing with the correct y sign. Phi is the
     fundamental matrix over the flight from (q, 0), the monodromy matrix
     at a fixed point; dP/dq is Phi projected along the field f at the
     crossing onto the section, (Phi - outer(f, Phi[2]) / f[2])[:2, :2].
     flow maps an array of times in [0, flight_time] to the (len(t), 3)
-    states there, read from the dense output of the integration legs
-    between crossings; flow(0) is (q, 0) exactly.
+    states there, read from the Taylor polynomials of the steps between
+    crossings; flow(0) is (q, 0) exactly.
 
     Raises
     ------
     NoReturn when the flight-time budget RETURN_T_MAX is exhausted without
     an admissible crossing.
     """
-    fun = _variational_rhs(p)
-    state = np.concatenate([(q[0], q[1], 0.0), np.eye(3).ravel()])
+    m = np.column_stack([(q[0], q[1], 0.0), np.eye(3)])
     elapsed = 0.0
-    starts, legs = [], []  # start time and dense output of each leg
+    starts, polys = [], []  # start time and coefficients of each step
 
     def flow(t):
         t = np.asarray(t, dtype=float)
-        leg = np.searchsorted(starts[1:], t, side="right")
+        step = np.searchsorted(starts[1:], t, side="right")
         states = np.empty((t.size, 3))
-        for k in np.unique(leg):
-            at = leg == k
-            states[at] = legs[k](t[at] - starts[k])[:3].T
+        for k in np.unique(step):
+            at = step == k
+            powers = np.arange(len(polys[k]))
+            states[at] = (t[at, None] - starts[k]) ** powers @ polys[k][:, :, 0]
         return states
 
     for _ in range(8):
         for direction in (-orientation, orientation):  # half-turn, then full
-            crossing = _first_crossing(fun, state, spec, direction,
+            crossing = _first_crossing(p, m, spec, direction,
                                        RETURN_T_MAX - elapsed)
             if crossing is None:
                 raise NoReturn(f"no {direction:+d} crossing within "
                                f"t_max={RETURN_T_MAX}")
-            starts.append(elapsed)
-            legs.append(crossing[2])
-            elapsed += crossing[0]
-            state = crossing[1]
-        if state[1] * orientation < 0.0:  # y > 0 for orientation -1
-            f = np.array(fun(elapsed, state)[:3])
-            phi = state[3:].reshape(3, 3)
+            t_cross, m, steps = crossing
+            starts.extend(elapsed + start for start, _ in steps)
+            polys.extend(coef for _, coef in steps)
+            elapsed += t_cross
+        if m[1, 0] * orientation < 0.0:  # y > 0 for orientation -1
+            f = vector_field(p, m[:, 0])
+            phi = m[:, 1:]
             jac = (phi - np.outer(f, phi[2]) / f[2])[:2, :2]
-            return state[:2].copy(), elapsed, jac, phi, flow
+            return m[:2, 0].copy(), elapsed, jac, phi, flow
     raise NoReturn(f"no admissible section point after {elapsed:.3f} time units")
 
 
@@ -384,6 +483,12 @@ def sweep_epsilon(
     Later eps values warm-start from the previous fixed point scaled by the
     eps ratio. Shooting failures are recorded per entry without aborting
     the sweep.
+
+    Raises
+    ------
+    HypothesisViolated where classify does; DegeneratePrediction on a
+    collapse boundary, where classify returns DEGENERATE; ValueError for
+    an empty, non-positive or non-decreasing eps_list.
     """
     spec = spec or IntegratorSpec()
     eps_list = [float(e) for e in eps_list]
@@ -393,7 +498,8 @@ def sweep_epsilon(
         raise ValueError("eps_list must be strictly decreasing")
     prediction = predicted_roots(u.a2, u.b2, u.delta)
     if prediction.count is OrbitCount.DEGENERATE:
-        raise HypothesisViolated(prediction.degenerate_reason)
+        classify(u.a2, u.b2, u.delta)  # raises off the case hypotheses
+        raise DegeneratePrediction(prediction.degenerate_reason)
 
     entries = []
     warm: dict[int, np.ndarray] = {}

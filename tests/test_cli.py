@@ -279,6 +279,31 @@ def test_cli_import_leaves_the_integrator_unloaded():
     assert done.stdout.strip() == "False"
 
 
+def test_orbits_and_sweep_run_without_scipy(tmp_path):
+    """The Taylor integrator needs numpy only: shooting never loads scipy."""
+    src = str(Path(averager.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    orbits = write_config(tmp_path, THREE_ORBIT_DOC, "orbits.json")
+    sweep = write_config(tmp_path, {"unfolding": THREE_ORBIT_DOC["unfolding"],
+                                    "eps_list": [0.1, 0.05]}, "sweep.json")
+    probe = (
+        "import sys\n"
+        "from averager.cli import main\n"
+        f"codes = [main(['orbits', '--config', {orbits!r}, '--out', "
+        f"{str(tmp_path / 'orbits')!r}, '--quiet']),\n"
+        f"         main(['sweep', '--config', {sweep!r}, '--out', "
+        f"{str(tmp_path / 'sweep')!r}, '--quiet'])]\n"
+        "print(codes, sorted(m for m in sys.modules\n"
+        "                    if m.partition('.')[0] == 'scipy'))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[0, 0] []"
+    assert len(read_summary(tmp_path / "orbits")["orbits"]) == 3
+
+
 def test_usage_errors_map_to_config_exit(capsys):
     assert main(["classify"]) == 1  # --config required
     assert main(["frobnicate", "--config", "x"]) == 1

@@ -148,8 +148,8 @@ def test_non_positive_max_step_rejected():
 
 
 def test_unrunnable_integrator_budgets_rejected():
-    """max_steps below 1 fails every leg; rel_tol below scipy's floor
-    would run at 100 * machine epsilon while the echo reports the input."""
+    """max_steps below 1 fails every leg; rel_tol below 100 machine
+    epsilons asks for steps that would only resolve round-off."""
     for key, value in (("max_steps", 0), ("max_steps", -3),
                        ("rel_tol", 1e-20), ("rel_tol", 2e-14)):
         doc = minimal_doc()

@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
-from averager.closed_form import HypothesisViolated, predicted_roots
+from averager.closed_form import (DegeneratePrediction, HypothesisViolated,
+                                  predicted_roots)
 from averager.jerk import SystemParams, jacobian_at, vector_field
 from averager.normal_form import UnfoldingParams, unfold
 from averager.shooting import (
     IntegratorSpec,
     SeedInvalid,
+    StepLimitExceeded,
+    StepUnderflow,
     _first_crossing,
-    _variational_rhs,
     poincare_return,
     shoot_orbit,
     sweep_epsilon,
@@ -37,6 +39,58 @@ def dop853_states(p, s0, t):
     return sol.y.T
 
 
+def variational_rhs(p):
+    """The flow and Phi' = J Phi on (x, y, z, Phi row-major), for DOP853."""
+    def rhs(t, s):
+        phi = jacobian_at(p, s[:3]) @ s[3:].reshape(3, 3)
+        return np.concatenate([vector_field(p, s[:3]), phi.ravel()])
+
+    return rhs
+
+
+def dop853_return(p, q, t_end):
+    """(return point, flight time, dP/dq) of the section map by DOP853.
+
+    Integrates the flow and Phi' = J Phi from (q, 0) at tolerances 1e-13
+    and takes the first downward z = 0 crossing with y > 0 after a third
+    of t_end, which skips the start on the section.
+    """
+    from scipy.integrate import solve_ivp
+
+    def section(t, s):
+        return s[2]
+
+    section.direction = -1.0
+    s0 = np.concatenate([(q[0], q[1], 0.0), np.eye(3).ravel()])
+    sol = solve_ivp(variational_rhs(p), (0.0, t_end), s0, method="DOP853",
+                    events=section, rtol=1e-13, atol=1e-13)
+    t, s = next((t, s) for t, s in zip(sol.t_events[0], sol.y_events[0])
+                if t > t_end / 3.0 and s[1] > 0.0)
+    f = vector_field(p, s[:3])
+    phi = s[3:].reshape(3, 3)
+    return s[:2], t, (phi - np.outer(f, phi[2]) / f[2])[:2, :2]
+
+
+@pytest.mark.parametrize("unfolding, eps, q", [
+    (THREE_ORBIT, EPS, (0.0, 0.4)),
+    (THREE_ORBIT, EPS, (0.05, 0.35)),
+    (THREE_ORBIT, EPS, (-0.08, 0.3)),
+    (THREE_ORBIT, EPS, (0.12, 0.5)),
+    (THREE_ORBIT, EPS, (0.0, 0.01)),
+    (UnfoldingParams(a2=3.0, b2=1.0, delta=1.0), 0.05, (0.02, 0.12)),
+])
+def test_return_map_matches_dop853(unfolding, eps, q):
+    """Return point, flight time and dP/dq of the Taylor integrator at the
+    default budget agree with a DOP853 pass at 1e-13 on a fixed grid."""
+    p = unfold(unfolding, eps)
+    point, flight, jac, _, _ = poincare_return(p, q, SPEC)
+    ref_point, ref_flight, ref_jac = dop853_return(
+        p, q, 3.0 * np.pi / unfolding.delta)
+    assert np.max(np.abs(point - ref_point)) < 1e-11
+    assert abs(flight - ref_flight) < 1e-10
+    assert np.max(np.abs(jac - ref_jac)) < 1e-10
+
+
 def test_integrate_linearized_rotation():
     """Tiny amplitudes follow y(t) = y0 cos(2t) for c = -4.
 
@@ -60,6 +114,16 @@ def test_integrate_tolerance_convergence():
     tight = poincare_return(p, q, IntegratorSpec(abs_tol=1e-12, rel_tol=1e-12))
     assert min(loose[1], tight[1]) > t[-1]
     assert np.max(np.abs(loose[4](t) - tight[4](t))) < 1e-7
+
+
+def test_integrator_budget_errors():
+    """A leg longer than max_steps, and a finite-time blow-up whose steps
+    shrink below double resolution, raise instead of returning."""
+    p = unfold(THREE_ORBIT, EPS)
+    with pytest.raises(StepLimitExceeded):
+        poincare_return(p, (0.0, 0.4), IntegratorSpec(max_steps=2))
+    with pytest.raises(StepUnderflow):
+        poincare_return(p, (3.0, 30.0), SPEC)
 
 
 def test_return_flight_time_near_linear_period():
@@ -114,12 +178,12 @@ def test_mirrored_seed_orbits_are_reflections(records):
     p = unfold(THREE_ORBIT, EPS)
     q_plus = records[1].section_point
     q_minus = records[2].section_point
-    s0 = np.concatenate([(q_plus[0], q_plus[1], 0.0), np.eye(3).ravel()])
-    crossing = _first_crossing(_variational_rhs(p), s0, SPEC, +1, 10.0)
+    s0 = np.column_stack([(q_plus[0], q_plus[1], 0.0), np.eye(3)])
+    crossing = _first_crossing(p, s0, SPEC, +1, 10.0)
     assert crossing is not None
-    _, state, _ = crossing
-    assert abs(state[2]) < 1e-12  # the event root lies on the section
-    assert np.max(np.abs(-state[:2] - q_minus)) < 1e-8
+    point = crossing[1][:, 0]
+    assert abs(point[2]) < 1e-12  # the crossing lies on the section
+    assert np.max(np.abs(-point[:2] - q_minus)) < 1e-8
 
 
 def test_trivial_floquet_multiplier(records):
@@ -141,16 +205,11 @@ def test_floquet_matches_independent_monodromy(records):
     from scipy.integrate import solve_ivp
 
     p = unfold(THREE_ORBIT, EPS)
-
-    def rhs(t, s):
-        phi = jacobian_at(p, s[:3]) @ s[3:].reshape(3, 3)
-        return np.concatenate([vector_field(p, s[:3]), phi.ravel()])
-
     for rec in records:
         s0 = np.concatenate([(rec.section_point[0], rec.section_point[1], 0.0),
                              np.eye(3).ravel()])
-        sol = solve_ivp(rhs, (0.0, rec.period), s0, method="DOP853",
-                        rtol=1e-12, atol=1e-12)
+        sol = solve_ivp(variational_rhs(p), (0.0, rec.period), s0,
+                        method="DOP853", rtol=1e-12, atol=1e-12)
         mults = np.linalg.eigvals(sol.y[3:, -1].reshape(3, 3))
         rest = np.delete(mults, np.argmin(np.abs(mults - 1.0)))
         rest = rest[np.lexsort((rest.imag, rest.real))]
@@ -247,3 +306,13 @@ def test_sweep_validates_input():
     degenerate = UnfoldingParams(a2=1.0, b2=1.0, delta=1.0)
     with pytest.raises(HypothesisViolated):
         sweep_epsilon(degenerate, [0.1, 0.05], SPEC)
+
+
+def test_sweep_on_a_collapse_boundary_is_a_degenerate_prediction():
+    """classify returns DEGENERATE on a2*delta^2 = b2; the sweep says so."""
+    with pytest.raises(DegeneratePrediction, match="collapses to r = 0"):
+        sweep_epsilon(UnfoldingParams(a2=1.0, b2=1.0, delta=1.0), [0.1])
+    off_hypotheses = UnfoldingParams(a2=1.0, b2=1.0, delta=np.sqrt(3.0))
+    with pytest.raises(HypothesisViolated) as raised:
+        sweep_epsilon(off_hypotheses, [0.1])
+    assert type(raised.value) is HypothesisViolated
