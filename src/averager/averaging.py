@@ -174,24 +174,33 @@ def average_second(sys: StandardFormSystem, z, q: QuadratureSpec) -> np.ndarray:
     return _refined_mean(compute, z, q.nodes, "average_second")
 
 
-def _fd_jacobian(fun: Callable, z: np.ndarray) -> np.ndarray:
+def _value_and_jacobian(fun: Callable, z: np.ndarray):
+    """fun(z) and its central-difference Jacobian from one call of fun.
+
+    fun gets the 2n + 1 points z and z +- h e_i as one batch.
+    """
     n = len(z)
     h = FD_STEP * (1.0 + np.max(np.abs(z)))
-    shifts = h * np.eye(n)
-    vals = np.asarray(fun(z[:, None] + np.hstack([shifts, -shifts])), float)
-    return (vals[:, :n] - vals[:, n:]) / (2.0 * h)
+    offsets = h * np.hstack([np.zeros((n, 1)), np.eye(n), -np.eye(n)])
+    vals = np.asarray(fun(z[:, None] + offsets), float)
+    return vals[:, 0], (vals[:, 1:n + 1] - vals[:, n + 1:]) / (2.0 * h)
 
 
 def _damped_newton(fun: Callable, z0, max_iter: int = 60):
-    """Newton with step halving; None when it fails to converge."""
+    """Newton with step halving.
+
+    Returns (z, |fun(z)|, Jacobian at z) at a converged z, or None when
+    it fails to converge. Each trial point costs one _value_and_jacobian
+    call, so an accepted point carries its Jacobian to the next step.
+    """
     z = np.array(z0, dtype=float)
-    fz = np.asarray(fun(z), dtype=float)
+    fz, jac = _value_and_jacobian(fun, z)
     res = float(np.linalg.norm(fz))
     for _ in range(max_iter):
         if res < ROOT_TOL:
-            return z
+            return z, res, jac
         try:
-            step = np.linalg.solve(_fd_jacobian(fun, z), -fz)
+            step = np.linalg.solve(jac, -fz)
         except np.linalg.LinAlgError:
             return None
         if not np.all(np.isfinite(step)):
@@ -199,15 +208,15 @@ def _damped_newton(fun: Callable, z0, max_iter: int = 60):
         lam = 1.0
         for _ in range(30):
             z_new = z + lam * step
-            f_new = np.asarray(fun(z_new), dtype=float)
+            f_new, jac_new = _value_and_jacobian(fun, z_new)
             res_new = float(np.linalg.norm(f_new))
-            if res_new < res or res_new < ROOT_TOL:
+            if res_new < res:
                 break
             lam *= 0.5
         else:
             return None  # stalled even with the smallest damped step
-        z, fz, res = z_new, f_new, res_new
-    return z if res < ROOT_TOL else None
+        z, fz, jac, res = z_new, f_new, jac_new, res_new
+    return (z, res, jac) if res < ROOT_TOL else None
 
 
 def _grid_seeds(fun, box, grids):
@@ -248,7 +257,9 @@ def find_roots(fun: Callable, box: Sequence, grid=32) -> list[AveragedRoot]:
     Parameters
     ----------
     fun : callable mapping points of shape (n, *batch) to values of shape
-        (n, *batch); it gets single points and batches of them
+        (n, *batch); it gets the whole seeding grid at once, and then, for
+        each Newton trial point z, the (n, 2n + 1) batch of z and its
+        2n central-difference neighbours z +- h e_i
     box : sequence of (lo, hi) pairs, one per coordinate
     grid : cells per axis for seeding (int or per-axis sequence)
 
@@ -264,33 +275,28 @@ def find_roots(fun: Callable, box: Sequence, grid=32) -> list[AveragedRoot]:
     n = len(box)
     grids = [grid] * n if np.isscalar(grid) else list(grid)
 
-    accepted: list[np.ndarray] = []
+    accepted: list[tuple] = []
     for seed in _grid_seeds(fun, box, grids):
-        z = _damped_newton(fun, seed)
-        if z is None:
+        found = _damped_newton(fun, seed)
+        if found is None:
             continue
+        z = found[0]
         if any(z[i] < lo or z[i] > hi for i, (lo, hi) in enumerate(box)):
             continue
-        if any(np.max(np.abs(z - prev)) < DEDUP_TOL for prev in accepted):
+        if any(np.max(np.abs(z - prev[0])) < DEDUP_TOL for prev in accepted):
             continue
-        accepted.append(z)
+        accepted.append(found)
 
-    accepted.sort(key=lambda z: tuple(np.round(z / DEDUP_TOL)))
+    accepted.sort(key=lambda found: tuple(np.round(found[0] / DEDUP_TOL)))
     roots = []
-    for z in accepted:
-        det = float(np.linalg.det(_fd_jacobian(fun, z)))
+    for z, residual, jac in accepted:
+        det = float(np.linalg.det(jac))
         if abs(det) < DET_TOL:
             sign = DegreeSign.DEGENERATE
         elif det > 0:
             sign = DegreeSign.PLUS
         else:
             sign = DegreeSign.MINUS
-        roots.append(
-            AveragedRoot(
-                z=z,
-                residual=float(np.linalg.norm(np.asarray(fun(z), float))),
-                jac_det=det,
-                degree_sign=sign,
-            )
-        )
+        roots.append(AveragedRoot(z=z, residual=residual, jac_det=det,
+                                  degree_sign=sign))
     return roots

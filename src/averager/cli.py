@@ -30,7 +30,6 @@ from .averaging import QuadratureNotConverged, average_first, average_second
 from .closed_form import (
     HypothesisViolated,
     OrbitCount,
-    classify,
     f_closed,
     g_closed,
     predicted_roots,
@@ -117,11 +116,11 @@ def _refuse(out_dir: Path, doc: dict, args, kind: str, reason: str) -> int:
 def _orbit_prediction(u, out_dir: Path, doc: dict, args):
     """Case label into doc and the predicted roots; None once refused."""
     try:
-        doc["case"] = classify(u.a2, u.b2, u.delta)
+        prediction = predicted_roots(u.a2, u.b2, u.delta)
     except HypothesisViolated as exc:
         _refuse(out_dir, doc, args, "HypothesisViolated", str(exc))
         return None
-    prediction = predicted_roots(u.a2, u.b2, u.delta)
+    doc["case"] = prediction.count
     if prediction.count is OrbitCount.DEGENERATE:
         _refuse(out_dir, doc, args, "DegeneratePrediction",
                 prediction.degenerate_reason)
@@ -129,12 +128,15 @@ def _orbit_prediction(u, out_dir: Path, doc: dict, args):
     return prediction
 
 
-def _write_trace(path: Path, t: np.ndarray, states: np.ndarray) -> None:
-    lines = ["t,x,y,z"]
-    for ti, row in zip(t, states):
-        lines.append(",".join(format(float(v), ".17g")
-                              for v in (ti, row[0], row[1], row[2])))
+def _write_csv(path: Path, header: str, table: np.ndarray) -> None:
+    """The header line, then each row of table at 17 significant digits."""
+    row = ",".join(["%.17g"] * table.shape[1])
+    lines = [header, *(row % tuple(values) for values in table.tolist())]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _write_trace(path: Path, t: np.ndarray, states: np.ndarray) -> None:
+    _write_csv(path, "t,x,y,z", np.column_stack([t, states]))
 
 
 def _require_unfolding(cfg: RunConfig):
@@ -175,16 +177,15 @@ def cmd_classify(cfg: RunConfig, out_dir: Path, args) -> int:
         p = unfold(u, cfg.eps)
         doc["unfolded"] = {"eps": cfg.eps, "a": p.a, "b": p.b, "c": p.c}
     try:
-        label = classify(u.a2, u.b2, u.delta)
+        prediction = predicted_roots(u.a2, u.b2, u.delta)
     except HypothesisViolated as exc:
         return _refuse(out_dir, doc, args, "HypothesisViolated", str(exc))
-    prediction = predicted_roots(u.a2, u.b2, u.delta)
-    doc["case"] = label
+    doc["case"] = prediction.count
     doc["roots"] = [list(root) for root in prediction.roots]
     doc["jacobian_determinants"] = list(prediction.jac_dets)
     if prediction.degenerate_reason is not None:
         doc["degenerate_reason"] = prediction.degenerate_reason
-    _say(args, f"case: {label.value}, roots: {doc['roots']}")
+    _say(args, f"case: {prediction.count.value}, roots: {doc['roots']}")
     _write_summary(out_dir, doc, args)
     return EXIT_OK
 
@@ -204,12 +205,9 @@ def cmd_average(cfg: RunConfig, out_dir: Path, args) -> int:
     dev_first = float(np.max(np.abs(f_num - f_ref)))
     dev_second = float(np.max(np.abs(g_num - g_ref)))
     table = np.concatenate([z, f_num, f_ref, g_num, g_ref]).reshape(10, -1).T
-    rows = ["r,w,f1_num,f2_num,f1_closed,f2_closed,"
-            "g1_num,g2_num,g1_closed,g2_closed"]
-    rows += [",".join(format(v, ".17g") for v in row)
-             for row in table.tolist()]
-    (out_dir / "average_table.csv").write_text("\n".join(rows) + "\n",
-                                               encoding="utf-8")
+    _write_csv(out_dir / "average_table.csv",
+               "r,w,f1_num,f2_num,f1_closed,f2_closed,"
+               "g1_num,g2_num,g1_closed,g2_closed", table)
 
     ok = max(dev_first, dev_second) <= ORACLE_TOL
     doc = {

@@ -95,12 +95,21 @@ def predicted_roots(a2: float, b2: float, delta: float) -> OrbitPrediction:
     The w = 0 family has r^2 = 4(a2*delta^2 - b2)*delta^2/(3 - delta^2); the
     paired family has r^2 = -4(a2*delta^2 + 2*b2)*delta^2/(5(3 - delta^2))
     and w^2 = (2*a2*delta^2 - b2)/5, contributing both signs of w. Only
-    families with r^2 > 0 and w^2 > 0 are real; degenerate parameter
-    combinations give count DEGENERATE with a reason instead of roots.
+    families with r^2 > 0 and w^2 > 0 are real. On the collapse boundaries
+    (a2*delta^2 = b2 or = -2*b2) the count is DEGENERATE, with a reason
+    instead of roots, rather than an arbitrary choice of side.
+
+    Raises
+    ------
+    HypothesisViolated when delta^2 = 3 or 2*a2*delta^2 = b2 (within
+    DEGENERACY_TOL), where the case analysis does not apply, or when delta
+    is not a positive real.
     """
     if not (np.isfinite(delta) and delta > 0.0):
-        raise ValueError(f"delta must be positive and finite, got {delta}")
+        raise HypothesisViolated(f"delta must be positive and finite, got {delta}")
     reasons = _degeneracies(a2, b2, delta)
+    if any(violates for _, violates in reasons):
+        raise HypothesisViolated("; ".join(reason for reason, _ in reasons))
     if reasons:
         return OrbitPrediction(
             roots=[], jac_dets=[], count=OrbitCount.DEGENERATE,
@@ -129,19 +138,7 @@ def predicted_roots(a2: float, b2: float, delta: float) -> OrbitPrediction:
 def classify(a2: float, b2: float, delta: float) -> OrbitCount:
     """Orbit-count case label for an unfolding direction (a2, b2, delta).
 
-    The label is predicted_roots(...).count: the number of real roots, or
-    DEGENERATE on the collapse boundaries (a2*delta^2 = b2 or = -2*b2),
-    rather than an arbitrary choice of side.
-
-    Raises
-    ------
-    HypothesisViolated when delta^2 = 3 or 2*a2*delta^2 = b2 (within
-    DEGENERACY_TOL),
-    or when delta is not a positive real.
+    The label is predicted_roots(...).count, and it raises where
+    predicted_roots does.
     """
-    if not (np.isfinite(delta) and delta > 0.0):
-        raise HypothesisViolated(f"delta must be positive and finite, got {delta}")
-    reasons = _degeneracies(a2, b2, delta)
-    if any(violates for _, violates in reasons):
-        raise HypothesisViolated("; ".join(reason for reason, _ in reasons))
     return predicted_roots(a2, b2, delta).count

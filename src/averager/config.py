@@ -158,15 +158,10 @@ def from_dict(doc: dict) -> RunConfig:
 
 
 def to_dict(cfg: RunConfig) -> dict:
-    """Canonical echo of a RunConfig; from_dict(to_dict(cfg)) == cfg.
-
-    An unbounded max_step, the default, is omitted: JSON has no infinity.
-    """
+    """Canonical echo of a RunConfig; from_dict(to_dict(cfg)) == cfg."""
     doc = {key: value for key, value in asdict(cfg).items() if value is not None}
     if cfg.eps_list is not None:
         doc["eps_list"] = list(cfg.eps_list)
-    if math.isinf(cfg.integrator.max_step):
-        del doc["integrator"]["max_step"]
     return doc
 
 

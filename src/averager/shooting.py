@@ -20,8 +20,8 @@ budget of an IntegratorSpec sets each step. The order is
 ceil(1 - ln(tol) / 2), where tol is abs_tol while rel_tol times the state's
 largest coordinate stays below it and rel_tol otherwise; the step is the
 radius of convergence estimated from the last two coefficients, divided by
-e^2 and capped by max_step. max_steps bounds the steps of each leg between
-section crossings.
+e^2. A return is one leg of such steps, scanned for the first admissible
+section crossing; max_steps bounds the steps of one return.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .closed_form import (DegeneratePrediction, OrbitCount, classify,
-                          predicted_roots)
+from .closed_form import DegeneratePrediction, OrbitCount, predicted_roots
 from .jerk import SystemParams, vector_field
 from .normal_form import UnfoldingParams, unfold
 
@@ -95,13 +94,12 @@ class IntegratorSpec:
     """Tolerances and step budget of the Taylor integrator.
 
     abs_tol and rel_tol set the order and the step length of each step
-    (see the module docstring); max_step caps the step length; max_steps
-    bounds the steps of each integration leg between section crossings.
+    (see the module docstring); max_steps bounds the steps of one return
+    to the section.
     """
 
     abs_tol: float = 1e-11
     rel_tol: float = 1e-11
-    max_step: float = math.inf
     max_steps: int = 1_000_000
 
     def __post_init__(self):
@@ -110,8 +108,6 @@ class IntegratorSpec:
         if self.rel_tol < MIN_REL_TOL:
             raise ValueError(f"rel_tol must be at least {MIN_REL_TOL:.3g}, "
                              f"got {self.rel_tol}")
-        if not self.max_step > 0.0:
-            raise ValueError(f"max_step must be positive, got {self.max_step}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be at least 1, got {self.max_steps}")
 
@@ -206,34 +202,38 @@ def _crossing_root(poly: list, lo: float, hi: float) -> float:
     return u
 
 
-def _first_crossing(p: SystemParams, m0, spec: IntegratorSpec, direction: int,
-                    t_max: float):
-    """First z = 0 crossing of the flow with sign(dz/dt) = direction.
+def _first_crossing(p: SystemParams, m0, spec: IntegratorSpec,
+                    orientation: int):
+    """First admissible crossing of the section with the given orientation.
 
-    m0 = [s | Phi] is the (3, 4) start of the flow and of Phi' = J Phi.
-    Each Taylor step takes the order and the length of Jorba and Zou's
-    rule (see the module docstring). Its z polynomial is sampled at the
-    _CROSSING_FRACTIONS of the step, and the first sign change in the
-    sought direction is polished to a root by Newton on that polynomial.
-    A start exactly on the section does not count as a crossing.
+    A crossing is admissible when z changes sign in the orientation
+    direction and y * orientation < 0: for orientation -1, z falls through
+    0 with y > 0. m0 = [s | Phi] is the (3, 4) start of the flow and of
+    Phi' = J Phi. Each Taylor step takes the order and the length of Jorba
+    and Zou's rule (see the module docstring). Its z polynomial is sampled
+    at the _CROSSING_FRACTIONS of the step; each sign change in the
+    orientation direction is polished to a root by Newton on that
+    polynomial, and one that fails the y test is skipped. A start exactly
+    on the section does not count as a crossing.
 
     Returns (t_cross, m_cross, steps), with m_cross on the section (its z
     set to 0) and steps the (start time, coefficients) of each Taylor
-    step over [0, t_cross], or None when no crossing occurs before t_max.
+    step over [0, t_cross], or None when no admissible crossing occurs
+    before RETURN_T_MAX.
 
     Raises
     ------
-    StepLimitExceeded when the leg needs more than spec.max_steps steps;
-    StepUnderflow when a step falls below what double precision resolves
-    or the Taylor coefficients are not finite.
+    StepLimitExceeded when the return needs more than spec.max_steps
+    steps; StepUnderflow when a step falls below what double precision
+    resolves or the Taylor coefficients are not finite.
     """
     m = np.asarray(m0, dtype=float)
     t = 0.0
     steps = []
-    while t < t_max:
+    while t < RETURN_T_MAX:
         if len(steps) == spec.max_steps:
             raise StepLimitExceeded(
-                f"more than {spec.max_steps} steps before t = {t_max}")
+                f"more than {spec.max_steps} steps before t = {RETURN_T_MAX}")
         size = float(np.max(np.abs(m[:, 0])))
         if spec.rel_tol * size <= spec.abs_tol:
             tol, scale = spec.abs_tol, 1.0
@@ -246,25 +246,26 @@ def _first_crossing(p: SystemParams, m0, spec: IntegratorSpec, direction: int,
             raise StepUnderflow(f"non-finite Taylor coefficients at t = {t:.6g}")
         radius = min((scale / norm) ** (1.0 / j) if norm > 0.0 else math.inf
                      for j, norm in zip((order - 1, order), last))
-        h = min(radius * math.exp(-2.0), spec.max_step)
+        h = radius * math.exp(-2.0)
         if not h > 10.0 * math.ulp(t):
             raise StepUnderflow(f"step {h:.3g} below the resolution at "
                                 f"t = {t:.6g}")
-        h = min(h, t_max - t)
+        h = min(h, RETURN_T_MAX - t)
         steps.append((t, coef))
         powers = np.arange(order + 1)
         flat = coef.reshape(order + 1, 12)
         z = coef[:, 2, 0] * h ** powers  # z as a polynomial in u = tau / h
         samples = (_CROSSING_FRACTIONS[:, None] ** powers @ z).tolist()
         for i in range(len(samples) - 1):
-            if direction * samples[i] < 0.0 <= direction * samples[i + 1]:
+            if orientation * samples[i] < 0.0 <= orientation * samples[i + 1]:
                 u = _crossing_root(z.tolist(), _CROSSING_FRACTIONS[i],
                                    _CROSSING_FRACTIONS[i + 1])
                 m = ((u * h) ** powers @ flat).reshape(3, 4)
-                m[2, 0] = 0.0
-                return t + u * h, m, steps
+                if m[1, 0] * orientation < 0.0:
+                    m[2, 0] = 0.0
+                    return t + u * h, m, steps
         m = (h ** powers @ flat).reshape(3, 4)
-        t = t + h if h < t_max - t else t_max
+        t = t + h if h < RETURN_T_MAX - t else RETURN_T_MAX
     return None
 
 
@@ -275,6 +276,8 @@ def poincare_return(p: SystemParams, q, spec: IntegratorSpec,
     The default orientation -1 is the section {z = 0, y > 0} crossed with
     dz/dt < 0; orientation +1 is its mirror image {z = 0, y < 0} crossed
     upward, which the odd symmetry of the field maps onto the default one.
+    The return is one Taylor leg from (q, 0) to the first admissible
+    crossing of _first_crossing.
 
     Parameters
     ----------
@@ -284,22 +287,25 @@ def poincare_return(p: SystemParams, q, spec: IntegratorSpec,
     Returns
     -------
     ((x', y'), flight_time, dP/dq, Phi, flow) at the polished root of the
-    next same-orientation crossing with the correct y sign. Phi is the
-    fundamental matrix over the flight from (q, 0), the monodromy matrix
-    at a fixed point; dP/dq is Phi projected along the field f at the
-    crossing onto the section, (Phi - outer(f, Phi[2]) / f[2])[:2, :2].
-    flow maps an array of times in [0, flight_time] to the (len(t), 3)
-    states there, read from the Taylor polynomials of the steps between
-    crossings; flow(0) is (q, 0) exactly.
+    crossing. Phi is the fundamental matrix over the flight from (q, 0),
+    the monodromy matrix at a fixed point; dP/dq is Phi projected along
+    the field f at the crossing onto the section,
+    (Phi - outer(f, Phi[2]) / f[2])[:2, :2]. flow maps an array of times
+    in [0, flight_time] to the (len(t), 3) states there, read from the
+    Taylor polynomials of the leg's steps; flow(0) is (q, 0) exactly.
 
     Raises
     ------
     NoReturn when the flight-time budget RETURN_T_MAX is exhausted without
     an admissible crossing.
     """
-    m = np.column_stack([(q[0], q[1], 0.0), np.eye(3)])
-    elapsed = 0.0
-    starts, polys = [], []  # start time and coefficients of each step
+    m0 = np.column_stack([(q[0], q[1], 0.0), np.eye(3)])
+    crossing = _first_crossing(p, m0, spec, orientation)
+    if crossing is None:
+        raise NoReturn(f"no admissible section point within "
+                       f"t_max={RETURN_T_MAX}")
+    flight, m, steps = crossing
+    starts, polys = zip(*steps)  # start time and coefficients of each step
 
     def flow(t):
         t = np.asarray(t, dtype=float)
@@ -311,23 +317,10 @@ def poincare_return(p: SystemParams, q, spec: IntegratorSpec,
             states[at] = (t[at, None] - starts[k]) ** powers @ polys[k][:, :, 0]
         return states
 
-    for _ in range(8):
-        for direction in (-orientation, orientation):  # half-turn, then full
-            crossing = _first_crossing(p, m, spec, direction,
-                                       RETURN_T_MAX - elapsed)
-            if crossing is None:
-                raise NoReturn(f"no {direction:+d} crossing within "
-                               f"t_max={RETURN_T_MAX}")
-            t_cross, m, steps = crossing
-            starts.extend(elapsed + start for start, _ in steps)
-            polys.extend(coef for _, coef in steps)
-            elapsed += t_cross
-        if m[1, 0] * orientation < 0.0:  # y > 0 for orientation -1
-            f = vector_field(p, m[:, 0])
-            phi = m[:, 1:]
-            jac = (phi - np.outer(f, phi[2]) / f[2])[:2, :2]
-            return m[:2, 0].copy(), elapsed, jac, phi, flow
-    raise NoReturn(f"no admissible section point after {elapsed:.3f} time units")
+    f = vector_field(p, m[:, 0])
+    phi = m[:, 1:]
+    jac = (phi - np.outer(f, phi[2]) / f[2])[:2, :2]
+    return m[:2, 0].copy(), flight, jac, phi, flow
 
 
 def _nontrivial_multipliers(mono: np.ndarray):
@@ -486,8 +479,8 @@ def sweep_epsilon(
 
     Raises
     ------
-    HypothesisViolated where classify does; DegeneratePrediction on a
-    collapse boundary, where classify returns DEGENERATE; ValueError for
+    HypothesisViolated where predicted_roots does; DegeneratePrediction on
+    a collapse boundary, where it predicts DEGENERATE; ValueError for
     an empty, non-positive or non-decreasing eps_list.
     """
     spec = spec or IntegratorSpec()
@@ -498,7 +491,6 @@ def sweep_epsilon(
         raise ValueError("eps_list must be strictly decreasing")
     prediction = predicted_roots(u.a2, u.b2, u.delta)
     if prediction.count is OrbitCount.DEGENERATE:
-        classify(u.a2, u.b2, u.delta)  # raises off the case hypotheses
         raise DegeneratePrediction(prediction.degenerate_reason)
 
     entries = []

@@ -258,12 +258,13 @@ def test_unwritable_output_exits_one(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_orbits_rejects_non_positive_max_step(tmp_path, capsys):
-    doc = dict(THREE_ORBIT_DOC, integrator={"max_step": 0})
+def test_orbits_rejects_max_step_as_unknown_key(tmp_path, capsys):
+    """The integrator has no step cap; max_step is an unknown key."""
+    doc = dict(THREE_ORBIT_DOC, integrator={"max_step": 0.5})
     code, _ = run(tmp_path, "orbits", doc)
     assert code == 1
     err = capsys.readouterr().err
-    assert "max_step" in err
+    assert "unknown keys ['max_step']" in err
     assert "Traceback" not in err
 
 

@@ -70,9 +70,8 @@ def test_predicted_roots_zero_case():
 
 
 def test_predicted_roots_degenerate_delta():
-    pred = predicted_roots(0.7, -0.9, np.sqrt(3.0))
-    assert pred.count is OrbitCount.DEGENERATE
-    assert "delta" in pred.degenerate_reason
+    with pytest.raises(HypothesisViolated, match="delta"):
+        predicted_roots(0.7, -0.9, np.sqrt(3.0))
 
 
 def test_predicted_roots_rejects_bad_delta():

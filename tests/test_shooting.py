@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from averager.closed_form import (DegeneratePrediction, HypothesisViolated,
                                   predicted_roots)
@@ -78,17 +80,34 @@ def dop853_return(p, q, t_end):
     (THREE_ORBIT, EPS, (0.12, 0.5)),
     (THREE_ORBIT, EPS, (0.0, 0.01)),
     (UnfoldingParams(a2=3.0, b2=1.0, delta=1.0), 0.05, (0.02, 0.12)),
+    # the first downward crossing has y < 0 and is not a return
+    (UnfoldingParams(a2=3.0, b2=1.0, delta=1.0), 0.05, (1.1, 0.377)),
 ])
 def test_return_map_matches_dop853(unfolding, eps, q):
     """Return point, flight time and dP/dq of the Taylor integrator at the
     default budget agree with a DOP853 pass at 1e-13 on a fixed grid."""
-    p = unfold(unfolding, eps)
+    check_against_dop853(unfold(unfolding, eps), q, unfolding.delta)
+
+
+def check_against_dop853(p, q, delta):
     point, flight, jac, _, _ = poincare_return(p, q, SPEC)
-    ref_point, ref_flight, ref_jac = dop853_return(
-        p, q, 3.0 * np.pi / unfolding.delta)
+    ref_point, ref_flight, ref_jac = dop853_return(p, q, 3.0 * np.pi / delta)
     assert np.max(np.abs(point - ref_point)) < 1e-11
     assert abs(flight - ref_flight) < 1e-10
     assert np.max(np.abs(jac - ref_jac)) < 1e-10
+
+
+@settings(max_examples=20)
+@given(x=st.floats(-0.15, 0.15), y=st.floats(0.05, 0.6))
+def test_return_map_on_drawn_showcase_points(x, y):
+    """On section points drawn from the showcase box, the return agrees
+    with DOP853 at the bounds above, and the mirrored section gives the
+    mirrored map: P+(-q) = -P-(q)."""
+    p = unfold(THREE_ORBIT, EPS)
+    check_against_dop853(p, (x, y), THREE_ORBIT.delta)
+    fwd = poincare_return(p, (x, y), SPEC)[0]
+    mir = poincare_return(p, (-x, -y), SPEC, orientation=+1)[0]
+    assert np.max(np.abs(mir + fwd)) < 1e-9
 
 
 def test_integrate_linearized_rotation():
@@ -179,7 +198,7 @@ def test_mirrored_seed_orbits_are_reflections(records):
     q_plus = records[1].section_point
     q_minus = records[2].section_point
     s0 = np.column_stack([(q_plus[0], q_plus[1], 0.0), np.eye(3)])
-    crossing = _first_crossing(p, s0, SPEC, +1, 10.0)
+    crossing = _first_crossing(p, s0, SPEC, +1)
     assert crossing is not None
     point = crossing[1][:, 0]
     assert abs(point[2]) < 1e-12  # the crossing lies on the section
