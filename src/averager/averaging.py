@@ -38,9 +38,14 @@ DEDUP_TOL = 1e-6
 #: largest accepted node count; the (N, 2N) check builds a dense 2N x 2N
 #: eigenproblem for the Gauss-Legendre nodes and caches a dense 2N x 2N
 #: integration matrix, whose memory grows as N^2 (33.6 MB at 2N = 2048);
-#: a batch of points holds every point's samples at once, so the jerk
-#: standard form peaks at about 0.2 MB per point at 2N = 2048
+#: the samples of a batch do not, since MAX_SAMPLES bounds them
 MAX_NODES = 1024
+
+#: most points x nodes that average_first and average_second sample at
+#: once; a larger batch is evaluated in chunks of MAX_SAMPLES // nodes
+#: points, so peak memory stops growing with the batch (the jerk standard
+#: form needs about 100 bytes per sample)
+MAX_SAMPLES = 2 ** 18
 
 #: residual bound for accepting a converged root
 ROOT_TOL = 1e-10
@@ -117,8 +122,25 @@ def _rule_nodes(n_nodes: int, period: float):
 
 
 def _refined_mean(compute: Callable, z, n_nodes: int, what: str) -> np.ndarray:
-    coarse = compute(n_nodes)
-    fine = compute(2 * n_nodes)
+    """compute(points, nodes) at N and 2N nodes, accepted after the check.
+
+    compute maps points of shape (n, *batch) to means of the same shape.
+    It gets z whole when z has at most MAX_SAMPLES // nodes points, and
+    otherwise z's points flattened into chunks of at most that many.
+    """
+    z = np.asarray(z, dtype=float)
+    flat = z.reshape(len(z), -1)
+
+    def in_chunks(nodes: int) -> np.ndarray:
+        size = max(1, MAX_SAMPLES // nodes)
+        if flat.shape[1] <= size:
+            return compute(z, nodes)
+        parts = [compute(flat[:, i:i + size], nodes)
+                 for i in range(0, flat.shape[1], size)]
+        return np.concatenate(parts, axis=1).reshape(z.shape)
+
+    coarse = in_chunks(n_nodes)
+    fine = in_chunks(2 * n_nodes)
     # thresholds scale with each point's result so that large-amplitude
     # integrands are judged at the precision floating point can deliver,
     # and a large point never loosens the threshold of another in its batch
@@ -146,9 +168,9 @@ def average_first(sys: StandardFormSystem, z, q: QuadratureSpec) -> np.ndarray:
     and the error or warning names the worst point.
     """
 
-    def compute(n_nodes: int) -> np.ndarray:
+    def compute(points, n_nodes: int) -> np.ndarray:
         s, w, _ = _rule_nodes(n_nodes, sys.period)
-        return np.asarray(sys.f1(z, s), dtype=float) @ w / sys.period
+        return np.asarray(sys.f1(points, s), dtype=float) @ w / sys.period
 
     return _refined_mean(compute, z, q.nodes, "average_first")
 
@@ -163,64 +185,123 @@ def average_second(sys: StandardFormSystem, z, q: QuadratureSpec) -> np.ndarray:
     z is one point or a batch, shaped as in average_first.
     """
 
-    def compute(n_nodes: int) -> np.ndarray:
+    def compute(points, n_nodes: int) -> np.ndarray:
         s, w, S = _rule_nodes(n_nodes, sys.period)
-        inner = np.asarray(sys.f1(z, s), dtype=float) @ S.T
-        jac = np.asarray(sys.df1(z, s), dtype=float)
+        inner = np.asarray(sys.f1(points, s), dtype=float) @ S.T
+        jac = np.asarray(sys.df1(points, s), dtype=float)
         integrand = np.einsum("ij...m,j...m->i...m", jac, inner)
-        integrand += np.asarray(sys.f2(z, s), dtype=float)
+        integrand += np.asarray(sys.f2(points, s), dtype=float)
         return integrand @ w / sys.period
 
     return _refined_mean(compute, z, q.nodes, "average_second")
 
 
 def _value_and_jacobian(fun: Callable, z: np.ndarray):
-    """fun(z) and its central-difference Jacobian from one call of fun.
+    """fun at the rows of z and its central-difference Jacobians, from one call.
 
-    fun gets the 2n + 1 points z and z +- h e_i as one batch.
+    z has shape (k, n), and each row gets its own step h. fun gets the
+    (n, k, 2n + 1) batch of every row and its 2n neighbours z +- h e_i;
+    the result is the (k, n) values and the (k, n, n) Jacobians.
     """
-    n = len(z)
-    h = FD_STEP * (1.0 + np.max(np.abs(z)))
-    offsets = h * np.hstack([np.zeros((n, 1)), np.eye(n), -np.eye(n)])
-    vals = np.asarray(fun(z[:, None] + offsets), float)
-    return vals[:, 0], (vals[:, 1:n + 1] - vals[:, n + 1:]) / (2.0 * h)
+    n = z.shape[1]
+    h = FD_STEP * (1.0 + np.max(np.abs(z), axis=1))
+    offsets = np.hstack([np.zeros((n, 1)), np.eye(n), -np.eye(n)])
+    points = z.T[:, :, None] + h[:, None] * offsets[:, None, :]
+    vals = np.asarray(fun(points), float)
+    jac = (vals[:, :, 1:n + 1] - vals[:, :, n + 1:]) / (2.0 * h[:, None])
+    return vals[:, :, 0].T, np.moveaxis(jac, 0, 1)
 
 
-def _damped_newton(fun: Callable, z0, max_iter: int = 60):
-    """Newton with step halving.
+def _norms(f: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, to the bit np.linalg.norm of that row.
 
-    Returns (z, |fun(z)|, Jacobian at z) at a converged z, or None when
-    it fails to converge. Each trial point costs one _value_and_jacobian
-    call, so an accepted point carries its Jacobian to the next step.
+    np.linalg.norm along an axis sums the squares in another order.
     """
-    z = np.array(z0, dtype=float)
+    return np.sqrt(f[:, None, :] @ f[:, :, None])[:, 0, 0]
+
+
+def _newton_steps(jac: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Newton step of each row; a row whose Jacobian is singular gets NaN.
+
+    One stacked solve serves every row unless some Jacobian is exactly
+    singular, which makes the stacked solve raise for all of them; only
+    then is each row solved on its own.
+    """
+    try:
+        return np.linalg.solve(jac, -f[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        steps = np.full(f.shape, np.nan)
+        for i in range(len(f)):
+            try:
+                steps[i] = np.linalg.solve(jac[i], -f[i])
+            except np.linalg.LinAlgError:
+                pass
+        return steps
+
+
+def _damped_newton(fun: Callable, seeds, max_iter: int = 60) -> list:
+    """Newton with step halving from every seed at once.
+
+    seeds has shape (k, n). Each seed runs its own iteration: at most
+    max_iter accepted steps, each the full Newton step or one of its first
+    29 halvings, and it fails on its own when its step is singular or not
+    finite. All trial points of a round go to fun together, with their
+    central-difference neighbours (see _value_and_jacobian), so a round
+    costs one call of fun and an accepted point carries its Jacobian to
+    the next step. Returns, per seed in order, (z, |fun(z)|, Jacobian at
+    z) at a converged z, or None when that seed fails to converge.
+    """
+    z = np.array(seeds, dtype=float)
+    k = len(z)
+    found: list = [None] * k
+    if k == 0:
+        return found
     fz, jac = _value_and_jacobian(fun, z)
-    res = float(np.linalg.norm(fz))
-    for _ in range(max_iter):
-        if res < ROOT_TOL:
-            return z, res, jac
-        try:
-            step = np.linalg.solve(jac, -fz)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(step)):
-            return None
-        lam = 1.0
-        for _ in range(30):
-            z_new = z + lam * step
-            f_new, jac_new = _value_and_jacobian(fun, z_new)
-            res_new = float(np.linalg.norm(f_new))
-            if res_new < res:
-                break
-            lam *= 0.5
-        else:
-            return None  # stalled even with the smallest damped step
-        z, fz, jac, res = z_new, f_new, jac_new, res_new
-    return (z, res, jac) if res < ROOT_TOL else None
+    res = _norms(fz)
+    step = np.zeros_like(z)
+    lam = np.ones(k)
+    iters = np.zeros(k, dtype=int)
+    halvings = np.zeros(k, dtype=int)
+    active = np.ones(k, dtype=bool)
+    fresh = active.copy()  # seeds that have just reached a new point
+    while True:
+        # a seed at a new point stops when it has converged or used up its
+        # steps, and otherwise starts a new Newton step
+        for i in np.flatnonzero(fresh & (res < ROOT_TOL)):
+            found[i] = (z[i].copy(), float(res[i]), jac[i].copy())
+        stop = fresh & ((res < ROOT_TOL) | (iters == max_iter))
+        active &= ~stop
+        fresh &= ~stop
+        if fresh.any():
+            step[fresh] = _newton_steps(jac[fresh], fz[fresh])
+            lam[fresh] = 1.0
+            halvings[fresh] = 0
+            active &= np.all(np.isfinite(step), axis=1)
+        rows = np.flatnonzero(active)
+        if len(rows) == 0:
+            return found
+        trial = z[rows] + lam[rows, None] * step[rows]
+        f_new, jac_new = _value_and_jacobian(fun, trial)
+        res_new = _norms(f_new)
+        better = res_new < res[rows]
+        fresh[:] = False
+        take = rows[better]
+        z[take], fz[take], jac[take], res[take] = (
+            trial[better], f_new[better], jac_new[better], res_new[better])
+        iters[take] += 1
+        fresh[take] = True
+        # a seed stalled even with the smallest damped step fails
+        worse = rows[~better]
+        halvings[worse] += 1
+        lam[worse] *= 0.5
+        active[worse[halvings[worse] == 30]] = False
 
 
 def _grid_seeds(fun, box, grids):
-    """Seed points from corner sign changes and local minima of |fun|."""
+    """Seed points from corner sign changes and local minima of |fun|.
+
+    Returned as one (k, n) array, the cell midpoints first.
+    """
     n = len(box)
     axes = [np.linspace(lo, hi, g + 1) for (lo, hi), g in zip(box, grids)]
     mesh = np.array(np.meshgrid(*axes, indexing="ij"))
@@ -238,7 +319,6 @@ def _grid_seeds(fun, box, grids):
     )
     mids = np.array(np.meshgrid(*[0.5 * (ax[:-1] + ax[1:]) for ax in axes],
                                 indexing="ij"))
-    seeds = list(mids[:, straddle].T)
     # grid points that are local minima of the residual norm
     padded = np.pad(norms, 1, constant_values=np.inf)
     core = padded[(slice(1, -1),) * n]
@@ -248,7 +328,7 @@ def _grid_seeds(fun, box, grids):
             sl = [slice(1, -1)] * n
             sl[ax] = slice(1 + off, padded.shape[ax] - 1 + off)
             is_min &= core <= padded[tuple(sl)]
-    return seeds + list(mesh[:, is_min].T)
+    return np.concatenate([mids[:, straddle], mesh[:, is_min]], axis=1).T
 
 
 def find_roots(fun: Callable, box: Sequence, grid=32) -> list[AveragedRoot]:
@@ -257,9 +337,10 @@ def find_roots(fun: Callable, box: Sequence, grid=32) -> list[AveragedRoot]:
     Parameters
     ----------
     fun : callable mapping points of shape (n, *batch) to values of shape
-        (n, *batch); it gets the whole seeding grid at once, and then, for
-        each Newton trial point z, the (n, 2n + 1) batch of z and its
-        2n central-difference neighbours z +- h e_i
+        (n, *batch); it gets the whole seeding grid at once, and then one
+        batch per Newton round, of shape (n, seeds, 2n + 1): the trial
+        point z of every seed still iterating and its 2n central-difference
+        neighbours z +- h e_i
     box : sequence of (lo, hi) pairs, one per coordinate
     grid : cells per axis for seeding (int or per-axis sequence)
 
@@ -276,8 +357,7 @@ def find_roots(fun: Callable, box: Sequence, grid=32) -> list[AveragedRoot]:
     grids = [grid] * n if np.isscalar(grid) else list(grid)
 
     accepted: list[tuple] = []
-    for seed in _grid_seeds(fun, box, grids):
-        found = _damped_newton(fun, seed)
+    for found in _damped_newton(fun, _grid_seeds(fun, box, grids)):
         if found is None:
             continue
         z = found[0]

@@ -33,6 +33,7 @@ from .closed_form import (
     f_closed,
     g_closed,
     predicted_roots,
+    require_first_order_zero,
 )
 from .config import ConfigError, RunConfig, load_config, to_dict
 from .jerk import EquilibriumKind, classify_equilibrium, equilibria
@@ -116,6 +117,7 @@ def _refuse(out_dir: Path, doc: dict, args, kind: str, reason: str) -> int:
 def _orbit_prediction(u, out_dir: Path, doc: dict, args):
     """Case label into doc and the predicted roots; None once refused."""
     try:
+        require_first_order_zero(u.a1, u.b1)
         prediction = predicted_roots(u.a2, u.b2, u.delta)
     except HypothesisViolated as exc:
         _refuse(out_dir, doc, args, "HypothesisViolated", str(exc))

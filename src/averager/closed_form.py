@@ -69,6 +69,23 @@ def g_closed(r: float, w: float, a2: float, b2: float, delta: float) -> np.ndarr
     return np.array([g1, g2])
 
 
+def require_first_order_zero(a1: float, b1: float) -> None:
+    """Refuse a direction off the slice a1 = b1 = 0.
+
+    The roots of g_closed, and so those of predicted_roots, are orbits
+    only where the first averaged function vanishes, which needs
+    a1 = b1 = 0; elsewhere f_closed has no simple zero with r > 0.
+
+    Raises
+    ------
+    HypothesisViolated when a1 or b1 is nonzero.
+    """
+    if a1 != 0.0 or b1 != 0.0:
+        raise HypothesisViolated(
+            f"a1 = {a1}, b1 = {b1}: the second-order roots predict orbits "
+            "only when a1 = b1 = 0")
+
+
 def _degeneracies(a2: float, b2: float, delta: float):
     """(reason, violates the case hypotheses) for each boundary within
     DEGENERACY_TOL.

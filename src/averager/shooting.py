@@ -34,7 +34,12 @@ from typing import Optional
 
 import numpy as np
 
-from .closed_form import DegeneratePrediction, OrbitCount, predicted_roots
+from .closed_form import (
+    DegeneratePrediction,
+    OrbitCount,
+    predicted_roots,
+    require_first_order_zero,
+)
 from .jerk import SystemParams, vector_field
 from .normal_form import UnfoldingParams, unfold
 
@@ -479,7 +484,8 @@ def sweep_epsilon(
 
     Raises
     ------
-    HypothesisViolated where predicted_roots does; DegeneratePrediction on
+    HypothesisViolated when a1 or b1 is nonzero, where the predicted roots
+    are no orbits, and where predicted_roots raises; DegeneratePrediction on
     a collapse boundary, where it predicts DEGENERATE; ValueError for
     an empty, non-positive or non-decreasing eps_list.
     """
@@ -489,6 +495,7 @@ def sweep_epsilon(
         raise ValueError("eps_list must contain positive values")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
+    require_first_order_zero(u.a1, u.b1)
     prediction = predicted_roots(u.a2, u.b2, u.delta)
     if prediction.count is OrbitCount.DEGENERATE:
         raise DegeneratePrediction(prediction.degenerate_reason)

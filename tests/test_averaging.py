@@ -1,19 +1,28 @@
 """Numeric averaging against the closed forms, plus root certification."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from averager import averaging
 from averager.averaging import (
     DegreeSign,
     QuadratureAccuracyWarning,
     QuadratureNotConverged,
     QuadratureSpec,
+    _damped_newton,
+    _grid_seeds,
+    _rule_nodes,
+    _value_and_jacobian,
     average_first,
     average_second,
     find_roots,
 )
-from averager.closed_form import f_closed, g_closed
+from averager.closed_form import f_closed, g_closed, predicted_roots
 from averager.normal_form import (
     StandardFormSystem,
     UnfoldingParams,
@@ -291,3 +300,123 @@ def test_find_roots_orders_numeric_roots_like_closed_form():
         assert len(num) == len(ref) == 3
         for a, b in zip(num, ref):
             assert np.allclose(a.z, b.z, atol=1e-8)
+
+
+SHOWCASE_BOX = [(0.5, 8.0), (-2.0, 2.0)]
+
+
+def counted(fun):
+    """fun, with the number of its calls in the attribute calls."""
+    def wrapped(z):
+        wrapped.calls += 1
+        return fun(z)
+
+    wrapped.calls = 0
+    return wrapped
+
+
+@pytest.mark.parametrize("grid", [16, 32])
+@pytest.mark.parametrize("numeric", [True, False])
+def test_find_roots_makes_one_call_per_newton_round(grid, numeric):
+    """Every seed iterates in the same call: a handful of calls in all.
+
+    One Newton per seed took 76 to 119 calls here; all seeds together take
+    9, the seeding grid included.
+    """
+    sys = slice_system(1.0, 5.0, 2.0)
+    if numeric:
+        fun = counted(lambda z: average_second(sys, z, QUAD))
+    else:
+        fun = counted(lambda z: g_closed(z[0], z[1], 1.0, 5.0, 2.0))
+    roots = find_roots(fun, SHOWCASE_BOX, grid)
+    assert len(roots) == 3
+    assert fun.calls <= 20
+
+
+def test_find_roots_drops_seeds_with_a_singular_jacobian():
+    """Two seeds sit where the first component is flat; the others converge."""
+    fun = lambda z: np.array([np.maximum(z[0], -0.5) - 0.5, z[1]])
+    box = [(-1.0, 1.0), (-1.0, 1.0)]
+    seeds = _grid_seeds(fun, box, [8, 8])
+    _, jac = _value_and_jacobian(fun, seeds)
+    assert len(seeds) == 7
+    assert np.count_nonzero(np.linalg.det(jac) == 0.0) == 2
+    roots = find_roots(fun, box, grid=8)
+    assert len(roots) == 1
+    assert np.allclose(roots[0].z, [0.5, 0.0], atol=1e-10)
+    assert roots[0].degree_sign is DegreeSign.PLUS
+
+
+@pytest.mark.parametrize("fun, box, grid", [
+    (lambda z: g_closed(z[0], z[1], 1.0, 5.0, 2.0), SHOWCASE_BOX, 16),
+    (lambda z: np.array([np.maximum(z[0], -0.5) - 0.5, z[1]]),
+     [(-1.0, 1.0), (-1.0, 1.0)], 8),
+])
+def test_batched_newton_equals_one_newton_per_seed(fun, box, grid):
+    seeds = _grid_seeds(fun, box, [grid, grid])
+    together = _damped_newton(fun, seeds)
+    assert len(together) == len(seeds)
+    for seed, found in zip(seeds, together):
+        (alone,) = _damped_newton(fun, seed[None, :])
+        if alone is None:
+            assert found is None
+            continue
+        assert np.array_equal(found[0], alone[0])
+        assert found[1] == alone[1]
+        assert np.array_equal(found[2], alone[2])
+
+
+# margins from the boundaries in closed_form._degeneracies and from
+# delta^2 = 3; the roots lie well inside the box of the test below
+BOUNDARY_MARGIN = 0.5
+DELTA_SQ_MARGIN = 0.4
+
+
+@settings(max_examples=40)
+@example(a2=1.0, b2=5.0, delta=2.0)
+@given(a2=st.floats(-3.0, 3.0), b2=st.floats(-3.0, 3.0),
+       delta=st.floats(0.8, 2.6))
+def test_find_roots_finds_the_predicted_roots(a2, b2, delta):
+    """On the closed g, find_roots returns predicted_roots' count, and each
+    root's degree sign is the sign of its closed-form determinant."""
+    d2 = delta * delta
+    assume(abs(3.0 - d2) >= DELTA_SQ_MARGIN)
+    assume(min(abs(2.0 * a2 * d2 - b2), abs(a2 * d2 - b2),
+               abs(a2 * d2 + 2.0 * b2)) >= BOUNDARY_MARGIN)
+    pred = predicted_roots(a2, b2, delta)
+    assume(all(0.5 <= r <= 8.0 and abs(w) <= 2.0 for r, w in pred.roots))
+    fun = lambda z: g_closed(z[0], z[1], a2, b2, delta)
+    roots = find_roots(fun, [(0.25, 10.0), (-3.0, 3.0)])
+    assert len(roots) == len(pred.roots)
+    for expected, det in zip(pred.roots, pred.jac_dets):
+        (root,) = [root for root in roots
+                   if np.max(np.abs(root.z - expected)) < 1e-6]
+        sign = DegreeSign.PLUS if det > 0 else DegreeSign.MINUS
+        assert root.degree_sign is sign
+        assert np.sign(root.jac_det) == np.sign(det)
+
+
+# at N = 1024 the large-r points agree only to about 1.4e-12; this test
+# is about memory, so that warning is beside the point
+@pytest.mark.filterwarnings(
+    "ignore::averager.averaging.QuadratureAccuracyWarning")
+def test_large_batches_are_evaluated_in_bounded_chunks(monkeypatch):
+    """The 400-point average grid at N = 1024 (2N = 2048 samples per point)
+    splits into chunks: it peaked at 85 MB when evaluated whole."""
+    sys = slice_system(1.0, 5.0, 2.0)
+    q = QuadratureSpec(nodes=1024)
+    z = np.array(np.meshgrid(np.linspace(0.5, 8.0, 20),
+                             np.linspace(-2.0, 2.0, 20), indexing="ij"))
+    for nodes in (1024, 2048):  # the cached rules are not batch memory
+        _rule_nodes(nodes, sys.period)
+    tracemalloc.start()
+    try:
+        chunked = average_second(sys, z, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+    monkeypatch.setattr(averaging, "MAX_SAMPLES", z[0].size * 2048)
+    whole = average_second(sys, z, q)
+    scale = np.max(np.abs(whole), axis=0)
+    assert np.all(np.abs(chunked - whole) <= 1e-15 * scale)

@@ -97,6 +97,20 @@ def test_collapse_boundary_is_refused_as_degenerate(tmp_path, command):
     assert summary["error"]["kind"] == "DegeneratePrediction"
 
 
+@pytest.mark.parametrize("command", ["orbits", "sweep"])
+def test_nonzero_first_order_coefficients_are_refused(tmp_path, command):
+    """Off a1 = b1 = 0 the predicted roots are no orbits: exit 2, no shot."""
+    eps = {"orbits": {"eps": 0.1}, "sweep": {"eps_list": [0.1, 0.05]}}
+    doc = {"unfolding": {"a1": -0.3, "b1": 0.5, "a2": 0.25, "b2": -1.5,
+                         "delta": 1.3}, **eps[command]}
+    code, out = run(tmp_path, command, doc)
+    assert code == 2
+    summary = read_summary(out)
+    assert summary["error"]["kind"] == "HypothesisViolated"
+    assert "a1 = b1 = 0" in summary["error"]["reason"]
+    assert sorted(p.name for p in out.iterdir()) == ["summary.json"]
+
+
 def test_average_oracle_match(tmp_path):
     code, out = run(tmp_path, "average", THREE_ORBIT_DOC)
     assert code == 0

@@ -335,3 +335,10 @@ def test_sweep_on_a_collapse_boundary_is_a_degenerate_prediction():
     with pytest.raises(HypothesisViolated) as raised:
         sweep_epsilon(off_hypotheses, [0.1])
     assert type(raised.value) is HypothesisViolated
+
+
+def test_sweep_refuses_nonzero_first_order_coefficients():
+    """With a1 or b1 nonzero the second-order roots are no orbits."""
+    off_slice = UnfoldingParams(a1=-0.3, b1=0.5, a2=0.25, b2=-1.5, delta=1.3)
+    with pytest.raises(HypothesisViolated, match="a1 = b1 = 0"):
+        sweep_epsilon(off_slice, [0.1])
