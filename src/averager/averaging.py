@@ -37,9 +37,12 @@ DEDUP_TOL = 1e-6
 
 #: largest accepted node count; the (N, 2N) check builds a dense 2N x 2N
 #: eigenproblem for the Gauss-Legendre nodes and caches a dense 2N x 2N
-#: integration matrix, whose memory grows as N^2 (33.6 MB at 2N = 2048);
-#: the samples of a batch do not, since MAX_SAMPLES bounds them
-MAX_NODES = 1024
+#: integration matrix, whose memory grows as N^2 (8.4 MB at 2N = 1024);
+#: the samples of a batch do not, since MAX_SAMPLES bounds them. Beyond
+#: 512 nodes the roundoff of that matrix, not the integrand, sets the
+#: (N, 2N) agreement: at 1024 the showcase average grid agrees only to
+#: 1.4e-12 and warns, although 64 nodes integrate it exactly
+MAX_NODES = 512
 
 #: most points x nodes that average_first and average_second sample at
 #: once; a larger batch is evaluated in chunks of MAX_SAMPLES // nodes

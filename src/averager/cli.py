@@ -8,6 +8,11 @@ the dense output of the return that located the orbit, sampled at 512
 times over one period. Output is deterministic: re-running a command
 with the same config produces byte-identical files.
 
+orbits and sweep both run shooting.sweep_epsilon, which checks the
+theorem's hypotheses before it shoots. Where it refuses they exit 2 and
+write only summary.json; otherwise they take the case label and the roots
+from the prediction it returns.
+
 Exit codes: 0 ok, 1 config error or unwritable output, 2 hypothesis
 violation, 3 oracle mismatch or unconverged quadrature, 4 shooting
 shortfall.
@@ -28,12 +33,12 @@ import numpy as np
 
 from .averaging import QuadratureNotConverged, average_first, average_second
 from .closed_form import (
+    DegeneratePrediction,
     HypothesisViolated,
     OrbitCount,
     f_closed,
     g_closed,
     predicted_roots,
-    require_first_order_zero,
 )
 from .config import ConfigError, RunConfig, load_config, to_dict
 from .jerk import EquilibriumKind, classify_equilibrium, equilibria
@@ -78,17 +83,6 @@ def _jsonable(obj):
     return obj
 
 
-def _record_doc(rec: PeriodicOrbitRecord) -> dict:
-    return {
-        "eps": rec.eps,
-        "section_point": list(rec.section_point),
-        "period": rec.period,
-        "residual": rec.residual,
-        "floquet": rec.floquet,
-        "seed": list(rec.seed),
-    }
-
-
 def _write_summary(out_dir: Path, doc: dict, args) -> None:
     text = json.dumps(_jsonable(doc), sort_keys=True, indent=2,
                       allow_nan=False) + "\n"
@@ -106,28 +100,26 @@ _REFUSAL_TEXT = {"HypothesisViolated": "hypothesis violated",
                  "DegeneratePrediction": "degenerate prediction"}
 
 
-def _refuse(out_dir: Path, doc: dict, args, kind: str, reason: str) -> int:
+def _refuse(out_dir: Path, doc: dict, args, exc: HypothesisViolated) -> int:
     """Write a summary recording why the run was refused; exit code 2."""
-    doc["error"] = {"kind": kind, "reason": reason}
-    _say(args, f"{_REFUSAL_TEXT[kind]}: {reason}")
+    kind = type(exc).__name__
+    doc["error"] = {"kind": kind, "reason": str(exc)}
+    _say(args, f"{_REFUSAL_TEXT[kind]}: {exc}")
     _write_summary(out_dir, doc, args)
     return EXIT_HYPOTHESIS
 
 
-def _orbit_prediction(u, out_dir: Path, doc: dict, args):
-    """Case label into doc and the predicted roots; None once refused."""
+def _shoot(u, eps_list, spec, out_dir: Path, doc: dict, args):
+    """sweep_epsilon with its case label in doc; None once refused."""
     try:
-        require_first_order_zero(u.a1, u.b1)
-        prediction = predicted_roots(u.a2, u.b2, u.delta)
+        result = sweep_epsilon(u, eps_list, spec)
     except HypothesisViolated as exc:
-        _refuse(out_dir, doc, args, "HypothesisViolated", str(exc))
+        if isinstance(exc, DegeneratePrediction):
+            doc["case"] = OrbitCount.DEGENERATE
+        _refuse(out_dir, doc, args, exc)
         return None
-    doc["case"] = prediction.count
-    if prediction.count is OrbitCount.DEGENERATE:
-        _refuse(out_dir, doc, args, "DegeneratePrediction",
-                prediction.degenerate_reason)
-        return None
-    return prediction
+    doc["case"] = result.prediction.count
+    return result
 
 
 def _write_csv(path: Path, header: str, table: np.ndarray) -> None:
@@ -139,6 +131,20 @@ def _write_csv(path: Path, header: str, table: np.ndarray) -> None:
 
 def _write_trace(path: Path, t: np.ndarray, states: np.ndarray) -> None:
     _write_csv(path, "t,x,y,z", np.column_stack([t, states]))
+
+
+def _write_orbit(out_dir: Path, trace: str, rec: PeriodicOrbitRecord) -> dict:
+    """Write rec's trace to out_dir / trace; the orbit's summary record."""
+    _write_trace(out_dir / trace, *rec.trace)
+    return {
+        "eps": rec.eps,
+        "section_point": rec.section_point,
+        "period": rec.period,
+        "residual": rec.residual,
+        "floquet": rec.floquet,
+        "seed": rec.seed,
+        "trace": trace,
+    }
 
 
 def _require_unfolding(cfg: RunConfig):
@@ -181,7 +187,7 @@ def cmd_classify(cfg: RunConfig, out_dir: Path, args) -> int:
     try:
         prediction = predicted_roots(u.a2, u.b2, u.delta)
     except HypothesisViolated as exc:
-        return _refuse(out_dir, doc, args, "HypothesisViolated", str(exc))
+        return _refuse(out_dir, doc, args, exc)
     doc["case"] = prediction.count
     doc["roots"] = [list(root) for root in prediction.roots]
     doc["jacobian_determinants"] = list(prediction.jac_dets)
@@ -238,11 +244,12 @@ def cmd_orbits(cfg: RunConfig, out_dir: Path, args) -> int:
     if cfg.eps is None:
         raise ConfigError("orbits needs 'eps'; use the sweep command for eps_list")
     doc: dict = {"command": "orbits", "config": to_dict(cfg)}
-    prediction = _orbit_prediction(u, out_dir, doc, args)
-    if prediction is None:
+    result = _shoot(u, [cfg.eps], cfg.integrator, out_dir, doc, args)
+    if result is None:
         return EXIT_HYPOTHESIS
 
-    entry = sweep_epsilon(u, [cfg.eps], cfg.integrator).entries[0]
+    prediction = result.prediction
+    entry = result.entries[0]
     orbits = []
     for i, root in enumerate(prediction.roots):
         if i in entry.failures:
@@ -250,13 +257,8 @@ def cmd_orbits(cfg: RunConfig, out_dir: Path, args) -> int:
             _say(args, f"orbit {i}: failed ({kind})")
             continue
         rec = entry.records[i]
-        trace_name = f"orbit_{i}.csv"
-        _write_trace(out_dir / trace_name, *rec.trace)
-        rec_doc = _record_doc(rec)
-        rec_doc["root"] = list(root)
-        rec_doc["jac_det"] = prediction.jac_dets[i]
-        rec_doc["trace"] = trace_name
-        orbits.append(rec_doc)
+        orbits.append(dict(_write_orbit(out_dir, f"orbit_{i}.csv", rec),
+                           root=root, jac_det=prediction.jac_dets[i]))
         _say(args, f"orbit {i}: period {rec.period:.12g}, "
                    f"residual {rec.residual:.3e}")
 
@@ -273,41 +275,32 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, args) -> int:
     if cfg.eps_list is None:
         raise ConfigError("sweep needs 'eps_list' in the config")
     doc: dict = {"command": "sweep", "config": to_dict(cfg)}
-    if _orbit_prediction(u, out_dir, doc, args) is None:
+    result = _shoot(u, cfg.eps_list, cfg.integrator, out_dir, doc, args)
+    if result is None:
         return EXIT_HYPOTHESIS
-    result = sweep_epsilon(u, cfg.eps_list, cfg.integrator)
 
-    any_failure = False
     entries = []
     for entry in result.entries:
-        eps_dir = out_dir / "sweep" / str(entry.eps)
-        eps_dir.mkdir(parents=True, exist_ok=True)
-        records = {}
-        for i, rec in sorted(entry.records.items()):
-            trace_name = f"orbit_{i}.csv"
-            _write_trace(eps_dir / trace_name, *rec.trace)
-            rec_doc = _record_doc(rec)
-            rec_doc["trace"] = f"sweep/{entry.eps}/{trace_name}"
-            records[str(i)] = rec_doc
-        failures = {str(i): msg for i, msg in sorted(entry.failures.items())}
-        any_failure = any_failure or bool(failures)
+        eps_dir = f"sweep/{entry.eps}"
+        (out_dir / eps_dir).mkdir(parents=True, exist_ok=True)
+        records = {i: _write_orbit(out_dir, f"{eps_dir}/orbit_{i}.csv", rec)
+                   for i, rec in entry.records.items()}
         entries.append({"eps": entry.eps, "records": records,
-                        "failures": failures})
+                        "failures": entry.failures})
         _say(args, f"eps {entry.eps}: {len(records)} orbit(s), "
-                   f"{len(failures)} failure(s)")
+                   f"{len(entry.failures)} failure(s)")
 
-    doc["roots"] = [list(root) for root in result.roots]
+    doc["roots"] = result.prediction.roots
     doc["entries"] = entries
-    doc["amp_slopes"] = {str(i): s for i, s in sorted(result.amp_slopes.items())}
-    doc["seed_error_slopes"] = {str(i): s for i, s in
-                                sorted(result.seed_error_slopes.items())}
-    doc["max_coords"] = {str(i): vals for i, vals in
-                         sorted(result.max_coords.items())}
+    doc["amp_slopes"] = {str(i): s for i, s in result.amp_slopes.items()}
+    doc["seed_error_slopes"] = result.seed_error_slopes
+    doc["max_coords"] = result.max_coords
     doc["monotone"] = result.monotone
     _say(args, f"amplitude slopes: {doc['amp_slopes']}, "
                f"monotone: {result.monotone}")
     _write_summary(out_dir, doc, args)
-    return EXIT_OK if not any_failure else EXIT_SHOOTING
+    return (EXIT_SHOOTING if any(entry.failures for entry in result.entries)
+            else EXIT_OK)
 
 
 _COMMANDS = {
@@ -363,9 +356,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except HypothesisViolated as exc:
-        print(f"hypothesis violated: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
     except QuadratureNotConverged as exc:
         print(f"quadrature not converged: {exc}", file=sys.stderr)
         return EXIT_ORACLE

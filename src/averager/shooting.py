@@ -37,6 +37,7 @@ import numpy as np
 from .closed_form import (
     DegeneratePrediction,
     OrbitCount,
+    OrbitPrediction,
     predicted_roots,
     require_first_order_zero,
 )
@@ -393,7 +394,8 @@ def shoot_orbit(
     Raises
     ------
     SeedInvalid for r <= 0 or non-finite seeds; ShootingDiverged when no
-    candidate converges; ValueError for eps outside (0, MAX_EPS].
+    candidate converges, or each one converges to within eps * r / 10 of
+    the equilibrium at the origin; ValueError for eps outside (0, MAX_EPS].
     """
     spec = spec or IntegratorSpec()
     r, w = float(seed[0]), float(seed[1])
@@ -410,6 +412,8 @@ def shoot_orbit(
     found = None
     for tag, q0 in candidates:
         found = _newton_return(p, q0, spec)
+        if found is not None and np.linalg.norm(found[0]) < 0.1 * eps * r:
+            found = None  # the equilibrium at the origin, not an orbit
         if found is not None:
             fixed, residual, period, mono, flow = found
             logger.info(
@@ -457,13 +461,14 @@ class SweepEntry:
 class SweepResult:
     """Sweep records plus emanation diagnostics.
 
-    amp_slopes and seed_error_slopes are log-log fits against eps, one per
-    root index; max_coords[i][k] is the largest coordinate magnitude along
-    orbit i at the k-th eps; monotone says whether every orbit's extent
-    shrank strictly at each step of the sweep.
+    prediction is the OrbitPrediction that was shot: orbit i of every
+    entry is its root i. amp_slopes and seed_error_slopes are log-log fits
+    against eps, one per root index; max_coords[i][k] is the largest
+    coordinate magnitude along orbit i at the k-th eps; monotone says
+    whether every orbit's extent shrank strictly at each step of the sweep.
     """
 
-    roots: list
+    prediction: OrbitPrediction
     entries: list
     amp_slopes: dict
     seed_error_slopes: dict
@@ -478,16 +483,18 @@ def sweep_epsilon(
 ) -> SweepResult:
     """Shoot all predicted orbits for each eps in a decreasing list.
 
-    Later eps values warm-start from the previous fixed point scaled by the
-    eps ratio. Shooting failures are recorded per entry without aborting
-    the sweep.
+    This is the one check of the theorem's hypotheses before shooting: the
+    orbits and sweep commands refuse exactly where it raises, and read the
+    case and the roots from the prediction it returns. Later eps values
+    warm-start from the previous fixed point scaled by the eps ratio.
+    Shooting failures are recorded per entry without aborting the sweep.
 
     Raises
     ------
     HypothesisViolated when a1 or b1 is nonzero, where the predicted roots
     are no orbits, and where predicted_roots raises; DegeneratePrediction on
     a collapse boundary, where it predicts DEGENERATE; ValueError for
-    an empty, non-positive or non-decreasing eps_list.
+    an empty, non-positive or not strictly decreasing eps_list.
     """
     spec = spec or IntegratorSpec()
     eps_list = [float(e) for e in eps_list]
@@ -546,7 +553,7 @@ def sweep_epsilon(
         if any(b >= a for a, b in zip(coords, coords[1:])):
             monotone = False
     return SweepResult(
-        roots=list(prediction.roots),
+        prediction=prediction,
         entries=entries,
         amp_slopes=amp_slopes,
         seed_error_slopes=seed_error_slopes,

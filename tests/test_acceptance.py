@@ -161,7 +161,7 @@ def test_criterion_6_emanation():
     result = sweep_epsilon(u, [0.1, 0.05, 0.025, 0.0125], IntegratorSpec())
     for entry in result.entries:
         assert not entry.failures, entry.failures
-    for i in range(len(result.roots)):
+    for i in range(len(result.prediction.roots)):
         assert 0.9 <= result.amp_slopes[i] <= 1.1, result.amp_slopes
         assert result.seed_error_slopes[i] > 1.0, result.seed_error_slopes
     assert result.monotone

@@ -240,9 +240,9 @@ def test_quadrature_spec_validates_node_floor():
     with pytest.raises(ValueError):
         QuadratureSpec(nodes=8)
     # the ceiling bounds the dense eigenproblem behind the Gauss-Legendre nodes
-    with pytest.raises(ValueError, match="1024"):
-        QuadratureSpec(nodes=1025)
-    assert QuadratureSpec(nodes=1024).nodes == 1024
+    with pytest.raises(ValueError, match="512"):
+        QuadratureSpec(nodes=513)
+    assert QuadratureSpec(nodes=512).nodes == 512
 
 
 def test_find_roots_on_closed_g():
@@ -396,18 +396,14 @@ def test_find_roots_finds_the_predicted_roots(a2, b2, delta):
         assert np.sign(root.jac_det) == np.sign(det)
 
 
-# at N = 1024 the large-r points agree only to about 1.4e-12; this test
-# is about memory, so that warning is beside the point
-@pytest.mark.filterwarnings(
-    "ignore::averager.averaging.QuadratureAccuracyWarning")
 def test_large_batches_are_evaluated_in_bounded_chunks(monkeypatch):
-    """The 400-point average grid at N = 1024 (2N = 2048 samples per point)
-    splits into chunks: it peaked at 85 MB when evaluated whole."""
+    """The 400-point average grid at N = 512 (2N = 1024 samples per point)
+    splits into chunks: it peaks at about 43 MB when evaluated whole."""
     sys = slice_system(1.0, 5.0, 2.0)
-    q = QuadratureSpec(nodes=1024)
+    q = QuadratureSpec(nodes=512)
     z = np.array(np.meshgrid(np.linspace(0.5, 8.0, 20),
                              np.linspace(-2.0, 2.0, 20), indexing="ij"))
-    for nodes in (1024, 2048):  # the cached rules are not batch memory
+    for nodes in (512, 1024):  # the cached rules are not batch memory
         _rule_nodes(nodes, sys.period)
     tracemalloc.start()
     try:
@@ -416,7 +412,7 @@ def test_large_batches_are_evaluated_in_bounded_chunks(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 40e6
-    monkeypatch.setattr(averaging, "MAX_SAMPLES", z[0].size * 2048)
+    monkeypatch.setattr(averaging, "MAX_SAMPLES", z[0].size * 1024)
     whole = average_second(sys, z, q)
     scale = np.max(np.abs(whole), axis=0)
     assert np.all(np.abs(chunked - whole) <= 1e-15 * scale)

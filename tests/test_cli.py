@@ -5,9 +5,12 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import averager
 from averager.averaging import QuadratureAccuracyWarning
@@ -109,6 +112,44 @@ def test_nonzero_first_order_coefficients_are_refused(tmp_path, command):
     assert summary["error"]["kind"] == "HypothesisViolated"
     assert "a1 = b1 = 0" in summary["error"]["reason"]
     assert sorted(p.name for p in out.iterdir()) == ["summary.json"]
+
+
+def near_boundary(boundary, a2, b2, delta, offset):
+    """(a2, b2, delta) at offset from boundary of closed_form._degeneracies:
+    0 is delta^2 = 3, 1 is 2*a2*delta^2 = b2, 2 is a2*delta^2 = b2 and 3
+    is a2*delta^2 = -2*b2; the offset is that boundary's quantity."""
+    d2 = delta ** 2
+    if boundary == 0:
+        return a2, b2, math.sqrt(3.0 - offset)
+    b2 = {1: 2.0 * a2 * d2 - offset, 2: a2 * d2 - offset,
+          3: 0.5 * (offset - a2 * d2)}[boundary]
+    return a2, b2, delta
+
+
+@pytest.mark.parametrize("boundary", range(4))
+@settings(max_examples=5)
+@given(a2=st.floats(-3.0, 3.0), b2=st.floats(-5.0, 5.0),
+       delta=st.floats(0.5, 2.5), sign=st.sampled_from([-1.0, 1.0]),
+       decade=st.floats(-12.0, -3.0))
+def test_orbits_and_sweep_near_a_boundary_exit_cleanly(boundary, a2, b2,
+                                                       delta, sign, decade):
+    """Within 1e-12 to 1e-3 of a boundary, orbits and sweep either refuse
+    (exit 2, summary.json alone), locate or fail to locate orbits (exit 0
+    or 4); the summary is strict JSON either way."""
+    unfolding = dict(zip(("a2", "b2", "delta"), near_boundary(
+        boundary, a2, b2, delta, sign * 10.0 ** decade)))
+    runs = [("orbits", {"eps": 0.05}), ("sweep", {"eps_list": [0.05, 0.025]})]
+    for command, eps in runs:
+        with tempfile.TemporaryDirectory() as tmp:
+            code, out = run(Path(tmp), command,
+                            {"unfolding": unfolding, **eps})
+            text = (out / "summary.json").read_text(encoding="utf-8")
+            summary = json.loads(text, parse_constant=_reject_constant)
+            assert code in (0, 2, 4), (command, unfolding, code)
+            if code == 2:
+                assert summary["error"]["kind"] in ("HypothesisViolated",
+                                                    "DegeneratePrediction")
+                assert sorted(p.name for p in out.iterdir()) == ["summary.json"]
 
 
 def test_average_oracle_match(tmp_path):

@@ -12,6 +12,7 @@ from averager.normal_form import UnfoldingParams, unfold
 from averager.shooting import (
     IntegratorSpec,
     SeedInvalid,
+    ShootingDiverged,
     StepLimitExceeded,
     StepUnderflow,
     _first_crossing,
@@ -287,6 +288,18 @@ def test_shoot_rejects_bad_input():
         shoot_orbit(THREE_ORBIT, 0.5, (4.0, 0.0), SPEC)
 
 
+def test_the_equilibrium_at_the_origin_is_not_an_orbit():
+    """Off a1 = b1 = 0, Newton from each predicted seed settles on the
+    origin, an equilibrium with section point about 1e-15 and a flight time
+    of integrator noise; every candidate fails and shooting raises."""
+    off_slice = UnfoldingParams(a1=-0.3, b1=0.5, a2=0.25, b2=-1.5, delta=1.3)
+    roots = predicted_roots(off_slice.a2, off_slice.b2, off_slice.delta).roots
+    assert len(roots) == 3
+    for root in roots:
+        with pytest.raises(ShootingDiverged):
+            shoot_orbit(off_slice, 0.1, root, SPEC)
+
+
 def test_one_orbit_region():
     u = UnfoldingParams(a2=3.0, b2=1.0, delta=1.0)
     pred = predicted_roots(u.a2, u.b2, u.delta)
@@ -298,6 +311,8 @@ def test_one_orbit_region():
 
 def test_sweep_two_eps():
     result = sweep_epsilon(THREE_ORBIT, [0.1, 0.05], SPEC)
+    assert result.prediction == predicted_roots(
+        THREE_ORBIT.a2, THREE_ORBIT.b2, THREE_ORBIT.delta)
     assert len(result.entries) == 2
     for entry in result.entries:
         assert not entry.failures
