@@ -27,6 +27,7 @@ import math
 import sys
 from dataclasses import replace
 from enum import Enum
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -311,7 +312,9 @@ _COMMANDS = {
 }
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="averager",
         description="Periodic orbits of a zero-Hopf jerk system by averaging "

@@ -4,24 +4,34 @@ The predictions of the averaged analysis are (r, w) roots; mapped through
 the coordinate pipeline at theta = 0 they give points on the plane section
 {z = 0, y > 0}, crossed with dz/dt < 0. Newton iteration on the first
 return map of that section turns each prediction into an actual periodic
-orbit of the full nonlinear system. Each return is one pass of the flow
-and its variational equations, which gives the return point, the exact
-Jacobian of the return map, the dense output of the flight and, at the
-fixed point, the monodromy matrix whose eigenvalues are the Floquet
+orbit of the full nonlinear system. Each return is one Taylor leg of the
+state, followed by one batched linear solve for the fundamental matrix
+of its variational equations. Together they give the return point, the
+exact Jacobian of the return map, the dense output of the flight and, at
+the fixed point, the monodromy matrix whose eigenvalues are the Floquet
 multipliers. The accepted return at the fixed point is the only
 integration of a located orbit: its trace is sampled from that return's
 dense output.
 
 The field is a cubic polynomial, so every flow is integrated by a Taylor
 series method (Jorba and Zou, Experimental Mathematics 14, 2005): short
-recurrences give the Taylor coefficients of the flow and of its
-variational equations, and the step polynomials are the dense output. The
-budget of an IntegratorSpec sets each step. The order is
-ceil(1 - ln(tol) / 2), where tol is abs_tol while rel_tol times the state's
-largest coordinate stays below it and rel_tol otherwise; the step is the
-radius of convergence estimated from the last two coefficients, divided by
-e^2. A return is one leg of such steps, scanned for the first admissible
-section crossing; max_steps bounds the steps of one return.
+recurrences give the Taylor coefficients of the state, and the step
+polynomials are the dense output. The budget of an IntegratorSpec sets
+each step. The order is ceil(1 - ln(tol) / 2), where tol is abs_tol while
+rel_tol times the state's largest coordinate stays below it and rel_tol
+otherwise; the step is the radius of convergence estimated from the last
+two coefficients, divided by e^2. A return is one leg of such steps,
+scanned for the first admissible section crossing; max_steps bounds the
+steps of one return.
+
+The variational equations Phi' = J Phi are linear in Phi, so they need no
+step-by-step recurrence of their own. Each step keeps the Taylor series
+of the state-dependent entries of J, which the state recurrence computes
+anyway. Once the crossing is found, the Taylor coefficients of every
+step's transition matrix solve one lower-triangular system per step,
+batched over the steps of each order; the leg's Phi is the ordered
+product of the transitions, each evaluated at its step length and the
+last one at the crossing.
 """
 
 from __future__ import annotations
@@ -29,6 +39,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cache
 from operator import mul
 from typing import Optional
 
@@ -90,9 +101,11 @@ class SeedInvalid(ValueError):
     """The averaged seed is unusable (r <= 0 or not finite)."""
 
 
+#: the failures of one return to the section
+_RETURN_ERRORS = (NoReturn, StepLimitExceeded, StepUnderflow)
+
 #: the failures of one orbit's shooting that a caller records and moves past
-SHOOTING_ERRORS = (ShootingDiverged, NoReturn, SeedInvalid,
-                   StepLimitExceeded, StepUnderflow)
+SHOOTING_ERRORS = (ShootingDiverged, SeedInvalid)
 
 
 @dataclass(frozen=True)
@@ -133,47 +146,108 @@ class PeriodicOrbitRecord:
     trace: tuple
 
 
-def _taylor_coefficients(p: SystemParams, m: np.ndarray,
-                         order: int) -> np.ndarray:
-    """Taylor coefficients of the flow and of Phi' = J Phi at m = [s | Phi].
+def _taylor_coefficients(p: SystemParams, s: list, order: int):
+    """Taylor coefficients of the flow at s and of row 2 of its Jacobian.
 
-    Returns the (order + 1, 3, 4) array whose k-th entry holds the k-th
-    coefficients of [s | Phi]. The derivative [f(s) | J Phi] has rows 1
-    and 2 of [s | Phi] as its rows 0 and 1, so only row 2 needs products:
-    z' = -a z - b x + c y + x (y^2 - x^2) takes the Cauchy products x^2,
-    xy, y^2 and x (y^2 - x^2), and row 2 of Phi' is
-    (-b + y^2 - 3 x^2, c + 2 x y) times rows 0 and 1 of Phi, minus a times
-    its row 2.
+    Returns the (order + 1, 3) array whose k-th row holds the k-th
+    coefficients of (x, y, z), and the (2, order) series of
+    (-b + y^2 - 3 x^2, c + 2 x y), the entries of row 2 of J that vary
+    along the flow. z' = -a z - b x + c y + x (y^2 - x^2) takes the Cauchy
+    products x^2, xy, y^2 and x (y^2 - x^2); the Jacobian series are made
+    of the same products.
     """
     a, b, c = p.a, p.b, p.c
-    (x0, *phi0), (y0, *phi1), (z0, *phi2) = m.tolist()
-    x, y, z = [x0], [y0], [z0]
+    x, y, z = [s[0]], [s[1]], [s[2]]
     quad = []  # y^2 - x^2
-    jac = []  # the series of (-b + y^2 - 3 x^2, c + 2 x y), interleaved
-    # per column of Phi: rows 0 and 1 interleaved, newest first, so that
-    # the Cauchy product with jac is one sum, and row 2 in order
-    low = [[u, v] for u, v in zip(phi0, phi1)]
-    high = [[w] for w in phi2]
+    jac_x, jac_y = [], []
     for k in range(order):
         xx = sum(map(mul, x, reversed(x)))
         xy = sum(map(mul, x, reversed(y)))
         yy = sum(map(mul, y, reversed(y)))
         quad.append(yy - xx)
-        if k:
-            jac += yy - 3.0 * xx, 2.0 * xy
-        else:
-            jac += yy - 3.0 * xx - b, 2.0 * xy + c
+        jac_x.append(yy - 3.0 * xx)
+        jac_y.append(2.0 * xy)
         inv = 1.0 / (k + 1)
         z.append((c * y[k] - b * x[k] - a * z[k]
                   + sum(map(mul, x, reversed(quad)))) * inv)
         x.append(y[k] * inv)
         y.append(z[k] * inv)
-        for uv, w in zip(low, high):
-            w.append((sum(map(mul, jac, uv)) - a * w[k]) * inv)
-            uv[:0] = uv[1] * inv, w[k] * inv
-    rows = [x, *(uv[-2::-2] for uv in low), y, *(uv[::-2] for uv in low),
-            z, *high]
-    return np.array(rows).T.reshape(order + 1, 3, 4)
+    jac_x[0] -= b
+    jac_y[0] += c
+    return np.array([x, y, z]).T, (jac_x, jac_y)
+
+
+@cache
+def _fraction_powers(order: int) -> np.ndarray:
+    """(10, order + 1) powers of the _CROSSING_FRACTIONS."""
+    return _CROSSING_FRACTIONS[:, None] ** np.arange(order + 1)
+
+
+@cache
+def _transition_system(order: int):
+    """The variational recurrence of one Taylor step as a linear system.
+
+    A column (u, v, w) of the fundamental matrix Psi of a step, with
+    Psi(0) = I, has Taylor coefficients u_{k+1} = v_k / (k + 1),
+    v_{k+1} = w_k / (k + 1) and
+    w_{k+1} = (sum_j J0_j u_{k-j} + J1_j v_{k-j} - a w_k) / (k + 1),
+    where J0 and J1 are the Jacobian series of _taylor_coefficients. So
+    u_m = alpha_m c_m and v_m = beta_m c_{m+1} for the unknowns
+    c = (u_0, v_0, w_0, ..., w_order), where alpha_m = 1 / (m (m - 1)) for
+    m >= 2, beta_m = 1 / m for m >= 1, and both are 1 below that. The
+    recurrence is then the lower-triangular system L c = [I; 0], whose L
+    is linear in J0, J1 and a.
+
+    Returns (fixed, basis, sub, gains): L = fixed + a sub - J @ basis, with
+    J = (J0, J1) flattened to length 2 order and basis reshaped to
+    (2 order, n, n) for n = order + 3; and gains, the (order + 1, 3, n)
+    array with Psi(tau) = sum_m tau^m gains[m] @ c.
+    """
+    n = order + 3
+    m = np.arange(order + 1)
+    alpha = 1.0 / np.maximum(m * (m - 1), 1)
+    beta = 1.0 / np.maximum(m, 1)
+    fixed = np.diag(np.concatenate([[1.0, 1.0], np.maximum(m, 1)]))
+    sub = np.zeros((n, n))
+    sub[m[1:] + 2, m[1:] + 1] = 1.0
+    basis = np.zeros((2, order, n, n))
+    for k in range(order):  # the row of w_{k+1}
+        for j in range(k + 1):
+            basis[0, j, k + 3, k - j] = alpha[k - j]
+            basis[1, j, k + 3, k - j + 1] = beta[k - j]
+    gains = np.zeros((order + 1, 3, n))
+    gains[m, 0, m] = alpha
+    gains[m, 1, m + 1] = beta
+    gains[m, 2, m + 2] = 1.0
+    return fixed, basis.reshape(2 * order, n * n), sub, gains
+
+
+def _leg_transition(a: float, jacobians: list) -> np.ndarray:
+    """Fundamental matrix, from the identity, over a leg of Taylor steps.
+
+    jacobians holds (length, Jacobian series) of each step in order. The
+    steps of each order share one batched solve of _transition_system; the
+    leg's matrix is the ordered product of the step transitions.
+    """
+    by_order: dict[int, list] = {}
+    for i, (_, (jac_x, _)) in enumerate(jacobians):
+        by_order.setdefault(len(jac_x), []).append(i)
+    transitions = np.empty((len(jacobians), 3, 3))
+    for order, index in by_order.items():
+        fixed, basis, sub, gains = _transition_system(order)
+        n = len(fixed)
+        jac = np.array([jacobians[i][1] for i in index])
+        jac = jac.reshape(len(index), -1)
+        lower = fixed + a * sub - (jac @ basis).reshape(-1, n, n)
+        coef = np.linalg.solve(lower, np.eye(n, 3))
+        lengths = np.array([jacobians[i][0] for i in index])
+        weights = (lengths[:, None] ** np.arange(order + 1)
+                   @ gains.reshape(order + 1, -1)).reshape(-1, 3, n)
+        transitions[index] = weights @ coef
+    phi = np.eye(3)
+    for step in transitions:
+        phi = step @ phi
+    return phi
 
 
 def _crossing_root(poly: list, lo: float, hi: float) -> float:
@@ -215,17 +289,20 @@ def _first_crossing(p: SystemParams, m0, spec: IntegratorSpec,
     A crossing is admissible when z changes sign in the orientation
     direction and y * orientation < 0: for orientation -1, z falls through
     0 with y > 0. m0 = [s | Phi] is the (3, 4) start of the flow and of
-    Phi' = J Phi. Each Taylor step takes the order and the length of Jorba
-    and Zou's rule (see the module docstring). Its z polynomial is sampled
-    at the _CROSSING_FRACTIONS of the step; each sign change in the
-    orientation direction is polished to a root by Newton on that
-    polynomial, and one that fails the y test is skipped. A start exactly
-    on the section does not count as a crossing.
+    Phi' = J Phi. The leg integrates the state only: each Taylor step
+    takes the order and the length of Jorba and Zou's rule (see the module
+    docstring). Its z polynomial is sampled at the _CROSSING_FRACTIONS of
+    the step; each sign change in the orientation direction is polished
+    to a root by Newton on that polynomial, and one that fails the y test
+    is skipped. A start exactly on the section does not count as a
+    crossing. Phi at the crossing then comes from _leg_transition: one
+    batched linear solve over the leg's steps, from the Jacobian series
+    each step kept.
 
-    Returns (t_cross, m_cross, steps), with m_cross on the section (its z
-    set to 0) and steps the (start time, coefficients) of each Taylor
-    step over [0, t_cross], or None when no admissible crossing occurs
-    before RETURN_T_MAX.
+    Returns (t_cross, m_cross, steps), with m_cross the (3, 4) [s | Phi]
+    on the section (its z set to 0) and steps the (start time, (order + 1,
+    3) state coefficients) of each Taylor step over [0, t_cross], or None
+    when no admissible crossing occurs before RETURN_T_MAX.
 
     Raises
     ------
@@ -233,21 +310,23 @@ def _first_crossing(p: SystemParams, m0, spec: IntegratorSpec,
     steps; StepUnderflow when a step falls below what double precision
     resolves or the Taylor coefficients are not finite.
     """
-    m = np.asarray(m0, dtype=float)
+    m0 = np.asarray(m0, dtype=float)
+    s = m0[:, 0].tolist()
     t = 0.0
     steps = []
+    jacobians = []  # (length, Jacobian series) of each step
     while t < RETURN_T_MAX:
         if len(steps) == spec.max_steps:
             raise StepLimitExceeded(
                 f"more than {spec.max_steps} steps before t = {RETURN_T_MAX}")
-        size = float(np.max(np.abs(m[:, 0])))
+        size = max(map(abs, s))
         if spec.rel_tol * size <= spec.abs_tol:
             tol, scale = spec.abs_tol, 1.0
         else:
             tol, scale = spec.rel_tol, size
         order = math.ceil(1.0 - 0.5 * math.log(tol))
-        coef = _taylor_coefficients(p, m, order)
-        last = np.max(np.abs(coef[-2:, :, 0]), axis=1).tolist()
+        coef, jac = _taylor_coefficients(p, s, order)
+        last = np.abs(coef[-2:]).max(axis=1).tolist()
         if not max(last) < math.inf:
             raise StepUnderflow(f"non-finite Taylor coefficients at t = {t:.6g}")
         radius = min((scale / norm) ** (1.0 / j) if norm > 0.0 else math.inf
@@ -259,18 +338,20 @@ def _first_crossing(p: SystemParams, m0, spec: IntegratorSpec,
         h = min(h, RETURN_T_MAX - t)
         steps.append((t, coef))
         powers = np.arange(order + 1)
-        flat = coef.reshape(order + 1, 12)
-        z = coef[:, 2, 0] * h ** powers  # z as a polynomial in u = tau / h
-        samples = (_CROSSING_FRACTIONS[:, None] ** powers @ z).tolist()
+        z = coef[:, 2] * h ** powers  # z as a polynomial in u = tau / h
+        samples = (_fraction_powers(order) @ z).tolist()
         for i in range(len(samples) - 1):
             if orientation * samples[i] < 0.0 <= orientation * samples[i + 1]:
                 u = _crossing_root(z.tolist(), _CROSSING_FRACTIONS[i],
                                    _CROSSING_FRACTIONS[i + 1])
-                m = ((u * h) ** powers @ flat).reshape(3, 4)
-                if m[1, 0] * orientation < 0.0:
-                    m[2, 0] = 0.0
-                    return t + u * h, m, steps
-        m = (h ** powers @ flat).reshape(3, 4)
+                s = (u * h) ** powers @ coef
+                if s[1] * orientation < 0.0:
+                    s[2] = 0.0
+                    jacobians.append((u * h, jac))
+                    phi = _leg_transition(p.a, jacobians) @ m0[:, 1:]
+                    return t + u * h, np.column_stack([s, phi]), steps
+        jacobians.append((h, jac))
+        s = (h ** powers @ coef).tolist()
         t = t + h if h < RETURN_T_MAX - t else RETURN_T_MAX
     return None
 
@@ -320,7 +401,7 @@ def poincare_return(p: SystemParams, q, spec: IntegratorSpec,
         for k in np.unique(step):
             at = step == k
             powers = np.arange(len(polys[k]))
-            states[at] = (t[at, None] - starts[k]) ** powers @ polys[k][:, :, 0]
+            states[at] = (t[at, None] - starts[k]) ** powers @ polys[k]
         return states
 
     f = vector_field(p, m[:, 0])
@@ -343,14 +424,19 @@ def _newton_return(p, q0, spec):
 
     Each step solves (dP/dq - I) dq = -(P(q) - q); the pass of an accepted
     trial point supplies the next Jacobian, so an undamped step costs one
-    return. Returns (q, |P(q) - q|, flight time of P at q, monodromy
-    matrix at q, flow of that return) at the fixed point, or None when
-    Newton fails.
+    return. A trial whose return fails counts as a trial that does not
+    reduce the residual, so the step is halved. Returns (q, |P(q) - q|,
+    flight time of P at q, monodromy matrix at q, flow of that return) at
+    the fixed point, or None when Newton fails.
+
+    Raises
+    ------
+    The _RETURN_ERRORS of the return from q0.
     """
     q = np.array(q0, dtype=float)
+    ret = poincare_return(p, q, spec)
+    res = float(np.linalg.norm(ret[0] - q))
     try:
-        ret = poincare_return(p, q, spec)
-        res = float(np.linalg.norm(ret[0] - q))
         for _ in range(MAX_NEWTON_ITER):
             if res < SHOOT_TOL:
                 break
@@ -358,15 +444,19 @@ def _newton_return(p, q0, spec):
             lam = 1.0
             for _ in range(12):
                 trial = q + lam * step
-                trial_ret = poincare_return(p, trial, spec)
-                trial_res = float(np.linalg.norm(trial_ret[0] - trial))
+                try:
+                    trial_ret = poincare_return(p, trial, spec)
+                except _RETURN_ERRORS:
+                    trial_res = math.inf
+                else:
+                    trial_res = float(np.linalg.norm(trial_ret[0] - trial))
                 if trial_res < res:
                     break
                 lam *= 0.5
             else:
                 return None
             q, ret, res = trial, trial_ret, trial_res
-    except (NoReturn, np.linalg.LinAlgError):
+    except np.linalg.LinAlgError:
         return None
     return (q, res, ret[1], ret[3], ret[4]) if res < SHOOT_TOL else None
 
@@ -394,8 +484,10 @@ def shoot_orbit(
     Raises
     ------
     SeedInvalid for r <= 0 or non-finite seeds; ShootingDiverged when no
-    candidate converges, or each one converges to within eps * r / 10 of
-    the equilibrium at the origin; ValueError for eps outside (0, MAX_EPS].
+    candidate converges: Newton fails, the return from the candidate
+    raises one of the _RETURN_ERRORS, or Newton converges to within
+    eps * r / 10 of the equilibrium at the origin. Its message names each
+    candidate's failure. ValueError for eps outside (0, MAX_EPS].
     """
     spec = spec or IntegratorSpec()
     r, w = float(seed[0]), float(seed[1])
@@ -409,12 +501,19 @@ def shoot_orbit(
     if initial_point is not None:
         candidates.insert(0, ("warm-start", np.asarray(initial_point, dtype=float)))
 
-    found = None
+    failures = []
     for tag, q0 in candidates:
-        found = _newton_return(p, q0, spec)
-        if found is not None and np.linalg.norm(found[0]) < 0.1 * eps * r:
-            found = None  # the equilibrium at the origin, not an orbit
-        if found is not None:
+        try:
+            found = _newton_return(p, q0, spec)
+        except _RETURN_ERRORS as exc:
+            failures.append(f"{tag}: {type(exc).__name__}: {exc}")
+            continue
+        if found is None:
+            failures.append(f"{tag}: Newton did not converge")
+        elif np.linalg.norm(found[0]) < 0.1 * eps * r:
+            failures.append(f"{tag}: converged to the equilibrium at the "
+                            "origin")
+        else:
             fixed, residual, period, mono, flow = found
             logger.info(
                 "seed (r=%.6g, w=%.6g) eps=%.6g: converged from %s start; "
@@ -422,9 +521,10 @@ def shoot_orbit(
                 r, w, eps, tag, float(np.linalg.norm(fixed - q_section)),
             )
             break
-    if found is None:
+    else:
         raise ShootingDiverged(
-            f"no candidate seed converged for (r, w) = ({r}, {w}) at eps = {eps}"
+            f"no candidate seed converged for (r, w) = ({r}, {w}) at "
+            f"eps = {eps}: " + "; ".join(failures)
         )
 
     floq, trivial = _nontrivial_multipliers(mono)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from averager import shooting
 from averager.closed_form import (DegeneratePrediction, HypothesisViolated,
                                   predicted_roots)
 from averager.jerk import SystemParams, jacobian_at, vector_field
@@ -253,6 +254,48 @@ def test_return_jacobian_matches_central_differences(records):
         assert np.max(np.abs(jac - fd)) < 1e-7
 
 
+@pytest.mark.parametrize("eps", [EPS, 0.025])
+def test_monodromy_determinant_obeys_liouville(eps):
+    """Tr J = -a everywhere, so det Phi = exp(-a * flight) on every return;
+    checked on the returns from the three showcase section images."""
+    p = unfold(THREE_ORBIT, eps)
+    roots = predicted_roots(THREE_ORBIT.a2, THREE_ORBIT.b2,
+                            THREE_ORBIT.delta).roots
+    for r, w in roots:
+        _, flight, _, phi, _ = poincare_return(p, (eps * w, eps * r), SPEC)
+        assert abs(np.linalg.det(phi) - np.exp(-p.a * flight)) < 1e-11
+
+
+def test_leg_with_steps_of_two_orders():
+    """A budget whose abs_tol and rel_tol give orders 15 and 14 switches
+    order inside the leg; dP/dq still matches central differences and Phi
+    the DOP853 variational pass."""
+    from scipy.integrate import solve_ivp
+
+    p = unfold(THREE_ORBIT, EPS)
+    spec = IntegratorSpec(abs_tol=5e-12, rel_tol=1e-11)
+    q = np.array([0.0, 0.447])
+    m0 = np.column_stack([(q[0], q[1], 0.0), np.eye(3)])
+    _, _, steps = _first_crossing(p, m0, spec, -1)
+    assert {len(coef) - 1 for _, coef in steps} == {14, 15}
+
+    _, flight, jac, phi, _ = poincare_return(p, q, spec)
+    h = 1e-5
+    fd = np.empty((2, 2))
+    for j in range(2):
+        dq = np.zeros(2)
+        dq[j] = h
+        hi = poincare_return(p, q + dq, spec)[0]
+        lo = poincare_return(p, q - dq, spec)[0]
+        fd[:, j] = (hi - lo) / (2.0 * h)
+    assert np.max(np.abs(jac - fd)) < 1e-7
+
+    s0 = np.concatenate([m0[:, 0], np.eye(3).ravel()])
+    sol = solve_ivp(variational_rhs(p), (0.0, flight), s0, method="DOP853",
+                    rtol=1e-13, atol=1e-13)
+    assert np.max(np.abs(sol.y[3:, -1].reshape(3, 3) - phi)) < 1e-10
+
+
 def test_shoot_reports_the_return_at_the_fixed_point(records):
     """Period and residual are those of the return map at the fixed point."""
     p = unfold(THREE_ORBIT, EPS)
@@ -286,6 +329,45 @@ def test_shoot_rejects_bad_input():
         shoot_orbit(THREE_ORBIT, EPS, (-1.0, 0.0), SPEC)
     with pytest.raises(ValueError):
         shoot_orbit(THREE_ORBIT, 0.5, (4.0, 0.0), SPEC)
+
+
+def test_warm_start_that_blows_up_falls_back_to_the_section_image():
+    """A warm start whose first return blows up fails as a candidate; the
+    section-image seed then locates the same orbit."""
+    warm = shoot_orbit(THREE_ORBIT, EPS, (4.0, 0.0), SPEC,
+                       initial_point=(3.0, 30.0))
+    cold = shoot_orbit(THREE_ORBIT, EPS, (4.0, 0.0), SPEC)
+    assert np.array_equal(warm.section_point, cold.section_point)
+    assert warm.period == cold.period
+
+
+def test_failed_trial_return_halves_the_newton_step(monkeypatch):
+    """A trial point whose return raises is a trial that does not descend:
+    the step is halved and Newton goes on to the same orbit. The other
+    path stops at another point with residual below SHOOT_TOL; with
+    multipliers near 1 those lie up to about 1e-9 apart."""
+    cold = shoot_orbit(THREE_ORBIT, EPS, (4.0, 0.0), SPEC)
+    calls = []
+
+    def first_trial_blows_up(p, q, spec, orientation=-1):
+        calls.append(q)
+        if len(calls) == 2:
+            raise StepUnderflow("blow-up on the first trial")
+        return poincare_return(p, q, spec, orientation)
+
+    monkeypatch.setattr(shooting, "poincare_return", first_trial_blows_up)
+    rec = shoot_orbit(THREE_ORBIT, EPS, (4.0, 0.0), SPEC)
+    assert np.allclose(calls[2] - calls[0], 0.5 * (calls[1] - calls[0]),
+                       rtol=0.0, atol=1e-15)
+    assert np.max(np.abs(rec.section_point - cold.section_point)) < 1e-8
+
+
+def test_every_candidate_failing_names_the_integrator_error():
+    tiny = IntegratorSpec(max_steps=2)
+    with pytest.raises(ShootingDiverged, match="warm-start: StepLimitExceeded"
+                       ".*section-image: StepLimitExceeded"):
+        shoot_orbit(THREE_ORBIT, EPS, (4.0, 0.0), tiny,
+                    initial_point=(0.0, 0.4))
 
 
 def test_the_equilibrium_at_the_origin_is_not_an_orbit():
