@@ -4,10 +4,14 @@ Works on any StandardFormSystem. The first averaged function is the time
 mean of F1; the second adds the mean of DF1(z, s) . int_0^s F1(z, t) dt
 + F2(z, s). Both means are Gauss-Legendre quadratures over one period,
 and the inner integral of the second is the spectral integration matrix
-of the same rule, so one node set serves both. Each result is accepted
-after an (N, 2N) agreement check. Simple zeros of these functions,
-certified by a nonzero Jacobian determinant, correspond to periodic
-solutions of the underlying periodic system for small eps.
+of the same rule, so one node set serves both. The second order folds
+the outer weights and that matrix into DF1 first; where DF1 does not
+depend on z, as for the jerk form, this kernel is a small (n, n, m)
+array, and each point costs one contraction with its samples of F1.
+Each result is accepted after an (N, 2N) agreement check. Simple zeros
+of these functions, certified by a nonzero Jacobian determinant,
+correspond to periodic solutions of the underlying periodic system for
+small eps.
 """
 
 from __future__ import annotations
@@ -46,8 +50,9 @@ MAX_NODES = 512
 
 #: most points x nodes that average_first and average_second sample at
 #: once; a larger batch is evaluated in chunks of MAX_SAMPLES // nodes
-#: points, so peak memory stops growing with the batch (the jerk standard
-#: form needs about 100 bytes per sample)
+#: points, so peak memory stops growing with the batch (average_second on
+#: the jerk standard form needs about 33 bytes per sample, its samples of
+#: F1 and F2; tracemalloc)
 MAX_SAMPLES = 2 ** 18
 
 #: residual bound for accepting a converged root
@@ -183,18 +188,23 @@ def average_second(sys: StandardFormSystem, z, q: QuadratureSpec) -> np.ndarray:
 
     g(z) = (1/T) int_0^T [ DF1(z, s) . int_0^s F1(z, t) dt + F2(z, s) ] ds.
     Both integrals use the same nodes: the inner one is the integration
-    matrix of the rule applied to the samples of F1, so each pass of the
-    (N, 2N) check carries its own inner integral and the check covers both.
+    matrix S of the rule applied to the samples of F1. With weights w the
+    double sum is reassociated to K = (DF1 * w) @ S, contracted with F1
+    over the component and node axes, so T g = K : F1 + F2 @ w. For the
+    jerk form DF1 does not depend on z and K is a (2, 2, m) array; a
+    z-dependent DF1 of shape (n, n, *batch, m) takes the same line. K is
+    built from each pass's own S, so each pass of the (N, 2N) check
+    carries its own inner integral and the check covers both.
     z is one point or a batch, shaped as in average_first.
     """
 
     def compute(points, n_nodes: int) -> np.ndarray:
         s, w, S = _rule_nodes(n_nodes, sys.period)
-        inner = np.asarray(sys.f1(points, s), dtype=float) @ S.T
-        jac = np.asarray(sys.df1(points, s), dtype=float)
-        integrand = np.einsum("ij...m,j...m->i...m", jac, inner)
-        integrand += np.asarray(sys.f2(points, s), dtype=float)
-        return integrand @ w / sys.period
+        f1 = np.asarray(sys.f1(points, s), dtype=float)
+        kernel = (np.asarray(sys.df1(points, s), dtype=float) * w) @ S
+        mean = np.einsum("ij...t,j...t->i...", kernel, f1)
+        mean += np.asarray(sys.f2(points, s), dtype=float) @ w
+        return mean / sys.period
 
     return _refined_mean(compute, z, q.nodes, "average_second")
 

@@ -125,9 +125,9 @@ def _shoot(u, eps_list, spec, out_dir: Path, doc: dict, args):
 
 def _write_csv(path: Path, header: str, table: np.ndarray) -> None:
     """The header line, then each row of table at 17 significant digits."""
-    row = ",".join(["%.17g"] * table.shape[1])
-    lines = [header, *(row % tuple(values) for values in table.tolist())]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    text = (row * len(table)) % tuple(table.ravel().tolist())
+    path.write_text(header + "\n" + text, encoding="utf-8")
 
 
 def _write_trace(path: Path, t: np.ndarray, states: np.ndarray) -> None:
@@ -344,10 +344,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
-    logging.basicConfig(
-        level=logging.WARNING if args.quiet else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    # basicConfig acts only once per process, so the level is set on every
+    # call: a --quiet call and a loud one may share an interpreter
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("averager").setLevel(
+        logging.WARNING if args.quiet else logging.INFO)
     try:
         cfg = load_config(args.config)
         out_dir = Path(args.out if args.out is not None else cfg.output_dir)

@@ -174,31 +174,64 @@ def jerk_standard_form(unfolding: UnfoldingParams) -> StandardFormSystem:
     test against the exact quotient pins the O(eps^3) remainder. The domain
     requires r > 0. df1 is analytic and independent of z since h1 is linear
     in its arguments, so it has shape (2, 2, m).
+
+    f1 and f2 are evaluated as polynomials in (r, w) whose coefficients
+    depend on theta alone. With s, c = sin(theta), cos(theta), d = delta
+    and h1 = hu u + hv v + hw w: h1 = r p + hw w with p = hu c + hv s, and
+    h2 = r^3 A + r^2 w B + r C + r w^2 D + w (b2 + w^2) / d^2 with
+    A = s^3/d^5 - c^2 s/d^3, B = 3 s^2/d^4 - c^2/d^2,
+    C = b2 s/d^3 - c2 c/d^2 - a2 s/d and D = 3 s/d^3. The -h1^2 c / r of
+    F2 adds -r p^2 c - 2 hw p c w - hw^2 c w^2 / r. Each call builds the
+    coefficients, times (s, -1/d), once on its nodes, and one matmul of
+    the (points, monomials) table with them writes the result. h1 and h2
+    above stay the reference formulas, which theta_rhs uses.
     """
     d = unfolding.delta
+    a2, b2, c2 = unfolding.a2, unfolding.b2, unfolding.c2
     # h1 = hu*u + hv*v + hw*w with constant coefficients
     hu = -unfolding.c1 / d ** 2
     hv = unfolding.b1 / d ** 3 - unfolding.a1 / d
     hw = unfolding.b1 / d ** 2
 
-    def angles(z, theta):
-        """(r, w, sin, cos), with z's batch axes ahead of theta's axes."""
+    def polynomial(z, theta, monomials, coefficients):
+        """(sin, -1/d) * sum_k monomials(r, w)[k] * coefficients(sin, cos)[k].
+
+        The result has shape (2, *batch, *theta.shape), z's batch axes
+        ahead of theta's axes.
+        """
         th = np.asarray(theta, dtype=float)
-        r, w = np.reshape(z, np.shape(z) + (1,) * th.ndim)
-        return r, w, np.sin(th), np.cos(th)
+        sin, cos = np.sin(th).ravel(), np.cos(th).ravel()
+        coef = np.array(np.broadcast_arrays(*coefficients(sin, cos)))
+        coef = np.array([coef * sin, coef / -d])
+        z = np.asarray(z, dtype=float)
+        r, w = z.reshape(2, -1)
+        table = np.array(np.broadcast_arrays(*monomials(r, w))).T
+        return (table @ coef).reshape((2,) + z.shape[1:] + th.shape)
 
     def f1(z, theta):
-        r, w, sin, cos = angles(z, theta)
-        h = hu * r * cos + hv * r * sin + hw * w
-        return np.array([h * sin, -h / d])
+        return polynomial(z, theta, lambda r, w: (r, w),
+                          lambda sin, cos: (hu * cos + hv * sin, hw))
+
+    def f2_monomials(r, w):
+        ww = w * w
+        return r * r * r, r * r * w, r, r * ww, w, ww * w, ww / r
+
+    def f2_coefficients(sin, cos):
+        cos2 = cos * cos
+        p = hu * cos + hv * sin
+        p_cos = p * cos
+        return (
+            (sin * sin / d ** 2 - cos2) * sin / d ** 3,
+            3.0 * sin * sin / d ** 4 - cos2 / d ** 2,
+            (b2 / d ** 3 - a2 / d) * sin - c2 / d ** 2 * cos - p * p_cos,
+            3.0 * sin / d ** 3,
+            b2 / d ** 2 - 2.0 * hw * p_cos,
+            1.0 / d ** 2,
+            -hw * hw * cos,
+        )
 
     def f2(z, theta):
-        r, w, sin, cos = angles(z, theta)
-        u, v = r * cos, r * sin
-        h1v = hu * u + hv * v + hw * w
-        h2v = h2((u, v, w), unfolding)
-        common = (h2v * r - h1v * h1v * cos) / r
-        return np.array([common * sin, -common / d])
+        return polynomial(z, theta, f2_monomials, f2_coefficients)
 
     def df1(z, theta):
         sin, cos = np.sin(theta), np.cos(theta)

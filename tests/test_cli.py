@@ -8,13 +8,14 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import averager
 from averager.averaging import QuadratureAccuracyWarning
-from averager.cli import _jsonable, main
+from averager.cli import _jsonable, _write_csv, main
 from averager.config import from_dict
 
 THREE_ORBIT_DOC = {
@@ -358,6 +359,45 @@ def test_orbits_and_sweep_run_without_scipy(tmp_path):
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[0, 0] []"
     assert len(read_summary(tmp_path / "orbits")["orbits"]) == 3
+
+
+def test_quiet_holds_for_each_call_in_one_process(tmp_path):
+    """--quiet silences only its own call, whatever ran before it.
+
+    A quiet, a loud and a quiet orbits call share one interpreter; only
+    the loud one prints its three INFO lines on stderr.
+    """
+    src = str(Path(averager.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    cfg = write_config(tmp_path, THREE_ORBIT_DOC)
+    probe = (
+        "import sys\n"
+        "from averager.cli import main\n"
+        "for i, quiet in enumerate([True, False, True]):\n"
+        "    sys.stderr.write('call %d\\n' % i)\n"
+        "    sys.stderr.flush()\n"
+        f"    main(['orbits', '--config', {cfg!r}, '--out', "
+        f"{str(tmp_path / 'out')!r}] + ['--quiet'] * quiet)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    calls = done.stderr.split("call ")[1:]
+    assert [call.count("INFO averager.") for call in calls] == [0, 3, 0]
+
+
+def test_csv_matches_row_by_row_formatting(tmp_path):
+    table = np.array([[-0.0, 5e-324, 1e308],
+                      [math.inf, -math.inf, math.nan],
+                      [0.1, -2.5, 1.0 / 3.0]])
+    path = tmp_path / "table.csv"
+    _write_csv(path, "a,b,c", table)
+    rows = ["a,b,c"] + [",".join("%.17g" % v for v in values)
+                        for values in table.tolist()]
+    assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
+    _write_csv(path, "a,b,c", table[:0])
+    assert path.read_bytes() == b"a,b,c\n"
 
 
 def test_usage_errors_map_to_config_exit(capsys):

@@ -227,6 +227,32 @@ def test_df1_matches_finite_differences():
             assert np.allclose(jac[:, j], fd, atol=1e-8)
 
 
+def test_polynomial_evaluators_match_the_reference_formulas():
+    """f1 and f2 against h1 and h2 of the module at (r cos, r sin, w)."""
+    rng = np.random.default_rng(83)
+    batch = np.array([rng.uniform(0.5, 4.0, (3, 4)),
+                      rng.uniform(-2.0, 2.0, (3, 4))])
+    thetas = rng.uniform(0.0, 2.0 * np.pi, 7)
+    point = np.array([rng.uniform(0.5, 4.0), rng.uniform(-2.0, 2.0)])
+    theta = rng.uniform(0.0, 2.0 * np.pi)
+    for _ in range(20):
+        u = random_unfolding(rng)
+        sys = jerk_standard_form(u)
+        for z, th in [(batch, thetas), (point, theta)]:
+            r, w = np.reshape(z, np.shape(z) + (1,) * np.ndim(th))
+            jordan = (r * np.cos(th), r * np.sin(th), w)
+            factor = np.array(np.broadcast_arrays(np.sin(th), -1.0 / u.delta))
+            factor = factor.reshape((2,) + (1,) * (z.ndim - 1) + np.shape(th))
+            h1v, h2v = h1(jordan, u), h2(jordan, u)
+            for got, expected in [
+                (sys.f1(z, th), h1v * factor),
+                (sys.f2(z, th), (h2v * r - h1v ** 2 * np.cos(th)) / r * factor),
+            ]:
+                assert got.shape == expected.shape
+                assert np.all(np.abs(got - expected)
+                              <= 1e-13 * np.maximum(1.0, np.abs(expected)))
+
+
 def test_f1_vectorized_over_theta():
     rng = np.random.default_rng(71)
     u = random_unfolding(rng)
