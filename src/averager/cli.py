@@ -142,8 +142,12 @@ def _write_orbit(out_dir: Path, trace: str, rec: PeriodicOrbitRecord) -> dict:
         "section_point": rec.section_point,
         "period": rec.period,
         "residual": rec.residual,
+        "newton_step": rec.newton_step,
         "floquet": rec.floquet,
+        "trivial_multiplier_defect": rec.trivial_multiplier_defect,
         "seed": rec.seed,
+        "seed_candidate": rec.seed_candidate,
+        "returns": rec.returns,
         "trace": trace,
     }
 

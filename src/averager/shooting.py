@@ -13,6 +13,17 @@ multipliers. The accepted return at the fixed point is the only
 integration of a located orbit: its trace is sampled from that return's
 dense output.
 
+Newton starts from up to three candidate seeds, in this order: mirror,
+warm-start and section-image. The field is odd, (x, y, z) -> -(x, y, z)
+maps orbits to orbits, so the paired roots (r, w) and (r, -w) predict
+two orbits that are point reflections of each other. Once the +w orbit
+is located, the mirror seed of the -w orbit is its partner's crossing of
+the mirrored section {z = 0, y < 0}, reflected: half a return, after
+which Newton typically accepts on the first full one. A warm start is
+the fixed point of a nearby eps, and the section image is the theta = 0
+image of the averaged root. Every orbit is accepted only on its own
+return, whatever its seed.
+
 The field is a cubic polynomial, so every flow is integrated by a Taylor
 series method (Jorba and Zou, Experimental Mathematics 14, 2005): short
 recurrences give the Taylor coefficients of the state, and the step
@@ -144,6 +155,16 @@ class PeriodicOrbitRecord:
     #: (times, states): TRACE_SAMPLES uniform times over [0, period] and the
     #: (TRACE_SAMPLES, 3) states there, from the return that located the orbit
     trace: tuple
+    #: the candidate Newton converged from: mirror, warm-start or section-image
+    seed_candidate: str
+    #: poincare_return calls spent on this orbit, the mirror half-leg included
+    returns: int
+    #: |trivial Floquet multiplier - 1|
+    trivial_multiplier_defect: float
+    #: |(dP/dq - I)^-1 (P(q) - q)| at the accepted point: the Newton part of
+    #: the location error, which residual does not bound where dP/dq is
+    #: close to I
+    newton_step: float
 
 
 def _taylor_coefficients(p: SystemParams, s: list, order: int):
@@ -419,22 +440,22 @@ def _nontrivial_multipliers(mono: np.ndarray):
     return rest[order], mults[i0]
 
 
-def _newton_return(p, q0, spec):
+def _newton_return(return_map, q0):
     """Damped Newton on P(q) - q with the exact Jacobian of the return map.
 
-    Each step solves (dP/dq - I) dq = -(P(q) - q); the pass of an accepted
-    trial point supplies the next Jacobian, so an undamped step costs one
-    return. A trial whose return fails counts as a trial that does not
-    reduce the residual, so the step is halved. Returns (q, |P(q) - q|,
-    flight time of P at q, monodromy matrix at q, flow of that return) at
-    the fixed point, or None when Newton fails.
+    return_map(q) is poincare_return at q. Each step solves
+    (dP/dq - I) dq = -(P(q) - q); the pass of an accepted trial point
+    supplies the next Jacobian, so an undamped step costs one return. A
+    trial whose return fails counts as a trial that does not reduce the
+    residual, so the step is halved. Returns (q, |P(q) - q|, return at q)
+    at the fixed point, or None when Newton fails.
 
     Raises
     ------
     The _RETURN_ERRORS of the return from q0.
     """
     q = np.array(q0, dtype=float)
-    ret = poincare_return(p, q, spec)
+    ret = return_map(q)
     res = float(np.linalg.norm(ret[0] - q))
     try:
         for _ in range(MAX_NEWTON_ITER):
@@ -445,7 +466,7 @@ def _newton_return(p, q0, spec):
             for _ in range(12):
                 trial = q + lam * step
                 try:
-                    trial_ret = poincare_return(p, trial, spec)
+                    trial_ret = return_map(trial)
                 except _RETURN_ERRORS:
                     trial_res = math.inf
                 else:
@@ -458,7 +479,7 @@ def _newton_return(p, q0, spec):
             q, ret, res = trial, trial_ret, trial_res
     except np.linalg.LinAlgError:
         return None
-    return (q, res, ret[1], ret[3], ret[4]) if res < SHOOT_TOL else None
+    return (q, res, ret) if res < SHOOT_TOL else None
 
 
 def shoot_orbit(
@@ -467,19 +488,37 @@ def shoot_orbit(
     seed,
     spec: Optional[IntegratorSpec] = None,
     initial_point=None,
+    partner: Optional[PeriodicOrbitRecord] = None,
 ) -> PeriodicOrbitRecord:
     """Locate the periodic orbit predicted by the averaged root (r, w).
 
-    The section seed is eps*(w, r), the theta = 0 image of the root under
-    the coordinate pipeline. An explicit initial_point, e.g. a warm start
-    from a nearby eps, is tried first, and the section seed after it.
+    Newton on the return map runs from each candidate seed in turn until
+    one converges:
+
+    - mirror, when partner is given: the located orbit of the mirror root
+      (r, -w) at this eps. The field is odd, so the point reflection of
+      the partner is an orbit too; the seed is the partner's crossing of
+      the mirrored section {z = 0, y < 0}, reflected. That half-leg is
+      one poincare_return with orientation +1; when it fails, there is no
+      mirror candidate and its failure is recorded.
+    - warm-start, an explicit initial_point, e.g. the fixed point of a
+      nearby eps;
+    - section-image, eps*(w, r), the theta = 0 image of the root under the
+      coordinate pipeline.
+
+    Whatever the candidate, the orbit is accepted only on its own return
+    with residual below SHOOT_TOL, and everything it reports comes from
+    that return.
 
     Returns
     -------
     PeriodicOrbitRecord with the converged section point, the period (the
-    return flight time), the residual of the return displacement, the
-    two nontrivial Floquet multipliers and the trace of one period,
-    sampled from the dense output of the return at the fixed point.
+    return flight time), the residual of the return displacement and the
+    Newton step that would follow it, the two nontrivial Floquet
+    multipliers and the trivial one's distance from 1, the trace of one
+    period, sampled from the dense output of the return at the fixed
+    point, the candidate that converged and the returns spent on the
+    orbit.
 
     Raises
     ------
@@ -487,7 +526,8 @@ def shoot_orbit(
     candidate converges: Newton fails, the return from the candidate
     raises one of the _RETURN_ERRORS, or Newton converges to within
     eps * r / 10 of the equilibrium at the origin. Its message names each
-    candidate's failure. ValueError for eps outside (0, MAX_EPS].
+    candidate's failure, the mirror half-leg's included. ValueError for
+    eps outside (0, MAX_EPS] or a partner located at another eps.
     """
     spec = spec or IntegratorSpec()
     r, w = float(seed[0]), float(seed[1])
@@ -495,16 +535,33 @@ def shoot_orbit(
         raise SeedInvalid(f"seed (r, w) = ({r}, {w}) needs finite values, r > 0")
     if not (0.0 < eps <= MAX_EPS):
         raise ValueError(f"eps = {eps} outside the shooting range (0, {MAX_EPS}]")
+    if partner is not None and partner.eps != eps:
+        raise ValueError(f"partner located at eps = {partner.eps}, not {eps}")
     p = unfold(u, eps)
-    q_section = np.array([eps * w, eps * r])
-    candidates = [("section-image", q_section)]
-    if initial_point is not None:
-        candidates.insert(0, ("warm-start", np.asarray(initial_point, dtype=float)))
+    returns = 0
+
+    def return_map(q, orientation=-1):
+        nonlocal returns
+        returns += 1
+        return poincare_return(p, q, spec, orientation)
 
     failures = []
+    candidates = []
+    if partner is not None:
+        try:
+            crossing = return_map(partner.section_point, orientation=+1)[0]
+        except _RETURN_ERRORS as exc:
+            failures.append(f"mirror: {type(exc).__name__}: {exc}")
+        else:
+            candidates.append(("mirror", -crossing))
+    if initial_point is not None:
+        candidates.append(("warm-start", np.asarray(initial_point, dtype=float)))
+    q_section = np.array([eps * w, eps * r])
+    candidates.append(("section-image", q_section))
+
     for tag, q0 in candidates:
         try:
-            found = _newton_return(p, q0, spec)
+            found = _newton_return(return_map, q0)
         except _RETURN_ERRORS as exc:
             failures.append(f"{tag}: {type(exc).__name__}: {exc}")
             continue
@@ -514,7 +571,7 @@ def shoot_orbit(
             failures.append(f"{tag}: converged to the equilibrium at the "
                             "origin")
         else:
-            fixed, residual, period, mono, flow = found
+            fixed, residual, (returned, period, jac, mono, flow) = found
             logger.info(
                 "seed (r=%.6g, w=%.6g) eps=%.6g: converged from %s start; "
                 "fixed point at %.3e from eps*(w, r)",
@@ -528,10 +585,10 @@ def shoot_orbit(
         )
 
     floq, trivial = _nontrivial_multipliers(mono)
-    logger.debug(
-        "orbit at eps=%.6g: period=%.12g, trivial multiplier defect %.3e",
-        eps, period, abs(trivial - 1.0),
-    )
+    try:
+        step = np.linalg.solve(jac - np.eye(2), fixed - returned)
+    except np.linalg.LinAlgError:
+        step = np.full(2, math.inf)
     t = np.linspace(0.0, period, TRACE_SAMPLES)
     return PeriodicOrbitRecord(
         eps=eps,
@@ -541,6 +598,10 @@ def shoot_orbit(
         floquet=floq,
         seed=(r, w),
         trace=(t, flow(t)),
+        seed_candidate=tag,
+        returns=returns,
+        trivial_multiplier_defect=float(abs(trivial - 1.0)),
+        newton_step=float(np.linalg.norm(step)),
     )
 
 
@@ -586,8 +647,13 @@ def sweep_epsilon(
     This is the one check of the theorem's hypotheses before shooting: the
     orbits and sweep commands refuse exactly where it raises, and read the
     case and the roots from the prediction it returns. Later eps values
-    warm-start from the previous fixed point scaled by the eps ratio.
-    Shooting failures are recorded per entry without aborting the sweep.
+    warm-start from the previous fixed point scaled by the eps ratio. The
+    roots (r, w2), (r, -w2) of a mirror pair come in that order, and once
+    the +w2 orbit is located at an eps it is the partner of the -w2 one,
+    whose candidates are then mirror, warm-start and section-image in that
+    order (see shoot_orbit). Shooting failures are recorded per entry
+    without aborting the sweep; a -w2 orbit whose partner failed is shot
+    from its other candidates.
 
     Raises
     ------
@@ -618,8 +684,13 @@ def sweep_epsilon(
             start = None
             if i in warm and prev_eps is not None:
                 start = warm[i] * (eps / prev_eps)
+            partner = None
+            mirror_root = (root[0], -root[1])
+            if root[1] < 0.0 and i > 0 and prediction.roots[i - 1] == mirror_root:
+                partner = records.get(i - 1)
             try:
-                rec = shoot_orbit(u, eps, root, spec, initial_point=start)
+                rec = shoot_orbit(u, eps, root, spec, initial_point=start,
+                                  partner=partner)
             except SHOOTING_ERRORS as exc:
                 failures[i] = f"{type(exc).__name__}: {exc}"
                 warm.pop(i, None)

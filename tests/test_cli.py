@@ -238,11 +238,35 @@ def test_orbits_equals_first_sweep_entry(tmp_path):
     for i, orbit in enumerate(orbits):
         rec = entry["records"][str(i)]
         for key in ("eps", "section_point", "period", "residual", "floquet",
-                    "seed"):
+                    "seed", "newton_step", "trivial_multiplier_defect",
+                    "seed_candidate", "returns"):
             assert orbit[key] == rec[key], key
         trace = f"orbit_{i}.csv"
         assert ((orbits_out / trace).read_bytes()
                 == (sweep_out / "sweep" / "0.1" / trace).read_bytes())
+
+
+def test_orbit_records_say_how_they_were_found(tmp_path):
+    """Each orbit record names its converged seed candidate, the returns it
+    cost, its trivial multiplier defect and its last Newton step; the -w
+    orbit of the showcase pair is seeded from its +w partner."""
+    sweep_doc = {"unfolding": THREE_ORBIT_DOC["unfolding"],
+                 "eps_list": [0.1, 0.05]}
+    code, out = run(tmp_path, "sweep", sweep_doc)
+    assert code == 0
+    text = (out / "summary.json").read_text(encoding="utf-8")
+    assert text.count('"seed_candidate": "mirror"') == 2
+    entries = json.loads(text)["entries"]
+    candidates = [[entry["records"][str(i)]["seed_candidate"]
+                   for i in range(3)] for entry in entries]
+    assert candidates == [["section-image", "section-image", "mirror"],
+                          ["warm-start", "warm-start", "mirror"]]
+    for entry in entries:
+        assert entry["records"]["2"]["returns"] == 2
+        for rec in entry["records"].values():
+            assert isinstance(rec["returns"], int) and rec["returns"] >= 1
+            assert 0.0 <= rec["trivial_multiplier_defect"] < 1e-6
+            assert 0.0 <= rec["newton_step"] < 1e-8
 
 
 def test_sweep_requires_eps_list(tmp_path):

@@ -2,16 +2,17 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from averager import shooting
 from averager.closed_form import (DegeneratePrediction, HypothesisViolated,
-                                  predicted_roots)
+                                  OrbitCount, predicted_roots)
 from averager.jerk import SystemParams, jacobian_at, vector_field
 from averager.normal_form import UnfoldingParams, unfold
 from averager.shooting import (
     IntegratorSpec,
+    NoReturn,
     SeedInvalid,
     ShootingDiverged,
     StepLimitExceeded,
@@ -439,3 +440,138 @@ def test_sweep_refuses_nonzero_first_order_coefficients():
     off_slice = UnfoldingParams(a1=-0.3, b1=0.5, a2=0.25, b2=-1.5, delta=1.3)
     with pytest.raises(HypothesisViolated, match="a1 = b1 = 0"):
         sweep_epsilon(off_slice, [0.1])
+
+
+def test_the_mirror_orbit_is_seeded_from_its_partner(records):
+    """In a sweep the -w orbit starts from the reflected partner crossing:
+    one half-leg and one full return, and the orbit that a shot without a
+    partner locates."""
+    entry = sweep_epsilon(THREE_ORBIT, [EPS], SPEC).entries[0]
+    assert [rec.seed_candidate for rec in entry.records.values()] == [
+        "section-image", "section-image", "mirror"]
+    mirror = entry.records[2]
+    assert mirror.returns == 2
+    assert mirror.residual < 1e-10
+    assert np.max(np.abs(mirror.section_point
+                         - records[2].section_point)) < 1e-9
+    assert abs(mirror.period - records[2].period) < 1e-9
+
+
+def test_returns_count_every_return_spent_on_the_orbit(monkeypatch):
+    calls = []
+
+    def counted(p, q, spec, orientation=-1):
+        calls.append(orientation)
+        return poincare_return(p, q, spec, orientation)
+
+    monkeypatch.setattr(shooting, "poincare_return", counted)
+    result = sweep_epsilon(THREE_ORBIT, [EPS, 0.05], SPEC)
+    spent = [rec.returns for entry in result.entries
+             for rec in entry.records.values()]
+    assert sum(spent) == len(calls)
+    assert calls.count(+1) == 2  # one half-leg per mirror orbit
+
+
+def test_record_reports_newton_step_and_trivial_defect(records):
+    """newton_step is the norm of the Newton step at the accepted point and
+    the trivial defect is the distance of the multiplier nearest 1 from 1,
+    both from the return at the fixed point."""
+    p = unfold(THREE_ORBIT, EPS)
+    for rec in records:
+        returned, _, jac, mono, _ = poincare_return(p, rec.section_point, SPEC)
+        step = np.linalg.solve(jac - np.eye(2), rec.section_point - returned)
+        assert rec.newton_step == float(np.linalg.norm(step))
+        assert rec.trivial_multiplier_defect == float(
+            np.min(np.abs(np.linalg.eigvals(mono) - 1.0)))
+        assert rec.trivial_multiplier_defect < 1e-6
+
+
+def test_mirror_half_leg_that_fails_leaves_the_other_candidates(
+        records, monkeypatch):
+    """A half-leg that raises NoReturn makes no mirror candidate; the -w
+    orbit is located from its section image, and the failed half-leg still
+    counts as a return spent."""
+    def no_mirror_return(p, q, spec, orientation=-1):
+        if orientation == +1:
+            raise NoReturn("no mirrored crossing")
+        return poincare_return(p, q, spec, orientation)
+
+    monkeypatch.setattr(shooting, "poincare_return", no_mirror_return)
+    rec = shoot_orbit(THREE_ORBIT, EPS, records[2].seed, SPEC,
+                      partner=records[1])
+    assert rec.seed_candidate == "section-image"
+    assert rec.returns == records[2].returns + 1
+    assert np.array_equal(rec.section_point, records[2].section_point)
+
+
+def test_a_failed_partner_leaves_the_mirror_orbit_to_its_other_seeds(
+        records, monkeypatch):
+    original = shooting.shoot_orbit
+    partners = []
+
+    def plus_w_fails(u, eps, seed, spec=None, initial_point=None,
+                     partner=None):
+        partners.append(partner)
+        if seed[1] > 0.0:
+            raise ShootingDiverged("the +w orbit is not located")
+        return original(u, eps, seed, spec, initial_point, partner)
+
+    monkeypatch.setattr(shooting, "shoot_orbit", plus_w_fails)
+    entry = sweep_epsilon(THREE_ORBIT, [EPS], SPEC).entries[0]
+    assert list(entry.failures) == [1]
+    assert partners == [None, None, None]
+    rec = entry.records[2]
+    assert rec.seed_candidate == "section-image"
+    assert np.array_equal(rec.section_point, records[2].section_point)
+
+
+def test_every_candidate_failing_names_the_mirror_failure(records,
+                                                          monkeypatch):
+    tiny = IntegratorSpec(max_steps=2)
+    with pytest.raises(ShootingDiverged, match="mirror: StepLimitExceeded"
+                       ".*warm-start: StepLimitExceeded"
+                       ".*section-image: StepLimitExceeded"):
+        shoot_orbit(THREE_ORBIT, EPS, records[2].seed, tiny,
+                    initial_point=records[2].section_point,
+                    partner=records[1])
+    monkeypatch.setattr(shooting, "_newton_return", lambda *args: None)
+    with pytest.raises(ShootingDiverged, match="mirror: Newton did not "
+                       "converge; section-image: Newton did not converge"):
+        shoot_orbit(THREE_ORBIT, EPS, records[2].seed, SPEC,
+                    partner=records[1])
+
+
+def test_partner_from_another_eps_is_rejected(records):
+    with pytest.raises(ValueError, match="partner"):
+        shoot_orbit(THREE_ORBIT, 0.05, records[2].seed, SPEC,
+                    partner=records[1])
+
+
+@settings(max_examples=8)
+@given(r=st.floats(2.5, 6.5), w=st.floats(0.3, 1.8),
+       delta=st.floats(0.8, 2.6))
+def test_odd_symmetry_maps_the_plus_w_orbit_onto_the_minus_w_orbit(r, w,
+                                                                   delta):
+    """On two-orbit directions with paired roots (r, +-w), kept at least
+    0.5 from the boundaries of closed_form._degeneracies, the reflected
+    crossing of the +w orbit with the mirrored section is the located -w
+    orbit, and the mirror-seeded -w orbit is the one its section image
+    alone locates."""
+    d2 = delta * delta
+    # (a2, b2) whose paired roots are (r, +-w); see predicted_roots
+    a2 = (10.0 * w * w - 5.0 * r * r * (3.0 - d2) / (4.0 * d2)) / (5.0 * d2)
+    b2 = 2.0 * a2 * d2 - 5.0 * w * w
+    assume(abs(3.0 - d2) >= 0.5)
+    assume(min(abs(2.0 * a2 * d2 - b2), abs(a2 * d2 - b2),
+               abs(a2 * d2 + 2.0 * b2)) >= 0.5)
+    assume(predicted_roots(a2, b2, delta).count is OrbitCount.TWO)
+    u = UnfoldingParams(a2=a2, b2=b2, delta=delta)
+    result = sweep_epsilon(u, [EPS], SPEC)
+    plus, minus = result.entries[0].records[0], result.entries[0].records[1]
+    assert minus.seed_candidate == "mirror"
+    p = unfold(u, EPS)
+    crossing = poincare_return(p, plus.section_point, SPEC, orientation=+1)
+    assert np.max(np.abs(-crossing[0] - minus.section_point)) < 1e-9
+    alone = shoot_orbit(u, EPS, minus.seed, SPEC)
+    assert alone.seed_candidate == "section-image"
+    assert np.max(np.abs(alone.section_point - minus.section_point)) < 1e-9
