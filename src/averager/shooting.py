@@ -27,22 +27,22 @@ return, whatever its seed.
 The field is a cubic polynomial, so every flow is integrated by a Taylor
 series method (Jorba and Zou, Experimental Mathematics 14, 2005): short
 recurrences give the Taylor coefficients of the state, and the step
-polynomials are the dense output. The budget of an IntegratorSpec sets
-each step. The order is ceil(1 - ln(tol) / 2), where tol is abs_tol while
-rel_tol times the state's largest coordinate stays below it and rel_tol
-otherwise; the step is the radius of convergence estimated from the last
-two coefficients, divided by e^2. A return is one leg of such steps,
-scanned for the first admissible section crossing; max_steps bounds the
-steps of one return.
+polynomials are the dense output. The tol of an IntegratorSpec sets every
+step by Jorba and Zou's rule with equal absolute and relative tolerances:
+the order is ceil(1 - ln(tol) / 2), the same for every step of a return,
+and the step is the radius of convergence estimated from the last two
+coefficients on the scale max(1, |s|_inf), divided by e^2. A return is one
+leg of such steps, scanned for the first admissible section crossing;
+max_steps bounds the steps of one return.
 
 The variational equations Phi' = J Phi are linear in Phi, so they need no
 step-by-step recurrence of their own. Each step keeps the Taylor series
 of the state-dependent entries of J, which the state recurrence computes
 anyway. Once the crossing is found, the Taylor coefficients of every
-step's transition matrix solve one lower-triangular system per step,
-batched over the steps of each order; the leg's Phi is the ordered
-product of the transitions, each evaluated at its step length and the
-last one at the crossing.
+step's transition matrix solve one lower-triangular system per step, in
+one batched solve over the leg; the leg's Phi is the ordered product of
+the transitions, each evaluated at its step length and the last one at
+the crossing.
 """
 
 from __future__ import annotations
@@ -83,9 +83,9 @@ RETURN_T_MAX = 100.0
 #: samples per period in an orbit's trace
 TRACE_SAMPLES = 512
 
-#: smallest rel_tol accepted: a relative error below 100 units in the
-#: last place is lost in the round-off of the Taylor sums
-MIN_REL_TOL = 100 * np.finfo(float).eps
+#: smallest tol accepted: an error below 100 units in the last place is
+#: lost in the round-off of the Taylor sums
+MIN_TOL = 100 * np.finfo(float).eps
 
 #: fractions of a Taylor step at which its z polynomial is sampled for a
 #: crossing: the start, 8 interior points and the end
@@ -121,23 +121,21 @@ SHOOTING_ERRORS = (ShootingDiverged, SeedInvalid)
 
 @dataclass(frozen=True)
 class IntegratorSpec:
-    """Tolerances and step budget of the Taylor integrator.
+    """Tolerance and step budget of the Taylor integrator.
 
-    abs_tol and rel_tol set the order and the step length of each step
-    (see the module docstring); max_steps bounds the steps of one return
-    to the section.
+    tol, in [MIN_TOL, 1), sets the order and the step length of every step
+    (see the module docstring); from tol = 1 on, the order would fall to 1,
+    which leaves no pair of coefficients to estimate the step from.
+    max_steps bounds the steps of one return to the section.
     """
 
-    abs_tol: float = 1e-11
-    rel_tol: float = 1e-11
+    tol: float = 1e-11
     max_steps: int = 1_000_000
 
     def __post_init__(self):
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
-            raise ValueError("integrator tolerances must be positive")
-        if self.rel_tol < MIN_REL_TOL:
-            raise ValueError(f"rel_tol must be at least {MIN_REL_TOL:.3g}, "
-                             f"got {self.rel_tol}")
+        if not MIN_TOL <= self.tol < 1.0:
+            raise ValueError(f"tol must be in [{MIN_TOL:.3g}, 1), "
+                             f"got {self.tol}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be at least 1, got {self.max_steps}")
 
@@ -199,12 +197,6 @@ def _taylor_coefficients(p: SystemParams, s: list, order: int):
 
 
 @cache
-def _fraction_powers(order: int) -> np.ndarray:
-    """(10, order + 1) powers of the _CROSSING_FRACTIONS."""
-    return _CROSSING_FRACTIONS[:, None] ** np.arange(order + 1)
-
-
-@cache
 def _transition_system(order: int):
     """The variational recurrence of one Taylor step as a linear system.
 
@@ -243,30 +235,24 @@ def _transition_system(order: int):
     return fixed, basis.reshape(2 * order, n * n), sub, gains
 
 
-def _leg_transition(a: float, jacobians: list) -> np.ndarray:
+def _leg_transition(a: float, lengths: list, jacobians: list) -> np.ndarray:
     """Fundamental matrix, from the identity, over a leg of Taylor steps.
 
-    jacobians holds (length, Jacobian series) of each step in order. The
-    steps of each order share one batched solve of _transition_system; the
-    leg's matrix is the ordered product of the step transitions.
+    lengths and jacobians hold the length and the Jacobian series of each
+    step in order. The steps share one order, so one batched solve of
+    _transition_system gives every step's transition; the leg's matrix is
+    their ordered product.
     """
-    by_order: dict[int, list] = {}
-    for i, (_, (jac_x, _)) in enumerate(jacobians):
-        by_order.setdefault(len(jac_x), []).append(i)
-    transitions = np.empty((len(jacobians), 3, 3))
-    for order, index in by_order.items():
-        fixed, basis, sub, gains = _transition_system(order)
-        n = len(fixed)
-        jac = np.array([jacobians[i][1] for i in index])
-        jac = jac.reshape(len(index), -1)
-        lower = fixed + a * sub - (jac @ basis).reshape(-1, n, n)
-        coef = np.linalg.solve(lower, np.eye(n, 3))
-        lengths = np.array([jacobians[i][0] for i in index])
-        weights = (lengths[:, None] ** np.arange(order + 1)
-                   @ gains.reshape(order + 1, -1)).reshape(-1, 3, n)
-        transitions[index] = weights @ coef
+    order = len(jacobians[0][0])
+    fixed, basis, sub, gains = _transition_system(order)
+    n = len(fixed)
+    jac = np.array(jacobians).reshape(len(jacobians), -1)
+    lower = fixed + a * sub - (jac @ basis).reshape(-1, n, n)
+    coef = np.linalg.solve(lower, np.eye(n, 3))
+    weights = (np.array(lengths)[:, None] ** np.arange(order + 1)
+               @ gains.reshape(order + 1, -1)).reshape(-1, 3, n)
     phi = np.eye(3)
-    for step in transitions:
+    for step in weights @ coef:
         phi = step @ phi
     return phi
 
@@ -303,80 +289,6 @@ def _crossing_root(poly: list, lo: float, hi: float) -> float:
     return u
 
 
-def _first_crossing(p: SystemParams, m0, spec: IntegratorSpec,
-                    orientation: int):
-    """First admissible crossing of the section with the given orientation.
-
-    A crossing is admissible when z changes sign in the orientation
-    direction and y * orientation < 0: for orientation -1, z falls through
-    0 with y > 0. m0 = [s | Phi] is the (3, 4) start of the flow and of
-    Phi' = J Phi. The leg integrates the state only: each Taylor step
-    takes the order and the length of Jorba and Zou's rule (see the module
-    docstring). Its z polynomial is sampled at the _CROSSING_FRACTIONS of
-    the step; each sign change in the orientation direction is polished
-    to a root by Newton on that polynomial, and one that fails the y test
-    is skipped. A start exactly on the section does not count as a
-    crossing. Phi at the crossing then comes from _leg_transition: one
-    batched linear solve over the leg's steps, from the Jacobian series
-    each step kept.
-
-    Returns (t_cross, m_cross, steps), with m_cross the (3, 4) [s | Phi]
-    on the section (its z set to 0) and steps the (start time, (order + 1,
-    3) state coefficients) of each Taylor step over [0, t_cross], or None
-    when no admissible crossing occurs before RETURN_T_MAX.
-
-    Raises
-    ------
-    StepLimitExceeded when the return needs more than spec.max_steps
-    steps; StepUnderflow when a step falls below what double precision
-    resolves or the Taylor coefficients are not finite.
-    """
-    m0 = np.asarray(m0, dtype=float)
-    s = m0[:, 0].tolist()
-    t = 0.0
-    steps = []
-    jacobians = []  # (length, Jacobian series) of each step
-    while t < RETURN_T_MAX:
-        if len(steps) == spec.max_steps:
-            raise StepLimitExceeded(
-                f"more than {spec.max_steps} steps before t = {RETURN_T_MAX}")
-        size = max(map(abs, s))
-        if spec.rel_tol * size <= spec.abs_tol:
-            tol, scale = spec.abs_tol, 1.0
-        else:
-            tol, scale = spec.rel_tol, size
-        order = math.ceil(1.0 - 0.5 * math.log(tol))
-        coef, jac = _taylor_coefficients(p, s, order)
-        last = np.abs(coef[-2:]).max(axis=1).tolist()
-        if not max(last) < math.inf:
-            raise StepUnderflow(f"non-finite Taylor coefficients at t = {t:.6g}")
-        radius = min((scale / norm) ** (1.0 / j) if norm > 0.0 else math.inf
-                     for j, norm in zip((order - 1, order), last))
-        h = radius * math.exp(-2.0)
-        if not h > 10.0 * math.ulp(t):
-            raise StepUnderflow(f"step {h:.3g} below the resolution at "
-                                f"t = {t:.6g}")
-        h = min(h, RETURN_T_MAX - t)
-        steps.append((t, coef))
-        powers = np.arange(order + 1)
-        z = coef[:, 2] * h ** powers  # z as a polynomial in u = tau / h
-        samples = (_fraction_powers(order) @ z).tolist()
-        for i in range(len(samples) - 1):
-            if orientation * samples[i] < 0.0 <= orientation * samples[i + 1]:
-                u = _crossing_root(z.tolist(), _CROSSING_FRACTIONS[i],
-                                   _CROSSING_FRACTIONS[i + 1])
-                s = (u * h) ** powers @ coef
-                if s[1] * orientation < 0.0:
-                    s[2] = 0.0
-                    jacobians.append((u * h, jac))
-                    phi = _leg_transition(p.a, jacobians) @ m0[:, 1:]
-                    return t + u * h, np.column_stack([s, phi]), steps
-        jacobians.append((h, jac))
-        s = (h ** powers @ coef).tolist()
-        t = t + h if h < RETURN_T_MAX - t else RETURN_T_MAX
-    return None
-
-
 def poincare_return(p: SystemParams, q, spec: IntegratorSpec,
                     orientation: int = -1):
     """First return to the section {z = 0} with the chosen orientation.
@@ -384,8 +296,18 @@ def poincare_return(p: SystemParams, q, spec: IntegratorSpec,
     The default orientation -1 is the section {z = 0, y > 0} crossed with
     dz/dt < 0; orientation +1 is its mirror image {z = 0, y < 0} crossed
     upward, which the odd symmetry of the field maps onto the default one.
-    The return is one Taylor leg from (q, 0) to the first admissible
-    crossing of _first_crossing.
+    A crossing is admissible when z changes sign in the orientation
+    direction and y * orientation < 0; a start exactly on the section does
+    not count as one.
+
+    The return is one Taylor leg of the state from (q, 0), every step of
+    the order and length that spec.tol sets (see the module docstring).
+    Each step's z polynomial is sampled at the _CROSSING_FRACTIONS of the
+    step; each sign change in the orientation direction is polished to a
+    root by Newton on that polynomial, and one that fails the y test is
+    skipped. Phi at the first admissible crossing then comes from
+    _leg_transition: one batched linear solve over the leg's steps, from
+    the Jacobian series each step kept.
 
     Parameters
     ----------
@@ -405,15 +327,57 @@ def poincare_return(p: SystemParams, q, spec: IntegratorSpec,
     Raises
     ------
     NoReturn when the flight-time budget RETURN_T_MAX is exhausted without
-    an admissible crossing.
+    an admissible crossing; StepLimitExceeded when the return needs more
+    than spec.max_steps steps; StepUnderflow when a step falls below what
+    double precision resolves or the Taylor coefficients are not finite.
     """
-    m0 = np.column_stack([(q[0], q[1], 0.0), np.eye(3)])
-    crossing = _first_crossing(p, m0, spec, orientation)
-    if crossing is None:
+    order = math.ceil(1.0 - 0.5 * math.log(spec.tol))
+    powers = np.arange(order + 1)
+    fraction_powers = _CROSSING_FRACTIONS[:, None] ** powers
+    s = [float(q[0]), float(q[1]), 0.0]
+    t = 0.0
+    starts, polys = [], []  # start time and coefficients of each step
+    lengths, jacobians = [], []  # length and Jacobian series of each step
+    while t < RETURN_T_MAX:
+        if len(polys) == spec.max_steps:
+            raise StepLimitExceeded(
+                f"more than {spec.max_steps} steps before t = {RETURN_T_MAX}")
+        scale = max(1.0, max(map(abs, s)))
+        coef, jac = _taylor_coefficients(p, s, order)
+        last = np.abs(coef[-2:]).max(axis=1).tolist()
+        if not max(last) < math.inf:
+            raise StepUnderflow(f"non-finite Taylor coefficients at t = {t:.6g}")
+        radius = min((scale / norm) ** (1.0 / j) if norm > 0.0 else math.inf
+                     for j, norm in zip((order - 1, order), last))
+        h = radius * math.exp(-2.0)
+        if not h > 10.0 * math.ulp(t):
+            raise StepUnderflow(f"step {h:.3g} below the resolution at "
+                                f"t = {t:.6g}")
+        h = min(h, RETURN_T_MAX - t)
+        starts.append(t)
+        polys.append(coef)
+        jacobians.append(jac)
+        z = coef[:, 2] * h ** powers  # z as a polynomial in u = tau / h
+        samples = (fraction_powers @ z).tolist()
+        for i in range(len(samples) - 1):
+            if orientation * samples[i] < 0.0 <= orientation * samples[i + 1]:
+                u = _crossing_root(z.tolist(), _CROSSING_FRACTIONS[i],
+                                   _CROSSING_FRACTIONS[i + 1])
+                s = (u * h) ** powers @ coef
+                if s[1] * orientation < 0.0:
+                    break
+        else:
+            lengths.append(h)
+            s = (h ** powers @ coef).tolist()
+            t = t + h if h < RETURN_T_MAX - t else RETURN_T_MAX
+            continue
+        lengths.append(u * h)
+        break
+    else:
         raise NoReturn(f"no admissible section point within "
                        f"t_max={RETURN_T_MAX}")
-    flight, m, steps = crossing
-    starts, polys = zip(*steps)  # start time and coefficients of each step
+    s[2] = 0.0
+    phi = _leg_transition(p.a, lengths, jacobians)
 
     def flow(t):
         t = np.asarray(t, dtype=float)
@@ -421,14 +385,12 @@ def poincare_return(p: SystemParams, q, spec: IntegratorSpec,
         states = np.empty((t.size, 3))
         for k in np.unique(step):
             at = step == k
-            powers = np.arange(len(polys[k]))
             states[at] = (t[at, None] - starts[k]) ** powers @ polys[k]
         return states
 
-    f = vector_field(p, m[:, 0])
-    phi = m[:, 1:]
+    f = vector_field(p, s)
     jac = (phi - np.outer(f, phi[2]) / f[2])[:2, :2]
-    return m[:2, 0].copy(), flight, jac, phi, flow
+    return s[:2], t + lengths[-1], jac, phi, flow
 
 
 def _nontrivial_multipliers(mono: np.ndarray):
@@ -674,16 +636,13 @@ def sweep_epsilon(
         raise DegeneratePrediction(prediction.degenerate_reason)
 
     entries = []
-    warm: dict[int, np.ndarray] = {}
-    prev_eps: Optional[float] = None
-    max_coords: dict[int, list] = {i: [] for i in range(len(prediction.roots))}
     for eps in eps_list:
         records: dict[int, PeriodicOrbitRecord] = {}
         failures: dict[int, str] = {}
         for i, root in enumerate(prediction.roots):
-            start = None
-            if i in warm and prev_eps is not None:
-                start = warm[i] * (eps / prev_eps)
+            warm = entries[-1].records.get(i) if entries else None
+            start = (None if warm is None
+                     else warm.section_point * (eps / entries[-1].eps))
             partner = None
             mirror_root = (root[0], -root[1])
             if root[1] < 0.0 and i > 0 and prediction.roots[i - 1] == mirror_root:
@@ -693,24 +652,24 @@ def sweep_epsilon(
                                   partner=partner)
             except SHOOTING_ERRORS as exc:
                 failures[i] = f"{type(exc).__name__}: {exc}"
-                warm.pop(i, None)
-                max_coords[i].append(math.nan)
                 continue
             records[i] = rec
-            warm[i] = rec.section_point
-            max_coords[i].append(float(np.max(np.abs(rec.trace[1]))))
         entries.append(SweepEntry(eps=eps, records=records, failures=failures))
-        prev_eps = eps
 
     amp_slopes = {}
     seed_error_slopes = {}
+    max_coords = {}
     monotone = True
     for i, root in enumerate(prediction.roots):
-        eps_ok, amps, errs = [], [], []
+        eps_ok, amps, errs, coords = [], [], [], []
+        max_coords[i] = []
         for entry in entries:
             rec = entry.records.get(i)
             if rec is None:
+                max_coords[i].append(math.nan)
                 continue
+            coords.append(float(np.max(np.abs(rec.trace[1]))))
+            max_coords[i].append(coords[-1])
             eps_ok.append(entry.eps)
             amps.append(float(np.linalg.norm(rec.section_point)))
             target = entry.eps * np.array([root[1], root[0]])
@@ -720,7 +679,6 @@ def sweep_epsilon(
             amp_slopes[i] = float(np.polyfit(log_eps, np.log(amps), 1)[0])
             safe = np.maximum(errs, 1e-300)
             seed_error_slopes[i] = float(np.polyfit(log_eps, np.log(safe), 1)[0])
-        coords = [mc for mc in max_coords[i] if not math.isnan(mc)]
         if any(b >= a for a, b in zip(coords, coords[1:])):
             monotone = False
     return SweepResult(

@@ -1,5 +1,7 @@
 """Command-line behavior: exit codes, outputs, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -152,6 +154,30 @@ def test_orbits_and_sweep_near_a_boundary_exit_cleanly(boundary, a2, b2,
                                                     "DegeneratePrediction")
                 assert sorted(p.name for p in out.iterdir()) == ["summary.json"]
 
+
+
+@settings(max_examples=20)
+@given(decade=st.floats(-16.0, 1.0),
+       max_steps=st.one_of(st.none(), st.integers(1, 40)))
+def test_orbits_with_a_drawn_integrator_block_exits_cleanly(decade,
+                                                            max_steps):
+    """Whatever tol in [1e-16, 10] and max_steps the integrator block
+    holds, orbits on the showcase refuses the config (exit 1), locates or
+    fails to locate orbits (exit 0 or 4), and never raises; past the
+    config check, summary.json is strict JSON."""
+    integrator = {"tol": 10.0 ** decade}
+    if max_steps is not None:
+        integrator["max_steps"] = max_steps
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stderr(stderr):
+            code, out = run(Path(tmp), "orbits",
+                            dict(THREE_ORBIT_DOC, integrator=integrator))
+        assert code in (0, 1, 4), (integrator, code)
+        assert "Traceback" not in stderr.getvalue()
+        if code != 1:
+            text = (out / "summary.json").read_text(encoding="utf-8")
+            json.loads(text, parse_constant=_reject_constant)
 
 def test_average_oracle_match(tmp_path):
     code, out = run(tmp_path, "average", THREE_ORBIT_DOC)

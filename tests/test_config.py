@@ -20,7 +20,7 @@ def test_minimal_config_fills_defaults():
     assert cfg.eps == 0.1
     assert cfg.eps_list is None
     assert cfg.quadrature.nodes == 64
-    assert cfg.integrator.abs_tol == 1e-11
+    assert cfg.integrator.tol == 1e-11
     assert cfg.quadrature == QuadratureSpec()
     assert cfg.integrator == IntegratorSpec()
     assert cfg.output_dir == "results"
@@ -38,7 +38,7 @@ def test_round_trip_identity():
                       "c1": 0.5, "c2": -0.75, "delta": 2.0},
         "eps": 0.1,
         "quadrature": {"nodes": 32},
-        "integrator": {"abs_tol": 1e-9, "rel_tol": 1e-9, "max_steps": 500000},
+        "integrator": {"tol": 1e-9, "max_steps": 500000},
         "output_dir": "out",
     }
     cfg = from_dict(doc)
@@ -61,8 +61,12 @@ def test_unknown_keys_rejected_at_every_level():
     with pytest.raises(ConfigError, match="node"):
         from_dict(doc)
     doc = minimal_doc()
-    doc["integrator"] = {"tol": 1e-9}
-    with pytest.raises(ConfigError, match="tol"):
+    doc["integrator"] = {"abs_tol": 1e-9}
+    with pytest.raises(ConfigError, match="abs_tol"):
+        from_dict(doc)
+    doc = minimal_doc()
+    doc["integrator"] = {"rel_tol": 1e-9}
+    with pytest.raises(ConfigError, match="rel_tol"):
         from_dict(doc)
     doc = minimal_doc()
     doc["integrator"] = {"method": "rk45"}
@@ -137,17 +141,21 @@ def test_type_errors_have_path_context():
 
 
 def test_unrunnable_integrator_budgets_rejected():
-    """max_steps below 1 fails every return; rel_tol below 100 machine
-    epsilons asks for steps that would only resolve round-off."""
+    """max_steps below 1 fails every return; tol below 100 machine
+    epsilons asks for steps that would only resolve round-off, and tol
+    from 1 on leaves an order of 1, too low to estimate a step from."""
     for key, value in (("max_steps", 0), ("max_steps", -3),
-                       ("rel_tol", 1e-20), ("rel_tol", 2e-14)):
+                       ("tol", 1.0), ("tol", 2.0),
+                       ("tol", 1e-20), ("tol", 2e-14)):
         doc = minimal_doc()
         doc["integrator"] = {key: value}
         with pytest.raises(ConfigError, match=f"^integrator: {key} must be"):
             from_dict(doc)
     doc = minimal_doc()
-    doc["integrator"] = {"max_steps": 1, "rel_tol": 2.3e-14}
+    doc["integrator"] = {"max_steps": 1, "tol": 2.3e-14}
     assert from_dict(doc).integrator.max_steps == 1
+    doc["integrator"] = {"tol": 0.5}
+    assert from_dict(doc).integrator.tol == 0.5
 
 
 def test_invalid_delta_is_config_error():
@@ -170,7 +178,7 @@ def test_load_config_from_file(tmp_path):
         load_config(tmp_path / "missing.json")
     nonfinite = tmp_path / "nonfinite.json"
     nonfinite.write_text('{"unfolding": {"delta": 2.0}, '
-                         '"integrator": {"abs_tol": Infinity}}',
+                         '"integrator": {"tol": Infinity}}',
                          encoding="utf-8")
     with pytest.raises(ConfigError, match="Infinity"):
         load_config(nonfinite)
@@ -184,8 +192,8 @@ def test_load_config_from_file(tmp_path):
             load_config(overflow)
     huge_tol = tmp_path / "huge_tol.json"
     huge_tol.write_text('{"unfolding": {"delta": 2.0}, '
-                        '"integrator": {"abs_tol": 1e999}}', encoding="utf-8")
-    with pytest.raises(ConfigError, match="integrator.abs_tol"):
+                        '"integrator": {"tol": 1e999}}', encoding="utf-8")
+    with pytest.raises(ConfigError, match="integrator.tol"):
         load_config(huge_tol)
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes('{"output_dir": "r\xe9sultats"}'.encode("latin-1"))

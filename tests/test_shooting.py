@@ -17,7 +17,6 @@ from averager.shooting import (
     ShootingDiverged,
     StepLimitExceeded,
     StepUnderflow,
-    _first_crossing,
     poincare_return,
     shoot_orbit,
     sweep_epsilon,
@@ -120,7 +119,7 @@ def test_integrate_linearized_rotation():
     would otherwise dominate the 1e-6 amplitude.
     """
     p = SystemParams(0.0, 0.0, -4.0)
-    tight = IntegratorSpec(abs_tol=1e-14, rel_tol=1e-13)
+    tight = IntegratorSpec(tol=1e-13)
     _, flight, _, _, flow = poincare_return(p, (0.0, 1e-6), tight)
     assert abs(flight - np.pi) < 1e-9
     y = flow(np.array([np.pi / 2.0, np.pi]))[:, 1]
@@ -132,8 +131,8 @@ def test_integrate_tolerance_convergence():
     p = SystemParams(0.01, 0.05, -4.0)
     q = (0.05, 0.3)
     t = np.linspace(0.0, 3.0, 31)
-    loose = poincare_return(p, q, IntegratorSpec(abs_tol=1e-9, rel_tol=1e-9))
-    tight = poincare_return(p, q, IntegratorSpec(abs_tol=1e-12, rel_tol=1e-12))
+    loose = poincare_return(p, q, IntegratorSpec(tol=1e-9))
+    tight = poincare_return(p, q, IntegratorSpec(tol=1e-12))
     assert min(loose[1], tight[1]) > t[-1]
     assert np.max(np.abs(loose[4](t) - tight[4](t))) < 1e-7
 
@@ -200,12 +199,11 @@ def test_mirrored_seed_orbits_are_reflections(records):
     p = unfold(THREE_ORBIT, EPS)
     q_plus = records[1].section_point
     q_minus = records[2].section_point
-    s0 = np.column_stack([(q_plus[0], q_plus[1], 0.0), np.eye(3)])
-    crossing = _first_crossing(p, s0, SPEC, +1)
-    assert crossing is not None
-    point = crossing[1][:, 0]
-    assert abs(point[2]) < 1e-12  # the crossing lies on the section
-    assert np.max(np.abs(-point[:2] - q_minus)) < 1e-8
+    point, flight, _, _, flow = poincare_return(p, q_plus, SPEC,
+                                                orientation=+1)
+    # the crossing lies on the section
+    assert abs(flow(np.array([flight]))[0, 2]) < 1e-12
+    assert np.max(np.abs(-point - q_minus)) < 1e-8
 
 
 def test_trivial_floquet_multiplier(records):
@@ -267,31 +265,14 @@ def test_monodromy_determinant_obeys_liouville(eps):
         assert abs(np.linalg.det(phi) - np.exp(-p.a * flight)) < 1e-11
 
 
-def test_leg_with_steps_of_two_orders():
-    """A budget whose abs_tol and rel_tol give orders 15 and 14 switches
-    order inside the leg; dP/dq still matches central differences and Phi
-    the DOP853 variational pass."""
+def test_leg_transition_matches_dop853():
+    """Phi of a return, the product of the batched step transitions,
+    matches a DOP853 variational pass over the same flight."""
     from scipy.integrate import solve_ivp
 
     p = unfold(THREE_ORBIT, EPS)
-    spec = IntegratorSpec(abs_tol=5e-12, rel_tol=1e-11)
-    q = np.array([0.0, 0.447])
-    m0 = np.column_stack([(q[0], q[1], 0.0), np.eye(3)])
-    _, _, steps = _first_crossing(p, m0, spec, -1)
-    assert {len(coef) - 1 for _, coef in steps} == {14, 15}
-
-    _, flight, jac, phi, _ = poincare_return(p, q, spec)
-    h = 1e-5
-    fd = np.empty((2, 2))
-    for j in range(2):
-        dq = np.zeros(2)
-        dq[j] = h
-        hi = poincare_return(p, q + dq, spec)[0]
-        lo = poincare_return(p, q - dq, spec)[0]
-        fd[:, j] = (hi - lo) / (2.0 * h)
-    assert np.max(np.abs(jac - fd)) < 1e-7
-
-    s0 = np.concatenate([m0[:, 0], np.eye(3).ravel()])
+    _, flight, _, phi, _ = poincare_return(p, (0.0, 0.447), SPEC)
+    s0 = np.concatenate([(0.0, 0.447, 0.0), np.eye(3).ravel()])
     sol = solve_ivp(variational_rhs(p), (0.0, flight), s0, method="DOP853",
                     rtol=1e-13, atol=1e-13)
     assert np.max(np.abs(sol.y[3:, -1].reshape(3, 3) - phi)) < 1e-10
