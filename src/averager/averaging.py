@@ -4,10 +4,21 @@ Works on any StandardFormSystem. The first averaged function is the time
 mean of F1; the second adds the mean of DF1(z, s) . int_0^s F1(z, t) dt
 + F2(z, s). Both means are Gauss-Legendre quadratures over one period,
 and the inner integral of the second is the spectral integration matrix
-of the same rule, so one node set serves both. The second order folds
-the outer weights and that matrix into DF1 first; where DF1 does not
-depend on z, as for the jerk form, this kernel is a small (n, n, m)
-array, and each point costs one contraction with its samples of F1.
+of the same rule, so one node set serves both.
+
+A system without polynomials samples F1, F2 and DF1 at every point and
+node. The second order folds the outer weights and the integration
+matrix into DF1 first; where DF1 does not depend on z this kernel is a
+small (n, n, m) array, and each point costs one contraction with its
+samples of F1. This sampled path is the reference.
+
+A system that carries its polynomials (see StandardFormSystem), as the
+jerk form does, is not sampled per point: F = sum_k m_k(z) C_k(t) is
+linear in its coefficient tables, so f and g are polynomials in z whose
+coefficients are theta-means of the tables, taken once per system and
+node count and cached. Each point then costs one product with its
+monomials.
+
 Each result is accepted after an (N, 2N) agreement check. Simple zeros
 of these functions, certified by a nonzero Jacobian determinant,
 correspond to periodic solutions of the underlying periodic system for
@@ -129,6 +140,40 @@ def _rule_nodes(n_nodes: int, period: float):
     return s, w, S
 
 
+@lru_cache(maxsize=64)
+def _polynomial_means(sys: StandardFormSystem, n_nodes: int, order: int):
+    """Terms of the order-th averaged function as a polynomial in z.
+
+    With sys.polynomials = ((m1, C1), (m2, C2)) on the n_nodes rule,
+    f = m1(z) . (C1 @ w) / T and, since DF1 = C1,
+    T g = m1(z) . [((C1 * w) @ S) : C1] + m2(z) . (C2 @ w), where the
+    contraction runs over the component and node axes as in
+    average_second. Returns pairs (coefficients, monomials), the
+    coefficients read-only arrays of shape (n, K). Keyed on the system
+    itself, which the cache holds, so a collected system's id can never
+    return its coefficients for another.
+    """
+    s, w, S = _rule_nodes(n_nodes, sys.period)
+    (m1, table1), (m2, table2) = sys.polynomials
+    c1 = table1(s)
+    if order == 1:
+        terms = ((c1 @ w, m1),)
+    else:
+        inner = np.einsum("ijt,jkt->ik", (c1 * w) @ S, c1)
+        terms = ((inner, m1), (table2(s) @ w, m2))
+    for coef, _ in terms:
+        coef /= sys.period
+        coef.flags.writeable = False
+    return terms
+
+
+def _polynomial_value(terms, points) -> np.ndarray:
+    """Sum of coefficients @ monomials(points) over terms, shaped as points."""
+    flat = points.reshape(len(points), -1)
+    value = sum(coef @ monomials(flat) for coef, monomials in terms)
+    return value.reshape(points.shape)
+
+
 def _refined_mean(compute: Callable, z, n_nodes: int, what: str) -> np.ndarray:
     """compute(points, nodes) at N and 2N nodes, accepted after the check.
 
@@ -177,6 +222,8 @@ def average_first(sys: StandardFormSystem, z, q: QuadratureSpec) -> np.ndarray:
     """
 
     def compute(points, n_nodes: int) -> np.ndarray:
+        if sys.polynomials is not None:
+            return _polynomial_value(_polynomial_means(sys, n_nodes, 1), points)
         s, w, _ = _rule_nodes(n_nodes, sys.period)
         return np.asarray(sys.f1(points, s), dtype=float) @ w / sys.period
 
@@ -190,15 +237,19 @@ def average_second(sys: StandardFormSystem, z, q: QuadratureSpec) -> np.ndarray:
     Both integrals use the same nodes: the inner one is the integration
     matrix S of the rule applied to the samples of F1. With weights w the
     double sum is reassociated to K = (DF1 * w) @ S, contracted with F1
-    over the component and node axes, so T g = K : F1 + F2 @ w. For the
-    jerk form DF1 does not depend on z and K is a (2, 2, m) array; a
-    z-dependent DF1 of shape (n, n, *batch, m) takes the same line. K is
-    built from each pass's own S, so each pass of the (N, 2N) check
-    carries its own inner integral and the check covers both.
+    over the component and node axes, so T g = K : F1 + F2 @ w. A DF1
+    that does not depend on z makes K a (n, n, m) array; a z-dependent
+    DF1 of shape (n, n, *batch, m) takes the same line. With
+    sys.polynomials, DF1 = C1 and this contraction is taken once on the
+    coefficient tables (see _polynomial_means). K is built from each
+    pass's own S, so each pass of the (N, 2N) check carries its own inner
+    integral and the check covers both.
     z is one point or a batch, shaped as in average_first.
     """
 
     def compute(points, n_nodes: int) -> np.ndarray:
+        if sys.polynomials is not None:
+            return _polynomial_value(_polynomial_means(sys, n_nodes, 2), points)
         s, w, S = _rule_nodes(n_nodes, sys.period)
         f1 = np.asarray(sys.f1(points, s), dtype=float)
         kernel = (np.asarray(sys.df1(points, s), dtype=float) * w) @ S

@@ -62,12 +62,24 @@ class StandardFormSystem:
     m: f1 and f2 give shape (n, *batch, m), and df1, the Jacobian of f1
     with respect to z, gives (n, n, *batch, m), or (n, n, m) when it does
     not depend on z. A single state is the case batch = ().
+
+    polynomials, when set, is the pair ((m1, C1), (m2, C2)) of monomials
+    and coefficient tables behind f1 and f2: F(z, t) is the sum over k of
+    m(z)[k] C(t)[:, k]. A monomials function maps states of shape (n, p)
+    to (K, p), and a table maps times of shape (m,) to (n, K, m). F1 must
+    be linear, m1(z) = z, so that DF1 = C1. The averaging engine then
+    takes the theta-means of the tables once per node set and evaluates
+    every point as a polynomial; without the field it samples f1, f2 and
+    df1 at every point and node, which is the reference path. A copy
+    made with dataclasses.replace keeps the field, so replace f1 or f2
+    only by callables with the same values.
     """
 
     period: float
     f1: Callable
     f2: Callable
     df1: Callable
+    polynomials: tuple | None = None
 
 
 def unfold(u: UnfoldingParams, eps: float) -> SystemParams:
@@ -175,16 +187,18 @@ def jerk_standard_form(unfolding: UnfoldingParams) -> StandardFormSystem:
     requires r > 0. df1 is analytic and independent of z since h1 is linear
     in its arguments, so it has shape (2, 2, m).
 
-    f1 and f2 are evaluated as polynomials in (r, w) whose coefficients
-    depend on theta alone. With s, c = sin(theta), cos(theta), d = delta
-    and h1 = hu u + hv v + hw w: h1 = r p + hw w with p = hu c + hv s, and
+    f1 and f2 are polynomials in (r, w) whose coefficients depend on theta
+    alone, and the system carries them as its polynomials field. With
+    s, c = sin(theta), cos(theta), d = delta and h1 = hu u + hv v + hw w:
+    h1 = r p + hw w with p = hu c + hv s, and
     h2 = r^3 A + r^2 w B + r C + r w^2 D + w (b2 + w^2) / d^2 with
     A = s^3/d^5 - c^2 s/d^3, B = 3 s^2/d^4 - c^2/d^2,
     C = b2 s/d^3 - c2 c/d^2 - a2 s/d and D = 3 s/d^3. The -h1^2 c / r of
-    F2 adds -r p^2 c - 2 hw p c w - hw^2 c w^2 / r. Each call builds the
-    coefficients, times (s, -1/d), once on its nodes, and one matmul of
-    the (points, monomials) table with them writes the result. h1 and h2
-    above stay the reference formulas, which theta_rhs uses.
+    F2 adds -r p^2 c - 2 hw p c w - hw^2 c w^2 / r. Each table is these
+    coefficients times (s, -1/d) on the given nodes; f1, f2 and df1 are
+    built from the same tables, f1 and f2 as one matmul of the
+    (points, monomials) table with them. h1 and h2 above stay the
+    reference formulas, which theta_rhs uses.
     """
     d = unfolding.delta
     a2, b2, c2 = unfolding.a2, unfolding.b2, unfolding.c2
@@ -193,28 +207,24 @@ def jerk_standard_form(unfolding: UnfoldingParams) -> StandardFormSystem:
     hv = unfolding.b1 / d ** 3 - unfolding.a1 / d
     hw = unfolding.b1 / d ** 2
 
-    def polynomial(z, theta, monomials, coefficients):
-        """(sin, -1/d) * sum_k monomials(r, w)[k] * coefficients(sin, cos)[k].
+    def tabulate(coefficients):
+        """(sin, -1/d) * coefficients(sin, cos) on nodes of shape (m,)."""
+        def table(theta):
+            sin, cos = np.sin(theta), np.cos(theta)
+            coef = np.array(np.broadcast_arrays(*coefficients(sin, cos)))
+            return np.array([coef * sin, coef / -d])
+        return table
 
-        The result has shape (2, *batch, *theta.shape), z's batch axes
-        ahead of theta's axes.
-        """
-        th = np.asarray(theta, dtype=float)
-        sin, cos = np.sin(th).ravel(), np.cos(th).ravel()
-        coef = np.array(np.broadcast_arrays(*coefficients(sin, cos)))
-        coef = np.array([coef * sin, coef / -d])
-        z = np.asarray(z, dtype=float)
-        r, w = z.reshape(2, -1)
-        table = np.array(np.broadcast_arrays(*monomials(r, w))).T
-        return (table @ coef).reshape((2,) + z.shape[1:] + th.shape)
+    def f1_monomials(z):
+        return np.asarray(z, dtype=float)
 
-    def f1(z, theta):
-        return polynomial(z, theta, lambda r, w: (r, w),
-                          lambda sin, cos: (hu * cos + hv * sin, hw))
+    def f1_coefficients(sin, cos):
+        return hu * cos + hv * sin, hw
 
-    def f2_monomials(r, w):
+    def f2_monomials(z):
+        r, w = z
         ww = w * w
-        return r * r * r, r * r * w, r, r * ww, w, ww * w, ww / r
+        return np.array([r * r * r, r * r * w, r, r * ww, w, ww * w, ww / r])
 
     def f2_coefficients(sin, cos):
         cos2 = cos * cos
@@ -230,13 +240,29 @@ def jerk_standard_form(unfolding: UnfoldingParams) -> StandardFormSystem:
             -hw * hw * cos,
         )
 
-    def f2(z, theta):
-        return polynomial(z, theta, f2_monomials, f2_coefficients)
+    f1_table = tabulate(f1_coefficients)
+    polynomials = ((f1_monomials, f1_table),
+                   (f2_monomials, tabulate(f2_coefficients)))
+    f1, f2 = (_polynomial_field(*pair) for pair in polynomials)
 
     def df1(z, theta):
-        sin, cos = np.sin(theta), np.cos(theta)
-        # dh/dr and dh/dw, the same for every z
-        grad = np.array(np.broadcast_arrays(hu * cos + hv * sin, hw))
-        return np.array([sin * grad, -grad / d])
+        # F1 is linear in z, so its Jacobian is its table, the same for every z
+        th = np.asarray(theta, dtype=float)
+        return f1_table(th.ravel()).reshape((2, 2) + th.shape)
 
-    return StandardFormSystem(period=2.0 * np.pi, f1=f1, f2=f2, df1=df1)
+    return StandardFormSystem(period=2.0 * np.pi, f1=f1, f2=f2, df1=df1,
+                              polynomials=polynomials)
+
+
+def _polynomial_field(monomials, table) -> Callable:
+    """F(z, theta) = sum_k monomials(z)[k] table(theta)[:, k], as an evaluator.
+
+    The result has shape (n, *batch, *theta.shape), z's batch axes ahead
+    of theta's axes.
+    """
+    def field(z, theta):
+        th = np.asarray(theta, dtype=float)
+        z = np.asarray(z, dtype=float)
+        mono = monomials(z.reshape(len(z), -1))
+        return (mono.T @ table(th.ravel())).reshape(z.shape + th.shape)
+    return field

@@ -87,6 +87,12 @@ TRACE_SAMPLES = 512
 #: lost in the round-off of the Taylor sums
 MIN_TOL = 100 * np.finfo(float).eps
 
+#: largest tol accepted. Newton converges at a looser tol too, to a
+#: wrong orbit: on the showcase at eps 0.1 the section point of orbit 0
+#: moves from its place at the default tol by 4.6e-7 at tol 1e-6, by
+#: 6.4e-5 at 1e-4 and by 0.17 at 0.5 (largest coordinate)
+MAX_TOL = 1e-6
+
 #: fractions of a Taylor step at which its z polynomial is sampled for a
 #: crossing: the start, 8 interior points and the end
 _CROSSING_FRACTIONS = np.linspace(0.0, 1.0, 10)
@@ -123,9 +129,9 @@ SHOOTING_ERRORS = (ShootingDiverged, SeedInvalid)
 class IntegratorSpec:
     """Tolerance and step budget of the Taylor integrator.
 
-    tol, in [MIN_TOL, 1), sets the order and the step length of every step
-    (see the module docstring); from tol = 1 on, the order would fall to 1,
-    which leaves no pair of coefficients to estimate the step from.
+    tol, in [MIN_TOL, MAX_TOL], sets the order and the step length of
+    every step (see the module docstring); beyond MAX_TOL the located
+    orbits drift from the true ones while Newton still converges.
     max_steps bounds the steps of one return to the section.
     """
 
@@ -133,8 +139,8 @@ class IntegratorSpec:
     max_steps: int = 1_000_000
 
     def __post_init__(self):
-        if not MIN_TOL <= self.tol < 1.0:
-            raise ValueError(f"tol must be in [{MIN_TOL:.3g}, 1), "
+        if not MIN_TOL <= self.tol <= MAX_TOL:
+            raise ValueError(f"tol must be in [{MIN_TOL:.3g}, {MAX_TOL:g}], "
                              f"got {self.tol}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be at least 1, got {self.max_steps}")

@@ -1,6 +1,8 @@
 """Numeric averaging against the closed forms, plus root certification."""
 
+import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -149,6 +151,88 @@ def test_batched_averages_match_per_point_calls():
                 single = average(sys, z[:, i, j], QUAD)
                 assert np.all(np.abs(batch[:, i, j] - single)
                               <= 1e-12 * np.maximum(1.0, np.abs(single)))
+
+
+def sampled(sys):
+    """The same system without its polynomials: the sampled reference path."""
+    return dataclasses.replace(sys, polynomials=None)
+
+
+def assert_close(got, expected):
+    assert got.shape == expected.shape
+    assert np.all(np.abs(got - expected)
+                  <= 1e-12 * np.maximum(1.0, np.abs(expected)))
+
+
+def average_and_warned(average, sys, z, q):
+    """average(sys, z, q) and whether it warned QuadratureAccuracyWarning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        val = average(sys, z, q)
+    return val, any(issubclass(w.category, QuadratureAccuracyWarning)
+                    for w in caught)
+
+
+GRID = np.array(np.meshgrid(np.linspace(0.5, 8.0, 20),
+                            np.linspace(-2.0, 2.0, 20), indexing="ij"))
+
+
+@settings(max_examples=15)
+@given(coefficients=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
+       delta=st.floats(0.5, 3.0))
+def test_polynomial_path_matches_the_sampled_path(coefficients, delta):
+    """The jerk form's precomputed means against sampling f1, f2 and df1
+    at every point and node, on a 20 x 20 grid at 16, 64 and 256 nodes;
+    at 16 nodes both paths warn or neither does."""
+    a1, b1, a2, b2, c1, c2 = coefficients
+    sys = jerk_standard_form(UnfoldingParams(
+        a1=a1, b1=b1, a2=a2, b2=b2, c1=c1, c2=c2, delta=delta))
+    assert sys.polynomials is not None
+    for nodes in (16, 64, 256):
+        q = QuadratureSpec(nodes=nodes)
+        for average in (average_first, average_second):
+            fast, fast_warned = average_and_warned(average, sys, GRID, q)
+            ref, ref_warned = average_and_warned(average, sampled(sys), GRID, q)
+            assert_close(fast, ref)
+            if nodes == 16:
+                assert fast_warned == ref_warned
+
+
+def test_cached_means_stay_with_their_system():
+    """Alternating systems never mixes up their cached means.
+
+    Two jerk systems, each recreated again and again from its parameters,
+    a kept one, and a replace copy of it with wrapped callables, as the
+    benchmark tracer makes, each match their own sampled reference; the
+    copy keeps the polynomial path and never calls its callables.
+    """
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn)
+            return fn(*args)
+        return wrapper
+
+    first = UnfoldingParams(a1=0.3, b1=-0.7, a2=1.2, b2=-0.9, c1=0.4,
+                            c2=-0.6, delta=1.3)
+    second = UnfoldingParams(a2=1.0, b2=5.0, delta=2.0)
+    base = jerk_standard_form(first)
+    wrapped = dataclasses.replace(
+        base, f1=counted(base.f1), f2=counted(base.f2), df1=counted(base.df1))
+    z = GRID[:, ::4, ::4]
+    # systems made and dropped one after another, so a freed system's
+    # memory, and with it its id, is free for the next
+    for u in (first, second, first, second, first):
+        for sys in (jerk_standard_form(u), base, wrapped):
+            assert_close(average_second(sys, z, QUAD),
+                         average_second(sampled(sys), z, QUAD))
+            assert_close(average_first(sys, z, QUAD),
+                         average_first(sampled(sys), z, QUAD))
+    reference_calls = len(calls)
+    average_second(wrapped, z, QUAD)
+    average_first(wrapped, z, QUAD)
+    assert len(calls) == reference_calls
 
 
 def test_batch_judges_each_point_at_its_own_scale():
@@ -434,11 +518,15 @@ def test_find_roots_finds_the_predicted_roots(a2, b2, delta):
         assert np.sign(root.jac_det) == np.sign(det)
 
 
-def test_large_batches_are_evaluated_in_bounded_chunks(monkeypatch):
+@pytest.mark.parametrize("path", ["polynomial", "sampled"])
+def test_large_batches_are_evaluated_in_bounded_chunks(monkeypatch, path):
     """A 1600-point grid at N = 512 (2N = 1024 samples per point) splits
-    into chunks: it peaks at about 53 MB when evaluated whole and at about
-    9 MB in chunks."""
+    into chunks: on the sampled path it peaks at about 53 MB when
+    evaluated whole and at about 9 MB in chunks. The polynomial path
+    samples nothing per point but takes the same chunks."""
     sys = slice_system(1.0, 5.0, 2.0)
+    if path == "sampled":
+        sys = sampled(sys)
     q = QuadratureSpec(nodes=512)
     z = np.array(np.meshgrid(np.linspace(0.5, 8.0, 40),
                              np.linspace(-2.0, 2.0, 40), indexing="ij"))

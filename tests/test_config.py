@@ -6,7 +6,7 @@ import pytest
 
 from averager.averaging import QuadratureSpec
 from averager.config import ConfigError, from_dict, load_config, to_dict
-from averager.shooting import IntegratorSpec
+from averager.shooting import MAX_TOL, IntegratorSpec
 
 
 def minimal_doc():
@@ -143,9 +143,10 @@ def test_type_errors_have_path_context():
 def test_unrunnable_integrator_budgets_rejected():
     """max_steps below 1 fails every return; tol below 100 machine
     epsilons asks for steps that would only resolve round-off, and tol
-    from 1 on leaves an order of 1, too low to estimate a step from."""
+    above MAX_TOL locates orbits that drift from the true ones."""
     for key, value in (("max_steps", 0), ("max_steps", -3),
-                       ("tol", 1.0), ("tol", 2.0),
+                       ("tol", 1.0), ("tol", 2.0), ("tol", 0.5),
+                       ("tol", 2.0 * MAX_TOL),
                        ("tol", 1e-20), ("tol", 2e-14)):
         doc = minimal_doc()
         doc["integrator"] = {key: value}
@@ -154,8 +155,8 @@ def test_unrunnable_integrator_budgets_rejected():
     doc = minimal_doc()
     doc["integrator"] = {"max_steps": 1, "tol": 2.3e-14}
     assert from_dict(doc).integrator.max_steps == 1
-    doc["integrator"] = {"tol": 0.5}
-    assert from_dict(doc).integrator.tol == 0.5
+    doc["integrator"] = {"tol": MAX_TOL}
+    assert from_dict(doc).integrator.tol == MAX_TOL
 
 
 def test_invalid_delta_is_config_error():
