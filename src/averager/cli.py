@@ -2,10 +2,11 @@
 
 Subcommands classify, average, orbits and sweep drive the full pipeline
 from a JSON config file. Every command writes a summary.json into the
-output directory; orbits and sweep additionally emit orbit_<i>.csv traces
-with columns t,x,y,z at 17 significant digits, each the record's trace:
-the dense output of the return that located the orbit, sampled at 512
-times over one period. Output is deterministic: re-running a command
+output directory; a run refused on the hypotheses, or an average whose
+quadrature did not converge, records why under "error". orbits and
+sweep additionally emit orbit_<i>.csv traces with columns t,x,y,z at 17
+significant digits, each the record's trace: the dense output of the
+return that located the orbit, sampled at 512 times over one period. Output is deterministic: re-running a command
 with the same config produces byte-identical files.
 
 orbits and sweep both run shooting.sweep_epsilon, which checks the
@@ -209,11 +210,23 @@ def cmd_average(cfg: RunConfig, out_dir: Path, args) -> int:
     slice_u = replace(u, a1=0.0, b1=0.0)
     sys_second = jerk_standard_form(slice_u)
 
+    doc = {
+        "command": "average",
+        "config": to_dict(cfg),
+        "grid": {"r": [GRID_R[0], GRID_R[1], GRID_N],
+                 "w": [GRID_W[0], GRID_W[1], GRID_N]},
+    }
     z = np.array(np.meshgrid(np.linspace(*GRID_R, GRID_N),
                              np.linspace(*GRID_W, GRID_N), indexing="ij"))
-    f_num = average_first(sys_first, z, cfg.quadrature)
+    try:
+        f_num = average_first(sys_first, z, cfg.quadrature)
+        g_num = average_second(sys_second, z, cfg.quadrature)
+    except QuadratureNotConverged as exc:
+        doc["error"] = {"kind": type(exc).__name__, "reason": str(exc)}
+        print(f"quadrature not converged: {exc}", file=sys.stderr)
+        _write_summary(out_dir, doc, args)
+        return EXIT_ORACLE
     f_ref = f_closed(*z, u.a1, u.b1, u.delta)
-    g_num = average_second(sys_second, z, cfg.quadrature)
     g_ref = g_closed(*z, u.a2, u.b2, u.delta)
     dev_first = float(np.max(np.abs(f_num - f_ref)))
     dev_second = float(np.max(np.abs(g_num - g_ref)))
@@ -223,17 +236,13 @@ def cmd_average(cfg: RunConfig, out_dir: Path, args) -> int:
                "g1_num,g2_num,g1_closed,g2_closed", table)
 
     ok = max(dev_first, dev_second) <= ORACLE_TOL
-    doc = {
-        "command": "average",
-        "config": to_dict(cfg),
-        "grid": {"r": [GRID_R[0], GRID_R[1], GRID_N],
-                 "w": [GRID_W[0], GRID_W[1], GRID_N]},
+    doc.update({
         "max_abs_dev_first": dev_first,
         "max_abs_dev_second": dev_second,
         "tolerance": ORACLE_TOL,
         "oracle_ok": ok,
         "table": "average_table.csv",
-    }
+    })
     if u.a1 != 0.0 or u.b1 != 0.0:
         doc["second_order_note"] = (
             "second-order comparison evaluated at a1 = b1 = 0; the closed "
@@ -364,9 +373,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except QuadratureNotConverged as exc:
-        print(f"quadrature not converged: {exc}", file=sys.stderr)
-        return EXIT_ORACLE
 
 
 if __name__ == "__main__":

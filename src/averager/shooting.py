@@ -16,13 +16,14 @@ dense output.
 Newton starts from up to three candidate seeds, in this order: mirror,
 warm-start and section-image. The field is odd, (x, y, z) -> -(x, y, z)
 maps orbits to orbits, so the paired roots (r, w) and (r, -w) predict
-two orbits that are point reflections of each other. Once the +w orbit
-is located, the mirror seed of the -w orbit is its partner's crossing of
-the mirrored section {z = 0, y < 0}, reflected: half a return, after
-which Newton typically accepts on the first full one. A warm start is
-the fixed point of a nearby eps, and the section image is the theta = 0
-image of the averaged root. Every orbit is accepted only on its own
-return, whatever its seed.
+two orbits that are point reflections of each other. Every return also
+keeps its first upward crossing of the mirrored section {z = 0, y < 0};
+once the +w orbit is located, the mirror seed of the -w orbit is that
+crossing of its partner's accepted return, reflected. The seed costs no
+integration of its own, and Newton typically accepts on the first return
+from it. A warm start is the fixed point of a nearby eps, and the section
+image is the theta = 0 image of the averaged root. Every orbit is
+accepted only on its own return, whatever its seed.
 
 The field is a cubic polynomial, so every flow is integrated by a Taylor
 series method (Jorba and Zou, Experimental Mathematics 14, 2005): short
@@ -159,9 +160,13 @@ class PeriodicOrbitRecord:
     #: (times, states): TRACE_SAMPLES uniform times over [0, period] and the
     #: (TRACE_SAMPLES, 3) states there, from the return that located the orbit
     trace: tuple
+    #: (x, y) of the first upward crossing of {z = 0, y < 0} on the return
+    #: that located the orbit, or None when that return lands first;
+    #: reflected, it is the mirror seed of the partner orbit
+    mirror_crossing: Optional[np.ndarray]
     #: the candidate Newton converged from: mirror, warm-start or section-image
     seed_candidate: str
-    #: poincare_return calls spent on this orbit, the mirror half-leg included
+    #: poincare_return calls spent on this orbit
     returns: int
     #: |trivial Floquet multiplier - 1|
     trivial_multiplier_defect: float
@@ -295,25 +300,23 @@ def _crossing_root(poly: list, lo: float, hi: float) -> float:
     return u
 
 
-def poincare_return(p: SystemParams, q, spec: IntegratorSpec,
-                    orientation: int = -1):
-    """First return to the section {z = 0} with the chosen orientation.
+def poincare_return(p: SystemParams, q, spec: IntegratorSpec):
+    """First return to the section {z = 0, y > 0}, crossed with dz/dt < 0.
 
-    The default orientation -1 is the section {z = 0, y > 0} crossed with
-    dz/dt < 0; orientation +1 is its mirror image {z = 0, y < 0} crossed
-    upward, which the odd symmetry of the field maps onto the default one.
-    A crossing is admissible when z changes sign in the orientation
-    direction and y * orientation < 0; a start exactly on the section does
-    not count as one.
+    A crossing is admissible when z changes sign downward and y > 0; a
+    start exactly on the section does not count as one. On the way, the
+    first upward crossing with y < 0 is kept too: the crossing of the
+    mirrored section, which the odd symmetry of the field maps onto the
+    section.
 
     The return is one Taylor leg of the state from (q, 0), every step of
     the order and length that spec.tol sets (see the module docstring).
     Each step's z polynomial is sampled at the _CROSSING_FRACTIONS of the
-    step; each sign change in the orientation direction is polished to a
-    root by Newton on that polynomial, and one that fails the y test is
-    skipped. Phi at the first admissible crossing then comes from
-    _leg_transition: one batched linear solve over the leg's steps, from
-    the Jacobian series each step kept.
+    step; each downward sign change, and each upward one until the mirror
+    crossing is found, is polished to a root by Newton on that polynomial,
+    and one that fails its y test is skipped. Phi at the first admissible
+    crossing then comes from _leg_transition: one batched linear solve
+    over the leg's steps, from the Jacobian series each step kept.
 
     Parameters
     ----------
@@ -322,13 +325,15 @@ def poincare_return(p: SystemParams, q, spec: IntegratorSpec,
 
     Returns
     -------
-    ((x', y'), flight_time, dP/dq, Phi, flow) at the polished root of the
-    crossing. Phi is the fundamental matrix over the flight from (q, 0),
-    the monodromy matrix at a fixed point; dP/dq is Phi projected along
-    the field f at the crossing onto the section,
+    ((x', y'), flight_time, dP/dq, Phi, flow, mirror) at the polished root
+    of the crossing. Phi is the fundamental matrix over the flight from
+    (q, 0), the monodromy matrix at a fixed point; dP/dq is Phi projected
+    along the field f at the crossing onto the section,
     (Phi - outer(f, Phi[2]) / f[2])[:2, :2]. flow maps an array of times
     in [0, flight_time] to the (len(t), 3) states there, read from the
     Taylor polynomials of the leg's steps; flow(0) is (q, 0) exactly.
+    mirror is (x, y) at the polished first upward crossing with y < 0,
+    or None when the return lands first.
 
     Raises
     ------
@@ -344,6 +349,7 @@ def poincare_return(p: SystemParams, q, spec: IntegratorSpec,
     t = 0.0
     starts, polys = [], []  # start time and coefficients of each step
     lengths, jacobians = [], []  # length and Jacobian series of each step
+    mirror = None
     while t < RETURN_T_MAX:
         if len(polys) == spec.max_steps:
             raise StepLimitExceeded(
@@ -366,12 +372,15 @@ def poincare_return(p: SystemParams, q, spec: IntegratorSpec,
         z = coef[:, 2] * h ** powers  # z as a polynomial in u = tau / h
         samples = (fraction_powers @ z).tolist()
         for i in range(len(samples) - 1):
-            if orientation * samples[i] < 0.0 <= orientation * samples[i + 1]:
+            down = samples[i] > 0.0 >= samples[i + 1]
+            if down or (mirror is None and samples[i] < 0.0 <= samples[i + 1]):
                 u = _crossing_root(z.tolist(), _CROSSING_FRACTIONS[i],
                                    _CROSSING_FRACTIONS[i + 1])
                 s = (u * h) ** powers @ coef
-                if s[1] * orientation < 0.0:
+                if down and s[1] > 0.0:
                     break
+                if not down and s[1] < 0.0:
+                    mirror = s[:2]
         else:
             lengths.append(h)
             s = (h ** powers @ coef).tolist()
@@ -396,7 +405,7 @@ def poincare_return(p: SystemParams, q, spec: IntegratorSpec,
 
     f = vector_field(p, s)
     jac = (phi - np.outer(f, phi[2]) / f[2])[:2, :2]
-    return s[:2], t + lengths[-1], jac, phi, flow
+    return s[:2], t + lengths[-1], jac, phi, flow, mirror
 
 
 def _nontrivial_multipliers(mono: np.ndarray):
@@ -465,10 +474,9 @@ def shoot_orbit(
 
     - mirror, when partner is given: the located orbit of the mirror root
       (r, -w) at this eps. The field is odd, so the point reflection of
-      the partner is an orbit too; the seed is the partner's crossing of
-      the mirrored section {z = 0, y < 0}, reflected. That half-leg is
-      one poincare_return with orientation +1; when it fails, there is no
-      mirror candidate and its failure is recorded.
+      the partner is an orbit too; the seed is the partner's
+      mirror_crossing, reflected, and costs no return. A partner without
+      one gives no mirror candidate, and that is recorded as its failure.
     - warm-start, an explicit initial_point, e.g. the fixed point of a
       nearby eps;
     - section-image, eps*(w, r), the theta = 0 image of the root under the
@@ -485,8 +493,8 @@ def shoot_orbit(
     Newton step that would follow it, the two nontrivial Floquet
     multipliers and the trivial one's distance from 1, the trace of one
     period, sampled from the dense output of the return at the fixed
-    point, the candidate that converged and the returns spent on the
-    orbit.
+    point, that return's mirror crossing, the candidate that converged
+    and the returns spent on the orbit.
 
     Raises
     ------
@@ -494,8 +502,8 @@ def shoot_orbit(
     candidate converges: Newton fails, the return from the candidate
     raises one of the _RETURN_ERRORS, or Newton converges to within
     eps * r / 10 of the equilibrium at the origin. Its message names each
-    candidate's failure, the mirror half-leg's included. ValueError for
-    eps outside (0, MAX_EPS] or a partner located at another eps.
+    candidate's failure. ValueError for eps outside (0, MAX_EPS] or a
+    partner located at another eps.
     """
     spec = spec or IntegratorSpec()
     r, w = float(seed[0]), float(seed[1])
@@ -508,20 +516,16 @@ def shoot_orbit(
     p = unfold(u, eps)
     returns = 0
 
-    def return_map(q, orientation=-1):
+    def return_map(q):
         nonlocal returns
         returns += 1
-        return poincare_return(p, q, spec, orientation)
+        return poincare_return(p, q, spec)
 
-    failures = []
-    candidates = []
-    if partner is not None:
-        try:
-            crossing = return_map(partner.section_point, orientation=+1)[0]
-        except _RETURN_ERRORS as exc:
-            failures.append(f"mirror: {type(exc).__name__}: {exc}")
-        else:
-            candidates.append(("mirror", -crossing))
+    failures, candidates = [], []
+    if partner is not None and partner.mirror_crossing is None:
+        failures.append("mirror: the partner's return has no mirror crossing")
+    elif partner is not None:
+        candidates.append(("mirror", -partner.mirror_crossing))
     if initial_point is not None:
         candidates.append(("warm-start", np.asarray(initial_point, dtype=float)))
     q_section = np.array([eps * w, eps * r])
@@ -539,7 +543,7 @@ def shoot_orbit(
             failures.append(f"{tag}: converged to the equilibrium at the "
                             "origin")
         else:
-            fixed, residual, (returned, period, jac, mono, flow) = found
+            fixed, residual, (returned, period, jac, mono, flow, mirror) = found
             logger.info(
                 "seed (r=%.6g, w=%.6g) eps=%.6g: converged from %s start; "
                 "fixed point at %.3e from eps*(w, r)",
@@ -566,6 +570,7 @@ def shoot_orbit(
         floquet=floq,
         seed=(r, w),
         trace=(t, flow(t)),
+        mirror_crossing=mirror,
         seed_candidate=tag,
         returns=returns,
         trivial_multiplier_defect=float(abs(trivial - 1.0)),
@@ -649,17 +654,14 @@ def sweep_epsilon(
             warm = entries[-1].records.get(i) if entries else None
             start = (None if warm is None
                      else warm.section_point * (eps / entries[-1].eps))
-            partner = None
-            mirror_root = (root[0], -root[1])
-            if root[1] < 0.0 and i > 0 and prediction.roots[i - 1] == mirror_root:
-                partner = records.get(i - 1)
+            paired = (root[1] < 0.0 and i > 0
+                      and prediction.roots[i - 1] == (root[0], -root[1]))
+            partner = records.get(i - 1) if paired else None
             try:
-                rec = shoot_orbit(u, eps, root, spec, initial_point=start,
-                                  partner=partner)
+                records[i] = shoot_orbit(u, eps, root, spec,
+                                         initial_point=start, partner=partner)
             except SHOOTING_ERRORS as exc:
                 failures[i] = f"{type(exc).__name__}: {exc}"
-                continue
-            records[i] = rec
         entries.append(SweepEntry(eps=eps, records=records, failures=failures))
 
     amp_slopes = {}

@@ -288,7 +288,7 @@ def test_orbit_records_say_how_they_were_found(tmp_path):
     assert candidates == [["section-image", "section-image", "mirror"],
                           ["warm-start", "warm-start", "mirror"]]
     for entry in entries:
-        assert entry["records"]["2"]["returns"] == 2
+        assert entry["records"]["2"]["returns"] == 1
         for rec in entry["records"].values():
             assert isinstance(rec["returns"], int) and rec["returns"] >= 1
             assert 0.0 <= rec["trivial_multiplier_defect"] < 1e-6
@@ -334,13 +334,20 @@ def test_config_errors_exit_one(tmp_path):
 
 
 def test_unconverged_quadrature_exits_three(tmp_path, capsys):
+    """The run still writes a strict-JSON summary that records why."""
     doc = {"unfolding": {"a2": 1.0, "b2": 5.0, "delta": 2.0, "c1": 1e5}}
     with pytest.warns(QuadratureAccuracyWarning):
-        code, _ = run(tmp_path, "average", doc)
+        code, out = run(tmp_path, "average", doc)
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("quadrature not converged: average_second")
     assert "Traceback" not in err
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"),
+                         parse_constant=_reject_constant)
+    assert summary["command"] == "average"
+    assert summary["error"]["kind"] == "QuadratureNotConverged"
+    assert summary["error"]["reason"].startswith("average_second")
+    assert "oracle_ok" not in summary
 
 
 def test_overflowed_deviation_is_written_as_null(tmp_path):

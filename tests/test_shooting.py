@@ -1,5 +1,7 @@
 """Full-system confirmation: return map and its flow, shooting, sweep."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -12,7 +14,6 @@ from averager.jerk import SystemParams, jacobian_at, vector_field
 from averager.normal_form import UnfoldingParams, unfold
 from averager.shooting import (
     IntegratorSpec,
-    NoReturn,
     SeedInvalid,
     ShootingDiverged,
     StepLimitExceeded,
@@ -53,26 +54,32 @@ def variational_rhs(p):
 
 
 def dop853_return(p, q, t_end):
-    """(return point, flight time, dP/dq) of the section map by DOP853.
+    """(return point, flight time, dP/dq, mirror crossing) by DOP853.
 
     Integrates the flow and Phi' = J Phi from (q, 0) at tolerances 1e-13
     and takes the first downward z = 0 crossing with y > 0 after a third
-    of t_end, which skips the start on the section.
+    of t_end, which skips the start on the section. The mirror crossing is
+    the first upward z = 0 crossing with y < 0 before it, or None.
     """
     from scipy.integrate import solve_ivp
 
-    def section(t, s):
+    def down(t, s):
         return s[2]
 
-    section.direction = -1.0
+    def up(t, s):
+        return s[2]
+
+    down.direction, up.direction = -1.0, 1.0
     s0 = np.concatenate([(q[0], q[1], 0.0), np.eye(3).ravel()])
     sol = solve_ivp(variational_rhs(p), (0.0, t_end), s0, method="DOP853",
-                    events=section, rtol=1e-13, atol=1e-13)
+                    events=(down, up), rtol=1e-13, atol=1e-13)
     t, s = next((t, s) for t, s in zip(sol.t_events[0], sol.y_events[0])
                 if t > t_end / 3.0 and s[1] > 0.0)
+    mirror = next((m[:2] for tm, m in zip(sol.t_events[1], sol.y_events[1])
+                   if tm < t and m[1] < 0.0), None)
     f = vector_field(p, s[:3])
     phi = s[3:].reshape(3, 3)
-    return s[:2], t, (phi - np.outer(f, phi[2]) / f[2])[:2, :2]
+    return s[:2], t, (phi - np.outer(f, phi[2]) / f[2])[:2, :2], mirror
 
 
 @pytest.mark.parametrize("unfolding, eps, q", [
@@ -86,30 +93,47 @@ def dop853_return(p, q, t_end):
     (UnfoldingParams(a2=3.0, b2=1.0, delta=1.0), 0.05, (1.1, 0.377)),
 ])
 def test_return_map_matches_dop853(unfolding, eps, q):
-    """Return point, flight time and dP/dq of the Taylor integrator at the
-    default budget agree with a DOP853 pass at 1e-13 on a fixed grid."""
+    """Return point, flight time, dP/dq and mirror crossing of the Taylor
+    integrator at the default budget agree with a DOP853 pass at 1e-13 on
+    a fixed grid."""
     check_against_dop853(unfold(unfolding, eps), q, unfolding.delta)
 
 
 def check_against_dop853(p, q, delta):
-    point, flight, jac, _, _ = poincare_return(p, q, SPEC)
-    ref_point, ref_flight, ref_jac = dop853_return(p, q, 3.0 * np.pi / delta)
+    point, flight, jac, _, _, mirror = poincare_return(p, q, SPEC)
+    ref_point, ref_flight, ref_jac, ref_mirror = dop853_return(
+        p, q, 3.0 * np.pi / delta)
     assert np.max(np.abs(point - ref_point)) < 1e-11
     assert abs(flight - ref_flight) < 1e-10
     assert np.max(np.abs(jac - ref_jac)) < 1e-10
+    assert (mirror is None) == (ref_mirror is None)
+    if mirror is not None:
+        assert np.max(np.abs(mirror - ref_mirror)) < 1e-11
+
+
+def check_odd_symmetry(p, q):
+    """The field is odd, so the flow from -q is the reflected flow from q:
+    its return is the reflected mirror crossing m of the return from q,
+    reached at the flight time of that crossing, and the return from -m
+    crosses the mirrored section at -P(q)."""
+    point, _, _, _, flow, mirror = poincare_return(p, q, SPEC)
+    half, t_half, _, _, _, _ = poincare_return(p, -q, SPEC)
+    assert np.max(np.abs(half + mirror)) < 1e-9
+    assert np.max(np.abs(flow(np.array([t_half]))[0]
+                         - [*mirror, 0.0])) < 1e-9
+    assert np.max(np.abs(poincare_return(p, -mirror, SPEC)[5]
+                         + point)) < 1e-9
 
 
 @settings(max_examples=20)
 @given(x=st.floats(-0.15, 0.15), y=st.floats(0.05, 0.6))
 def test_return_map_on_drawn_showcase_points(x, y):
     """On section points drawn from the showcase box, the return agrees
-    with DOP853 at the bounds above, and the mirrored section gives the
-    mirrored map: P+(-q) = -P-(q)."""
+    with DOP853 at the bounds above, its mirror crossing included, and
+    obeys the odd symmetry of the field."""
     p = unfold(THREE_ORBIT, EPS)
     check_against_dop853(p, (x, y), THREE_ORBIT.delta)
-    fwd = poincare_return(p, (x, y), SPEC)[0]
-    mir = poincare_return(p, (-x, -y), SPEC, orientation=+1)[0]
-    assert np.max(np.abs(mir + fwd)) < 1e-9
+    check_odd_symmetry(p, np.array([x, y]))
 
 
 def test_integrate_linearized_rotation():
@@ -120,7 +144,7 @@ def test_integrate_linearized_rotation():
     """
     p = SystemParams(0.0, 0.0, -4.0)
     tight = IntegratorSpec(tol=1e-13)
-    _, flight, _, _, flow = poincare_return(p, (0.0, 1e-6), tight)
+    _, flight, _, _, flow, _ = poincare_return(p, (0.0, 1e-6), tight)
     assert abs(flight - np.pi) < 1e-9
     y = flow(np.array([np.pi / 2.0, np.pi]))[:, 1]
     assert abs(y[0] + 1e-6) < 1e-12
@@ -149,24 +173,19 @@ def test_integrator_budget_errors():
 
 def test_return_flight_time_near_linear_period():
     p = SystemParams(0.0, 0.0, -4.0)
-    _, flight, _, _, _ = poincare_return(p, (0.001, 0.001), SPEC)
+    _, flight, _, _, _, _ = poincare_return(p, (0.001, 0.001), SPEC)
     assert abs(flight - np.pi) < 1e-3
 
 
 def test_return_flight_time_perturbed():
     p = unfold(THREE_ORBIT, EPS)
-    _, flight, _, _, _ = poincare_return(p, (0.2, 0.4), SPEC)
+    _, flight, _, _, _, _ = poincare_return(p, (0.2, 0.4), SPEC)
     assert abs(flight - np.pi) < 0.02 * np.pi
 
 
 def test_return_map_equivariance():
     """The field is odd, so the mirrored section gives the mirrored map."""
-    p = unfold(THREE_ORBIT, EPS)
-    q = np.array([0.05, 0.35])
-    fwd, t_fwd, _, _, _ = poincare_return(p, q, SPEC, orientation=-1)
-    mir, t_mir, _, _, _ = poincare_return(p, -q, SPEC, orientation=+1)
-    assert np.max(np.abs(mir + fwd)) < 1e-9
-    assert abs(t_mir - t_fwd) < 1e-9
+    check_odd_symmetry(unfold(THREE_ORBIT, EPS), np.array([0.05, 0.35]))
 
 
 def test_shoot_first_root(records):
@@ -193,23 +212,24 @@ def test_shoot_three_distinct_orbits(records):
 def test_mirrored_seed_orbits_are_reflections(records):
     """The +w and -w orbits are point reflections of each other.
 
-    Following the +w orbit to its opposite-direction section crossing and
-    reflecting lands on the -w orbit's section point.
+    The +w orbit's crossing of the mirrored section, the one its record
+    keeps, reflected, is the -w orbit's section point.
     """
     p = unfold(THREE_ORBIT, EPS)
     q_plus = records[1].section_point
     q_minus = records[2].section_point
-    point, flight, _, _, flow = poincare_return(p, q_plus, SPEC,
-                                                orientation=+1)
+    _, _, _, _, flow, mirror = poincare_return(p, q_plus, SPEC)
+    assert np.array_equal(records[1].mirror_crossing, mirror)
     # the crossing lies on the section
-    assert abs(flow(np.array([flight]))[0, 2]) < 1e-12
-    assert np.max(np.abs(-point - q_minus)) < 1e-8
+    t_half = poincare_return(p, -q_plus, SPEC)[1]
+    assert abs(flow(np.array([t_half]))[0, 2]) < 1e-12
+    assert np.max(np.abs(-mirror - q_minus)) < 1e-8
 
 
 def test_trivial_floquet_multiplier(records):
     p = unfold(THREE_ORBIT, EPS)
     for rec in records:
-        _, _, _, mono, _ = poincare_return(p, rec.section_point, SPEC)
+        _, _, _, mono, _, _ = poincare_return(p, rec.section_point, SPEC)
         mults = np.linalg.eigvals(mono)
         assert np.min(np.abs(mults - 1.0)) < 1e-6
         assert rec.floquet.shape == (2,)
@@ -242,7 +262,7 @@ def test_return_jacobian_matches_central_differences(records):
     h = 1e-5
     for rec in records:
         q = rec.section_point + np.array([2e-3, -1e-3])
-        _, _, jac, _, _ = poincare_return(p, q, SPEC)
+        _, _, jac, _, _, _ = poincare_return(p, q, SPEC)
         fd = np.empty((2, 2))
         for j in range(2):
             dq = np.zeros(2)
@@ -261,7 +281,7 @@ def test_monodromy_determinant_obeys_liouville(eps):
     roots = predicted_roots(THREE_ORBIT.a2, THREE_ORBIT.b2,
                             THREE_ORBIT.delta).roots
     for r, w in roots:
-        _, flight, _, phi, _ = poincare_return(p, (eps * w, eps * r), SPEC)
+        _, flight, _, phi, _, _ = poincare_return(p, (eps * w, eps * r), SPEC)
         assert abs(np.linalg.det(phi) - np.exp(-p.a * flight)) < 1e-11
 
 
@@ -271,7 +291,7 @@ def test_leg_transition_matches_dop853():
     from scipy.integrate import solve_ivp
 
     p = unfold(THREE_ORBIT, EPS)
-    _, flight, _, phi, _ = poincare_return(p, (0.0, 0.447), SPEC)
+    _, flight, _, phi, _, _ = poincare_return(p, (0.0, 0.447), SPEC)
     s0 = np.concatenate([(0.0, 0.447, 0.0), np.eye(3).ravel()])
     sol = solve_ivp(variational_rhs(p), (0.0, flight), s0, method="DOP853",
                     rtol=1e-13, atol=1e-13)
@@ -282,7 +302,7 @@ def test_shoot_reports_the_return_at_the_fixed_point(records):
     """Period and residual are those of the return map at the fixed point."""
     p = unfold(THREE_ORBIT, EPS)
     for rec in records:
-        returned, flight, _, _, _ = poincare_return(p, rec.section_point,
+        returned, flight, _, _, _, _ = poincare_return(p, rec.section_point,
                                                     SPEC)
         assert rec.period == flight
         assert rec.residual == float(np.linalg.norm(returned
@@ -331,11 +351,11 @@ def test_failed_trial_return_halves_the_newton_step(monkeypatch):
     cold = shoot_orbit(THREE_ORBIT, EPS, (4.0, 0.0), SPEC)
     calls = []
 
-    def first_trial_blows_up(p, q, spec, orientation=-1):
+    def first_trial_blows_up(p, q, spec):
         calls.append(q)
         if len(calls) == 2:
             raise StepUnderflow("blow-up on the first trial")
-        return poincare_return(p, q, spec, orientation)
+        return poincare_return(p, q, spec)
 
     monkeypatch.setattr(shooting, "poincare_return", first_trial_blows_up)
     rec = shoot_orbit(THREE_ORBIT, EPS, (4.0, 0.0), SPEC)
@@ -425,13 +445,12 @@ def test_sweep_refuses_nonzero_first_order_coefficients():
 
 def test_the_mirror_orbit_is_seeded_from_its_partner(records):
     """In a sweep the -w orbit starts from the reflected partner crossing:
-    one half-leg and one full return, and the orbit that a shot without a
-    partner locates."""
+    one return, and the orbit that a shot without a partner locates."""
     entry = sweep_epsilon(THREE_ORBIT, [EPS], SPEC).entries[0]
     assert [rec.seed_candidate for rec in entry.records.values()] == [
         "section-image", "section-image", "mirror"]
     mirror = entry.records[2]
-    assert mirror.returns == 2
+    assert mirror.returns == 1
     assert mirror.residual < 1e-10
     assert np.max(np.abs(mirror.section_point
                          - records[2].section_point)) < 1e-9
@@ -441,16 +460,17 @@ def test_the_mirror_orbit_is_seeded_from_its_partner(records):
 def test_returns_count_every_return_spent_on_the_orbit(monkeypatch):
     calls = []
 
-    def counted(p, q, spec, orientation=-1):
-        calls.append(orientation)
-        return poincare_return(p, q, spec, orientation)
+    def counted(p, q, spec):
+        calls.append(q)
+        return poincare_return(p, q, spec)
 
     monkeypatch.setattr(shooting, "poincare_return", counted)
     result = sweep_epsilon(THREE_ORBIT, [EPS, 0.05], SPEC)
     spent = [rec.returns for entry in result.entries
              for rec in entry.records.values()]
     assert sum(spent) == len(calls)
-    assert calls.count(+1) == 2  # one half-leg per mirror orbit
+    # a mirror seed costs no return of its own
+    assert [entry.records[2].returns for entry in result.entries] == [1, 1]
 
 
 def test_record_reports_newton_step_and_trivial_defect(records):
@@ -459,7 +479,7 @@ def test_record_reports_newton_step_and_trivial_defect(records):
     both from the return at the fixed point."""
     p = unfold(THREE_ORBIT, EPS)
     for rec in records:
-        returned, _, jac, mono, _ = poincare_return(p, rec.section_point, SPEC)
+        returned, _, jac, mono, _, _ = poincare_return(p, rec.section_point, SPEC)
         step = np.linalg.solve(jac - np.eye(2), rec.section_point - returned)
         assert rec.newton_step == float(np.linalg.norm(step))
         assert rec.trivial_multiplier_defect == float(
@@ -467,22 +487,28 @@ def test_record_reports_newton_step_and_trivial_defect(records):
         assert rec.trivial_multiplier_defect < 1e-6
 
 
-def test_mirror_half_leg_that_fails_leaves_the_other_candidates(
-        records, monkeypatch):
-    """A half-leg that raises NoReturn makes no mirror candidate; the -w
-    orbit is located from its section image, and the failed half-leg still
-    counts as a return spent."""
-    def no_mirror_return(p, q, spec, orientation=-1):
-        if orientation == +1:
-            raise NoReturn("no mirrored crossing")
-        return poincare_return(p, q, spec, orientation)
-
-    monkeypatch.setattr(shooting, "poincare_return", no_mirror_return)
+def test_partner_without_a_mirror_crossing_leaves_the_other_candidates(
+        records):
+    """A partner whose return landed before crossing the mirrored section
+    gives no mirror candidate: the -w orbit is located from its other
+    candidates at no extra return, and when they fail too the message
+    still names the mirror."""
+    partner = dataclasses.replace(records[1], mirror_crossing=None)
     rec = shoot_orbit(THREE_ORBIT, EPS, records[2].seed, SPEC,
-                      partner=records[1])
+                      partner=partner)
     assert rec.seed_candidate == "section-image"
-    assert rec.returns == records[2].returns + 1
+    assert rec.returns == records[2].returns
     assert np.array_equal(rec.section_point, records[2].section_point)
+    warm = shoot_orbit(THREE_ORBIT, EPS, records[2].seed, SPEC,
+                       initial_point=records[2].section_point,
+                       partner=partner)
+    assert warm.seed_candidate == "warm-start"
+    with pytest.raises(ShootingDiverged, match="mirror: the partner's return"
+                       " has no mirror crossing; warm-start: StepLimitExceeded"
+                       ".*section-image: StepLimitExceeded"):
+        shoot_orbit(THREE_ORBIT, EPS, records[2].seed,
+                    IntegratorSpec(max_steps=2),
+                    initial_point=records[2].section_point, partner=partner)
 
 
 def test_a_failed_partner_leaves_the_mirror_orbit_to_its_other_seeds(
@@ -551,8 +577,8 @@ def test_odd_symmetry_maps_the_plus_w_orbit_onto_the_minus_w_orbit(r, w,
     plus, minus = result.entries[0].records[0], result.entries[0].records[1]
     assert minus.seed_candidate == "mirror"
     p = unfold(u, EPS)
-    crossing = poincare_return(p, plus.section_point, SPEC, orientation=+1)
-    assert np.max(np.abs(-crossing[0] - minus.section_point)) < 1e-9
+    crossing = poincare_return(p, plus.section_point, SPEC)[5]
+    assert np.max(np.abs(-crossing - minus.section_point)) < 1e-9
     alone = shoot_orbit(u, EPS, minus.seed, SPEC)
     assert alone.seed_candidate == "section-image"
     assert np.max(np.abs(alone.section_point - minus.section_point)) < 1e-9
