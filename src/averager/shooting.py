@@ -27,23 +27,25 @@ accepted only on its own return, whatever its seed.
 
 The field is a cubic polynomial, so every flow is integrated by a Taylor
 series method (Jorba and Zou, Experimental Mathematics 14, 2005): short
-recurrences give the Taylor coefficients of the state, and the step
-polynomials are the dense output. The tol of an IntegratorSpec sets every
-step by Jorba and Zou's rule with equal absolute and relative tolerances:
-the order is ceil(1 - ln(tol) / 2), the same for every step of a return,
-and the step is the radius of convergence estimated from the last two
-coefficients on the scale max(1, |s|_inf), divided by e^2. A return is one
-leg of such steps, scanned for the first admissible section crossing;
-max_steps bounds the steps of one return.
+recurrences give the Taylor coefficients of the state, at two Cauchy
+products per order, and the step polynomials are the dense output. The
+tol of an IntegratorSpec sets every step by Jorba and Zou's rule with
+equal absolute and relative tolerances: the order is ceil(1 - ln(tol) / 2),
+the same for every step of a return, and the step is the radius of
+convergence estimated from the last two coefficients on the scale
+max(1, |s|_inf), divided by e^2. A return is one leg of such steps,
+scanned for the first admissible section crossing; max_steps bounds the
+steps of one return.
 
 The variational equations Phi' = J Phi are linear in Phi, so they need no
-step-by-step recurrence of their own. Each step keeps the Taylor series
-of the state-dependent entries of J, which the state recurrence computes
-anyway. Once the crossing is found, the Taylor coefficients of every
-step's transition matrix solve one lower-triangular system per step, in
-one batched solve over the leg; the leg's Phi is the ordered product of
-the transitions, each evaluated at its step length and the last one at
-the crossing.
+step-by-step recurrence of their own. Each step keeps its x and
+y^2 - x^2 series, which the state recurrence computes anyway. Once the
+crossing is found, one batched product of the steps' x series gives
+x^2, and with it the Taylor series of the state-dependent entries of J
+on every step. The Taylor coefficients of every step's transition matrix
+then solve one lower-triangular system per step, in one batched solve
+over the leg; the leg's Phi is the ordered product of the transitions,
+each evaluated at its step length and the last one at the crossing.
 """
 
 from __future__ import annotations
@@ -97,6 +99,10 @@ MAX_TOL = 1e-6
 #: fractions of a Taylor step at which its z polynomial is sampled for a
 #: crossing: the start, 8 interior points and the end
 _CROSSING_FRACTIONS = np.linspace(0.0, 1.0, 10)
+
+#: relative margin by which |z_0| must exceed the sum of the other terms of
+#: a step's z polynomial for the step to be passed over without sampling
+_SIGN_MARGIN = 1e-9
 
 
 class StepLimitExceeded(RuntimeError):
@@ -177,34 +183,59 @@ class PeriodicOrbitRecord:
 
 
 def _taylor_coefficients(p: SystemParams, s: list, order: int):
-    """Taylor coefficients of the flow at s and of row 2 of its Jacobian.
+    """Taylor coefficients of the flow at s, and of y^2 - x^2.
 
-    Returns the (order + 1, 3) array whose k-th row holds the k-th
-    coefficients of (x, y, z), and the (2, order) series of
-    (-b + y^2 - 3 x^2, c + 2 x y), the entries of row 2 of J that vary
-    along the flow. z' = -a z - b x + c y + x (y^2 - x^2) takes the Cauchy
-    products x^2, xy, y^2 and x (y^2 - x^2); the Jacobian series are made
-    of the same products.
+    Returns the lists x, y and z of the order + 1 coefficients of each
+    coordinate, and the list of the coefficients 0 to order - 1 of
+    y^2 - x^2. z' = -a z - b x + c y + x (y^2 - x^2) takes two Cauchy
+    products per order: y^2 - x^2 as (y - x)(y + x), and x (y^2 - x^2).
+    The x and y^2 - x^2 series are all _jacobian_series needs.
     """
     a, b, c = p.a, p.b, p.c
     x, y, z = [s[0]], [s[1]], [s[2]]
+    minus, plus = [s[1] - s[0]], [s[1] + s[0]]  # y - x, y + x
     quad = []  # y^2 - x^2
-    jac_x, jac_y = [], []
     for k in range(order):
-        xx = sum(map(mul, x, reversed(x)))
-        xy = sum(map(mul, x, reversed(y)))
-        yy = sum(map(mul, y, reversed(y)))
-        quad.append(yy - xx)
-        jac_x.append(yy - 3.0 * xx)
-        jac_y.append(2.0 * xy)
+        quad.append(sum(map(mul, minus, reversed(plus))))
         inv = 1.0 / (k + 1)
         z.append((c * y[k] - b * x[k] - a * z[k]
                   + sum(map(mul, x, reversed(quad)))) * inv)
         x.append(y[k] * inv)
         y.append(z[k] * inv)
-    jac_x[0] -= b
-    jac_y[0] += c
-    return np.array([x, y, z]).T, (jac_x, jac_y)
+        minus.append(y[-1] - x[-1])
+        plus.append(y[-1] + x[-1])
+    return x, y, z, quad
+
+
+@cache
+def _antidiagonal_sums(n: int) -> np.ndarray:
+    """The (n * n, n) matrix that sums the flattened outer product of two
+    series along its antidiagonals: their Cauchy product to n terms."""
+    m = np.arange(n)
+    return np.equal.outer(np.add.outer(m, m).ravel(), m).astype(float)
+
+
+def _jacobian_series(p: SystemParams, xs: list, quads: list) -> np.ndarray:
+    """Taylor series of the entries of row 2 of J on every step of a leg.
+
+    xs and quads hold the x and y^2 - x^2 coefficients of each step, from
+    _taylor_coefficients. The entries that vary along the flow are
+    -b + y^2 - 3 x^2 = -b + (y^2 - x^2) - 2 x^2 and c + 2 x y, and as
+    x' = y, 2 x y is (x^2)', whose k-th coefficient is (k + 1) (x^2)_{k+1}.
+    So x^2 is the one series left to build: one batched product of the
+    steps' x coefficients, summed along antidiagonals. Returns the
+    (steps, 2, order) array of the two series.
+    """
+    x = np.array(xs)
+    steps, n = x.shape
+    square = ((x[:, :, None] * x[:, None, :]).reshape(steps, -1)
+              @ _antidiagonal_sums(n))
+    jac = np.empty((steps, 2, n - 1))
+    jac[:, 0] = np.array(quads) - 2.0 * square[:, :-1]
+    jac[:, 1] = square[:, 1:] * np.arange(1, n)
+    jac[:, 0, 0] -= p.b
+    jac[:, 1, 0] += p.c
+    return jac
 
 
 @cache
@@ -215,7 +246,7 @@ def _transition_system(order: int):
     Psi(0) = I, has Taylor coefficients u_{k+1} = v_k / (k + 1),
     v_{k+1} = w_k / (k + 1) and
     w_{k+1} = (sum_j J0_j u_{k-j} + J1_j v_{k-j} - a w_k) / (k + 1),
-    where J0 and J1 are the Jacobian series of _taylor_coefficients. So
+    where J0 and J1 are the series of _jacobian_series. So
     u_m = alpha_m c_m and v_m = beta_m c_{m+1} for the unknowns
     c = (u_0, v_0, w_0, ..., w_order), where alpha_m = 1 / (m (m - 1)) for
     m >= 2, beta_m = 1 / m for m >= 1, and both are 1 below that. The
@@ -246,19 +277,22 @@ def _transition_system(order: int):
     return fixed, basis.reshape(2 * order, n * n), sub, gains
 
 
-def _leg_transition(a: float, lengths: list, jacobians: list) -> np.ndarray:
+def _leg_transition(p: SystemParams, lengths: list, xs: list,
+                    quads: list) -> np.ndarray:
     """Fundamental matrix, from the identity, over a leg of Taylor steps.
 
-    lengths and jacobians hold the length and the Jacobian series of each
-    step in order. The steps share one order, so one batched solve of
-    _transition_system gives every step's transition; the leg's matrix is
-    their ordered product.
+    lengths, xs and quads hold the length and the x and y^2 - x^2
+    coefficients of each step in order. The steps share one order, so one
+    _jacobian_series call gives the Jacobian series of every step, and one
+    batched solve of _transition_system every step's transition; the
+    leg's matrix is their ordered product.
     """
-    order = len(jacobians[0][0])
+    jac = _jacobian_series(p, xs, quads)
+    steps, _, order = jac.shape
     fixed, basis, sub, gains = _transition_system(order)
     n = len(fixed)
-    jac = np.array(jacobians).reshape(len(jacobians), -1)
-    lower = fixed + a * sub - (jac @ basis).reshape(-1, n, n)
+    lower = (fixed + p.a * sub
+             - (jac.reshape(steps, -1) @ basis).reshape(-1, n, n))
     coef = np.linalg.solve(lower, np.eye(n, 3))
     weights = (np.array(lengths)[:, None] ** np.arange(order + 1)
                @ gains.reshape(order + 1, -1)).reshape(-1, 3, n)
@@ -311,12 +345,13 @@ def poincare_return(p: SystemParams, q, spec: IntegratorSpec):
 
     The return is one Taylor leg of the state from (q, 0), every step of
     the order and length that spec.tol sets (see the module docstring).
-    Each step's z polynomial is sampled at the _CROSSING_FRACTIONS of the
-    step; each downward sign change, and each upward one until the mirror
-    crossing is found, is polished to a root by Newton on that polynomial,
-    and one that fails its y test is skipped. Phi at the first admissible
-    crossing then comes from _leg_transition: one batched linear solve
-    over the leg's steps, from the Jacobian series each step kept.
+    A step's z polynomial is sampled at the _CROSSING_FRACTIONS of the step
+    unless its first term outweighs the sum of the others, which rules out
+    a sign change; each downward sign change, and each upward one until
+    the mirror crossing is found, is polished to a root by Newton on that
+    polynomial, and one that fails its y test is skipped. Phi at the first
+    admissible crossing then comes from _leg_transition: one batched
+    linear solve over the leg's steps, from the series each step kept.
 
     Parameters
     ----------
@@ -330,8 +365,9 @@ def poincare_return(p: SystemParams, q, spec: IntegratorSpec):
     (q, 0), the monodromy matrix at a fixed point; dP/dq is Phi projected
     along the field f at the crossing onto the section,
     (Phi - outer(f, Phi[2]) / f[2])[:2, :2]. flow maps an array of times
-    in [0, flight_time] to the (len(t), 3) states there, read from the
-    Taylor polynomials of the leg's steps; flow(0) is (q, 0) exactly.
+    in [0, flight_time] to the (len(t), 3) states there, the Taylor
+    polynomials of the leg's steps by Horner's rule; flow(0) is (q, 0)
+    exactly.
     mirror is (x, y) at the polished first upward crossing with y < 0,
     or None when the return lands first.
 
@@ -343,22 +379,23 @@ def poincare_return(p: SystemParams, q, spec: IntegratorSpec):
     double precision resolves or the Taylor coefficients are not finite.
     """
     order = math.ceil(1.0 - 0.5 * math.log(spec.tol))
-    powers = np.arange(order + 1)
-    fraction_powers = _CROSSING_FRACTIONS[:, None] ** powers
+    powers = range(order + 1)
+    fraction_powers = _CROSSING_FRACTIONS[:, None] ** np.arange(order + 1)
     s = [float(q[0]), float(q[1]), 0.0]
     t = 0.0
-    starts, polys = [], []  # start time and coefficients of each step
-    lengths, jacobians = [], []  # length and Jacobian series of each step
+    starts, polys = [], []  # start time and (x, y, z) coefficients of each step
+    lengths, quads = [], []  # length and y^2 - x^2 coefficients of each step
     mirror = None
     while t < RETURN_T_MAX:
         if len(polys) == spec.max_steps:
             raise StepLimitExceeded(
                 f"more than {spec.max_steps} steps before t = {RETURN_T_MAX}")
-        scale = max(1.0, max(map(abs, s)))
-        coef, jac = _taylor_coefficients(p, s, order)
-        last = np.abs(coef[-2:]).max(axis=1).tolist()
-        if not max(last) < math.inf:
+        scale = max(1.0, abs(s[0]), abs(s[1]), abs(s[2]))
+        x, y, z, quad = _taylor_coefficients(p, s, order)
+        if not math.isfinite(x[-2] + y[-2] + z[-2] + x[-1] + y[-1] + z[-1]):
             raise StepUnderflow(f"non-finite Taylor coefficients at t = {t:.6g}")
+        last = (max(abs(x[-2]), abs(y[-2]), abs(z[-2])),
+                max(abs(x[-1]), abs(y[-1]), abs(z[-1])))
         radius = min((scale / norm) ** (1.0 / j) if norm > 0.0 else math.inf
                      for j, norm in zip((order - 1, order), last))
         h = radius * math.exp(-2.0)
@@ -367,45 +404,54 @@ def poincare_return(p: SystemParams, q, spec: IntegratorSpec):
                                 f"t = {t:.6g}")
         h = min(h, RETURN_T_MAX - t)
         starts.append(t)
-        polys.append(coef)
-        jacobians.append(jac)
-        z = coef[:, 2] * h ** powers  # z as a polynomial in u = tau / h
-        samples = (fraction_powers @ z).tolist()
-        for i in range(len(samples) - 1):
-            down = samples[i] > 0.0 >= samples[i + 1]
-            if down or (mirror is None and samples[i] < 0.0 <= samples[i + 1]):
-                u = _crossing_root(z.tolist(), _CROSSING_FRACTIONS[i],
-                                   _CROSSING_FRACTIONS[i + 1])
-                s = (u * h) ** powers @ coef
-                if down and s[1] > 0.0:
-                    break
-                if not down and s[1] < 0.0:
-                    mirror = s[:2]
-        else:
-            lengths.append(h)
-            s = (h ** powers @ coef).tolist()
-            t = t + h if h < RETURN_T_MAX - t else RETURN_T_MAX
-            continue
-        lengths.append(u * h)
-        break
+        polys.append((x, y, z))
+        quads.append(quad)
+        h_powers = [h ** k for k in powers]
+        zu = list(map(mul, z, h_powers))  # z as a polynomial in u = tau / h
+        landing = None
+        # z keeps the sign of zu[0] on the whole step where |zu[0]| exceeds
+        # the sum of the other |zu[k]|; the margin covers the round-off
+        if abs(zu[0]) <= (1.0 + _SIGN_MARGIN) * sum(map(abs, zu[1:])):
+            samples = (fraction_powers @ zu).tolist()
+            for i in range(len(samples) - 1):
+                down = samples[i] > 0.0 >= samples[i + 1]
+                if down or (mirror is None
+                            and samples[i] < 0.0 <= samples[i + 1]):
+                    u = _crossing_root(zu, _CROSSING_FRACTIONS[i],
+                                       _CROSSING_FRACTIONS[i + 1])
+                    tau_powers = [(u * h) ** k for k in powers]
+                    state = [sum(map(mul, coef, tau_powers))
+                             for coef in (x, y, z)]
+                    if down and state[1] > 0.0:
+                        landing = u
+                        break
+                    if not down and state[1] < 0.0:
+                        mirror = np.array(state[:2])
+        if landing is not None:
+            lengths.append(landing * h)
+            break
+        lengths.append(h)
+        s = [sum(map(mul, x, h_powers)), sum(map(mul, y, h_powers)), sum(zu)]
+        t = t + h if h < RETURN_T_MAX - t else RETURN_T_MAX
     else:
         raise NoReturn(f"no admissible section point within "
                        f"t_max={RETURN_T_MAX}")
-    s[2] = 0.0
-    phi = _leg_transition(p.a, lengths, jacobians)
+    state[2] = 0.0
+    phi = _leg_transition(p, lengths, [x for x, _, _ in polys], quads)
 
     def flow(t):
         t = np.asarray(t, dtype=float)
         step = np.searchsorted(starts[1:], t, side="right")
-        states = np.empty((t.size, 3))
-        for k in np.unique(step):
-            at = step == k
-            states[at] = (t[at, None] - starts[k]) ** powers @ polys[k]
+        tau = (t - np.array(starts)[step])[:, None]
+        coef = np.array(polys).transpose(2, 0, 1)[:, step]
+        states = coef[-1]
+        for c in coef[-2::-1]:
+            states = states * tau + c
         return states
 
-    f = vector_field(p, s)
+    f = vector_field(p, state)
     jac = (phi - np.outer(f, phi[2]) / f[2])[:2, :2]
-    return s[:2], t + lengths[-1], jac, phi, flow, mirror
+    return np.array(state[:2]), t + lengths[-1], jac, phi, flow, mirror
 
 
 def _nontrivial_multipliers(mono: np.ndarray):

@@ -1,6 +1,8 @@
 """Full-system confirmation: return map and its flow, shooting, sweep."""
 
 import dataclasses
+import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -134,6 +136,64 @@ def test_return_map_on_drawn_showcase_points(x, y):
     p = unfold(THREE_ORBIT, EPS)
     check_against_dop853(p, (x, y), THREE_ORBIT.delta)
     check_odd_symmetry(p, np.array([x, y]))
+
+
+def four_product_series(p, s, order):
+    """The (3, order + 1) Taylor coefficients of the state at s and the
+    (2, order) series of row 2 of J, by the recurrence that takes the four
+    Cauchy products x^2, xy, y^2 and x (y^2 - x^2) at every order."""
+    x, y, z = [s[0]], [s[1]], [s[2]]
+    quad, jac_x, jac_y = [], [], []
+    for k in range(order):
+        xx = sum(x[j] * x[k - j] for j in range(k + 1))
+        xy = sum(x[j] * y[k - j] for j in range(k + 1))
+        yy = sum(y[j] * y[k - j] for j in range(k + 1))
+        quad.append(yy - xx)
+        jac_x.append(yy - 3.0 * xx - (p.b if k == 0 else 0.0))
+        jac_y.append(2.0 * xy + (p.c if k == 0 else 0.0))
+        z.append((p.c * y[k] - p.b * x[k] - p.a * z[k]
+                  + sum(x[j] * quad[k - j] for j in range(k + 1))) / (k + 1))
+        x.append(y[k] / (k + 1))
+        y.append(z[k] / (k + 1))
+    return np.array([x, y, z]), np.array([jac_x, jac_y])
+
+
+def relative_gap(series, reference):
+    """Largest gap between two series, each order against the magnitude of
+    the reference at that order."""
+    scale = np.maximum(np.max(np.abs(reference), axis=0),
+                       np.finfo(float).tiny)
+    return float(np.max(np.abs(series - reference) / scale))
+
+
+#: every order the tol range gives, from MAX_TOL down to MIN_TOL
+ORDERS = range(math.ceil(1.0 - 0.5 * math.log(shooting.MAX_TOL)),
+               math.ceil(1.0 - 0.5 * math.log(shooting.MIN_TOL)) + 1)
+
+
+coordinate = st.floats(-1.5, 1.5)
+
+
+@settings(max_examples=20)
+@given(states=st.lists(st.tuples(coordinate, coordinate, coordinate),
+                       min_size=1, max_size=4),
+       a=st.floats(-1.0, 1.0), b=st.floats(-8.0, 8.0),
+       c=st.floats(-8.0, 8.0))
+def test_two_product_recurrence_matches_the_four_product_one(states, a, b, c):
+    """At every order the tol range allows, the state series of the two
+    products per order, and the Jacobian series a leg of such steps
+    rebuilds from x^2, match the four-product recurrence to 1e-13."""
+    assert (ORDERS[0], ORDERS[-1]) == (8, 17)
+    p = SystemParams(a, b, c)
+    for order in ORDERS:
+        steps = [shooting._taylor_coefficients(p, list(s), order)
+                 for s in states]
+        jac = shooting._jacobian_series(p, [x for x, _, _, _ in steps],
+                                        [quad for _, _, _, quad in steps])
+        for s, (x, y, z, _), step_jac in zip(states, steps, jac):
+            ref_state, ref_jac = four_product_series(p, s, order)
+            assert relative_gap(np.array([x, y, z]), ref_state) < 1e-13
+            assert relative_gap(step_jac, ref_jac) < 1e-13
 
 
 def test_integrate_linearized_rotation():
@@ -324,6 +384,38 @@ def test_period_trace_sampling(records):
     assert t[0] == 0.0
     assert np.isclose(t[-1], records[0].period)
     assert abs(states[0, 2]) < 1e-12
+
+
+def test_trace_matches_dop853(records):
+    """Every sample of every showcase trace lies on the DOP853 flow from
+    the orbit's section point."""
+    p = unfold(THREE_ORBIT, EPS)
+    for rec in records:
+        t, states = rec.trace
+        oracle = dop853_states(p, [*rec.section_point, 0.0], t)
+        assert np.max(np.abs(states - oracle)) < 1e-10
+
+
+def test_flow_starts_on_the_section_and_joins_its_steps(records,
+                                                        monkeypatch):
+    """flow(0) is (q, 0) exactly, and at every step start the flow agrees
+    with the end of the step before."""
+    lengths = []
+    leg_transition = shooting._leg_transition
+
+    def recorded(p, step_lengths, xs, quads):
+        lengths[:] = step_lengths
+        return leg_transition(p, step_lengths, xs, quads)
+
+    monkeypatch.setattr(shooting, "_leg_transition", recorded)
+    p = unfold(THREE_ORBIT, EPS)
+    for q in [rec.section_point for rec in records] + [(0.05, 0.35)]:
+        flow = poincare_return(p, q, SPEC)[4]
+        assert np.array_equal(flow(np.array([0.0]))[0], [q[0], q[1], 0.0])
+        starts = np.array(list(accumulate(lengths[:-1])))
+        assert len(starts) > 5
+        before = flow(np.nextafter(starts, 0.0))
+        assert np.max(np.abs(flow(starts) - before)) < 1e-12
 
 
 def test_shoot_rejects_bad_input():
@@ -554,6 +646,25 @@ def test_partner_from_another_eps_is_rejected(records):
                     partner=records[1])
 
 
+def paired_direction(r, w, delta):
+    """(a2, b2) whose paired roots are (r, +-w); see predicted_roots."""
+    d2 = delta * delta
+    a2 = (10.0 * w * w - 5.0 * r * r * (3.0 - d2) / (4.0 * d2)) / (5.0 * d2)
+    return a2, 2.0 * a2 * d2 - 5.0 * w * w
+
+
+def far_from_the_boundaries(a2, b2, delta):
+    """At least 0.5 from every boundary of closed_form._degeneracies."""
+    d2 = delta * delta
+    return min(abs(3.0 - d2), abs(2.0 * a2 * d2 - b2), abs(a2 * d2 - b2),
+               abs(a2 * d2 + 2.0 * b2)) >= 0.5
+
+
+#: the band of root radii the benchmark directions keep, which bounds the
+#: orbit amplitude eps * r by 0.65 at eps = 0.1
+ROOT_R = (2.5, 6.5)
+
+
 @settings(max_examples=8)
 @given(r=st.floats(2.5, 6.5), w=st.floats(0.3, 1.8),
        delta=st.floats(0.8, 2.6))
@@ -564,13 +675,8 @@ def test_odd_symmetry_maps_the_plus_w_orbit_onto_the_minus_w_orbit(r, w,
     crossing of the +w orbit with the mirrored section is the located -w
     orbit, and the mirror-seeded -w orbit is the one its section image
     alone locates."""
-    d2 = delta * delta
-    # (a2, b2) whose paired roots are (r, +-w); see predicted_roots
-    a2 = (10.0 * w * w - 5.0 * r * r * (3.0 - d2) / (4.0 * d2)) / (5.0 * d2)
-    b2 = 2.0 * a2 * d2 - 5.0 * w * w
-    assume(abs(3.0 - d2) >= 0.5)
-    assume(min(abs(2.0 * a2 * d2 - b2), abs(a2 * d2 - b2),
-               abs(a2 * d2 + 2.0 * b2)) >= 0.5)
+    a2, b2 = paired_direction(r, w, delta)
+    assume(far_from_the_boundaries(a2, b2, delta))
     assume(predicted_roots(a2, b2, delta).count is OrbitCount.TWO)
     u = UnfoldingParams(a2=a2, b2=b2, delta=delta)
     result = sweep_epsilon(u, [EPS], SPEC)
@@ -582,3 +688,36 @@ def test_odd_symmetry_maps_the_plus_w_orbit_onto_the_minus_w_orbit(r, w,
     alone = shoot_orbit(u, EPS, minus.seed, SPEC)
     assert alone.seed_candidate == "section-image"
     assert np.max(np.abs(alone.section_point - minus.section_point)) < 1e-9
+
+
+def check_the_theorem(a2, b2, delta, count):
+    """On a direction far from the boundaries whose roots keep r in ROOT_R,
+    the sweep at eps = 0.1 locates exactly the predicted orbits."""
+    assume(far_from_the_boundaries(a2, b2, delta))
+    prediction = predicted_roots(a2, b2, delta)
+    assume(prediction.count is count)
+    assume(all(ROOT_R[0] <= r <= ROOT_R[1] for r, _ in prediction.roots))
+    entry = sweep_epsilon(UnfoldingParams(a2=a2, b2=b2, delta=delta),
+                          [EPS], SPEC).entries[0]
+    assert not entry.failures
+    assert sorted(entry.records) == list(range(len(prediction.roots)))
+
+
+@settings(max_examples=10)
+@given(r=st.floats(*ROOT_R), b2=st.floats(-3.0, 3.0),
+       delta=st.floats(0.8, 2.6))
+def test_one_orbit_directions_locate_one_orbit(r, b2, delta):
+    """The theorem on drawn ONE directions, built from their root (r, 0)."""
+    d2 = delta * delta
+    # a2 whose w = 0 root is (r, 0); see predicted_roots
+    a2 = (r * r * (3.0 - d2) / (4.0 * d2) + b2) / d2
+    check_the_theorem(a2, b2, delta, OrbitCount.ONE)
+
+
+@settings(max_examples=10)
+@given(r=st.floats(*ROOT_R), w=st.floats(0.3, 1.8),
+       delta=st.floats(0.8, 2.6))
+def test_three_orbit_directions_locate_three_orbits(r, w, delta):
+    """The theorem on drawn THREE directions, built from their paired
+    roots (r, +-w)."""
+    check_the_theorem(*paired_direction(r, w, delta), delta, OrbitCount.THREE)
