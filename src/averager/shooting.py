@@ -4,26 +4,38 @@ The predictions of the averaged analysis are (r, w) roots; mapped through
 the coordinate pipeline at theta = 0 they give points on the plane section
 {z = 0, y > 0}, crossed with dz/dt < 0. Newton iteration on the first
 return map of that section turns each prediction into an actual periodic
-orbit of the full nonlinear system. Each return is one Taylor leg of the
-state, followed by one batched linear solve for the fundamental matrix
-of its variational equations. Together they give the return point, the
-exact Jacobian of the return map, the dense output of the flight and, at
-the fixed point, the monodromy matrix whose eigenvalues are the Floquet
-multipliers. The accepted return at the fixed point is the only
-integration of a located orbit: its trace is sampled from that return's
-dense output.
+orbit of the full nonlinear system.
+
+The field is odd, (x, y, z) -> -(x, y, z) maps orbits to orbits, so the
+unit of integration is half a return. The half return M takes a section
+point q to the first upward crossing m of the mirrored section
+{z = 0, y < 0}, and the reflection -m lies on the section again. The
+return map is the odd square of M, P(q) = -M(-M(q)): two legs, the second
+from -m, reflected. Each leg is one Taylor leg of the state, followed by
+one batched linear solve for the fundamental matrix of its variational
+equations, which gives the crossing, the exact Jacobian of M, the dense
+output of the flight and, composed over both legs at the fixed point, the
+monodromy matrix whose eigenvalues are the Floquet multipliers. The
+accepted return at the fixed point is the only integration of a located
+orbit: its trace is sampled from that return's dense output.
+
+The w = 0 roots are their own mirror images, and so are their orbits:
+such an orbit closes after half a period up to the reflection, a fixed
+point of the half map T(q) = -M(q) (Golubitsky and Stewart, The Symmetry
+Perspective, 2002). Newton on T integrates one leg per iteration, and
+one more leg from the fixed point completes the full return that accepts
+the orbit.
 
 Newton starts from up to three candidate seeds, in this order: mirror,
-warm-start and section-image. The field is odd, (x, y, z) -> -(x, y, z)
-maps orbits to orbits, so the paired roots (r, w) and (r, -w) predict
-two orbits that are point reflections of each other. Every return also
-keeps its first upward crossing of the mirrored section {z = 0, y < 0};
-once the +w orbit is located, the mirror seed of the -w orbit is that
-crossing of its partner's accepted return, reflected. The seed costs no
-integration of its own, and Newton typically accepts on the first return
-from it. A warm start is the fixed point of a nearby eps, and the section
-image is the theta = 0 image of the averaged root. Every orbit is
-accepted only on its own return, whatever its seed.
+warm-start and section-image. The paired roots (r, w) and (r, -w)
+predict two orbits that are point reflections of each other. Once the +w
+orbit is located, the seed of the -w orbit is -m of its partner's
+accepted return, and the second leg of that return is the half return
+from exactly that point; so the first return from the mirror seed
+integrates one new leg, and Newton typically accepts on it. A warm start
+is the fixed point of a nearby eps, and the section image is the
+theta = 0 image of the averaged root. Every orbit is accepted only on
+its own full return, whatever its seed.
 
 The field is a cubic polynomial, so every flow is integrated by a Taylor
 series method (Jorba and Zou, Experimental Mathematics 14, 2005): short
@@ -31,11 +43,11 @@ recurrences give the Taylor coefficients of the state, at two Cauchy
 products per order, and the step polynomials are the dense output. The
 tol of an IntegratorSpec sets every step by Jorba and Zou's rule with
 equal absolute and relative tolerances: the order is ceil(1 - ln(tol) / 2),
-the same for every step of a return, and the step is the radius of
+the same for every step of a leg, and the step is the radius of
 convergence estimated from the last two coefficients on the scale
-max(1, |s|_inf), divided by e^2. A return is one leg of such steps,
-scanned for the first admissible section crossing; max_steps bounds the
-steps of one return.
+max(1, |s|_inf), divided by e^2. A half return is one leg of such steps,
+scanned for the first upward crossing of the mirrored section; max_steps
+bounds the steps of one leg.
 
 The variational equations Phi' = J Phi are linear in Phi, so they need no
 step-by-step recurrence of their own. Each step keeps its x and
@@ -166,13 +178,15 @@ class PeriodicOrbitRecord:
     #: (times, states): TRACE_SAMPLES uniform times over [0, period] and the
     #: (TRACE_SAMPLES, 3) states there, from the return that located the orbit
     trace: tuple
-    #: (x, y) of the first upward crossing of {z = 0, y < 0} on the return
-    #: that located the orbit, or None when that return lands first;
-    #: reflected, it is the mirror seed of the partner orbit
-    mirror_crossing: Optional[np.ndarray]
+    #: (m, leg) of the return that located the orbit: m, the (x, y) of its
+    #: crossing of {z = 0, y < 0}, and leg, its second half, the
+    #: half_return from -m. -m is the mirror seed of the partner orbit, and
+    #: leg the first half of that orbit's first return
+    mirror_leg: tuple
     #: the candidate Newton converged from: mirror, warm-start or section-image
     seed_candidate: str
-    #: poincare_return calls spent on this orbit
+    #: return-map calls spent on this orbit, half or full: half returns of
+    #: Newton on T, and poincare_return calls
     returns: int
     #: |trivial Floquet multiplier - 1|
     trivial_multiplier_defect: float
@@ -334,48 +348,43 @@ def _crossing_root(poly: list, lo: float, hi: float) -> float:
     return u
 
 
-def poincare_return(p: SystemParams, q, spec: IntegratorSpec):
-    """First return to the section {z = 0, y > 0}, crossed with dz/dt < 0.
+def half_return(p: SystemParams, q, spec: IntegratorSpec):
+    """Half return: from (q, 0) to the mirrored section {z = 0, y < 0}.
 
-    A crossing is admissible when z changes sign downward and y > 0; a
-    start exactly on the section does not count as one. On the way, the
-    first upward crossing with y < 0 is kept too: the crossing of the
-    mirrored section, which the odd symmetry of the field maps onto the
-    section.
+    The crossing is the first where z changes sign upward and y < 0; a
+    start exactly on the section does not count as one. From a point of
+    the section {z = 0, y > 0}, that is half a turn of the orbit, and the
+    odd symmetry of the field maps the crossing back onto the section.
 
-    The return is one Taylor leg of the state from (q, 0), every step of
-    the order and length that spec.tol sets (see the module docstring).
+    The half return is one Taylor leg of the state from (q, 0), every step
+    of the order and length that spec.tol sets (see the module docstring).
     A step's z polynomial is sampled at the _CROSSING_FRACTIONS of the step
     unless its first term outweighs the sum of the others, which rules out
-    a sign change; each downward sign change, and each upward one until
-    the mirror crossing is found, is polished to a root by Newton on that
-    polynomial, and one that fails its y test is skipped. Phi at the first
-    admissible crossing then comes from _leg_transition: one batched
-    linear solve over the leg's steps, from the series each step kept.
+    a sign change; each upward sign change is polished to a root by Newton
+    on that polynomial, and one with y >= 0 is skipped. Phi at the
+    crossing then comes from _leg_transition: one batched linear solve
+    over the leg's steps, from the series each step kept.
 
     Parameters
     ----------
-    q : (x, y) coordinates on the section
+    q : (x, y) coordinates of the start on the plane z = 0
     spec : integrator budget
 
     Returns
     -------
-    ((x', y'), flight_time, dP/dq, Phi, flow, mirror) at the polished root
-    of the crossing. Phi is the fundamental matrix over the flight from
-    (q, 0), the monodromy matrix at a fixed point; dP/dq is Phi projected
-    along the field f at the crossing onto the section,
-    (Phi - outer(f, Phi[2]) / f[2])[:2, :2]. flow maps an array of times
-    in [0, flight_time] to the (len(t), 3) states there, the Taylor
-    polynomials of the leg's steps by Horner's rule; flow(0) is (q, 0)
-    exactly.
-    mirror is (x, y) at the polished first upward crossing with y < 0,
-    or None when the return lands first.
+    (m, flight_time, dM/dq, Phi, flow) at the polished root of the
+    crossing, m = (x', y'). Phi is the fundamental matrix over the flight
+    from (q, 0); dM/dq is Phi projected along the field f at the crossing
+    onto the plane z = 0, (Phi - outer(f, Phi[2]) / f[2])[:2, :2]. flow
+    maps a 1-d array of times in [0, flight_time] to the (len(t), 3)
+    states there, the Taylor polynomials of the leg's steps by Horner's
+    rule; flow(0) is (q, 0) exactly.
 
     Raises
     ------
     NoReturn when the flight-time budget RETURN_T_MAX is exhausted without
-    an admissible crossing; StepLimitExceeded when the return needs more
-    than spec.max_steps steps; StepUnderflow when a step falls below what
+    a crossing; StepLimitExceeded when the leg needs more than
+    spec.max_steps steps; StepUnderflow when a step falls below what
     double precision resolves or the Taylor coefficients are not finite.
     """
     order = math.ceil(1.0 - 0.5 * math.log(spec.tol))
@@ -385,7 +394,6 @@ def poincare_return(p: SystemParams, q, spec: IntegratorSpec):
     t = 0.0
     starts, polys = [], []  # start time and (x, y, z) coefficients of each step
     lengths, quads = [], []  # length and y^2 - x^2 coefficients of each step
-    mirror = None
     while t < RETURN_T_MAX:
         if len(polys) == spec.max_steps:
             raise StepLimitExceeded(
@@ -414,19 +422,15 @@ def poincare_return(p: SystemParams, q, spec: IntegratorSpec):
         if abs(zu[0]) <= (1.0 + _SIGN_MARGIN) * sum(map(abs, zu[1:])):
             samples = (fraction_powers @ zu).tolist()
             for i in range(len(samples) - 1):
-                down = samples[i] > 0.0 >= samples[i + 1]
-                if down or (mirror is None
-                            and samples[i] < 0.0 <= samples[i + 1]):
+                if samples[i] < 0.0 <= samples[i + 1]:
                     u = _crossing_root(zu, _CROSSING_FRACTIONS[i],
                                        _CROSSING_FRACTIONS[i + 1])
                     tau_powers = [(u * h) ** k for k in powers]
                     state = [sum(map(mul, coef, tau_powers))
                              for coef in (x, y, z)]
-                    if down and state[1] > 0.0:
+                    if state[1] < 0.0:
                         landing = u
                         break
-                    if not down and state[1] < 0.0:
-                        mirror = np.array(state[:2])
         if landing is not None:
             lengths.append(landing * h)
             break
@@ -434,7 +438,7 @@ def poincare_return(p: SystemParams, q, spec: IntegratorSpec):
         s = [sum(map(mul, x, h_powers)), sum(map(mul, y, h_powers)), sum(zu)]
         t = t + h if h < RETURN_T_MAX - t else RETURN_T_MAX
     else:
-        raise NoReturn(f"no admissible section point within "
+        raise NoReturn(f"no crossing of the mirrored section within "
                        f"t_max={RETURN_T_MAX}")
     state[2] = 0.0
     phi = _leg_transition(p, lengths, [x for x, _, _ in polys], quads)
@@ -451,7 +455,60 @@ def poincare_return(p: SystemParams, q, spec: IntegratorSpec):
 
     f = vector_field(p, state)
     jac = (phi - np.outer(f, phi[2]) / f[2])[:2, :2]
-    return np.array(state[:2]), t + lengths[-1], jac, phi, flow, mirror
+    return np.array(state[:2]), t + lengths[-1], jac, phi, flow
+
+
+def poincare_return(p: SystemParams, q, spec: IntegratorSpec, first=None):
+    """Return to the section {z = 0, y > 0}: P(q) = -M(-M(q)).
+
+    The odd square of the half return M: the leg from (q, 0) to the
+    mirrored section at m, then the leg from -m, reflected. P(q) is thus
+    the first downward crossing of the section with y > 0 after the first
+    upward crossing of the mirrored one. For the paper's orbits that is
+    the first return itself, and so it is on every start checked against
+    one whole-flight DOP853 pass, (1.1, 0.377) of the one-orbit direction
+    (3, 1, 1) at eps 0.05 included, whose flight first crosses z = 0
+    downward at y < 0. Only a flight that crossed the section before it
+    crossed the mirrored one would return later than the first return.
+
+    Parameters
+    ----------
+    q : (x, y) coordinates on the section
+    spec : integrator budget, for each leg
+    first : half_return(p, q, spec) when it is already integrated; only
+        the second leg is integrated then
+
+    Returns
+    -------
+    ((x', y'), flight_time, dP/dq, Phi, flow, (m, second)) at the polished
+    crossing. flight_time is t1 + t2, the flights of the two legs; Phi is
+    the fundamental matrix over the whole flight from (q, 0), Phi2 Phi1,
+    the monodromy matrix at a fixed point; dP/dq = J2 J1, the product of
+    the legs' dM/dq. flow maps a 1-d array of times in [0, flight_time] to
+    the (len(t), 3) states there: the first leg up to t1, then the second
+    leg reflected; flow(0) is (q, 0) exactly. m is (x, y) at the crossing
+    of the mirrored section, and second the half return from -m.
+
+    Raises
+    ------
+    The errors of half_return, from either leg.
+    """
+    if first is None:
+        first = half_return(p, q, spec)
+    mirror, t1, jac1, phi1, flow1 = first
+    second = half_return(p, -mirror, spec)
+    crossing, t2, jac2, phi2, flow2 = second
+
+    def flow(t):
+        t = np.asarray(t, dtype=float)
+        late = t >= t1
+        states = np.empty((len(t), 3))
+        states[~late] = flow1(t[~late])
+        states[late] = -flow2(t[late] - t1)
+        return states
+
+    return (-crossing, t1 + t2, jac2 @ jac1, phi2 @ phi1, flow,
+            (mirror, second))
 
 
 def _nontrivial_multipliers(mono: np.ndarray):
@@ -463,26 +520,29 @@ def _nontrivial_multipliers(mono: np.ndarray):
     return rest[order], mults[i0]
 
 
-def _newton_return(return_map, q0):
+def _newton_return(return_map, q0, tol=SHOOT_TOL, ret=None):
     """Damped Newton on P(q) - q with the exact Jacobian of the return map.
 
-    return_map(q) is poincare_return at q. Each step solves
+    return_map(q) is (P(q), _, dP/dq, ...) for a map P of the section, the
+    full return or the half map T. Each step solves
     (dP/dq - I) dq = -(P(q) - q); the pass of an accepted trial point
     supplies the next Jacobian, so an undamped step costs one return. A
     trial whose return fails counts as a trial that does not reduce the
-    residual, so the step is halved. Returns (q, |P(q) - q|, return at q)
-    at the fixed point, or None when Newton fails.
+    residual, so the step is halved. ret, when given, is return_map(q0)
+    already evaluated. Returns (q, |P(q) - q|, return at q) at the first
+    point with residual below tol, or None when Newton fails.
 
     Raises
     ------
     The _RETURN_ERRORS of the return from q0.
     """
     q = np.array(q0, dtype=float)
-    ret = return_map(q)
+    if ret is None:
+        ret = return_map(q)
     res = float(np.linalg.norm(ret[0] - q))
     try:
         for _ in range(MAX_NEWTON_ITER):
-            if res < SHOOT_TOL:
+            if res < tol:
                 break
             step = np.linalg.solve(ret[2] - np.eye(2), q - ret[0])
             lam = 1.0
@@ -502,7 +562,7 @@ def _newton_return(return_map, q0):
             q, ret, res = trial, trial_ret, trial_res
     except np.linalg.LinAlgError:
         return None
-    return (q, res, ret) if res < SHOOT_TOL else None
+    return (q, res, ret) if res < tol else None
 
 
 def shoot_orbit(
@@ -520,17 +580,25 @@ def shoot_orbit(
 
     - mirror, when partner is given: the located orbit of the mirror root
       (r, -w) at this eps. The field is odd, so the point reflection of
-      the partner is an orbit too; the seed is the partner's
-      mirror_crossing, reflected, and costs no return. A partner without
-      one gives no mirror candidate, and that is recorded as its failure.
+      the partner is an orbit too; the seed is -m of the partner's
+      accepted return, and its first return reuses that return's second
+      leg, the half return from -m, so it integrates one new leg.
     - warm-start, an explicit initial_point, e.g. the fixed point of a
       nearby eps;
     - section-image, eps*(w, r), the theta = 0 image of the root under the
       coordinate pipeline.
 
-    Whatever the candidate, the orbit is accepted only on its own return
-    with residual below SHOOT_TOL, and everything it reports comes from
-    that return.
+    A root with w = 0 is its own mirror image, and so is its orbit: from
+    each candidate, Newton first runs on the half map T(q) = -M(q), one
+    leg per iteration, until |T(q) - q| < SHOOT_TOL / 2. As dT/dq is
+    I + O(eps^2), P(q) - q is about 2 (T(q) - q), so the full return from
+    that point, its last leg and one new one, then typically passes
+    SHOOT_TOL; if it does not, Newton on P goes on from there. Where
+    Newton on T fails, Newton on P runs from the candidate itself.
+
+    Whatever the candidate, the orbit is accepted only on its own full
+    return with residual below SHOOT_TOL, and everything it reports comes
+    from that return.
 
     Returns
     -------
@@ -539,8 +607,8 @@ def shoot_orbit(
     Newton step that would follow it, the two nontrivial Floquet
     multipliers and the trivial one's distance from 1, the trace of one
     period, sampled from the dense output of the return at the fixed
-    point, that return's mirror crossing, the candidate that converged
-    and the returns spent on the orbit.
+    point, that return's mirror crossing and second leg, the candidate
+    that converged and the return-map calls spent on the orbit.
 
     Raises
     ------
@@ -562,24 +630,38 @@ def shoot_orbit(
     p = unfold(u, eps)
     returns = 0
 
-    def return_map(q):
+    def return_map(q, first=None):
         nonlocal returns
         returns += 1
-        return poincare_return(p, q, spec)
+        return poincare_return(p, q, spec, first)
+
+    def half_map(q):
+        # T(q) = -M(q) and dT/dq = -dM/dq; the leg rides along for the
+        # full return that completes it
+        nonlocal returns
+        returns += 1
+        leg = half_return(p, q, spec)
+        return -leg[0], leg[1], -leg[2], leg
 
     failures, candidates = [], []
-    if partner is not None and partner.mirror_crossing is None:
-        failures.append("mirror: the partner's return has no mirror crossing")
-    elif partner is not None:
-        candidates.append(("mirror", -partner.mirror_crossing))
+    if partner is not None:
+        mirror, leg = partner.mirror_leg
+        candidates.append(("mirror", -mirror, leg))
     if initial_point is not None:
-        candidates.append(("warm-start", np.asarray(initial_point, dtype=float)))
+        candidates.append(("warm-start",
+                           np.asarray(initial_point, dtype=float), None))
     q_section = np.array([eps * w, eps * r])
-    candidates.append(("section-image", q_section))
+    candidates.append(("section-image", q_section, None))
 
-    for tag, q0 in candidates:
+    for tag, q0, first in candidates:
         try:
-            found = _newton_return(return_map, q0)
+            if w == 0.0:
+                half = _newton_return(half_map, q0, SHOOT_TOL / 2)
+                if half is not None:
+                    q0, _, (_, _, _, first) = half
+            found = _newton_return(
+                return_map, q0, SHOOT_TOL,
+                None if first is None else return_map(q0, first))
         except _RETURN_ERRORS as exc:
             failures.append(f"{tag}: {type(exc).__name__}: {exc}")
             continue
@@ -589,7 +671,8 @@ def shoot_orbit(
             failures.append(f"{tag}: converged to the equilibrium at the "
                             "origin")
         else:
-            fixed, residual, (returned, period, jac, mono, flow, mirror) = found
+            fixed, residual, (returned, period, jac, mono, flow,
+                              mirror_leg) = found
             logger.info(
                 "seed (r=%.6g, w=%.6g) eps=%.6g: converged from %s start; "
                 "fixed point at %.3e from eps*(w, r)",
@@ -616,7 +699,7 @@ def shoot_orbit(
         floquet=floq,
         seed=(r, w),
         trace=(t, flow(t)),
-        mirror_crossing=mirror,
+        mirror_leg=mirror_leg,
         seed_candidate=tag,
         returns=returns,
         trivial_multiplier_defect=float(abs(trivial - 1.0)),

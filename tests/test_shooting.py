@@ -1,6 +1,5 @@
 """Full-system confirmation: return map and its flow, shooting, sweep."""
 
-import dataclasses
 import math
 from itertools import accumulate
 
@@ -20,6 +19,7 @@ from averager.shooting import (
     ShootingDiverged,
     StepLimitExceeded,
     StepUnderflow,
+    half_return,
     poincare_return,
     shoot_orbit,
     sweep_epsilon,
@@ -102,7 +102,7 @@ def test_return_map_matches_dop853(unfolding, eps, q):
 
 
 def check_against_dop853(p, q, delta):
-    point, flight, jac, _, _, mirror = poincare_return(p, q, SPEC)
+    point, flight, jac, _, _, (mirror, _) = poincare_return(p, q, SPEC)
     ref_point, ref_flight, ref_jac, ref_mirror = dop853_return(
         p, q, 3.0 * np.pi / delta)
     assert np.max(np.abs(point - ref_point)) < 1e-11
@@ -114,16 +114,19 @@ def check_against_dop853(p, q, delta):
 
 
 def check_odd_symmetry(p, q):
-    """The field is odd, so the flow from -q is the reflected flow from q:
-    its return is the reflected mirror crossing m of the return from q,
-    reached at the flight time of that crossing, and the return from -m
-    crosses the mirrored section at -P(q)."""
-    point, _, _, _, flow, mirror = poincare_return(p, q, SPEC)
-    half, t_half, _, _, _, _ = poincare_return(p, -q, SPEC)
-    assert np.max(np.abs(half + mirror)) < 1e-9
-    assert np.max(np.abs(flow(np.array([t_half]))[0]
-                         - [*mirror, 0.0])) < 1e-9
-    assert np.max(np.abs(poincare_return(p, -mirror, SPEC)[5]
+    """The field is odd, so the flow from -q is the reflected flow from q.
+    Started on the mirrored section, the half return from -q first
+    crosses it upward again at -P(q), after the whole flight of the
+    return from q, whose flow, reflected, it follows on the way; and the
+    return from -m, the reflected mirror crossing, crosses the mirrored
+    section at -P(q)."""
+    point, flight, _, _, flow, (mirror, _) = poincare_return(p, q, SPEC)
+    image, t_image, _, _, flow_image = half_return(p, -q, SPEC)
+    assert np.max(np.abs(image + point)) < 1e-9
+    assert abs(t_image - flight) < 1e-9
+    t = np.linspace(0.0, min(flight, t_image), 17)
+    assert np.max(np.abs(flow_image(t) + flow(t))) < 1e-9
+    assert np.max(np.abs(poincare_return(p, -mirror, SPEC)[5][0]
                          + point)) < 1e-9
 
 
@@ -273,15 +276,18 @@ def test_mirrored_seed_orbits_are_reflections(records):
     """The +w and -w orbits are point reflections of each other.
 
     The +w orbit's crossing of the mirrored section, the one its record
-    keeps, reflected, is the -w orbit's section point.
+    keeps, reflected, is the -w orbit's section point, and the leg the
+    record keeps starts there.
     """
     p = unfold(THREE_ORBIT, EPS)
     q_plus = records[1].section_point
     q_minus = records[2].section_point
-    _, _, _, _, flow, mirror = poincare_return(p, q_plus, SPEC)
-    assert np.array_equal(records[1].mirror_crossing, mirror)
+    _, _, _, _, flow, (mirror, _) = poincare_return(p, q_plus, SPEC)
+    kept, leg = records[1].mirror_leg
+    assert np.array_equal(kept, mirror)
+    assert np.array_equal(leg[4](np.array([0.0]))[0], [*-mirror, 0.0])
     # the crossing lies on the section
-    t_half = poincare_return(p, -q_plus, SPEC)[1]
+    t_half = half_return(p, q_plus, SPEC)[1]
     assert abs(flow(np.array([t_half]))[0, 2]) < 1e-12
     assert np.max(np.abs(-mirror - q_minus)) < 1e-8
 
@@ -346,16 +352,23 @@ def test_monodromy_determinant_obeys_liouville(eps):
 
 
 def test_leg_transition_matches_dop853():
-    """Phi of a return, the product of the batched step transitions,
-    matches a DOP853 variational pass over the same flight."""
+    """Phi of a return, Phi2 Phi1 over its two legs, each the product of
+    the batched step transitions, matches one DOP853 variational pass over
+    the whole flight: from the three showcase section images and from two
+    points off the orbits."""
     from scipy.integrate import solve_ivp
 
     p = unfold(THREE_ORBIT, EPS)
-    _, flight, _, phi, _, _ = poincare_return(p, (0.0, 0.447), SPEC)
-    s0 = np.concatenate([(0.0, 0.447, 0.0), np.eye(3).ravel()])
-    sol = solve_ivp(variational_rhs(p), (0.0, flight), s0, method="DOP853",
-                    rtol=1e-13, atol=1e-13)
-    assert np.max(np.abs(sol.y[3:, -1].reshape(3, 3) - phi)) < 1e-10
+    roots = predicted_roots(THREE_ORBIT.a2, THREE_ORBIT.b2,
+                            THREE_ORBIT.delta).roots
+    starts = [(EPS * w, EPS * r) for r, w in roots] + [(0.0, 0.447),
+                                                       (0.12, 0.5)]
+    for q in starts:
+        _, flight, _, phi, _, _ = poincare_return(p, q, SPEC)
+        s0 = np.concatenate([(q[0], q[1], 0.0), np.eye(3).ravel()])
+        sol = solve_ivp(variational_rhs(p), (0.0, flight), s0,
+                        method="DOP853", rtol=1e-13, atol=1e-13)
+        assert np.max(np.abs(sol.y[3:, -1].reshape(3, 3) - phi)) < 1e-10
 
 
 def test_shoot_reports_the_return_at_the_fixed_point(records):
@@ -398,18 +411,20 @@ def test_trace_matches_dop853(records):
 
 def test_flow_starts_on_the_section_and_joins_its_steps(records,
                                                         monkeypatch):
-    """flow(0) is (q, 0) exactly, and at every step start the flow agrees
-    with the end of the step before."""
+    """flow(0) is (q, 0) exactly, and at every step start, the start of
+    the second leg included, the flow agrees with the end of the step
+    before."""
     lengths = []
     leg_transition = shooting._leg_transition
 
     def recorded(p, step_lengths, xs, quads):
-        lengths[:] = step_lengths
+        lengths.extend(step_lengths)
         return leg_transition(p, step_lengths, xs, quads)
 
     monkeypatch.setattr(shooting, "_leg_transition", recorded)
     p = unfold(THREE_ORBIT, EPS)
     for q in [rec.section_point for rec in records] + [(0.05, 0.35)]:
+        lengths.clear()
         flow = poincare_return(p, q, SPEC)[4]
         assert np.array_equal(flow(np.array([0.0]))[0], [q[0], q[1], 0.0])
         starts = np.array(list(accumulate(lengths[:-1])))
@@ -435,25 +450,31 @@ def test_warm_start_that_blows_up_falls_back_to_the_section_image():
     assert warm.period == cold.period
 
 
-def test_failed_trial_return_halves_the_newton_step(monkeypatch):
+def test_failed_trial_return_halves_the_newton_step(records, monkeypatch):
     """A trial point whose return raises is a trial that does not descend:
     the step is halved and Newton goes on to the same orbit. The other
     path stops at another point with residual below SHOOT_TOL; with
-    multipliers near 1 those lie up to about 1e-9 apart."""
-    cold = shoot_orbit(THREE_ORBIT, EPS, (4.0, 0.0), SPEC)
-    calls = []
+    multipliers near 1 those lie up to about 1e-9 apart. Checked on
+    Newton on the half map, which the w = 0 orbit runs, and on Newton on
+    the full return, which the +w orbit runs."""
+    for rec, name, original in [(records[0], "half_return", half_return),
+                                (records[1], "poincare_return",
+                                 poincare_return)]:
+        calls = []
 
-    def first_trial_blows_up(p, q, spec):
-        calls.append(q)
-        if len(calls) == 2:
-            raise StepUnderflow("blow-up on the first trial")
-        return poincare_return(p, q, spec)
+        def first_trial_blows_up(p, q, *args, original=original):
+            calls.append(q)
+            if len(calls) == 2:
+                raise StepUnderflow("blow-up on the first trial")
+            return original(p, q, *args)
 
-    monkeypatch.setattr(shooting, "poincare_return", first_trial_blows_up)
-    rec = shoot_orbit(THREE_ORBIT, EPS, (4.0, 0.0), SPEC)
-    assert np.allclose(calls[2] - calls[0], 0.5 * (calls[1] - calls[0]),
-                       rtol=0.0, atol=1e-15)
-    assert np.max(np.abs(rec.section_point - cold.section_point)) < 1e-8
+        with monkeypatch.context() as patched:
+            patched.setattr(shooting, name, first_trial_blows_up)
+            again = shoot_orbit(THREE_ORBIT, EPS, rec.seed, SPEC)
+        assert np.allclose(calls[2] - calls[0], 0.5 * (calls[1] - calls[0]),
+                           rtol=0.0, atol=1e-15)
+        assert np.max(np.abs(again.section_point
+                             - rec.section_point)) < 1e-8
 
 
 def test_every_candidate_failing_names_the_integrator_error():
@@ -549,14 +570,92 @@ def test_the_mirror_orbit_is_seeded_from_its_partner(records):
     assert abs(mirror.period - records[2].period) < 1e-9
 
 
-def test_returns_count_every_return_spent_on_the_orbit(monkeypatch):
-    calls = []
+def test_the_mirror_orbit_integrates_one_new_leg(records, monkeypatch):
+    """The first return from the mirror seed reuses the second leg of the
+    partner's accepted return, which starts at exactly that seed, and
+    integrates only its own second leg."""
+    legs = []
 
     def counted(p, q, spec):
-        calls.append(q)
-        return poincare_return(p, q, spec)
+        legs.append(q)
+        return half_return(p, q, spec)
+
+    monkeypatch.setattr(shooting, "half_return", counted)
+    rec = shoot_orbit(THREE_ORBIT, EPS, records[2].seed, SPEC,
+                      partner=records[1])
+    assert rec.seed_candidate == "mirror"
+    assert (rec.returns, len(legs)) == (1, 1)
+    assert np.array_equal(legs[0], -rec.mirror_leg[0])
+    assert np.array_equal(rec.section_point, -records[1].mirror_leg[0])
+
+
+def check_symmetric_orbit(p, rec):
+    """A w = 0 orbit is its own point reflection: it crosses the mirrored
+    section at minus its section point, and by DOP853 from that point the
+    state half a period on is the reflected state, at 16 times over the
+    first half period."""
+    assert rec.seed[1] == 0.0
+    mirror, _ = rec.mirror_leg
+    assert np.max(np.abs(mirror + rec.section_point)) < shooting.SHOOT_TOL
+    half = 0.5 * rec.period
+    t = np.linspace(0.0, half, 16, endpoint=False)
+    states = dop853_states(p, [*rec.section_point, 0.0],
+                           np.concatenate([t, t + half]))
+    assert np.max(np.abs(states[16:] + states[:16])) < 1e-9
+
+
+def test_the_w0_orbit_is_its_own_reflection(records):
+    check_symmetric_orbit(unfold(THREE_ORBIT, EPS), records[0])
+
+
+def test_half_map_newton_stops_at_half_the_shooting_tolerance(records,
+                                                              monkeypatch):
+    """A w = 0 start whose half displacement |T(q) - q| lies between
+    SHOOT_TOL / 2 and SHOOT_TOL is not accepted on the half map: Newton on
+    T takes one more step, and the full return from its last leg and one
+    new leg then passes SHOOT_TOL, with no second full return."""
+    rec = records[0]
+    p = unfold(THREE_ORBIT, EPS)
+    jac = half_return(p, rec.section_point, SPEC)[2]
+    # T(q) - q is about (dT/dq - I)(q - q*), with dT/dq = -dM/dq
+    start = rec.section_point + np.linalg.solve(
+        -jac - np.eye(2), [0.75 * shooting.SHOOT_TOL, 0.0])
+    displacement = np.linalg.norm(-half_return(p, start, SPEC)[0] - start)
+    assert shooting.SHOOT_TOL / 2 < displacement < shooting.SHOOT_TOL
+    full = []
+
+    def counted(p, q, spec, first=None):
+        full.append(q)
+        return poincare_return(p, q, spec, first)
 
     monkeypatch.setattr(shooting, "poincare_return", counted)
+    warm = shoot_orbit(THREE_ORBIT, EPS, rec.seed, SPEC, initial_point=start)
+    assert warm.seed_candidate == "warm-start"
+    assert (warm.returns, len(full)) == (3, 1)
+    assert warm.residual < shooting.SHOOT_TOL
+    assert np.max(np.abs(warm.section_point - rec.section_point)) < 1e-9
+
+
+def test_returns_count_every_return_spent_on_the_orbit(monkeypatch):
+    """returns counts the full returns and the half returns of Newton on
+    the half map, not the legs a full return integrates."""
+    calls, inside = [], []
+
+    def counted(p, q, spec, first=None):
+        calls.append(q)
+        inside.append(q)
+        try:
+            return poincare_return(p, q, spec, first)
+        finally:
+            inside.pop()
+
+    def counted_half(p, q, spec):
+        if not inside:
+            calls.append(q)
+        return half_return(p, q, spec)
+
+    monkeypatch.setattr(shooting, "poincare_return", counted)
+    monkeypatch.setattr(shooting, "half_return", counted_half)
     result = sweep_epsilon(THREE_ORBIT, [EPS, 0.05], SPEC)
     spent = [rec.returns for entry in result.entries
              for rec in entry.records.values()]
@@ -577,30 +676,6 @@ def test_record_reports_newton_step_and_trivial_defect(records):
         assert rec.trivial_multiplier_defect == float(
             np.min(np.abs(np.linalg.eigvals(mono) - 1.0)))
         assert rec.trivial_multiplier_defect < 1e-6
-
-
-def test_partner_without_a_mirror_crossing_leaves_the_other_candidates(
-        records):
-    """A partner whose return landed before crossing the mirrored section
-    gives no mirror candidate: the -w orbit is located from its other
-    candidates at no extra return, and when they fail too the message
-    still names the mirror."""
-    partner = dataclasses.replace(records[1], mirror_crossing=None)
-    rec = shoot_orbit(THREE_ORBIT, EPS, records[2].seed, SPEC,
-                      partner=partner)
-    assert rec.seed_candidate == "section-image"
-    assert rec.returns == records[2].returns
-    assert np.array_equal(rec.section_point, records[2].section_point)
-    warm = shoot_orbit(THREE_ORBIT, EPS, records[2].seed, SPEC,
-                       initial_point=records[2].section_point,
-                       partner=partner)
-    assert warm.seed_candidate == "warm-start"
-    with pytest.raises(ShootingDiverged, match="mirror: the partner's return"
-                       " has no mirror crossing; warm-start: StepLimitExceeded"
-                       ".*section-image: StepLimitExceeded"):
-        shoot_orbit(THREE_ORBIT, EPS, records[2].seed,
-                    IntegratorSpec(max_steps=2),
-                    initial_point=records[2].section_point, partner=partner)
 
 
 def test_a_failed_partner_leaves_the_mirror_orbit_to_its_other_seeds(
@@ -683,7 +758,7 @@ def test_odd_symmetry_maps_the_plus_w_orbit_onto_the_minus_w_orbit(r, w,
     plus, minus = result.entries[0].records[0], result.entries[0].records[1]
     assert minus.seed_candidate == "mirror"
     p = unfold(u, EPS)
-    crossing = poincare_return(p, plus.section_point, SPEC)[5]
+    crossing = poincare_return(p, plus.section_point, SPEC)[5][0]
     assert np.max(np.abs(-crossing - minus.section_point)) < 1e-9
     alone = shoot_orbit(u, EPS, minus.seed, SPEC)
     assert alone.seed_candidate == "section-image"
@@ -692,15 +767,19 @@ def test_odd_symmetry_maps_the_plus_w_orbit_onto_the_minus_w_orbit(r, w,
 
 def check_the_theorem(a2, b2, delta, count):
     """On a direction far from the boundaries whose roots keep r in ROOT_R,
-    the sweep at eps = 0.1 locates exactly the predicted orbits."""
+    the sweep at eps = 0.1 locates exactly the predicted orbits, and each
+    w = 0 orbit among them is its own point reflection."""
     assume(far_from_the_boundaries(a2, b2, delta))
     prediction = predicted_roots(a2, b2, delta)
     assume(prediction.count is count)
     assume(all(ROOT_R[0] <= r <= ROOT_R[1] for r, _ in prediction.roots))
-    entry = sweep_epsilon(UnfoldingParams(a2=a2, b2=b2, delta=delta),
-                          [EPS], SPEC).entries[0]
+    u = UnfoldingParams(a2=a2, b2=b2, delta=delta)
+    entry = sweep_epsilon(u, [EPS], SPEC).entries[0]
     assert not entry.failures
     assert sorted(entry.records) == list(range(len(prediction.roots)))
+    for rec in entry.records.values():
+        if rec.seed[1] == 0.0:
+            check_symmetric_orbit(unfold(u, EPS), rec)
 
 
 @settings(max_examples=10)
