@@ -25,7 +25,10 @@ from .closed_form import (
     classify,
     f_closed,
     g_closed,
+    g_jacobian,
+    higher_averages,
     predicted_roots,
+    root_corrections,
 )
 from .config import ConfigError, RunConfig, from_dict, load_config, to_dict
 from .jerk import (
@@ -101,14 +104,17 @@ __all__ = [
     "find_roots",
     "from_dict",
     "g_closed",
+    "g_jacobian",
     "h1",
     "h2",
+    "higher_averages",
     "jacobian_at",
     "jerk_standard_form",
     "jordan_to_xyz",
     "load_config",
     "poincare_return",
     "predicted_roots",
+    "root_corrections",
     "scale_state",
     "shoot_orbit",
     "sweep_epsilon",

@@ -6,8 +6,9 @@ output directory; a run refused on the hypotheses, or an average whose
 quadrature did not converge, records why under "error". orbits and
 sweep additionally emit orbit_<i>.csv traces with columns t,x,y,z at 17
 significant digits, each the record's trace: the dense output of the
-return that located the orbit, sampled at 512 times over one period. Output is deterministic: re-running a command
-with the same config produces byte-identical files.
+return that located the orbit, sampled at 512 times over one period.
+Output is deterministic: re-running a command with the same config
+produces byte-identical files.
 
 orbits and sweep both run shooting.sweep_epsilon, which checks the
 theorem's hypotheses before it shoots. Where it refuses they exit 2 and

@@ -10,12 +10,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
+from .averaging import _rule_nodes
+from .normal_form import UnfoldingParams
+
 #: absolute tolerance for the degeneracy checks on the classifier quantities
 DEGENERACY_TOL = 1e-10
+
+#: Gauss-Legendre nodes of higher_averages; on the showcase 32 nodes agree
+#: with 64 to 4e-14
+HIGHER_NODES = 32
+
+#: step, as a fraction of z1, of the stencil that gives Df3 z1
+_STENCIL_STEP = 1e-3
 
 
 class HypothesisViolated(ValueError):
@@ -67,6 +78,164 @@ def g_closed(r: float, w: float, a2: float, b2: float, delta: float) -> np.ndarr
                      + 12.0 * d2 * w * w) / 4.0
     g2 = -pref * w * ((3.0 - d2) * r * r + 2.0 * b2 * d2 + 2.0 * d2 * w * w)
     return np.array([g1, g2])
+
+
+def g_jacobian(r: float, w: float, a2: float, b2: float,
+               delta: float) -> np.ndarray:
+    """Jacobian d(g1, g2)/d(r, w) of g_closed; its determinant at a root is
+    that root's jac_det in predicted_roots."""
+    d2 = delta ** 2
+    pref = 1.0 / (2.0 * delta ** 5)
+    cubic = (3.0 - d2) * r * r
+    return pref * np.array([
+        [(3.0 * cubic + 4.0 * b2 * d2 - 4.0 * a2 * d2 * d2
+          + 12.0 * d2 * w * w) / 4.0, 6.0 * d2 * r * w],
+        [-2.0 * (3.0 - d2) * r * w,
+         -(cubic + 2.0 * b2 * d2 + 6.0 * d2 * w * w)],
+    ])
+
+
+@lru_cache(maxsize=64)
+def _slice_tables(u: UnfoldingParams):
+    """The theta-dependent parts of higher_averages on its nodes, once per
+    direction.
+
+    Returns (cos, e, kc, y1, tables, weights, integral): e is
+    (sin, -1/delta) and kc = k cos on the nodes, y1 the Y1 of r = 1, and
+    tables the (3, 6, nodes) coefficients of phi2, phi3 and
+    phi4 + C h2^2 / r over the monomials of _monomials.
+    """
+    s, weights, integral = _rule_nodes(HIGHER_NODES, 2.0 * np.pi)
+    d, a2, b2, c2 = u.delta, u.a2, u.b2, u.c2
+    sin, cos = np.sin(s), np.cos(s)
+    e = np.array([sin, np.full_like(s, -1.0 / d)])[:, None, :]
+    kc = -u.c1 / d ** 2 * cos
+    ones = np.ones_like(s)
+    h2 = np.array([(sin * sin / d ** 2 - cos * cos) * sin / d ** 3,
+                   3.0 * sin * sin / d ** 4 - cos * cos / d ** 2,
+                   (b2 / d ** 3 - a2 / d) * sin - c2 / d ** 2 * cos,
+                   3.0 * sin / d ** 3, b2 / d ** 2 * ones, ones / d ** 2])
+    # each phi_k, less its h2^2 term, is a multiple of h2 plus one of r,
+    # the monomial of column 2
+    linear = np.zeros_like(h2)
+    linear[2] = 1.0
+    tables = np.array([h2 - kc * kc * cos * linear,
+                       -2.0 * kc * cos * h2 + kc ** 3 * cos * cos * linear,
+                       3.0 * (kc * cos) ** 2 * h2
+                       - kc ** 4 * cos ** 3 * linear])
+    y1 = (kc * e) @ integral.T
+    for arr in (e, kc, y1, tables):
+        arr.flags.writeable = False
+    return cos, e, kc, y1, tables, weights, integral
+
+
+def _monomials(r, w) -> np.ndarray:
+    """(6, points, 6): the monomials r^3, r^2 w, r, r w^2, w, w^3 of h2
+    and their derivatives by r, w, rr, rw and ww, rows in that order."""
+    one, zero = np.ones_like(r), np.zeros_like(r)
+    rr, rw, ww = r * r, r * w, w * w
+    return np.array([
+        [rr * r, rr * w, r, r * ww, w, ww * w],
+        [3.0 * rr, 2.0 * rw, one, ww, zero, zero],
+        [zero, rr, zero, 2.0 * rw, one, 3.0 * ww],
+        [6.0 * r, 2.0 * w, zero, zero, zero, zero],
+        [zero, 2.0 * r, zero, 2.0 * w, zero, zero],
+        [zero, zero, zero, 2.0 * r, zero, 6.0 * w],
+    ]).transpose(0, 2, 1)
+
+
+def higher_averages(u: UnfoldingParams, z) -> tuple:
+    """Third and fourth averaged functions (f3, f4) on the slice a1 = b1 = 0.
+
+    The angular system is dz/dtheta = sum_k eps^k F_k(z, theta), and its
+    solution from z is z + sum_k eps^k Y_k(theta) with Y_k = y_k / k!
+    (Llibre, Novaes and Teixeira, Nonlinearity 27, 2014). As F1 is linear
+    in z,
+        Y1' = F1,   Y2' = F2 + DF1 Y1,   Y3' = F3 + DF2 Y1 + DF1 Y2,
+        Y4' = F4 + DF3 Y1 + D^2F2[Y1, Y1] / 2 + DF2 Y2 + DF1 Y3,
+    every F_k and its derivatives taken at (z, theta), and the averaged
+    functions are f_k = Y_k(2 pi), so that f2 = 2 pi g_closed. The F_k are
+    the terms of the geometric expansion of theta_rhs: with C = cos(theta),
+    e = (sin(theta), -1/delta) and h1 = k r C, k = -c1 / delta^2, each is
+    F_k = phi_k e with
+        phi1 = k r C,                   phi2 = h2 - k^2 r C^3,
+        phi3 = -2 k C^2 h2 + k^3 r C^5,
+        phi4 = -C h2^2 / r + 3 k^2 C^4 h2 - k^4 r C^7,
+    where h2 = r^3 A + r^2 w B + r P + r w^2 D + w (b2 + w^2) / delta^2, as
+    in jerk_standard_form, which calls P C. Every Y_k' is thus a scalar times e, and the
+    Y_k on the HIGHER_NODES nodes come from the integration matrix of the
+    Gauss-Legendre rule. At c1 = 0, F1 = F3 = 0 and f3 = 0 exactly.
+
+    z has shape (2, *batch); f3 and f4 have that shape too. No (N, 2N)
+    check runs: these functions only seed Newton, which accepts an orbit
+    on its own return.
+    """
+    cos, e, kc, y1, tables, weights, integral = _slice_tables(u)
+    z = np.asarray(z, dtype=float)
+    r, w = z.reshape(2, -1)
+    # phi2 with its 5 derivatives, phi3 with its gradient, and phi4 up to
+    # its h2^2 term, each of shape (points, nodes)
+    phi2, phi3, phi4 = _monomials(r, w) @ tables[:, None]
+    r = r[:, None]
+    y1 = y1 * r
+
+    def along(scalar):
+        """Y with Y' = scalar e, on the nodes."""
+        return (scalar * e) @ integral.T
+
+    y2 = along(phi2[0] + kc * y1[0])
+    psi3 = phi3[0] + phi2[1] * y1[0] + phi2[2] * y1[1] + kc * y2[0]
+    h2 = phi2[0] + kc * kc * cos * r
+    psi4 = (phi4[0] - cos * h2 * h2 / r
+            + phi3[1] * y1[0] + phi3[2] * y1[1]
+            + 0.5 * (phi2[3] * y1[0] * y1[0] + phi2[5] * y1[1] * y1[1])
+            + phi2[4] * y1[0] * y1[1]
+            + phi2[1] * y2[0] + phi2[2] * y2[1] + kc * along(psi3)[0])
+    return tuple(((psi * e) @ weights).reshape(z.shape)
+                 for psi in (psi3, psi4))
+
+
+def root_corrections(u: UnfoldingParams, roots) -> list:
+    """(z1, z2) for each root z0 of g_closed: the orbit's (r, w) at
+    theta = 0 is z0 + eps z1 + eps^2 z2 + O(eps^3).
+
+    These are the terms of the root of f2 + eps f3 + eps^2 f4 (see
+    higher_averages), f2 = 2 pi g_closed:
+        z1 = -Df2^-1 f3,
+        z2 = -Df2^-1 (f4 + Df3 z1 + D^2f2[z1, z1] / 2),
+    all at z0. f2 and f3 are cubic polynomials in (r, w), so
+    D^2f2[z1, z1] / 2 = (f2(z0 + z1) + f2(z0 - z1)) / 2 - f2(z0), and a
+    five-point stencil along z1 gives Df3 z1, both up to round-off. At
+    c1 = 0, z1 = 0 and no stencil runs.
+    """
+    if not roots:
+        return []
+    z0 = np.array(roots, dtype=float).T
+    jac = 2.0 * np.pi * np.moveaxis(
+        g_jacobian(z0[0], z0[1], u.a2, u.b2, u.delta), 2, 0)
+
+    def newton(f):
+        return -np.linalg.solve(jac, f.T[:, :, None])[:, :, 0].T
+
+    def along_z1(f, *steps):
+        """f at z0 + step z1 for each step, stacked on axis 1."""
+        return f(z0[:, None] + np.array(steps)[:, None] * z1[:, None])
+
+    f3, f4 = higher_averages(u, z0)
+    z1 = newton(f3)
+    if np.any(z1):
+        # a small step keeps the stencil near z0, where r > 0
+        h = _STENCIL_STEP
+        line = along_z1(lambda z: higher_averages(u, z)[0], -2 * h, -h, h,
+                        2 * h)
+        f2 = 2.0 * np.pi * along_z1(
+            lambda z: g_closed(z[0], z[1], u.a2, u.b2, u.delta), 1.0, -1.0,
+            0.0)
+        f4 = (f4 + (line[:, 0] - 8.0 * line[:, 1] + 8.0 * line[:, 2]
+                    - line[:, 3]) / (12.0 * h)
+              + (f2[:, 0] + f2[:, 1]) / 2.0 - f2[:, 2])
+    z2 = newton(f4)
+    return [(z1[:, i], z2[:, i]) for i in range(len(roots))]
 
 
 def require_first_order_zero(a1: float, b1: float) -> None:

@@ -11,11 +11,13 @@ unit of integration is half a return. The half return M takes a section
 point q to the first upward crossing m of the mirrored section
 {z = 0, y < 0}, and the reflection -m lies on the section again. The
 return map is the odd square of M, P(q) = -M(-M(q)): two legs, the second
-from -m, reflected. Each leg is one Taylor leg of the state, followed by
-one batched linear solve for the fundamental matrix of its variational
-equations, which gives the crossing, the exact Jacobian of M, the dense
-output of the flight and, composed over both legs at the fixed point, the
-monodromy matrix whose eigenvalues are the Floquet multipliers. The
+from -m, reflected. Each leg is one Taylor leg of the state, which gives
+the crossing and the dense output of the flight. One batched linear solve
+over the steps of a leg gives the fundamental matrix of its variational
+equations and the exact Jacobian of M; J is even in the state, so one
+solve over the steps of both legs gives that of a whole return, the
+monodromy matrix at the fixed point, whose eigenvalues are the Floquet
+multipliers. The
 accepted return at the fixed point is the only integration of a located
 orbit: its trace is sampled from that return's dense output.
 
@@ -26,16 +28,18 @@ Perspective, 2002). Newton on T integrates one leg per iteration, and
 one more leg from the fixed point completes the full return that accepts
 the orbit.
 
-Newton starts from up to three candidate seeds, in this order: mirror,
-warm-start and section-image. The paired roots (r, w) and (r, -w)
-predict two orbits that are point reflections of each other. Once the +w
-orbit is located, the seed of the -w orbit is -m of its partner's
-accepted return, and the second leg of that return is the half return
-from exactly that point; so the first return from the mirror seed
-integrates one new leg, and Newton typically accepts on it. A warm start
-is the fixed point of a nearby eps, and the section image is the
-theta = 0 image of the averaged root. Every orbit is accepted only on
-its own full return, whatever its seed.
+Newton starts from up to two candidate seeds, in this order: mirror and
+section-image. The paired roots (r, w) and (r, -w) predict two orbits
+that are point reflections of each other. Once the +w orbit is located,
+the seed of the -w orbit is -m of its partner's accepted return, and the
+second leg of that return is the half return from exactly that point; so
+the first return from the mirror seed integrates one new leg, and Newton
+typically accepts on it. The section image is the theta = 0 image of the
+orbit's (r, w) to second order in eps, z0 + eps z1 + eps^2 z2: z0 is the
+averaged root, and z1 and z2 come from the third and fourth averaged
+functions (closed_form.root_corrections), so the seed misses the orbit by
+O(eps^4) where the image of z0 alone misses it by O(eps^3). Every orbit is
+accepted only on its own full return, whatever its seed.
 
 The field is a cubic polynomial, so every flow is integrated by a Taylor
 series method (Jorba and Zou, Experimental Mathematics 14, 2005): short
@@ -56,8 +60,9 @@ crossing is found, one batched product of the steps' x series gives
 x^2, and with it the Taylor series of the state-dependent entries of J
 on every step. The Taylor coefficients of every step's transition matrix
 then solve one lower-triangular system per step, in one batched solve
-over the leg; the leg's Phi is the ordered product of the transitions,
-each evaluated at its step length and the last one at the crossing.
+over the leg, or over both legs of a return; Phi is the ordered product
+of the transitions, each evaluated at its step length and the last one
+of a leg at its crossing.
 """
 
 from __future__ import annotations
@@ -67,7 +72,7 @@ import math
 from dataclasses import dataclass
 from functools import cache
 from operator import mul
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -77,6 +82,7 @@ from .closed_form import (
     OrbitPrediction,
     predicted_roots,
     require_first_order_zero,
+    root_corrections,
 )
 from .jerk import SystemParams, vector_field
 from .normal_form import UnfoldingParams, unfold
@@ -91,6 +97,14 @@ SHOOT_TOL = 1e-10
 
 #: Newton iterations on the return map before a candidate seed is given up
 MAX_NEWTON_ITER = 25
+
+#: largest |eps z1 + eps^2 z2| / r of the correction of a root (r, w)
+#: that its section-image seed takes; a longer one, as close to a
+#: degeneracy boundary, where Dg is nearly singular, leaves the seed at
+#: eps (w, r). On 60 random directions swept over eps 0.2 to 0.05, every
+#: orbit located has a correction below 0.13 r, and every longer one
+#: belongs to a root that neither seed locates
+MAX_SEED_SHIFT = 0.25
 
 #: total flight-time budget of one return to the section
 RETURN_T_MAX = 100.0
@@ -111,6 +125,9 @@ MAX_TOL = 1e-6
 #: fractions of a Taylor step at which its z polynomial is sampled for a
 #: crossing: the start, 8 interior points and the end
 _CROSSING_FRACTIONS = np.linspace(0.0, 1.0, 10)
+
+#: a step is the estimated radius of convergence times this fraction
+_STEP_FRACTION = math.exp(-2.0)
 
 #: relative margin by which |z_0| must exceed the sum of the other terms of
 #: a step's z polynomial for the step to be passed over without sampling
@@ -179,11 +196,11 @@ class PeriodicOrbitRecord:
     #: (TRACE_SAMPLES, 3) states there, from the return that located the orbit
     trace: tuple
     #: (m, leg) of the return that located the orbit: m, the (x, y) of its
-    #: crossing of {z = 0, y < 0}, and leg, its second half, the
-    #: half_return from -m. -m is the mirror seed of the partner orbit, and
+    #: crossing of {z = 0, y < 0}, and leg, its second half, the leg from
+    #: -m, without its Phi. -m is the mirror seed of the partner orbit, and
     #: leg the first half of that orbit's first return
     mirror_leg: tuple
-    #: the candidate Newton converged from: mirror, warm-start or section-image
+    #: the candidate Newton converged from: mirror or section-image
     seed_candidate: str
     #: return-map calls spent on this orbit, half or full: half returns of
     #: Newton on T, and poincare_return calls
@@ -293,13 +310,15 @@ def _transition_system(order: int):
 
 def _leg_transition(p: SystemParams, lengths: list, xs: list,
                     quads: list) -> np.ndarray:
-    """Fundamental matrix, from the identity, over a leg of Taylor steps.
+    """Fundamental matrix, from the identity, over Taylor steps in order.
 
     lengths, xs and quads hold the length and the x and y^2 - x^2
-    coefficients of each step in order. The steps share one order, so one
-    _jacobian_series call gives the Jacobian series of every step, and one
-    batched solve of _transition_system every step's transition; the
-    leg's matrix is their ordered product.
+    coefficients of each step in order: the steps of a leg, or those of
+    both legs of a return, the second leg's from -m, which J, even in the
+    state, does not tell from the reflected ones. The steps share one
+    order, so one _jacobian_series call gives the Jacobian series of every
+    step, and one batched solve of _transition_system every step's
+    transition; the matrix is their ordered product.
     """
     jac = _jacobian_series(p, xs, quads)
     steps, _, order = jac.shape
@@ -348,6 +367,117 @@ def _crossing_root(poly: list, lo: float, hi: float) -> float:
     return u
 
 
+class _Leg(NamedTuple):
+    """A half return integrated without its variational equations.
+
+    crossing is m, the (x, y) of the crossing of {z = 0, y < 0}; end the
+    state there; steps the (lengths, x series, y^2 - x^2 series) of the
+    leg's Taylor steps, all _leg_transition needs; flow as in half_return.
+    """
+
+    crossing: np.ndarray
+    flight: float
+    end: list
+    steps: tuple
+    flow: Callable
+
+
+@cache
+def _fraction_powers(order: int) -> np.ndarray:
+    """_CROSSING_FRACTIONS to the powers 0 to order, one row per fraction."""
+    return _CROSSING_FRACTIONS[:, None] ** np.arange(order + 1)
+
+
+def _leg(p: SystemParams, q, spec: IntegratorSpec) -> _Leg:
+    """The Taylor leg of half_return from (q, 0), without its Phi.
+
+    Raises the errors of half_return.
+    """
+    order = math.ceil(1.0 - 0.5 * math.log(spec.tol))
+    powers = range(order + 1)
+    fraction_powers = _fraction_powers(order)
+    root_low, root_high = 1.0 / (order - 1), 1.0 / order
+    s = [float(q[0]), float(q[1]), 0.0]
+    t = 0.0
+    starts, polys = [], []  # start time and (x, y, z) coefficients of each step
+    lengths, xs, quads = [], [], []  # what _leg_transition takes of each step
+    while t < RETURN_T_MAX:
+        if len(polys) == spec.max_steps:
+            raise StepLimitExceeded(
+                f"more than {spec.max_steps} steps before t = {RETURN_T_MAX}")
+        scale = max(1.0, abs(s[0]), abs(s[1]), abs(s[2]))
+        x, y, z, quad = _taylor_coefficients(p, s, order)
+        if not math.isfinite(x[-2] + y[-2] + z[-2] + x[-1] + y[-1] + z[-1]):
+            raise StepUnderflow(f"non-finite Taylor coefficients at t = {t:.6g}")
+        # the radius of convergence from the last two coefficients
+        low = max(abs(x[-2]), abs(y[-2]), abs(z[-2]))
+        high = max(abs(x[-1]), abs(y[-1]), abs(z[-1]))
+        h = min((scale / low) ** root_low if low > 0.0 else math.inf,
+                (scale / high) ** root_high if high > 0.0 else math.inf
+                ) * _STEP_FRACTION
+        if not h > 10.0 * math.ulp(t):
+            raise StepUnderflow(f"step {h:.3g} below the resolution at "
+                                f"t = {t:.6g}")
+        h = min(h, RETURN_T_MAX - t)
+        starts.append(t)
+        polys.append((x, y, z))
+        xs.append(x)
+        quads.append(quad)
+        h_powers = [h ** k for k in powers]
+        landing = None
+        # z keeps the sign of z[0] on the whole step where |z[0]| exceeds
+        # the sum of the other |z[k] h^k|; the margin covers the round-off
+        if abs(z[0]) <= (1.0 + _SIGN_MARGIN) * sum(
+                map(abs, map(mul, z[1:], h_powers[1:]))):
+            # z as a polynomial in u = tau / h
+            zu = list(map(mul, z, h_powers))
+            samples = (fraction_powers @ zu).tolist()
+            for i in range(len(samples) - 1):
+                if samples[i] < 0.0 <= samples[i + 1]:
+                    u = _crossing_root(zu, _CROSSING_FRACTIONS[i],
+                                       _CROSSING_FRACTIONS[i + 1])
+                    tau_powers = [(u * h) ** k for k in powers]
+                    state = [sum(map(mul, coef, tau_powers))
+                             for coef in (x, y, z)]
+                    if state[1] < 0.0:
+                        landing = u
+                        break
+        if landing is not None:
+            lengths.append(landing * h)
+            break
+        lengths.append(h)
+        s = [sum(map(mul, x, h_powers)), sum(map(mul, y, h_powers)),
+             sum(map(mul, z, h_powers))]
+        t = t + h if h < RETURN_T_MAX - t else RETURN_T_MAX
+    else:
+        raise NoReturn(f"no crossing of the mirrored section within "
+                       f"t_max={RETURN_T_MAX}")
+    state[2] = 0.0
+
+    def flow(t):
+        t = np.asarray(t, dtype=float)
+        step = np.searchsorted(starts[1:], t, side="right")
+        tau = (t - np.array(starts)[step])[:, None]
+        coef = np.array(polys).transpose(2, 0, 1)[:, step]
+        states = coef[-1]
+        for c in coef[-2::-1]:
+            states = states * tau + c
+        return states
+
+    return _Leg(np.array(state[:2]), t + lengths[-1], state,
+                (lengths, xs, quads), flow)
+
+
+def _section_jacobian(p: SystemParams, end, phi: np.ndarray) -> np.ndarray:
+    """phi projected along the field at end onto the plane z = 0.
+
+    The projection is the same for the field and its negative, so for a
+    reflected end too.
+    """
+    f = vector_field(p, end)
+    return (phi - np.outer(f, phi[2]) / f[2])[:2, :2]
+
+
 def half_return(p: SystemParams, q, spec: IntegratorSpec):
     """Half return: from (q, 0) to the mirrored section {z = 0, y < 0}.
 
@@ -387,75 +517,10 @@ def half_return(p: SystemParams, q, spec: IntegratorSpec):
     spec.max_steps steps; StepUnderflow when a step falls below what
     double precision resolves or the Taylor coefficients are not finite.
     """
-    order = math.ceil(1.0 - 0.5 * math.log(spec.tol))
-    powers = range(order + 1)
-    fraction_powers = _CROSSING_FRACTIONS[:, None] ** np.arange(order + 1)
-    s = [float(q[0]), float(q[1]), 0.0]
-    t = 0.0
-    starts, polys = [], []  # start time and (x, y, z) coefficients of each step
-    lengths, quads = [], []  # length and y^2 - x^2 coefficients of each step
-    while t < RETURN_T_MAX:
-        if len(polys) == spec.max_steps:
-            raise StepLimitExceeded(
-                f"more than {spec.max_steps} steps before t = {RETURN_T_MAX}")
-        scale = max(1.0, abs(s[0]), abs(s[1]), abs(s[2]))
-        x, y, z, quad = _taylor_coefficients(p, s, order)
-        if not math.isfinite(x[-2] + y[-2] + z[-2] + x[-1] + y[-1] + z[-1]):
-            raise StepUnderflow(f"non-finite Taylor coefficients at t = {t:.6g}")
-        last = (max(abs(x[-2]), abs(y[-2]), abs(z[-2])),
-                max(abs(x[-1]), abs(y[-1]), abs(z[-1])))
-        radius = min((scale / norm) ** (1.0 / j) if norm > 0.0 else math.inf
-                     for j, norm in zip((order - 1, order), last))
-        h = radius * math.exp(-2.0)
-        if not h > 10.0 * math.ulp(t):
-            raise StepUnderflow(f"step {h:.3g} below the resolution at "
-                                f"t = {t:.6g}")
-        h = min(h, RETURN_T_MAX - t)
-        starts.append(t)
-        polys.append((x, y, z))
-        quads.append(quad)
-        h_powers = [h ** k for k in powers]
-        zu = list(map(mul, z, h_powers))  # z as a polynomial in u = tau / h
-        landing = None
-        # z keeps the sign of zu[0] on the whole step where |zu[0]| exceeds
-        # the sum of the other |zu[k]|; the margin covers the round-off
-        if abs(zu[0]) <= (1.0 + _SIGN_MARGIN) * sum(map(abs, zu[1:])):
-            samples = (fraction_powers @ zu).tolist()
-            for i in range(len(samples) - 1):
-                if samples[i] < 0.0 <= samples[i + 1]:
-                    u = _crossing_root(zu, _CROSSING_FRACTIONS[i],
-                                       _CROSSING_FRACTIONS[i + 1])
-                    tau_powers = [(u * h) ** k for k in powers]
-                    state = [sum(map(mul, coef, tau_powers))
-                             for coef in (x, y, z)]
-                    if state[1] < 0.0:
-                        landing = u
-                        break
-        if landing is not None:
-            lengths.append(landing * h)
-            break
-        lengths.append(h)
-        s = [sum(map(mul, x, h_powers)), sum(map(mul, y, h_powers)), sum(zu)]
-        t = t + h if h < RETURN_T_MAX - t else RETURN_T_MAX
-    else:
-        raise NoReturn(f"no crossing of the mirrored section within "
-                       f"t_max={RETURN_T_MAX}")
-    state[2] = 0.0
-    phi = _leg_transition(p, lengths, [x for x, _, _ in polys], quads)
-
-    def flow(t):
-        t = np.asarray(t, dtype=float)
-        step = np.searchsorted(starts[1:], t, side="right")
-        tau = (t - np.array(starts)[step])[:, None]
-        coef = np.array(polys).transpose(2, 0, 1)[:, step]
-        states = coef[-1]
-        for c in coef[-2::-1]:
-            states = states * tau + c
-        return states
-
-    f = vector_field(p, state)
-    jac = (phi - np.outer(f, phi[2]) / f[2])[:2, :2]
-    return np.array(state[:2]), t + lengths[-1], jac, phi, flow
+    leg = _leg(p, q, spec)
+    phi = _leg_transition(p, *leg.steps)
+    return (leg.crossing, leg.flight, _section_jacobian(p, leg.end, phi),
+            phi, leg.flow)
 
 
 def poincare_return(p: SystemParams, q, spec: IntegratorSpec, first=None):
@@ -471,43 +536,57 @@ def poincare_return(p: SystemParams, q, spec: IntegratorSpec, first=None):
     downward at y < 0. Only a flight that crossed the section before it
     crossed the mirrored one would return later than the first return.
 
+    J is even in the state, as the field is odd, so the reflected second
+    leg has the variational equations of the leg from -m. Where neither
+    leg has its Phi yet, one _leg_transition over the steps of both legs
+    in order gives Phi2 Phi1; where the first leg has one, only the second
+    leg's is solved.
+
     Parameters
     ----------
     q : (x, y) coordinates on the section
     spec : integrator budget, for each leg
-    first : half_return(p, q, spec) when it is already integrated; only
-        the second leg is integrated then
+    first : the leg from q when it is already integrated: the tuple of
+        half_return(p, q, spec), or the second leg of another return, from
+        its (m, second); only the second leg is integrated then
 
     Returns
     -------
     ((x', y'), flight_time, dP/dq, Phi, flow, (m, second)) at the polished
     crossing. flight_time is t1 + t2, the flights of the two legs; Phi is
     the fundamental matrix over the whole flight from (q, 0), Phi2 Phi1,
-    the monodromy matrix at a fixed point; dP/dq = J2 J1, the product of
-    the legs' dM/dq. flow maps a 1-d array of times in [0, flight_time] to
-    the (len(t), 3) states there: the first leg up to t1, then the second
-    leg reflected; flow(0) is (q, 0) exactly. m is (x, y) at the crossing
-    of the mirrored section, and second the half return from -m.
+    the monodromy matrix at a fixed point; dP/dq is Phi projected along
+    the field at the final crossing, as in half_return, which equals
+    J2 J1, the product of the legs' dM/dq. flow maps a 1-d array of times
+    in [0, flight_time] to the (len(t), 3) states there: the first leg up
+    to t1, then the second leg reflected; flow(0) is (q, 0) exactly. m is
+    (x, y) at the crossing of the mirrored section, and second the leg
+    from -m, which a later return from -m takes as its first.
 
     Raises
     ------
     The errors of half_return, from either leg.
     """
     if first is None:
-        first = half_return(p, q, spec)
-    mirror, t1, jac1, phi1, flow1 = first
-    second = half_return(p, -mirror, spec)
-    crossing, t2, jac2, phi2, flow2 = second
+        first = _leg(p, q, spec)
+    mirror, t1, flow1 = first[0], first[1], first[4]
+    second = _leg(p, -mirror, spec)
+    if isinstance(first, _Leg):
+        phi = _leg_transition(p, *(a + b for a, b in zip(first.steps,
+                                                         second.steps)))
+    else:
+        phi = _leg_transition(p, *second.steps) @ first[3]
 
     def flow(t):
         t = np.asarray(t, dtype=float)
         late = t >= t1
         states = np.empty((len(t), 3))
         states[~late] = flow1(t[~late])
-        states[late] = -flow2(t[late] - t1)
+        states[late] = -second.flow(t[late] - t1)
         return states
 
-    return (-crossing, t1 + t2, jac2 @ jac1, phi2 @ phi1, flow,
+    return (-second.crossing, t1 + second.flight,
+            _section_jacobian(p, second.end, phi), phi, flow,
             (mirror, second))
 
 
@@ -570,8 +649,8 @@ def shoot_orbit(
     eps: float,
     seed,
     spec: Optional[IntegratorSpec] = None,
-    initial_point=None,
     partner: Optional[PeriodicOrbitRecord] = None,
+    correction=None,
 ) -> PeriodicOrbitRecord:
     """Locate the periodic orbit predicted by the averaged root (r, w).
 
@@ -583,10 +662,15 @@ def shoot_orbit(
       the partner is an orbit too; the seed is -m of the partner's
       accepted return, and its first return reuses that return's second
       leg, the half return from -m, so it integrates one new leg.
-    - warm-start, an explicit initial_point, e.g. the fixed point of a
-      nearby eps;
-    - section-image, eps*(w, r), the theta = 0 image of the root under the
-      coordinate pipeline.
+    - section-image, the theta = 0 image under the coordinate pipeline of
+      the orbit's (r, w) to second order in eps, z0 + eps z1 + eps^2 z2
+      with z0 = seed: eps (w, r) + eps^2 (w1, r1) + eps^3 (w2, r2). It
+      misses the orbit by O(eps^4), the image eps (w, r) of the root
+      alone by O(eps^3). correction is (z1, z2), as
+      closed_form.root_corrections gives them, computed here when None.
+      Where eps z1 + eps^2 z2 is longer than MAX_SEED_SHIFT * r, so that
+      the expansion does not hold, or Dg is singular, the seed is
+      eps (w, r).
 
     A root with w = 0 is its own mirror image, and so is its orbit: from
     each candidate, Newton first runs on the half map T(q) = -M(q), one
@@ -647,11 +731,14 @@ def shoot_orbit(
     if partner is not None:
         mirror, leg = partner.mirror_leg
         candidates.append(("mirror", -mirror, leg))
-    if initial_point is not None:
-        candidates.append(("warm-start",
-                           np.asarray(initial_point, dtype=float), None))
-    q_section = np.array([eps * w, eps * r])
-    candidates.append(("section-image", q_section, None))
+    try:
+        z1, z2 = correction or root_corrections(u, [(r, w)])[0]
+        shift = eps * (z1 + eps * z2)
+    except np.linalg.LinAlgError:
+        shift = np.zeros(2)
+    if not np.linalg.norm(shift) <= MAX_SEED_SHIFT * r:
+        shift = np.zeros(2)
+    candidates.append(("section-image", eps * ((r, w) + shift)[::-1], None))
 
     for tag, q0, first in candidates:
         try:
@@ -676,7 +763,8 @@ def shoot_orbit(
             logger.info(
                 "seed (r=%.6g, w=%.6g) eps=%.6g: converged from %s start; "
                 "fixed point at %.3e from eps*(w, r)",
-                r, w, eps, tag, float(np.linalg.norm(fixed - q_section)),
+                r, w, eps, tag,
+                float(np.linalg.norm(fixed - eps * np.array([w, r]))),
             )
             break
     else:
@@ -748,14 +836,14 @@ def sweep_epsilon(
 
     This is the one check of the theorem's hypotheses before shooting: the
     orbits and sweep commands refuse exactly where it raises, and read the
-    case and the roots from the prediction it returns. Later eps values
-    warm-start from the previous fixed point scaled by the eps ratio. The
-    roots (r, w2), (r, -w2) of a mirror pair come in that order, and once
-    the +w2 orbit is located at an eps it is the partner of the -w2 one,
-    whose candidates are then mirror, warm-start and section-image in that
-    order (see shoot_orbit). Shooting failures are recorded per entry
+    case and the roots from the prediction it returns. The corrections
+    z1, z2 of the section-image seeds are computed once per root and serve
+    every eps. The roots (r, w2), (r, -w2) of a mirror pair come in that
+    order, and once the +w2 orbit is located at an eps it is the partner
+    of the -w2 one, whose candidates are then mirror and section-image in
+    that order (see shoot_orbit). Shooting failures are recorded per entry
     without aborting the sweep; a -w2 orbit whose partner failed is shot
-    from its other candidates.
+    from its section image.
 
     Raises
     ------
@@ -775,20 +863,18 @@ def sweep_epsilon(
     if prediction.count is OrbitCount.DEGENERATE:
         raise DegeneratePrediction(prediction.degenerate_reason)
 
+    corrections = root_corrections(u, prediction.roots)
     entries = []
     for eps in eps_list:
         records: dict[int, PeriodicOrbitRecord] = {}
         failures: dict[int, str] = {}
         for i, root in enumerate(prediction.roots):
-            warm = entries[-1].records.get(i) if entries else None
-            start = (None if warm is None
-                     else warm.section_point * (eps / entries[-1].eps))
             paired = (root[1] < 0.0 and i > 0
                       and prediction.roots[i - 1] == (root[0], -root[1]))
             partner = records.get(i - 1) if paired else None
             try:
-                records[i] = shoot_orbit(u, eps, root, spec,
-                                         initial_point=start, partner=partner)
+                records[i] = shoot_orbit(u, eps, root, spec, partner,
+                                         corrections[i])
             except SHOOTING_ERRORS as exc:
                 failures[i] = f"{type(exc).__name__}: {exc}"
         entries.append(SweepEntry(eps=eps, records=records, failures=failures))

@@ -9,8 +9,11 @@ from averager.closed_form import (
     classify,
     f_closed,
     g_closed,
+    g_jacobian,
+    higher_averages,
     predicted_roots,
 )
+from averager.normal_form import UnfoldingParams, jerk_standard_form, theta_rhs
 
 COUNT_OF = {OrbitCount.ZERO: 0, OrbitCount.ONE: 1, OrbitCount.TWO: 2,
             OrbitCount.THREE: 3}
@@ -171,3 +174,92 @@ def test_classifier_count_consistency():
         pred = predicted_roots(a2, b2, delta)
         assert COUNT_OF[label] == len(pred.roots)
         checked += 1
+
+
+def test_g_jacobian_determinant_is_the_published_one():
+    """det of the analytic Dg at each predicted root is its jac_det."""
+    rng = np.random.default_rng(47)
+    checked = 0
+    while checked < 100:
+        a2, b2 = rng.uniform(-2.0, 2.0, 2)
+        delta = rng.uniform(0.5, 3.0)
+        pred = predicted_roots(a2, b2, delta)
+        if pred.count is OrbitCount.DEGENERATE or not pred.roots:
+            continue
+        for (r, w), det in zip(pred.roots, pred.jac_dets):
+            got = np.linalg.det(g_jacobian(r, w, a2, b2, delta))
+            assert abs(got - det) < 1e-12 * max(1.0, abs(det))
+        checked += 1
+
+
+#: the showcase direction without and with first-order c1
+SHOWCASE = UnfoldingParams(a2=1.0, b2=5.0, delta=2.0)
+WITH_C1 = UnfoldingParams(a2=1.0, b2=5.0, c1=0.5, c2=-0.3, delta=2.0)
+
+
+def test_theta_rhs_has_no_third_order_term_without_c1():
+    """At c1 = 0, F1 = F3 = 0: F1 vanishes, and theta_rhs - eps^2 F2
+    shrinks like eps^4, 16 times per halving of eps, where with c1 it
+    shrinks like eps^3, 8 times; higher_averages gives f3 = 0 exactly."""
+    rng = np.random.default_rng(59)
+    samples = [(rng.uniform(0.5, 3.0), rng.uniform(0.0, 2.0 * np.pi),
+                rng.uniform(-1.5, 1.5)) for _ in range(12)]
+    ratios = {}
+    for u in (UnfoldingParams(a2=1.0, b2=5.0, c2=-0.3, delta=2.0), WITH_C1):
+        sys = jerk_standard_form(u)
+        worst = []
+        for eps in (4e-3, 2e-3):
+            remainder = 0.0
+            for r, theta, w in samples:
+                z = np.array([r, w])
+                if u.c1 == 0.0:
+                    assert np.array_equal(sys.f1(z, theta), [0.0, 0.0])
+                rest = (theta_rhs((r, theta, w), u, eps)
+                        - eps * sys.f1(z, theta)
+                        - eps * eps * sys.f2(z, theta))
+                remainder = max(remainder, float(np.max(np.abs(rest))))
+            worst.append(remainder)
+        ratios[u.c1] = worst[0] / worst[1]
+    assert ratios[0.0] > 14.0 and 7.0 < ratios[0.5] < 9.0, ratios
+    z = np.array([[3.0, 5.0, 1.2], [0.5, -0.8, 1.5]])
+    f3, _ = higher_averages(UnfoldingParams(a2=1.0, b2=5.0, c2=-0.3,
+                                            delta=2.0), z)
+    assert not np.any(f3)
+
+
+def theta_map_coefficients(u, z):
+    """f3 and f4 from the exact theta map, by DOP853 at 1e-13.
+
+    The displacement over one turn from z is eps^2 f2 + eps^3 f3
+    + eps^4 f4 + ..., with f2 = 2 pi g_closed; (d / eps^2 - f2) / eps is
+    fitted by a cubic in eps at five eps in [0.01, 0.04], and its first
+    two coefficients are f3 and f4.
+    """
+    from scipy.integrate import solve_ivp
+
+    f2 = 2.0 * np.pi * g_closed(z[0], z[1], u.a2, u.b2, u.delta)
+    eps_values = np.array([0.04, 0.03, 0.02, 0.015, 0.01])
+    scaled = []
+    for eps in eps_values:
+        sol = solve_ivp(lambda th, y: theta_rhs((y[0], th, y[1]), u, eps),
+                        (0.0, 2.0 * np.pi), z, method="DOP853",
+                        rtol=1e-13, atol=1e-13)
+        scaled.append(((sol.y[:, -1] - z) / eps ** 2 - f2) / eps)
+    fit = np.linalg.lstsq(np.vander(eps_values, 4, increasing=True),
+                          np.array(scaled), rcond=None)[0]
+    return fit[0], fit[1]
+
+
+@pytest.mark.parametrize("u", [SHOWCASE, WITH_C1])
+def test_higher_averages_match_the_theta_map(u):
+    """f3 and f4 agree with the coefficients of the exact theta map. The
+    fit's own error, from its truncation and the 1e-13 tolerance divided
+    by eps^3 and eps^4, is at most 5e-6 on f3 and 1e-3 on f4 (with c1, at
+    z = (5, -0.8), where |f3| is 2.6 and |f4| 15); the bounds are 1e-5 and
+    1e-3 relative to max(1, |f|)."""
+    for z in (np.array([3.0, 0.5]), np.array([5.0, -0.8])):
+        for got, fit, bound in zip(higher_averages(u, z),
+                                   theta_map_coefficients(u, z),
+                                   (1e-5, 1e-3)):
+            scale = max(1.0, np.max(np.abs(got)))
+            assert np.max(np.abs(got - fit)) < bound * scale

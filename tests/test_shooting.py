@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from averager import shooting
 from averager.closed_form import (DegeneratePrediction, HypothesisViolated,
-                                  OrbitCount, predicted_roots)
+                                  OrbitCount, predicted_roots,
+                                  root_corrections)
 from averager.jerk import SystemParams, jacobian_at, vector_field
 from averager.normal_form import UnfoldingParams, unfold
 from averager.shooting import (
@@ -440,14 +441,71 @@ def test_shoot_rejects_bad_input():
         shoot_orbit(THREE_ORBIT, 0.5, (4.0, 0.0), SPEC)
 
 
-def test_warm_start_that_blows_up_falls_back_to_the_section_image():
-    """A warm start whose first return blows up fails as a candidate; the
-    section-image seed then locates the same orbit."""
-    warm = shoot_orbit(THREE_ORBIT, EPS, (4.0, 0.0), SPEC,
-                       initial_point=(3.0, 30.0))
-    cold = shoot_orbit(THREE_ORBIT, EPS, (4.0, 0.0), SPEC)
-    assert np.array_equal(warm.section_point, cold.section_point)
-    assert warm.period == cold.period
+@pytest.mark.parametrize("u", [
+    THREE_ORBIT,
+    UnfoldingParams(a2=1.0, b2=5.0, c1=0.5, c2=-0.3, delta=2.0),
+])
+def test_section_image_seed_misses_by_order_eps4(u, monkeypatch):
+    """The section-image seed, the image of z0 + eps z1 + eps^2 z2, misses
+    the orbit by O(eps^4): on every showcase root, with and without c1,
+    the miss falls at least 8 times per halving of eps from 0.1 to 0.025,
+    half the 16 of eps^4. The orbit is the located one polished by two
+    Newton steps on returns at tol 1e-13."""
+    tight = IntegratorSpec(tol=1e-13)
+    starts = []
+    leg = shooting._leg
+
+    def first_start(p, q, spec):
+        starts.append(np.array(q))
+        return leg(p, q, spec)
+
+    monkeypatch.setattr(shooting, "_leg", first_start)
+    for root in predicted_roots(u.a2, u.b2, u.delta).roots:
+        misses = []
+        for eps in (0.1, 0.05, 0.025):
+            starts.clear()
+            q = shoot_orbit(u, eps, root, tight).section_point
+            seed = starts[0]
+            p = unfold(u, eps)
+            for _ in range(2):
+                returned, _, jac, _, _, _ = poincare_return(p, q, tight)
+                q = q + np.linalg.solve(jac - np.eye(2), q - returned)
+            misses.append(np.linalg.norm(q - seed))
+        assert misses[0] > 8.0 * misses[1] > 64.0 * misses[2], (root, misses)
+
+
+def first_seed(u, eps, seed, monkeypatch):
+    """The start of the first leg shoot_orbit integrates, which raises."""
+    starts = []
+
+    def no_return(p, q, spec):
+        starts.append(np.array(q))
+        raise StepUnderflow("not integrated")
+
+    monkeypatch.setattr(shooting, "_leg", no_return)
+    with pytest.raises(ShootingDiverged, match="section-image"):
+        shoot_orbit(u, eps, seed, SPEC)
+    return starts[0]
+
+
+def test_a_correction_beyond_the_expansion_falls_back_to_eps_w_r(
+        monkeypatch):
+    """Close to delta^2 = 3 the root is far out and its correction
+    longer than MAX_SEED_SHIFT * r, and at (1, 0) of (0, -1, 1) Dg is
+    singular: either way the section-image seed is eps (w, r) itself."""
+    u = UnfoldingParams(a2=1.0, b2=-1.0, delta=math.sqrt(3.0 - 1e-3))
+    (root,) = predicted_roots(u.a2, u.b2, u.delta).roots
+    z1, z2 = root_corrections(u, [root])[0]
+    eps = 0.05
+    shift = np.linalg.norm(eps * (z1 + eps * z2))
+    assert shift > shooting.MAX_SEED_SHIFT * root[0]
+    assert np.array_equal(first_seed(u, eps, root, monkeypatch),
+                          [eps * root[1], eps * root[0]])
+    singular = UnfoldingParams(b2=-1.0, delta=1.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        root_corrections(singular, [(1.0, 0.0)])
+    assert np.array_equal(first_seed(singular, eps, (1.0, 0.0), monkeypatch),
+                          [0.0, eps])
 
 
 def test_failed_trial_return_halves_the_newton_step(records, monkeypatch):
@@ -479,10 +537,9 @@ def test_failed_trial_return_halves_the_newton_step(records, monkeypatch):
 
 def test_every_candidate_failing_names_the_integrator_error():
     tiny = IntegratorSpec(max_steps=2)
-    with pytest.raises(ShootingDiverged, match="warm-start: StepLimitExceeded"
-                       ".*section-image: StepLimitExceeded"):
-        shoot_orbit(THREE_ORBIT, EPS, (4.0, 0.0), tiny,
-                    initial_point=(0.0, 0.4))
+    with pytest.raises(ShootingDiverged,
+                       match="section-image: StepLimitExceeded"):
+        shoot_orbit(THREE_ORBIT, EPS, (4.0, 0.0), tiny)
 
 
 def test_the_equilibrium_at_the_origin_is_not_an_orbit():
@@ -575,12 +632,13 @@ def test_the_mirror_orbit_integrates_one_new_leg(records, monkeypatch):
     partner's accepted return, which starts at exactly that seed, and
     integrates only its own second leg."""
     legs = []
+    leg = shooting._leg
 
     def counted(p, q, spec):
         legs.append(q)
-        return half_return(p, q, spec)
+        return leg(p, q, spec)
 
-    monkeypatch.setattr(shooting, "half_return", counted)
+    monkeypatch.setattr(shooting, "_leg", counted)
     rec = shoot_orbit(THREE_ORBIT, EPS, records[2].seed, SPEC,
                       partner=records[1])
     assert rec.seed_candidate == "mirror"
@@ -622,18 +680,28 @@ def test_half_map_newton_stops_at_half_the_shooting_tolerance(records,
         -jac - np.eye(2), [0.75 * shooting.SHOOT_TOL, 0.0])
     displacement = np.linalg.norm(-half_return(p, start, SPEC)[0] - start)
     assert shooting.SHOOT_TOL / 2 < displacement < shooting.SHOOT_TOL
-    full = []
+    full, halves = [], []
 
     def counted(p, q, spec, first=None):
         full.append(q)
         return poincare_return(p, q, spec, first)
 
+    def counted_half(p, q, spec):
+        halves.append(q)
+        return half_return(p, q, spec)
+
     monkeypatch.setattr(shooting, "poincare_return", counted)
-    warm = shoot_orbit(THREE_ORBIT, EPS, rec.seed, SPEC, initial_point=start)
-    assert warm.seed_candidate == "warm-start"
-    assert (warm.returns, len(full)) == (3, 1)
-    assert warm.residual < shooting.SHOOT_TOL
-    assert np.max(np.abs(warm.section_point - rec.section_point)) < 1e-9
+    monkeypatch.setattr(shooting, "half_return", counted_half)
+    # the correction that puts the section-image seed at start
+    root = np.array(rec.seed)
+    correction = (np.zeros(2), (start[::-1] / EPS - root) / EPS ** 2)
+    seeded = shoot_orbit(THREE_ORBIT, EPS, rec.seed, SPEC,
+                         correction=correction)
+    assert np.max(np.abs(halves[0] - start)) < 1e-16
+    assert seeded.seed_candidate == "section-image"
+    assert (seeded.returns, len(full)) == (3, 1)
+    assert seeded.residual < shooting.SHOOT_TOL
+    assert np.max(np.abs(seeded.section_point - rec.section_point)) < 1e-9
 
 
 def test_returns_count_every_return_spent_on_the_orbit(monkeypatch):
@@ -670,8 +738,12 @@ def test_record_reports_newton_step_and_trivial_defect(records):
     both from the return at the fixed point."""
     p = unfold(THREE_ORBIT, EPS)
     for rec in records:
-        returned, _, jac, mono, _, _ = poincare_return(p, rec.section_point, SPEC)
-        step = np.linalg.solve(jac - np.eye(2), rec.section_point - returned)
+        q = rec.section_point
+        # a w = 0 orbit is accepted on the return that completes the last
+        # half return of Newton on T, from q
+        first = half_return(p, q, SPEC) if rec.seed[1] == 0.0 else None
+        returned, _, jac, mono, _, _ = poincare_return(p, q, SPEC, first)
+        step = np.linalg.solve(jac - np.eye(2), q - returned)
         assert rec.newton_step == float(np.linalg.norm(step))
         assert rec.trivial_multiplier_defect == float(
             np.min(np.abs(np.linalg.eigvals(mono) - 1.0)))
@@ -683,12 +755,11 @@ def test_a_failed_partner_leaves_the_mirror_orbit_to_its_other_seeds(
     original = shooting.shoot_orbit
     partners = []
 
-    def plus_w_fails(u, eps, seed, spec=None, initial_point=None,
-                     partner=None):
+    def plus_w_fails(u, eps, seed, spec=None, partner=None, correction=None):
         partners.append(partner)
         if seed[1] > 0.0:
             raise ShootingDiverged("the +w orbit is not located")
-        return original(u, eps, seed, spec, initial_point, partner)
+        return original(u, eps, seed, spec, partner, correction)
 
     monkeypatch.setattr(shooting, "shoot_orbit", plus_w_fails)
     entry = sweep_epsilon(THREE_ORBIT, [EPS], SPEC).entries[0]
@@ -703,10 +774,8 @@ def test_every_candidate_failing_names_the_mirror_failure(records,
                                                           monkeypatch):
     tiny = IntegratorSpec(max_steps=2)
     with pytest.raises(ShootingDiverged, match="mirror: StepLimitExceeded"
-                       ".*warm-start: StepLimitExceeded"
                        ".*section-image: StepLimitExceeded"):
         shoot_orbit(THREE_ORBIT, EPS, records[2].seed, tiny,
-                    initial_point=records[2].section_point,
                     partner=records[1])
     monkeypatch.setattr(shooting, "_newton_return", lambda *args: None)
     with pytest.raises(ShootingDiverged, match="mirror: Newton did not "
