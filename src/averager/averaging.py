@@ -13,11 +13,12 @@ small (n, n, m) array, and each point costs one contraction with its
 samples of F1. This sampled path is the reference.
 
 A system that carries its polynomials (see StandardFormSystem), as the
-jerk form does, is not sampled per point: F = sum_k m_k(z) C_k(t) is
-linear in its coefficient tables, so f and g are polynomials in z whose
-coefficients are theta-means of the tables, taken once per system and
-node count and cached. Each point then costs one product with its
-monomials.
+jerk form does, is not sampled per point: F = sum_k z^E_k C_k(t), E its
+table of exponents, is linear in its coefficient tables, so f and g are
+polynomials in z whose coefficients are theta-means of the tables, taken
+once per system and node count and cached. Each point then costs one
+product with its monomials, which normal_form.monomials evaluates from
+the exponent tables.
 
 Each result is accepted after an (N, 2N) agreement check. Simple zeros
 of these functions, certified by a nonzero Jacobian determinant,
@@ -36,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .normal_form import StandardFormSystem
+from .normal_form import StandardFormSystem, monomials
 
 #: (N, 2N) disagreement beyond this raises QuadratureNotConverged
 CONVERGENCE_TOL = 1e-6
@@ -144,23 +145,24 @@ def _rule_nodes(n_nodes: int, period: float):
 def _polynomial_means(sys: StandardFormSystem, n_nodes: int, order: int):
     """Terms of the order-th averaged function as a polynomial in z.
 
-    With sys.polynomials = ((m1, C1), (m2, C2)) on the n_nodes rule,
-    f = m1(z) . (C1 @ w) / T and, since DF1 = C1,
-    T g = m1(z) . [((C1 * w) @ S) : C1] + m2(z) . (C2 @ w), where the
-    contraction runs over the component and node axes as in
-    average_second. Returns pairs (coefficients, monomials), the
-    coefficients read-only arrays of shape (n, K). Keyed on the system
-    itself, which the cache holds, so a collected system's id can never
-    return its coefficients for another.
+    With sys.polynomials = ((E1, C1), (E2, C2)) on the n_nodes rule and
+    z^E the monomials of an exponent table, f = z^E1 . (C1 @ w) / T and,
+    since DF1 = C1, T g = z^E1 . [((C1 * w) @ S) : C1] + z^E2 . (C2 @ w),
+    where the contraction runs over the component and node axes as in
+    average_second. Returns pairs (coefficients, exponents), the
+    coefficients read-only arrays of shape (n, K), and the exponents None
+    for F1's, as z^E1 = z. Keyed on the system itself, which the cache
+    holds, so a collected system's id can never return its coefficients
+    for another.
     """
     s, w, S = _rule_nodes(n_nodes, sys.period)
-    (m1, table1), (m2, table2) = sys.polynomials
+    (_, table1), (e2, table2) = sys.polynomials
     c1 = table1(s)
     if order == 1:
-        terms = ((c1 @ w, m1),)
+        terms = ((c1 @ w, None),)
     else:
         inner = np.einsum("ijt,jkt->ik", (c1 * w) @ S, c1)
-        terms = ((inner, m1), (table2(s) @ w, m2))
+        terms = ((inner, None), (table2(s) @ w, e2))
     for coef, _ in terms:
         coef /= sys.period
         coef.flags.writeable = False
@@ -168,9 +170,11 @@ def _polynomial_means(sys: StandardFormSystem, n_nodes: int, order: int):
 
 
 def _polynomial_value(terms, points) -> np.ndarray:
-    """Sum of coefficients @ monomials(points) over terms, shaped as points."""
+    """Sum of coefficients @ monomials over terms, shaped as points."""
     flat = points.reshape(len(points), -1)
-    value = sum(coef @ monomials(flat) for coef, monomials in terms)
+    value = sum(coef @ (flat if exponents is None
+                        else monomials(exponents, flat))
+                for coef, exponents in terms)
     return value.reshape(points.shape)
 
 

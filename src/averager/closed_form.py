@@ -4,6 +4,12 @@ For the angular standard form of the unfolded jerk system both averaged
 functions have closed forms. The zeros of the second one come in two
 families, a w = 0 family and a pair with opposite w, and counting which
 families are real yields the orbit count for a given (a2, b2, delta).
+
+On the slice a1 = b1 = 0 the third and fourth averaged functions, the
+Jacobian of the third and the second derivatives of the second come from
+one quadrature pass (higher_averages) over h2's exponent table and
+theta-coefficients, which normal_form owns; root_corrections turns them
+into the second-order corrections of each root that seed shooting.
 """
 
 from __future__ import annotations
@@ -16,7 +22,8 @@ from typing import Optional
 import numpy as np
 
 from .averaging import _rule_nodes
-from .normal_form import UnfoldingParams
+from .normal_form import (H2_EXPONENTS, UnfoldingParams, h2_coefficients,
+                          monomials)
 
 #: absolute tolerance for the degeneracy checks on the classifier quantities
 DEGENERACY_TOL = 1e-10
@@ -25,8 +32,9 @@ DEGENERACY_TOL = 1e-10
 #: with 64 to 4e-14
 HIGHER_NODES = 32
 
-#: step, as a fraction of z1, of the stencil that gives Df3 z1
-_STENCIL_STEP = 1e-3
+#: the orders of the partial derivatives of the monomials of h2 that
+#: higher_averages takes: the values, then by r, w, rr, rw and ww
+_SECOND = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
 class HypothesisViolated(ValueError):
@@ -103,22 +111,16 @@ def _slice_tables(u: UnfoldingParams):
     Returns (cos, e, kc, y1, tables, weights, integral): e is
     (sin, -1/delta) and kc = k cos on the nodes, y1 the Y1 of r = 1, and
     tables the (3, 6, nodes) coefficients of phi2, phi3 and
-    phi4 + C h2^2 / r over the monomials of _monomials.
+    phi4 + C h2^2 / r over the monomials of H2_EXPONENTS.
     """
     s, weights, integral = _rule_nodes(HIGHER_NODES, 2.0 * np.pi)
-    d, a2, b2, c2 = u.delta, u.a2, u.b2, u.c2
     sin, cos = np.sin(s), np.cos(s)
-    e = np.array([sin, np.full_like(s, -1.0 / d)])[:, None, :]
-    kc = -u.c1 / d ** 2 * cos
-    ones = np.ones_like(s)
-    h2 = np.array([(sin * sin / d ** 2 - cos * cos) * sin / d ** 3,
-                   3.0 * sin * sin / d ** 4 - cos * cos / d ** 2,
-                   (b2 / d ** 3 - a2 / d) * sin - c2 / d ** 2 * cos,
-                   3.0 * sin / d ** 3, b2 / d ** 2 * ones, ones / d ** 2])
-    # each phi_k, less its h2^2 term, is a multiple of h2 plus one of r,
-    # the monomial of column 2
+    e = np.array([sin, np.full_like(s, -1.0 / u.delta)])[:, None, :]
+    kc = -u.c1 / u.delta ** 2 * cos
+    h2 = np.array(np.broadcast_arrays(*h2_coefficients(u, sin, cos)))
+    # each phi_k, less its h2^2 term, is a multiple of h2 plus one of r
     linear = np.zeros_like(h2)
-    linear[2] = 1.0
+    linear[H2_EXPONENTS.index((1, 0))] = 1.0
     tables = np.array([h2 - kc * kc * cos * linear,
                        -2.0 * kc * cos * h2 + kc ** 3 * cos * cos * linear,
                        3.0 * (kc * cos) ** 2 * h2
@@ -129,23 +131,9 @@ def _slice_tables(u: UnfoldingParams):
     return cos, e, kc, y1, tables, weights, integral
 
 
-def _monomials(r, w) -> np.ndarray:
-    """(6, points, 6): the monomials r^3, r^2 w, r, r w^2, w, w^3 of h2
-    and their derivatives by r, w, rr, rw and ww, rows in that order."""
-    one, zero = np.ones_like(r), np.zeros_like(r)
-    rr, rw, ww = r * r, r * w, w * w
-    return np.array([
-        [rr * r, rr * w, r, r * ww, w, ww * w],
-        [3.0 * rr, 2.0 * rw, one, ww, zero, zero],
-        [zero, rr, zero, 2.0 * rw, one, 3.0 * ww],
-        [6.0 * r, 2.0 * w, zero, zero, zero, zero],
-        [zero, 2.0 * r, zero, 2.0 * w, zero, zero],
-        [zero, zero, zero, 2.0 * r, zero, 6.0 * w],
-    ]).transpose(0, 2, 1)
-
-
 def higher_averages(u: UnfoldingParams, z) -> tuple:
-    """Third and fourth averaged functions (f3, f4) on the slice a1 = b1 = 0.
+    """Third and fourth averaged functions (f3, f4) on the slice a1 = b1 = 0,
+    the Jacobian Df3 and the second derivatives D^2f2.
 
     The angular system is dz/dtheta = sum_k eps^k F_k(z, theta), and its
     solution from z is z + sum_k eps^k Y_k(theta) with Y_k = y_k / k!
@@ -161,23 +149,31 @@ def higher_averages(u: UnfoldingParams, z) -> tuple:
         phi1 = k r C,                   phi2 = h2 - k^2 r C^3,
         phi3 = -2 k C^2 h2 + k^3 r C^5,
         phi4 = -C h2^2 / r + 3 k^2 C^4 h2 - k^4 r C^7,
-    where h2 = r^3 A + r^2 w B + r P + r w^2 D + w (b2 + w^2) / delta^2, as
-    in jerk_standard_form, which calls P C. Every Y_k' is thus a scalar times e, and the
-    Y_k on the HIGHER_NODES nodes come from the integration matrix of the
-    Gauss-Legendre rule. At c1 = 0, F1 = F3 = 0 and f3 = 0 exactly.
+    where h2 is the cubic of normal_form.h2_coefficients over the
+    monomials of H2_EXPONENTS, which normal_form.monomials gives with
+    their derivatives to second order. Every Y_k' is thus a scalar times
+    e, and the Y_k on the HIGHER_NODES nodes come from the integration
+    matrix of the Gauss-Legendre rule. Df3 differentiates Y3' on the same
+    nodes: Y1 is r times its value at r = 1, and the derivatives of
+    DF2 Y1 and of Y2 need those of phi2 to second order, which are also
+    those of Y2', so D^2f2 comes with them. At c1 = 0, F1 = F3 = 0, and
+    f3 = 0 and Df3 = 0 exactly.
 
-    z has shape (2, *batch); f3 and f4 have that shape too. No (N, 2N)
-    check runs: these functions only seed Newton, which accepts an orbit
-    on its own return.
+    z has shape (2, *batch); f3 and f4 have that shape too, Df3, with
+    Df3[i, j] the derivative of f3_i by z_j, the shape (2, 2, *batch),
+    and D^2f2, with D^2f2[i, j, k] the derivative of f2_i by z_j and z_k,
+    the shape (2, 2, 2, *batch). No (N, 2N) check runs: these functions
+    only seed Newton, which accepts an orbit on its own return.
     """
-    cos, e, kc, y1, tables, weights, integral = _slice_tables(u)
+    cos, e, kc, unit, tables, weights, integral = _slice_tables(u)
     z = np.asarray(z, dtype=float)
-    r, w = z.reshape(2, -1)
+    flat = z.reshape(2, -1)
     # phi2 with its 5 derivatives, phi3 with its gradient, and phi4 up to
     # its h2^2 term, each of shape (points, nodes)
-    phi2, phi3, phi4 = _monomials(r, w) @ tables[:, None]
-    r = r[:, None]
-    y1 = y1 * r
+    phi2, phi3, phi4 = (monomials(H2_EXPONENTS, flat, _SECOND)
+                        .transpose(0, 2, 1) @ tables[:, None])
+    r = flat[0][:, None]
+    y1 = unit * r
 
     def along(scalar):
         """Y with Y' = scalar e, on the nodes."""
@@ -191,8 +187,19 @@ def higher_averages(u: UnfoldingParams, z) -> tuple:
             + 0.5 * (phi2[3] * y1[0] * y1[0] + phi2[5] * y1[1] * y1[1])
             + phi2[4] * y1[0] * y1[1]
             + phi2[1] * y2[0] + phi2[2] * y2[1] + kc * along(psi3)[0])
-    return tuple(((psi * e) @ weights).reshape(z.shape)
-                 for psi in (psi3, psi4))
+    # psi3 by r and by w. DF1 = kc e (1, 0) reads only the first component
+    # of Y2, so of its derivatives only e[0] times their integral is taken
+    dy2 = (np.array([phi2[1] + kc * unit[0], phi2[2]]) * e[0]) @ integral.T
+    dpsi3 = phi3[1:3] + phi2[3:5] * y1[0] + phi2[4:6] * y1[1] + kc * dy2
+    dpsi3[0] += phi2[1] * unit[0] + phi2[2] * unit[1]
+    # Y2' = phi2 e + kc Y1[0] e, and Y1 is linear, so phi2's second
+    # derivatives are those of Y2'
+    hessian = np.array([[phi2[3], phi2[4]], [phi2[4], phi2[5]]])
+    f3, f4 = (((psi * e) @ weights).reshape(z.shape) for psi in (psi3, psi4))
+    df3 = (dpsi3 * e[:, None]) @ weights
+    d2f2 = (hessian * e[:, None, None]) @ weights
+    return (f3, f4, df3.reshape((2,) + z.shape),
+            d2f2.reshape((2, 2) + z.shape))
 
 
 def root_corrections(u: UnfoldingParams, roots) -> list:
@@ -203,10 +210,8 @@ def root_corrections(u: UnfoldingParams, roots) -> list:
     higher_averages), f2 = 2 pi g_closed:
         z1 = -Df2^-1 f3,
         z2 = -Df2^-1 (f4 + Df3 z1 + D^2f2[z1, z1] / 2),
-    all at z0. f2 and f3 are cubic polynomials in (r, w), so
-    D^2f2[z1, z1] / 2 = (f2(z0 + z1) + f2(z0 - z1)) / 2 - f2(z0), and a
-    five-point stencil along z1 gives Df3 z1, both up to round-off. At
-    c1 = 0, z1 = 0 and no stencil runs.
+    all at z0, with f3, f4, Df3 and D^2f2 from one higher_averages pass.
+    At c1 = 0, z1 = 0 and both terms vanish exactly.
     """
     if not roots:
         return []
@@ -217,24 +222,10 @@ def root_corrections(u: UnfoldingParams, roots) -> list:
     def newton(f):
         return -np.linalg.solve(jac, f.T[:, :, None])[:, :, 0].T
 
-    def along_z1(f, *steps):
-        """f at z0 + step z1 for each step, stacked on axis 1."""
-        return f(z0[:, None] + np.array(steps)[:, None] * z1[:, None])
-
-    f3, f4 = higher_averages(u, z0)
+    f3, f4, df3, d2f2 = higher_averages(u, z0)
     z1 = newton(f3)
-    if np.any(z1):
-        # a small step keeps the stencil near z0, where r > 0
-        h = _STENCIL_STEP
-        line = along_z1(lambda z: higher_averages(u, z)[0], -2 * h, -h, h,
-                        2 * h)
-        f2 = 2.0 * np.pi * along_z1(
-            lambda z: g_closed(z[0], z[1], u.a2, u.b2, u.delta), 1.0, -1.0,
-            0.0)
-        f4 = (f4 + (line[:, 0] - 8.0 * line[:, 1] + 8.0 * line[:, 2]
-                    - line[:, 3]) / (12.0 * h)
-              + (f2[:, 0] + f2[:, 1]) / 2.0 - f2[:, 2])
-    z2 = newton(f4)
+    z2 = newton(f4 + np.einsum("ijp,jp->ip", df3, z1)
+                + 0.5 * np.einsum("ijkp,jp,kp->ip", d2f2, z1, z1))
     return [(z1[:, i], z2[:, i]) for i in range(len(roots))]
 
 

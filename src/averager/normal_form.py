@@ -6,11 +6,20 @@ scale the state by eps, apply the linear change to real Jordan coordinates
 independent variable. The result is a 2-pi periodic planar system in z = (r, w)
 of the form dz/dtheta = eps F1(z, theta) + eps^2 F2(z, theta) + O(eps^3), which
 is what the averaging engine consumes.
+
+This module owns the polynomial terms of the standard form: their exponent
+tables (H2_EXPONENTS for h2), h2's theta-coefficients (h2_coefficients)
+and monomials, the one evaluator of an exponent table's monomials and
+their partial derivatives, which the averaging engine and closed_form
+share.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -22,6 +31,10 @@ EPS_FLOOR = 1e-300
 
 #: guard for the division by r + eps*cos(theta)*(h1 + eps*h2)
 DENOMINATOR_TOL = 1e-12
+
+#: exponents (i, j) of the monomials r^i w^j of h2 at (r cos(theta),
+#: r sin(theta), w), in the order of the rows of h2_coefficients
+H2_EXPONENTS = ((3, 0), (2, 1), (1, 0), (1, 2), (0, 1), (0, 3))
 
 
 class DegenerateEpsilon(ValueError):
@@ -63,16 +76,18 @@ class StandardFormSystem:
     with respect to z, gives (n, n, *batch, m), or (n, n, m) when it does
     not depend on z. A single state is the case batch = ().
 
-    polynomials, when set, is the pair ((m1, C1), (m2, C2)) of monomials
+    polynomials, when set, is the pair ((E1, C1), (E2, C2)) of exponent
     and coefficient tables behind f1 and f2: F(z, t) is the sum over k of
-    m(z)[k] C(t)[:, k]. A monomials function maps states of shape (n, p)
-    to (K, p), and a table maps times of shape (m,) to (n, K, m). F1 must
-    be linear, m1(z) = z, so that DF1 = C1. The averaging engine then
-    takes the theta-means of the tables once per node set and evaluates
-    every point as a polynomial; without the field it samples f1, f2 and
-    df1 at every point and node, which is the reference path. A copy
-    made with dataclasses.replace keeps the field, so replace f1 or f2
-    only by callables with the same values.
+    z^E[k] C(t)[:, k], where an exponent table is a (K, n) tuple of
+    integer tuples, row k the monomial prod_i z_i^E[k][i] (see monomials;
+    a negative exponent divides), and a coefficient table maps times of
+    shape (m,) to (n, K, m). F1 must be linear, E1 the identity, so that
+    DF1 = C1. The averaging engine then takes the theta-means of the
+    tables once per node set and evaluates every point as a polynomial;
+    without the field it samples f1, f2 and df1 at every point and node,
+    which is the reference path. A copy made with dataclasses.replace
+    keeps the field, so replace f1 or f2 only by callables with the same
+    values.
     """
 
     period: float
@@ -176,6 +191,25 @@ def theta_rhs(cyl, unfolding: UnfoldingParams, eps: float) -> np.ndarray:
     return np.array([common * r * np.sin(theta), -common * r / d])
 
 
+def h2_coefficients(unfolding: UnfoldingParams, sin, cos) -> tuple:
+    """The theta-coefficients of h2 over the monomials of H2_EXPONENTS.
+
+    With s, c = sin, cos of theta and d = delta, h2 at
+    (r c, r s, w) is r^3 A + r^2 w B + r P + r w^2 D + w b2 / d^2
+    + w^3 / d^2, and the rows are A = s^3/d^5 - c^2 s/d^3,
+    B = 3 s^2/d^4 - c^2/d^2, P = b2 s/d^3 - c2 c/d^2 - a2 s/d,
+    D = 3 s/d^3, b2/d^2 and 1/d^2, in that order; the last two are
+    scalars.
+    """
+    d, a2, b2, c2 = unfolding.delta, unfolding.a2, unfolding.b2, unfolding.c2
+    return ((sin * sin / d ** 2 - cos * cos) * sin / d ** 3,
+            3.0 * sin * sin / d ** 4 - cos * cos / d ** 2,
+            (b2 / d ** 3 - a2 / d) * sin - c2 / d ** 2 * cos,
+            3.0 * sin / d ** 3,
+            b2 / d ** 2,
+            1.0 / d ** 2)
+
+
 def jerk_standard_form(unfolding: UnfoldingParams) -> StandardFormSystem:
     """Standard form of the angular system: n = 2, T = 2*pi, z = (r, w).
 
@@ -189,19 +223,18 @@ def jerk_standard_form(unfolding: UnfoldingParams) -> StandardFormSystem:
 
     f1 and f2 are polynomials in (r, w) whose coefficients depend on theta
     alone, and the system carries them as its polynomials field. With
-    s, c = sin(theta), cos(theta), d = delta and h1 = hu u + hv v + hw w:
-    h1 = r p + hw w with p = hu c + hv s, and
-    h2 = r^3 A + r^2 w B + r C + r w^2 D + w (b2 + w^2) / d^2 with
-    A = s^3/d^5 - c^2 s/d^3, B = 3 s^2/d^4 - c^2/d^2,
-    C = b2 s/d^3 - c2 c/d^2 - a2 s/d and D = 3 s/d^3. The -h1^2 c / r of
-    F2 adds -r p^2 c - 2 hw p c w - hw^2 c w^2 / r. Each table is these
-    coefficients times (s, -1/d) on the given nodes; f1, f2 and df1 are
-    built from the same tables, f1 and f2 as one matmul of the
+    s, c = sin(theta), cos(theta) and h1 = hu u + hv v + hw w:
+    h1 = r p + hw w with p = hu c + hv s, so F1 has the exponents
+    (1, 0), (0, 1) of r and w. h2 has those of H2_EXPONENTS and the
+    coefficients of h2_coefficients. The -h1^2 c / r of F2 adds
+    -r p^2 c and -2 hw p c w to the rows of r and w, and -hw^2 c w^2 / r
+    as a seventh monomial, of exponents (-1, 2). Each table is these
+    coefficients times (s, -1/delta) on the given nodes; f1, f2 and df1
+    are built from the same tables, f1 and f2 as one matmul of the
     (points, monomials) table with them. h1 and h2 above stay the
     reference formulas, which theta_rhs uses.
     """
     d = unfolding.delta
-    a2, b2, c2 = unfolding.a2, unfolding.b2, unfolding.c2
     # h1 = hu*u + hv*v + hw*w with constant coefficients
     hu = -unfolding.c1 / d ** 2
     hv = unfolding.b1 / d ** 3 - unfolding.a1 / d
@@ -215,34 +248,20 @@ def jerk_standard_form(unfolding: UnfoldingParams) -> StandardFormSystem:
             return np.array([coef * sin, coef / -d])
         return table
 
-    def f1_monomials(z):
-        return np.asarray(z, dtype=float)
-
     def f1_coefficients(sin, cos):
         return hu * cos + hv * sin, hw
 
-    def f2_monomials(z):
-        r, w = z
-        ww = w * w
-        return np.array([r * r * r, r * r * w, r, r * ww, w, ww * w, ww / r])
-
     def f2_coefficients(sin, cos):
-        cos2 = cos * cos
         p = hu * cos + hv * sin
         p_cos = p * cos
-        return (
-            (sin * sin / d ** 2 - cos2) * sin / d ** 3,
-            3.0 * sin * sin / d ** 4 - cos2 / d ** 2,
-            (b2 / d ** 3 - a2 / d) * sin - c2 / d ** 2 * cos - p * p_cos,
-            3.0 * sin / d ** 3,
-            b2 / d ** 2 - 2.0 * hw * p_cos,
-            1.0 / d ** 2,
-            -hw * hw * cos,
-        )
+        rows = list(h2_coefficients(unfolding, sin, cos))
+        rows[2] = rows[2] - p * p_cos
+        rows[4] = rows[4] - 2.0 * hw * p_cos
+        return (*rows, -hw * hw * cos)
 
     f1_table = tabulate(f1_coefficients)
-    polynomials = ((f1_monomials, f1_table),
-                   (f2_monomials, tabulate(f2_coefficients)))
+    polynomials = ((((1, 0), (0, 1)), f1_table),
+                   (H2_EXPONENTS + ((-1, 2),), tabulate(f2_coefficients)))
     f1, f2 = (_polynomial_field(*pair) for pair in polynomials)
 
     def df1(z, theta):
@@ -254,8 +273,68 @@ def jerk_standard_form(unfolding: UnfoldingParams) -> StandardFormSystem:
                               polynomials=polynomials)
 
 
-def _polynomial_field(monomials, table) -> Callable:
-    """F(z, theta) = sum_k monomials(z)[k] table(theta)[:, k], as an evaluator.
+@lru_cache(maxsize=64)
+def _monomial_program(exponents: tuple, derivatives: tuple) -> tuple:
+    """monomials' straight-line code for one table, built once.
+
+    Slot 0 holds ones, made only where an op or a row uses it, and slot
+    1 + i the variable z_i; each op (ufunc, a, b) makes the next slot from
+    slots a and b, and each output row is (coefficient, slot). A slot is keyed on its factors (i, k),
+    z_i^k, in the order they are taken, k < 0 dividing, so every power,
+    product and quotient is made once however many rows share it.
+    """
+    n, ops = len(exponents[0]), []
+    slots = {(): 0} | {((i, 1),): 1 + i for i in range(n)}
+
+    def slot(key):
+        if key not in slots:
+            *head, (i, k) = key
+            if head or k < 0:  # head times or over one power
+                args = slot(tuple(head)), slot(((i, abs(k)),))
+            else:  # a power, from the one below it
+                args = slot(((i, k - 1),)), 1 + i
+            ops.append((np.divide if k < 0 else np.multiply, *args))
+            slots[key] = n + len(ops)
+        return slots[key]
+
+    rows = []
+    for orders, row in product(derivatives, exponents):
+        coef = math.prod(math.prod(range(e - a + 1, e + 1))
+                         for e, a in zip(row, orders))
+        factors = [(i, e - a) for i, (e, a) in enumerate(zip(row, orders))
+                   if coef and e != a]
+        factors.sort(key=lambda factor: factor[1] < 0)
+        rows.append((float(coef), slot(tuple(factors))))
+    uses_ones = 0 in {a for _, a, _ in ops} | {s for _, s in rows}
+    return tuple(ops), tuple(rows), uses_ones
+
+
+def monomials(exponents: tuple, z, derivatives: tuple | None = None):
+    """The monomials of an exponent table at points z, or their partial
+    derivatives.
+
+    exponents is a (K, n) tuple of integer tuples, row k the monomial
+    prod_i z_i^exponents[k][i], and z a float array of shape (n, p).
+    Returns the (K, p) values; with derivatives, a tuple of n-tuples of
+    orders, the (len(derivatives), K, p) partial derivatives, the orders
+    (0, ..., 0) giving the values. Each product is formed in one fixed
+    order: a power z_i^k by repeated multiplication, ((z_i z_i) z_i)...,
+    the powers multiplied in the order of i, then divided by the powers
+    of the negative exponents, then scaled by the integer factor of the
+    derivative. So r^2 w is (r r) w, r w^2 is r (w w), w^2 / r is
+    (w w) / r, and d(r^2 w)/dr is 2 (r w).
+    """
+    ops, rows, uses_ones = _monomial_program(
+        exponents, derivatives or ((0,) * len(z),))
+    slots = [np.ones(z.shape[1]) if uses_ones else None, *z]
+    for ufunc, a, b in ops:
+        slots.append(ufunc(slots[a], slots[b]))
+    out = np.array([slots[s] if c == 1.0 else c * slots[s] for c, s in rows])
+    return out.reshape(-1, len(exponents), z.shape[1]) if derivatives else out
+
+
+def _polynomial_field(exponents, table) -> Callable:
+    """F(z, theta) = sum_k z^exponents[k] table(theta)[:, k], as an evaluator.
 
     The result has shape (n, *batch, *theta.shape), z's batch axes ahead
     of theta's axes.
@@ -263,6 +342,6 @@ def _polynomial_field(monomials, table) -> Callable:
     def field(z, theta):
         th = np.asarray(theta, dtype=float)
         z = np.asarray(z, dtype=float)
-        mono = monomials(z.reshape(len(z), -1))
+        mono = monomials(exponents, z.reshape(len(z), -1))
         return (mono.T @ table(th.ravel())).reshape(z.shape + th.shape)
     return field

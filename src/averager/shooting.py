@@ -39,7 +39,9 @@ orbit's (r, w) to second order in eps, z0 + eps z1 + eps^2 z2: z0 is the
 averaged root, and z1 and z2 come from the third and fourth averaged
 functions (closed_form.root_corrections), so the seed misses the orbit by
 O(eps^4) where the image of z0 alone misses it by O(eps^3). Every orbit is
-accepted only on its own full return, whatever its seed.
+accepted only on its own full return, whatever its seed, and a candidate
+fails where Newton settles within eps r / 10 of an equilibrium, or, for a
+w = 0 root, on an orbit that is not its own reflection (SYMMETRY_TOL).
 
 The field is a cubic polynomial, so every flow is integrated by a Taylor
 series method (Jorba and Zou, Experimental Mathematics 14, 2005): short
@@ -84,7 +86,7 @@ from .closed_form import (
     require_first_order_zero,
     root_corrections,
 )
-from .jerk import SystemParams, vector_field
+from .jerk import SystemParams, equilibria, vector_field
 from .normal_form import UnfoldingParams, unfold
 
 logger = logging.getLogger(__name__)
@@ -105,6 +107,15 @@ MAX_NEWTON_ITER = 25
 #: orbit located has a correction below 0.13 r, and every longer one
 #: belongs to a root that neither seed locates
 MAX_SEED_SHIFT = 0.25
+
+#: largest |m + q| of a located w = 0 orbit, q its section point and m
+#: its crossing of the mirrored section. Such an orbit is its own point
+#: reflection, m = -q, and Newton leaves |m + q| = |T(q) - q|, about half
+#: the residual: 2.7e-12 on the showcase. An orbit of the paired family
+#: reads |m + q| of order eps |w|: 0.185 at eps 0.1 on the pair roots of
+#: (a2, b2, delta) = (0.42, -1.801, 1.708), whose w = 0 root Newton on
+#: the return map can carry onto that orbit
+SYMMETRY_TOL = 1e-6
 
 #: total flight-time budget of one return to the section
 RETURN_T_MAX = 100.0
@@ -682,7 +693,9 @@ def shoot_orbit(
 
     Whatever the candidate, the orbit is accepted only on its own full
     return with residual below SHOOT_TOL, and everything it reports comes
-    from that return.
+    from that return. A w = 0 orbit must also be its own reflection: its
+    crossing m of the mirrored section must lie within SYMMETRY_TOL of
+    -q, q its section point, or the next candidate is tried.
 
     Returns
     -------
@@ -698,10 +711,12 @@ def shoot_orbit(
     ------
     SeedInvalid for r <= 0 or non-finite seeds; ShootingDiverged when no
     candidate converges: Newton fails, the return from the candidate
-    raises one of the _RETURN_ERRORS, or Newton converges to within
-    eps * r / 10 of the equilibrium at the origin. Its message names each
-    candidate's failure. ValueError for eps outside (0, MAX_EPS] or a
-    partner located at another eps.
+    raises one of the _RETURN_ERRORS, Newton converges to within
+    eps * r / 10 of an equilibrium of the system, the origin or, for
+    b < 0, (+-sqrt(-b), 0, 0), or, for a root with w = 0, to an orbit
+    with |m + q| above SYMMETRY_TOL, which is not its own reflection.
+    Its message names each candidate's failure. ValueError for eps
+    outside (0, MAX_EPS] or a partner located at another eps.
     """
     spec = spec or IntegratorSpec()
     r, w = float(seed[0]), float(seed[1])
@@ -754,12 +769,19 @@ def shoot_orbit(
             continue
         if found is None:
             failures.append(f"{tag}: Newton did not converge")
-        elif np.linalg.norm(found[0]) < 0.1 * eps * r:
-            failures.append(f"{tag}: converged to the equilibrium at the "
-                            "origin")
+            continue
+        fixed, residual, (returned, period, jac, mono, flow,
+                          mirror_leg) = found
+        near = [x for x in equilibria(p)
+                if np.linalg.norm(fixed - x[:2]) < 0.1 * eps * r]
+        asymmetry = float(np.linalg.norm(mirror_leg[0] + fixed))
+        if near:
+            failures.append(f"{tag}: converged to the equilibrium "
+                            f"{tuple(near[0].tolist())}")
+        elif w == 0.0 and asymmetry > SYMMETRY_TOL:
+            failures.append(f"{tag}: converged to an orbit that is not its "
+                            f"own reflection, |m + q| = {asymmetry:.3e}")
         else:
-            fixed, residual, (returned, period, jac, mono, flow,
-                              mirror_leg) = found
             logger.info(
                 "seed (r=%.6g, w=%.6g) eps=%.6g: converged from %s start; "
                 "fixed point at %.3e from eps*(w, r)",

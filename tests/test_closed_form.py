@@ -200,7 +200,8 @@ WITH_C1 = UnfoldingParams(a2=1.0, b2=5.0, c1=0.5, c2=-0.3, delta=2.0)
 def test_theta_rhs_has_no_third_order_term_without_c1():
     """At c1 = 0, F1 = F3 = 0: F1 vanishes, and theta_rhs - eps^2 F2
     shrinks like eps^4, 16 times per halving of eps, where with c1 it
-    shrinks like eps^3, 8 times; higher_averages gives f3 = 0 exactly."""
+    shrinks like eps^3, 8 times; higher_averages gives f3 = 0 and
+    Df3 = 0 exactly."""
     rng = np.random.default_rng(59)
     samples = [(rng.uniform(0.5, 3.0), rng.uniform(0.0, 2.0 * np.pi),
                 rng.uniform(-1.5, 1.5)) for _ in range(12)]
@@ -222,9 +223,9 @@ def test_theta_rhs_has_no_third_order_term_without_c1():
         ratios[u.c1] = worst[0] / worst[1]
     assert ratios[0.0] > 14.0 and 7.0 < ratios[0.5] < 9.0, ratios
     z = np.array([[3.0, 5.0, 1.2], [0.5, -0.8, 1.5]])
-    f3, _ = higher_averages(UnfoldingParams(a2=1.0, b2=5.0, c2=-0.3,
-                                            delta=2.0), z)
-    assert not np.any(f3)
+    f3, _, df3, _ = higher_averages(UnfoldingParams(a2=1.0, b2=5.0,
+                                                    c2=-0.3, delta=2.0), z)
+    assert not np.any(f3) and not np.any(df3)
 
 
 def theta_map_coefficients(u, z):
@@ -263,3 +264,27 @@ def test_higher_averages_match_the_theta_map(u):
                                    (1e-5, 1e-3)):
             scale = max(1.0, np.max(np.abs(got)))
             assert np.max(np.abs(got - fit)) < bound * scale
+
+
+def test_df3_and_d2f2_are_the_derivatives_of_f3_and_f2():
+    """Df3 and D^2f2, from the one pass of higher_averages, against
+    central differences at c1 != 0: a five-point one of its f3, a cubic
+    in (r, w), and a two-point one of 2 pi g_jacobian, a quadratic; both
+    are exact up to round-off, at most 3.5e-14 relative here."""
+    z = np.array([[3.0, 5.0, 1.2], [0.5, -0.8, 1.5]])
+    _, _, df3, d2f2 = higher_averages(WITH_C1, z)
+    assert df3.shape == (2, 2, 3) and d2f2.shape == (2, 2, 2, 3)
+    h = 1e-2
+    for j in range(2):
+        step = h * np.eye(2)[:, j:j + 1]
+        f = [higher_averages(WITH_C1, z + k * step)[0]
+             for k in (-2, -1, 1, 2)]
+        stencil = (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h)
+        scale = np.max(np.abs(df3))
+        assert np.max(np.abs(stencil - df3[:, j])) < 1e-12 * scale
+        jac = [2.0 * np.pi * g_jacobian(*(z + k * step), WITH_C1.a2,
+                                        WITH_C1.b2, WITH_C1.delta)
+               for k in (-1, 1)]
+        central = (jac[1] - jac[0]) / (2.0 * h)
+        scale = np.max(np.abs(d2f2))
+        assert np.max(np.abs(central - d2f2[:, :, j])) < 1e-12 * scale

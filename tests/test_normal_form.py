@@ -5,6 +5,7 @@ import pytest
 
 from averager.jerk import vector_field
 from averager.normal_form import (
+    H2_EXPONENTS,
     DegenerateEpsilon,
     SingularDenominator,
     UnfoldingParams,
@@ -12,6 +13,7 @@ from averager.normal_form import (
     h2,
     jerk_standard_form,
     jordan_to_xyz,
+    monomials,
     scale_state,
     theta_rhs,
     unfold,
@@ -251,6 +253,38 @@ def test_polynomial_evaluators_match_the_reference_formulas():
                 assert got.shape == expected.shape
                 assert np.all(np.abs(got - expected)
                               <= 1e-13 * np.maximum(1.0, np.abs(expected)))
+
+
+def test_monomials_are_formed_as_the_hand_written_products():
+    """The exponent-table evaluator gives, to the bit, the products once
+    written out by hand: the seven monomials of F2, and the six of h2 with
+    their derivatives by r, w, rr, rw and ww. A negative exponent
+    differentiates too."""
+    rng = np.random.default_rng(29)
+    r, w = rng.uniform(0.5, 8.0, 20), rng.uniform(-2.0, 2.0, 20)
+    rr, rw, ww = r * r, r * w, w * w
+    one, zero = np.ones_like(r), np.zeros_like(r)
+    f2 = [r * r * r, r * r * w, r, r * ww, w, ww * w, ww / r]
+    h2_derivatives = [
+        [rr * r, rr * w, r, r * ww, w, ww * w],
+        [3.0 * rr, 2.0 * rw, one, ww, zero, zero],
+        [zero, rr, zero, 2.0 * rw, one, 3.0 * ww],
+        [6.0 * r, 2.0 * w, zero, zero, zero, zero],
+        [zero, 2.0 * r, zero, 2.0 * w, zero, zero],
+        [zero, zero, zero, 2.0 * r, zero, 6.0 * w],
+    ]
+    orders = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+    for got, expected in [
+        (monomials(((1, 0), (0, 1)), np.array([r, w])), [r, w]),
+        (monomials(H2_EXPONENTS + ((-1, 2),), np.array([r, w])), f2),
+        (monomials(H2_EXPONENTS, np.array([r, w]), orders),
+         h2_derivatives),
+        (monomials(((-1, 2),), np.array([r, w]), ((1, 1),)),
+         [[-2.0 * (w / rr)]]),
+    ]:
+        expected = np.array(expected)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_f1_vectorized_over_theta():

@@ -1,11 +1,12 @@
 """Full-system confirmation: return map and its flow, shooting, sweep."""
 
 import math
+import re
 from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from averager import shooting
@@ -554,6 +555,42 @@ def test_the_equilibrium_at_the_origin_is_not_an_orbit():
             shoot_orbit(off_slice, 0.1, root, SPEC)
 
 
+#: a direction whose pair roots (8.19, +-0.92) lie next to the
+#: equilibria (+-sqrt(-b), 0, 0), and whose w = 0 root (20.66, 0) Newton
+#: on the return map carries onto the +w orbit
+NEAR_EQUILIBRIA = UnfoldingParams(a2=0.42, b2=-1.801, delta=1.708)
+
+
+def test_an_equilibrium_off_the_origin_is_not_an_orbit():
+    """From eps (w, r), the +w pair root at eps 0.2 settles on the
+    equilibrium (sqrt(-b), 0, 0), not on the origin; it is rejected and
+    named."""
+    eps = 0.2
+    roots = predicted_roots(NEAR_EQUILIBRIA.a2, NEAR_EQUILIBRIA.b2,
+                            NEAR_EQUILIBRIA.delta).roots
+    x = math.sqrt(-unfold(NEAR_EQUILIBRIA, eps).b)
+    with pytest.raises(ShootingDiverged, match=re.escape(
+            f"section-image: converged to the equilibrium ({x!r}, 0.0, 0.0)")):
+        shoot_orbit(NEAR_EQUILIBRIA, eps, roots[1], SPEC,
+                    correction=(np.zeros(2), np.zeros(2)))
+
+
+def test_a_w0_root_accepts_only_an_orbit_that_is_its_own_reflection():
+    """The w = 0 root of NEAR_EQUILIBRIA is carried onto the +w orbit,
+    |m + q| = 0.185; that orbit is rejected, with the candidate named, so
+    the located orbits are distinct and each w = 0 one is its own
+    reflection."""
+    entry = sweep_epsilon(NEAR_EQUILIBRIA, [EPS], SPEC).entries[0]
+    points = [rec.section_point for rec in entry.records.values()]
+    assert all(np.max(np.abs(a - b)) > 1e-6
+               for i, a in enumerate(points) for b in points[:i])
+    for rec in entry.records.values():
+        if rec.seed[1] == 0.0:
+            check_symmetric_orbit(unfold(NEAR_EQUILIBRIA, EPS), rec)
+    assert "section-image: converged to an orbit that is not its own " \
+        "reflection" in entry.failures[0]
+
+
 def test_one_orbit_region():
     u = UnfoldingParams(a2=3.0, b2=1.0, delta=1.0)
     pred = predicted_roots(u.a2, u.b2, u.delta)
@@ -865,6 +902,7 @@ def test_one_orbit_directions_locate_one_orbit(r, b2, delta):
 @settings(max_examples=10)
 @given(r=st.floats(*ROOT_R), w=st.floats(0.3, 1.8),
        delta=st.floats(0.8, 2.6))
+@example(r=6.0, w=1.0135, delta=0.8952)
 def test_three_orbit_directions_locate_three_orbits(r, w, delta):
     """The theorem on drawn THREE directions, built from their paired
     roots (r, +-w)."""
