@@ -22,7 +22,6 @@ from .closed_form import (
     HypothesisViolated,
     OrbitCount,
     OrbitPrediction,
-    classify,
     f_closed,
     g_closed,
     g_jacobian,
@@ -39,21 +38,13 @@ from .jerk import (
     char_poly,
     classify_equilibrium,
     equilibria,
-    jacobian_at,
     vector_field,
 )
 from .normal_form import (
     StandardFormSystem,
     UnfoldingParams,
-    h1,
-    h2,
     jerk_standard_form,
-    jordan_to_xyz,
-    scale_state,
-    theta_rhs,
     unfold,
-    unscale_state,
-    xyz_to_jordan,
 )
 from .shooting import (
     IntegratorSpec,
@@ -97,7 +88,6 @@ __all__ = [
     "average_first",
     "average_second",
     "char_poly",
-    "classify",
     "classify_equilibrium",
     "equilibria",
     "f_closed",
@@ -105,23 +95,15 @@ __all__ = [
     "from_dict",
     "g_closed",
     "g_jacobian",
-    "h1",
-    "h2",
     "higher_averages",
-    "jacobian_at",
     "jerk_standard_form",
-    "jordan_to_xyz",
     "load_config",
     "poincare_return",
     "predicted_roots",
     "root_corrections",
-    "scale_state",
     "shoot_orbit",
     "sweep_epsilon",
-    "theta_rhs",
     "to_dict",
     "unfold",
-    "unscale_state",
     "vector_field",
-    "xyz_to_jordan",
 ]

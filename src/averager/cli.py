@@ -48,8 +48,6 @@ from .jerk import EquilibriumKind, classify_equilibrium, equilibria
 from .normal_form import jerk_standard_form, unfold
 from .shooting import PeriodicOrbitRecord, sweep_epsilon
 
-logger = logging.getLogger(__name__)
-
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_HYPOTHESIS = 2

@@ -44,8 +44,9 @@ class HypothesisViolated(ValueError):
 class DegeneratePrediction(HypothesisViolated):
     """A root family collapses into r = 0, so no orbit count is predicted.
 
-    Raised on the collapse boundaries, where classify returns DEGENERATE;
-    a HypothesisViolated, so handlers of the broader refusal catch it.
+    Raised on the collapse boundaries, where predicted_roots predicts
+    DEGENERATE; a HypothesisViolated, so handlers of the broader refusal
+    catch it.
     """
 
 
@@ -311,11 +312,3 @@ def predicted_roots(a2: float, b2: float, delta: float) -> OrbitPrediction:
              2: OrbitCount.TWO, 3: OrbitCount.THREE}[len(roots)]
     return OrbitPrediction(roots=roots, jac_dets=dets, count=count)
 
-
-def classify(a2: float, b2: float, delta: float) -> OrbitCount:
-    """Orbit-count case label for an unfolding direction (a2, b2, delta).
-
-    The label is predicted_roots(...).count, and it raises where
-    predicted_roots does.
-    """
-    return predicted_roots(a2, b2, delta).count

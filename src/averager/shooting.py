@@ -52,7 +52,7 @@ equal absolute and relative tolerances: the order is ceil(1 - ln(tol) / 2),
 the same for every step of a leg, and the step is the radius of
 convergence estimated from the last two coefficients on the scale
 max(1, |s|_inf), divided by e^2. A half return is one leg of such steps,
-scanned for the first upward crossing of the mirrored section; max_steps
+scanned for the first upward crossing of the mirrored section; MAX_STEPS
 bounds the steps of one leg.
 
 The variational equations Phi' = J Phi are linear in Phi, so they need no
@@ -117,8 +117,16 @@ MAX_SEED_SHIFT = 0.25
 #: the return map can carry onto that orbit
 SYMMETRY_TOL = 1e-6
 
+#: largest distance between the section points of two records at one
+#: eps that are taken for one orbit
+DUPLICATE_TOL = 1e-6
+
 #: total flight-time budget of one return to the section
 RETURN_T_MAX = 100.0
+
+#: steps of one half return before it raises StepLimitExceeded; the
+#: bound moves no located orbit, it only ends a hopeless leg
+MAX_STEPS = 1_000_000
 
 #: samples per period in an orbit's trace
 TRACE_SAMPLES = 512
@@ -146,7 +154,7 @@ _SIGN_MARGIN = 1e-9
 
 
 class StepLimitExceeded(RuntimeError):
-    """The integrator used more steps than IntegratorSpec.max_steps allows."""
+    """The integrator used more than MAX_STEPS steps on one leg."""
 
 
 class StepUnderflow(RuntimeError):
@@ -174,23 +182,20 @@ SHOOTING_ERRORS = (ShootingDiverged, SeedInvalid)
 
 @dataclass(frozen=True)
 class IntegratorSpec:
-    """Tolerance and step budget of the Taylor integrator.
+    """Tolerance of the Taylor integrator.
 
     tol, in [MIN_TOL, MAX_TOL], sets the order and the step length of
     every step (see the module docstring); beyond MAX_TOL the located
-    orbits drift from the true ones while Newton still converges.
-    max_steps bounds the steps of one return to the section.
+    orbits drift from the true ones while Newton still converges. The
+    step budget of a leg is the constant MAX_STEPS.
     """
 
     tol: float = 1e-11
-    max_steps: int = 1_000_000
 
     def __post_init__(self):
         if not MIN_TOL <= self.tol <= MAX_TOL:
             raise ValueError(f"tol must be in [{MIN_TOL:.3g}, {MAX_TOL:g}], "
                              f"got {self.tol}")
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be at least 1, got {self.max_steps}")
 
 
 @dataclass(frozen=True)
@@ -402,7 +407,8 @@ def _fraction_powers(order: int) -> np.ndarray:
 def _leg(p: SystemParams, q, spec: IntegratorSpec) -> _Leg:
     """The Taylor leg of half_return from (q, 0), without its Phi.
 
-    Raises the errors of half_return.
+    spec.tol sets the order and the steps; the leg fails past MAX_STEPS
+    steps. Raises the errors of half_return.
     """
     order = math.ceil(1.0 - 0.5 * math.log(spec.tol))
     powers = range(order + 1)
@@ -413,9 +419,9 @@ def _leg(p: SystemParams, q, spec: IntegratorSpec) -> _Leg:
     starts, polys = [], []  # start time and (x, y, z) coefficients of each step
     lengths, xs, quads = [], [], []  # what _leg_transition takes of each step
     while t < RETURN_T_MAX:
-        if len(polys) == spec.max_steps:
+        if len(polys) == MAX_STEPS:
             raise StepLimitExceeded(
-                f"more than {spec.max_steps} steps before t = {RETURN_T_MAX}")
+                f"more than {MAX_STEPS} steps before t = {RETURN_T_MAX}")
         scale = max(1.0, abs(s[0]), abs(s[1]), abs(s[2]))
         x, y, z, quad = _taylor_coefficients(p, s, order)
         if not math.isfinite(x[-2] + y[-2] + z[-2] + x[-1] + y[-1] + z[-1]):
@@ -509,7 +515,7 @@ def half_return(p: SystemParams, q, spec: IntegratorSpec):
     Parameters
     ----------
     q : (x, y) coordinates of the start on the plane z = 0
-    spec : integrator budget
+    spec : integrator tolerance
 
     Returns
     -------
@@ -525,7 +531,7 @@ def half_return(p: SystemParams, q, spec: IntegratorSpec):
     ------
     NoReturn when the flight-time budget RETURN_T_MAX is exhausted without
     a crossing; StepLimitExceeded when the leg needs more than
-    spec.max_steps steps; StepUnderflow when a step falls below what
+    MAX_STEPS steps; StepUnderflow when a step falls below what
     double precision resolves or the Taylor coefficients are not finite.
     """
     leg = _leg(p, q, spec)
@@ -556,7 +562,7 @@ def poincare_return(p: SystemParams, q, spec: IntegratorSpec, first=None):
     Parameters
     ----------
     q : (x, y) coordinates on the section
-    spec : integrator budget, for each leg
+    spec : integrator tolerance, for each leg
     first : the leg from q when it is already integrated: the tuple of
         half_return(p, q, spec), or the second leg of another return, from
         its (m, second); only the second leg is integrated then
@@ -822,7 +828,8 @@ class SweepEntry:
     """Located orbits at one eps, keyed by root index.
 
     records[i] is the PeriodicOrbitRecord, trace included, of root i;
-    failures[i] reads "<error type>: <message>" for a root not located.
+    failures[i] reads "<error type>: <message>" for a root not located,
+    or "duplicate of orbit j" for one whose orbit is that of root j.
     """
 
     eps: float
@@ -865,7 +872,10 @@ def sweep_epsilon(
     of the -w2 one, whose candidates are then mirror and section-image in
     that order (see shoot_orbit). Shooting failures are recorded per entry
     without aborting the sweep; a -w2 orbit whose partner failed is shot
-    from its section image.
+    from its section image. An orbit whose section point lies within
+    DUPLICATE_TOL of an earlier root's at the same eps is that root's
+    orbit, not one of its own: it is recorded as the failure "duplicate of
+    orbit j", so that no orbit is counted twice.
 
     Raises
     ------
@@ -895,10 +905,17 @@ def sweep_epsilon(
                       and prediction.roots[i - 1] == (root[0], -root[1]))
             partner = records.get(i - 1) if paired else None
             try:
-                records[i] = shoot_orbit(u, eps, root, spec, partner,
-                                         corrections[i])
+                rec = shoot_orbit(u, eps, root, spec, partner, corrections[i])
             except SHOOTING_ERRORS as exc:
                 failures[i] = f"{type(exc).__name__}: {exc}"
+                continue
+            same = [j for j, other in records.items()
+                    if np.linalg.norm(rec.section_point - other.section_point)
+                    <= DUPLICATE_TOL]
+            if same:
+                failures[i] = f"duplicate of orbit {same[0]}"
+            else:
+                records[i] = rec
         entries.append(SweepEntry(eps=eps, records=records, failures=failures))
 
     amp_slopes = {}

@@ -12,7 +12,7 @@ import numpy as np
 from averager.averaging import (QuadratureSpec, average_first, average_second,
                                 find_roots)
 from averager.cli import main
-from averager.closed_form import (OrbitCount, classify, f_closed, g_closed,
+from averager.closed_form import (OrbitCount, f_closed, g_closed,
                                   predicted_roots)
 from averager.jerk import EquilibriumKind, SystemParams, classify_equilibrium
 from averager.normal_form import UnfoldingParams, jerk_standard_form
@@ -117,10 +117,9 @@ def test_criterion_4_case_table():
                 or abs(a2 * d2 - b2) <= 1e-6
                 or abs(a2 * d2 + 2.0 * b2) <= 1e-6):
             continue
-        label = classify(a2, b2, delta)
         pred = predicted_roots(a2, b2, delta)
-        assert COUNT_OF[label] == len(pred.roots), (a2, b2, delta)
-        counts[label] += 1
+        assert COUNT_OF[pred.count] == len(pred.roots), (a2, b2, delta)
+        counts[pred.count] += 1
         done += 1
     for label, count in counts.items():
         assert count >= 100, f"case {label.value} only seen {count} times"

@@ -12,10 +12,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import averager
+from averager import shooting
 from averager.averaging import QuadratureAccuracyWarning
 from averager.cli import _jsonable, _write_csv, main
 from averager.config import from_dict
@@ -159,25 +160,28 @@ def test_orbits_and_sweep_near_a_boundary_exit_cleanly(boundary, a2, b2,
 @settings(max_examples=20)
 @given(decade=st.floats(-16.0, 1.0),
        max_steps=st.one_of(st.none(), st.integers(1, 40)))
+@example(decade=-11.0, max_steps=2)  # every leg fails: exit 4
 def test_orbits_with_a_drawn_integrator_block_exits_cleanly(decade,
                                                             max_steps):
-    """Whatever tol in [1e-16, 10] and max_steps the integrator block
-    holds, orbits on the showcase refuses the config (exit 1), locates or
-    fails to locate orbits (exit 0 or 4), and never raises; past the
-    config check, summary.json is strict JSON."""
+    """Whatever tol in [1e-16, 10] the integrator block holds, with
+    shooting.MAX_STEPS as it is or cut to 1 to 40 steps, orbits on the
+    showcase refuses the config (exit 1), locates or fails to locate
+    orbits (exit 0 or 4), and never raises; past the config check,
+    summary.json is strict JSON."""
     integrator = {"tol": 10.0 ** decade}
-    if max_steps is not None:
-        integrator["max_steps"] = max_steps
     stderr = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        with contextlib.redirect_stderr(stderr):
-            code, out = run(Path(tmp), "orbits",
-                            dict(THREE_ORBIT_DOC, integrator=integrator))
-        assert code in (0, 1, 4), (integrator, code)
-        assert "Traceback" not in stderr.getvalue()
-        if code != 1:
-            text = (out / "summary.json").read_text(encoding="utf-8")
-            json.loads(text, parse_constant=_reject_constant)
+    with pytest.MonkeyPatch.context() as patched:
+        if max_steps is not None:
+            patched.setattr(shooting, "MAX_STEPS", max_steps)
+        with tempfile.TemporaryDirectory() as tmp:
+            with contextlib.redirect_stderr(stderr):
+                code, out = run(Path(tmp), "orbits",
+                                dict(THREE_ORBIT_DOC, integrator=integrator))
+            assert code in (0, 1, 4), (integrator, code)
+            assert "Traceback" not in stderr.getvalue()
+            if code != 1:
+                text = (out / "summary.json").read_text(encoding="utf-8")
+                json.loads(text, parse_constant=_reject_constant)
 
 def test_average_oracle_match(tmp_path):
     code, out = run(tmp_path, "average", THREE_ORBIT_DOC)
@@ -294,6 +298,24 @@ def test_orbit_records_say_how_they_were_found(tmp_path):
             assert 0.0 <= rec["newton_step"] < 1e-8
 
 
+def test_an_orbit_located_for_two_roots_counts_once(tmp_path, monkeypatch):
+    """Shot as its +w partner, the -w root of the showcase lands on the +w
+    orbit again; it fails as a duplicate of orbit 1, and orbits exits 4
+    with two orbits located and no trace for root 2."""
+    original = shooting.shoot_orbit
+
+    def minus_w_as_plus_w(u, eps, seed, spec, *args):
+        return original(u, eps, (seed[0], abs(seed[1])), spec)
+
+    monkeypatch.setattr(shooting, "shoot_orbit", minus_w_as_plus_w)
+    code, out = run(tmp_path, "orbits", THREE_ORBIT_DOC)
+    assert code == 4
+    summary = read_summary(out)
+    assert summary["located_count"] == 2
+    assert summary["failures"] == {"2": "duplicate of orbit 1"}
+    assert not (out / "orbit_2.csv").exists()
+
+
 def test_sweep_requires_eps_list(tmp_path):
     code, _ = run(tmp_path, "sweep", THREE_ORBIT_DOC)
     assert code == 1
@@ -326,9 +348,6 @@ def test_config_errors_exit_one(tmp_path):
                  "--out", str(tmp_path / "out")]) == 1
     code, _ = run(tmp_path, "average", {"unfolding": {"delta": 2.0},
                                         "quadrature": {"inner_nodes": 64}})
-    assert code == 1
-    code, _ = run(tmp_path, "orbits",
-                  dict(THREE_ORBIT_DOC, integrator={"max_steps": 0}))
     assert code == 1
 
 
@@ -370,14 +389,36 @@ def test_unwritable_output_exits_one(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_orbits_rejects_max_step_as_unknown_key(tmp_path, capsys):
-    """The integrator has no step cap; max_step is an unknown key."""
-    doc = dict(THREE_ORBIT_DOC, integrator={"max_step": 0.5})
-    code, _ = run(tmp_path, "orbits", doc)
-    assert code == 1
+@pytest.mark.parametrize("integrator, outcome", [
+    pytest.param({"max_step": 0.5}, "unknown keys ['max_step']",
+                 id="max_step"),
+    pytest.param({"abs_tol": 1e-9}, "unknown keys ['abs_tol']", id="abs_tol"),
+    pytest.param({"max_steps": 10}, "unknown keys ['max_steps']",
+                 id="max_steps"),
+    pytest.param({"tol": 1.0}, "integrator: tol must be", id="tol-1.0"),
+    pytest.param({"tol": 0.5}, "integrator: tol must be", id="tol-0.5"),
+    pytest.param({"tol": 1e-12}, 3, id="tol-1e-12"),
+    pytest.param({"tol": 1e-6}, 3, id="tol-1e-6"),
+    pytest.param({"tol": 2.3e-14}, 3, id="tol-2.3e-14"),
+])
+def test_orbits_integrator_block(tmp_path, capsys, integrator, outcome):
+    """The integrator block holds tol alone: the integrator has no step
+    cap and one tolerance, and its step budget is the constant
+    shooting.MAX_STEPS, so max_step, abs_tol and max_steps are unknown
+    keys, and a tol above MAX_TOL is refused. Each refusal exits 1 and
+    says why on stderr. At tol 1e-6 (order 8, the loosest accepted),
+    1e-12 and 2.3e-14 (order 17) orbits locates all three showcase
+    orbits."""
+    code, out = run(tmp_path, "orbits",
+                    dict(THREE_ORBIT_DOC, integrator=integrator))
     err = capsys.readouterr().err
-    assert "unknown keys ['max_step']" in err
     assert "Traceback" not in err
+    if isinstance(outcome, str):
+        assert code == 1
+        assert outcome in err, err
+    else:
+        assert code == 0
+        assert read_summary(out)["located_count"] == outcome
 
 
 def test_cli_import_leaves_the_integrator_unloaded():

@@ -6,7 +6,6 @@ import pytest
 from averager.closed_form import (
     HypothesisViolated,
     OrbitCount,
-    classify,
     f_closed,
     g_closed,
     g_jacobian,
@@ -83,25 +82,26 @@ def test_predicted_roots_rejects_bad_delta():
 
 
 def test_classify_examples():
-    assert classify(1.0, 5.0, 2.0) is OrbitCount.THREE
+    assert predicted_roots(1.0, 5.0, 2.0).count is OrbitCount.THREE
     # both sign ratios positive: only the w = 0 family is real
-    assert classify(3.0, 1.0, 1.0) is OrbitCount.ONE
+    assert predicted_roots(3.0, 1.0, 1.0).count is OrbitCount.ONE
     # first ratio positive, second negative: both families complex
-    assert classify(1.0, 3.0, 1.0) is OrbitCount.ZERO
+    assert predicted_roots(1.0, 3.0, 1.0).count is OrbitCount.ZERO
 
 
 def test_classify_hypothesis_gates():
     with pytest.raises(HypothesisViolated):
-        classify(0.7, -0.9, np.sqrt(3.0))
+        predicted_roots(0.7, -0.9, np.sqrt(3.0))
     with pytest.raises(HypothesisViolated):
-        classify(1.0, 2.0, 1.0 + 0.0)  # 2*a2*delta^2 = b2
+        predicted_roots(1.0, 2.0, 1.0 + 0.0)  # 2*a2*delta^2 = b2
     with pytest.raises(HypothesisViolated):
-        classify(1.0, 1.0, float("nan"))
+        predicted_roots(1.0, 1.0, float("nan"))
 
 
 def test_classify_collapse_boundaries_are_degenerate():
-    assert classify(1.0, 1.0, 1.0) is OrbitCount.DEGENERATE  # a2*d^2 = b2
-    assert classify(1.0, -0.5, 1.0) is OrbitCount.DEGENERATE  # a2*d^2 = -2*b2
+    # a2*d^2 = b2, then a2*d^2 = -2*b2
+    assert predicted_roots(1.0, 1.0, 1.0).count is OrbitCount.DEGENERATE
+    assert predicted_roots(1.0, -0.5, 1.0).count is OrbitCount.DEGENERATE
 
 
 def test_second_family_needs_real_w():
@@ -114,12 +114,10 @@ def test_second_family_needs_real_w():
     """
     pred = predicted_roots(-1.0, -1.5, 1.0)
     assert pred.count is OrbitCount.ONE
-    assert classify(-1.0, -1.5, 1.0) is OrbitCount.ONE
     assert pred.roots[0][1] == 0.0
 
     pred = predicted_roots(-2.0, 0.0, 1.0)
     assert pred.count is OrbitCount.ZERO
-    assert classify(-2.0, 0.0, 1.0) is OrbitCount.ZERO
 
 
 def test_roots_annihilate_g_closed():
@@ -170,9 +168,8 @@ def test_classifier_count_consistency():
         if (abs(3.0 - d2) <= 1e-3 or abs(2.0 * a2 * d2 - b2) <= 1e-3
                 or abs(a2 * d2 - b2) <= 1e-3 or abs(a2 * d2 + 2.0 * b2) <= 1e-3):
             continue
-        label = classify(a2, b2, delta)
         pred = predicted_roots(a2, b2, delta)
-        assert COUNT_OF[label] == len(pred.roots)
+        assert COUNT_OF[pred.count] == len(pred.roots)
         checked += 1
 
 

@@ -38,7 +38,7 @@ def test_round_trip_identity():
                       "c1": 0.5, "c2": -0.75, "delta": 2.0},
         "eps": 0.1,
         "quadrature": {"nodes": 32},
-        "integrator": {"tol": 1e-9, "max_steps": 500000},
+        "integrator": {"tol": 1e-9},
         "output_dir": "out",
     }
     cfg = from_dict(doc)
@@ -127,7 +127,7 @@ def test_eps_list_must_decrease():
 def test_type_errors_have_path_context():
     cases = [
         ("unfolding", "delta", "two", "unfolding.delta"),
-        ("integrator", "max_steps", 1.5, "integrator.max_steps"),
+        ("integrator", "tol", "tight", "integrator.tol"),
         ("quadrature", "nodes", 1.5, "quadrature.nodes"),
     ]
     for section, key, value, path in cases:
@@ -141,20 +141,25 @@ def test_type_errors_have_path_context():
 
 
 def test_unrunnable_integrator_budgets_rejected():
-    """max_steps below 1 fails every return; tol below 100 machine
-    epsilons asks for steps that would only resolve round-off, and tol
-    above MAX_TOL locates orbits that drift from the true ones."""
-    for key, value in (("max_steps", 0), ("max_steps", -3),
-                       ("tol", 1.0), ("tol", 2.0), ("tol", 0.5),
-                       ("tol", 2.0 * MAX_TOL),
-                       ("tol", 1e-20), ("tol", 2e-14)):
+    """tol below 100 machine epsilons asks for steps that would only
+    resolve round-off, and tol above MAX_TOL locates orbits that drift
+    from the true ones. The step budget is the constant
+    shooting.MAX_STEPS, so max_steps is an unknown key, whatever its
+    value."""
+    for value in (1.0, 2.0, 0.5, 2.0 * MAX_TOL, 1e-20, 2e-14):
         doc = minimal_doc()
-        doc["integrator"] = {key: value}
-        with pytest.raises(ConfigError, match=f"^integrator: {key} must be"):
+        doc["integrator"] = {"tol": value}
+        with pytest.raises(ConfigError, match="^integrator: tol must be"):
+            from_dict(doc)
+    for value in (0, -3, 1, 1.5):
+        doc = minimal_doc()
+        doc["integrator"] = {"max_steps": value, "tol": 2.3e-14}
+        with pytest.raises(ConfigError, match=r"^integrator: unknown keys "
+                           r"\['max_steps'\]$"):
             from_dict(doc)
     doc = minimal_doc()
-    doc["integrator"] = {"max_steps": 1, "tol": 2.3e-14}
-    assert from_dict(doc).integrator.max_steps == 1
+    doc["integrator"] = {"tol": 2.3e-14}
+    assert from_dict(doc).integrator == IntegratorSpec(tol=2.3e-14)
     doc["integrator"] = {"tol": MAX_TOL}
     assert from_dict(doc).integrator.tol == MAX_TOL
 

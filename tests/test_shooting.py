@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import replace
 from itertools import accumulate
 
 import numpy as np
@@ -226,12 +227,14 @@ def test_integrate_tolerance_convergence():
     assert np.max(np.abs(loose[4](t) - tight[4](t))) < 1e-7
 
 
-def test_integrator_budget_errors():
-    """A leg longer than max_steps, and a finite-time blow-up whose steps
+def test_integrator_budget_errors(monkeypatch):
+    """A leg longer than MAX_STEPS, and a finite-time blow-up whose steps
     shrink below double resolution, raise instead of returning."""
     p = unfold(THREE_ORBIT, EPS)
-    with pytest.raises(StepLimitExceeded):
-        poincare_return(p, (0.0, 0.4), IntegratorSpec(max_steps=2))
+    with monkeypatch.context() as patched:
+        patched.setattr(shooting, "MAX_STEPS", 2)
+        with pytest.raises(StepLimitExceeded):
+            poincare_return(p, (0.0, 0.4), SPEC)
     with pytest.raises(StepUnderflow):
         poincare_return(p, (3.0, 30.0), SPEC)
 
@@ -536,11 +539,11 @@ def test_failed_trial_return_halves_the_newton_step(records, monkeypatch):
                              - rec.section_point)) < 1e-8
 
 
-def test_every_candidate_failing_names_the_integrator_error():
-    tiny = IntegratorSpec(max_steps=2)
+def test_every_candidate_failing_names_the_integrator_error(monkeypatch):
+    monkeypatch.setattr(shooting, "MAX_STEPS", 2)
     with pytest.raises(ShootingDiverged,
                        match="section-image: StepLimitExceeded"):
-        shoot_orbit(THREE_ORBIT, EPS, (4.0, 0.0), tiny)
+        shoot_orbit(THREE_ORBIT, EPS, (4.0, 0.0), SPEC)
 
 
 def test_the_equilibrium_at_the_origin_is_not_an_orbit():
@@ -634,7 +637,8 @@ def test_sweep_validates_input():
 
 
 def test_sweep_on_a_collapse_boundary_is_a_degenerate_prediction():
-    """classify returns DEGENERATE on a2*delta^2 = b2; the sweep says so."""
+    """predicted_roots predicts DEGENERATE on a2*delta^2 = b2; the sweep
+    says so."""
     with pytest.raises(DegeneratePrediction, match="collapses to r = 0"):
         sweep_epsilon(UnfoldingParams(a2=1.0, b2=1.0, delta=1.0), [0.1])
     off_hypotheses = UnfoldingParams(a2=1.0, b2=1.0, delta=np.sqrt(3.0))
@@ -807,13 +811,39 @@ def test_a_failed_partner_leaves_the_mirror_orbit_to_its_other_seeds(
     assert np.array_equal(rec.section_point, records[2].section_point)
 
 
+def test_an_orbit_located_for_two_roots_is_recorded_once(records,
+                                                         monkeypatch):
+    """A record whose section point lies within DUPLICATE_TOL of an earlier
+    record's at the same eps is that orbit again: its root fails as a
+    duplicate, so no orbit is counted twice. Just beyond the bound the
+    record stands."""
+    for shift, duplicate in ((0.9 * shooting.DUPLICATE_TOL, True),
+                             (2.0 * shooting.DUPLICATE_TOL, False)):
+        moved = replace(records[1], section_point=records[1].section_point
+                        + np.array([shift, 0.0]))
+
+        def minus_w_finds_plus_w(u, eps, seed, *args):
+            # root 2, (r, -w), returns root 1's orbit moved by shift
+            return moved if seed[1] < 0.0 else records[int(seed[1] > 0.0)]
+
+        monkeypatch.setattr(shooting, "shoot_orbit", minus_w_finds_plus_w)
+        entry = sweep_epsilon(THREE_ORBIT, [EPS], SPEC).entries[0]
+        if duplicate:
+            assert sorted(entry.records) == [0, 1]
+            assert entry.failures == {2: "duplicate of orbit 1"}
+        else:
+            assert sorted(entry.records) == [0, 1, 2]
+            assert entry.failures == {}
+
+
 def test_every_candidate_failing_names_the_mirror_failure(records,
                                                           monkeypatch):
-    tiny = IntegratorSpec(max_steps=2)
-    with pytest.raises(ShootingDiverged, match="mirror: StepLimitExceeded"
-                       ".*section-image: StepLimitExceeded"):
-        shoot_orbit(THREE_ORBIT, EPS, records[2].seed, tiny,
-                    partner=records[1])
+    with monkeypatch.context() as patched:
+        patched.setattr(shooting, "MAX_STEPS", 2)
+        with pytest.raises(ShootingDiverged, match="mirror: StepLimitExceeded"
+                           ".*section-image: StepLimitExceeded"):
+            shoot_orbit(THREE_ORBIT, EPS, records[2].seed, SPEC,
+                        partner=records[1])
     monkeypatch.setattr(shooting, "_newton_return", lambda *args: None)
     with pytest.raises(ShootingDiverged, match="mirror: Newton did not "
                        "converge; section-image: Newton did not converge"):
