@@ -15,7 +15,8 @@ import numpy as np
 #: tolerance for calling an eigenvalue (or its real part) zero
 TOL_EIG = 1e-10
 
-#: residual bound for accepting a state as an equilibrium
+#: residual bound for accepting a state as an equilibrium, relative to the
+#: largest term of the vector field at the state (floored at 1)
 RESIDUAL_TOL = 1e-9
 
 
@@ -119,7 +120,8 @@ def classify_equilibrium(p: SystemParams, s) -> EquilibriumClass:
     Parameters
     ----------
     p : SystemParams
-    s : state triple, must be an equilibrium up to RESIDUAL_TOL
+    s : state triple, must be an equilibrium up to RESIDUAL_TOL times the
+        largest magnitude among the field's terms at s, floored at 1
 
     Returns
     -------
@@ -130,11 +132,15 @@ def classify_equilibrium(p: SystemParams, s) -> EquilibriumClass:
 
     Raises
     ------
-    NotAnEquilibrium if the vector field residual at s exceeds RESIDUAL_TOL.
+    NotAnEquilibrium if the vector field residual at s exceeds that bound.
+    At x = +-sqrt(-b) the terms b x and x^3 are of size |b|^1.5, so their
+    rounding alone would exceed an absolute bound once |b| passes about 1e4.
     """
     s = np.asarray(s, dtype=float)
+    x, y, z = s
     residual = np.max(np.abs(vector_field(p, s)))
-    if residual > RESIDUAL_TOL:
+    terms = (y, z, p.a * z, p.b * x, p.c * y, x * y * y, x ** 3)
+    if residual > RESIDUAL_TOL * max(1.0, *map(abs, terms)):
         raise NotAnEquilibrium(
             f"state {s.tolist()} has field residual {residual:.3e}"
         )

@@ -30,6 +30,7 @@ from averager.normal_form import (
     UnfoldingParams,
     jerk_standard_form,
 )
+from test_cli import near_boundary
 
 QUAD = QuadratureSpec()
 
@@ -495,12 +496,25 @@ DELTA_SQ_MARGIN = 0.4
 
 
 @settings(max_examples=40)
-@example(a2=1.0, b2=5.0, delta=2.0)
+@example(a2=1.0, b2=5.0, delta=2.0, near=None)
+# one row per side of each boundary of closed_form._degeneracies, in order
+@example(a2=1.0, b2=1.0, delta=2.0, near=(0, 0.5))
+@example(a2=1.0, b2=1.0, delta=2.0, near=(0, -0.6))
+@example(a2=1.0, b2=1.0, delta=2.0, near=(1, 0.6))
+@example(a2=1.0, b2=1.0, delta=2.5, near=(1, -0.5))
+@example(a2=1.0, b2=1.0, delta=2.0, near=(2, 0.5))
+@example(a2=1.0, b2=1.0, delta=2.0, near=(2, -0.6))
+@example(a2=1.0, b2=1.0, delta=2.0, near=(3, 0.6))
+@example(a2=1.0, b2=1.0, delta=1.5, near=(3, -0.5))
 @given(a2=st.floats(-3.0, 3.0), b2=st.floats(-3.0, 3.0),
-       delta=st.floats(0.8, 2.6))
-def test_find_roots_finds_the_predicted_roots(a2, b2, delta):
+       delta=st.floats(0.8, 2.6), near=st.none())
+def test_find_roots_finds_the_predicted_roots(a2, b2, delta, near):
     """On the closed g, find_roots returns predicted_roots' count, and each
-    root's degree sign is the sign of its closed-form determinant."""
+    root's degree sign is the sign of its closed-form determinant. A row
+    with near = (boundary, offset) first moves its point to that offset,
+    0.5 to 0.6 in size, from that boundary (test_cli.near_boundary)."""
+    if near is not None:
+        a2, b2, delta = near_boundary(near[0], a2, b2, delta, near[1])
     d2 = delta * delta
     assume(abs(3.0 - d2) >= DELTA_SQ_MARGIN)
     assume(min(abs(2.0 * a2 * d2 - b2), abs(a2 * d2 - b2),

@@ -25,6 +25,10 @@ THREE_ORBIT_DOC = {
     "unfolding": {"a2": 1.0, "b2": 5.0, "delta": 2.0},
     "eps": 0.1,
 }
+C1_DOC = {
+    "unfolding": {"a2": 1.0, "b2": 5.0, "c1": 0.5, "c2": -0.3, "delta": 2.0},
+    "eps": 0.1,
+}
 
 
 def write_config(tmp_path, doc, name="run.json"):
@@ -68,6 +72,20 @@ def test_classify_direct_params_mode(tmp_path):
     assert len(doc["equilibria"]) == 1
 
 
+def test_classify_params_mode_far_from_the_origin(tmp_path, capsys):
+    """At b = -2e12 the equilibria (+-sqrt(-b), 0, 0) leave a field
+    residual of 512 from rounding alone; all three still classify."""
+    code, out = run(tmp_path, "classify",
+                    {"params": {"a": 0.0, "b": -2e12, "c": 1.0}})
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    points = read_summary(out)["equilibria"]
+    root = math.sqrt(2e12)
+    assert [p["point"] for p in points] == [[0.0, 0.0, 0.0], [root, 0.0, 0.0],
+                                            [-root, 0.0, 0.0]]
+    assert all(p["kind"] == "hyperbolic" for p in points)
+
+
 def test_classify_zero_hopf_params_mode(tmp_path):
     code, out = run(tmp_path, "classify",
                     {"params": {"a": 0.0, "b": 0.0, "c": -4.0}})
@@ -93,13 +111,16 @@ def test_classify_degenerate_boundary_is_reported_not_fatal(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["orbits", "sweep"])
-def test_collapse_boundary_is_refused_as_degenerate(tmp_path, command):
-    """classify reports this boundary as degenerate; shooting refuses it."""
+def test_collapse_boundary_is_refused_as_degenerate(tmp_path, capsys, command):
+    """classify reports this boundary as degenerate; shooting refuses it,
+    and --json prints the refusal's summary.json."""
     eps = {"orbits": {"eps": 0.1}, "sweep": {"eps_list": [0.1, 0.05]}}
     doc = {"unfolding": {"a2": 1.0, "b2": 1.0, "delta": 1.0}, **eps[command]}
-    code, out = run(tmp_path, command, doc)
+    code, out = run(tmp_path, command, doc, extra=["--json"])
     assert code == 2
-    summary = read_summary(out)
+    text = (out / "summary.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == text
+    summary = json.loads(text)
     assert summary["case"] == "degenerate"
     assert summary["error"]["kind"] == "DegeneratePrediction"
 
@@ -183,43 +204,62 @@ def test_orbits_with_a_drawn_integrator_block_exits_cleanly(decade,
                 text = (out / "summary.json").read_text(encoding="utf-8")
                 json.loads(text, parse_constant=_reject_constant)
 
-def test_average_oracle_match(tmp_path):
-    code, out = run(tmp_path, "average", THREE_ORBIT_DOC)
-    assert code == 0
-    doc = read_summary(out)
-    assert doc["oracle_ok"] is True
-    assert doc["max_abs_dev_first"] < 1e-9
-    assert doc["max_abs_dev_second"] < 1e-9
-    table = (out / "average_table.csv").read_text(encoding="utf-8")
-    lines = table.strip().split("\n")
-    assert lines[0].startswith("r,w,f1_num")
-    assert len(lines) == 1 + 20 * 20
+def test_average_oracle_match(tmp_path, capsys, recwarn):
+    """At the default nodes and at 512, where each pass is evaluated in
+    chunks, average matches the closed forms and says nothing on stderr:
+    no message and no warning."""
+    for i, config in enumerate([
+            THREE_ORBIT_DOC, dict(THREE_ORBIT_DOC, quadrature={"nodes": 512})]):
+        (tmp_path / str(i)).mkdir()
+        code, out = run(tmp_path / str(i), "average", config)
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert not recwarn.list
+        doc = read_summary(out)
+        assert doc["oracle_ok"] is True
+        assert doc["max_abs_dev_first"] < 1e-9
+        assert doc["max_abs_dev_second"] < 1e-9
+        table = (out / "average_table.csv").read_text(encoding="utf-8")
+        lines = table.strip().split("\n")
+        assert lines[0].startswith("r,w,f1_num")
+        assert len(lines) == 1 + 20 * 20
 
 
 def test_average_notes_first_order_slice(tmp_path):
-    doc = {"unfolding": {"a1": 0.5, "b1": -0.4, "a2": 1.0, "b2": 5.0,
-                         "delta": 2.0}}
-    code, out = run(tmp_path, "average", doc)
-    assert code == 0
-    summary = read_summary(out)
-    assert summary["oracle_ok"] is True
-    assert "second_order_note" in summary
+    """Off a1 = b1 = 0, on the config orbits refuses too, average still
+    matches the closed forms and notes the slice."""
+    for i, unfolding in enumerate([
+            {"a1": 0.5, "b1": -0.4, "a2": 1.0, "b2": 5.0, "delta": 2.0},
+            {"a1": -0.3, "b1": 0.5, "a2": 0.25, "b2": -1.5, "delta": 1.3}]):
+        (tmp_path / str(i)).mkdir()
+        code, out = run(tmp_path / str(i), "average", {"unfolding": unfolding})
+        assert code == 0
+        summary = read_summary(out)
+        assert summary["oracle_ok"] is True
+        assert "second_order_note" in summary
 
 
 def test_orbits_three_traces(tmp_path):
-    code, out = run(tmp_path, "orbits", THREE_ORBIT_DOC)
-    assert code == 0
-    doc = read_summary(out)
-    assert doc["predicted_count"] == 3
-    assert doc["located_count"] == 3
-    assert doc["failures"] == {}
-    for i in range(3):
-        lines = (out / f"orbit_{i}.csv").read_text(encoding="utf-8")
-        rows = lines.strip().split("\n")
-        assert rows[0] == "t,x,y,z"
-        assert len(rows) == 1 + 512
-    for orbit in doc["orbits"]:
-        assert orbit["residual"] < 1e-10
+    """Three traces, with and without c1 and c2; the -w orbit alone is
+    seeded from its mirrored partner and accepted on its first return."""
+    for i, config in enumerate([THREE_ORBIT_DOC, C1_DOC]):
+        (tmp_path / str(i)).mkdir()
+        code, out = run(tmp_path / str(i), "orbits", config)
+        assert code == 0
+        doc = read_summary(out)
+        assert doc["predicted_count"] == 3
+        assert doc["located_count"] == 3
+        assert doc["failures"] == {}
+        for j in range(3):
+            lines = (out / f"orbit_{j}.csv").read_text(encoding="utf-8")
+            rows = lines.strip().split("\n")
+            assert rows[0] == "t,x,y,z"
+            assert len(rows) == 1 + 512
+        for orbit in doc["orbits"]:
+            assert orbit["residual"] < 1e-10
+        mirror = [orbit["returns"] for orbit in doc["orbits"]
+                  if orbit["seed_candidate"] == "mirror"]
+        assert mirror == [1]
 
 
 def test_orbits_zero_case_writes_summary_only(tmp_path):
@@ -238,11 +278,16 @@ def test_orbits_requires_eps(tmp_path):
     assert code == 1
 
 
-def test_sweep_outputs(tmp_path):
+def test_sweep_outputs(tmp_path, capsys):
     doc = {"unfolding": {"a2": 1.0, "b2": 5.0, "delta": 2.0},
            "eps_list": [0.1, 0.05]}
-    code, out = run(tmp_path, "sweep", doc)
+    out = tmp_path / "out"
+    code = main(["sweep", "--config", write_config(tmp_path, doc),
+                 "--out", str(out)])
     assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "eps 0.1: 3 orbit(s), 0 failure(s)" in lines
+    assert "eps 0.05: 3 orbit(s), 0 failure(s)" in lines
     summary = read_summary(out)
     assert summary["monotone"] is True
     assert set(summary["amp_slopes"]) == {"0", "1", "2"}
@@ -421,41 +466,31 @@ def test_orbits_integrator_block(tmp_path, capsys, integrator, outcome):
         assert read_summary(out)["located_count"] == outcome
 
 
-def test_cli_import_leaves_the_integrator_unloaded():
-    """classify and average never integrate, so they skip scipy.integrate."""
-    src = str(Path(averager.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, env.get("PYTHONPATH")]))
-    probe = "import sys, averager.cli; print('scipy.integrate' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
-
-
 def test_orbits_and_sweep_run_without_scipy(tmp_path):
-    """The Taylor integrator needs numpy only: shooting never loads scipy."""
+    """The Taylor integrator needs numpy only: importing the CLI, shooting
+    and the c1 seed corrections never load scipy."""
     src = str(Path(averager.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
-    orbits = write_config(tmp_path, THREE_ORBIT_DOC, "orbits.json")
-    sweep = write_config(tmp_path, {"unfolding": THREE_ORBIT_DOC["unfolding"],
-                                    "eps_list": [0.1, 0.05]}, "sweep.json")
+    runs = [("orbits", THREE_ORBIT_DOC), ("orbits", C1_DOC),
+            ("sweep", {"unfolding": THREE_ORBIT_DOC["unfolding"],
+                       "eps_list": [0.1, 0.05]})]
+    argvs = [[command, "--config", write_config(tmp_path, doc, f"{i}.json"),
+              "--out", str(tmp_path / str(i)), "--quiet"]
+             for i, (command, doc) in enumerate(runs)]
     probe = (
         "import sys\n"
         "from averager.cli import main\n"
-        f"codes = [main(['orbits', '--config', {orbits!r}, '--out', "
-        f"{str(tmp_path / 'orbits')!r}, '--quiet']),\n"
-        f"         main(['sweep', '--config', {sweep!r}, '--out', "
-        f"{str(tmp_path / 'sweep')!r}, '--quiet'])]\n"
+        f"codes = [main(argv) for argv in {argvs!r}]\n"
         "print(codes, sorted(m for m in sys.modules\n"
         "                    if m.partition('.')[0] == 'scipy'))\n"
     )
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[0, 0] []"
-    assert len(read_summary(tmp_path / "orbits")["orbits"]) == 3
+    assert done.stdout.strip() == "[0, 0, 0] []"
+    for i in (0, 1):
+        assert read_summary(tmp_path / str(i))["located_count"] == 3
 
 
 def test_quiet_holds_for_each_call_in_one_process(tmp_path):

@@ -73,6 +73,25 @@ def test_equilibria_have_zero_field():
             assert np.max(np.abs(vector_field(p, point))) < 1e-12
 
 
+def test_equilibria_classify_for_b_down_to_minus_1e12():
+    """At x = +-sqrt(-b) the field's terms b x and x^3 grow like |b|^1.5,
+    and their rounding alone leaves a residual far above 1e-9 (512 at
+    b = -2e12); every equilibrium still classifies."""
+    rng = np.random.default_rng(13)
+    for decade in np.linspace(-2.0, 12.0, 15):
+        for _ in range(20):
+            a, c = rng.uniform(-2.0, 2.0, 2)
+            b = -(10.0 ** rng.uniform(decade - 1.0, decade))
+            p = SystemParams(a, b, c)
+            points = equilibria(p)
+            assert len(points) == 3
+            for point in points:
+                cls = classify_equilibrium(p, point)
+                x = point[0]
+                assert abs(np.prod(cls.eigenvalues) + (b + 3 * x**2)) <= (
+                    1e-9 * max(1.0, abs(b)))
+
+
 def test_char_poly_displays():
     delta = 2.0
     assert np.allclose(char_poly(SystemParams(0.0, 0.0, -delta**2), 0.0),
