@@ -3,10 +3,13 @@
 Subcommands classify, average, orbits and sweep drive the full pipeline
 from a JSON config file. Every command writes a summary.json into the
 output directory; a run refused on the hypotheses, or an average whose
-quadrature did not converge, records why under "error". orbits and
-sweep additionally emit orbit_<i>.csv traces with columns t,x,y,z at 17
-significant digits, each the record's trace: the dense output of the
-return that located the orbit, sampled at 512 times over one period.
+quadrature did not converge, records why under "error". average
+additionally writes average_table.csv: a header and 400 rows, one per
+point of the 20 x 20 (r, w) grid, with every number at 17 significant
+digits, the same format as the traces. orbits and sweep additionally
+emit orbit_<i>.csv traces with columns t,x,y,z at 17 significant digits,
+each the record's trace: the dense output of the return that located
+the orbit, sampled at 512 times over one period.
 Output is deterministic: re-running a command with the same config
 produces byte-identical files.
 
@@ -44,7 +47,12 @@ from .closed_form import (
     predicted_roots,
 )
 from .config import ConfigError, RunConfig, load_config, to_dict
-from .jerk import EquilibriumKind, classify_equilibrium, equilibria
+from .jerk import (
+    EquilibriumKind,
+    NotAnEquilibrium,
+    classify_equilibrium,
+    equilibria,
+)
 from .normal_form import jerk_standard_form, unfold
 from .shooting import PeriodicOrbitRecord, sweep_epsilon
 
@@ -123,15 +131,32 @@ def _shoot(u, eps_list, spec, out_dir: Path, doc: dict, args):
     return result
 
 
-def _write_csv(path: Path, header: str, table: np.ndarray) -> None:
-    """The header line, then each row of table at 17 significant digits."""
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    text = (row * len(table)) % tuple(table.ravel().tolist())
-    path.write_text(header + "\n" + text, encoding="utf-8")
+def _write_csv(path: Path, header: str, rows: str, values: list) -> None:
+    """The header line, then rows % values.
+
+    rows is the body as a %-template: each row ends in a newline, and each
+    number is either a %.17g field, filled in order from values, or a
+    string already formatted with %.17g. Either way every number in the
+    file has 17 significant digits.
+    """
+    path.write_text(header + "\n" + rows % tuple(values), encoding="utf-8")
 
 
 def _write_trace(path: Path, t: np.ndarray, states: np.ndarray) -> None:
-    _write_csv(path, "t,x,y,z", np.column_stack([t, states]))
+    _write_csv(path, "t,x,y,z", "%.17g,%.17g,%.17g,%.17g\n" * len(t),
+               np.column_stack([t, states]).ravel().tolist())
+
+
+def _average_rows(r: list, w: list, f1: list, f2: list) -> str:
+    """average_table.csv's template with the one-axis columns baked in.
+
+    Row (i, j) holds r[i], w[j], f1[i] and f2[j], each formatted once with
+    %.17g, and a %.17g field for each of the other six columns.
+    """
+    r, w, f1, f2 = (["%.17g" % v for v in axis] for axis in (r, w, f1, f2))
+    return "".join([f"{ri},{wj},%.17g,%.17g,{f1i},{f2j},"
+                    "%.17g,%.17g,%.17g,%.17g\n"
+                    for ri, f1i in zip(r, f1) for wj, f2j in zip(w, f2)])
 
 
 def _write_orbit(out_dir: Path, trace: str, rec: PeriodicOrbitRecord) -> dict:
@@ -164,7 +189,11 @@ def cmd_classify(cfg: RunConfig, out_dir: Path, args) -> int:
         points = []
         zero_hopf = False
         for point in equilibria(cfg.params):
-            cls = classify_equilibrium(cfg.params, point)
+            try:
+                cls = classify_equilibrium(cfg.params, point)
+            except NotAnEquilibrium as exc:
+                raise ConfigError(
+                    f"cannot classify an equilibrium: {exc}") from exc
             zero_hopf = zero_hopf or cls.kind is EquilibriumKind.ZERO_HOPF
             points.append({
                 "point": list(cls.point),
@@ -229,10 +258,14 @@ def cmd_average(cfg: RunConfig, out_dir: Path, args) -> int:
     g_ref = g_closed(*z, u.a2, u.b2, u.delta)
     dev_first = float(np.max(np.abs(f_num - f_ref)))
     dev_second = float(np.max(np.abs(g_num - g_ref)))
-    table = np.concatenate([z, f_num, f_ref, g_num, g_ref]).reshape(10, -1).T
+    # r and f1_closed vary along the first grid axis only, w and f2_closed
+    # along the second, so _average_rows formats each of them once
     _write_csv(out_dir / "average_table.csv",
                "r,w,f1_num,f2_num,f1_closed,f2_closed,"
-               "g1_num,g2_num,g1_closed,g2_closed", table)
+               "g1_num,g2_num,g1_closed,g2_closed",
+               _average_rows(z[0][:, 0].tolist(), z[1][0].tolist(),
+                             f_ref[0][:, 0].tolist(), f_ref[1][0].tolist()),
+               np.stack([*f_num, *g_num, *g_ref], axis=-1).ravel().tolist())
 
     ok = max(dev_first, dev_second) <= ORACLE_TOL
     doc.update({

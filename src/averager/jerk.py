@@ -132,15 +132,18 @@ def classify_equilibrium(p: SystemParams, s) -> EquilibriumClass:
 
     Raises
     ------
-    NotAnEquilibrium if the vector field residual at s exceeds that bound.
+    NotAnEquilibrium if the vector field residual at s exceeds that bound,
+    or is not a number because a term overflowed.
     At x = +-sqrt(-b) the terms b x and x^3 are of size |b|^1.5, so their
     rounding alone would exceed an absolute bound once |b| passes about 1e4.
     """
     s = np.asarray(s, dtype=float)
     x, y, z = s
-    residual = np.max(np.abs(vector_field(p, s)))
-    terms = (y, z, p.a * z, p.b * x, p.c * y, x * y * y, x ** 3)
-    if residual > RESIDUAL_TOL * max(1.0, *map(abs, terms)):
+    # a term that overflows makes the residual inf or NaN, which is refused
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = np.max(np.abs(vector_field(p, s)))
+        terms = (y, z, p.a * z, p.b * x, p.c * y, x * y * y, x ** 3)
+    if not residual <= RESIDUAL_TOL * max(1.0, *map(abs, terms)):
         raise NotAnEquilibrium(
             f"state {s.tolist()} has field residual {residual:.3e}"
         )

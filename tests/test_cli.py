@@ -18,7 +18,13 @@ from hypothesis import strategies as st
 import averager
 from averager import shooting
 from averager.averaging import QuadratureAccuracyWarning
-from averager.cli import _jsonable, _write_csv, main
+from averager.cli import (
+    _average_rows,
+    _jsonable,
+    _write_csv,
+    _write_trace,
+    main,
+)
 from averager.config import from_dict
 
 THREE_ORBIT_DOC = {
@@ -74,7 +80,9 @@ def test_classify_direct_params_mode(tmp_path):
 
 def test_classify_params_mode_far_from_the_origin(tmp_path, capsys):
     """At b = -2e12 the equilibria (+-sqrt(-b), 0, 0) leave a field
-    residual of 512 from rounding alone; all three still classify."""
+    residual of 512 from rounding alone; all three still classify. At
+    b = -1e300 the field overflows to NaN at (1e150, 0, 0), and the run is
+    refused as a config error that names the point."""
     code, out = run(tmp_path, "classify",
                     {"params": {"a": 0.0, "b": -2e12, "c": 1.0}})
     assert code == 0
@@ -84,6 +92,15 @@ def test_classify_params_mode_far_from_the_origin(tmp_path, capsys):
     assert [p["point"] for p in points] == [[0.0, 0.0, 0.0], [root, 0.0, 0.0],
                                             [-root, 0.0, 0.0]]
     assert all(p["kind"] == "hyperbolic" for p in points)
+
+    (tmp_path / "overflow").mkdir()
+    code, out = run(tmp_path / "overflow", "classify",
+                    {"params": {"a": 0.0, "b": -1e300, "c": 1.0}})
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "[1e+150, 0.0, 0.0]" in err
+    assert not (out / "summary.json").exists()
 
 
 def test_classify_zero_hopf_params_mode(tmp_path):
@@ -204,6 +221,26 @@ def test_orbits_with_a_drawn_integrator_block_exits_cleanly(decade,
                 text = (out / "summary.json").read_text(encoding="utf-8")
                 json.loads(text, parse_constant=_reject_constant)
 
+
+def assert_row_by_row_table(out_dir):
+    """average_table.csv has its header and 400 rows, each the same bytes
+    as its ten numbers formatted one by one with %.17g; the rows run over
+    the r-w grid, and each closed form sits beside its numeric value."""
+    lines = (out_dir / "average_table.csv").read_text(
+        encoding="utf-8").split("\n")
+    assert lines[0] == ("r,w,f1_num,f2_num,f1_closed,f2_closed,"
+                        "g1_num,g2_num,g1_closed,g2_closed")
+    assert len(lines) == 1 + 20 * 20 + 1 and lines[-1] == ""
+    for row in lines[1:-1]:
+        assert row == ",".join("%.17g" % float(v) for v in row.split(","))
+    table = np.loadtxt(lines[1:-1], delimiter=",")
+    grid = np.meshgrid(np.linspace(0.5, 8.0, 20), np.linspace(-2.0, 2.0, 20),
+                       indexing="ij")
+    assert np.array_equal(table[:, :2], np.reshape(grid, (2, -1)).T)
+    num, closed = table[:, [2, 3, 6, 7]], table[:, [4, 5, 8, 9]]
+    assert np.max(np.abs(num - closed)) < 1e-8
+
+
 def test_average_oracle_match(tmp_path, capsys, recwarn):
     """At the default nodes and at 512, where each pass is evaluated in
     chunks, average matches the closed forms and says nothing on stderr:
@@ -219,10 +256,7 @@ def test_average_oracle_match(tmp_path, capsys, recwarn):
         assert doc["oracle_ok"] is True
         assert doc["max_abs_dev_first"] < 1e-9
         assert doc["max_abs_dev_second"] < 1e-9
-        table = (out / "average_table.csv").read_text(encoding="utf-8")
-        lines = table.strip().split("\n")
-        assert lines[0].startswith("r,w,f1_num")
-        assert len(lines) == 1 + 20 * 20
+        assert_row_by_row_table(out)
 
 
 def test_average_notes_first_order_slice(tmp_path):
@@ -237,6 +271,7 @@ def test_average_notes_first_order_slice(tmp_path):
         summary = read_summary(out)
         assert summary["oracle_ok"] is True
         assert "second_order_note" in summary
+        assert_row_by_row_table(out)
 
 
 def test_orbits_three_traces(tmp_path):
@@ -520,16 +555,32 @@ def test_quiet_holds_for_each_call_in_one_process(tmp_path):
 
 
 def test_csv_matches_row_by_row_formatting(tmp_path):
-    table = np.array([[-0.0, 5e-324, 1e308],
-                      [math.inf, -math.inf, math.nan],
-                      [0.1, -2.5, 1.0 / 3.0]])
+    """Special values come out as %.17g formats them one by one, whether
+    a %.17g field of the template formats them or the average table bakes
+    them into its template."""
+    values = [-0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan, 0.1,
+              -2.5, 1.0 / 3.0]
     path = tmp_path / "table.csv"
-    _write_csv(path, "a,b,c", table)
-    rows = ["a,b,c"] + [",".join("%.17g" % v for v in values)
-                        for values in table.tolist()]
+    states = np.reshape(values, (3, 3))
+    _write_trace(path, np.array(values[:3]), states)
+    rows = ["t,x,y,z"] + [",".join("%.17g" % v for v in [t, *state])
+                          for t, state in zip(values, states.tolist())]
     assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
-    _write_csv(path, "a,b,c", table[:0])
-    assert path.read_bytes() == b"a,b,c\n"
+    _write_trace(path, np.empty(0), np.empty((0, 3)))
+    assert path.read_bytes() == b"t,x,y,z\n"
+
+    # a 9 x 9 grid whose four axes and six other columns all hold them
+    r, w = values, values[::-1]
+    f1, f2 = values[1:] + values[:1], values[2:] + values[:2]
+    cells = values * 6 * len(w)
+    _write_csv(path, "h", _average_rows(r, w, f1, f2), cells)
+    rows = ["h"] + [
+        ",".join("%.17g" % v for v in [ri, wj, *k[:2], f1i, f2j, *k[2:]])
+        for (ri, f1i, wj, f2j), k in zip(
+            [(ri, f1i, wj, f2j) for ri, f1i in zip(r, f1)
+             for wj, f2j in zip(w, f2)],
+            np.reshape(cells, (-1, 6)).tolist())]
+    assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
 
 
 def test_usage_errors_map_to_config_exit(capsys):

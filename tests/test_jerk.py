@@ -128,6 +128,9 @@ def test_classify_positive_c_is_not_zero_hopf():
 def test_classify_rejects_non_equilibrium():
     with pytest.raises(NotAnEquilibrium):
         classify_equilibrium(SystemParams(0.0, 0.0, -4.0), (1.0, 1.0, 1.0))
+    # b x and x^3 overflow at x = sqrt(-b), so the residual is NaN
+    with pytest.raises(NotAnEquilibrium, match="residual nan"):
+        classify_equilibrium(SystemParams(0.0, -1e300, 1.0), (1e150, 0.0, 0.0))
 
 
 def test_eigenvalues_satisfy_char_poly():
