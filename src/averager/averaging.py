@@ -28,10 +28,11 @@ small eps.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 from typing import Callable, Sequence
 
@@ -169,30 +170,48 @@ def _polynomial_means(sys: StandardFormSystem, n_nodes: int, order: int):
     return terms
 
 
-def _polynomial_value(terms, points) -> np.ndarray:
-    """Sum of coefficients @ monomials over terms, shaped as points."""
+def _polynomial_mean(sys: StandardFormSystem, points, order: int) -> Callable:
+    """The order-th mean at points as a function of the node count.
+
+    Each term is coefficients @ monomials (see _polynomial_means); the
+    monomials are evaluated here, once for every node count asked.
+    """
     flat = points.reshape(len(points), -1)
-    value = sum(coef @ (flat if exponents is None
-                        else monomials(exponents, flat))
-                for coef, exponents in terms)
-    return value.reshape(points.shape)
+    basis = (monomials(sys.polynomials[1][0], flat) if order == 2
+             else None)
+
+    def mean(n_nodes: int) -> np.ndarray:
+        value = sum(coef @ (flat if exponents is None else basis)
+                    for coef, exponents in
+                    _polynomial_means(sys, n_nodes, order))
+        return value.reshape(points.shape)
+
+    return mean
 
 
-def _refined_mean(compute: Callable, z, n_nodes: int, what: str) -> np.ndarray:
-    """compute(points, nodes) at N and 2N nodes, accepted after the check.
+def _refined_mean(prepare: Callable, z, n_nodes: int, what: str) -> np.ndarray:
+    """prepare(points)(nodes) at N and 2N nodes, accepted after the check.
 
-    compute maps points of shape (n, *batch) to means of the same shape.
-    It gets z whole when z has at most MAX_SAMPLES // nodes points, and
-    otherwise z's points flattened into chunks of at most that many.
+    prepare maps points of shape (n, *batch) to a function of the node
+    count that gives their means, of the same shape. It gets z whole,
+    once for both node counts, when z has at most MAX_SAMPLES // nodes
+    points, and otherwise z's points flattened into chunks of at most
+    that many.
     """
     z = np.asarray(z, dtype=float)
     flat = z.reshape(len(z), -1)
 
+    def chunk(nodes: int) -> int:
+        return max(1, MAX_SAMPLES // nodes)
+
+    # z fits whole at 2N nodes only if it does at N
+    whole = prepare(z) if flat.shape[1] <= chunk(n_nodes) else None
+
     def in_chunks(nodes: int) -> np.ndarray:
-        size = max(1, MAX_SAMPLES // nodes)
+        size = chunk(nodes)
         if flat.shape[1] <= size:
-            return compute(z, nodes)
-        parts = [compute(flat[:, i:i + size], nodes)
+            return whole(nodes)
+        parts = [prepare(flat[:, i:i + size])(nodes)
                  for i in range(0, flat.shape[1], size)]
         return np.concatenate(parts, axis=1).reshape(z.shape)
 
@@ -201,8 +220,8 @@ def _refined_mean(compute: Callable, z, n_nodes: int, what: str) -> np.ndarray:
     # thresholds scale with each point's result so that large-amplitude
     # integrands are judged at the precision floating point can deliver,
     # and a large point never loosens the threshold of another in its batch
-    scale = np.maximum(1.0, np.max(np.abs(fine), axis=0))
-    diff = np.max(np.abs(fine - coarse), axis=0)
+    scale = np.maximum(1.0, np.abs(fine).max(axis=0))
+    diff = np.abs(fine - coarse).max(axis=0)
     loose = diff > ACCURACY_TOL * scale
     if not loose.any():
         return fine
@@ -225,13 +244,17 @@ def average_first(sys: StandardFormSystem, z, q: QuadratureSpec) -> np.ndarray:
     and the error or warning names the worst point.
     """
 
-    def compute(points, n_nodes: int) -> np.ndarray:
+    def prepare(points) -> Callable:
         if sys.polynomials is not None:
-            return _polynomial_value(_polynomial_means(sys, n_nodes, 1), points)
-        s, w, _ = _rule_nodes(n_nodes, sys.period)
-        return np.asarray(sys.f1(points, s), dtype=float) @ w / sys.period
+            return _polynomial_mean(sys, points, 1)
 
-    return _refined_mean(compute, z, q.nodes, "average_first")
+        def mean(n_nodes: int) -> np.ndarray:
+            s, w, _ = _rule_nodes(n_nodes, sys.period)
+            return np.asarray(sys.f1(points, s), dtype=float) @ w / sys.period
+
+        return mean
+
+    return _refined_mean(prepare, z, q.nodes, "average_first")
 
 
 def average_second(sys: StandardFormSystem, z, q: QuadratureSpec) -> np.ndarray:
@@ -251,17 +274,29 @@ def average_second(sys: StandardFormSystem, z, q: QuadratureSpec) -> np.ndarray:
     z is one point or a batch, shaped as in average_first.
     """
 
-    def compute(points, n_nodes: int) -> np.ndarray:
+    def prepare(points) -> Callable:
         if sys.polynomials is not None:
-            return _polynomial_value(_polynomial_means(sys, n_nodes, 2), points)
-        s, w, S = _rule_nodes(n_nodes, sys.period)
-        f1 = np.asarray(sys.f1(points, s), dtype=float)
-        kernel = (np.asarray(sys.df1(points, s), dtype=float) * w) @ S
-        mean = np.einsum("ij...t,j...t->i...", kernel, f1)
-        mean += np.asarray(sys.f2(points, s), dtype=float) @ w
-        return mean / sys.period
+            return _polynomial_mean(sys, points, 2)
 
-    return _refined_mean(compute, z, q.nodes, "average_second")
+        def mean(n_nodes: int) -> np.ndarray:
+            s, w, S = _rule_nodes(n_nodes, sys.period)
+            f1 = np.asarray(sys.f1(points, s), dtype=float)
+            kernel = (np.asarray(sys.df1(points, s), dtype=float) * w) @ S
+            value = np.einsum("ij...t,j...t->i...", kernel, f1)
+            value += np.asarray(sys.f2(points, s), dtype=float) @ w
+            return value / sys.period
+
+        return mean
+
+    return _refined_mean(prepare, z, q.nodes, "average_second")
+
+
+@lru_cache(maxsize=8)
+def _offsets(n: int) -> np.ndarray:
+    """Read-only (n, 1, 2n + 1) unit offsets of a point and its neighbours."""
+    offsets = np.hstack([np.zeros((n, 1)), np.eye(n), -np.eye(n)])[:, None, :]
+    offsets.flags.writeable = False
+    return offsets
 
 
 def _value_and_jacobian(fun: Callable, z: np.ndarray):
@@ -272,12 +307,11 @@ def _value_and_jacobian(fun: Callable, z: np.ndarray):
     the result is the (k, n) values and the (k, n, n) Jacobians.
     """
     n = z.shape[1]
-    h = FD_STEP * (1.0 + np.max(np.abs(z), axis=1))
-    offsets = np.hstack([np.zeros((n, 1)), np.eye(n), -np.eye(n)])
-    points = z.T[:, :, None] + h[:, None] * offsets[:, None, :]
+    h = FD_STEP * (1.0 + np.abs(z).max(axis=1))
+    points = z.T[:, :, None] + h[:, None] * _offsets(n)
     vals = np.asarray(fun(points), float)
     jac = (vals[:, :, 1:n + 1] - vals[:, :, n + 1:]) / (2.0 * h[:, None])
-    return vals[:, :, 0].T, np.moveaxis(jac, 0, 1)
+    return vals[:, :, 0].T, jac.transpose(1, 0, 2)
 
 
 def _norms(f: np.ndarray) -> np.ndarray:
@@ -318,51 +352,61 @@ def _damped_newton(fun: Callable, seeds, max_iter: int = 60) -> list:
     costs one call of fun and an accepted point carries its Jacobian to
     the next step. Returns, per seed in order, (z, |fun(z)|, Jacobian at
     z) at a converged z, or None when that seed fails to converge.
+
+    Besides that call, a round has a fixed overhead: a few dozen numpy
+    calls on arrays of the seeds still iterating, one stacked solve among
+    them, whatever fun costs. The state is kept for those seeds only, in
+    seed order, and shrinks when a seed stops.
     """
     z = np.array(seeds, dtype=float)
-    k = len(z)
-    found: list = [None] * k
-    if k == 0:
+    found: list = [None] * len(z)
+    if len(z) == 0:
         return found
     fz, jac = _value_and_jacobian(fun, z)
     res = _norms(fz)
+    rows = np.arange(len(z))  # the seed of each entry of the state
     step = np.zeros_like(z)
-    lam = np.ones(k)
-    iters = np.zeros(k, dtype=int)
-    halvings = np.zeros(k, dtype=int)
-    active = np.ones(k, dtype=bool)
-    fresh = active.copy()  # seeds that have just reached a new point
+    lam = np.ones(len(z))  # 2^-h after h halvings of the step, exactly
+    iters = np.zeros(len(z), dtype=int)
+    fresh = np.ones(len(z), dtype=bool)  # entries that reached a new point
     while True:
-        # a seed at a new point stops when it has converged or used up its
-        # steps, and otherwise starts a new Newton step
-        for i in np.flatnonzero(fresh & (res < ROOT_TOL)):
-            found[i] = (z[i].copy(), float(res[i]), jac[i].copy())
-        stop = fresh & ((res < ROOT_TOL) | (iters == max_iter))
-        active &= ~stop
-        fresh &= ~stop
-        if fresh.any():
-            step[fresh] = _newton_steps(jac[fresh], fz[fresh])
-            lam[fresh] = 1.0
-            halvings[fresh] = 0
-            active &= np.all(np.isfinite(step), axis=1)
-        rows = np.flatnonzero(active)
-        if len(rows) == 0:
-            return found
-        trial = z[rows] + lam[rows, None] * step[rows]
+        # a seed stops when it has converged or used up its steps, which
+        # only a seed at a new point can have done, or when it stalled even
+        # with the smallest damped step, which only a retrying seed can have
+        done = res < ROOT_TOL
+        stop = done | (iters == max_iter) | (lam == 0.5 ** 30)
+        new = (fresh & ~stop).nonzero()[0]
+        if len(new):
+            steps = _newton_steps(jac.take(new, 0), fz.take(new, 0))
+            step[new], lam[new] = steps, 1.0
+            stop[new] = ~np.isfinite(steps).all(axis=1)
+        done = done.nonzero()[0]
+        if len(done):
+            for i, zi, res_i, jac_i in zip(rows.take(done).tolist(),
+                                           z.take(done, 0),
+                                           res.take(done).tolist(),
+                                           jac.take(done, 0)):
+                found[i] = (zi, res_i, jac_i)
+        keep = (~stop).nonzero()[0]
+        if len(keep) < len(rows):
+            if len(keep) == 0:
+                return found
+            rows, z, fz, jac, res, step, lam, iters = (
+                a.take(keep, 0)
+                for a in (rows, z, fz, jac, res, step, lam, iters))
+        trial = z + lam[:, None] * step
         f_new, jac_new = _value_and_jacobian(fun, trial)
         res_new = _norms(f_new)
-        better = res_new < res[rows]
-        fresh[:] = False
-        take = rows[better]
-        z[take], fz[take], jac[take], res[take] = (
-            trial[better], f_new[better], jac_new[better], res_new[better])
-        iters[take] += 1
-        fresh[take] = True
-        # a seed stalled even with the smallest damped step fails
-        worse = rows[~better]
-        halvings[worse] += 1
-        lam[worse] *= 0.5
-        active[worse[halvings[worse] == 30]] = False
+        fresh = res_new < res
+        retry = (~fresh).nonzero()[0]
+        if len(retry) == 0:
+            z, fz, jac, res = trial, f_new, jac_new, res_new
+            iters += 1
+        else:
+            z[fresh], fz[fresh], jac[fresh], res[fresh] = (
+                trial[fresh], f_new[fresh], jac_new[fresh], res_new[fresh])
+            iters[fresh] += 1
+            lam[retry] *= 0.5
 
 
 def _grid_seeds(fun, box, grids):
@@ -381,22 +425,45 @@ def _grid_seeds(fun, box, grids):
         vals[tuple(slice(o, o + g) for o, g in zip(offset, grids))]
         for offset in product((0, 1), repeat=n)
     ]
-    straddle = np.all(
-        (np.minimum.reduce(views) <= 0.0) & (np.maximum.reduce(views) >= 0.0),
-        axis=-1,
-    )
-    mids = np.array(np.meshgrid(*[0.5 * (ax[:-1] + ax[1:]) for ax in axes],
-                                indexing="ij"))
+    straddle = ((reduce(np.minimum, views) <= 0.0)
+                & (reduce(np.maximum, views) >= 0.0)).all(axis=-1)
+    mids = np.array([0.5 * (ax[i] + ax[i + 1])
+                     for ax, i in zip(axes, np.nonzero(straddle))])
     # grid points that are local minima of the residual norm
-    padded = np.pad(norms, 1, constant_values=np.inf)
-    core = padded[(slice(1, -1),) * n]
+    padded = np.full([g + 3 for g in grids], np.inf)
+    padded[(slice(1, -1),) * n] = norms
     is_min = np.ones(norms.shape, dtype=bool)
     for ax in range(n):
         for off in (-1, 1):
             sl = [slice(1, -1)] * n
             sl[ax] = slice(1 + off, padded.shape[ax] - 1 + off)
-            is_min &= core <= padded[tuple(sl)]
-    return np.concatenate([mids[:, straddle], mesh[:, is_min]], axis=1).T
+            is_min &= norms <= padded[tuple(sl)]
+    return np.concatenate([mids, mesh[:, is_min]], axis=1).T
+
+
+def _checked_grids(box: list, grid) -> list:
+    """The per-axis cell counts, after checking the box and the grid.
+
+    Raises ValueError, naming the axis, for an interval that is not finite
+    or not increasing, a cell count that is not an integer >= 1, or a
+    per-axis grid whose length is not the box's dimension; and for a box
+    without axes.
+    """
+    if not box:
+        raise ValueError("find_roots: the box has no axes")
+    for axis, (lo, hi) in enumerate(box):
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError(f"find_roots: box axis {axis} is ({lo}, {hi}); "
+                             "it needs finite lo < hi")
+    grids = [grid] * len(box) if np.ndim(grid) == 0 else list(grid)
+    if len(grids) != len(box):
+        raise ValueError(f"find_roots: grid has {len(grids)} entries for a "
+                         f"box of {len(box)} axes")
+    for axis, g in enumerate(grids):
+        if not isinstance(g, (int, np.integer)) or g < 1:
+            raise ValueError(f"find_roots: grid axis {axis} has {g!r} cells; "
+                             "it needs an integer >= 1")
+    return grids
 
 
 def find_roots(fun: Callable, box: Sequence, grid=32) -> list[AveragedRoot]:
@@ -409,8 +476,10 @@ def find_roots(fun: Callable, box: Sequence, grid=32) -> list[AveragedRoot]:
         batch per Newton round, of shape (n, seeds, 2n + 1): the trial
         point z of every seed still iterating and its 2n central-difference
         neighbours z +- h e_i
-    box : sequence of (lo, hi) pairs, one per coordinate
-    grid : cells per axis for seeding (int or per-axis sequence)
+    box : sequence of at least one (lo, hi) pair, one per coordinate, each
+        finite with lo < hi
+    grid : cells per axis for seeding, an integer >= 1 or a sequence of
+        them with one entry per axis
 
     Returns
     -------
@@ -419,25 +488,34 @@ def find_roots(fun: Callable, box: Sequence, grid=32) -> list[AveragedRoot]:
     ROOT_TOL; the degree sign is DEGENERATE when |jac_det| < DET_TOL.
     Converged points outside the box are discarded, so an empty list is a
     valid outcome.
+
+    Raises
+    ------
+    ValueError, naming the axis, for a box or grid that breaks the rules
+    above, before fun is called.
+
+    Besides the seeding call, a Newton round costs one call of fun, on
+    the seeds still iterating, plus a fixed overhead (see _damped_newton).
     """
     box = [(float(lo), float(hi)) for lo, hi in box]
-    n = len(box)
-    grids = [grid] * n if np.isscalar(grid) else list(grid)
+    grids = _checked_grids(box, grid)
 
     accepted: list[tuple] = []
     for found in _damped_newton(fun, _grid_seeds(fun, box, grids)):
         if found is None:
             continue
-        z = found[0]
-        if any(z[i] < lo or z[i] > hi for i, (lo, hi) in enumerate(box)):
+        z = found[0].tolist()
+        if any(x < lo or x > hi for x, (lo, hi) in zip(z, box)):
             continue
-        if any(np.max(np.abs(z - prev[0])) < DEDUP_TOL for prev in accepted):
+        if any(max(abs(x - y) for x, y in zip(z, prev)) < DEDUP_TOL
+               for prev, _ in accepted):
             continue
-        accepted.append(found)
+        accepted.append((z, found))
 
-    accepted.sort(key=lambda found: tuple(np.round(found[0] / DEDUP_TOL)))
+    accepted.sort(key=lambda entry: tuple(round(x / DEDUP_TOL)
+                                          for x in entry[0]))
     roots = []
-    for z, residual, jac in accepted:
+    for _, (z, residual, jac) in accepted:
         det = float(np.linalg.det(jac))
         if abs(det) < DET_TOL:
             sign = DegreeSign.DEGENERATE

@@ -691,9 +691,11 @@ def shoot_orbit(
 
     A root with w = 0 is its own mirror image, and so is its orbit: from
     each candidate, Newton first runs on the half map T(q) = -M(q), one
-    leg per iteration, until |T(q) - q| < SHOOT_TOL / 2. As dT/dq is
-    I + O(eps^2), P(q) - q is about 2 (T(q) - q), so the full return from
-    that point, its last leg and one new one, then typically passes
+    leg per iteration, until |T(q) - q| < SHOOT_TOL / 2. In (x, y), dT/dq
+    is diag(-1, 1) + O(eps^2), -1 along x, which T reflects, and P(q) - q
+    is about (I + dT/dq)(T(q) - q): its x part cancels and its y part
+    doubles, so |P(q) - q| is at most about 2 |T(q) - q|. The full return
+    from that point, its last leg and one new one, then typically passes
     SHOOT_TOL; if it does not, Newton on P goes on from there. Where
     Newton on T fails, Newton on P runs from the candidate itself.
 

@@ -426,6 +426,7 @@ def test_find_roots_orders_numeric_roots_like_closed_form():
 
 
 SHOWCASE_BOX = [(0.5, 8.0), (-2.0, 2.0)]
+SHOWCASE_SYS = slice_system(1.0, 5.0, 2.0)
 
 
 def counted(fun):
@@ -474,6 +475,7 @@ def test_find_roots_drops_seeds_with_a_singular_jacobian():
     (lambda z: g_closed(z[0], z[1], 1.0, 5.0, 2.0), SHOWCASE_BOX, 16),
     (lambda z: np.array([np.maximum(z[0], -0.5) - 0.5, z[1]]),
      [(-1.0, 1.0), (-1.0, 1.0)], 8),
+    (lambda z: average_second(SHOWCASE_SYS, z, QUAD), SHOWCASE_BOX, 16),
 ])
 def test_batched_newton_equals_one_newton_per_seed(fun, box, grid):
     seeds = _grid_seeds(fun, box, [grid, grid])
@@ -487,6 +489,69 @@ def test_batched_newton_equals_one_newton_per_seed(fun, box, grid):
         assert np.array_equal(found[0], alone[0])
         assert found[1] == alone[1]
         assert np.array_equal(found[2], alone[2])
+
+
+def test_find_roots_calls_fun_on_the_grid_then_on_newton_batches():
+    """The seeding grid comes first, then one (n, k, 2n + 1) batch per
+    round, k the seeds still iterating: all of them in the first round,
+    never more in a later one."""
+    shapes = []
+
+    def fun(z):
+        shapes.append(z.shape)
+        return average_second(SHOWCASE_SYS, z, QUAD)
+
+    roots = find_roots(fun, SHOWCASE_BOX, grid=[16, 12])
+    assert len(roots) == 3
+    assert shapes[0] == (2, 17, 13)
+    rounds = shapes[1:]
+    seeds = len(_grid_seeds(fun, SHOWCASE_BOX, [16, 12]))
+    assert rounds and all(len(s) == 3 and s[0] == 2 and s[2] == 5
+                          for s in rounds)
+    active = [s[1] for s in rounds]
+    assert active[0] == seeds
+    assert active == sorted(active, reverse=True)
+
+
+@pytest.mark.parametrize("fun, box, grid, zs, signs", [
+    # n = 1: two corners per cell and one neighbour on each side
+    (lambda z: z ** 2 - 0.25, [(-1.0, 1.0)], 16, [[-0.5], [0.5]],
+     [DegreeSign.MINUS, DegreeSign.PLUS]),
+    # n = 3: eight corners per cell, and a different cell count per axis
+    (lambda z: z - np.reshape([0.1, -0.2, 0.3], (3,) + (1,) * (z.ndim - 1)),
+     [(-1.0, 1.0)] * 3, [3, 4, 5], [[0.1, -0.2, 0.3]], [DegreeSign.PLUS]),
+], ids=["line", "space"])
+def test_find_roots_in_other_dimensions(fun, box, grid, zs, signs):
+    roots = find_roots(fun, box, grid)
+    assert [root.degree_sign for root in roots] == signs
+    assert np.allclose([root.z for root in roots], zs, atol=1e-10)
+
+
+@pytest.mark.parametrize("box, grid, message", [
+    ([(1, -1), (1, -1)], 4, "box axis 0"),
+    ([(-1.0, 1.0), (0.5, 0.5)], 4, "box axis 1"),
+    ([(-1.0, 1.0), (0.0, np.inf)], 4, "box axis 1"),
+    ([(np.nan, 1.0), (-1.0, 1.0)], 4, "box axis 0"),
+    ([(-1.0, 1.0), (-1.0, 1.0)], [4], "1 entries for a box of 2 axes"),
+    ([(-1.0, 1.0), (-1.0, 1.0)], [4, 4, 4], "3 entries for a box of 2 axes"),
+    ([(-1.0, 1.0), (-1.0, 1.0)], 0, "grid axis 0"),
+    ([(-1.0, 1.0), (-1.0, 1.0)], 2.5, "grid axis 0"),
+    ([(-1.0, 1.0), (-1.0, 1.0)], [4, -2], "grid axis 1"),
+    ([(-1.0, 1.0), (-1.0, 1.0)], np.array(4), "grid axis 0"),
+    ([], 4, "no axes"),
+], ids=["reversed", "empty", "infinite", "nan", "short-grid", "long-grid",
+        "no-cells", "fractional-cells", "negative-cells", "array-cells",
+        "no-axes"])
+def test_find_roots_rejects_a_bad_box_or_grid(box, grid, message):
+    """A box or grid find_roots cannot seed from is refused before fun is
+    called, with a ValueError naming the axis. Unchecked, the reversed box
+    gives no root although (0.3, 0.3) lies in it, the short grid fails
+    with an IndexError, the long one drops an entry, and 0 cells seed
+    from one point."""
+    fun = counted(lambda z: z - 0.3)
+    with pytest.raises(ValueError, match=message):
+        find_roots(fun, box, grid)
+    assert fun.calls == 0
 
 
 # margins from the boundaries in closed_form._degeneracies and from
