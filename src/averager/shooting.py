@@ -24,9 +24,9 @@ orbit: its trace is sampled from that return's dense output.
 The w = 0 roots are their own mirror images, and so are their orbits:
 such an orbit closes after half a period up to the reflection, a fixed
 point of the half map T(q) = -M(q) (Golubitsky and Stewart, The Symmetry
-Perspective, 2002). Newton on T integrates one leg per iteration, and
-one more leg from the fixed point completes the full return that accepts
-the orbit.
+Perspective, 2002). Newton runs on T alone, one leg per iteration, and
+one more leg from its fixed point completes the one full return that
+accepts the orbit or fails the candidate.
 
 Newton starts from up to two candidate seeds, in this order: mirror and
 section-image. The paired roots (r, w) and (r, -w) predict two orbits
@@ -40,8 +40,7 @@ averaged root, and z1 and z2 come from the third and fourth averaged
 functions (closed_form.root_corrections), so the seed misses the orbit by
 O(eps^4) where the image of z0 alone misses it by O(eps^3). Every orbit is
 accepted only on its own full return, whatever its seed, and a candidate
-fails where Newton settles within eps r / 10 of an equilibrium, or, for a
-w = 0 root, on an orbit that is not its own reflection (SYMMETRY_TOL).
+fails where Newton settles within eps r / 10 of an equilibrium.
 
 The field is a cubic polynomial, so every flow is integrated by a Taylor
 series method (Jorba and Zou, Experimental Mathematics 14, 2005): short
@@ -108,15 +107,6 @@ MAX_NEWTON_ITER = 25
 #: belongs to a root that neither seed locates
 MAX_SEED_SHIFT = 0.25
 
-#: largest |m + q| of a located w = 0 orbit, q its section point and m
-#: its crossing of the mirrored section. Such an orbit is its own point
-#: reflection, m = -q, and Newton leaves |m + q| = |T(q) - q|, about half
-#: the residual: 2.7e-12 on the showcase. An orbit of the paired family
-#: reads |m + q| of order eps |w|: 0.185 at eps 0.1 on the pair roots of
-#: (a2, b2, delta) = (0.42, -1.801, 1.708), whose w = 0 root Newton on
-#: the return map can carry onto that orbit
-SYMMETRY_TOL = 1e-6
-
 #: largest distance between the section points of two records at one
 #: eps that are taken for one orbit
 DUPLICATE_TOL = 1e-6
@@ -166,7 +156,7 @@ class NoReturn(RuntimeError):
 
 
 class ShootingDiverged(RuntimeError):
-    """Newton on the return map failed from every candidate seed."""
+    """No candidate seed located the orbit."""
 
 
 class SeedInvalid(ValueError):
@@ -690,20 +680,19 @@ def shoot_orbit(
       eps (w, r).
 
     A root with w = 0 is its own mirror image, and so is its orbit: from
-    each candidate, Newton first runs on the half map T(q) = -M(q), one
+    each candidate, Newton runs on the half map T(q) = -M(q) instead, one
     leg per iteration, until |T(q) - q| < SHOOT_TOL / 2. In (x, y), dT/dq
     is diag(-1, 1) + O(eps^2), -1 along x, which T reflects, and P(q) - q
     is about (I + dT/dq)(T(q) - q): its x part cancels and its y part
-    doubles, so |P(q) - q| is at most about 2 |T(q) - q|. The full return
-    from that point, its last leg and one new one, then typically passes
-    SHOOT_TOL; if it does not, Newton on P goes on from there. Where
-    Newton on T fails, Newton on P runs from the candidate itself.
+    doubles, so |P(q) - q| is at most about 2 |T(q) - q|. One full return
+    from that point, its last leg and one new one, then accepts the orbit
+    or fails the candidate. Its crossing m of the mirrored section is that
+    of the last leg, so |m + q| = |T(q) - q| < SHOOT_TOL / 2: the orbit is
+    its own reflection.
 
     Whatever the candidate, the orbit is accepted only on its own full
     return with residual below SHOOT_TOL, and everything it reports comes
-    from that return. A w = 0 orbit must also be its own reflection: its
-    crossing m of the mirrored section must lie within SYMMETRY_TOL of
-    -q, q its section point, or the next candidate is tried.
+    from that return.
 
     Returns
     -------
@@ -718,13 +707,13 @@ def shoot_orbit(
     Raises
     ------
     SeedInvalid for r <= 0 or non-finite seeds; ShootingDiverged when no
-    candidate converges: Newton fails, the return from the candidate
-    raises one of the _RETURN_ERRORS, Newton converges to within
-    eps * r / 10 of an equilibrium of the system, the origin or, for
-    b < 0, (+-sqrt(-b), 0, 0), or, for a root with w = 0, to an orbit
-    with |m + q| above SYMMETRY_TOL, which is not its own reflection.
-    Its message names each candidate's failure. ValueError for eps
-    outside (0, MAX_EPS] or a partner located at another eps.
+    candidate converges: Newton fails (for a root with w = 0, Newton on
+    the half map), a return raises one of the _RETURN_ERRORS, the one full
+    return after Newton on the half map misses SHOOT_TOL, or Newton
+    converges to within eps * r / 10 of an equilibrium of the system, the
+    origin or, for b < 0, (+-sqrt(-b), 0, 0). Its message names each
+    candidate's failure. ValueError for eps outside (0, MAX_EPS] or a
+    partner located at another eps.
     """
     spec = spec or IntegratorSpec()
     r, w = float(seed[0]), float(seed[1])
@@ -763,32 +752,34 @@ def shoot_orbit(
         shift = np.zeros(2)
     candidates.append(("section-image", eps * ((r, w) + shift)[::-1], None))
 
+    newton = "Newton on the half map" if w == 0.0 else "Newton"
     for tag, q0, first in candidates:
         try:
-            if w == 0.0:
-                half = _newton_return(half_map, q0, SHOOT_TOL / 2)
-                if half is not None:
-                    q0, _, (_, _, _, first) = half
-            found = _newton_return(
-                return_map, q0, SHOOT_TOL,
-                None if first is None else return_map(q0, first))
+            if w != 0.0:
+                found = _newton_return(
+                    return_map, q0, SHOOT_TOL,
+                    None if first is None else return_map(q0, first))
+            elif (found := _newton_return(half_map, q0, SHOOT_TOL / 2)):
+                # the one full return: the last half return and one new leg
+                q, _, (_, _, _, leg) = found
+                ret = return_map(q, leg)
+                found = q, float(np.linalg.norm(ret[0] - q)), ret
         except _RETURN_ERRORS as exc:
             failures.append(f"{tag}: {type(exc).__name__}: {exc}")
             continue
         if found is None:
-            failures.append(f"{tag}: Newton did not converge")
+            failures.append(f"{tag}: {newton} did not converge")
             continue
         fixed, residual, (returned, period, jac, mono, flow,
                           mirror_leg) = found
         near = [x for x in equilibria(p)
                 if np.linalg.norm(fixed - x[:2]) < 0.1 * eps * r]
-        asymmetry = float(np.linalg.norm(mirror_leg[0] + fixed))
-        if near:
+        if not residual < SHOOT_TOL:
+            failures.append(f"{tag}: the full return after Newton on the "
+                            f"half map misses by |P(q) - q| = {residual:.3e}")
+        elif near:
             failures.append(f"{tag}: converged to the equilibrium "
                             f"{tuple(near[0].tolist())}")
-        elif w == 0.0 and asymmetry > SYMMETRY_TOL:
-            failures.append(f"{tag}: converged to an orbit that is not its "
-                            f"own reflection, |m + q| = {asymmetry:.3e}")
         else:
             logger.info(
                 "seed (r=%.6g, w=%.6g) eps=%.6g: converged from %s start; "
@@ -884,12 +875,13 @@ def sweep_epsilon(
     HypothesisViolated when a1 or b1 is nonzero, where the predicted roots
     are no orbits, and where predicted_roots raises; DegeneratePrediction on
     a collapse boundary, where it predicts DEGENERATE; ValueError for
-    an empty, non-positive or not strictly decreasing eps_list.
+    an empty eps_list, one not strictly decreasing, or one with an eps
+    outside (0, MAX_EPS], NaN included, before anything is shot.
     """
     spec = spec or IntegratorSpec()
     eps_list = [float(e) for e in eps_list]
-    if not eps_list or any(e <= 0.0 for e in eps_list):
-        raise ValueError("eps_list must contain positive values")
+    if not eps_list or any(not 0.0 < e <= MAX_EPS for e in eps_list):
+        raise ValueError(f"eps_list must lie in (0, {MAX_EPS}]")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
     require_first_order_zero(u.a1, u.b1)

@@ -560,7 +560,8 @@ def test_the_equilibrium_at_the_origin_is_not_an_orbit():
 
 #: a direction whose pair roots (8.19, +-0.92) lie next to the
 #: equilibria (+-sqrt(-b), 0, 0), and whose w = 0 root (20.66, 0) Newton
-#: on the return map carries onto the +w orbit
+#: on the half map does not locate at eps 0.1: Newton on the full return
+#: carries it onto the +w orbit, |m + q| = 0.185
 NEAR_EQUILIBRIA = UnfoldingParams(a2=0.42, b2=-1.801, delta=1.708)
 
 
@@ -579,10 +580,10 @@ def test_an_equilibrium_off_the_origin_is_not_an_orbit():
 
 
 def test_a_w0_root_accepts_only_an_orbit_that_is_its_own_reflection():
-    """The w = 0 root of NEAR_EQUILIBRIA is carried onto the +w orbit,
-    |m + q| = 0.185; that orbit is rejected, with the candidate named, so
-    the located orbits are distinct and each w = 0 one is its own
-    reflection."""
+    """Newton runs on the half map alone for the w = 0 root of
+    NEAR_EQUILIBRIA, so it never reaches the +w orbit: it does not
+    converge, and the candidate fails with that reason named. The located
+    orbits are distinct and each w = 0 one is its own reflection."""
     entry = sweep_epsilon(NEAR_EQUILIBRIA, [EPS], SPEC).entries[0]
     points = [rec.section_point for rec in entry.records.values()]
     assert all(np.max(np.abs(a - b)) > 1e-6
@@ -590,8 +591,8 @@ def test_a_w0_root_accepts_only_an_orbit_that_is_its_own_reflection():
     for rec in entry.records.values():
         if rec.seed[1] == 0.0:
             check_symmetric_orbit(unfold(NEAR_EQUILIBRIA, EPS), rec)
-    assert "section-image: converged to an orbit that is not its own " \
-        "reflection" in entry.failures[0]
+    assert entry.failures[0].endswith(
+        "section-image: Newton on the half map did not converge")
 
 
 def test_one_orbit_region():
@@ -626,11 +627,22 @@ def test_sweep_two_eps():
             assert result.max_coords[i][k] == np.max(np.abs(states))
 
 
-def test_sweep_validates_input():
+def test_sweep_validates_input(monkeypatch):
     with pytest.raises(ValueError):
         sweep_epsilon(THREE_ORBIT, [0.05, 0.1], SPEC)
     with pytest.raises(ValueError):
         sweep_epsilon(THREE_ORBIT, [], SPEC)
+    # every eps outside (0, MAX_EPS] is refused before anything is shot,
+    # also on a direction with no orbit to shoot
+    monkeypatch.setattr(shooting, "shoot_orbit", None)
+    no_orbit = UnfoldingParams(a2=-1.0, b2=5.0, delta=1.0)
+    assert not predicted_roots(no_orbit.a2, no_orbit.b2, no_orbit.delta).roots
+    for u, eps_list in [(no_orbit, [0.5, 0.3]), (no_orbit, [math.nan, 0.1]),
+                        (no_orbit, [math.inf]), (THREE_ORBIT, [0.5, 0.3]),
+                        (THREE_ORBIT, [0.1, -0.05])]:
+        with pytest.raises(ValueError,
+                           match=re.escape(f"(0, {shooting.MAX_EPS}]")):
+            sweep_epsilon(u, eps_list, SPEC)
     degenerate = UnfoldingParams(a2=1.0, b2=1.0, delta=1.0)
     with pytest.raises(HypothesisViolated):
         sweep_epsilon(degenerate, [0.1, 0.05], SPEC)
@@ -743,6 +755,84 @@ def test_half_map_newton_stops_at_half_the_shooting_tolerance(records,
     assert (seeded.returns, len(full)) == (3, 1)
     assert seeded.residual < shooting.SHOOT_TOL
     assert np.max(np.abs(seeded.section_point - rec.section_point)) < 1e-9
+
+
+def test_a_w0_candidate_runs_one_newton_and_at_most_one_full_return(
+        monkeypatch):
+    """Newton runs on the half map alone for a root with w = 0: each w = 0
+    shot of these sweeps, whose one candidate is its section image, makes
+    one _newton_return call and then the one full return, or none where
+    Newton on T fails, as on root 0 of NEAR_EQUILIBRIA."""
+    shots = []
+    shoot = shooting.shoot_orbit
+
+    def counted(name, original):
+        def call(*args):
+            shots[-1][1].append(name)
+            return original(*args)
+        return call
+
+    def shot(u, eps, seed, *args):
+        shots.append((seed, []))
+        return shoot(u, eps, seed, *args)
+
+    monkeypatch.setattr(shooting, "shoot_orbit", shot)
+    monkeypatch.setattr(shooting, "_newton_return",
+                        counted("newton", shooting._newton_return))
+    monkeypatch.setattr(shooting, "poincare_return",
+                        counted("full", poincare_return))
+    sweep_epsilon(THREE_ORBIT, [EPS, 0.05], SPEC)
+    sweep_epsilon(NEAR_EQUILIBRIA, [EPS], SPEC)
+    assert [calls for seed, calls in shots if seed[1] == 0.0] == [
+        ["newton", "full"], ["newton", "full"], ["newton"]]
+
+
+def shifted_returns(monkeypatch, shift):
+    """Move the point of every full return by (0, shift); returns the list
+    of the starts of the full returns made from then on."""
+    starts = []
+
+    def shifted(p, q, spec, first=None):
+        starts.append(q)
+        ret = poincare_return(p, q, spec, first)
+        return (ret[0] + [0.0, shift], *ret[1:])
+
+    monkeypatch.setattr(shooting, "poincare_return", shifted)
+    return starts
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e-9])
+def test_a_located_w0_orbit_is_its_own_reflection_to_half_the_tolerance(
+        shift, monkeypatch):
+    """A w = 0 orbit is accepted on the full return whose first leg is the
+    last half return of Newton on T, from its section point q, so the
+    crossing m of that leg has |m + q| = |T(q) - q| < SHOOT_TOL / 2,
+    however far the full return itself lands: with every full return
+    moved by 1e-9 no w = 0 orbit is located off that bound either."""
+    shifted_returns(monkeypatch, shift)
+    located = [rec for u, eps_list in ((THREE_ORBIT, [EPS, 0.05]),
+                                       (NEAR_EQUILIBRIA, [EPS]))
+               for entry in sweep_epsilon(u, eps_list, SPEC).entries
+               for rec in entry.records.values() if rec.seed[1] == 0.0]
+    for rec in located:
+        mirror, _ = rec.mirror_leg
+        assert np.linalg.norm(mirror + rec.section_point) \
+            < shooting.SHOOT_TOL / 2
+    assert len(located) == (2 if shift == 0.0 else 0)
+
+
+def test_a_w0_full_return_that_misses_fails_the_candidate(records,
+                                                          monkeypatch):
+    """Where the one full return after Newton on T misses SHOOT_TOL, here
+    moved by 1e-9, the w = 0 candidate fails with that return's residual
+    named, after that single return, from the point Newton on T found."""
+    starts = shifted_returns(monkeypatch, 1e-9)
+    with pytest.raises(ShootingDiverged, match=re.escape(
+            "section-image: the full return after Newton on the half map "
+            "misses by |P(q) - q| = ")):
+        shoot_orbit(THREE_ORBIT, EPS, records[0].seed, SPEC)
+    assert len(starts) == 1
+    assert np.array_equal(starts[0], records[0].section_point)
 
 
 def test_returns_count_every_return_spent_on_the_orbit(monkeypatch):
