@@ -219,17 +219,19 @@ def _refined_mean(prepare: Callable, z, n_nodes: int, what: str) -> np.ndarray:
     fine = in_chunks(2 * n_nodes)
     # thresholds scale with each point's result so that large-amplitude
     # integrands are judged at the precision floating point can deliver,
-    # and a large point never loosens the threshold of another in its batch
+    # and a large point never loosens the threshold of another in its batch.
+    # A non-finite mean gives a NaN or infinite relative disagreement, which
+    # fails every check and is the worst point
     scale = np.maximum(1.0, np.abs(fine).max(axis=0))
-    diff = np.abs(fine - coarse).max(axis=0)
-    loose = diff > ACCURACY_TOL * scale
-    if not loose.any():
+    with np.errstate(invalid="ignore"):  # inf - inf
+        diff = np.abs(fine - coarse).max(axis=0)
+    relative = diff / scale
+    if np.all(relative <= ACCURACY_TOL):
         return fine
-    worst = np.argmax(np.divide(diff, scale, out=np.zeros_like(diff),
-                                where=loose))
+    worst = np.argmax(relative)
     where = (f"{diff.flat[worst]:.3e} at N={n_nodes}, "
-             f"z = {np.reshape(z, (len(z), -1))[:, worst].tolist()}")
-    if np.any(diff > CONVERGENCE_TOL * scale):
+             f"z = {flat[:, worst].tolist()}")
+    if not np.all(relative <= CONVERGENCE_TOL):
         raise QuadratureNotConverged(f"{what}: (N, 2N) disagreement {where}")
     warnings.warn(f"{what}: (N, 2N) agreement only {where}",
                   QuadratureAccuracyWarning, stacklevel=3)

@@ -267,7 +267,8 @@ def cmd_average(cfg: RunConfig, out_dir: Path, args) -> int:
                              f_ref[0][:, 0].tolist(), f_ref[1][0].tolist()),
                np.stack([*f_num, *g_num, *g_ref], axis=-1).ravel().tolist())
 
-    ok = max(dev_first, dev_second) <= ORACLE_TOL
+    # a NaN deviation fails both comparisons, so it fails the verdict
+    ok = dev_first <= ORACLE_TOL and dev_second <= ORACLE_TOL
     doc.update({
         "max_abs_dev_first": dev_first,
         "max_abs_dev_second": dev_second,

@@ -22,8 +22,8 @@ from typing import Optional
 import numpy as np
 
 from .averaging import _rule_nodes
-from .normal_form import (H2_EXPONENTS, UnfoldingParams, h2_coefficients,
-                          monomials)
+from .normal_form import (H2_EXPONENTS, MAX_DELTA, MIN_DELTA, UnfoldingParams,
+                          h2_coefficients, monomials)
 
 #: absolute tolerance for the degeneracy checks on the classifier quantities
 DEGENERACY_TOL = 1e-10
@@ -281,10 +281,11 @@ def predicted_roots(a2: float, b2: float, delta: float) -> OrbitPrediction:
     ------
     HypothesisViolated when delta^2 = 3 or 2*a2*delta^2 = b2 (within
     DEGENERACY_TOL), where the case analysis does not apply, or when delta
-    is not a positive real.
+    lies outside [MIN_DELTA, MAX_DELTA], NaN included.
     """
-    if not (np.isfinite(delta) and delta > 0.0):
-        raise HypothesisViolated(f"delta must be positive and finite, got {delta}")
+    if not MIN_DELTA <= delta <= MAX_DELTA:
+        raise HypothesisViolated(f"delta must be in [{MIN_DELTA:g}, "
+                                 f"{MAX_DELTA:g}], got {delta}")
     reasons = _degeneracies(a2, b2, delta)
     if any(violates for _, violates in reasons):
         raise HypothesisViolated("; ".join(reason for reason, _ in reasons))

@@ -32,6 +32,14 @@ EPS_FLOOR = 1e-300
 #: guard for the division by r + eps*cos(theta)*(h1 + eps*h2)
 DENOMINATOR_TOL = 1e-12
 
+#: range of delta accepted. The closed forms and the coefficient tables
+#: take delta to powers up to 6 and down to -6 (the d2 ** 3 of
+#: closed_form.predicted_roots, the s^3 / d^5 row of h2_coefficients
+#: times -1/delta), which must stay doubles with room for the factors
+#: they meet: 1e50 ** 6 = 1e300 lies 1e8 below the largest double, and
+#: 1e-50 ** 6 = 1e-300 above the smallest normal one, 2.2e-308
+MIN_DELTA, MAX_DELTA = 1e-50, 1e50
+
 #: exponents (i, j) of the monomials r^i w^j of h2 at (r cos(theta),
 #: r sin(theta), w), in the order of the rows of h2_coefficients
 H2_EXPONENTS = ((3, 0), (2, 1), (1, 0), (1, 2), (0, 1), (0, 3))
@@ -63,8 +71,9 @@ class UnfoldingParams:
     delta: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.delta) and self.delta > 0.0):
-            raise ValueError(f"delta must be positive and finite, got {self.delta}")
+        if not MIN_DELTA <= self.delta <= MAX_DELTA:
+            raise ValueError(f"delta must be in [{MIN_DELTA:g}, {MAX_DELTA:g}], "
+                             f"got {self.delta}")
 
 
 @dataclass(frozen=True)

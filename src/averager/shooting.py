@@ -10,16 +10,16 @@ The field is odd, (x, y, z) -> -(x, y, z) maps orbits to orbits, so the
 unit of integration is half a return. The half return M takes a section
 point q to the first upward crossing m of the mirrored section
 {z = 0, y < 0}, and the reflection -m lies on the section again. The
-return map is the odd square of M, P(q) = -M(-M(q)): two legs, the second
-from -m, reflected. Each leg is one Taylor leg of the state, which gives
-the crossing and the dense output of the flight. One batched linear solve
-over the steps of a leg gives the fundamental matrix of its variational
-equations and the exact Jacobian of M; J is even in the state, so one
-solve over the steps of both legs gives that of a whole return, the
-monodromy matrix at the fixed point, whose eigenvalues are the Floquet
-multipliers. The
-accepted return at the fixed point is the only integration of a located
-orbit: its trace is sampled from that return's dense output.
+return map is the odd square of M, P(q) = -M(-M(q)): two half returns, the
+second from -m, reflected. Each is one Taylor leg of the state, which
+gives the crossing and the dense output of the flight, and one batched
+linear solve over the steps of that leg, which gives the fundamental
+matrix Phi of its variational equations and the exact Jacobian of M. J is
+even in the state, so a return's Phi is Phi2 Phi1, that of its second
+half return times that of its first: the monodromy matrix at the fixed
+point, whose eigenvalues are the Floquet multipliers. The accepted return
+at the fixed point is the only integration of a located orbit: its trace
+is sampled from that return's dense output.
 
 The w = 0 roots are their own mirror images, and so are their orbits:
 such an orbit closes after half a period up to the reflection, a fixed
@@ -61,9 +61,8 @@ crossing is found, one batched product of the steps' x series gives
 x^2, and with it the Taylor series of the state-dependent entries of J
 on every step. The Taylor coefficients of every step's transition matrix
 then solve one lower-triangular system per step, in one batched solve
-over the leg, or over both legs of a return; Phi is the ordered product
-of the transitions, each evaluated at its step length and the last one
-of a leg at its crossing.
+over the leg; Phi is the ordered product of the transitions, each
+evaluated at its step length and the last one at the crossing.
 """
 
 from __future__ import annotations
@@ -148,7 +147,8 @@ class StepLimitExceeded(RuntimeError):
 
 
 class StepUnderflow(RuntimeError):
-    """The integrator reduced the step below what double precision resolves."""
+    """A leg left what double precision resolves: a step too short to
+    resolve, or non-finite Taylor coefficients or Phi."""
 
 
 class NoReturn(RuntimeError):
@@ -202,9 +202,9 @@ class PeriodicOrbitRecord:
     #: (TRACE_SAMPLES, 3) states there, from the return that located the orbit
     trace: tuple
     #: (m, leg) of the return that located the orbit: m, the (x, y) of its
-    #: crossing of {z = 0, y < 0}, and leg, its second half, the leg from
-    #: -m, without its Phi. -m is the mirror seed of the partner orbit, and
-    #: leg the first half of that orbit's first return
+    #: crossing of {z = 0, y < 0}, and leg, its second half, the
+    #: half_return from -m, Phi included. -m is the mirror seed of the
+    #: partner orbit, and leg the first half of that orbit's first return
     mirror_leg: tuple
     #: the candidate Newton converged from: mirror or section-image
     seed_candidate: str
@@ -316,12 +316,10 @@ def _transition_system(order: int):
 
 def _leg_transition(p: SystemParams, lengths: list, xs: list,
                     quads: list) -> np.ndarray:
-    """Fundamental matrix, from the identity, over Taylor steps in order.
+    """Fundamental matrix, from the identity, over the Taylor steps of a leg.
 
     lengths, xs and quads hold the length and the x and y^2 - x^2
-    coefficients of each step in order: the steps of a leg, or those of
-    both legs of a return, the second leg's from -m, which J, even in the
-    state, does not tell from the reflected ones. The steps share one
+    coefficients of each step of the leg in order. The steps share one
     order, so one _jacobian_series call gives the Jacobian series of every
     step, and one batched solve of _transition_system every step's
     transition; the matrix is their ordered product.
@@ -475,16 +473,6 @@ def _leg(p: SystemParams, q, spec: IntegratorSpec) -> _Leg:
                 (lengths, xs, quads), flow)
 
 
-def _section_jacobian(p: SystemParams, end, phi: np.ndarray) -> np.ndarray:
-    """phi projected along the field at end onto the plane z = 0.
-
-    The projection is the same for the field and its negative, so for a
-    reflected end too.
-    """
-    f = vector_field(p, end)
-    return (phi - np.outer(f, phi[2]) / f[2])[:2, :2]
-
-
 def half_return(p: SystemParams, q, spec: IntegratorSpec):
     """Half return: from (q, 0) to the mirrored section {z = 0, y < 0}.
 
@@ -500,7 +488,8 @@ def half_return(p: SystemParams, q, spec: IntegratorSpec):
     a sign change; each upward sign change is polished to a root by Newton
     on that polynomial, and one with y >= 0 is skipped. Phi at the
     crossing then comes from _leg_transition: one batched linear solve
-    over the leg's steps, from the series each step kept.
+    over the leg's steps, from the series each step kept. The half return
+    is the one unit of integration: poincare_return composes two.
 
     Parameters
     ----------
@@ -522,12 +511,18 @@ def half_return(p: SystemParams, q, spec: IntegratorSpec):
     NoReturn when the flight-time budget RETURN_T_MAX is exhausted without
     a crossing; StepLimitExceeded when the leg needs more than
     MAX_STEPS steps; StepUnderflow when a step falls below what
-    double precision resolves or the Taylor coefficients are not finite.
+    double precision resolves or the Taylor coefficients or Phi are not
+    finite.
     """
     leg = _leg(p, q, spec)
-    phi = _leg_transition(p, *leg.steps)
-    return (leg.crossing, leg.flight, _section_jacobian(p, leg.end, phi),
-            phi, leg.flow)
+    # far out, the products of the Taylor coefficients can overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = _leg_transition(p, *leg.steps)
+    if not np.isfinite(phi).all():
+        raise StepUnderflow(f"non-finite Phi at t = {leg.flight:.6g}")
+    f = vector_field(p, leg.end)
+    return (leg.crossing, leg.flight,
+            (phi - np.outer(f, phi[2]) / f[2])[:2, :2], phi, leg.flow)
 
 
 def poincare_return(p: SystemParams, q, spec: IntegratorSpec, first=None):
@@ -544,57 +539,51 @@ def poincare_return(p: SystemParams, q, spec: IntegratorSpec, first=None):
     crossed the mirrored one would return later than the first return.
 
     J is even in the state, as the field is odd, so the reflected second
-    leg has the variational equations of the leg from -m. Where neither
-    leg has its Phi yet, one _leg_transition over the steps of both legs
-    in order gives Phi2 Phi1; where the first leg has one, only the second
-    leg's is solved.
+    leg has the variational equations of the half return from -m, and
+    every quantity of the return is composed from the two half returns.
 
     Parameters
     ----------
     q : (x, y) coordinates on the section
     spec : integrator tolerance, for each leg
-    first : the leg from q when it is already integrated: the tuple of
-        half_return(p, q, spec), or the second leg of another return, from
-        its (m, second); only the second leg is integrated then
+    first : half_return(p, q, spec) when it is already integrated: the
+        last half return of Newton on T from q, or the second half return
+        of another return, from its (m, second); only the half return
+        from -m is integrated then
 
     Returns
     -------
     ((x', y'), flight_time, dP/dq, Phi, flow, (m, second)) at the polished
-    crossing. flight_time is t1 + t2, the flights of the two legs; Phi is
-    the fundamental matrix over the whole flight from (q, 0), Phi2 Phi1,
-    the monodromy matrix at a fixed point; dP/dq is Phi projected along
-    the field at the final crossing, as in half_return, which equals
-    J2 J1, the product of the legs' dM/dq. flow maps a 1-d array of times
+    crossing, composed from the half returns first, from q, and second,
+    from -m: (x', y') is minus the crossing of second, flight_time is
+    t1 + t2, Phi is Phi2 Phi1, the fundamental matrix over the whole
+    flight from (q, 0) and the monodromy matrix at a fixed point, and
+    dP/dq is J2 J1, the product of their dM/dq, which equals Phi projected
+    along the field at the final crossing. flow maps a 1-d array of times
     in [0, flight_time] to the (len(t), 3) states there: the first leg up
     to t1, then the second leg reflected; flow(0) is (q, 0) exactly. m is
-    (x, y) at the crossing of the mirrored section, and second the leg
-    from -m, which a later return from -m takes as its first.
+    (x, y) at the crossing of the mirrored section, and second the
+    half_return tuple from -m, which a later return from -m takes as its
+    first.
 
     Raises
     ------
     The errors of half_return, from either leg.
     """
-    if first is None:
-        first = _leg(p, q, spec)
-    mirror, t1, flow1 = first[0], first[1], first[4]
-    second = _leg(p, -mirror, spec)
-    if isinstance(first, _Leg):
-        phi = _leg_transition(p, *(a + b for a, b in zip(first.steps,
-                                                         second.steps)))
-    else:
-        phi = _leg_transition(p, *second.steps) @ first[3]
+    first = first or half_return(p, q, spec)
+    mirror, t1, jac1, phi1, flow1 = first
+    second = half_return(p, -mirror, spec)
+    image, t2, jac2, phi2, flow2 = second
 
     def flow(t):
         t = np.asarray(t, dtype=float)
         late = t >= t1
         states = np.empty((len(t), 3))
         states[~late] = flow1(t[~late])
-        states[late] = -second.flow(t[late] - t1)
+        states[late] = -flow2(t[late] - t1)
         return states
 
-    return (-second.crossing, t1 + second.flight,
-            _section_jacobian(p, second.end, phi), phi, flow,
-            (mirror, second))
+    return -image, t1 + t2, jac2 @ jac1, phi2 @ phi1, flow, (mirror, second)
 
 
 def _nontrivial_multipliers(mono: np.ndarray):

@@ -1,6 +1,7 @@
 """Numeric averaging against the closed forms, plus root certification."""
 
 import dataclasses
+import re
 import tracemalloc
 import warnings
 
@@ -357,6 +358,28 @@ def test_quadrature_divergence_detection():
     )
     with pytest.raises(QuadratureNotConverged):
         average_first(sys, np.zeros(2), QuadratureSpec(nodes=64))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_mean_is_not_converged(bad):
+    """A NaN or infinite mean passes no (N, 2N) threshold: where the
+    sampled F2 of the showcase is non-finite at one point of the oracle
+    grid, average_second raises and names that point."""
+    sys = sampled(slice_system(1.0, 5.0, 2.0))
+    z = np.array(np.meshgrid(np.linspace(0.5, 8.0, 20),
+                             np.linspace(-2.0, 2.0, 20), indexing="ij"))
+    point = z[:, 3, 7]
+    f2 = sys.f2
+
+    def non_finite_at_one_point(points, s):
+        value = np.array(f2(points, s))
+        value[:, np.all(points == point[:, None, None], axis=0)] = bad
+        return value
+
+    with pytest.raises(QuadratureNotConverged,
+                       match=re.escape(f"z = {point.tolist()}")):
+        average_second(dataclasses.replace(sys, f2=non_finite_at_one_point),
+                       z, QUAD)
 
 
 def test_quadrature_spec_validates_node_floor():

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import averager
-from averager import shooting
+from averager import cli, shooting
 from averager.averaging import QuadratureAccuracyWarning
 from averager.cli import (
     _average_rows,
@@ -26,6 +27,7 @@ from averager.cli import (
     main,
 )
 from averager.config import from_dict
+from averager.normal_form import MAX_DELTA, MIN_DELTA
 
 THREE_ORBIT_DOC = {
     "unfolding": {"a2": 1.0, "b2": 5.0, "delta": 2.0},
@@ -446,6 +448,86 @@ def test_unconverged_quadrature_exits_three(tmp_path, capsys):
     assert summary["error"]["kind"] == "QuadratureNotConverged"
     assert summary["error"]["reason"].startswith("average_second")
     assert "oracle_ok" not in summary
+
+
+def test_a_nan_deviation_fails_the_oracle(tmp_path, monkeypatch):
+    """A NaN deviation fails the verdict (exit 3), as max(0.0, nan) = 0.0
+    once let it pass: here the closed g2 is NaN at one grid point. At
+    delta = 1e-60 the coefficient tables gave such NaNs, and that delta is
+    now refused (test_delta_outside_its_range_is_a_config_error)."""
+    g_closed = cli.g_closed
+
+    def nan_at_one_point(*args):
+        value = g_closed(*args)
+        value[1, 3, 7] = math.nan
+        return value
+
+    monkeypatch.setattr(cli, "g_closed", nan_at_one_point)
+    code, out = run(tmp_path, "average", THREE_ORBIT_DOC)
+    assert code == 3
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"),
+                         parse_constant=_reject_constant)
+    assert summary["max_abs_dev_first"] < 1e-9
+    assert summary["max_abs_dev_second"] is None
+    assert summary["oracle_ok"] is False
+
+
+#: the eps keys each command takes beside the showcase's a2 = 1, b2 = 5
+DELTA_RUNS = {"classify": {}, "average": {}, "orbits": {"eps": 0.1},
+              "sweep": {"eps_list": [0.1, 0.05]}}
+
+
+def run_at_delta(command, delta):
+    """(exit code, stderr) of command at delta; past the config check
+    summary.json is strict JSON. A QuadratureAccuracyWarning, a labelled
+    outcome, is let through."""
+    doc = {"unfolding": {"a2": 1.0, "b2": 5.0, "delta": delta},
+           **DELTA_RUNS[command]}
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore", QuadratureAccuracyWarning)
+        with contextlib.redirect_stderr(stderr):
+            code, out = run(Path(tmp), command, doc)
+        if code != 1:
+            json.loads((out / "summary.json").read_text(encoding="utf-8"),
+                       parse_constant=_reject_constant)
+    return code, stderr.getvalue()
+
+
+@pytest.mark.parametrize("command", DELTA_RUNS)
+@pytest.mark.parametrize("delta", [
+    np.nextafter(MIN_DELTA, 0.0), np.nextafter(MAX_DELTA, math.inf),
+    # the NaN tables of average, and the first tracebacks of each command
+    1e-60, 1e52, 1e62, 1e-66, 1e-300])
+def test_delta_outside_its_range_is_a_config_error(command, delta):
+    code, err = run_at_delta(command, float(delta))
+    assert code == 1
+    assert err == (f"config error: unfolding: delta must be in [1e-50, "
+                   f"1e+50], got {float(delta)}\n")
+
+
+@pytest.mark.parametrize("command", DELTA_RUNS)
+@pytest.mark.parametrize("delta", [MIN_DELTA, 1e15, MAX_DELTA])
+def test_delta_in_its_range_runs(command, delta):
+    """At the bounds, and at 1e15, where the seeds lie so far out that
+    the variational series overflow and every candidate fails with
+    StepUnderflow, each command exits with a labelled code and warns of
+    nothing but quadrature accuracy."""
+    code, err = run_at_delta(command, delta)
+    assert code in (0, 3, 4) and "Traceback" not in err
+
+
+@settings(max_examples=10)
+@given(decade=st.floats(-300.0, 300.0))
+def test_a_drawn_delta_exits_cleanly(decade):
+    """Whatever delta in [1e-300, 1e300], each command exits with a code
+    in 0..4, and never with a traceback; 1, a config error, exactly where
+    delta is outside [MIN_DELTA, MAX_DELTA]."""
+    delta = 10.0 ** decade
+    for command in DELTA_RUNS:
+        code, err = run_at_delta(command, delta)
+        assert code in range(5) and "Traceback" not in err
+        assert (code == 1) == (not MIN_DELTA <= delta <= MAX_DELTA)
 
 
 def test_overflowed_deviation_is_written_as_null(tmp_path):

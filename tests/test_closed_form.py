@@ -12,7 +12,8 @@ from averager.closed_form import (
     higher_averages,
     predicted_roots,
 )
-from averager.normal_form import UnfoldingParams, jerk_standard_form, theta_rhs
+from averager.normal_form import (MAX_DELTA, MIN_DELTA, UnfoldingParams,
+                                  jerk_standard_form, theta_rhs)
 
 COUNT_OF = {OrbitCount.ZERO: 0, OrbitCount.ONE: 1, OrbitCount.TWO: 2,
             OrbitCount.THREE: 3}
@@ -77,8 +78,16 @@ def test_predicted_roots_degenerate_delta():
 
 
 def test_predicted_roots_rejects_bad_delta():
+    """delta outside [MIN_DELTA, MAX_DELTA] is refused, as by
+    UnfoldingParams: from 1e52 on, d2 ** 3 overflowed."""
     with pytest.raises(ValueError):
         predicted_roots(1.0, 1.0, -2.0)
+    for delta in (np.nextafter(MIN_DELTA, 0.0), np.nextafter(MAX_DELTA, 1e300),
+                  1e52):
+        with pytest.raises(HypothesisViolated, match="delta must be in"):
+            predicted_roots(1.0, 5.0, delta)
+    assert predicted_roots(1.0, 5.0, MAX_DELTA).count is OrbitCount.TWO
+    assert predicted_roots(1.0, 5.0, MIN_DELTA).count is OrbitCount.ZERO
 
 
 def test_classify_examples():

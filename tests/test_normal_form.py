@@ -6,6 +6,8 @@ import pytest
 from averager.jerk import vector_field
 from averager.normal_form import (
     H2_EXPONENTS,
+    MAX_DELTA,
+    MIN_DELTA,
     DegenerateEpsilon,
     SingularDenominator,
     UnfoldingParams,
@@ -46,6 +48,11 @@ def test_unfolding_params_validate_delta():
         UnfoldingParams(delta=-1.0)
     with pytest.raises(ValueError):
         UnfoldingParams(delta=float("nan"))
+    for delta in (MIN_DELTA, MAX_DELTA):
+        assert UnfoldingParams(delta=delta).delta == delta
+    for delta in (np.nextafter(MIN_DELTA, 0.0), np.nextafter(MAX_DELTA, 1e300)):
+        with pytest.raises(ValueError, match="delta must be in"):
+            UnfoldingParams(delta=delta)
 
 
 def test_scale_state_examples():

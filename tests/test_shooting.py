@@ -118,12 +118,24 @@ def check_against_dop853(p, q, delta):
 
 def check_odd_symmetry(p, q):
     """The field is odd, so the flow from -q is the reflected flow from q.
-    Started on the mirrored section, the half return from -q first
-    crosses it upward again at -P(q), after the whole flight of the
-    return from q, whose flow, reflected, it follows on the way; and the
-    return from -m, the reflected mirror crossing, crosses the mirrored
-    section at -P(q)."""
-    point, flight, _, _, flow, (mirror, _) = poincare_return(p, q, SPEC)
+    The return from q is its two half returns composed, bit for bit: the
+    one from q and the one from -m, reflected; its dP/dq = J2 J1 is Phi
+    projected along the field at the final crossing. Started on the
+    mirrored section, the half return from -q first crosses it upward
+    again at -P(q), after the whole flight of the return from q, whose
+    flow, reflected, it follows on the way; and the return from -m, the
+    reflected mirror crossing, crosses the mirrored section at -P(q)."""
+    point, flight, jac, phi, flow, (mirror, _) = poincare_return(p, q, SPEC)
+    m, t1, jac1, phi1, _ = half_return(p, q, SPEC)
+    image2, t2, jac2, phi2, _ = half_return(p, -m, SPEC)
+    assert np.array_equal(m, mirror)
+    assert np.array_equal(point, -image2)
+    assert flight == t1 + t2
+    assert np.array_equal(phi, phi2 @ phi1)
+    assert np.array_equal(jac, jac2 @ jac1)
+    f = vector_field(p, [*point, 0.0])
+    projected = (phi - np.outer(f, phi[2]) / f[2])[:2, :2]
+    assert np.max(np.abs(jac - projected)) < 1e-12
     image, t_image, _, _, flow_image = half_return(p, -q, SPEC)
     assert np.max(np.abs(image + point)) < 1e-9
     assert abs(t_image - flight) < 1e-9
@@ -682,21 +694,29 @@ def test_the_mirror_orbit_is_seeded_from_its_partner(records):
 
 def test_the_mirror_orbit_integrates_one_new_leg(records, monkeypatch):
     """The first return from the mirror seed reuses the second leg of the
-    partner's accepted return, which starts at exactly that seed, and
-    integrates only its own second leg."""
-    legs = []
-    leg = shooting._leg
+    partner's accepted return, which starts at exactly that seed, Phi
+    included, and integrates only its own second leg: its state and its
+    variational equations, over that leg's steps alone."""
+    legs, transitions = [], []
+    leg, leg_transition = shooting._leg, shooting._leg_transition
 
     def counted(p, q, spec):
-        legs.append(q)
-        return leg(p, q, spec)
+        legs.append((q, leg(p, q, spec)))
+        return legs[-1][1]
+
+    def solved(p, *steps):
+        transitions.append(steps)
+        return leg_transition(p, *steps)
 
     monkeypatch.setattr(shooting, "_leg", counted)
+    monkeypatch.setattr(shooting, "_leg_transition", solved)
     rec = shoot_orbit(THREE_ORBIT, EPS, records[2].seed, SPEC,
                       partner=records[1])
     assert rec.seed_candidate == "mirror"
-    assert (rec.returns, len(legs)) == (1, 1)
-    assert np.array_equal(legs[0], -rec.mirror_leg[0])
+    assert (rec.returns, len(legs), len(transitions)) == (1, 1, 1)
+    (start, new_leg), = legs
+    assert np.array_equal(start, -rec.mirror_leg[0])
+    assert all(a is b for a, b in zip(transitions[0], new_leg.steps))
     assert np.array_equal(rec.section_point, -records[1].mirror_leg[0])
 
 
