@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import sys
 from dataclasses import replace
@@ -390,11 +389,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
-    # basicConfig acts only once per process, so the level is set on every
-    # call: a --quiet call and a loud one may share an interpreter
-    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
-    logging.getLogger("averager").setLevel(
-        logging.WARNING if args.quiet else logging.INFO)
     try:
         cfg = load_config(args.config)
         out_dir = Path(args.out if args.out is not None else cfg.output_dir)

@@ -67,7 +67,6 @@ evaluated at its step length and the last one at the crossing.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import cache
@@ -86,8 +85,6 @@ from .closed_form import (
 )
 from .jerk import SystemParams, equilibria, vector_field
 from .normal_form import UnfoldingParams, unfold
-
-logger = logging.getLogger(__name__)
 
 #: bound on |eps| accepted by the shooter
 MAX_EPS = 0.2
@@ -206,7 +203,8 @@ class PeriodicOrbitRecord:
     #: half_return from -m, Phi included. -m is the mirror seed of the
     #: partner orbit, and leg the first half of that orbit's first return
     mirror_leg: tuple
-    #: the candidate Newton converged from: mirror or section-image
+    #: the candidate Newton converged from, mirror or section-image; the
+    #: one place that reports it
     seed_candidate: str
     #: return-map calls spent on this orbit, half or full: half returns of
     #: Newton on T, and poincare_return calls
@@ -770,12 +768,6 @@ def shoot_orbit(
             failures.append(f"{tag}: converged to the equilibrium "
                             f"{tuple(near[0].tolist())}")
         else:
-            logger.info(
-                "seed (r=%.6g, w=%.6g) eps=%.6g: converged from %s start; "
-                "fixed point at %.3e from eps*(w, r)",
-                r, w, eps, tag,
-                float(np.linalg.norm(fixed - eps * np.array([w, r]))),
-            )
             break
     else:
         raise ShootingDiverged(

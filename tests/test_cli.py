@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -583,57 +584,102 @@ def test_orbits_integrator_block(tmp_path, capsys, integrator, outcome):
         assert read_summary(out)["located_count"] == outcome
 
 
-def test_orbits_and_sweep_run_without_scipy(tmp_path):
-    """The Taylor integrator needs numpy only: importing the CLI, shooting
-    and the c1 seed corrections never load scipy."""
+def run_fresh(probe):
+    """The completed run of the Python source probe in a new interpreter
+    that imports averager from this tree."""
     src = str(Path(averager.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+
+
+def test_orbits_and_sweep_run_without_scipy(tmp_path):
+    """The Taylor integrator needs numpy only: importing the CLI, shooting
+    and the c1 seed corrections never load scipy."""
     runs = [("orbits", THREE_ORBIT_DOC), ("orbits", C1_DOC),
             ("sweep", {"unfolding": THREE_ORBIT_DOC["unfolding"],
                        "eps_list": [0.1, 0.05]})]
     argvs = [[command, "--config", write_config(tmp_path, doc, f"{i}.json"),
               "--out", str(tmp_path / str(i)), "--quiet"]
              for i, (command, doc) in enumerate(runs)]
-    probe = (
+    done = run_fresh(
         "import sys\n"
         "from averager.cli import main\n"
         f"codes = [main(argv) for argv in {argvs!r}]\n"
         "print(codes, sorted(m for m in sys.modules\n"
         "                    if m.partition('.')[0] == 'scipy'))\n"
     )
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[0, 0, 0] []"
     for i in (0, 1):
         assert read_summary(tmp_path / str(i))["located_count"] == 3
 
 
-def test_quiet_holds_for_each_call_in_one_process(tmp_path):
+#: the stdout progress lines of each command on the showcase, as patterns
+PROGRESS_LINES = {
+    "classify": [r"case: three, roots: \[\[4\.0, 0\.0\], .*\]"],
+    "average": [r"max deviation: first \S+, second \S+ \(tolerance 1e-08\)"],
+    "orbits": [rf"orbit {i}: period \S+, residual \S+" for i in range(3)],
+    "sweep": [r"eps 0\.1: 3 orbit\(s\), 0 failure\(s\)",
+              r"eps 0\.05: 3 orbit\(s\), 0 failure\(s\)",
+              r"amplitude slopes: \{.*\}, monotone: True"],
+}
+
+
+def assert_progress(command, out):
+    lines = out.splitlines()
+    assert len(lines) == len(PROGRESS_LINES[command]), lines
+    for pattern, line in zip(PROGRESS_LINES[command], lines):
+        assert re.fullmatch(pattern, line), line
+
+
+def test_loud_runs_leave_stderr_empty(tmp_path):
+    """Without --quiet, each command on the showcase exits 0, prints its
+    progress lines on stdout and writes nothing to stderr. The four run
+    in a new interpreter, as the console script does, so anything any
+    layer writes to the process's stderr shows."""
+    docs = {command: {"unfolding": THREE_ORBIT_DOC["unfolding"], **eps}
+            for command, eps in DELTA_RUNS.items()}
+    argvs = [[command, "--config",
+              write_config(tmp_path, docs[command], f"{command}.json"),
+              "--out", str(tmp_path / command)]
+             for command in PROGRESS_LINES]
+    done = run_fresh(
+        "import contextlib, io, json\n"
+        "from averager.cli import main\n"
+        "runs = []\n"
+        f"for argv in {argvs!r}:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        runs.append([main(argv), out.getvalue()])\n"
+        "print(json.dumps(runs))\n"
+    )
+    assert done.stderr == ""
+    runs = json.loads(done.stdout)
+    for command, (code, out) in zip(PROGRESS_LINES, runs):
+        assert code == 0, command
+        assert_progress(command, out)
+
+
+def test_quiet_holds_for_each_call_in_one_process(tmp_path, capsys):
     """--quiet silences only its own call, whatever ran before it.
 
     A quiet, a loud and a quiet orbits call share one interpreter; only
-    the loud one prints its three INFO lines on stderr.
+    the loud one prints its three progress lines, and none writes to
+    stderr.
     """
-    src = str(Path(averager.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, env.get("PYTHONPATH")]))
     cfg = write_config(tmp_path, THREE_ORBIT_DOC)
-    probe = (
-        "import sys\n"
-        "from averager.cli import main\n"
-        "for i, quiet in enumerate([True, False, True]):\n"
-        "    sys.stderr.write('call %d\\n' % i)\n"
-        "    sys.stderr.flush()\n"
-        f"    main(['orbits', '--config', {cfg!r}, '--out', "
-        f"{str(tmp_path / 'out')!r}] + ['--quiet'] * quiet)\n"
-    )
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, check=True)
-    calls = done.stderr.split("call ")[1:]
-    assert [call.count("INFO averager.") for call in calls] == [0, 3, 0]
+    for quiet in (True, False, True):
+        code = main(["orbits", "--config", cfg, "--out", str(tmp_path / "out"),
+                     *["--quiet"] * quiet])
+        assert code == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        if quiet:
+            assert out == ""
+        else:
+            assert_progress("orbits", out)
 
 
 def test_csv_matches_row_by_row_formatting(tmp_path):
