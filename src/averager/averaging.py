@@ -61,11 +61,12 @@ DEDUP_TOL = 1e-6
 #: 1.4e-12 and warns, although 64 nodes integrate it exactly
 MAX_NODES = 512
 
-#: most points x nodes that average_first and average_second sample at
-#: once; a larger batch is evaluated in chunks of MAX_SAMPLES // nodes
-#: points, so peak memory stops growing with the batch (average_second on
-#: the jerk standard form needs about 33 bytes per sample, its samples of
-#: F1 and F2; tracemalloc)
+#: most points x 2N nodes that average_first and average_second sample at
+#: once, for both node counts; a larger batch is evaluated in chunks of
+#: MAX_SAMPLES // (2N) points, each at N and 2N nodes, so peak memory
+#: stops growing with the batch (average_second on the jerk standard form
+#: needs about 17 bytes per sample, its samples of F1, then of F2;
+#: tracemalloc)
 MAX_SAMPLES = 2 ** 18
 
 #: residual bound for accepting a converged root
@@ -152,9 +153,10 @@ def _polynomial_means(sys: StandardFormSystem, n_nodes: int, order: int):
     where the contraction runs over the component and node axes as in
     average_second. Returns pairs (coefficients, exponents), the
     coefficients read-only arrays of shape (n, K), and the exponents None
-    for F1's, as z^E1 = z. Keyed on the system itself, which the cache
-    holds, so a collected system's id can never return its coefficients
-    for another.
+    for F1's, as z^E1 = z; _means sums coefficients @ z^E over the pairs,
+    with z^E evaluated once for both node counts. Keyed on the system
+    itself, which the cache holds, so a collected system's id can never
+    return its coefficients for another.
     """
     s, w, S = _rule_nodes(n_nodes, sys.period)
     (_, table1), (e2, table2) = sys.polynomials
@@ -170,53 +172,55 @@ def _polynomial_means(sys: StandardFormSystem, n_nodes: int, order: int):
     return terms
 
 
-def _polynomial_mean(sys: StandardFormSystem, points, order: int) -> Callable:
-    """The order-th mean at points as a function of the node count.
+def _means(sys: StandardFormSystem, points: np.ndarray, order: int,
+           node_counts) -> list:
+    """The order-th mean at points for each node count, in order.
 
-    Each term is coefficients @ monomials (see _polynomial_means); the
-    monomials are evaluated here, once for every node count asked.
+    points has shape (n, k), k points, and so has each mean, so a point
+    is evaluated alike whatever the shape of its batch. With
+    sys.polynomials each term is coefficients @ monomials (see
+    _polynomial_means), the monomials evaluated once for every node
+    count; without, F1, F2 and DF1 are sampled on each rule.
     """
-    flat = points.reshape(len(points), -1)
-    basis = (monomials(sys.polynomials[1][0], flat) if order == 2
-             else None)
+    if sys.polynomials is not None:
+        basis = (monomials(sys.polynomials[1][0], points) if order == 2
+                 else None)
+        return [sum(coef @ (points if exponents is None else basis)
+                    for coef, exponents in _polynomial_means(sys, nodes, order))
+                for nodes in node_counts]
+    means = []
+    for nodes in node_counts:
+        s, w, S = _rule_nodes(nodes, sys.period)
+        value = np.asarray(sys.f1(points, s), dtype=float)
+        if order == 1:
+            value = value @ w
+        else:
+            kernel = (np.asarray(sys.df1(points, s), dtype=float) * w) @ S
+            value = np.einsum("ij...t,j...t->i...", kernel, value)
+            value += np.asarray(sys.f2(points, s), dtype=float) @ w
+        means.append(value / sys.period)
+    return means
 
-    def mean(n_nodes: int) -> np.ndarray:
-        value = sum(coef @ (flat if exponents is None else basis)
-                    for coef, exponents in
-                    _polynomial_means(sys, n_nodes, order))
-        return value.reshape(points.shape)
 
-    return mean
+def _refined_mean(sys: StandardFormSystem, z, q: QuadratureSpec, order: int,
+                  what: str) -> np.ndarray:
+    """The order-th mean at z, at N and 2N nodes, accepted after the check.
 
-
-def _refined_mean(prepare: Callable, z, n_nodes: int, what: str) -> np.ndarray:
-    """prepare(points)(nodes) at N and 2N nodes, accepted after the check.
-
-    prepare maps points of shape (n, *batch) to a function of the node
-    count that gives their means, of the same shape. It gets z whole,
-    once for both node counts, when z has at most MAX_SAMPLES // nodes
-    points, and otherwise z's points flattened into chunks of at most
-    that many.
+    _means gets z's points flattened, whole when they are at most
+    MAX_SAMPLES // (2N), and otherwise in chunks of that many, each chunk
+    for both node counts.
     """
     z = np.asarray(z, dtype=float)
     flat = z.reshape(len(z), -1)
-
-    def chunk(nodes: int) -> int:
-        return max(1, MAX_SAMPLES // nodes)
-
-    # z fits whole at 2N nodes only if it does at N
-    whole = prepare(z) if flat.shape[1] <= chunk(n_nodes) else None
-
-    def in_chunks(nodes: int) -> np.ndarray:
-        size = chunk(nodes)
-        if flat.shape[1] <= size:
-            return whole(nodes)
-        parts = [prepare(flat[:, i:i + size])(nodes)
-                 for i in range(0, flat.shape[1], size)]
-        return np.concatenate(parts, axis=1).reshape(z.shape)
-
-    coarse = in_chunks(n_nodes)
-    fine = in_chunks(2 * n_nodes)
+    nodes = (q.nodes, 2 * q.nodes)
+    size = max(1, MAX_SAMPLES // nodes[1])
+    if flat.shape[1] <= size:
+        coarse, fine = _means(sys, flat, order, nodes)
+    else:
+        parts = zip(*(_means(sys, flat[:, i:i + size], order, nodes)
+                      for i in range(0, flat.shape[1], size)))
+        coarse, fine = (np.concatenate(means, axis=1) for means in parts)
+    coarse, fine = coarse.reshape(z.shape), fine.reshape(z.shape)
     # thresholds scale with each point's result so that large-amplitude
     # integrands are judged at the precision floating point can deliver,
     # and a large point never loosens the threshold of another in its batch.
@@ -229,7 +233,7 @@ def _refined_mean(prepare: Callable, z, n_nodes: int, what: str) -> np.ndarray:
     if np.all(relative <= ACCURACY_TOL):
         return fine
     worst = np.argmax(relative)
-    where = (f"{diff.flat[worst]:.3e} at N={n_nodes}, "
+    where = (f"{diff.flat[worst]:.3e} at N={q.nodes}, "
              f"z = {flat[:, worst].tolist()}")
     if not np.all(relative <= CONVERGENCE_TOL):
         raise QuadratureNotConverged(f"{what}: (N, 2N) disagreement {where}")
@@ -245,18 +249,7 @@ def average_first(sys: StandardFormSystem, z, q: QuadratureSpec) -> np.ndarray:
     result has the same shape. Each point passes its own (N, 2N) check,
     and the error or warning names the worst point.
     """
-
-    def prepare(points) -> Callable:
-        if sys.polynomials is not None:
-            return _polynomial_mean(sys, points, 1)
-
-        def mean(n_nodes: int) -> np.ndarray:
-            s, w, _ = _rule_nodes(n_nodes, sys.period)
-            return np.asarray(sys.f1(points, s), dtype=float) @ w / sys.period
-
-        return mean
-
-    return _refined_mean(prepare, z, q.nodes, "average_first")
+    return _refined_mean(sys, z, q, 1, "average_first")
 
 
 def average_second(sys: StandardFormSystem, z, q: QuadratureSpec) -> np.ndarray:
@@ -275,22 +268,7 @@ def average_second(sys: StandardFormSystem, z, q: QuadratureSpec) -> np.ndarray:
     integral and the check covers both.
     z is one point or a batch, shaped as in average_first.
     """
-
-    def prepare(points) -> Callable:
-        if sys.polynomials is not None:
-            return _polynomial_mean(sys, points, 2)
-
-        def mean(n_nodes: int) -> np.ndarray:
-            s, w, S = _rule_nodes(n_nodes, sys.period)
-            f1 = np.asarray(sys.f1(points, s), dtype=float)
-            kernel = (np.asarray(sys.df1(points, s), dtype=float) * w) @ S
-            value = np.einsum("ij...t,j...t->i...", kernel, f1)
-            value += np.asarray(sys.f2(points, s), dtype=float) @ w
-            return value / sys.period
-
-        return mean
-
-    return _refined_mean(prepare, z, q.nodes, "average_second")
+    return _refined_mean(sys, z, q, 2, "average_second")
 
 
 @lru_cache(maxsize=8)

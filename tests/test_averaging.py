@@ -140,19 +140,26 @@ def test_oracle_equivalence_on_grid():
 
 
 def test_batched_averages_match_per_point_calls():
+    """A batch matches one call per point, and a point of shape (2,)
+    matches the same point as a (2, 1) batch bit for bit, on the
+    polynomial and on the sampled path."""
     u = UnfoldingParams(a1=0.3, b1=-0.7, a2=1.2, b2=-0.9, c1=0.4, c2=-0.6,
                         delta=1.3)
-    sys = jerk_standard_form(u)
     z = np.array(np.meshgrid(np.linspace(0.5, 8.0, 20),
                              np.linspace(-2.0, 2.0, 20), indexing="ij"))
-    for average in (average_first, average_second):
-        batch = average(sys, z, QUAD)
-        assert batch.shape == (2, 20, 20)
-        for i in range(20):
-            for j in range(20):
-                single = average(sys, z[:, i, j], QUAD)
-                assert np.all(np.abs(batch[:, i, j] - single)
-                              <= 1e-12 * np.maximum(1.0, np.abs(single)))
+    for sys in (jerk_standard_form(u), sampled(jerk_standard_form(u))):
+        for average in (average_first, average_second):
+            batch = average(sys, z, QUAD)
+            assert batch.shape == (2, 20, 20)
+            assert average(sys, z[:, :0], QUAD).shape == (2, 0, 20)
+            for i in range(20):
+                for j in range(20):
+                    single = average(sys, z[:, i, j], QUAD)
+                    assert np.all(np.abs(batch[:, i, j] - single)
+                                  <= 1e-12 * np.maximum(1.0, np.abs(single)))
+                    column = average(sys, z[:, i, j, None], QUAD)
+                    assert column.shape == (2, 1)
+                    assert np.array_equal(column[:, 0], single)
 
 
 def sampled(sys):
@@ -373,7 +380,7 @@ def test_a_non_finite_mean_is_not_converged(bad):
 
     def non_finite_at_one_point(points, s):
         value = np.array(f2(points, s))
-        value[:, np.all(points == point[:, None, None], axis=0)] = bad
+        value[:, np.all(points.T == point, axis=-1).T] = bad
         return value
 
     with pytest.raises(QuadratureNotConverged,
@@ -623,25 +630,30 @@ def test_find_roots_finds_the_predicted_roots(a2, b2, delta, near):
 @pytest.mark.parametrize("path", ["polynomial", "sampled"])
 def test_large_batches_are_evaluated_in_bounded_chunks(monkeypatch, path):
     """A 1600-point grid at N = 512 (2N = 1024 samples per point) splits
-    into chunks: on the sampled path it peaks at about 53 MB when
-    evaluated whole and at about 9 MB in chunks. The polynomial path
-    samples nothing per point but takes the same chunks."""
+    into chunks of MAX_SAMPLES // 2N = 256 points, each taken at both node
+    counts: on the sampled path it peaks at about 26 MB when evaluated
+    whole and at about 4 MB in chunks. The polynomial path samples
+    nothing per point but takes the same chunks. A batch of one chunk
+    plus one point, the grid's first 257 points, matches its whole
+    evaluation too."""
     sys = slice_system(1.0, 5.0, 2.0)
     if path == "sampled":
         sys = sampled(sys)
     q = QuadratureSpec(nodes=512)
-    z = np.array(np.meshgrid(np.linspace(0.5, 8.0, 40),
-                             np.linspace(-2.0, 2.0, 40), indexing="ij"))
+    grid = np.array(np.meshgrid(np.linspace(0.5, 8.0, 40),
+                                np.linspace(-2.0, 2.0, 40), indexing="ij"))
     for nodes in (512, 1024):  # the cached rules are not batch memory
         _rule_nodes(nodes, sys.period)
-    tracemalloc.start()
-    try:
-        chunked = average_second(sys, z, q)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 20e6
-    monkeypatch.setattr(averaging, "MAX_SAMPLES", z[0].size * 1024)
-    whole = average_second(sys, z, q)
-    scale = np.max(np.abs(whole), axis=0)
-    assert np.all(np.abs(chunked - whole) <= 1e-15 * scale)
+    for z in (grid, grid.reshape(2, -1)[:, :257]):
+        tracemalloc.start()
+        try:
+            chunked = average_second(sys, z, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+        with monkeypatch.context() as patch:
+            patch.setattr(averaging, "MAX_SAMPLES", z[0].size * 1024)
+            whole = average_second(sys, z, q)
+        scale = np.max(np.abs(whole), axis=0)
+        assert np.all(np.abs(chunked - whole) <= 1e-15 * scale)

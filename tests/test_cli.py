@@ -473,6 +473,39 @@ def test_a_nan_deviation_fails_the_oracle(tmp_path, monkeypatch):
     assert summary["oracle_ok"] is False
 
 
+@pytest.mark.parametrize("delta, factor, expected", [
+    pytest.param(0.1, None, 0, id="delta-0.1"),
+    pytest.param(0.3, None, 0, id="delta-0.3"),
+    pytest.param(2.0, 1.0 + 1e-7, 3, id="closed-g2-off-by-1e-7"),
+    pytest.param(2.0, math.inf, 3, id="closed-g2-infinite"),
+])
+def test_average_judges_each_point_relative_to_its_closed_value(
+        tmp_path, capsys, monkeypatch, delta, factor, expected):
+    """Each grid point passes when its deviation is at most ORACLE_TOL
+    times max(1, |closed value|). g grows like delta^-5: at delta = 0.1
+    |g| reaches 1.9e7 and the numeric g deviates by 1.4e-7, round-off,
+    which passes. The closed g2 scaled by 1 + 1e-7 at one point, 0.32
+    there, fails; so does an infinite closed g2 against the finite
+    numeric one, an inf / inf ratio."""
+    if factor is not None:
+        g_closed = cli.g_closed
+
+        def scaled_at_one_point(*args):
+            value = g_closed(*args)
+            value[1, 3, 7] *= factor
+            return value
+
+        monkeypatch.setattr(cli, "g_closed", scaled_at_one_point)
+    doc = {"unfolding": {"a2": 1.0, "b2": 5.0, "delta": delta}}
+    code, out = run(tmp_path, "average", doc)
+    assert code == expected
+    assert capsys.readouterr().err == ""
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"),
+                         parse_constant=_reject_constant)
+    assert summary["oracle_ok"] is (expected == 0)
+    assert summary["tolerance"] == cli.ORACLE_TOL
+
+
 #: the eps keys each command takes beside the showcase's a2 = 1, b2 = 5
 DELTA_RUNS = {"classify": {}, "average": {}, "orbits": {"eps": 0.1},
               "sweep": {"eps_list": [0.1, 0.05]}}
