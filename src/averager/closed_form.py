@@ -223,10 +223,13 @@ def root_corrections(u: UnfoldingParams, roots) -> list:
     def newton(f):
         return -np.linalg.solve(jac, f.T[:, :, None])[:, :, 0].T
 
-    f3, f4, df3, d2f2 = higher_averages(u, z0)
-    z1 = newton(f3)
-    z2 = newton(f4 + np.einsum("ijp,jp->ip", df3, z1)
-                + 0.5 * np.einsum("ijkp,jp,kp->ip", d2f2, z1, z1))
+    # far out, as at a2 = 1e300, the averages overflow: the corrections
+    # are then not finite, and shoot_orbit drops such a seed shift
+    with np.errstate(over="ignore", invalid="ignore"):
+        f3, f4, df3, d2f2 = higher_averages(u, z0)
+        z1 = newton(f3)
+        z2 = newton(f4 + np.einsum("ijp,jp->ip", df3, z1)
+                    + 0.5 * np.einsum("ijkp,jp,kp->ip", d2f2, z1, z1))
     return [(z1[:, i], z2[:, i]) for i in range(len(roots))]
 
 

@@ -9,38 +9,45 @@ orbit of the full nonlinear system.
 The field is odd, (x, y, z) -> -(x, y, z) maps orbits to orbits, so the
 unit of integration is half a return. The half return M takes a section
 point q to the first upward crossing m of the mirrored section
-{z = 0, y < 0}, and the reflection -m lies on the section again. The
-return map is the odd square of M, P(q) = -M(-M(q)): two half returns, the
-second from -m, reflected. Each is one Taylor leg of the state, which
-gives the crossing and the dense output of the flight, and one batched
-linear solve over the steps of that leg, which gives the fundamental
-matrix Phi of its variational equations and the exact Jacobian of M. J is
-even in the state, so a return's Phi is Phi2 Phi1, that of its second
-half return times that of its first: the monodromy matrix at the fixed
-point, whose eigenvalues are the Floquet multipliers. The accepted return
-at the fixed point is the only integration of a located orbit: its trace
-is sampled from that return's dense output.
+{z = 0, y < 0}, and the reflection -m lies on the section again: that is
+the half map T(q) = -M(q), and half_return gives it as a HalfReturn, with
+its start q, its point T(q) = -m, its flight, its jac dT/dq, its phi and
+its flow. The return map is the odd square of M, P(q) = -M(-M(q)) =
+T(T(q)), and poincare_return gives it as a Return that keeps its two half
+returns, first from q and second from first.point = -m; its point,
+flight, jac, phi, flow and residual are composed from them by name. Each
+half return is one Taylor leg of the state, which gives the crossing and
+the dense output of the flight, and one batched linear solve over the
+steps of that leg, which gives the fundamental matrix Phi of its
+variational equations and the exact Jacobian of M. J is even in the
+state, so a return's phi is Phi2 Phi1, that of its second half times that
+of its first: the monodromy matrix at the fixed point, whose eigenvalues
+are the Floquet multipliers. The accepted return at the fixed point is
+the only integration of a located orbit: its trace is sampled from that
+return's flow.
 
 The w = 0 roots are their own mirror images, and so are their orbits:
 such an orbit closes after half a period up to the reflection, a fixed
-point of the half map T(q) = -M(q) (Golubitsky and Stewart, The Symmetry
-Perspective, 2002). Newton runs on T alone, one leg per iteration, and
-one more leg from its fixed point completes the one full return that
-accepts the orbit or fails the candidate.
+point of T (Golubitsky and Stewart, The Symmetry Perspective, 2002).
+Newton runs on T alone, one leg per iteration, and one more leg from its
+fixed point completes the one full return that accepts the orbit or
+fails the candidate. Newton reads the same names from either map: start,
+point, jac and residual.
 
 Newton starts from up to two candidate seeds, in this order: mirror and
 section-image. The paired roots (r, w) and (r, -w) predict two orbits
 that are point reflections of each other. Once the +w orbit is located,
-the seed of the -w orbit is -m of its partner's accepted return, and the
-second leg of that return is the half return from exactly that point; so
-the first return from the mirror seed integrates one new leg, and Newton
-typically accepts on it. The section image is the theta = 0 image of the
-orbit's (r, w) to second order in eps, z0 + eps z1 + eps^2 z2: z0 is the
-averaged root, and z1 and z2 come from the third and fourth averaged
-functions (closed_form.root_corrections), so the seed misses the orbit by
-O(eps^4) where the image of z0 alone misses it by O(eps^3). Every orbit is
-accepted only on its own full return, whatever its seed, and a candidate
-fails where Newton settles within eps r / 10 of an equilibrium.
+its record keeps the second half of its accepted return, whose start is
+-m: the seed of the -w orbit. So the first return from the mirror seed
+takes that half return as its first and integrates one new leg, and
+Newton typically accepts on it. The section image is the theta = 0
+image of the orbit's (r, w) to second order in eps, z0 + eps z1 +
+eps^2 z2: z0 is the averaged root, and z1 and z2 come from the third and
+fourth averaged functions (closed_form.root_corrections), so the seed
+misses the orbit by O(eps^4) where the image of z0 alone misses it by
+O(eps^3). Every orbit is accepted only on its own full return, whatever
+its seed, and a candidate fails where Newton settles within eps r / 10 of
+an equilibrium.
 
 The field is a cubic polynomial, so every flow is integrated by a Taylor
 series method (Jorba and Zou, Experimental Mathematics 14, 2005): short
@@ -198,11 +205,11 @@ class PeriodicOrbitRecord:
     #: (times, states): TRACE_SAMPLES uniform times over [0, period] and the
     #: (TRACE_SAMPLES, 3) states there, from the return that located the orbit
     trace: tuple
-    #: (m, leg) of the return that located the orbit: m, the (x, y) of its
-    #: crossing of {z = 0, y < 0}, and leg, its second half, the
-    #: half_return from -m, Phi included. -m is the mirror seed of the
-    #: partner orbit, and leg the first half of that orbit's first return
-    mirror_leg: tuple
+    #: the second HalfReturn of the return that located the orbit, Phi
+    #: included; its start is -m, for m the return's crossing of
+    #: {z = 0, y < 0}, the mirror seed of the partner orbit, and it is the
+    #: first half of that orbit's first return
+    mirror_leg: HalfReturn
     #: the candidate Newton converged from, mirror or section-image; the
     #: one place that reports it
     seed_candidate: str
@@ -372,12 +379,11 @@ def _crossing_root(poly: list, lo: float, hi: float) -> float:
 class _Leg(NamedTuple):
     """A half return integrated without its variational equations.
 
-    crossing is m, the (x, y) of the crossing of {z = 0, y < 0}; end the
-    state there; steps the (lengths, x series, y^2 - x^2 series) of the
-    leg's Taylor steps, all _leg_transition needs; flow as in half_return.
+    end is the state (x, y, 0) at the crossing of {z = 0, y < 0}; steps
+    the (lengths, x series, y^2 - x^2 series) of the leg's Taylor steps,
+    all _leg_transition needs; flow as in HalfReturn.
     """
 
-    crossing: np.ndarray
     flight: float
     end: list
     steps: tuple
@@ -467,11 +473,72 @@ def _leg(p: SystemParams, q, spec: IntegratorSpec) -> _Leg:
             states = states * tau + c
         return states
 
-    return _Leg(np.array(state[:2]), t + lengths[-1], state,
-                (lengths, xs, quads), flow)
+    return _Leg(t + lengths[-1], state, (lengths, xs, quads), flow)
 
 
-def half_return(p: SystemParams, q, spec: IntegratorSpec):
+class HalfReturn(NamedTuple):
+    """The half map T(q) = -M(q) from one start q, as half_return gives it.
+
+    start is q and point is T(q) = -m, for m the crossing of the mirrored
+    section; flight is the flight time, jac is dT/dq and phi the
+    fundamental matrix over the flight from (q, 0). flow maps a 1-d array
+    of times in [0, flight] to the (len(t), 3) states there; flow(0) is
+    (q, 0) exactly.
+    """
+
+    start: np.ndarray
+    point: np.ndarray
+    flight: float
+    jac: np.ndarray
+    phi: np.ndarray
+    flow: Callable
+
+    #: |T(q) - q|
+    residual = property(
+        lambda self: float(np.linalg.norm(self.point - self.start)))
+
+
+class Return(NamedTuple):
+    """The return P(q) = T(T(q)) kept as its two half returns.
+
+    first is the half return from q and second the one from
+    first.point = -m. J is even in the state, as the field is odd, so the
+    reflected second leg has the variational equations of the half return
+    from -m, and every quantity of P is composed from the two halves.
+    """
+
+    first: HalfReturn
+    second: HalfReturn
+
+    #: q, where the first half starts
+    start = property(lambda self: self.first.start)
+    #: P(q), the second half's T(-m)
+    point = property(lambda self: self.second.point)
+    #: the whole flight time, t1 + t2
+    flight = property(lambda self: self.first.flight + self.second.flight)
+    #: dP/dq, the product of the halves' dT/dq; it equals phi projected
+    #: along the field at the final crossing
+    jac = property(lambda self: self.second.jac @ self.first.jac)
+    #: Phi2 Phi1, the fundamental matrix over the whole flight from (q, 0):
+    #: the monodromy matrix at a fixed point
+    phi = property(lambda self: self.second.phi @ self.first.phi)
+    #: |P(q) - q|
+    residual = property(
+        lambda self: float(np.linalg.norm(self.point - self.start)))
+
+    def flow(self, t) -> np.ndarray:
+        """The (len(t), 3) states at a 1-d array of times in [0, flight]:
+        the first leg up to its flight, then the second leg reflected;
+        flow(0) is (q, 0) exactly."""
+        t = np.asarray(t, dtype=float)
+        late = t >= self.first.flight
+        states = np.empty((len(t), 3))
+        states[~late] = self.first.flow(t[~late])
+        states[late] = -self.second.flow(t[late] - self.first.flight)
+        return states
+
+
+def half_return(p: SystemParams, q, spec: IntegratorSpec) -> HalfReturn:
     """Half return: from (q, 0) to the mirrored section {z = 0, y < 0}.
 
     The crossing is the first where z changes sign upward and y < 0; a
@@ -496,13 +563,12 @@ def half_return(p: SystemParams, q, spec: IntegratorSpec):
 
     Returns
     -------
-    (m, flight_time, dM/dq, Phi, flow) at the polished root of the
-    crossing, m = (x', y'). Phi is the fundamental matrix over the flight
-    from (q, 0); dM/dq is Phi projected along the field f at the crossing
-    onto the plane z = 0, (Phi - outer(f, Phi[2]) / f[2])[:2, :2]. flow
-    maps a 1-d array of times in [0, flight_time] to the (len(t), 3)
-    states there, the Taylor polynomials of the leg's steps by Horner's
-    rule; flow(0) is (q, 0) exactly.
+    HalfReturn, the half map T(q) = -M(q) at the polished root of the
+    crossing m: start is q; point is T(q) = -m; flight the flight time; phi
+    the fundamental matrix over the flight from (q, 0); jac is
+    dT/dq = -dM/dq, where dM/dq is phi projected along the field f at the
+    crossing onto the plane z = 0, (phi - outer(f, phi[2]) / f[2])[:2, :2];
+    flow the Taylor polynomials of the leg's steps by Horner's rule.
 
     Raises
     ------
@@ -519,12 +585,14 @@ def half_return(p: SystemParams, q, spec: IntegratorSpec):
     if not np.isfinite(phi).all():
         raise StepUnderflow(f"non-finite Phi at t = {leg.flight:.6g}")
     f = vector_field(p, leg.end)
-    return (leg.crossing, leg.flight,
-            (phi - np.outer(f, phi[2]) / f[2])[:2, :2], phi, leg.flow)
+    return HalfReturn(np.asarray(q, dtype=float), -np.array(leg.end[:2]),
+                      leg.flight, -(phi - np.outer(f, phi[2]) / f[2])[:2, :2],
+                      phi, leg.flow)
 
 
-def poincare_return(p: SystemParams, q, spec: IntegratorSpec, first=None):
-    """Return to the section {z = 0, y > 0}: P(q) = -M(-M(q)).
+def poincare_return(p: SystemParams, q, spec: IntegratorSpec,
+                    first: Optional[HalfReturn] = None) -> Return:
+    """Return to the section {z = 0, y > 0}: P(q) = T(T(q)) = -M(-M(q)).
 
     The odd square of the half return M: the leg from (q, 0) to the
     mirrored section at m, then the leg from -m, reflected. P(q) is thus
@@ -536,52 +604,27 @@ def poincare_return(p: SystemParams, q, spec: IntegratorSpec, first=None):
     downward at y < 0. Only a flight that crossed the section before it
     crossed the mirrored one would return later than the first return.
 
-    J is even in the state, as the field is odd, so the reflected second
-    leg has the variational equations of the half return from -m, and
-    every quantity of the return is composed from the two half returns.
-
     Parameters
     ----------
     q : (x, y) coordinates on the section
     spec : integrator tolerance, for each leg
     first : half_return(p, q, spec) when it is already integrated: the
-        last half return of Newton on T from q, or the second half return
-        of another return, from its (m, second); only the half return
-        from -m is integrated then
+        last half return of Newton on T from q, or the second half of
+        another return, whose start is q; only the half return from -m is
+        integrated then
 
     Returns
     -------
-    ((x', y'), flight_time, dP/dq, Phi, flow, (m, second)) at the polished
-    crossing, composed from the half returns first, from q, and second,
-    from -m: (x', y') is minus the crossing of second, flight_time is
-    t1 + t2, Phi is Phi2 Phi1, the fundamental matrix over the whole
-    flight from (q, 0) and the monodromy matrix at a fixed point, and
-    dP/dq is J2 J1, the product of their dM/dq, which equals Phi projected
-    along the field at the final crossing. flow maps a 1-d array of times
-    in [0, flight_time] to the (len(t), 3) states there: the first leg up
-    to t1, then the second leg reflected; flow(0) is (q, 0) exactly. m is
-    (x, y) at the crossing of the mirrored section, and second the
-    half_return tuple from -m, which a later return from -m takes as its
-    first.
+    Return(first, second) of the half returns from q and from
+    first.point = -m, whose point, flight, jac, phi, flow and residual are
+    those of P at the polished crossing (see Return).
 
     Raises
     ------
     The errors of half_return, from either leg.
     """
     first = first or half_return(p, q, spec)
-    mirror, t1, jac1, phi1, flow1 = first
-    second = half_return(p, -mirror, spec)
-    image, t2, jac2, phi2, flow2 = second
-
-    def flow(t):
-        t = np.asarray(t, dtype=float)
-        late = t >= t1
-        states = np.empty((len(t), 3))
-        states[~late] = flow1(t[~late])
-        states[late] = -flow2(t[late] - t1)
-        return states
-
-    return -image, t1 + t2, jac2 @ jac1, phi2 @ phi1, flow, (mirror, second)
+    return Return(first, half_return(p, first.point, spec))
 
 
 def _nontrivial_multipliers(mono: np.ndarray):
@@ -596,46 +639,43 @@ def _nontrivial_multipliers(mono: np.ndarray):
 def _newton_return(return_map, q0, tol=SHOOT_TOL, ret=None):
     """Damped Newton on P(q) - q with the exact Jacobian of the return map.
 
-    return_map(q) is (P(q), _, dP/dq, ...) for a map P of the section, the
-    full return or the half map T. Each step solves
-    (dP/dq - I) dq = -(P(q) - q); the pass of an accepted trial point
-    supplies the next Jacobian, so an undamped step costs one return. A
-    trial whose return fails counts as a trial that does not reduce the
-    residual, so the step is halved. ret, when given, is return_map(q0)
-    already evaluated. Returns (q, |P(q) - q|, return at q) at the first
-    point with residual below tol, or None when Newton fails.
+    return_map(q) is the HalfReturn or the Return of a map P of the
+    section, the half map T or the full return; Newton reads its start q,
+    its point P(q), its jac dP/dq and its residual |P(q) - q|. Each step
+    solves (dP/dq - I) dq = -(P(q) - q); the pass of an accepted trial
+    point supplies the next Jacobian, so an undamped step costs one
+    return. A trial whose return fails counts as a trial that does not
+    reduce the residual, so the step is halved. ret, when given, is
+    return_map(q0) already evaluated.
+
+    Returns
+    -------
+    The return at the first point q with |P(q) - q| below tol, or None
+    when Newton fails.
 
     Raises
     ------
     The _RETURN_ERRORS of the return from q0.
     """
-    q = np.array(q0, dtype=float)
-    if ret is None:
-        ret = return_map(q)
-    res = float(np.linalg.norm(ret[0] - q))
+    ret = ret or return_map(np.array(q0, dtype=float))
     try:
         for _ in range(MAX_NEWTON_ITER):
-            if res < tol:
+            if ret.residual < tol:
                 break
-            step = np.linalg.solve(ret[2] - np.eye(2), q - ret[0])
-            lam = 1.0
-            for _ in range(12):
-                trial = q + lam * step
+            step = np.linalg.solve(ret.jac - np.eye(2), ret.start - ret.point)
+            for k in range(12):
                 try:
-                    trial_ret = return_map(trial)
+                    trial = return_map(ret.start + 0.5 ** k * step)
                 except _RETURN_ERRORS:
-                    trial_res = math.inf
-                else:
-                    trial_res = float(np.linalg.norm(trial_ret[0] - trial))
-                if trial_res < res:
+                    continue
+                if trial.residual < ret.residual:
                     break
-                lam *= 0.5
             else:
                 return None
-            q, ret, res = trial, trial_ret, trial_res
+            ret = trial
     except np.linalg.LinAlgError:
         return None
-    return (q, res, ret) if res < tol else None
+    return ret if ret.residual < tol else None
 
 
 def shoot_orbit(
@@ -653,9 +693,10 @@ def shoot_orbit(
 
     - mirror, when partner is given: the located orbit of the mirror root
       (r, -w) at this eps. The field is odd, so the point reflection of
-      the partner is an orbit too; the seed is -m of the partner's
-      accepted return, and its first return reuses that return's second
-      leg, the half return from -m, so it integrates one new leg.
+      the partner is an orbit too; the seed is partner.mirror_leg.start,
+      -m of the partner's accepted return, and its first return takes
+      partner.mirror_leg, the second half of that return, as its first,
+      so it integrates one new leg.
     - section-image, the theta = 0 image under the coordinate pipeline of
       the orbit's (r, w) to second order in eps, z0 + eps z1 + eps^2 z2
       with z0 = seed: eps (w, r) + eps^2 (w1, r1) + eps^3 (w2, r2). It
@@ -673,9 +714,10 @@ def shoot_orbit(
     is about (I + dT/dq)(T(q) - q): its x part cancels and its y part
     doubles, so |P(q) - q| is at most about 2 |T(q) - q|. One full return
     from that point, its last leg and one new one, then accepts the orbit
-    or fails the candidate. Its crossing m of the mirrored section is that
-    of the last leg, so |m + q| = |T(q) - q| < SHOOT_TOL / 2: the orbit is
-    its own reflection.
+    or fails the candidate. The first half of that return is the last
+    half return of Newton on T, so the second half starts at
+    -m = T(q) and |m + q| = |T(q) - q| < SHOOT_TOL / 2: the orbit is its
+    own reflection.
 
     Whatever the candidate, the orbit is accepted only on its own full
     return with residual below SHOOT_TOL, and everything it reports comes
@@ -688,8 +730,8 @@ def shoot_orbit(
     Newton step that would follow it, the two nontrivial Floquet
     multipliers and the trivial one's distance from 1, the trace of one
     period, sampled from the dense output of the return at the fixed
-    point, that return's mirror crossing and second leg, the candidate
-    that converged and the return-map calls spent on the orbit.
+    point, that return's second half as mirror_leg, the candidate that
+    converged and the return-map calls spent on the orbit.
 
     Raises
     ------
@@ -711,25 +753,20 @@ def shoot_orbit(
     if partner is not None and partner.eps != eps:
         raise ValueError(f"partner located at eps = {partner.eps}, not {eps}")
     p = unfold(u, eps)
-    returns = 0
+    returns = []  # the start of every return-map call, half or full
 
-    def return_map(q, first=None):
-        nonlocal returns
-        returns += 1
+    def full_map(q, first=None):
+        returns.append(q)
         return poincare_return(p, q, spec, first)
 
     def half_map(q):
-        # T(q) = -M(q) and dT/dq = -dM/dq; the leg rides along for the
-        # full return that completes it
-        nonlocal returns
-        returns += 1
-        leg = half_return(p, q, spec)
-        return -leg[0], leg[1], -leg[2], leg
+        returns.append(q)
+        return half_return(p, q, spec)
 
     failures, candidates = [], []
     if partner is not None:
-        mirror, leg = partner.mirror_leg
-        candidates.append(("mirror", -mirror, leg))
+        candidates.append(("mirror", partner.mirror_leg.start,
+                           partner.mirror_leg))
     try:
         z1, z2 = correction or root_corrections(u, [(r, w)])[0]
         shift = eps * (z1 + eps * z2)
@@ -743,28 +780,23 @@ def shoot_orbit(
     for tag, q0, first in candidates:
         try:
             if w != 0.0:
-                found = _newton_return(
-                    return_map, q0, SHOOT_TOL,
-                    None if first is None else return_map(q0, first))
-            elif (found := _newton_return(half_map, q0, SHOOT_TOL / 2)):
+                ret = _newton_return(full_map, q0, SHOOT_TOL,
+                                     first and full_map(q0, first))
+            else:
+                half = _newton_return(half_map, q0, SHOOT_TOL / 2)
                 # the one full return: the last half return and one new leg
-                q, _, (_, _, _, leg) = found
-                ret = return_map(q, leg)
-                found = q, float(np.linalg.norm(ret[0] - q)), ret
+                ret = half and full_map(half.start, half)
         except _RETURN_ERRORS as exc:
             failures.append(f"{tag}: {type(exc).__name__}: {exc}")
             continue
-        if found is None:
+        if ret is None:
             failures.append(f"{tag}: {newton} did not converge")
-            continue
-        fixed, residual, (returned, period, jac, mono, flow,
-                          mirror_leg) = found
-        near = [x for x in equilibria(p)
-                if np.linalg.norm(fixed - x[:2]) < 0.1 * eps * r]
-        if not residual < SHOOT_TOL:
+        elif not ret.residual < SHOOT_TOL:
             failures.append(f"{tag}: the full return after Newton on the "
-                            f"half map misses by |P(q) - q| = {residual:.3e}")
-        elif near:
+                            f"half map misses by |P(q) - q| = "
+                            f"{ret.residual:.3e}")
+        elif near := [x for x in equilibria(p)
+                      if np.linalg.norm(ret.start - x[:2]) < 0.1 * eps * r]:
             failures.append(f"{tag}: converged to the equilibrium "
                             f"{tuple(near[0].tolist())}")
         else:
@@ -775,23 +807,23 @@ def shoot_orbit(
             f"eps = {eps}: " + "; ".join(failures)
         )
 
-    floq, trivial = _nontrivial_multipliers(mono)
+    floq, trivial = _nontrivial_multipliers(ret.phi)
     try:
-        step = np.linalg.solve(jac - np.eye(2), fixed - returned)
+        step = np.linalg.solve(ret.jac - np.eye(2), ret.start - ret.point)
     except np.linalg.LinAlgError:
         step = np.full(2, math.inf)
-    t = np.linspace(0.0, period, TRACE_SAMPLES)
+    t = np.linspace(0.0, ret.flight, TRACE_SAMPLES)
     return PeriodicOrbitRecord(
         eps=eps,
-        section_point=fixed,
-        period=period,
-        residual=residual,
+        section_point=ret.start,
+        period=ret.flight,
+        residual=ret.residual,
         floquet=floq,
         seed=(r, w),
-        trace=(t, flow(t)),
-        mirror_leg=mirror_leg,
+        trace=(t, ret.flow(t)),
+        mirror_leg=ret.second,
         seed_candidate=tag,
-        returns=returns,
+        returns=len(returns),
         trivial_multiplier_defect=float(abs(trivial - 1.0)),
         newton_step=float(np.linalg.norm(step)),
     )

@@ -399,6 +399,22 @@ def test_an_orbit_located_for_two_roots_counts_once(tmp_path, monkeypatch):
     assert not (out / "orbit_2.csv").exists()
 
 
+@pytest.mark.parametrize("command, eps", [
+    ("orbits", {"eps": 0.1}), ("sweep", {"eps_list": [0.1, 0.05]})])
+def test_an_extreme_valid_direction_fails_without_numpy_warnings(
+        tmp_path, capsys, command, eps):
+    """At (a2, b2, delta) = (1e300, 5, 2) the roots lie near 1e150, where
+    the higher averages behind the section-image corrections overflow:
+    the corrections are NaN, shoot_orbit drops the shift, every leg from
+    eps (w, r) fails, and the command exits 4 with an empty stderr, no
+    numpy warning on it."""
+    doc = {"unfolding": {"a2": 1e300, "b2": 5.0, "delta": 2.0}, **eps}
+    code, out = run(tmp_path, command, doc)
+    assert code == 4
+    assert capsys.readouterr().err == ""
+    assert "StepUnderflow" in json.dumps(read_summary(out))
+
+
 def test_sweep_requires_eps_list(tmp_path):
     code, _ = run(tmp_path, "sweep", THREE_ORBIT_DOC)
     assert code == 1
@@ -486,7 +502,10 @@ def test_average_judges_each_point_relative_to_its_closed_value(
     |g| reaches 1.9e7 and the numeric g deviates by 1.4e-7, round-off,
     which passes. The closed g2 scaled by 1 + 1e-7 at one point, 0.32
     there, fails; so does an infinite closed g2 against the finite
-    numeric one, an inf / inf ratio."""
+    numeric one, an inf / inf ratio. The progress line prints the
+    largest relative deviations, the numbers the verdict compares, so a
+    pass prints both within the printed tolerance and a failure does
+    not."""
     if factor is not None:
         g_closed = cli.g_closed
 
@@ -496,10 +515,18 @@ def test_average_judges_each_point_relative_to_its_closed_value(
             return value
 
         monkeypatch.setattr(cli, "g_closed", scaled_at_one_point)
-    doc = {"unfolding": {"a2": 1.0, "b2": 5.0, "delta": delta}}
-    code, out = run(tmp_path, "average", doc)
-    assert code == expected
-    assert capsys.readouterr().err == ""
+    cfg = write_config(tmp_path,
+                       {"unfolding": {"a2": 1.0, "b2": 5.0, "delta": delta}})
+    out = tmp_path / "out"
+    assert main(["average", "--config", cfg, "--out", str(out)]) == expected
+    printed = capsys.readouterr()
+    assert printed.err == ""
+    assert_progress("average", printed.out)
+    first, second, tolerance = map(float, re.fullmatch(
+        r"max relative deviation: first (\S+), second (\S+) "
+        r"\(tolerance (\S+)\)\n", printed.out).groups())
+    assert tolerance == cli.ORACLE_TOL
+    assert (first <= tolerance and second <= tolerance) is (expected == 0)
     summary = json.loads((out / "summary.json").read_text(encoding="utf-8"),
                          parse_constant=_reject_constant)
     assert summary["oracle_ok"] is (expected == 0)
@@ -652,7 +679,8 @@ def test_orbits_and_sweep_run_without_scipy(tmp_path):
 #: the stdout progress lines of each command on the showcase, as patterns
 PROGRESS_LINES = {
     "classify": [r"case: three, roots: \[\[4\.0, 0\.0\], .*\]"],
-    "average": [r"max deviation: first \S+, second \S+ \(tolerance 1e-08\)"],
+    "average": [r"max relative deviation: first \S+, second \S+ "
+                r"\(tolerance 1e-08\)"],
     "orbits": [rf"orbit {i}: period \S+, residual \S+" for i in range(3)],
     "sweep": [r"eps 0\.1: 3 orbit\(s\), 0 failure\(s\)",
               r"eps 0\.05: 3 orbit\(s\), 0 failure\(s\)",

@@ -59,12 +59,14 @@ def variational_rhs(p):
 
 
 def dop853_return(p, q, t_end):
-    """(return point, flight time, dP/dq, mirror crossing) by DOP853.
+    """(return point, flight time, dP/dq, mirror) by DOP853.
 
     Integrates the flow and Phi' = J Phi from (q, 0) at tolerances 1e-13
     and takes the first downward z = 0 crossing with y > 0 after a third
-    of t_end, which skips the start on the section. The mirror crossing is
-    the first upward z = 0 crossing with y < 0 before it, or None.
+    of t_end, which skips the start on the section. The mirror is (m,
+    dM/dq) at the first upward z = 0 crossing m with y < 0 before it, or
+    None; dM/dq, as dP/dq, is Phi projected along the field at its
+    crossing.
     """
     from scipy.integrate import solve_ivp
 
@@ -78,13 +80,18 @@ def dop853_return(p, q, t_end):
     s0 = np.concatenate([(q[0], q[1], 0.0), np.eye(3).ravel()])
     sol = solve_ivp(variational_rhs(p), (0.0, t_end), s0, method="DOP853",
                     events=(down, up), rtol=1e-13, atol=1e-13)
+
+    def projected(s):
+        f = vector_field(p, s[:3])
+        phi = s[3:].reshape(3, 3)
+        return (phi - np.outer(f, phi[2]) / f[2])[:2, :2]
+
     t, s = next((t, s) for t, s in zip(sol.t_events[0], sol.y_events[0])
                 if t > t_end / 3.0 and s[1] > 0.0)
-    mirror = next((m[:2] for tm, m in zip(sol.t_events[1], sol.y_events[1])
+    mirror = next(((m[:2], projected(m))
+                   for tm, m in zip(sol.t_events[1], sol.y_events[1])
                    if tm < t and m[1] < 0.0), None)
-    f = vector_field(p, s[:3])
-    phi = s[3:].reshape(3, 3)
-    return s[:2], t, (phi - np.outer(f, phi[2]) / f[2])[:2, :2], mirror
+    return s[:2], t, projected(s), mirror
 
 
 @pytest.mark.parametrize("unfolding, eps, q", [
@@ -98,51 +105,59 @@ def dop853_return(p, q, t_end):
     (UnfoldingParams(a2=3.0, b2=1.0, delta=1.0), 0.05, (1.1, 0.377)),
 ])
 def test_return_map_matches_dop853(unfolding, eps, q):
-    """Return point, flight time, dP/dq and mirror crossing of the Taylor
-    integrator at the default budget agree with a DOP853 pass at 1e-13 on
-    a fixed grid."""
+    """Return point, flight time, dP/dq, and the mirror crossing m with the
+    first half's dT/dq = -dM/dq, of the Taylor integrator at the default
+    budget agree with a DOP853 pass at 1e-13 on a fixed grid."""
     check_against_dop853(unfold(unfolding, eps), q, unfolding.delta)
 
 
 def check_against_dop853(p, q, delta):
-    point, flight, jac, _, _, (mirror, _) = poincare_return(p, q, SPEC)
+    ret = poincare_return(p, q, SPEC)
     ref_point, ref_flight, ref_jac, ref_mirror = dop853_return(
         p, q, 3.0 * np.pi / delta)
-    assert np.max(np.abs(point - ref_point)) < 1e-11
-    assert abs(flight - ref_flight) < 1e-10
-    assert np.max(np.abs(jac - ref_jac)) < 1e-10
-    assert (mirror is None) == (ref_mirror is None)
-    if mirror is not None:
-        assert np.max(np.abs(mirror - ref_mirror)) < 1e-11
+    assert np.max(np.abs(ret.point - ref_point)) < 1e-11
+    assert abs(ret.flight - ref_flight) < 1e-10
+    assert np.max(np.abs(ret.jac - ref_jac)) < 1e-10
+    # every return crosses the mirrored section on the way, T(q) = -m
+    assert ref_mirror is not None
+    ref_m, ref_half_jac = ref_mirror
+    assert np.max(np.abs(-ret.first.point - ref_m)) < 1e-11
+    assert np.max(np.abs(-ret.first.jac - ref_half_jac)) < 1e-10
 
 
 def check_odd_symmetry(p, q):
     """The field is odd, so the flow from -q is the reflected flow from q.
-    The return from q is its two half returns composed, bit for bit: the
-    one from q and the one from -m, reflected; its dP/dq = J2 J1 is Phi
-    projected along the field at the final crossing. Started on the
-    mirrored section, the half return from -q first crosses it upward
-    again at -P(q), after the whole flight of the return from q, whose
-    flow, reflected, it follows on the way; and the return from -m, the
-    reflected mirror crossing, crosses the mirrored section at -P(q)."""
-    point, flight, jac, phi, flow, (mirror, _) = poincare_return(p, q, SPEC)
-    m, t1, jac1, phi1, _ = half_return(p, q, SPEC)
-    image2, t2, jac2, phi2, _ = half_return(p, -m, SPEC)
-    assert np.array_equal(m, mirror)
-    assert np.array_equal(point, -image2)
-    assert flight == t1 + t2
-    assert np.array_equal(phi, phi2 @ phi1)
-    assert np.array_equal(jac, jac2 @ jac1)
-    f = vector_field(p, [*point, 0.0])
-    projected = (phi - np.outer(f, phi[2]) / f[2])[:2, :2]
-    assert np.max(np.abs(jac - projected)) < 1e-12
-    image, t_image, _, _, flow_image = half_return(p, -q, SPEC)
-    assert np.max(np.abs(image + point)) < 1e-9
-    assert abs(t_image - flight) < 1e-9
-    t = np.linspace(0.0, min(flight, t_image), 17)
-    assert np.max(np.abs(flow_image(t) + flow(t))) < 1e-9
-    assert np.max(np.abs(poincare_return(p, -mirror, SPEC)[5][0]
-                         + point)) < 1e-9
+    The return from q is its two half returns composed by name, bit for
+    bit: the one from q and the one from its point -m, whose dT/dq are
+    -dM/dq, so that dP/dq = (-J2)(-J1) = J2 J1 is Phi projected along the
+    field at the final crossing. Started on the mirrored section, the half
+    return from -q first crosses it upward again at -P(q), after the
+    whole flight of the return from q, whose flow, reflected, it follows
+    on the way; and the return from -m, the reflected mirror crossing,
+    crosses the mirrored section at -P(q)."""
+    ret = poincare_return(p, q, SPEC)
+    first = half_return(p, q, SPEC)
+    second = half_return(p, first.point, SPEC)
+    assert np.array_equal(ret.first.start, q)
+    assert np.array_equal(ret.second.start, ret.first.point)
+    assert np.array_equal(first.point, ret.first.point)
+    assert np.array_equal(ret.point, second.point)
+    assert ret.flight == first.flight + second.flight
+    assert np.array_equal(ret.phi, ret.second.phi @ ret.first.phi)
+    assert np.array_equal(ret.phi, second.phi @ first.phi)
+    assert np.array_equal(ret.jac, ret.second.jac @ ret.first.jac)
+    assert np.array_equal(ret.jac, (-second.jac) @ (-first.jac))
+    assert ret.residual == float(np.linalg.norm(ret.point - q))
+    f = vector_field(p, [*ret.point, 0.0])
+    projected = (ret.phi - np.outer(f, ret.phi[2]) / f[2])[:2, :2]
+    assert np.max(np.abs(ret.jac - projected)) < 1e-12
+    from_minus_q = half_return(p, -q, SPEC)
+    assert np.max(np.abs(ret.point - from_minus_q.point)) < 1e-9
+    assert abs(from_minus_q.flight - ret.flight) < 1e-9
+    t = np.linspace(0.0, min(ret.flight, from_minus_q.flight), 17)
+    assert np.max(np.abs(from_minus_q.flow(t) + ret.flow(t))) < 1e-9
+    assert np.max(np.abs(poincare_return(p, ret.first.point, SPEC).first.point
+                         - ret.point)) < 1e-9
 
 
 @settings(max_examples=20)
@@ -222,9 +237,9 @@ def test_integrate_linearized_rotation():
     """
     p = SystemParams(0.0, 0.0, -4.0)
     tight = IntegratorSpec(tol=1e-13)
-    _, flight, _, _, flow, _ = poincare_return(p, (0.0, 1e-6), tight)
-    assert abs(flight - np.pi) < 1e-9
-    y = flow(np.array([np.pi / 2.0, np.pi]))[:, 1]
+    ret = poincare_return(p, (0.0, 1e-6), tight)
+    assert abs(ret.flight - np.pi) < 1e-9
+    y = ret.flow(np.array([np.pi / 2.0, np.pi]))[:, 1]
     assert abs(y[0] + 1e-6) < 1e-12
     assert abs(y[1] - 1e-6) < 1e-12
 
@@ -235,8 +250,8 @@ def test_integrate_tolerance_convergence():
     t = np.linspace(0.0, 3.0, 31)
     loose = poincare_return(p, q, IntegratorSpec(tol=1e-9))
     tight = poincare_return(p, q, IntegratorSpec(tol=1e-12))
-    assert min(loose[1], tight[1]) > t[-1]
-    assert np.max(np.abs(loose[4](t) - tight[4](t))) < 1e-7
+    assert min(loose.flight, tight.flight) > t[-1]
+    assert np.max(np.abs(loose.flow(t) - tight.flow(t))) < 1e-7
 
 
 def test_integrator_budget_errors(monkeypatch):
@@ -253,13 +268,13 @@ def test_integrator_budget_errors(monkeypatch):
 
 def test_return_flight_time_near_linear_period():
     p = SystemParams(0.0, 0.0, -4.0)
-    _, flight, _, _, _, _ = poincare_return(p, (0.001, 0.001), SPEC)
+    flight = poincare_return(p, (0.001, 0.001), SPEC).flight
     assert abs(flight - np.pi) < 1e-3
 
 
 def test_return_flight_time_perturbed():
     p = unfold(THREE_ORBIT, EPS)
-    _, flight, _, _, _, _ = poincare_return(p, (0.2, 0.4), SPEC)
+    flight = poincare_return(p, (0.2, 0.4), SPEC).flight
     assert abs(flight - np.pi) < 0.02 * np.pi
 
 
@@ -292,27 +307,28 @@ def test_shoot_three_distinct_orbits(records):
 def test_mirrored_seed_orbits_are_reflections(records):
     """The +w and -w orbits are point reflections of each other.
 
-    The +w orbit's crossing of the mirrored section, the one its record
-    keeps, reflected, is the -w orbit's section point, and the leg the
-    record keeps starts there.
+    The +w orbit's crossing m of the mirrored section, reflected, is the
+    -w orbit's section point, and the half return the record keeps, the
+    second half of its return, starts there.
     """
     p = unfold(THREE_ORBIT, EPS)
     q_plus = records[1].section_point
     q_minus = records[2].section_point
-    _, _, _, _, flow, (mirror, _) = poincare_return(p, q_plus, SPEC)
-    kept, leg = records[1].mirror_leg
-    assert np.array_equal(kept, mirror)
-    assert np.array_equal(leg[4](np.array([0.0]))[0], [*-mirror, 0.0])
+    ret = poincare_return(p, q_plus, SPEC)
+    kept = records[1].mirror_leg
+    assert np.array_equal(kept.start, ret.first.point)
+    assert np.array_equal(kept.flow(np.array([0.0]))[0],
+                          [*ret.first.point, 0.0])
     # the crossing lies on the section
-    t_half = half_return(p, q_plus, SPEC)[1]
-    assert abs(flow(np.array([t_half]))[0, 2]) < 1e-12
-    assert np.max(np.abs(-mirror - q_minus)) < 1e-8
+    t_half = half_return(p, q_plus, SPEC).flight
+    assert abs(ret.flow(np.array([t_half]))[0, 2]) < 1e-12
+    assert np.max(np.abs(ret.first.point - q_minus)) < 1e-8
 
 
 def test_trivial_floquet_multiplier(records):
     p = unfold(THREE_ORBIT, EPS)
     for rec in records:
-        _, _, _, mono, _, _ = poincare_return(p, rec.section_point, SPEC)
+        mono = poincare_return(p, rec.section_point, SPEC).phi
         mults = np.linalg.eigvals(mono)
         assert np.min(np.abs(mults - 1.0)) < 1e-6
         assert rec.floquet.shape == (2,)
@@ -345,13 +361,13 @@ def test_return_jacobian_matches_central_differences(records):
     h = 1e-5
     for rec in records:
         q = rec.section_point + np.array([2e-3, -1e-3])
-        _, _, jac, _, _, _ = poincare_return(p, q, SPEC)
+        jac = poincare_return(p, q, SPEC).jac
         fd = np.empty((2, 2))
         for j in range(2):
             dq = np.zeros(2)
             dq[j] = h
-            hi = poincare_return(p, q + dq, SPEC)[0]
-            lo = poincare_return(p, q - dq, SPEC)[0]
+            hi = poincare_return(p, q + dq, SPEC).point
+            lo = poincare_return(p, q - dq, SPEC).point
             fd[:, j] = (hi - lo) / (2.0 * h)
         assert np.max(np.abs(jac - fd)) < 1e-7
 
@@ -364,8 +380,8 @@ def test_monodromy_determinant_obeys_liouville(eps):
     roots = predicted_roots(THREE_ORBIT.a2, THREE_ORBIT.b2,
                             THREE_ORBIT.delta).roots
     for r, w in roots:
-        _, flight, _, phi, _, _ = poincare_return(p, (eps * w, eps * r), SPEC)
-        assert abs(np.linalg.det(phi) - np.exp(-p.a * flight)) < 1e-11
+        ret = poincare_return(p, (eps * w, eps * r), SPEC)
+        assert abs(np.linalg.det(ret.phi) - np.exp(-p.a * ret.flight)) < 1e-11
 
 
 def test_leg_transition_matches_dop853():
@@ -381,21 +397,20 @@ def test_leg_transition_matches_dop853():
     starts = [(EPS * w, EPS * r) for r, w in roots] + [(0.0, 0.447),
                                                        (0.12, 0.5)]
     for q in starts:
-        _, flight, _, phi, _, _ = poincare_return(p, q, SPEC)
+        ret = poincare_return(p, q, SPEC)
         s0 = np.concatenate([(q[0], q[1], 0.0), np.eye(3).ravel()])
-        sol = solve_ivp(variational_rhs(p), (0.0, flight), s0,
+        sol = solve_ivp(variational_rhs(p), (0.0, ret.flight), s0,
                         method="DOP853", rtol=1e-13, atol=1e-13)
-        assert np.max(np.abs(sol.y[3:, -1].reshape(3, 3) - phi)) < 1e-10
+        assert np.max(np.abs(sol.y[3:, -1].reshape(3, 3) - ret.phi)) < 1e-10
 
 
 def test_shoot_reports_the_return_at_the_fixed_point(records):
     """Period and residual are those of the return map at the fixed point."""
     p = unfold(THREE_ORBIT, EPS)
     for rec in records:
-        returned, flight, _, _, _, _ = poincare_return(p, rec.section_point,
-                                                    SPEC)
-        assert rec.period == flight
-        assert rec.residual == float(np.linalg.norm(returned
+        ret = poincare_return(p, rec.section_point, SPEC)
+        assert rec.period == ret.flight
+        assert rec.residual == float(np.linalg.norm(ret.point
                                                     - rec.section_point))
 
 
@@ -442,7 +457,7 @@ def test_flow_starts_on_the_section_and_joins_its_steps(records,
     p = unfold(THREE_ORBIT, EPS)
     for q in [rec.section_point for rec in records] + [(0.05, 0.35)]:
         lengths.clear()
-        flow = poincare_return(p, q, SPEC)[4]
+        flow = poincare_return(p, q, SPEC).flow
         assert np.array_equal(flow(np.array([0.0]))[0], [q[0], q[1], 0.0])
         starts = np.array(list(accumulate(lengths[:-1])))
         assert len(starts) > 5
@@ -484,8 +499,8 @@ def test_section_image_seed_misses_by_order_eps4(u, monkeypatch):
             seed = starts[0]
             p = unfold(u, eps)
             for _ in range(2):
-                returned, _, jac, _, _, _ = poincare_return(p, q, tight)
-                q = q + np.linalg.solve(jac - np.eye(2), q - returned)
+                ret = poincare_return(p, q, tight)
+                q = q + np.linalg.solve(ret.jac - np.eye(2), q - ret.point)
             misses.append(np.linalg.norm(q - seed))
         assert misses[0] > 8.0 * misses[1] > 64.0 * misses[2], (root, misses)
 
@@ -715,19 +730,20 @@ def test_the_mirror_orbit_integrates_one_new_leg(records, monkeypatch):
     assert rec.seed_candidate == "mirror"
     assert (rec.returns, len(legs), len(transitions)) == (1, 1, 1)
     (start, new_leg), = legs
-    assert np.array_equal(start, -rec.mirror_leg[0])
+    assert np.array_equal(start, rec.mirror_leg.start)
     assert all(a is b for a, b in zip(transitions[0], new_leg.steps))
-    assert np.array_equal(rec.section_point, -records[1].mirror_leg[0])
+    assert np.array_equal(rec.section_point, records[1].mirror_leg.start)
 
 
 def check_symmetric_orbit(p, rec):
     """A w = 0 orbit is its own point reflection: it crosses the mirrored
-    section at minus its section point, and by DOP853 from that point the
-    state half a period on is the reflected state, at 16 times over the
-    first half period."""
+    section at m, minus its section point q to |m + q| < SHOOT_TOL / 2, the
+    bound of Newton on the half map (m is minus the start of the record's
+    mirror_leg), and by DOP853 from that point the state half a period on
+    is the reflected state, at 16 times over the first half period."""
     assert rec.seed[1] == 0.0
-    mirror, _ = rec.mirror_leg
-    assert np.max(np.abs(mirror + rec.section_point)) < shooting.SHOOT_TOL
+    assert np.linalg.norm(rec.section_point - rec.mirror_leg.start) \
+        < shooting.SHOOT_TOL / 2
     half = 0.5 * rec.period
     t = np.linspace(0.0, half, 16, endpoint=False)
     states = dop853_states(p, [*rec.section_point, 0.0],
@@ -747,11 +763,11 @@ def test_half_map_newton_stops_at_half_the_shooting_tolerance(records,
     new leg then passes SHOOT_TOL, with no second full return."""
     rec = records[0]
     p = unfold(THREE_ORBIT, EPS)
-    jac = half_return(p, rec.section_point, SPEC)[2]
-    # T(q) - q is about (dT/dq - I)(q - q*), with dT/dq = -dM/dq
+    jac = half_return(p, rec.section_point, SPEC).jac
+    # T(q) - q is about (dT/dq - I)(q - q*)
     start = rec.section_point + np.linalg.solve(
-        -jac - np.eye(2), [0.75 * shooting.SHOOT_TOL, 0.0])
-    displacement = np.linalg.norm(-half_return(p, start, SPEC)[0] - start)
+        jac - np.eye(2), [0.75 * shooting.SHOOT_TOL, 0.0])
+    displacement = half_return(p, start, SPEC).residual
     assert shooting.SHOOT_TOL / 2 < displacement < shooting.SHOOT_TOL
     full, halves = [], []
 
@@ -815,7 +831,8 @@ def shifted_returns(monkeypatch, shift):
     def shifted(p, q, spec, first=None):
         starts.append(q)
         ret = poincare_return(p, q, spec, first)
-        return (ret[0] + [0.0, shift], *ret[1:])
+        moved = ret.second._replace(point=ret.second.point + [0.0, shift])
+        return ret._replace(second=moved)
 
     monkeypatch.setattr(shooting, "poincare_return", shifted)
     return starts
@@ -835,8 +852,8 @@ def test_a_located_w0_orbit_is_its_own_reflection_to_half_the_tolerance(
                for entry in sweep_epsilon(u, eps_list, SPEC).entries
                for rec in entry.records.values() if rec.seed[1] == 0.0]
     for rec in located:
-        mirror, _ = rec.mirror_leg
-        assert np.linalg.norm(mirror + rec.section_point) \
+        # m + q, for m minus the start of the second half
+        assert np.linalg.norm(rec.section_point - rec.mirror_leg.start) \
             < shooting.SHOOT_TOL / 2
     assert len(located) == (2 if shift == 0.0 else 0)
 
@@ -893,11 +910,11 @@ def test_record_reports_newton_step_and_trivial_defect(records):
         # a w = 0 orbit is accepted on the return that completes the last
         # half return of Newton on T, from q
         first = half_return(p, q, SPEC) if rec.seed[1] == 0.0 else None
-        returned, _, jac, mono, _, _ = poincare_return(p, q, SPEC, first)
-        step = np.linalg.solve(jac - np.eye(2), q - returned)
+        ret = poincare_return(p, q, SPEC, first)
+        step = np.linalg.solve(ret.jac - np.eye(2), q - ret.point)
         assert rec.newton_step == float(np.linalg.norm(step))
         assert rec.trivial_multiplier_defect == float(
-            np.min(np.abs(np.linalg.eigvals(mono) - 1.0)))
+            np.min(np.abs(np.linalg.eigvals(ret.phi) - 1.0)))
         assert rec.trivial_multiplier_defect < 1e-6
 
 
@@ -1004,8 +1021,8 @@ def test_odd_symmetry_maps_the_plus_w_orbit_onto_the_minus_w_orbit(r, w,
     plus, minus = result.entries[0].records[0], result.entries[0].records[1]
     assert minus.seed_candidate == "mirror"
     p = unfold(u, EPS)
-    crossing = poincare_return(p, plus.section_point, SPEC)[5][0]
-    assert np.max(np.abs(-crossing - minus.section_point)) < 1e-9
+    reflected = poincare_return(p, plus.section_point, SPEC).first.point
+    assert np.max(np.abs(reflected - minus.section_point)) < 1e-9
     alone = shoot_orbit(u, EPS, minus.seed, SPEC)
     assert alone.seed_candidate == "section-image"
     assert np.max(np.abs(alone.section_point - minus.section_point)) < 1e-9
