@@ -72,6 +72,9 @@ MAX_SAMPLES = 2 ** 18
 #: residual bound for accepting a converged root
 ROOT_TOL = 1e-10
 
+#: accepted Newton steps a seed of find_roots may take before it fails
+NEWTON_MAX_ITER = 60
+
 #: below this |jac_det| a root's degree sign is DEGENERATE
 DET_TOL = 1e-8
 
@@ -321,13 +324,13 @@ def _newton_steps(jac: np.ndarray, f: np.ndarray) -> np.ndarray:
         return steps
 
 
-def _damped_newton(fun: Callable, seeds, max_iter: int = 60) -> list:
+def _damped_newton(fun: Callable, seeds) -> list:
     """Newton with step halving from every seed at once.
 
     seeds has shape (k, n). Each seed runs its own iteration: at most
-    max_iter accepted steps, each the full Newton step or one of its first
-    29 halvings, and it fails on its own when its step is singular or not
-    finite. All trial points of a round go to fun together, with their
+    NEWTON_MAX_ITER accepted steps, each the full Newton step or one of its
+    first 29 halvings, and it fails on its own when its step is singular or
+    not finite. All trial points of a round go to fun together, with their
     central-difference neighbours (see _value_and_jacobian), so a round
     costs one call of fun and an accepted point carries its Jacobian to
     the next step. Returns, per seed in order, (z, |fun(z)|, Jacobian at
@@ -354,7 +357,7 @@ def _damped_newton(fun: Callable, seeds, max_iter: int = 60) -> list:
         # only a seed at a new point can have done, or when it stalled even
         # with the smallest damped step, which only a retrying seed can have
         done = res < ROOT_TOL
-        stop = done | (iters == max_iter) | (lam == 0.5 ** 30)
+        stop = done | (iters == NEWTON_MAX_ITER) | (lam == 0.5 ** 30)
         new = (fresh & ~stop).nonzero()[0]
         if len(new):
             steps = _newton_steps(jac.take(new, 0), fz.take(new, 0))

@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands classify, average, orbits and sweep drive the full pipeline
-from a JSON config file. Every command writes a summary.json into the
-output directory; a run refused on the hypotheses, or an average whose
-quadrature did not converge, records why under "error". average
+from a JSON config file. A command fills in a summary document and
+returns its exit code; main writes the document once, as summary.json in
+the output directory, after the command returns or is refused. A run
+refused on the hypotheses (exit 2), or an average whose quadrature did not
+converge (exit 3), records why under "error". average
 additionally writes average_table.csv: a header and 400 rows, one per
 point of the 20 x 20 (r, w) grid, with every number at 17 significant
 digits, the same format as the traces. orbits and sweep additionally
@@ -14,9 +16,9 @@ Output is deterministic: re-running a command with the same config
 produces byte-identical files.
 
 orbits and sweep both run shooting.sweep_epsilon, which checks the
-theorem's hypotheses before it shoots. Where it refuses they exit 2 and
-write only summary.json; otherwise they take the case label and the roots
-from the prediction it returns.
+theorem's hypotheses before it shoots. Where it refuses they write only
+summary.json, with case degenerate on a collapse boundary; otherwise they
+take the case label and the roots from the prediction it returns.
 
 Exit codes: 0 ok, 1 config error or unwritable output, 2 hypothesis
 violation, 3 oracle mismatch or unconverged quadrature, 4 shooting
@@ -110,28 +112,6 @@ _REFUSAL_TEXT = {"HypothesisViolated": "hypothesis violated",
                  "DegeneratePrediction": "degenerate prediction"}
 
 
-def _refuse(out_dir: Path, doc: dict, args, exc: HypothesisViolated) -> int:
-    """Write a summary recording why the run was refused; exit code 2."""
-    kind = type(exc).__name__
-    doc["error"] = {"kind": kind, "reason": str(exc)}
-    _say(args, f"{_REFUSAL_TEXT[kind]}: {exc}")
-    _write_summary(out_dir, doc, args)
-    return EXIT_HYPOTHESIS
-
-
-def _shoot(u, eps_list, spec, out_dir: Path, doc: dict, args):
-    """sweep_epsilon with its case label in doc; None once refused."""
-    try:
-        result = sweep_epsilon(u, eps_list, spec)
-    except HypothesisViolated as exc:
-        if isinstance(exc, DegeneratePrediction):
-            doc["case"] = OrbitCount.DEGENERATE
-        _refuse(out_dir, doc, args, exc)
-        return None
-    doc["case"] = result.prediction.count
-    return result
-
-
 def _write_csv(path: Path, header: str, rows: str, values: list) -> None:
     """The header line, then rows % values.
 
@@ -184,8 +164,7 @@ def _require_unfolding(cfg: RunConfig):
     return cfg.unfolding
 
 
-def cmd_classify(cfg: RunConfig, out_dir: Path, args) -> int:
-    doc: dict = {"command": "classify", "config": to_dict(cfg)}
+def cmd_classify(cfg: RunConfig, out_dir: Path, doc: dict, args) -> int:
     if cfg.params is not None:
         points = []
         zero_hopf = False
@@ -205,7 +184,6 @@ def cmd_classify(cfg: RunConfig, out_dir: Path, args) -> int:
         doc["verdict"] = ("zero-Hopf equilibrium at the origin" if zero_hopf
                           else "no zero-Hopf equilibrium")
         _say(args, f"verdict: {doc['verdict']}")
-        _write_summary(out_dir, doc, args)
         return EXIT_OK
 
     u = _require_unfolding(cfg)
@@ -219,17 +197,13 @@ def cmd_classify(cfg: RunConfig, out_dir: Path, args) -> int:
     if cfg.eps is not None:
         p = unfold(u, cfg.eps)
         doc["unfolded"] = {"eps": cfg.eps, "a": p.a, "b": p.b, "c": p.c}
-    try:
-        prediction = predicted_roots(u.a2, u.b2, u.delta)
-    except HypothesisViolated as exc:
-        return _refuse(out_dir, doc, args, exc)
+    prediction = predicted_roots(u.a2, u.b2, u.delta)
     doc["case"] = prediction.count
     doc["roots"] = [list(root) for root in prediction.roots]
     doc["jacobian_determinants"] = list(prediction.jac_dets)
     if prediction.degenerate_reason is not None:
         doc["degenerate_reason"] = prediction.degenerate_reason
     _say(args, f"case: {prediction.count.value}, roots: {doc['roots']}")
-    _write_summary(out_dir, doc, args)
     return EXIT_OK
 
 
@@ -241,39 +215,35 @@ def _relative_deviation(dev: np.ndarray, closed: np.ndarray) -> float:
     closed the closed values, components first. That is the scale of the
     (N, 2N) check of averaging, and g grows like delta^-5. A NaN ratio
     anywhere, inf / inf included (a finite numeric value against an
-    infinite closed one), makes it NaN, which fails the oracle.
+    infinite closed one), makes it NaN, which fails the oracle;
+    cmd_average calls it with numpy's invalid-value warning off.
     """
-    with np.errstate(invalid="ignore"):  # inf / inf
-        relative = dev / np.maximum(1.0, np.abs(closed).max(axis=0))
+    relative = dev / np.maximum(1.0, np.abs(closed).max(axis=0))
     return float(np.max(relative))
 
 
-def cmd_average(cfg: RunConfig, out_dir: Path, args) -> int:
+def cmd_average(cfg: RunConfig, out_dir: Path, doc: dict, args) -> int:
     u = _require_unfolding(cfg)
     sys_first = jerk_standard_form(u)
     slice_u = replace(u, a1=0.0, b1=0.0)
     sys_second = jerk_standard_form(slice_u)
 
-    doc = {
-        "command": "average",
-        "config": to_dict(cfg),
-        "grid": {"r": [GRID_R[0], GRID_R[1], GRID_N],
-                 "w": [GRID_W[0], GRID_W[1], GRID_N]},
-    }
+    doc["grid"] = {"r": [GRID_R[0], GRID_R[1], GRID_N],
+                   "w": [GRID_W[0], GRID_W[1], GRID_N]}
     z = np.array(np.meshgrid(np.linspace(*GRID_R, GRID_N),
                              np.linspace(*GRID_W, GRID_N), indexing="ij"))
-    try:
-        f_num = average_first(sys_first, z, cfg.quadrature)
-        g_num = average_second(sys_second, z, cfg.quadrature)
-    except QuadratureNotConverged as exc:
-        doc["error"] = {"kind": type(exc).__name__, "reason": str(exc)}
-        print(f"quadrature not converged: {exc}", file=sys.stderr)
-        _write_summary(out_dir, doc, args)
-        return EXIT_ORACLE
-    f_ref = f_closed(*z, u.a1, u.b1, u.delta)
-    g_ref = g_closed(*z, u.a2, u.b2, u.delta)
-    dev_f = np.abs(f_num - f_ref).max(axis=0)
-    dev_g = np.abs(g_num - g_ref).max(axis=0)
+    f_num = average_first(sys_first, z, cfg.quadrature)
+    g_num = average_second(sys_second, z, cfg.quadrature)
+    # extreme coefficients (a1 = 1e307) overflow the closed forms, and an
+    # infinite closed value makes a NaN or infinite deviation and ratio
+    # (inf - inf, inf / inf): written as null, they fail the oracle
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_ref = f_closed(*z, u.a1, u.b1, u.delta)
+        g_ref = g_closed(*z, u.a2, u.b2, u.delta)
+        dev_f = np.abs(f_num - f_ref).max(axis=0)
+        dev_g = np.abs(g_num - g_ref).max(axis=0)
+        rel_first = _relative_deviation(dev_f, f_ref)
+        rel_second = _relative_deviation(dev_g, g_ref)
     dev_first, dev_second = float(dev_f.max()), float(dev_g.max())
     # r and f1_closed vary along the first grid axis only, w and f2_closed
     # along the second, so _average_rows formats each of them once
@@ -284,8 +254,6 @@ def cmd_average(cfg: RunConfig, out_dir: Path, args) -> int:
                              f_ref[0][:, 0].tolist(), f_ref[1][0].tolist()),
                np.stack([*f_num, *g_num, *g_ref], axis=-1).ravel().tolist())
 
-    rel_first = _relative_deviation(dev_f, f_ref)
-    rel_second = _relative_deviation(dev_g, g_ref)
     ok = rel_first <= ORACLE_TOL and rel_second <= ORACLE_TOL
     doc.update({
         "max_abs_dev_first": dev_first,
@@ -300,20 +268,16 @@ def cmd_average(cfg: RunConfig, out_dir: Path, args) -> int:
             "form is defined on that slice")
     _say(args, f"max relative deviation: first {rel_first:.3e}, "
                f"second {rel_second:.3e} (tolerance {ORACLE_TOL:g})")
-    _write_summary(out_dir, doc, args)
     return EXIT_OK if ok else EXIT_ORACLE
 
 
-def cmd_orbits(cfg: RunConfig, out_dir: Path, args) -> int:
+def cmd_orbits(cfg: RunConfig, out_dir: Path, doc: dict, args) -> int:
     u = _require_unfolding(cfg)
     if cfg.eps is None:
         raise ConfigError("orbits needs 'eps'; use the sweep command for eps_list")
-    doc: dict = {"command": "orbits", "config": to_dict(cfg)}
-    result = _shoot(u, [cfg.eps], cfg.integrator, out_dir, doc, args)
-    if result is None:
-        return EXIT_HYPOTHESIS
-
+    result = sweep_epsilon(u, [cfg.eps], cfg.integrator)
     prediction = result.prediction
+    doc["case"] = prediction.count
     entry = result.entries[0]
     orbits = []
     for i, root in enumerate(prediction.roots):
@@ -331,19 +295,15 @@ def cmd_orbits(cfg: RunConfig, out_dir: Path, args) -> int:
     doc["failures"] = entry.failures
     doc["predicted_count"] = len(prediction.roots)
     doc["located_count"] = len(orbits)
-    _write_summary(out_dir, doc, args)
     return EXIT_SHOOTING if entry.failures else EXIT_OK
 
 
-def cmd_sweep(cfg: RunConfig, out_dir: Path, args) -> int:
+def cmd_sweep(cfg: RunConfig, out_dir: Path, doc: dict, args) -> int:
     u = _require_unfolding(cfg)
     if cfg.eps_list is None:
         raise ConfigError("sweep needs 'eps_list' in the config")
-    doc: dict = {"command": "sweep", "config": to_dict(cfg)}
-    result = _shoot(u, cfg.eps_list, cfg.integrator, out_dir, doc, args)
-    if result is None:
-        return EXIT_HYPOTHESIS
-
+    result = sweep_epsilon(u, cfg.eps_list, cfg.integrator)
+    doc["case"] = result.prediction.count
     entries = []
     for entry in result.entries:
         eps_dir = f"sweep/{entry.eps}"
@@ -363,7 +323,6 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, args) -> int:
     doc["monotone"] = result.monotone
     _say(args, f"amplitude slopes: {doc['amp_slopes']}, "
                f"monotone: {result.monotone}")
-    _write_summary(out_dir, doc, args)
     return (EXIT_SHOOTING if any(entry.failures for entry in result.entries)
             else EXIT_OK)
 
@@ -412,7 +371,21 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         out_dir = Path(args.out if args.out is not None else cfg.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out_dir, args)
+        doc = {"command": args.command, "config": to_dict(cfg)}
+        try:
+            code = _COMMANDS[args.command](cfg, out_dir, doc, args)
+        except HypothesisViolated as exc:
+            if isinstance(exc, DegeneratePrediction):
+                doc["case"] = OrbitCount.DEGENERATE
+            doc["error"] = {"kind": type(exc).__name__, "reason": str(exc)}
+            _say(args, f"{_REFUSAL_TEXT[type(exc).__name__]}: {exc}")
+            code = EXIT_HYPOTHESIS
+        except QuadratureNotConverged as exc:
+            doc["error"] = {"kind": type(exc).__name__, "reason": str(exc)}
+            code = EXIT_ORACLE
+            print(f"quadrature not converged: {exc}", file=sys.stderr)
+        _write_summary(out_dir, doc, args)
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

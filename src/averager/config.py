@@ -73,11 +73,14 @@ def _integer(mapping: dict, key: str, where: str) -> int:
 def _parse(cls, node: dict, where: str, required=()):
     """cls built from node, one key per dataclass field.
 
-    Each present key is checked against its field's type; an absent key
-    takes the dataclass default, unless the field has none or is named in
-    required. The dataclass's own ValueError is reported under where; a
-    ConfigError from _number or _integer already names its full path.
+    node must be an object. Each present key is checked against its
+    field's type; an absent key takes the dataclass default, unless the
+    field has none or is named in required. The dataclass's own ValueError
+    is reported under where; a ConfigError from _number or _integer already
+    names its full path.
     """
+    if not isinstance(node, dict):
+        raise ConfigError(f"{where}: expected an object")
     _require_keys(node, {f.name for f in fields(cls)}, where)
     values = {}
     for f in fields(cls):
@@ -107,15 +110,10 @@ def from_dict(doc: dict) -> RunConfig:
     unfolding = None
     params = None
     if "unfolding" in doc:
-        if not isinstance(doc["unfolding"], dict):
-            raise ConfigError("unfolding: expected an object")
         unfolding = _parse(UnfoldingParams, doc["unfolding"], "unfolding",
                            required=("delta",))
     else:
-        node = doc["params"]
-        if not isinstance(node, dict):
-            raise ConfigError("params: expected an object")
-        params = _parse(SystemParams, node, "params")
+        params = _parse(SystemParams, doc["params"], "params")
 
     if "eps" in doc and "eps_list" in doc:
         raise ConfigError("config: 'eps' and 'eps_list' are mutually exclusive")
@@ -136,12 +134,10 @@ def from_dict(doc: dict) -> RunConfig:
             raise ConfigError("eps_list: entries must be strictly decreasing")
         eps_list = tuple(values)
 
-    quad_node = doc.get("quadrature", {})
-    if not isinstance(quad_node, dict):
-        raise ConfigError("quadrature: expected an object")
-    integ_node = doc.get("integrator", {})
-    if not isinstance(integ_node, dict):
-        raise ConfigError("integrator: expected an object")
+    quadrature = _parse(QuadratureSpec, doc.get("quadrature", {}),
+                        "quadrature")
+    integrator = _parse(IntegratorSpec, doc.get("integrator", {}),
+                        "integrator")
     output_dir = doc.get("output_dir", "results")
     if not isinstance(output_dir, str):
         raise ConfigError(f"output_dir: expected a string, got {output_dir!r}")
@@ -151,8 +147,8 @@ def from_dict(doc: dict) -> RunConfig:
         params=params,
         eps=eps,
         eps_list=eps_list,
-        quadrature=_parse(QuadratureSpec, quad_node, "quadrature"),
-        integrator=_parse(IntegratorSpec, integ_node, "integrator"),
+        quadrature=quadrature,
+        integrator=integrator,
         output_dir=output_dir,
     )
 

@@ -140,6 +140,18 @@ def test_type_errors_have_path_context():
         assert message.count(section) == 1, message
 
 
+@pytest.mark.parametrize("block", ["unfolding", "params", "quadrature",
+                                   "integrator"])
+def test_a_block_that_is_not_an_object_is_rejected(block):
+    doc = minimal_doc()
+    if block == "params":
+        del doc["unfolding"]
+    doc[block] = [1.0, 2.0]
+    with pytest.raises(ConfigError) as info:
+        from_dict(doc)
+    assert str(info.value) == f"{block}: expected an object"
+
+
 def test_unrunnable_integrator_budgets_rejected():
     """tol below 100 machine epsilons asks for steps that would only
     resolve round-off, and tol above MAX_TOL locates orbits that drift
