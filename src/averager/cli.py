@@ -31,6 +31,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import replace
 from enum import Enum
 from functools import cache
@@ -38,7 +39,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .averaging import QuadratureNotConverged, average_first, average_second
+from .averaging import (
+    QuadratureAccuracyWarning,
+    QuadratureNotConverged,
+    average_first,
+    average_second,
+)
 from .closed_form import (
     DegeneratePrediction,
     HypothesisViolated,
@@ -232,8 +238,21 @@ def cmd_average(cfg: RunConfig, out_dir: Path, doc: dict, args) -> int:
                    "w": [GRID_W[0], GRID_W[1], GRID_N]}
     z = np.array(np.meshgrid(np.linspace(*GRID_R, GRID_N),
                              np.linspace(*GRID_W, GRID_N), indexing="ij"))
-    f_num = average_first(sys_first, z, cfg.quadrature)
-    g_num = average_second(sys_second, z, cfg.quadrature)
+    caught = []
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", QuadratureAccuracyWarning)
+            f_num = average_first(sys_first, z, cfg.quadrature)
+            g_num = average_second(sys_second, z, cfg.quadrature)
+    finally:
+        # an accuracy warning is one labelled line, without the path and
+        # line of its caller; any other warning is shown as Python would
+        for w in caught:
+            if issubclass(w.category, QuadratureAccuracyWarning):
+                print(f"quadrature accuracy: {w.message}", file=sys.stderr)
+            else:
+                warnings.showwarning(w.message, w.category, w.filename,
+                                     w.lineno)
     # extreme coefficients (a1 = 1e307) overflow the closed forms, and an
     # infinite closed value makes a NaN or infinite deviation and ratio
     # (inf - inf, inf / inf): written as null, they fail the oracle

@@ -52,14 +52,21 @@ an equilibrium.
 The field is a cubic polynomial, so every flow is integrated by a Taylor
 series method (Jorba and Zou, Experimental Mathematics 14, 2005): short
 recurrences give the Taylor coefficients of the state, at two Cauchy
-products per order, and the step polynomials are the dense output. The
-tol of an IntegratorSpec sets every step by Jorba and Zou's rule with
-equal absolute and relative tolerances: the order is ceil(1 - ln(tol) / 2),
-the same for every step of a leg, and the step is the radius of
-convergence estimated from the last two coefficients on the scale
-max(1, |s|_inf), divided by e^2. A half return is one leg of such steps,
-scanned for the first upward crossing of the mirrored section; MAX_STEPS
-bounds the steps of one leg.
+products per order, and the step polynomials are the dense output. As in
+Jorba and Zou's own taylor package, the recurrence of each order is
+generated as straight-line code: _taylor_kernel writes it as one Python
+function and compiles it once per process, at its first use, which costs
+about 1 to 3 ms for the orders 8 to 17 of the tol range. Its Cauchy
+products are summed left to right, as sum() summed floats before Python
+3.12. From 3.12 on, sum() compensates, so there the results may differ
+in the last bits from those of earlier versions of this module, which
+summed with sum(). The tol of an IntegratorSpec sets every step by Jorba
+and Zou's rule with equal absolute and relative tolerances: the order is
+ceil(1 - ln(tol) / 2), the same for every step of a leg, and the step is
+the radius of convergence estimated from the last two coefficients on
+the scale max(1, |s|_inf), divided by e^2. A half return is one leg of
+such steps, scanned for the first upward crossing of the mirrored
+section; MAX_STEPS bounds the steps of one leg.
 
 The variational equations Phi' = J Phi are linear in Phi, so they need no
 step-by-step recurrence of their own. Each step keeps its x and
@@ -224,29 +231,48 @@ class PeriodicOrbitRecord:
     newton_step: float
 
 
-def _taylor_coefficients(p: SystemParams, s: list, order: int):
-    """Taylor coefficients of the flow at s, and of y^2 - x^2.
+def _cauchy(u: str, v: str, k: int) -> str:
+    """Source of the k-th coefficient of the Cauchy product of the series
+    u and v, 0.0 + u0 vk + u1 v(k-1) + ... + uk v0, added left to right."""
+    return "(0.0 + " + " + ".join(f"{u}{j} * {v}{k - j}"
+                                  for j in range(k + 1)) + ")"
 
-    Returns the lists x, y and z of the order + 1 coefficients of each
-    coordinate, and the list of the coefficients 0 to order - 1 of
-    y^2 - x^2. z' = -a z - b x + c y + x (y^2 - x^2) takes two Cauchy
-    products per order: y^2 - x^2 as (y - x)(y + x), and x (y^2 - x^2).
-    The x and y^2 - x^2 series are all _jacobian_series needs.
+
+@cache
+def _taylor_kernel(order: int) -> Callable:
+    """The Taylor recurrence of the flow to this order, as a function.
+
+    The function kernel(a, b, c, s) returns the lists x, y and z of the
+    order + 1 Taylor coefficients of each coordinate of the flow of
+    SystemParams(a, b, c) at the state s, and the list of the coefficients
+    0 to order - 1 of y^2 - x^2. z' = -a z - b x + c y + x (y^2 - x^2)
+    takes two Cauchy products per order: y^2 - x^2 as (y - x)(y + x), and
+    x (y^2 - x^2). The x and y^2 - x^2 series are all _jacobian_series
+    needs.
+
+    The recurrence is written out for this order as straight-line source,
+    every coefficient a local variable and every 1 / (k + 1) a literal, and
+    compiled once, at its first use. Each Cauchy product is summed from
+    0.0 left to right, which is the order of sum() before Python 3.12.
     """
-    a, b, c = p.a, p.b, p.c
-    x, y, z = [s[0]], [s[1]], [s[2]]
-    minus, plus = [s[1] - s[0]], [s[1] + s[0]]  # y - x, y + x
-    quad = []  # y^2 - x^2
+    # mk, pk and qk are the k-th coefficients of y - x, y + x and y^2 - x^2
+    lines = ["def kernel(a, b, c, s):", "    x0, y0, z0 = s"]
     for k in range(order):
-        quad.append(sum(map(mul, minus, reversed(plus))))
-        inv = 1.0 / (k + 1)
-        z.append((c * y[k] - b * x[k] - a * z[k]
-                  + sum(map(mul, x, reversed(quad)))) * inv)
-        x.append(y[k] * inv)
-        y.append(z[k] * inv)
-        minus.append(y[-1] - x[-1])
-        plus.append(y[-1] + x[-1])
-    return x, y, z, quad
+        inv = repr(1.0 / (k + 1))
+        lines += [f"    m{k} = y{k} - x{k}",
+                  f"    p{k} = y{k} + x{k}",
+                  f"    q{k} = {_cauchy('m', 'p', k)}",
+                  f"    z{k + 1} = (c * y{k} - b * x{k} - a * z{k} + "
+                  f"{_cauchy('x', 'q', k)}) * {inv}",
+                  f"    x{k + 1} = y{k} * {inv}",
+                  f"    y{k + 1} = z{k} * {inv}"]
+    series = [", ".join(f"{u}{k}" for k in range(order + 1)) for u in "xyz"]
+    quad = ", ".join(f"q{k}" for k in range(order))
+    lines.append(f"    return [{series[0]}], [{series[1]}], [{series[2]}], "
+                 f"[{quad}]")
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    return namespace["kernel"]
 
 
 @cache
@@ -261,7 +287,7 @@ def _jacobian_series(p: SystemParams, xs: list, quads: list) -> np.ndarray:
     """Taylor series of the entries of row 2 of J on every step of a leg.
 
     xs and quads hold the x and y^2 - x^2 coefficients of each step, from
-    _taylor_coefficients. The entries that vary along the flow are
+    _taylor_kernel. The entries that vary along the flow are
     -b + y^2 - 3 x^2 = -b + (y^2 - x^2) - 2 x^2 and c + 2 x y, and as
     x' = y, 2 x y is (x^2)', whose k-th coefficient is (k + 1) (x^2)_{k+1}.
     So x^2 is the one series left to build: one batched product of the
@@ -403,6 +429,7 @@ def _leg(p: SystemParams, q, spec: IntegratorSpec) -> _Leg:
     steps. Raises the errors of half_return.
     """
     order = math.ceil(1.0 - 0.5 * math.log(spec.tol))
+    kernel = _taylor_kernel(order)
     powers = range(order + 1)
     fraction_powers = _fraction_powers(order)
     root_low, root_high = 1.0 / (order - 1), 1.0 / order
@@ -415,7 +442,7 @@ def _leg(p: SystemParams, q, spec: IntegratorSpec) -> _Leg:
             raise StepLimitExceeded(
                 f"more than {MAX_STEPS} steps before t = {RETURN_T_MAX}")
         scale = max(1.0, abs(s[0]), abs(s[1]), abs(s[2]))
-        x, y, z, quad = _taylor_coefficients(p, s, order)
+        x, y, z, quad = kernel(p.a, p.b, p.c, s)
         if not math.isfinite(x[-2] + y[-2] + z[-2] + x[-1] + y[-1] + z[-1]):
             raise StepUnderflow(f"non-finite Taylor coefficients at t = {t:.6g}")
         # the radius of convergence from the last two coefficients

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 import averager
 from averager import cli, shooting
-from averager.averaging import QuadratureAccuracyWarning
 from averager.cli import (
     _average_rows,
     _jsonable,
@@ -152,9 +151,7 @@ def test_collapse_boundary_is_refused_as_degenerate(tmp_path, capsys, command,
     refuses it, and --json prints the refusal's summary.json. Every refused
     or unconverged run goes through the same write: stdout is exactly
     summary.json, which records why under error."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", QuadratureAccuracyWarning)
-        code, out = run(tmp_path, command, doc, extra=["--json"])
+    code, out = run(tmp_path, command, doc, extra=["--json"])
     assert code == expected
     text = (out / "summary.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == text
@@ -472,14 +469,19 @@ def test_config_errors_exit_one(tmp_path):
 
 
 def test_unconverged_quadrature_exits_three(tmp_path, capsys):
-    """The run still writes a strict-JSON summary that records why."""
+    """The run still writes a strict-JSON summary that records why. stderr
+    holds one labelled line per outcome, in order: the accuracy warning of
+    average_first, with no path or line number, then the failure of
+    average_second."""
     doc = {"unfolding": {"a2": 1.0, "b2": 5.0, "delta": 2.0, "c1": 1e5}}
-    with pytest.warns(QuadratureAccuracyWarning):
-        code, out = run(tmp_path, "average", doc)
+    code, out = run(tmp_path, "average", doc)
     assert code == 3
-    err = capsys.readouterr().err
-    assert err.startswith("quadrature not converged: average_second")
-    assert "Traceback" not in err
+    assert capsys.readouterr().err.splitlines() == [
+        "quadrature accuracy: average_first: (N, 2N) agreement only "
+        "7.790e-10 at N=64, z = [8.0, -2.0]",
+        "quadrature not converged: average_second: (N, 2N) disagreement "
+        "1.966e-05 at N=64, z = [8.0, 1.1578947368421053]",
+    ]
     summary = json.loads((out / "summary.json").read_text(encoding="utf-8"),
                          parse_constant=_reject_constant)
     assert summary["command"] == "average"
@@ -487,6 +489,21 @@ def test_unconverged_quadrature_exits_three(tmp_path, capsys):
     assert summary["error"]["reason"].startswith("average_second")
     assert "oracle_ok" not in summary
 
+
+def test_average_passes_other_warnings_on(tmp_path, monkeypatch, capsys):
+    """average turns only quadrature accuracy warnings into stderr lines;
+    a warning of any other kind reaches the caller as a warning."""
+    average_first = cli.average_first
+
+    def warns(*args):
+        warnings.warn("another warning", UserWarning)
+        return average_first(*args)
+
+    monkeypatch.setattr(cli, "average_first", warns)
+    with pytest.warns(UserWarning, match="another warning"):
+        code, _ = run(tmp_path, "average", THREE_ORBIT_DOC)
+    assert code == 0
+    assert capsys.readouterr().err == ""
 
 def test_a_nan_deviation_fails_the_oracle(tmp_path, monkeypatch):
     """A NaN deviation fails the verdict (exit 3), as max(0.0, nan) = 0.0
@@ -561,13 +578,11 @@ DELTA_RUNS = {"classify": {}, "average": {}, "orbits": {"eps": 0.1},
 
 def run_at_delta(command, delta):
     """(exit code, stderr) of command at delta; past the config check
-    summary.json is strict JSON. A QuadratureAccuracyWarning, a labelled
-    outcome, is let through."""
+    summary.json is strict JSON."""
     doc = {"unfolding": {"a2": 1.0, "b2": 5.0, "delta": delta},
            **DELTA_RUNS[command]}
     stderr = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
-        warnings.simplefilter("ignore", QuadratureAccuracyWarning)
+    with tempfile.TemporaryDirectory() as tmp:
         with contextlib.redirect_stderr(stderr):
             code, out = run(Path(tmp), command, doc)
         if code != 1:
@@ -593,10 +608,13 @@ def test_delta_outside_its_range_is_a_config_error(command, delta):
 def test_delta_in_its_range_runs(command, delta):
     """At the bounds, and at 1e15, where the seeds lie so far out that
     the variational series overflow and every candidate fails with
-    StepUnderflow, each command exits with a labelled code and warns of
-    nothing but quadrature accuracy."""
+    StepUnderflow, each command exits with a labelled code, and stderr
+    holds nothing but labelled quadrature lines."""
     code, err = run_at_delta(command, delta)
-    assert code in (0, 3, 4) and "Traceback" not in err
+    assert code in (0, 3, 4)
+    assert all(line.startswith(("quadrature accuracy: ",
+                                "quadrature not converged: "))
+               for line in err.splitlines()), err
 
 
 @settings(max_examples=10)
@@ -697,6 +715,17 @@ def test_orbits_and_sweep_run_without_scipy(tmp_path):
     assert done.stdout.strip() == "[0, 0, 0] []"
     for i in (0, 1):
         assert read_summary(tmp_path / str(i))["located_count"] == 3
+
+
+def test_importing_the_cli_builds_no_taylor_kernel():
+    """The Taylor kernel of each order is generated at its first use, so
+    a fresh import of the CLI, the benchmark's set-up, pays for none."""
+    done = run_fresh(
+        "import averager.cli\n"
+        "from averager import shooting\n"
+        "print(shooting._taylor_kernel.cache_info().currsize)\n"
+    )
+    assert done.stdout == "0\n"
 
 
 #: the stdout progress lines of each command on the showcase, as patterns

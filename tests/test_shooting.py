@@ -219,14 +219,62 @@ def test_two_product_recurrence_matches_the_four_product_one(states, a, b, c):
     assert (ORDERS[0], ORDERS[-1]) == (8, 17)
     p = SystemParams(a, b, c)
     for order in ORDERS:
-        steps = [shooting._taylor_coefficients(p, list(s), order)
-                 for s in states]
+        kernel = shooting._taylor_kernel(order)
+        steps = [kernel(a, b, c, list(s)) for s in states]
         jac = shooting._jacobian_series(p, [x for x, _, _, _ in steps],
                                         [quad for _, _, _, quad in steps])
         for s, (x, y, z, _), step_jac in zip(states, steps, jac):
             ref_state, ref_jac = four_product_series(p, s, order)
             assert relative_gap(np.array([x, y, z]), ref_state) < 1e-13
             assert relative_gap(step_jac, ref_jac) < 1e-13
+
+
+def left_to_right_series(p, s, order):
+    """The state and y^2 - x^2 series of the two-product recurrence, each
+    Cauchy product accumulated left to right from 0.0: the summation order
+    the generated kernel promises on every Python release. sum() is not
+    the reference, since from Python 3.12 it compensates float sums."""
+    def cauchy(u, v):
+        acc = 0.0
+        for a, b in zip(u, reversed(v)):
+            acc += a * b
+        return acc
+
+    x, y, z = [s[0]], [s[1]], [s[2]]
+    minus, plus, quad = [], [], []
+    for k in range(order):
+        minus.append(y[k] - x[k])
+        plus.append(y[k] + x[k])
+        quad.append(cauchy(minus, plus))
+        inv = 1.0 / (k + 1)
+        z.append((p.c * y[k] - p.b * x[k] - p.a * z[k] + cauchy(x, quad))
+                 * inv)
+        x.append(y[k] * inv)
+        y.append(z[k] * inv)
+    return x, y, z, quad
+
+
+def test_taylor_kernel_matches_the_left_to_right_recurrence_bit_for_bit():
+    """At every order the tol range allows, the generated kernel gives the
+    reference's coefficients bit for bit (float.hex), on states from 1e-8
+    to 1e3 and on states so far out that the coefficients overflow to inf
+    or NaN, the StepUnderflow path of a leg."""
+    rng = np.random.default_rng(11)
+    states = np.concatenate([
+        rng.uniform(-1.0, 1.0, (60, 3)) * 10.0 ** rng.uniform(-8, 3, (60, 1)),
+        rng.uniform(-1.0, 1.0, (10, 3)) * 10.0 ** rng.uniform(30, 120, (10, 1)),
+    ]).tolist()
+    params = rng.uniform((-1.0, -8.0, -8.0), (1.0, 8.0, 8.0), (70, 3)).tolist()
+    overflowed = 0
+    for order in ORDERS:
+        kernel = shooting._taylor_kernel(order)
+        for s, (a, b, c) in zip(states, params):
+            got = kernel(a, b, c, list(s))
+            want = left_to_right_series(SystemParams(a, b, c), s, order)
+            assert ([[v.hex() for v in series] for series in got]
+                    == [[v.hex() for v in series] for series in want])
+            overflowed += not all(map(math.isfinite, got[2]))
+    assert overflowed >= len(ORDERS)
 
 
 def test_integrate_linearized_rotation():
