@@ -32,7 +32,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from enum import Enum
 from functools import cache
 from pathlib import Path
@@ -146,22 +146,17 @@ def _average_rows(r: list, w: list, f1: list, f2: list) -> str:
                     for ri, f1i in zip(r, f1) for wj, f2j in zip(w, f2)])
 
 
+def _fields(obj, *drop: str) -> dict:
+    """The dataclass obj's fields by name, without those named in drop."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)
+            if f.name not in drop}
+
+
 def _write_orbit(out_dir: Path, trace: str, rec: PeriodicOrbitRecord) -> dict:
-    """Write rec's trace to out_dir / trace; the orbit's summary record."""
+    """Write rec's trace to out_dir / trace; the orbit's summary record:
+    every field of rec but mirror_leg, with trace the file's name."""
     _write_trace(out_dir / trace, *rec.trace)
-    return {
-        "eps": rec.eps,
-        "section_point": rec.section_point,
-        "period": rec.period,
-        "residual": rec.residual,
-        "newton_step": rec.newton_step,
-        "floquet": rec.floquet,
-        "trivial_multiplier_defect": rec.trivial_multiplier_defect,
-        "seed": rec.seed,
-        "seed_candidate": rec.seed_candidate,
-        "returns": rec.returns,
-        "trace": trace,
-    }
+    return dict(_fields(rec, "mirror_leg"), trace=trace)
 
 
 def _require_unfolding(cfg: RunConfig):
@@ -181,11 +176,7 @@ def cmd_classify(cfg: RunConfig, out_dir: Path, doc: dict, args) -> int:
                 raise ConfigError(
                     f"cannot classify an equilibrium: {exc}") from exc
             zero_hopf = zero_hopf or cls.kind is EquilibriumKind.ZERO_HOPF
-            points.append({
-                "point": list(cls.point),
-                "eigenvalues": cls.eigenvalues,
-                "kind": cls.kind,
-            })
+            points.append(_fields(cls))
         doc["equilibria"] = points
         doc["verdict"] = ("zero-Hopf equilibrium at the origin" if zero_hopf
                           else "no zero-Hopf equilibrium")
@@ -195,14 +186,9 @@ def cmd_classify(cfg: RunConfig, out_dir: Path, doc: dict, args) -> int:
     u = _require_unfolding(cfg)
     base = unfold(u, 0.0)
     cls = classify_equilibrium(base, (0.0, 0.0, 0.0))
-    doc["base_point"] = {
-        "params": {"a": base.a, "b": base.b, "c": base.c},
-        "eigenvalues": cls.eigenvalues,
-        "kind": cls.kind,
-    }
+    doc["base_point"] = dict(_fields(cls, "point"), params=_fields(base))
     if cfg.eps is not None:
-        p = unfold(u, cfg.eps)
-        doc["unfolded"] = {"eps": cfg.eps, "a": p.a, "b": p.b, "c": p.c}
+        doc["unfolded"] = dict(_fields(unfold(u, cfg.eps)), eps=cfg.eps)
     prediction = predicted_roots(u.a2, u.b2, u.delta)
     doc["case"] = prediction.count
     doc["roots"] = [list(root) for root in prediction.roots]

@@ -118,8 +118,10 @@ MAX_NEWTON_ITER = 25
 MAX_SEED_SHIFT = 0.25
 
 #: largest distance between the section points of two records at one
-#: eps that are taken for one orbit
-DUPLICATE_TOL = 1e-6
+#: eps that are taken for one orbit, in units of eps: distinct orbits lie
+#: about eps |w - w', r - r'| apart, at least 1.55 eps on the showcase and
+#: the benchmark bases, and the largest newton_step there is 4.9e-7 eps
+DUPLICATE_TOL = 1e-5
 
 #: total flight-time budget of one return to the section
 RETURN_T_MAX = 100.0
@@ -906,7 +908,7 @@ def sweep_epsilon(
     that order (see shoot_orbit). Shooting failures are recorded per entry
     without aborting the sweep; a -w2 orbit whose partner failed is shot
     from its section image. An orbit whose section point lies within
-    DUPLICATE_TOL of an earlier root's at the same eps is that root's
+    DUPLICATE_TOL * eps of an earlier root's at the same eps is that root's
     orbit, not one of its own: it is recorded as the failure "duplicate of
     orbit j", so that no orbit is counted twice.
 
@@ -945,7 +947,7 @@ def sweep_epsilon(
                 continue
             same = [j for j, other in records.items()
                     if np.linalg.norm(rec.section_point - other.section_point)
-                    <= DUPLICATE_TOL]
+                    <= DUPLICATE_TOL * eps]
             if same:
                 failures[i] = f"duplicate of orbit {same[0]}"
             else:

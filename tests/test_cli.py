@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,9 @@ from averager.cli import (
     main,
 )
 from averager.config import from_dict
+from averager.jerk import EquilibriumClass, SystemParams
 from averager.normal_form import MAX_DELTA, MIN_DELTA
+from averager.shooting import PeriodicOrbitRecord
 
 THREE_ORBIT_DOC = {
     "unfolding": {"a2": 1.0, "b2": 5.0, "delta": 2.0},
@@ -415,6 +418,64 @@ def test_an_orbit_located_for_two_roots_counts_once(tmp_path, monkeypatch):
     assert summary["located_count"] == 2
     assert summary["failures"] == {"2": "duplicate of orbit 1"}
     assert not (out / "orbit_2.csv").exists()
+
+
+@pytest.mark.parametrize("eps", [5e-7, 1e-7])
+def test_distinct_orbits_at_small_eps_are_not_duplicates(tmp_path, eps):
+    """Distinct orbits lie about eps |(w - w', r - r')| apart, so at small
+    eps the showcase's three section points are closer than any fixed
+    distance; each is still its own orbit."""
+    code, out = run(tmp_path, "orbits", dict(THREE_ORBIT_DOC, eps=eps))
+    assert code == 0
+    summary = read_summary(out)
+    assert summary["failures"] == {}
+    assert summary["located_count"] == 3
+
+
+def record_fields(cls, *drop):
+    return {f.name for f in fields(cls)} - set(drop)
+
+
+def test_orbit_records_hold_the_record_fields(tmp_path):
+    """An orbit's summary record is every field of PeriodicOrbitRecord but
+    mirror_leg; orbits adds the root and its Jacobian determinant."""
+    expected = record_fields(PeriodicOrbitRecord, "mirror_leg")
+    (tmp_path / "orbits").mkdir()
+    (tmp_path / "sweep").mkdir()
+    code, out = run(tmp_path / "orbits", "orbits", THREE_ORBIT_DOC)
+    assert code == 0
+    orbits = read_summary(out)["orbits"]
+    assert len(orbits) == 3
+    for orbit in orbits:
+        assert set(orbit) == expected | {"root", "jac_det"}
+    sweep_doc = {"unfolding": THREE_ORBIT_DOC["unfolding"],
+                 "eps_list": [0.1, 0.05]}
+    code, out = run(tmp_path / "sweep", "sweep", sweep_doc)
+    assert code == 0
+    records = [rec for entry in read_summary(out)["entries"]
+               for rec in entry["records"].values()]
+    assert len(records) == 6
+    for rec in records:
+        assert set(rec) == expected
+
+
+def test_classify_writes_the_result_fields(tmp_path):
+    """A params-mode equilibrium is every field of EquilibriumClass, and
+    the base point's and the unfolded system's parameters are the fields
+    of SystemParams."""
+    (tmp_path / "params").mkdir()
+    code, out = run(tmp_path / "params", "classify",
+                    {"params": {"a": 0.0, "b": -4.0, "c": -4.0}})
+    assert code == 0
+    points = read_summary(out)["equilibria"]
+    assert len(points) == 3
+    for point in points:
+        assert set(point) == record_fields(EquilibriumClass)
+    code, out = run(tmp_path, "classify", THREE_ORBIT_DOC)
+    assert code == 0
+    doc = read_summary(out)
+    assert set(doc["base_point"]["params"]) == record_fields(SystemParams)
+    assert set(doc["unfolded"]) == record_fields(SystemParams) | {"eps"}
 
 
 @pytest.mark.parametrize("command, eps", [

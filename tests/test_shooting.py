@@ -988,12 +988,12 @@ def test_a_failed_partner_leaves_the_mirror_orbit_to_its_other_seeds(
 
 def test_an_orbit_located_for_two_roots_is_recorded_once(records,
                                                          monkeypatch):
-    """A record whose section point lies within DUPLICATE_TOL of an earlier
-    record's at the same eps is that orbit again: its root fails as a
-    duplicate, so no orbit is counted twice. Just beyond the bound the
-    record stands."""
-    for shift, duplicate in ((0.9 * shooting.DUPLICATE_TOL, True),
-                             (2.0 * shooting.DUPLICATE_TOL, False)):
+    """A record whose section point lies within DUPLICATE_TOL * eps of an
+    earlier record's at the same eps is that orbit again: its root fails
+    as a duplicate, so no orbit is counted twice. Just beyond the bound
+    the record stands."""
+    for shift, duplicate in ((0.9 * shooting.DUPLICATE_TOL * EPS, True),
+                             (2.0 * shooting.DUPLICATE_TOL * EPS, False)):
         moved = replace(records[1], section_point=records[1].section_point
                         + np.array([shift, 0.0]))
 
