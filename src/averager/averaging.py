@@ -217,12 +217,15 @@ def _refined_mean(sys: StandardFormSystem, z, q: QuadratureSpec, order: int,
     flat = z.reshape(len(z), -1)
     nodes = (q.nodes, 2 * q.nodes)
     size = max(1, MAX_SAMPLES // nodes[1])
-    if flat.shape[1] <= size:
-        coarse, fine = _means(sys, flat, order, nodes)
-    else:
-        parts = zip(*(_means(sys, flat[:, i:i + size], order, nodes)
-                      for i in range(0, flat.shape[1], size)))
-        coarse, fine = (np.concatenate(means, axis=1) for means in parts)
+    # far out the integrands overflow; a non-finite mean fails the check
+    # below, and the failure names the point
+    with np.errstate(over="ignore", invalid="ignore"):
+        if flat.shape[1] <= size:
+            coarse, fine = _means(sys, flat, order, nodes)
+        else:
+            parts = zip(*(_means(sys, flat[:, i:i + size], order, nodes)
+                          for i in range(0, flat.shape[1], size)))
+            coarse, fine = (np.concatenate(means, axis=1) for means in parts)
     coarse, fine = coarse.reshape(z.shape), fine.reshape(z.shape)
     # thresholds scale with each point's result so that large-amplitude
     # integrands are judged at the precision floating point can deliver,

@@ -217,15 +217,16 @@ def root_corrections(u: UnfoldingParams, roots) -> list:
     if not roots:
         return []
     z0 = np.array(roots, dtype=float).T
-    jac = 2.0 * np.pi * np.moveaxis(
-        g_jacobian(z0[0], z0[1], u.a2, u.b2, u.delta), 2, 0)
 
     def newton(f):
         return -np.linalg.solve(jac, f.T[:, :, None])[:, :, 0].T
 
-    # far out, as at a2 = 1e300, the averages overflow: the corrections
-    # are then not finite, and shoot_orbit drops such a seed shift
+    # far out, as at a2 = 1e300, Dg and the averages overflow: the
+    # corrections are then not finite, and shoot_orbit drops such a seed
+    # shift
     with np.errstate(over="ignore", invalid="ignore"):
+        jac = 2.0 * np.pi * np.moveaxis(
+            g_jacobian(z0[0], z0[1], u.a2, u.b2, u.delta), 2, 0)
         f3, f4, df3, d2f2 = higher_averages(u, z0)
         z1 = newton(f3)
         z2 = newton(f4 + np.einsum("ijp,jp->ip", df3, z1)

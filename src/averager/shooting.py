@@ -56,7 +56,7 @@ products per order, and the step polynomials are the dense output. As in
 Jorba and Zou's own taylor package, the recurrence of each order is
 generated as straight-line code: _taylor_kernel writes it as one Python
 function and compiles it once per process, at its first use, which costs
-about 1 to 3 ms for the orders 8 to 17 of the tol range. Its Cauchy
+about 1 to 4 ms for the orders 8 to 17 of the tol range. Its Cauchy
 products are summed left to right, as sum() summed floats before Python
 3.12. From 3.12 on, sum() compensates, so there the results may differ
 in the last bits from those of earlier versions of this module, which
@@ -69,14 +69,14 @@ such steps, scanned for the first upward crossing of the mirrored
 section; MAX_STEPS bounds the steps of one leg.
 
 The variational equations Phi' = J Phi are linear in Phi, so they need no
-step-by-step recurrence of their own. Each step keeps its x and
-y^2 - x^2 series, which the state recurrence computes anyway. Once the
-crossing is found, one batched product of the steps' x series gives
-x^2, and with it the Taylor series of the state-dependent entries of J
-on every step. The Taylor coefficients of every step's transition matrix
-then solve one lower-triangular system per step, in one batched solve
-over the leg; Phi is the ordered product of the transitions, each
-evaluated at its step length and the last one at the crossing.
+step-by-step recurrence of their own. The same kernel that gives a
+step's state series gives the Taylor series of the state-dependent
+entries of J, from the y^2 - x^2 series of the state recurrence and one
+more Cauchy product, x^2, and each step keeps them. Once the crossing is
+found, the Taylor coefficients of every step's transition matrix solve
+one lower-triangular system per step, in one batched solve over the leg;
+Phi is the ordered product of the transitions, each evaluated at its
+step length and the last one at the crossing.
 """
 
 from __future__ import annotations
@@ -246,18 +246,22 @@ def _taylor_kernel(order: int) -> Callable:
 
     The function kernel(a, b, c, s) returns the lists x, y and z of the
     order + 1 Taylor coefficients of each coordinate of the flow of
-    SystemParams(a, b, c) at the state s, and the list of the coefficients
-    0 to order - 1 of y^2 - x^2. z' = -a z - b x + c y + x (y^2 - x^2)
-    takes two Cauchy products per order: y^2 - x^2 as (y - x)(y + x), and
-    x (y^2 - x^2). The x and y^2 - x^2 series are all _jacobian_series
-    needs.
+    SystemParams(a, b, c) at the state s, and jac, the Taylor series of the
+    entries of row 2 of J that vary along that flow, each to order terms.
+    z' = -a z - b x + c y + x (y^2 - x^2) takes two Cauchy products per
+    order: y^2 - x^2 as (y - x)(y + x), and x (y^2 - x^2). The entries of
+    J are -b + y^2 - 3 x^2 = -b + (y^2 - x^2) - 2 x^2 and c + 2 x y, and as
+    x' = y, 2 x y is (x^2)', whose k-th coefficient is (k + 1) (x^2)_{k+1}.
+    So x^2 is the one more series J takes: one more Cauchy product per
+    order.
 
     The recurrence is written out for this order as straight-line source,
     every coefficient a local variable and every 1 / (k + 1) a literal, and
     compiled once, at its first use. Each Cauchy product is summed from
     0.0 left to right, which is the order of sum() before Python 3.12.
     """
-    # mk, pk and qk are the k-th coefficients of y - x, y + x and y^2 - x^2
+    # mk, pk, qk and sk are the k-th coefficients of y - x, y + x,
+    # y^2 - x^2 and x^2
     lines = ["def kernel(a, b, c, s):", "    x0, y0, z0 = s"]
     for k in range(order):
         inv = repr(1.0 / (k + 1))
@@ -268,44 +272,17 @@ def _taylor_kernel(order: int) -> Callable:
                   f"{_cauchy('x', 'q', k)}) * {inv}",
                   f"    x{k + 1} = y{k} * {inv}",
                   f"    y{k + 1} = z{k} * {inv}"]
+    lines += [f"    s{k} = {_cauchy('x', 'x', k)}" for k in range(order + 1)]
     series = [", ".join(f"{u}{k}" for k in range(order + 1)) for u in "xyz"]
-    quad = ", ".join(f"q{k}" for k in range(order))
+    jac = [", ".join(["q0 - 2.0 * s0 - b"] + [f"q{k} - 2.0 * s{k}"
+                                               for k in range(1, order)]),
+           ", ".join(["s1 + c"] + [f"{k + 1.0!r} * s{k + 1}"
+                                    for k in range(1, order)])]
     lines.append(f"    return [{series[0]}], [{series[1]}], [{series[2]}], "
-                 f"[{quad}]")
+                 f"([{jac[0]}], [{jac[1]}])")
     namespace = {}
     exec("\n".join(lines), namespace)
     return namespace["kernel"]
-
-
-@cache
-def _antidiagonal_sums(n: int) -> np.ndarray:
-    """The (n * n, n) matrix that sums the flattened outer product of two
-    series along its antidiagonals: their Cauchy product to n terms."""
-    m = np.arange(n)
-    return np.equal.outer(np.add.outer(m, m).ravel(), m).astype(float)
-
-
-def _jacobian_series(p: SystemParams, xs: list, quads: list) -> np.ndarray:
-    """Taylor series of the entries of row 2 of J on every step of a leg.
-
-    xs and quads hold the x and y^2 - x^2 coefficients of each step, from
-    _taylor_kernel. The entries that vary along the flow are
-    -b + y^2 - 3 x^2 = -b + (y^2 - x^2) - 2 x^2 and c + 2 x y, and as
-    x' = y, 2 x y is (x^2)', whose k-th coefficient is (k + 1) (x^2)_{k+1}.
-    So x^2 is the one series left to build: one batched product of the
-    steps' x coefficients, summed along antidiagonals. Returns the
-    (steps, 2, order) array of the two series.
-    """
-    x = np.array(xs)
-    steps, n = x.shape
-    square = ((x[:, :, None] * x[:, None, :]).reshape(steps, -1)
-              @ _antidiagonal_sums(n))
-    jac = np.empty((steps, 2, n - 1))
-    jac[:, 0] = np.array(quads) - 2.0 * square[:, :-1]
-    jac[:, 1] = square[:, 1:] * np.arange(1, n)
-    jac[:, 0, 0] -= p.b
-    jac[:, 1, 0] += p.c
-    return jac
 
 
 @cache
@@ -316,7 +293,7 @@ def _transition_system(order: int):
     Psi(0) = I, has Taylor coefficients u_{k+1} = v_k / (k + 1),
     v_{k+1} = w_k / (k + 1) and
     w_{k+1} = (sum_j J0_j u_{k-j} + J1_j v_{k-j} - a w_k) / (k + 1),
-    where J0 and J1 are the series of _jacobian_series. So
+    where J0 and J1 are the two series of jac from _taylor_kernel. So
     u_m = alpha_m c_m and v_m = beta_m c_{m+1} for the unknowns
     c = (u_0, v_0, w_0, ..., w_order), where alpha_m = 1 / (m (m - 1)) for
     m >= 2, beta_m = 1 / m for m >= 1, and both are 1 below that. The
@@ -347,17 +324,15 @@ def _transition_system(order: int):
     return fixed, basis.reshape(2 * order, n * n), sub, gains
 
 
-def _leg_transition(p: SystemParams, lengths: list, xs: list,
-                    quads: list) -> np.ndarray:
+def _leg_transition(p: SystemParams, lengths: list, jacs: list) -> np.ndarray:
     """Fundamental matrix, from the identity, over the Taylor steps of a leg.
 
-    lengths, xs and quads hold the length and the x and y^2 - x^2
-    coefficients of each step of the leg in order. The steps share one
-    order, so one _jacobian_series call gives the Jacobian series of every
-    step, and one batched solve of _transition_system every step's
+    lengths and jacs hold the length and the Jacobian series jac from
+    _taylor_kernel of each step of the leg in order. The steps share one
+    order, so one batched solve of _transition_system gives every step's
     transition; the matrix is their ordered product.
     """
-    jac = _jacobian_series(p, xs, quads)
+    jac = np.array(jacs)
     steps, _, order = jac.shape
     fixed, basis, sub, gains = _transition_system(order)
     n = len(fixed)
@@ -408,8 +383,8 @@ class _Leg(NamedTuple):
     """A half return integrated without its variational equations.
 
     end is the state (x, y, 0) at the crossing of {z = 0, y < 0}; steps
-    the (lengths, x series, y^2 - x^2 series) of the leg's Taylor steps,
-    all _leg_transition needs; flow as in HalfReturn.
+    the (lengths, Jacobian series) of the leg's Taylor steps, all
+    _leg_transition needs; flow as in HalfReturn.
     """
 
     flight: float
@@ -438,13 +413,13 @@ def _leg(p: SystemParams, q, spec: IntegratorSpec) -> _Leg:
     s = [float(q[0]), float(q[1]), 0.0]
     t = 0.0
     starts, polys = [], []  # start time and (x, y, z) coefficients of each step
-    lengths, xs, quads = [], [], []  # what _leg_transition takes of each step
+    lengths, jacs = [], []  # what _leg_transition takes of each step
     while t < RETURN_T_MAX:
         if len(polys) == MAX_STEPS:
             raise StepLimitExceeded(
                 f"more than {MAX_STEPS} steps before t = {RETURN_T_MAX}")
         scale = max(1.0, abs(s[0]), abs(s[1]), abs(s[2]))
-        x, y, z, quad = kernel(p.a, p.b, p.c, s)
+        x, y, z, jac = kernel(p.a, p.b, p.c, s)
         if not math.isfinite(x[-2] + y[-2] + z[-2] + x[-1] + y[-1] + z[-1]):
             raise StepUnderflow(f"non-finite Taylor coefficients at t = {t:.6g}")
         # the radius of convergence from the last two coefficients
@@ -459,8 +434,7 @@ def _leg(p: SystemParams, q, spec: IntegratorSpec) -> _Leg:
         h = min(h, RETURN_T_MAX - t)
         starts.append(t)
         polys.append((x, y, z))
-        xs.append(x)
-        quads.append(quad)
+        jacs.append(jac)
         h_powers = [h ** k for k in powers]
         landing = None
         # z keeps the sign of z[0] on the whole step where |z[0]| exceeds
@@ -502,7 +476,7 @@ def _leg(p: SystemParams, q, spec: IntegratorSpec) -> _Leg:
             states = states * tau + c
         return states
 
-    return _Leg(t + lengths[-1], state, (lengths, xs, quads), flow)
+    return _Leg(t + lengths[-1], state, (lengths, jacs), flow)
 
 
 class HalfReturn(NamedTuple):

@@ -484,14 +484,33 @@ def test_an_extreme_valid_direction_fails_without_numpy_warnings(
         tmp_path, capsys, command, eps):
     """At (a2, b2, delta) = (1e300, 5, 2) the roots lie near 1e150, where
     the higher averages behind the section-image corrections overflow:
-    the corrections are NaN, shoot_orbit drops the shift, every leg from
-    eps (w, r) fails, and the command exits 4 with an empty stderr, no
-    numpy warning on it."""
-    doc = {"unfolding": {"a2": 1e300, "b2": 5.0, "delta": 2.0}, **eps}
-    code, out = run(tmp_path, command, doc)
-    assert code == 4
-    assert capsys.readouterr().err == ""
-    assert "StepUnderflow" in json.dumps(read_summary(out))
+    the corrections are NaN, shoot_orbit drops the shift, and every leg
+    from eps (w, r) fails with StepUnderflow. At (1e300, -1e300, 1e10) Dg
+    overflows too, and the roots are infinite: every seed is SeedInvalid.
+    Either way the command exits 4 with an empty stderr, no numpy warning
+    on it."""
+    for unfolding, failure in [
+            ({"a2": 1e300, "b2": 5.0, "delta": 2.0}, "StepUnderflow"),
+            ({"a2": 1e300, "b2": -1e300, "delta": 1e10}, "SeedInvalid")]:
+        code, out = run(tmp_path, command, {"unfolding": unfolding, **eps})
+        assert code == 4
+        assert capsys.readouterr().err == ""
+        assert failure in json.dumps(read_summary(out))
+
+
+@pytest.mark.parametrize("unfolding", [
+    {"a2": 0.0, "b2": 1e300, "delta": 1e-50, "c2": 1e300},
+    {"a2": -1.0, "b2": -1e6, "delta": 1e-50, "c1": -1e300, "c2": -0.3}])
+def test_an_overflowing_average_fails_with_one_labelled_line(
+        tmp_path, capsys, unfolding):
+    """Where the integrands of the means overflow, the non-finite mean
+    fails the (N, 2N) check: average exits 3, and stderr holds the one
+    line that names the point, no numpy warning ahead of it."""
+    code, _ = run(tmp_path, "average", {"unfolding": unfolding})
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("quadrature not converged: ")
 
 
 def test_sweep_requires_eps_list(tmp_path):

@@ -214,26 +214,25 @@ coordinate = st.floats(-1.5, 1.5)
        c=st.floats(-8.0, 8.0))
 def test_two_product_recurrence_matches_the_four_product_one(states, a, b, c):
     """At every order the tol range allows, the state series of the two
-    products per order, and the Jacobian series a leg of such steps
-    rebuilds from x^2, match the four-product recurrence to 1e-13."""
+    products per order, and the Jacobian series the kernel builds from
+    x^2, match the four-product recurrence to 1e-13."""
     assert (ORDERS[0], ORDERS[-1]) == (8, 17)
     p = SystemParams(a, b, c)
     for order in ORDERS:
         kernel = shooting._taylor_kernel(order)
-        steps = [kernel(a, b, c, list(s)) for s in states]
-        jac = shooting._jacobian_series(p, [x for x, _, _, _ in steps],
-                                        [quad for _, _, _, quad in steps])
-        for s, (x, y, z, _), step_jac in zip(states, steps, jac):
+        for s in states:
+            x, y, z, jac = kernel(a, b, c, list(s))
             ref_state, ref_jac = four_product_series(p, s, order)
             assert relative_gap(np.array([x, y, z]), ref_state) < 1e-13
-            assert relative_gap(step_jac, ref_jac) < 1e-13
+            assert relative_gap(np.array(jac), ref_jac) < 1e-13
 
 
 def left_to_right_series(p, s, order):
-    """The state and y^2 - x^2 series of the two-product recurrence, each
-    Cauchy product accumulated left to right from 0.0: the summation order
-    the generated kernel promises on every Python release. sum() is not
-    the reference, since from Python 3.12 it compensates float sums."""
+    """The state series of the two-product recurrence and the two rows of
+    J's varying entries built from x^2, each Cauchy product accumulated
+    left to right from 0.0: the summation order the generated kernel
+    promises on every Python release. sum() is not the reference, since
+    from Python 3.12 it compensates float sums."""
     def cauchy(u, v):
         acc = 0.0
         for a, b in zip(u, reversed(v)):
@@ -251,14 +250,20 @@ def left_to_right_series(p, s, order):
                  * inv)
         x.append(y[k] * inv)
         y.append(z[k] * inv)
-    return x, y, z, quad
+    square = [cauchy(x[:k + 1], x[:k + 1]) for k in range(order + 1)]
+    jac_x = [q - 2.0 * sq for q, sq in zip(quad, square)]
+    jac_y = [(k + 1.0) * sq for k, sq in enumerate(square[1:])]
+    jac_x[0] -= p.b
+    jac_y[0] += p.c
+    return x, y, z, jac_x, jac_y
 
 
 def test_taylor_kernel_matches_the_left_to_right_recurrence_bit_for_bit():
     """At every order the tol range allows, the generated kernel gives the
-    reference's coefficients bit for bit (float.hex), on states from 1e-8
-    to 1e3 and on states so far out that the coefficients overflow to inf
-    or NaN, the StepUnderflow path of a leg."""
+    reference's coefficients, state and J rows, bit for bit (float.hex),
+    on states from 1e-8 to 1e3 and on states so far out that the
+    coefficients overflow to inf or NaN, the StepUnderflow path of a
+    leg."""
     rng = np.random.default_rng(11)
     states = np.concatenate([
         rng.uniform(-1.0, 1.0, (60, 3)) * 10.0 ** rng.uniform(-8, 3, (60, 1)),
@@ -269,7 +274,8 @@ def test_taylor_kernel_matches_the_left_to_right_recurrence_bit_for_bit():
     for order in ORDERS:
         kernel = shooting._taylor_kernel(order)
         for s, (a, b, c) in zip(states, params):
-            got = kernel(a, b, c, list(s))
+            x, y, z, jac = kernel(a, b, c, list(s))
+            got = [x, y, z, *jac]
             want = left_to_right_series(SystemParams(a, b, c), s, order)
             assert ([[v.hex() for v in series] for series in got]
                     == [[v.hex() for v in series] for series in want])
@@ -497,9 +503,9 @@ def test_flow_starts_on_the_section_and_joins_its_steps(records,
     lengths = []
     leg_transition = shooting._leg_transition
 
-    def recorded(p, step_lengths, xs, quads):
+    def recorded(p, step_lengths, jacs):
         lengths.extend(step_lengths)
-        return leg_transition(p, step_lengths, xs, quads)
+        return leg_transition(p, step_lengths, jacs)
 
     monkeypatch.setattr(shooting, "_leg_transition", recorded)
     p = unfold(THREE_ORBIT, EPS)
