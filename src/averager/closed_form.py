@@ -144,8 +144,10 @@ def higher_averages(u: UnfoldingParams, z) -> tuple:
         Y4' = F4 + DF3 Y1 + D^2F2[Y1, Y1] / 2 + DF2 Y2 + DF1 Y3,
     every F_k and its derivatives taken at (z, theta), and the averaged
     functions are f_k = Y_k(2 pi), so that f2 = 2 pi g_closed. The F_k are
-    the terms of the geometric expansion of theta_rhs: with C = cos(theta),
-    e = (sin(theta), -1/delta) and h1 = k r C, k = -c1 / delta^2, each is
+    the terms of the geometric expansion in eps of the exact angular field
+    eps H r e / (r + eps C H), with H = h1 + eps h2, C = cos(theta) and
+    e = (sin(theta), -1/delta), whose reference formula is theta_rhs in
+    tests/reference.py. With h1 = k r C, k = -c1 / delta^2, each is
     F_k = phi_k e with
         phi1 = k r C,                   phi2 = h2 - k^2 r C^3,
         phi3 = -2 k C^2 h2 + k^3 r C^5,

@@ -58,16 +58,6 @@ def vector_field(p: SystemParams, s) -> np.ndarray:
     return np.array([y, z, -p.a * z - p.b * x + p.c * y + x * y * y - x ** 3])
 
 
-def jacobian_at(p: SystemParams, s) -> np.ndarray:
-    """Jacobian matrix of the vector field at state s."""
-    x, y, _ = s
-    return np.array([
-        [0.0, 1.0, 0.0],
-        [0.0, 0.0, 1.0],
-        [-p.b + y * y - 3.0 * x * x, p.c + 2.0 * x * y, -p.a],
-    ])
-
-
 def equilibria(p: SystemParams) -> list[np.ndarray]:
     """All equilibria: the origin, plus (+-sqrt(-b), 0, 0) when b < 0.
 

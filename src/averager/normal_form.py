@@ -7,6 +7,13 @@ independent variable. The result is a 2-pi periodic planar system in z = (r, w)
 of the form dz/dtheta = eps F1(z, theta) + eps^2 F2(z, theta) + O(eps^3), which
 is what the averaging engine consumes.
 
+The package runs that chain only as its end result: unfold gives the
+physical parameters, and jerk_standard_form the polynomial tables of F1
+and F2. The step-by-step formulas of the chain, the state scaling, the
+Jordan change, the coupling terms h1 and h2 and the exact angular field
+theta_rhs, are the independent derivation the tables are tested against;
+they live in the test suite, in tests/reference.py.
+
 This module owns the polynomial terms of the standard form: their exponent
 tables (H2_EXPONENTS for h2), h2's theta-coefficients (h2_coefficients)
 and monomials, the one evaluator of an exponent table's monomials and
@@ -26,12 +33,6 @@ import numpy as np
 
 from .jerk import SystemParams
 
-#: below this magnitude eps is considered degenerate for state scaling
-EPS_FLOOR = 1e-300
-
-#: guard for the division by r + eps*cos(theta)*(h1 + eps*h2)
-DENOMINATOR_TOL = 1e-12
-
 #: range of delta accepted. The closed forms and the coefficient tables
 #: take delta to powers up to 6 and down to -6 (the d2 ** 3 of
 #: closed_form.predicted_roots, the s^3 / d^5 row of h2_coefficients
@@ -43,14 +44,6 @@ MIN_DELTA, MAX_DELTA = 1e-50, 1e50
 #: exponents (i, j) of the monomials r^i w^j of h2 at (r cos(theta),
 #: r sin(theta), w), in the order of the rows of h2_coefficients
 H2_EXPONENTS = ((3, 0), (2, 1), (1, 0), (1, 2), (0, 1), (0, 3))
-
-
-class DegenerateEpsilon(ValueError):
-    """eps is too close to zero to divide the state by it."""
-
-
-class SingularDenominator(ValueError):
-    """The angular reduction hit a vanishing denominator."""
 
 
 @dataclass(frozen=True)
@@ -115,91 +108,6 @@ def unfold(u: UnfoldingParams, eps: float) -> SystemParams:
     )
 
 
-def scale_state(s, eps: float) -> np.ndarray:
-    """Blow up a physical state: (X, Y, Z) = (x, y, z) / eps."""
-    if abs(eps) < EPS_FLOOR:
-        raise DegenerateEpsilon(f"cannot scale state by eps = {eps}")
-    return np.asarray(s, dtype=float) / eps
-
-
-def unscale_state(S, eps: float) -> np.ndarray:
-    """Inverse of scale_state: (x, y, z) = eps * (X, Y, Z)."""
-    return eps * np.asarray(S, dtype=float)
-
-
-def jordan_to_xyz(j, delta: float) -> np.ndarray:
-    """Map Jordan coordinates (u, v, w) to the scaled state (X, Y, Z).
-
-    X = w + v/delta, Y = u, Z = -delta*v. At v = 0 the first component is
-    exactly w, so the theta = 0 section image of (r, 0, w) is (w, r, 0).
-    """
-    u, v, w = j
-    return np.array([w + v / delta, u, -delta * v])
-
-
-def xyz_to_jordan(S, delta: float) -> np.ndarray:
-    """Inverse map: u = Y, v = -Z/delta, w = X + Z/delta^2."""
-    X, Y, Z = S
-    return np.array([Y, -Z / delta, X + Z / delta ** 2])
-
-
-def h1(jordan, unfolding: UnfoldingParams):
-    """First order coupling term of the Jordan-form system.
-
-    Linear in (u, v, w); accepts scalars or broadcasting arrays.
-    """
-    u, v, w = jordan
-    d = unfolding.delta
-    return (
-        unfolding.b1 * v / d ** 3
-        - (unfolding.c1 * u - unfolding.b1 * w) / d ** 2
-        - unfolding.a1 * v / d
-    )
-
-
-def h2(jordan, unfolding: UnfoldingParams):
-    """Second order coupling term, cubic in (u, v, w).
-
-    The cubes are written as products: on arrays, ** 3 calls C pow, which
-    is 30 to 70 times slower on negative entries.
-    """
-    u, v, w = jordan
-    d = unfolding.delta
-    return (
-        v * v * v / d ** 5
-        + 3.0 * v ** 2 * w / d ** 4
-        + (unfolding.b2 - u ** 2 + 3.0 * w ** 2) * v / d ** 3
-        - (unfolding.c2 * u + (u ** 2 - unfolding.b2) * w - w * w * w) / d ** 2
-        - unfolding.a2 * v / d
-    )
-
-
-def theta_rhs(cyl, unfolding: UnfoldingParams, eps: float) -> np.ndarray:
-    """Exact (dr/dtheta, dw/dtheta) of the angular system, no truncation.
-
-    Parameters
-    ----------
-    cyl : (r, theta, w) with r > 0
-    unfolding : UnfoldingParams
-    eps : perturbation strength
-
-    Raises
-    ------
-    SingularDenominator when |r + eps*cos(theta)*(h1 + eps*h2)| < 1e-12.
-    """
-    r, theta, w = cyl
-    d = unfolding.delta
-    u, v = r * np.cos(theta), r * np.sin(theta)
-    H = h1((u, v, w), unfolding) + eps * h2((u, v, w), unfolding)
-    den = r + eps * np.cos(theta) * H
-    if abs(den) < DENOMINATOR_TOL:
-        raise SingularDenominator(
-            f"denominator {den:.3e} at r={r}, theta={theta}, eps={eps}"
-        )
-    common = eps * H / den
-    return np.array([common * r * np.sin(theta), -common * r / d])
-
-
 def h2_coefficients(unfolding: UnfoldingParams, sin, cos) -> tuple:
     """The theta-coefficients of h2 over the monomials of H2_EXPONENTS.
 
@@ -240,8 +148,9 @@ def jerk_standard_form(unfolding: UnfoldingParams) -> StandardFormSystem:
     as a seventh monomial, of exponents (-1, 2). Each table is these
     coefficients times (s, -1/delta) on the given nodes; f1, f2 and df1
     are built from the same tables, f1 and f2 as one matmul of the
-    (points, monomials) table with them. h1 and h2 above stay the
-    reference formulas, which theta_rhs uses.
+    (points, monomials) table with them. The reference formulas of h1,
+    h2 and theta_rhs, which the tests hold these tables to, are in
+    tests/reference.py.
     """
     d = unfolding.delta
     # h1 = hu*u + hv*v + hw*w with constant coefficients

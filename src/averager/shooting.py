@@ -127,8 +127,10 @@ DUPLICATE_TOL = 1e-5
 RETURN_T_MAX = 100.0
 
 #: steps of one half return before it raises StepLimitExceeded; the
-#: bound moves no located orbit, it only ends a hopeless leg
-MAX_STEPS = 1_000_000
+#: bound moves no located orbit, it only ends a hopeless leg. On 120
+#: random directions at eps 0.2 to 0.0125, no completed leg of 2139 took
+#: more than 27 steps, the median 8, so the margin is about 370x
+MAX_STEPS = 10_000
 
 #: samples per period in an orbit's trace
 TRACE_SAMPLES = 512
@@ -161,7 +163,8 @@ class StepLimitExceeded(RuntimeError):
 
 class StepUnderflow(RuntimeError):
     """A leg left what double precision resolves: a step too short to
-    resolve, or non-finite Taylor coefficients or Phi."""
+    resolve, non-finite Taylor coefficients or Phi, or a singular step
+    transition."""
 
 
 class NoReturn(RuntimeError):
@@ -578,13 +581,18 @@ def half_return(p: SystemParams, q, spec: IntegratorSpec) -> HalfReturn:
     NoReturn when the flight-time budget RETURN_T_MAX is exhausted without
     a crossing; StepLimitExceeded when the leg needs more than
     MAX_STEPS steps; StepUnderflow when a step falls below what
-    double precision resolves or the Taylor coefficients or Phi are not
-    finite.
+    double precision resolves, the Taylor coefficients or Phi are not
+    finite, or the system of a step's transition is singular.
     """
     leg = _leg(p, q, spec)
-    # far out, the products of the Taylor coefficients can overflow
+    # far out, the products of the Taylor coefficients can overflow, and
+    # the system of a step's transition can be singular
     with np.errstate(over="ignore", invalid="ignore"):
-        phi = _leg_transition(p, *leg.steps)
+        try:
+            phi = _leg_transition(p, *leg.steps)
+        except np.linalg.LinAlgError:
+            raise StepUnderflow(f"singular step transition before "
+                                f"t = {leg.flight:.6g}") from None
     if not np.isfinite(phi).all():
         raise StepUnderflow(f"non-finite Phi at t = {leg.flight:.6g}")
     f = vector_field(p, leg.end)
@@ -775,8 +783,10 @@ def shoot_orbit(
         shift = eps * (z1 + eps * z2)
     except np.linalg.LinAlgError:
         shift = np.zeros(2)
-    if not np.linalg.norm(shift) <= MAX_SEED_SHIFT * r:
-        shift = np.zeros(2)
+    # a huge finite shift overflows its norm to inf, which is dropped too
+    with np.errstate(over="ignore"):
+        if not np.linalg.norm(shift) <= MAX_SEED_SHIFT * r:
+            shift = np.zeros(2)
     candidates.append(("section-image", eps * ((r, w) + shift)[::-1], None))
 
     newton = "Newton on the half map" if w == 0.0 else "Newton"

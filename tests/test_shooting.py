@@ -14,7 +14,7 @@ from averager import shooting
 from averager.closed_form import (DegeneratePrediction, HypothesisViolated,
                                   OrbitCount, predicted_roots,
                                   root_corrections)
-from averager.jerk import SystemParams, jacobian_at, vector_field
+from averager.jerk import SystemParams, vector_field
 from averager.normal_form import UnfoldingParams, unfold
 from averager.shooting import (
     IntegratorSpec,
@@ -27,6 +27,7 @@ from averager.shooting import (
     shoot_orbit,
     sweep_epsilon,
 )
+from reference import jacobian_at
 
 THREE_ORBIT = UnfoldingParams(a2=1.0, b2=5.0, delta=2.0)
 EPS = 0.1
