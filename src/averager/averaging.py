@@ -209,9 +209,10 @@ def _refined_mean(sys: StandardFormSystem, z, q: QuadratureSpec, order: int,
                   what: str) -> np.ndarray:
     """The order-th mean at z, at N and 2N nodes, accepted after the check.
 
-    _means gets z's points flattened, whole when they are at most
-    MAX_SAMPLES // (2N), and otherwise in chunks of that many, each chunk
-    for both node counts.
+    _means gets z's points flattened, in chunks of MAX_SAMPLES // (2N)
+    points, each chunk for both node counts; an empty batch is one empty
+    chunk. The chunks' means are joined on their last axis, the points'
+    axis, which a system whose evaluators return no batch axis also has.
     """
     z = np.asarray(z, dtype=float)
     flat = z.reshape(len(z), -1)
@@ -220,12 +221,9 @@ def _refined_mean(sys: StandardFormSystem, z, q: QuadratureSpec, order: int,
     # far out the integrands overflow; a non-finite mean fails the check
     # below, and the failure names the point
     with np.errstate(over="ignore", invalid="ignore"):
-        if flat.shape[1] <= size:
-            coarse, fine = _means(sys, flat, order, nodes)
-        else:
-            parts = zip(*(_means(sys, flat[:, i:i + size], order, nodes)
-                          for i in range(0, flat.shape[1], size)))
-            coarse, fine = (np.concatenate(means, axis=1) for means in parts)
+        parts = zip(*(_means(sys, flat[:, i:i + size], order, nodes)
+                      for i in range(0, max(1, flat.shape[1]), size)))
+        coarse, fine = (np.concatenate(means, axis=-1) for means in parts)
     coarse, fine = coarse.reshape(z.shape), fine.reshape(z.shape)
     # thresholds scale with each point's result so that large-amplitude
     # integrands are judged at the precision floating point can deliver,

@@ -12,19 +12,20 @@ point q to the first upward crossing m of the mirrored section
 {z = 0, y < 0}, and the reflection -m lies on the section again: that is
 the half map T(q) = -M(q), and half_return gives it as a HalfReturn, with
 its start q, its point T(q) = -m, its flight, its jac dT/dq, its phi and
-its flow. The return map is the odd square of M, P(q) = -M(-M(q)) =
-T(T(q)), and poincare_return gives it as a Return that keeps its two half
-returns, first from q and second from first.point = -m; its point,
-flight, jac, phi, flow and residual are composed from them by name. Each
-half return is one Taylor leg of the state, which gives the crossing and
-the dense output of the flight, and one batched linear solve over the
-steps of that leg, which gives the fundamental matrix Phi of its
-variational equations and the exact Jacobian of M. J is even in the
-state, so a return's phi is Phi2 Phi1, that of its second half times that
-of its first: the monodromy matrix at the fixed point, whose eigenvalues
-are the Floquet multipliers. The accepted return at the fixed point is
-the only integration of a located orbit: its trace is sampled from that
-return's flow.
+its Taylor steps. The return map is the odd square of M, P(q) =
+-M(-M(q)) = T(T(q)), and poincare_return gives it as a Return that keeps
+its two half returns, first from q and second from first.point = -m; its
+point, flight, jac, phi and residual are composed from them by name. The
+flow of either is one Horner pass over the stored steps, those of the
+second half negated. Each half return is one Taylor leg of the state,
+which gives the crossing and the dense output of the flight, and one
+batched linear solve over the steps of that leg, which gives the
+fundamental matrix Phi of its variational equations and the exact
+Jacobian of M. J is even in the state, so a return's phi is Phi2 Phi1,
+that of its second half times that of its first: the monodromy matrix at
+the fixed point, whose eigenvalues are the Floquet multipliers. The
+accepted return at the fixed point is the only integration of a located
+orbit: its trace is sampled from that return's flow.
 
 The w = 0 roots are their own mirror images, and so are their orbits:
 such an orbit closes after half a period up to the reflection, a fixed
@@ -84,6 +85,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate
 from operator import mul
 from typing import Callable, NamedTuple, Optional
 
@@ -386,14 +388,13 @@ class _Leg(NamedTuple):
     """A half return integrated without its variational equations.
 
     end is the state (x, y, 0) at the crossing of {z = 0, y < 0}; steps
-    the (lengths, Jacobian series) of the leg's Taylor steps, all
-    _leg_transition needs; flow as in HalfReturn.
+    and polys as in HalfReturn.
     """
 
     flight: float
     end: list
     steps: tuple
-    flow: Callable
+    polys: list
 
 
 @cache
@@ -415,7 +416,7 @@ def _leg(p: SystemParams, q, spec: IntegratorSpec) -> _Leg:
     root_low, root_high = 1.0 / (order - 1), 1.0 / order
     s = [float(q[0]), float(q[1]), 0.0]
     t = 0.0
-    starts, polys = [], []  # start time and (x, y, z) coefficients of each step
+    polys = []  # the (x, y, z) coefficients of each step
     lengths, jacs = [], []  # what _leg_transition takes of each step
     while t < RETURN_T_MAX:
         if len(polys) == MAX_STEPS:
@@ -435,7 +436,6 @@ def _leg(p: SystemParams, q, spec: IntegratorSpec) -> _Leg:
             raise StepUnderflow(f"step {h:.3g} below the resolution at "
                                 f"t = {t:.6g}")
         h = min(h, RETURN_T_MAX - t)
-        starts.append(t)
         polys.append((x, y, z))
         jacs.append(jac)
         h_powers = [h ** k for k in powers]
@@ -468,18 +468,7 @@ def _leg(p: SystemParams, q, spec: IntegratorSpec) -> _Leg:
         raise NoReturn(f"no crossing of the mirrored section within "
                        f"t_max={RETURN_T_MAX}")
     state[2] = 0.0
-
-    def flow(t):
-        t = np.asarray(t, dtype=float)
-        step = np.searchsorted(starts[1:], t, side="right")
-        tau = (t - np.array(starts)[step])[:, None]
-        coef = np.array(polys).transpose(2, 0, 1)[:, step]
-        states = coef[-1]
-        for c in coef[-2::-1]:
-            states = states * tau + c
-        return states
-
-    return _Leg(t + lengths[-1], state, (lengths, jacs), flow)
+    return _Leg(t + lengths[-1], state, (lengths, jacs), polys)
 
 
 class HalfReturn(NamedTuple):
@@ -487,9 +476,10 @@ class HalfReturn(NamedTuple):
 
     start is q and point is T(q) = -m, for m the crossing of the mirrored
     section; flight is the flight time, jac is dT/dq and phi the
-    fundamental matrix over the flight from (q, 0). flow maps a 1-d array
-    of times in [0, flight] to the (len(t), 3) states there; flow(0) is
-    (q, 0) exactly.
+    fundamental matrix over the flight from (q, 0). steps is the pair
+    (lengths, Jacobian series) of the leg's Taylor steps, in order, that
+    _leg_transition takes, and polys holds each step's (x, y, z) Taylor
+    coefficients; a step starts at the sum of the lengths before it.
     """
 
     start: np.ndarray
@@ -497,11 +487,15 @@ class HalfReturn(NamedTuple):
     flight: float
     jac: np.ndarray
     phi: np.ndarray
-    flow: Callable
+    steps: tuple
+    polys: list
 
     #: |T(q) - q|
     residual = property(
         lambda self: float(np.linalg.norm(self.point - self.start)))
+    #: the (len(t), 3) states at a 1-d array of times in [0, flight], read
+    #: off the step polynomials; flow(0) is (q, 0) exactly
+    flow = lambda self, t: _dense_output((self,), t)
 
 
 class Return(NamedTuple):
@@ -531,17 +525,43 @@ class Return(NamedTuple):
     #: |P(q) - q|
     residual = property(
         lambda self: float(np.linalg.norm(self.point - self.start)))
+    #: the (len(t), 3) states at a 1-d array of times in [0, flight]: the
+    #: first leg up to its flight, then the second leg reflected; flow(0)
+    #: is (q, 0) exactly
+    flow = lambda self, t: _dense_output(self, t)
 
-    def flow(self, t) -> np.ndarray:
-        """The (len(t), 3) states at a 1-d array of times in [0, flight]:
-        the first leg up to its flight, then the second leg reflected;
-        flow(0) is (q, 0) exactly."""
-        t = np.asarray(t, dtype=float)
-        late = t >= self.first.flight
-        states = np.empty((len(t), 3))
-        states[~late] = self.first.flow(t[~late])
-        states[late] = -self.second.flow(t[late] - self.first.flight)
-        return states
+
+def _dense_output(halves, t) -> np.ndarray:
+    """The (len(t), 3) states at a 1-d array of times t along consecutive
+    half returns, the k-th reflected k times, by Horner's rule.
+
+    A time at or past the flights of the halves before it belongs to the
+    next half, and is taken from that half's start by subtracting their
+    sum. Within its half, its step is the last one that starts at or
+    before it, a step starting at the running sum of the lengths before
+    it, the float additions _leg made, and the state is that step's
+    polynomial at the time since the step's start, negated on a reflected
+    half, which is exact. The halves of a Return share one order unless
+    one of them was integrated at another tol; a lower order is padded
+    with zero coefficients.
+    """
+    ends = np.cumsum([0.0] + [h.flight for h in halves[:-1]])
+    half = np.searchsorted(ends[1:], t, side="right")
+    t = np.asarray(t, dtype=float) - ends[half]
+    # each step as the complex number (half, start), and each time as
+    # (half, t): numpy orders complex numbers lexicographically
+    steps = np.array([complex(k, start) for k, h in enumerate(halves)
+                      for start in accumulate(h.steps[0][:-1], initial=0.0)])
+    step = np.searchsorted(steps, half + 1j * t, side="right") - 1
+    coef = np.zeros((len(steps), 3, max(len(h.polys[0][0]) for h in halves)))
+    for k, h in enumerate(halves):
+        coef[steps.real == k, :, :len(h.polys[0][0])] = h.polys
+    t = (t - steps.imag[step])[:, None]
+    states, *lower = coef.transpose(2, 0, 1).take(step, axis=1)[::-1]
+    for c in lower:
+        states *= t
+        states += c
+    return states * (-1.0) ** half[:, None]
 
 
 def half_return(p: SystemParams, q, spec: IntegratorSpec) -> HalfReturn:
@@ -574,7 +594,8 @@ def half_return(p: SystemParams, q, spec: IntegratorSpec) -> HalfReturn:
     the fundamental matrix over the flight from (q, 0); jac is
     dT/dq = -dM/dq, where dM/dq is phi projected along the field f at the
     crossing onto the plane z = 0, (phi - outer(f, phi[2]) / f[2])[:2, :2];
-    flow the Taylor polynomials of the leg's steps by Horner's rule.
+    steps and polys the leg's Taylor steps, which flow samples by Horner's
+    rule.
 
     Raises
     ------
@@ -598,7 +619,7 @@ def half_return(p: SystemParams, q, spec: IntegratorSpec) -> HalfReturn:
     f = vector_field(p, leg.end)
     return HalfReturn(np.asarray(q, dtype=float), -np.array(leg.end[:2]),
                       leg.flight, -(phi - np.outer(f, phi[2]) / f[2])[:2, :2],
-                      phi, leg.flow)
+                      phi, leg.steps, leg.polys)
 
 
 def poincare_return(p: SystemParams, q, spec: IntegratorSpec,

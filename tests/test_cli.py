@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -533,6 +534,61 @@ def test_an_overflowing_average_fails_with_one_labelled_line(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("quadrature not converged: ")
+
+
+def extreme_magnitude(rng):
+    """+-10^U(-300, 300) or U(-10, 10), each with probability 1/2."""
+    if rng.random() < 0.5:
+        return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 300.0)
+    return rng.uniform(-10.0, 10.0)
+
+
+def extreme_direction(rng):
+    """(unfolding, eps): a2 and b2 extreme magnitudes, delta 10^U(-50, 50)
+    or U(0.1, 5), c1 and c2 each an extreme magnitude with probability
+    1/2, and eps one of 0.2, 0.1, 0.01 and 1e-6."""
+    unfolding = {"a2": extreme_magnitude(rng), "b2": extreme_magnitude(rng),
+                 "delta": (10.0 ** rng.uniform(-50.0, 50.0)
+                           if rng.random() < 0.5 else rng.uniform(0.1, 5.0))}
+    for key in ("c1", "c2"):
+        if rng.random() < 0.5:
+            unfolding[key] = extreme_magnitude(rng)
+    return unfolding, rng.choice((0.2, 0.1, 0.01, 1e-6))
+
+
+#: the inputs whose numpy warnings leaked to stderr until they were
+#: mended: the higher averages behind root_corrections overflowing, Dg
+#: (g_jacobian) overflowing too, the closed f at a1 = 1e307, the
+#: non-finite Phi of seeds near 1e14 and the overflowing means of
+#: _refined_mean
+MENDED_INPUTS = [
+    ({"a2": 1e300, "b2": 5.0, "delta": 2.0}, 0.1),
+    ({"a2": 1e300, "b2": -1e300, "delta": 1e10}, 0.1),
+    ({"a1": 1e307, "a2": 1.0, "b2": 5.0, "delta": 2.0}, 0.1),
+    ({"a2": 1.0, "b2": 5.0, "delta": 1e15}, 0.1),
+    ({"a2": 0.0, "b2": 1e300, "delta": 1e-50, "c2": 1e300}, 0.1),
+    ({"a2": -1.0, "b2": -1e6, "delta": 1e-50, "c1": -1e300, "c2": -0.3},
+     0.1)]
+
+
+def test_a_corpus_of_extreme_directions_ends_in_labelled_exits(tmp_path,
+                                                                capsys):
+    """classify, average, orbits and sweep over 40 seeded extreme
+    directions and the mended inputs: no exception escapes main (the
+    suite turns every numpy warning into one), each exits 0, 2, 3 or 4,
+    and every stderr line is a labelled quadrature line."""
+    rng = random.Random(101)
+    corpus = [extreme_direction(rng) for _ in range(40)] + MENDED_INPUTS
+    for unfolding, eps in corpus:
+        for command, extra in [("classify", {}), ("average", {}),
+                               ("orbits", {"eps": eps}),
+                               ("sweep", {"eps_list": [eps, eps / 2.0]})]:
+            code, _ = run(tmp_path, command, {"unfolding": unfolding, **extra})
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3, 4), (command, unfolding, eps, code)
+            assert all(line.startswith(("quadrature accuracy: ",
+                                        "quadrature not converged: "))
+                       for line in err.splitlines()), (command, unfolding, err)
 
 
 def test_sweep_requires_eps_list(tmp_path):

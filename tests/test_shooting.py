@@ -520,6 +520,62 @@ def test_flow_starts_on_the_section_and_joins_its_steps(records,
         assert np.max(np.abs(flow(starts) - before)) < 1e-12
 
 
+def horner_state(half, t):
+    """The state of a half return's leg at time t, step by step in Python
+    floats: the step is the last whose start, the running sum of the
+    lengths before it, is at or before t, and each coordinate is its
+    polynomial at the time since that start by Horner's rule."""
+    starts = list(accumulate(half.steps[0][:-1], initial=0.0))
+    step = max(i for i, start in enumerate(starts) if start <= t)
+    tau = t - starts[step]
+    state = []
+    for coef in half.polys[step]:
+        value = coef[-1]
+        for c in reversed(coef[:-1]):
+            value = value * tau + c
+        state.append(value)
+    return state
+
+
+def test_flow_is_one_horner_pass_over_the_stored_steps(records):
+    """HalfReturn.flow and Return.flow equal the step-by-step Horner
+    evaluation bit for bit: at t = 0, at each step start and one ulp
+    before it, at the first half's flight and at the whole flight. The
+    second half of a return is its leg's states negated."""
+    p = unfold(THREE_ORBIT, EPS)
+    for rec in records:
+        ret = poincare_return(p, rec.section_point, SPEC)
+        first = ret.first.flight
+        times = [0.0, first, ret.flight]
+        for half, offset in ((ret.first, 0.0), (ret.second, first)):
+            starts = np.array(list(accumulate(half.steps[0][:-1])))
+            assert len(starts) > 5
+            t = np.concatenate([[0.0], starts, np.nextafter(starts, 0.0),
+                                [half.flight]])
+            expected = [horner_state(half, tk) for tk in t]
+            assert half.flow(t).tobytes() == np.array(expected).tobytes()
+            times += [*(offset + starts), *np.nextafter(offset + starts, 0.0)]
+        t = np.array(times)
+        expected = [horner_state(ret.first, tk) if tk < first else
+                    [-v for v in horner_state(ret.second, tk - first)]
+                    for tk in t]
+        assert ret.flow(t).tobytes() == np.array(expected).tobytes()
+
+
+def test_a_return_of_two_orders_samples_each_half_at_its_own(records):
+    """A return whose halves were integrated at two tols, as from a
+    partner shot at another one, samples each half at its own order."""
+    p = unfold(THREE_ORBIT, EPS)
+    first = half_return(p, records[0].section_point, IntegratorSpec(1e-7))
+    ret = poincare_return(p, first.start, SPEC, first)
+    assert len(first.polys[0][0]) < len(ret.second.polys[0][0])
+    t = np.linspace(0.0, ret.flight, 33)
+    late = t >= first.flight
+    expected = np.where(late[:, None], -ret.second.flow(t - late * first.flight),
+                        first.flow(t))
+    assert ret.flow(t).tobytes() == expected.tobytes()
+
+
 def test_shoot_rejects_bad_input():
     with pytest.raises(SeedInvalid):
         shoot_orbit(THREE_ORBIT, EPS, (-1.0, 0.0), SPEC)
