@@ -429,9 +429,9 @@ def _checked_grids(box: list, grid) -> list:
     """The per-axis cell counts, after checking the box and the grid.
 
     Raises ValueError, naming the axis, for an interval that is not finite
-    or not increasing, a cell count that is not an integer >= 1, or a
-    per-axis grid whose length is not the box's dimension; and for a box
-    without axes.
+    or not increasing, a cell count that is not an integer >= 1 (a bool is
+    not one), or a per-axis grid whose length is not the box's dimension;
+    and for a box without axes.
     """
     if not box:
         raise ValueError("find_roots: the box has no axes")
@@ -444,7 +444,7 @@ def _checked_grids(box: list, grid) -> list:
         raise ValueError(f"find_roots: grid has {len(grids)} entries for a "
                          f"box of {len(box)} axes")
     for axis, g in enumerate(grids):
-        if not isinstance(g, (int, np.integer)) or g < 1:
+        if isinstance(g, bool) or not isinstance(g, (int, np.integer)) or g < 1:
             raise ValueError(f"find_roots: grid axis {axis} has {g!r} cells; "
                              "it needs an integer >= 1")
     return grids

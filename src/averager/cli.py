@@ -320,13 +320,9 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, doc: dict, args) -> int:
         _say(args, f"eps {entry.eps}: {len(records)} orbit(s), "
                    f"{len(entry.failures)} failure(s)")
 
-    doc["roots"] = result.prediction.roots
-    doc["entries"] = entries
-    doc["amp_slopes"] = {str(i): s for i, s in result.amp_slopes.items()}
-    doc["seed_error_slopes"] = result.seed_error_slopes
-    doc["max_coords"] = result.max_coords
-    doc["monotone"] = result.monotone
-    _say(args, f"amplitude slopes: {doc['amp_slopes']}, "
+    doc.update(_fields(result, "prediction"), roots=result.prediction.roots,
+               entries=entries)
+    _say(args, f"amplitude slopes: {_jsonable(result.amp_slopes)}, "
                f"monotone: {result.monotone}")
     return (EXIT_SHOOTING if any(entry.failures for entry in result.entries)
             else EXIT_OK)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -104,34 +103,6 @@ def g_jacobian(r: float, w: float, a2: float, b2: float,
     ])
 
 
-@lru_cache(maxsize=64)
-def _slice_tables(u: UnfoldingParams):
-    """The theta-dependent parts of higher_averages on its nodes, once per
-    direction.
-
-    Returns (cos, e, kc, y1, tables, weights, integral): e is
-    (sin, -1/delta) and kc = k cos on the nodes, y1 the Y1 of r = 1, and
-    tables the (3, 6, nodes) coefficients of phi2, phi3 and
-    phi4 + C h2^2 / r over the monomials of H2_EXPONENTS.
-    """
-    s, weights, integral = _rule_nodes(HIGHER_NODES, 2.0 * np.pi)
-    sin, cos = np.sin(s), np.cos(s)
-    e = np.array([sin, np.full_like(s, -1.0 / u.delta)])[:, None, :]
-    kc = -u.c1 / u.delta ** 2 * cos
-    h2 = np.array(np.broadcast_arrays(*h2_coefficients(u, sin, cos)))
-    # each phi_k, less its h2^2 term, is a multiple of h2 plus one of r
-    linear = np.zeros_like(h2)
-    linear[H2_EXPONENTS.index((1, 0))] = 1.0
-    tables = np.array([h2 - kc * kc * cos * linear,
-                       -2.0 * kc * cos * h2 + kc ** 3 * cos * cos * linear,
-                       3.0 * (kc * cos) ** 2 * h2
-                       - kc ** 4 * cos ** 3 * linear])
-    y1 = (kc * e) @ integral.T
-    for arr in (e, kc, y1, tables):
-        arr.flags.writeable = False
-    return cos, e, kc, y1, tables, weights, integral
-
-
 def higher_averages(u: UnfoldingParams, z) -> tuple:
     """Third and fourth averaged functions (f3, f4) on the slice a1 = b1 = 0,
     the Jacobian Df3 and the second derivatives D^2f2.
@@ -168,7 +139,22 @@ def higher_averages(u: UnfoldingParams, z) -> tuple:
     the shape (2, 2, 2, *batch). No (N, 2N) check runs: these functions
     only seed Newton, which accepts an orbit on its own return.
     """
-    cos, e, kc, unit, tables, weights, integral = _slice_tables(u)
+    s, weights, integral = _rule_nodes(HIGHER_NODES, 2.0 * np.pi)
+    sin, cos = np.sin(s), np.cos(s)
+    e = np.array([sin, np.full_like(s, -1.0 / u.delta)])[:, None, :]
+    kc = -u.c1 / u.delta ** 2 * cos
+    # the coefficients of phi2, phi3 and phi4 + C h2^2 / r over the
+    # monomials of H2_EXPONENTS, shape (3, 6, nodes): each phi_k, less its
+    # h2^2 term, is a multiple of h2 plus one of r
+    h2_table = np.array(np.broadcast_arrays(*h2_coefficients(u, sin, cos)))
+    linear = np.zeros_like(h2_table)
+    linear[H2_EXPONENTS.index((1, 0))] = 1.0
+    tables = np.array([h2_table - kc * kc * cos * linear,
+                       -2.0 * kc * cos * h2_table
+                       + kc ** 3 * cos * cos * linear,
+                       3.0 * (kc * cos) ** 2 * h2_table
+                       - kc ** 4 * cos ** 3 * linear])
+    unit = (kc * e) @ integral.T  # Y1 at r = 1
     z = np.asarray(z, dtype=float)
     flat = z.reshape(2, -1)
     # phi2 with its 5 derivatives, phi3 with its gradient, and phi4 up to

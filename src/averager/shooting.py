@@ -65,8 +65,8 @@ summed with sum(). The tol of an IntegratorSpec sets every step by Jorba
 and Zou's rule with equal absolute and relative tolerances: the order is
 ceil(1 - ln(tol) / 2), the same for every step of a leg, and the step is
 the radius of convergence estimated from the last two coefficients on
-the scale max(1, |s|_inf), divided by e^2. A half return is one leg of
-such steps, scanned for the first upward crossing of the mirrored
+the scale max(1, |s|_inf), divided by e^2. half_return integrates one leg
+of such steps, scanned for the first upward crossing of the mirrored
 section; MAX_STEPS bounds the steps of one leg.
 
 The variational equations Phi' = J Phi are linear in Phi, so they need no
@@ -384,91 +384,10 @@ def _crossing_root(poly: list, lo: float, hi: float) -> float:
     return u
 
 
-class _Leg(NamedTuple):
-    """A half return integrated without its variational equations.
-
-    end is the state (x, y, 0) at the crossing of {z = 0, y < 0}; steps
-    and polys as in HalfReturn.
-    """
-
-    flight: float
-    end: list
-    steps: tuple
-    polys: list
-
-
 @cache
 def _fraction_powers(order: int) -> np.ndarray:
     """_CROSSING_FRACTIONS to the powers 0 to order, one row per fraction."""
     return _CROSSING_FRACTIONS[:, None] ** np.arange(order + 1)
-
-
-def _leg(p: SystemParams, q, spec: IntegratorSpec) -> _Leg:
-    """The Taylor leg of half_return from (q, 0), without its Phi.
-
-    spec.tol sets the order and the steps; the leg fails past MAX_STEPS
-    steps. Raises the errors of half_return.
-    """
-    order = math.ceil(1.0 - 0.5 * math.log(spec.tol))
-    kernel = _taylor_kernel(order)
-    powers = range(order + 1)
-    fraction_powers = _fraction_powers(order)
-    root_low, root_high = 1.0 / (order - 1), 1.0 / order
-    s = [float(q[0]), float(q[1]), 0.0]
-    t = 0.0
-    polys = []  # the (x, y, z) coefficients of each step
-    lengths, jacs = [], []  # what _leg_transition takes of each step
-    while t < RETURN_T_MAX:
-        if len(polys) == MAX_STEPS:
-            raise StepLimitExceeded(
-                f"more than {MAX_STEPS} steps before t = {RETURN_T_MAX}")
-        scale = max(1.0, abs(s[0]), abs(s[1]), abs(s[2]))
-        x, y, z, jac = kernel(p.a, p.b, p.c, s)
-        if not math.isfinite(x[-2] + y[-2] + z[-2] + x[-1] + y[-1] + z[-1]):
-            raise StepUnderflow(f"non-finite Taylor coefficients at t = {t:.6g}")
-        # the radius of convergence from the last two coefficients
-        low = max(abs(x[-2]), abs(y[-2]), abs(z[-2]))
-        high = max(abs(x[-1]), abs(y[-1]), abs(z[-1]))
-        h = min((scale / low) ** root_low if low > 0.0 else math.inf,
-                (scale / high) ** root_high if high > 0.0 else math.inf
-                ) * _STEP_FRACTION
-        if not h > 10.0 * math.ulp(t):
-            raise StepUnderflow(f"step {h:.3g} below the resolution at "
-                                f"t = {t:.6g}")
-        h = min(h, RETURN_T_MAX - t)
-        polys.append((x, y, z))
-        jacs.append(jac)
-        h_powers = [h ** k for k in powers]
-        landing = None
-        # z keeps the sign of z[0] on the whole step where |z[0]| exceeds
-        # the sum of the other |z[k] h^k|; the margin covers the round-off
-        if abs(z[0]) <= (1.0 + _SIGN_MARGIN) * sum(
-                map(abs, map(mul, z[1:], h_powers[1:]))):
-            # z as a polynomial in u = tau / h
-            zu = list(map(mul, z, h_powers))
-            samples = (fraction_powers @ zu).tolist()
-            for i in range(len(samples) - 1):
-                if samples[i] < 0.0 <= samples[i + 1]:
-                    u = _crossing_root(zu, _CROSSING_FRACTIONS[i],
-                                       _CROSSING_FRACTIONS[i + 1])
-                    tau_powers = [(u * h) ** k for k in powers]
-                    state = [sum(map(mul, coef, tau_powers))
-                             for coef in (x, y, z)]
-                    if state[1] < 0.0:
-                        landing = u
-                        break
-        if landing is not None:
-            lengths.append(landing * h)
-            break
-        lengths.append(h)
-        s = [sum(map(mul, x, h_powers)), sum(map(mul, y, h_powers)),
-             sum(map(mul, z, h_powers))]
-        t = t + h if h < RETURN_T_MAX - t else RETURN_T_MAX
-    else:
-        raise NoReturn(f"no crossing of the mirrored section within "
-                       f"t_max={RETURN_T_MAX}")
-    state[2] = 0.0
-    return _Leg(t + lengths[-1], state, (lengths, jacs), polys)
 
 
 class HalfReturn(NamedTuple):
@@ -539,7 +458,7 @@ def _dense_output(halves, t) -> np.ndarray:
     next half, and is taken from that half's start by subtracting their
     sum. Within its half, its step is the last one that starts at or
     before it, a step starting at the running sum of the lengths before
-    it, the float additions _leg made, and the state is that step's
+    it, the float additions half_return made, and the state is that step's
     polynomial at the time since the step's start, negated on a reflected
     half, which is exact. The halves of a Return share one order unless
     one of them was integrated at another tol; a lower order is padded
@@ -572,12 +491,13 @@ def half_return(p: SystemParams, q, spec: IntegratorSpec) -> HalfReturn:
     the section {z = 0, y > 0}, that is half a turn of the orbit, and the
     odd symmetry of the field maps the crossing back onto the section.
 
-    The half return is one Taylor leg of the state from (q, 0), every step
-    of the order and length that spec.tol sets (see the module docstring).
-    A step's z polynomial is sampled at the _CROSSING_FRACTIONS of the step
-    unless its first term outweighs the sum of the others, which rules out
-    a sign change; each upward sign change is polished to a root by Newton
-    on that polynomial, and one with y >= 0 is skipped. Phi at the
+    half_return integrates one Taylor leg of the state from (q, 0), every
+    step of the order and length that spec.tol sets (see the module
+    docstring). A step's z polynomial is sampled at the
+    _CROSSING_FRACTIONS of the step unless its first term outweighs the
+    sum of the others, which rules out a sign change; each upward sign
+    change is polished to a root by Newton on that polynomial, and one
+    with y >= 0 is skipped. Phi at the
     crossing then comes from _leg_transition: one batched linear solve
     over the leg's steps, from the series each step kept. The half return
     is the one unit of integration: poincare_return composes two.
@@ -605,21 +525,80 @@ def half_return(p: SystemParams, q, spec: IntegratorSpec) -> HalfReturn:
     double precision resolves, the Taylor coefficients or Phi are not
     finite, or the system of a step's transition is singular.
     """
-    leg = _leg(p, q, spec)
+    order = math.ceil(1.0 - 0.5 * math.log(spec.tol))
+    kernel = _taylor_kernel(order)
+    powers = range(order + 1)
+    fraction_powers = _fraction_powers(order)
+    root_low, root_high = 1.0 / (order - 1), 1.0 / order
+    s = [float(q[0]), float(q[1]), 0.0]
+    t = 0.0
+    polys = []  # the (x, y, z) coefficients of each step
+    lengths, jacs = [], []  # what _leg_transition takes of each step
+    while t < RETURN_T_MAX:
+        if len(polys) == MAX_STEPS:
+            raise StepLimitExceeded(
+                f"more than {MAX_STEPS} steps before t = {RETURN_T_MAX}")
+        scale = max(1.0, abs(s[0]), abs(s[1]), abs(s[2]))
+        x, y, z, jac = kernel(p.a, p.b, p.c, s)
+        if not math.isfinite(x[-2] + y[-2] + z[-2] + x[-1] + y[-1] + z[-1]):
+            raise StepUnderflow(f"non-finite Taylor coefficients at t = {t:.6g}")
+        # the radius of convergence from the last two coefficients
+        low = max(abs(x[-2]), abs(y[-2]), abs(z[-2]))
+        high = max(abs(x[-1]), abs(y[-1]), abs(z[-1]))
+        h = min((scale / low) ** root_low if low > 0.0 else math.inf,
+                (scale / high) ** root_high if high > 0.0 else math.inf
+                ) * _STEP_FRACTION
+        if not h > 10.0 * math.ulp(t):
+            raise StepUnderflow(f"step {h:.3g} below the resolution at "
+                                f"t = {t:.6g}")
+        h = min(h, RETURN_T_MAX - t)
+        polys.append((x, y, z))
+        jacs.append(jac)
+        h_powers = [h ** k for k in powers]
+        landing = None
+        # z keeps the sign of z[0] on the whole step where |z[0]| exceeds
+        # the sum of the other |z[k] h^k|; the margin covers the round-off
+        if abs(z[0]) <= (1.0 + _SIGN_MARGIN) * sum(
+                map(abs, map(mul, z[1:], h_powers[1:]))):
+            # z as a polynomial in u = tau / h
+            zu = list(map(mul, z, h_powers))
+            samples = (fraction_powers @ zu).tolist()
+            for i in range(len(samples) - 1):
+                if samples[i] < 0.0 <= samples[i + 1]:
+                    u = _crossing_root(zu, _CROSSING_FRACTIONS[i],
+                                       _CROSSING_FRACTIONS[i + 1])
+                    tau_powers = [(u * h) ** k for k in powers]
+                    state = [sum(map(mul, coef, tau_powers))
+                             for coef in (x, y, z)]
+                    if state[1] < 0.0:
+                        landing = u
+                        break
+        if landing is not None:
+            lengths.append(landing * h)
+            break
+        lengths.append(h)
+        s = [sum(map(mul, x, h_powers)), sum(map(mul, y, h_powers)),
+             sum(map(mul, z, h_powers))]
+        t = t + h if h < RETURN_T_MAX - t else RETURN_T_MAX
+    else:
+        raise NoReturn(f"no crossing of the mirrored section within "
+                       f"t_max={RETURN_T_MAX}")
+    flight = t + lengths[-1]
+    state[2] = 0.0
     # far out, the products of the Taylor coefficients can overflow, and
     # the system of a step's transition can be singular
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            phi = _leg_transition(p, *leg.steps)
+            phi = _leg_transition(p, lengths, jacs)
         except np.linalg.LinAlgError:
             raise StepUnderflow(f"singular step transition before "
-                                f"t = {leg.flight:.6g}") from None
+                                f"t = {flight:.6g}") from None
     if not np.isfinite(phi).all():
-        raise StepUnderflow(f"non-finite Phi at t = {leg.flight:.6g}")
-    f = vector_field(p, leg.end)
-    return HalfReturn(np.asarray(q, dtype=float), -np.array(leg.end[:2]),
-                      leg.flight, -(phi - np.outer(f, phi[2]) / f[2])[:2, :2],
-                      phi, leg.steps, leg.polys)
+        raise StepUnderflow(f"non-finite Phi at t = {flight:.6g}")
+    f = vector_field(p, state)
+    return HalfReturn(np.asarray(q, dtype=float), -np.array(state[:2]),
+                      flight, -(phi - np.outer(f, phi[2]) / f[2])[:2, :2],
+                      phi, (lengths, jacs), polys)
 
 
 def poincare_return(p: SystemParams, q, spec: IntegratorSpec,
@@ -883,7 +862,8 @@ class SweepResult:
 
     prediction is the OrbitPrediction that was shot: orbit i of every
     entry is its root i. amp_slopes and seed_error_slopes are log-log fits
-    against eps, one per root index; max_coords[i][k] is the largest
+    against eps, one per root index, NaN where the eps values that located
+    the orbit cannot be told apart; max_coords[i][k] is the largest
     coordinate magnitude along orbit i at the k-th eps; monotone says
     whether every orbit's extent shrank strictly at each step of the sweep.
     """
@@ -894,6 +874,13 @@ class SweepResult:
     seed_error_slopes: dict
     max_coords: dict
     monotone: bool
+
+
+def _slope(x, y) -> float:
+    """Slope of the least-squares line through the points (x, y); NaN
+    where the x cannot be told apart, the fit's rank then below 2."""
+    coef, _, rank, _, _ = np.polyfit(x, y, 1, full=True)
+    return float(coef[0]) if rank == 2 else math.nan
 
 
 def sweep_epsilon(
@@ -979,9 +966,9 @@ def sweep_epsilon(
             errs.append(float(np.linalg.norm(rec.section_point - target)))
         if len(eps_ok) >= 2:
             log_eps = np.log(eps_ok)
-            amp_slopes[i] = float(np.polyfit(log_eps, np.log(amps), 1)[0])
+            amp_slopes[i] = _slope(log_eps, np.log(amps))
             safe = np.maximum(errs, 1e-300)
-            seed_error_slopes[i] = float(np.polyfit(log_eps, np.log(safe), 1)[0])
+            seed_error_slopes[i] = _slope(log_eps, np.log(safe))
         if any(b >= a for a, b in zip(coords, coords[1:])):
             monotone = False
     return SweepResult(

@@ -568,16 +568,17 @@ def test_find_roots_in_other_dimensions(fun, box, grid, zs, signs):
     ([(-1.0, 1.0), (-1.0, 1.0)], 2.5, "grid axis 0"),
     ([(-1.0, 1.0), (-1.0, 1.0)], [4, -2], "grid axis 1"),
     ([(-1.0, 1.0), (-1.0, 1.0)], np.array(4), "grid axis 0"),
+    ([(-1.0, 1.0), (-1.0, 1.0)], True, "grid axis 0"),
     ([], 4, "no axes"),
 ], ids=["reversed", "empty", "infinite", "nan", "short-grid", "long-grid",
         "no-cells", "fractional-cells", "negative-cells", "array-cells",
-        "no-axes"])
+        "bool-cells", "no-axes"])
 def test_find_roots_rejects_a_bad_box_or_grid(box, grid, message):
     """A box or grid find_roots cannot seed from is refused before fun is
     called, with a ValueError naming the axis. Unchecked, the reversed box
     gives no root although (0.3, 0.3) lies in it, the short grid fails
-    with an IndexError, the long one drops an entry, and 0 cells seed
-    from one point."""
+    with an IndexError, the long one drops an entry, and 0 cells, or
+    True, which Python counts as the integer 1, seed from one point."""
     fun = counted(lambda z: z - 0.3)
     with pytest.raises(ValueError, match=message):
         find_roots(fun, box, grid)

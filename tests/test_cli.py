@@ -31,7 +31,7 @@ from averager.cli import (
 from averager.config import from_dict
 from averager.jerk import EquilibriumClass, SystemParams
 from averager.normal_form import MAX_DELTA, MIN_DELTA
-from averager.shooting import PeriodicOrbitRecord
+from averager.shooting import PeriodicOrbitRecord, SweepResult
 
 THREE_ORBIT_DOC = {
     "unfolding": {"a2": 1.0, "b2": 5.0, "delta": 2.0},
@@ -356,6 +356,30 @@ def test_sweep_outputs(tmp_path, capsys):
             assert (out / "sweep" / eps / f"orbit_{i}.csv").exists()
 
 
+def test_a_sweep_over_eps_values_one_ulp_apart_has_null_slopes(tmp_path,
+                                                               capsys):
+    """eps values whose logs the least-squares fit cannot tell apart give
+    no slope: the fit's rank is below 2, and its slopes are written as
+    null, with nothing on stderr. A rank-deficient fit warned and wrote
+    slopes of about 0.07 and -0.09 where the scaling gives 1."""
+    doc = {"unfolding": THREE_ORBIT_DOC["unfolding"],
+           "eps_list": [0.2, 0.19999999999999998]}
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["sweep", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)])
+    assert code == 0
+    assert not caught
+    printed = capsys.readouterr()
+    assert printed.err == ""
+    assert ("amplitude slopes: {'0': None, '1': None, '2': None}, "
+            "monotone: False") in printed.out.splitlines()
+    summary = read_summary(out)
+    nulls = {"0": None, "1": None, "2": None}
+    assert summary["amp_slopes"] == summary["seed_error_slopes"] == nulls
+
+
 def test_orbits_equals_first_sweep_entry(tmp_path):
     """orbits at eps is the first entry of a sweep that starts at eps."""
     sweep_doc = {"unfolding": THREE_ORBIT_DOC["unfolding"],
@@ -439,7 +463,9 @@ def record_fields(cls, *drop):
 
 def test_orbit_records_hold_the_record_fields(tmp_path):
     """An orbit's summary record is every field of PeriodicOrbitRecord but
-    mirror_leg; orbits adds the root and its Jacobian determinant."""
+    mirror_leg; orbits adds the root and its Jacobian determinant. The
+    sweep summary is every field of SweepResult but prediction, with the
+    command, its config, the case and the roots."""
     expected = record_fields(PeriodicOrbitRecord, "mirror_leg")
     (tmp_path / "orbits").mkdir()
     (tmp_path / "sweep").mkdir()
@@ -453,7 +479,10 @@ def test_orbit_records_hold_the_record_fields(tmp_path):
                  "eps_list": [0.1, 0.05]}
     code, out = run(tmp_path / "sweep", "sweep", sweep_doc)
     assert code == 0
-    records = [rec for entry in read_summary(out)["entries"]
+    summary = read_summary(out)
+    assert set(summary) == (record_fields(SweepResult, "prediction")
+                            | {"command", "config", "case", "roots"})
+    records = [rec for entry in summary["entries"]
                for rec in entry["records"].values()]
     assert len(records) == 6
     for rec in records:

@@ -595,13 +595,12 @@ def test_section_image_seed_misses_by_order_eps4(u, monkeypatch):
     Newton steps on returns at tol 1e-13."""
     tight = IntegratorSpec(tol=1e-13)
     starts = []
-    leg = shooting._leg
 
     def first_start(p, q, spec):
         starts.append(np.array(q))
-        return leg(p, q, spec)
+        return half_return(p, q, spec)
 
-    monkeypatch.setattr(shooting, "_leg", first_start)
+    monkeypatch.setattr(shooting, "half_return", first_start)
     for root in predicted_roots(u.a2, u.b2, u.delta).roots:
         misses = []
         for eps in (0.1, 0.05, 0.025):
@@ -624,7 +623,7 @@ def first_seed(u, eps, seed, monkeypatch):
         starts.append(np.array(q))
         raise StepUnderflow("not integrated")
 
-    monkeypatch.setattr(shooting, "_leg", no_return)
+    monkeypatch.setattr(shooting, "half_return", no_return)
     with pytest.raises(ShootingDiverged, match="section-image"):
         shoot_orbit(u, eps, seed, SPEC)
     return starts[0]
@@ -824,17 +823,17 @@ def test_the_mirror_orbit_integrates_one_new_leg(records, monkeypatch):
     included, and integrates only its own second leg: its state and its
     variational equations, over that leg's steps alone."""
     legs, transitions = [], []
-    leg, leg_transition = shooting._leg, shooting._leg_transition
+    leg_transition = shooting._leg_transition
 
     def counted(p, q, spec):
-        legs.append((q, leg(p, q, spec)))
+        legs.append((q, half_return(p, q, spec)))
         return legs[-1][1]
 
     def solved(p, *steps):
         transitions.append(steps)
         return leg_transition(p, *steps)
 
-    monkeypatch.setattr(shooting, "_leg", counted)
+    monkeypatch.setattr(shooting, "half_return", counted)
     monkeypatch.setattr(shooting, "_leg_transition", solved)
     rec = shoot_orbit(THREE_ORBIT, EPS, records[2].seed, SPEC,
                       partner=records[1])
