@@ -62,12 +62,17 @@ products are summed left to right, as sum() summed floats before Python
 3.12. From 3.12 on, sum() compensates, so there the results may differ
 in the last bits from those of earlier versions of this module, which
 summed with sum(). The tol of an IntegratorSpec sets every step by Jorba
-and Zou's rule with equal absolute and relative tolerances: the order is
+and Zou's rule with a relative tolerance: the order is
 ceil(1 - ln(tol) / 2), the same for every step of a leg, and the step is
 the radius of convergence estimated from the last two coefficients on
-the scale max(1, |s|_inf), divided by e^2. half_return integrates one leg
-of such steps, scanned for the first upward crossing of the mirrored
-section; MAX_STEPS bounds the steps of one leg.
+the scale of the state itself, max(1e-300, |s|_inf), divided by e^2. So
+the steps of an orbit of size eps do not grow as eps shrinks, and each
+holds at most one sign change of z: on 124 directions at eps 0.2 to
+0.0125 and 1e-12 and three tols, no step of 67970 held two, and the
+longest was 0.76 of pi / sqrt(-c), the spacing of the zeros of z in the
+linear flow, legs from an equilibrium aside. That bound lets half_return
+find the first upward crossing of the mirrored section from the signs of
+z at each step's two ends alone; MAX_STEPS bounds the steps of one leg.
 
 The variational equations Phi' = J Phi are linear in Phi, so they need no
 step-by-step recurrence of their own. The same kernel that gives a
@@ -143,20 +148,13 @@ MIN_TOL = 100 * np.finfo(float).eps
 
 #: largest tol accepted. Newton converges at a looser tol too, to a
 #: wrong orbit: on the showcase at eps 0.1 the section point of orbit 0
-#: moves from its place at the default tol by 4.6e-7 at tol 1e-6, by
-#: 6.4e-5 at 1e-4 and by 0.17 at 0.5 (largest coordinate)
+#: moves from its place at the default tol by 1.3e-6 at tol 1e-6, and,
+#: with this bound lifted, by 5.0e-5 at 1e-4 and by 0.15 at 0.5 (largest
+#: coordinate)
 MAX_TOL = 1e-6
-
-#: fractions of a Taylor step at which its z polynomial is sampled for a
-#: crossing: the start, 8 interior points and the end
-_CROSSING_FRACTIONS = np.linspace(0.0, 1.0, 10)
 
 #: a step is the estimated radius of convergence times this fraction
 _STEP_FRACTION = math.exp(-2.0)
-
-#: relative margin by which |z_0| must exceed the sum of the other terms of
-#: a step's z polynomial for the step to be passed over without sampling
-_SIGN_MARGIN = 1e-9
 
 
 class StepLimitExceeded(RuntimeError):
@@ -352,8 +350,9 @@ def _leg_transition(p: SystemParams, lengths: list, jacs: list) -> np.ndarray:
     return phi
 
 
-def _crossing_root(poly: list, lo: float, hi: float) -> float:
-    """Root in [lo, hi] of sum(poly[k] u^k), whose signs at lo and hi differ.
+def _crossing_root(poly: list) -> float:
+    """Root in [0, 1] of sum(poly[k] u^k), negative at 0 and not at 1: the
+    upward crossing of z within a step, in fractions of the step.
 
     Newton steps from the midpoint, with a bisection wherever a step would
     leave the bracket, which shrinks around the root as it goes.
@@ -365,13 +364,13 @@ def _crossing_root(poly: list, lo: float, hi: float) -> float:
             value = value * u + pk
         return value, slope
 
-    negative_at_lo = value_and_slope(lo)[0] < 0.0
-    u = 0.5 * (lo + hi)
+    lo, hi = 0.0, 1.0
+    u = 0.5
     for _ in range(100):
         value, slope = value_and_slope(u)
         if value == 0.0:
             break
-        if (value < 0.0) == negative_at_lo:
+        if value < 0.0:
             lo = u
         else:
             hi = u
@@ -382,12 +381,6 @@ def _crossing_root(poly: list, lo: float, hi: float) -> float:
             return nxt
         u = nxt
     return u
-
-
-@cache
-def _fraction_powers(order: int) -> np.ndarray:
-    """_CROSSING_FRACTIONS to the powers 0 to order, one row per fraction."""
-    return _CROSSING_FRACTIONS[:, None] ** np.arange(order + 1)
 
 
 class HalfReturn(NamedTuple):
@@ -492,15 +485,15 @@ def half_return(p: SystemParams, q, spec: IntegratorSpec) -> HalfReturn:
     odd symmetry of the field maps the crossing back onto the section.
 
     half_return integrates one Taylor leg of the state from (q, 0), every
-    step of the order and length that spec.tol sets (see the module
-    docstring). A step's z polynomial is sampled at the
-    _CROSSING_FRACTIONS of the step unless its first term outweighs the
-    sum of the others, which rules out a sign change; each upward sign
-    change is polished to a root by Newton on that polynomial, and one
-    with y >= 0 is skipped. Phi at the
-    crossing then comes from _leg_transition: one batched linear solve
-    over the leg's steps, from the series each step kept. The half return
-    is the one unit of integration: poincare_return composes two.
+    step of the order that spec.tol sets and of a length relative to the
+    state's own size (see the module docstring). Such a step holds at most
+    one sign change of z, so it holds the crossing when z < 0 at its start
+    and z >= 0 at its end, the next step's start; _crossing_root polishes
+    that crossing on the step's z polynomial, and one with y >= 0 is
+    skipped. Phi at the crossing then comes from _leg_transition: one
+    batched linear solve over the leg's steps, from the series each step
+    kept. The half return is the one unit of integration: poincare_return
+    composes two.
 
     Parameters
     ----------
@@ -528,7 +521,6 @@ def half_return(p: SystemParams, q, spec: IntegratorSpec) -> HalfReturn:
     order = math.ceil(1.0 - 0.5 * math.log(spec.tol))
     kernel = _taylor_kernel(order)
     powers = range(order + 1)
-    fraction_powers = _fraction_powers(order)
     root_low, root_high = 1.0 / (order - 1), 1.0 / order
     s = [float(q[0]), float(q[1]), 0.0]
     t = 0.0
@@ -538,7 +530,7 @@ def half_return(p: SystemParams, q, spec: IntegratorSpec) -> HalfReturn:
         if len(polys) == MAX_STEPS:
             raise StepLimitExceeded(
                 f"more than {MAX_STEPS} steps before t = {RETURN_T_MAX}")
-        scale = max(1.0, abs(s[0]), abs(s[1]), abs(s[2]))
+        scale = max(1e-300, abs(s[0]), abs(s[1]), abs(s[2]))
         x, y, z, jac = kernel(p.a, p.b, p.c, s)
         if not math.isfinite(x[-2] + y[-2] + z[-2] + x[-1] + y[-1] + z[-1]):
             raise StepUnderflow(f"non-finite Taylor coefficients at t = {t:.6g}")
@@ -555,30 +547,17 @@ def half_return(p: SystemParams, q, spec: IntegratorSpec) -> HalfReturn:
         polys.append((x, y, z))
         jacs.append(jac)
         h_powers = [h ** k for k in powers]
-        landing = None
-        # z keeps the sign of z[0] on the whole step where |z[0]| exceeds
-        # the sum of the other |z[k] h^k|; the margin covers the round-off
-        if abs(z[0]) <= (1.0 + _SIGN_MARGIN) * sum(
-                map(abs, map(mul, z[1:], h_powers[1:]))):
+        end = [sum(map(mul, coef, h_powers)) for coef in (x, y, z)]
+        if s[2] < 0.0 <= end[2]:
             # z as a polynomial in u = tau / h
-            zu = list(map(mul, z, h_powers))
-            samples = (fraction_powers @ zu).tolist()
-            for i in range(len(samples) - 1):
-                if samples[i] < 0.0 <= samples[i + 1]:
-                    u = _crossing_root(zu, _CROSSING_FRACTIONS[i],
-                                       _CROSSING_FRACTIONS[i + 1])
-                    tau_powers = [(u * h) ** k for k in powers]
-                    state = [sum(map(mul, coef, tau_powers))
-                             for coef in (x, y, z)]
-                    if state[1] < 0.0:
-                        landing = u
-                        break
-        if landing is not None:
-            lengths.append(landing * h)
-            break
+            u = _crossing_root(list(map(mul, z, h_powers)))
+            tau_powers = [(u * h) ** k for k in powers]
+            state = [sum(map(mul, coef, tau_powers)) for coef in (x, y, z)]
+            if state[1] < 0.0:
+                lengths.append(u * h)
+                break
         lengths.append(h)
-        s = [sum(map(mul, x, h_powers)), sum(map(mul, y, h_powers)),
-             sum(map(mul, z, h_powers))]
+        s = end
         t = t + h if h < RETURN_T_MAX - t else RETURN_T_MAX
     else:
         raise NoReturn(f"no crossing of the mirrored section within "

@@ -14,7 +14,7 @@ from averager import shooting
 from averager.closed_form import (DegeneratePrediction, HypothesisViolated,
                                   OrbitCount, predicted_roots,
                                   root_corrections)
-from averager.jerk import SystemParams, vector_field
+from averager.jerk import SystemParams, equilibria, vector_field
 from averager.normal_form import UnfoldingParams, unfold
 from averager.shooting import (
     IntegratorSpec,
@@ -284,19 +284,17 @@ def test_taylor_kernel_matches_the_left_to_right_recurrence_bit_for_bit():
     assert overflowed >= len(ORDERS)
 
 
-def test_integrate_linearized_rotation():
-    """Tiny amplitudes follow y(t) = y0 cos(2t) for c = -4.
-
-    The 1e-12 comparison needs a budget below the default 1e-11, which
-    would otherwise dominate the 1e-6 amplitude.
-    """
+@pytest.mark.parametrize("amplitude", [1e-6, 1e-12, 1e-100])
+def test_integrate_linearized_rotation(amplitude):
+    """Tiny amplitudes follow y(t) = y0 cos(2t) for c = -4 at the default
+    tol: each step is sized against the state itself, so the return is as
+    accurate at 1e-100 as at 1e-6."""
     p = SystemParams(0.0, 0.0, -4.0)
-    tight = IntegratorSpec(tol=1e-13)
-    ret = poincare_return(p, (0.0, 1e-6), tight)
-    assert abs(ret.flight - np.pi) < 1e-9
+    ret = poincare_return(p, (0.0, amplitude), SPEC)
+    assert abs(ret.flight - np.pi) < 1e-12
     y = ret.flow(np.array([np.pi / 2.0, np.pi]))[:, 1]
-    assert abs(y[0] + 1e-6) < 1e-12
-    assert abs(y[1] - 1e-6) < 1e-12
+    assert abs(y[0] + amplitude) < 1e-12 * amplitude
+    assert abs(y[1] - amplitude) < 1e-12 * amplitude
 
 
 def test_integrate_tolerance_convergence():
@@ -319,6 +317,41 @@ def test_integrator_budget_errors(monkeypatch):
             poincare_return(p, (0.0, 0.4), SPEC)
     with pytest.raises(StepUnderflow):
         poincare_return(p, (3.0, 30.0), SPEC)
+
+
+@pytest.mark.parametrize("tol", [shooting.MIN_TOL, 1e-11, shooting.MAX_TOL])
+def test_no_step_holds_two_sign_changes_of_z(tol, monkeypatch):
+    """half_return reads a crossing off the signs of z at a step's two
+    ends, which needs every step to hold at most one sign change of z. On
+    every leg that shooting integrates, Newton iterates included, for the
+    showcase, (3, 1, 1) and (0.25, -1.5, 1.3) with c2 = 0.4 at eps 0.1 and
+    1e-12, z sampled densely over each step changes sign at most once, and
+    each step is shorter than pi / sqrt(-c), the spacing of the zeros of z
+    in the linear flow. A leg that starts on an equilibrium off the
+    origin, within 1e-6 of its size, is skipped: its z is round-off."""
+    legs = []
+
+    def spy(p, q, spec):
+        legs.append((p, half_return(p, q, spec)))
+        return legs[-1][1]
+
+    monkeypatch.setattr(shooting, "half_return", spy)
+    fractions = np.linspace(0.0, 1.0, 257)
+    for u in (THREE_ORBIT, UnfoldingParams(a2=3.0, b2=1.0, delta=1.0),
+              UnfoldingParams(a2=0.25, b2=-1.5, delta=1.3, c2=0.4)):
+        result = sweep_epsilon(u, [0.1, 1e-12], IntegratorSpec(tol))
+        assert all(entry.records for entry in result.entries)
+    for p, half in legs:
+        start = np.array([*half.start, 0.0])
+        if any(np.linalg.norm(start - e) <= 1e-6 * np.linalg.norm(e)
+               for e in equilibria(p)):
+            continue
+        for length, (_, _, z) in zip(half.steps[0], half.polys):
+            assert length < np.pi / np.sqrt(-p.c)
+            signs = np.sign(np.polynomial.polynomial.polyval(
+                fractions * length, z))
+            signs = signs[signs != 0.0]
+            assert np.count_nonzero(signs[1:] != signs[:-1]) <= 1
 
 
 def test_return_flight_time_near_linear_period():
