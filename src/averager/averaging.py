@@ -331,66 +331,50 @@ def _damped_newton(fun: Callable, seeds) -> list:
     seeds has shape (k, n). Each seed runs its own iteration: at most
     NEWTON_MAX_ITER accepted steps, each the full Newton step or one of its
     first 29 halvings, and it fails on its own when its step is singular or
-    not finite. All trial points of a round go to fun together, with their
-    central-difference neighbours (see _value_and_jacobian), so a round
-    costs one call of fun and an accepted point carries its Jacobian to
-    the next step. Returns, per seed in order, (z, |fun(z)|, Jacobian at
-    z) at a converged z, or None when that seed fails to converge.
+    not finite. Returns, per seed in order, (z, |fun(z)|, Jacobian at z)
+    at a converged z, or None when that seed fails to converge.
 
-    Besides that call, a round has a fixed overhead: a few dozen numpy
-    calls on arrays of the seeds still iterating, one stacked solve among
-    them, whatever fun costs. The state is kept for those seeds only, in
-    seed order, and shrinks when a seed stops.
+    A round makes one call of fun, on the trial point of every seed still
+    iterating and its central-difference neighbours (see
+    _value_and_jacobian); the seeds are the first round's trial points. A
+    seed whose trial lowers |fun| moves there, and one stacked solve gives
+    the Newton step at every point moved to; any other seed halves its
+    step. Then one test stops a seed on each rule above. The state is one
+    row per seed still iterating, (z, |fun(z)|, step, damping, points
+    accepted), in seed order, and it shrinks when a seed stops. Besides
+    fun, a round costs a few dozen numpy calls on those rows.
     """
-    z = np.array(seeds, dtype=float)
-    found: list = [None] * len(z)
-    if len(z) == 0:
+    trial = np.array(seeds, dtype=float)
+    found: list = [None] * len(trial)
+    if len(trial) == 0:
         return found
-    fz, jac = _value_and_jacobian(fun, z)
-    res = _norms(fz)
-    rows = np.arange(len(z))  # the seed of each entry of the state
-    step = np.zeros_like(z)
-    lam = np.ones(len(z))  # 2^-h after h halvings of the step, exactly
-    iters = np.zeros(len(z), dtype=int)
-    fresh = np.ones(len(z), dtype=bool)  # entries that reached a new point
+    rows = np.arange(len(trial))  # the seed of each row of the state
+    # every seed where |fun| is finite moves in the first round; the NaN
+    # step stops any other
+    z, res = trial, np.full(len(trial), np.inf)
+    step = np.full(trial.shape, np.nan)
+    lam = np.ones(len(trial))  # 2^-h after h halvings of the step, exactly
+    moves = np.zeros(len(trial), dtype=int)  # points accepted, the seed first
     while True:
-        # a seed stops when it has converged or used up its steps, which
-        # only a seed at a new point can have done, or when it stalled even
-        # with the smallest damped step, which only a retrying seed can have
-        done = res < ROOT_TOL
-        stop = done | (iters == NEWTON_MAX_ITER) | (lam == 0.5 ** 30)
-        new = (fresh & ~stop).nonzero()[0]
-        if len(new):
-            steps = _newton_steps(jac.take(new, 0), fz.take(new, 0))
-            step[new], lam[new] = steps, 1.0
-            stop[new] = ~np.isfinite(steps).all(axis=1)
-        done = done.nonzero()[0]
-        if len(done):
-            for i, zi, res_i, jac_i in zip(rows.take(done).tolist(),
-                                           z.take(done, 0),
-                                           res.take(done).tolist(),
-                                           jac.take(done, 0)):
-                found[i] = (zi, res_i, jac_i)
-        keep = (~stop).nonzero()[0]
-        if len(keep) < len(rows):
-            if len(keep) == 0:
-                return found
-            rows, z, fz, jac, res, step, lam, iters = (
-                a.take(keep, 0)
-                for a in (rows, z, fz, jac, res, step, lam, iters))
-        trial = z + lam[:, None] * step
         f_new, jac_new = _value_and_jacobian(fun, trial)
         res_new = _norms(f_new)
-        fresh = res_new < res
-        retry = (~fresh).nonzero()[0]
-        if len(retry) == 0:
-            z, fz, jac, res = trial, f_new, jac_new, res_new
-            iters += 1
-        else:
-            z[fresh], fz[fresh], jac[fresh], res[fresh] = (
-                trial[fresh], f_new[fresh], jac_new[fresh], res_new[fresh])
-            iters[fresh] += 1
-            lam[retry] *= 0.5
+        moved = (res_new < res).nonzero()[0]
+        z[moved], res[moved] = trial[moved], res_new[moved]
+        step[moved] = _newton_steps(jac_new[moved], f_new[moved])
+        lam *= 0.5
+        lam[moved], moves[moved] = 1.0, moves[moved] + 1
+        # only a seed that just moved can have converged
+        done = res < ROOT_TOL
+        for j in done.nonzero()[0].tolist():
+            found[rows[j]] = (z[j].copy(), float(res[j]), jac_new[j].copy())
+        keep = (~done & (moves <= NEWTON_MAX_ITER) & (lam > 0.5 ** 30)
+                & np.isfinite(step).all(axis=1)).nonzero()[0]
+        if len(keep) == 0:
+            return found
+        if len(keep) < len(rows):
+            rows, z, res, step, lam, moves = (
+                a.take(keep, 0) for a in (rows, z, res, step, lam, moves))
+        trial = z + lam[:, None] * step
 
 
 def _grid_seeds(fun, box, grids):

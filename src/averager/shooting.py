@@ -127,7 +127,10 @@ MAX_SEED_SHIFT = 0.25
 #: largest distance between the section points of two records at one
 #: eps that are taken for one orbit, in units of eps: distinct orbits lie
 #: about eps |w - w', r - r'| apart, at least 1.55 eps on the showcase and
-#: the benchmark bases, and the largest newton_step there is 4.9e-7 eps
+#: the 19 base directions of bench/workloads.py. Swept over eps 0.2 to
+#: 0.0125, the largest newton_step is 4.87e-7 eps on the showcase and the
+#: 10 orbits-cold and eps-sweep bases, and 1.18e-6 eps on the 9
+#: average-grid bases, 8.5 times below this bound
 DUPLICATE_TOL = 1e-5
 
 #: total flight-time budget of one return to the section

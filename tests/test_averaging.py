@@ -13,6 +13,8 @@ from scipy.integrate import solve_ivp
 
 from averager import averaging
 from averager.averaging import (
+    NEWTON_MAX_ITER,
+    ROOT_TOL,
     DegreeSign,
     QuadratureAccuracyWarning,
     QuadratureNotConverged,
@@ -501,24 +503,94 @@ def test_find_roots_drops_seeds_with_a_singular_jacobian():
     assert roots[0].degree_sign is DegreeSign.PLUS
 
 
+def one_seed_newton(fun, seed):
+    """The damped Newton that _damped_newton documents, for one seed alone.
+
+    Each step tries the full Newton step, then its halvings until |fun|
+    falls. The seed converges once |fun| < ROOT_TOL, and fails after
+    NEWTON_MAX_ITER accepted steps, when the step would have to be halved
+    to 2^-30, or when the step is singular or not finite. Returns
+    (z, |fun(z)|, Jacobian at z) or None, as _damped_newton does per seed.
+    """
+    z = np.array(seed, dtype=float)
+    f, jac = _value_and_jacobian(fun, z[None, :])
+    f, jac, res = f[0], jac[0], float(np.linalg.norm(f[0]))
+    for _ in range(NEWTON_MAX_ITER):
+        if res < ROOT_TOL:
+            break
+        try:
+            step = np.linalg.solve(jac, -f)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.isfinite(step).all():
+            return None
+        lam = 1.0
+        while True:
+            trial = z + lam * step
+            f_new, jac_new = _value_and_jacobian(fun, trial[None, :])
+            res_new = float(np.linalg.norm(f_new[0]))
+            if res_new < res:
+                z, f, jac, res = trial, f_new[0], jac_new[0], res_new
+                break
+            lam *= 0.5
+            if lam == 0.5 ** 30:
+                return None
+    return (z, res, jac) if res < ROOT_TOL else None
+
+
+#: base directions (a2, b2, delta) of the benchmark's average-grid workload
+AVERAGE_GRID_BASES = [
+    (-1.0447, -1.1085, 1.6091),
+    (0.0624, -1.5801, 1.9986),
+    (-0.2811, 1.9635, 2.1110),
+    (-1.0408, -1.1476, 2.3395),
+    (1.6924, 0.1387, 2.0129),
+    (1.3749, 1.1865, 2.2304),
+    (0.8178, 2.7230, 2.5378),
+    (0.4949, -2.4112, 1.4750),
+    (0.4572, -2.0926, 1.4793),
+]
+
+
+def numeric_g(a2, b2, delta):
+    sys = slice_system(a2, b2, delta, c1=0.3, c2=-0.2)
+    return lambda z: average_second(sys, z, QUAD)
+
+
 @pytest.mark.parametrize("fun, box, grid", [
     (lambda z: g_closed(z[0], z[1], 1.0, 5.0, 2.0), SHOWCASE_BOX, 16),
     (lambda z: np.array([np.maximum(z[0], -0.5) - 0.5, z[1]]),
      [(-1.0, 1.0), (-1.0, 1.0)], 8),
     (lambda z: average_second(SHOWCASE_SYS, z, QUAD), SHOWCASE_BOX, 16),
-])
+    # no root: every seed stalls at the 2^-30 halving floor
+    pytest.param(lambda z: np.array([z[0] ** 2 + 1.0, z[1] ** 2 + 1.0]),
+                 [(-1.0, 1.0), (-1.0, 0.5)], 7, id="halving-floor"),
+    # no root: |fun| falls by a factor 0.79 a step, to 5e-7 when the
+    # seeds use up their NEWTON_MAX_ITER steps
+    pytest.param(lambda z: np.array([(1.0 + z[0] ** 2) ** -0.05, z[1]]),
+                 [(-1.0, 1.0), (-1.0, 1.0)], 8, id="step-cap"),
+] + [pytest.param(numeric_g(*base), SHOWCASE_BOX, 16, id=f"average-grid-{i}")
+     for i, base in enumerate(AVERAGE_GRID_BASES)])
 def test_batched_newton_equals_one_newton_per_seed(fun, box, grid):
+    """Every seed of one batched run ends, to the bit, where the same run
+    from that seed alone ends, and where one_seed_newton ends. The run
+    alone and one_seed_newton call fun once per trial point, the seed's
+    included, so they also stop after the same trials."""
     seeds = _grid_seeds(fun, box, [grid, grid])
     together = _damped_newton(fun, seeds)
     assert len(together) == len(seeds)
     for seed, found in zip(seeds, together):
-        (alone,) = _damped_newton(fun, seed[None, :])
-        if alone is None:
-            assert found is None
+        alone_fun, plain_fun = counted(fun), counted(fun)
+        (alone,) = _damped_newton(alone_fun, seed[None, :])
+        plain = one_seed_newton(plain_fun, seed)
+        assert alone_fun.calls == plain_fun.calls
+        if alone is None or plain is None:
+            assert found is alone is plain is None
             continue
-        assert np.array_equal(found[0], alone[0])
-        assert found[1] == alone[1]
-        assert np.array_equal(found[2], alone[2])
+        for other in (alone, plain):
+            assert np.array_equal(found[0], other[0])
+            assert found[1] == other[1]
+            assert np.array_equal(found[2], other[2])
 
 
 def test_find_roots_calls_fun_on_the_grid_then_on_newton_batches():
