@@ -6,10 +6,11 @@ families, a w = 0 family and a pair with opposite w, and counting which
 families are real yields the orbit count for a given (a2, b2, delta).
 
 On the slice a1 = b1 = 0 the third and fourth averaged functions, the
-Jacobian of the third and the second derivatives of the second come from
-one quadrature pass (higher_averages) over h2's exponent table and
-theta-coefficients, which normal_form owns; root_corrections turns them
-into the second-order corrections of each root that seed shooting.
+Jacobian of the third and the second derivatives of the second have
+closed forms too, polynomials in (r, w) (higher_averages);
+root_corrections turns them into the second-order corrections of each
+root that seed shooting. This module holds formulas only: it needs
+neither the quadrature engine nor the standard form's tables.
 """
 
 from __future__ import annotations
@@ -20,20 +21,10 @@ from typing import Optional
 
 import numpy as np
 
-from .averaging import _rule_nodes
-from .normal_form import (H2_EXPONENTS, MAX_DELTA, MIN_DELTA, UnfoldingParams,
-                          h2_coefficients, monomials)
+from .normal_form import MAX_DELTA, MIN_DELTA, UnfoldingParams
 
 #: absolute tolerance for the degeneracy checks on the classifier quantities
 DEGENERACY_TOL = 1e-10
-
-#: Gauss-Legendre nodes of higher_averages; on the showcase 32 nodes agree
-#: with 64 to 4e-14
-HIGHER_NODES = 32
-
-#: the orders of the partial derivatives of the monomials of h2 that
-#: higher_averages takes: the values, then by r, w, rr, rw and ww
-_SECOND = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
 class HypothesisViolated(ValueError):
@@ -105,7 +96,7 @@ def g_jacobian(r: float, w: float, a2: float, b2: float,
 
 def higher_averages(u: UnfoldingParams, z) -> tuple:
     """Third and fourth averaged functions (f3, f4) on the slice a1 = b1 = 0,
-    the Jacobian Df3 and the second derivatives D^2f2.
+    the Jacobian Df3 and the second derivatives D^2f2, in closed form.
 
     The angular system is dz/dtheta = sum_k eps^k F_k(z, theta), and its
     solution from z is z + sum_k eps^k Y_k(theta) with Y_k = y_k / k!
@@ -113,82 +104,79 @@ def higher_averages(u: UnfoldingParams, z) -> tuple:
     in z,
         Y1' = F1,   Y2' = F2 + DF1 Y1,   Y3' = F3 + DF2 Y1 + DF1 Y2,
         Y4' = F4 + DF3 Y1 + D^2F2[Y1, Y1] / 2 + DF2 Y2 + DF1 Y3,
-    every F_k and its derivatives taken at (z, theta), and the averaged
-    functions are f_k = Y_k(2 pi), so that f2 = 2 pi g_closed. The F_k are
-    the terms of the geometric expansion in eps of the exact angular field
-    eps H r e / (r + eps C H), with H = h1 + eps h2, C = cos(theta) and
-    e = (sin(theta), -1/delta), whose reference formula is theta_rhs in
-    tests/reference.py. With h1 = k r C, k = -c1 / delta^2, each is
-    F_k = phi_k e with
-        phi1 = k r C,                   phi2 = h2 - k^2 r C^3,
-        phi3 = -2 k C^2 h2 + k^3 r C^5,
-        phi4 = -C h2^2 / r + 3 k^2 C^4 h2 - k^4 r C^7,
-    where h2 is the cubic of normal_form.h2_coefficients over the
-    monomials of H2_EXPONENTS, which normal_form.monomials gives with
-    their derivatives to second order. Every Y_k' is thus a scalar times
-    e, and the Y_k on the HIGHER_NODES nodes come from the integration
-    matrix of the Gauss-Legendre rule. Df3 differentiates Y3' on the same
-    nodes: Y1 is r times its value at r = 1, and the derivatives of
-    DF2 Y1 and of Y2 need those of phi2 to second order, which are also
-    those of Y2', so D^2f2 comes with them. At c1 = 0, F1 = F3 = 0, and
-    f3 = 0 and Df3 = 0 exactly.
+    every F_k and its derivatives taken at (z, theta), Y_k(0) = 0, and
+    the averaged functions are f_k = Y_k(2 pi), so that f2 = 2 pi g_closed.
+    The F_k are the terms of the expansion in eps of the exact angular
+    field eps H r e / (r + eps C H), with H = h1 + eps h2,
+    C = cos(theta) and e = (sin(theta), -1/delta), whose reference formula
+    is theta_rhs in tests/reference.py. Expanding the recurrence over
+    theta, once and symbolically, gives polynomials in (r, w) = z. With
+    d = delta,
+        f3 = c1 Phi,   Phi = pi / (8 d^7) (-r B_r, 12 w B_w),
+        B_r = 4 a2 d^4 - 12 b2 d^2 + (3 d^2 - 15) r^2 - 36 d^2 w^2,
+        B_w = (d^2 - 5) r^2 - 2 b2 d^2 - 2 d^2 w^2,
+        f4 = 2 pi^2 Dg g + c2 Phi + c1^2 Psi + R0,
+        Psi = pi / (32 d^9) (-3 r (4 a2 d^4 - 20 b2 d^2 + (5 d^2 - 35) r^2
+                                   - 60 d^2 w^2),
+                             60 w ((d^2 - 7) r^2 - 2 b2 d^2 - 2 d^2 w^2)),
+        R0 = pi / 12 (w P_r / d^9, r P_w / d^11),
+        P_r = -12 a2 b2 d^6 - 4 a2 d^6 r^2 - 12 a2 d^6 w^2 + 96 a2 d^4 r^2
+              + 36 b2^2 d^4 - 25 b2 d^4 r^2 + 144 b2 d^4 w^2
+              + 15 b2 d^2 r^2 + 5 d^4 r^4 - 41 d^4 r^2 w^2 + 108 d^4 w^4
+              - 21 d^2 r^4 - 105 d^2 r^2 w^2 + 42 r^4,
+        P_w = 12 a2^2 d^8 - 48 a2 b2 d^6 + 27 a2 d^6 r^2 - 144 a2 d^6 w^2
+              - 69 a2 d^4 r^2 + 36 b2^2 d^4 + 24 b2 d^6 w^2 - 35 b2 d^4 r^2
+              + 85 b2 d^2 r^2 - 8 d^6 r^2 w^2 + 24 d^6 w^4 + 7 d^4 r^4
+              + 39 d^4 r^2 w^2 + 108 d^4 w^4 - 35 d^2 r^4
+              - 105 d^2 r^2 w^2 + 42 r^4,
+    where g = g_closed and Dg = g_jacobian, so that the term
+    2 pi^2 Dg g = Df2 f2 / 2 vanishes at every root of f2. Then
+    Df3 = c1 DPhi, D^2f2 is 2 pi times the second derivatives of the
+    cubic g_closed, and at c1 = 0, f3 = 0 and Df3 = 0 exactly.
+
+    Each form is evaluated in numpy float64 as a power of 1/d times a
+    polynomial in t = 1 / d^2 by Horner's rule, B_r = d^4 (4 a2 + t (3 r^2
+    - 12 b2 - 36 w^2 - 15 t r^2)) and so on, so that d enters only as d^2
+    and 1/d: no intermediate power of d leaves the double range for any
+    delta in [MIN_DELTA, MAX_DELTA], and a result that does becomes inf
+    or nan, never an OverflowError.
 
     z has shape (2, *batch); f3 and f4 have that shape too, Df3, with
     Df3[i, j] the derivative of f3_i by z_j, the shape (2, 2, *batch),
     and D^2f2, with D^2f2[i, j, k] the derivative of f2_i by z_j and z_k,
-    the shape (2, 2, 2, *batch). No (N, 2N) check runs: these functions
-    only seed Newton, which accepts an orbit on its own return.
+    the shape (2, 2, 2, *batch).
     """
-    s, weights, integral = _rule_nodes(HIGHER_NODES, 2.0 * np.pi)
-    sin, cos = np.sin(s), np.cos(s)
-    e = np.array([sin, np.full_like(s, -1.0 / u.delta)])[:, None, :]
-    kc = -u.c1 / u.delta ** 2 * cos
-    # the coefficients of phi2, phi3 and phi4 + C h2^2 / r over the
-    # monomials of H2_EXPONENTS, shape (3, 6, nodes): each phi_k, less its
-    # h2^2 term, is a multiple of h2 plus one of r
-    h2_table = np.array(np.broadcast_arrays(*h2_coefficients(u, sin, cos)))
-    linear = np.zeros_like(h2_table)
-    linear[H2_EXPONENTS.index((1, 0))] = 1.0
-    tables = np.array([h2_table - kc * kc * cos * linear,
-                       -2.0 * kc * cos * h2_table
-                       + kc ** 3 * cos * cos * linear,
-                       3.0 * (kc * cos) ** 2 * h2_table
-                       - kc ** 4 * cos ** 3 * linear])
-    unit = (kc * e) @ integral.T  # Y1 at r = 1
-    z = np.asarray(z, dtype=float)
-    flat = z.reshape(2, -1)
-    # phi2 with its 5 derivatives, phi3 with its gradient, and phi4 up to
-    # its h2^2 term, each of shape (points, nodes)
-    phi2, phi3, phi4 = (monomials(H2_EXPONENTS, flat, _SECOND)
-                        .transpose(0, 2, 1) @ tables[:, None])
-    r = flat[0][:, None]
-    y1 = unit * r
-
-    def along(scalar):
-        """Y with Y' = scalar e, on the nodes."""
-        return (scalar * e) @ integral.T
-
-    y2 = along(phi2[0] + kc * y1[0])
-    psi3 = phi3[0] + phi2[1] * y1[0] + phi2[2] * y1[1] + kc * y2[0]
-    h2 = phi2[0] + kc * kc * cos * r
-    psi4 = (phi4[0] - cos * h2 * h2 / r
-            + phi3[1] * y1[0] + phi3[2] * y1[1]
-            + 0.5 * (phi2[3] * y1[0] * y1[0] + phi2[5] * y1[1] * y1[1])
-            + phi2[4] * y1[0] * y1[1]
-            + phi2[1] * y2[0] + phi2[2] * y2[1] + kc * along(psi3)[0])
-    # psi3 by r and by w. DF1 = kc e (1, 0) reads only the first component
-    # of Y2, so of its derivatives only e[0] times their integral is taken
-    dy2 = (np.array([phi2[1] + kc * unit[0], phi2[2]]) * e[0]) @ integral.T
-    dpsi3 = phi3[1:3] + phi2[3:5] * y1[0] + phi2[4:6] * y1[1] + kc * dy2
-    dpsi3[0] += phi2[1] * unit[0] + phi2[2] * unit[1]
-    # Y2' = phi2 e + kc Y1[0] e, and Y1 is linear, so phi2's second
-    # derivatives are those of Y2'
-    hessian = np.array([[phi2[3], phi2[4]], [phi2[4], phi2[5]]])
-    f3, f4 = (((psi * e) @ weights).reshape(z.shape) for psi in (psi3, psi4))
-    df3 = (dpsi3 * e[:, None]) @ weights
-    d2f2 = (hessian * e[:, None, None]) @ weights
-    return (f3, f4, df3.reshape((2,) + z.shape),
-            d2f2.reshape((2, 2) + z.shape))
+    r, w = np.asarray(z, dtype=float)
+    a2, b2, c1, c2, d = map(np.float64, (u.a2, u.b2, u.c1, u.c2, u.delta))
+    t, rr, ww, rw = 1 / (d * d), r * r, w * w, r * w
+    s = np.pi * t / d  # pi / d^3
+    b_r = 4 * a2 + 3 * t * (rr - 4 * b2 - 12 * ww - 5 * t * rr)  # B_r / d^4
+    b_w = t * (rr - 2 * b2 - 2 * ww - 5 * t * rr)  # B_w / d^4
+    phi = s / 8 * np.array([-r * b_r, 12 * w * b_w])
+    dphi = s / 8 * np.array([
+        [-b_r - 6 * t * (1 - 5 * t) * rr, 72 * t * rw],
+        [24 * t * (1 - 5 * t) * rw, 12 * (b_w - 4 * t * ww)]])
+    psi = 3 * s * t / 32 * np.array([
+        -r * (4 * a2 + 5 * t * (rr - 4 * b2 - 12 * ww - 7 * t * rr)),
+        20 * w * t * (rr - 2 * b2 - 2 * ww - 7 * t * rr)])
+    # P_r / d^6 and P_w / d^8
+    p_r = -4 * a2 * (3 * b2 + rr + 3 * ww) + t * (
+        96 * a2 * rr + 36 * b2 * b2 - 25 * b2 * rr + 5 * rr * rr - 41 * rr * ww
+        + 36 * ww * (4 * b2 + 3 * ww)
+        + 3 * t * rr * (5 * b2 - 7 * rr - 35 * ww + 14 * t * rr))
+    p_w = 12 * a2 * a2 + t * (
+        24 * ww * (b2 + ww - 6 * a2) - 48 * a2 * b2 + 27 * a2 * rr
+        - 8 * rr * ww + t * (
+            36 * (b2 * b2 + 3 * ww * ww) - 69 * a2 * rr - 35 * b2 * rr
+            + 7 * rr * rr + 39 * rr * ww
+            + t * rr * (5 * (17 * b2 - 7 * rr - 21 * ww) + 42 * t * rr)))
+    dg_g = (g_jacobian(r, w, a2, b2, d) * g_closed(r, w, a2, b2, d)).sum(1)
+    f4 = (2 * np.pi ** 2 * dg_g + c2 * phi + c1 * c1 * psi
+          + s / 12 * np.array([w * p_r, r * p_w]))
+    q = 2 * s * (3 * t - 1)  # 2 pi (3 - d^2) / d^5
+    d2f2 = np.array([[[3 * q * r / 4, 6 * s * w], [6 * s * w, 6 * s * r]],
+                     [[-q * w, -q * r], [-q * r, -12 * s * w]]])
+    return c1 * phi, f4, c1 * dphi, d2f2
 
 
 def root_corrections(u: UnfoldingParams, roots) -> list:

@@ -16,17 +16,14 @@ they live in the test suite, in tests/reference.py.
 
 This module owns the polynomial terms of the standard form: their exponent
 tables (H2_EXPONENTS for h2), h2's theta-coefficients (h2_coefficients)
-and monomials, the one evaluator of an exponent table's monomials and
-their partial derivatives, which the averaging engine and closed_form
-share.
+and monomials, the one evaluator of an exponent table's monomials, which
+the standard form's evaluators and the averaging engine share.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -38,7 +35,13 @@ from .jerk import SystemParams
 #: closed_form.predicted_roots, the s^3 / d^5 row of h2_coefficients
 #: times -1/delta), which must stay doubles with room for the factors
 #: they meet: 1e50 ** 6 = 1e300 lies 1e8 below the largest double, and
-#: 1e-50 ** 6 = 1e-300 above the smallest normal one, 2.2e-308
+#: 1e-50 ** 6 = 1e-300 above the smallest normal one, 2.2e-308.
+#: closed_form.higher_averages forms only d^2, 1 / d^2, 1 / d^3 and
+#: 1 / d^5 and takes every higher power as a factor of a Horner sum in
+#: 1 / d^2. Its root corrections were finite on every scanned direction
+#: with |a2|, |b2|, |c1|, |c2| <= 1e30 and delta in [1e-30, 1e30]; far
+#: beyond, as at |a2| > 1e60 with delta > 1e30, a sum can overflow, and
+#: shoot_orbit then drops the seed shift
 MIN_DELTA, MAX_DELTA = 1e-50, 1e50
 
 #: exponents (i, j) of the monomials r^i w^j of h2 at (r cos(theta),
@@ -192,14 +195,15 @@ def jerk_standard_form(unfolding: UnfoldingParams) -> StandardFormSystem:
 
 
 @lru_cache(maxsize=64)
-def _monomial_program(exponents: tuple, derivatives: tuple) -> tuple:
+def _monomial_program(exponents: tuple) -> tuple:
     """monomials' straight-line code for one table, built once.
 
     Slot 0 holds ones, made only where an op or a row uses it, and slot
     1 + i the variable z_i; each op (ufunc, a, b) makes the next slot from
-    slots a and b, and each output row is (coefficient, slot). A slot is keyed on its factors (i, k),
-    z_i^k, in the order they are taken, k < 0 dividing, so every power,
-    product and quotient is made once however many rows share it.
+    slots a and b, and each output row is a slot. A slot is keyed on its
+    factors (i, k), z_i^k, in the order they are taken, k < 0 dividing,
+    so every power, product and quotient is made once however many rows
+    share it.
     """
     n, ops = len(exponents[0]), []
     slots = {(): 0} | {((i, 1),): 1 + i for i in range(n)}
@@ -216,39 +220,30 @@ def _monomial_program(exponents: tuple, derivatives: tuple) -> tuple:
         return slots[key]
 
     rows = []
-    for orders, row in product(derivatives, exponents):
-        coef = math.prod(math.prod(range(e - a + 1, e + 1))
-                         for e, a in zip(row, orders))
-        factors = [(i, e - a) for i, (e, a) in enumerate(zip(row, orders))
-                   if coef and e != a]
+    for row in exponents:
+        factors = [(i, e) for i, e in enumerate(row) if e]
         factors.sort(key=lambda factor: factor[1] < 0)
-        rows.append((float(coef), slot(tuple(factors))))
-    uses_ones = 0 in {a for _, a, _ in ops} | {s for _, s in rows}
+        rows.append(slot(tuple(factors)))
+    uses_ones = 0 in {a for _, a, _ in ops} | set(rows)
     return tuple(ops), tuple(rows), uses_ones
 
 
-def monomials(exponents: tuple, z, derivatives: tuple | None = None):
-    """The monomials of an exponent table at points z, or their partial
-    derivatives.
+def monomials(exponents: tuple, z):
+    """The monomials of an exponent table at points z.
 
     exponents is a (K, n) tuple of integer tuples, row k the monomial
     prod_i z_i^exponents[k][i], and z a float array of shape (n, p).
-    Returns the (K, p) values; with derivatives, a tuple of n-tuples of
-    orders, the (len(derivatives), K, p) partial derivatives, the orders
-    (0, ..., 0) giving the values. Each product is formed in one fixed
+    Returns the (K, p) values. Each product is formed in one fixed
     order: a power z_i^k by repeated multiplication, ((z_i z_i) z_i)...,
     the powers multiplied in the order of i, then divided by the powers
-    of the negative exponents, then scaled by the integer factor of the
-    derivative. So r^2 w is (r r) w, r w^2 is r (w w), w^2 / r is
-    (w w) / r, and d(r^2 w)/dr is 2 (r w).
+    of the negative exponents. So r^2 w is (r r) w, r w^2 is r (w w) and
+    w^2 / r is (w w) / r.
     """
-    ops, rows, uses_ones = _monomial_program(
-        exponents, derivatives or ((0,) * len(z),))
+    ops, rows, uses_ones = _monomial_program(exponents)
     slots = [np.ones(z.shape[1]) if uses_ones else None, *z]
     for ufunc, a, b in ops:
         slots.append(ufunc(slots[a], slots[b]))
-    out = np.array([slots[s] if c == 1.0 else c * slots[s] for c, s in rows])
-    return out.reshape(-1, len(exponents), z.shape[1]) if derivatives else out
+    return np.array([slots[s] for s in rows])
 
 
 def _polynomial_field(exponents, table) -> Callable:

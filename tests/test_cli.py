@@ -625,7 +625,7 @@ def test_sweep_requires_eps_list(tmp_path):
     assert code == 1
 
 
-def test_config_errors_exit_one(tmp_path):
+def test_config_errors_exit_one(tmp_path, capsys):
     code, _ = run(tmp_path, "classify", {"unfolding": {"delta": 2.0},
                                          "bogus": 1})
     assert code == 1
@@ -653,6 +653,24 @@ def test_config_errors_exit_one(tmp_path):
     code, _ = run(tmp_path, "average", {"unfolding": {"delta": 2.0},
                                         "quadrature": {"inner_nodes": 64}})
     assert code == 1
+    capsys.readouterr()
+    params = {"params": {"a": 0.0, "b": 0.0, "c": -4.0}}
+    no_unfolding = "this command needs an 'unfolding' block in the config"
+    refusals = [
+        ("average", params, no_unfolding),
+        ("orbits", params, no_unfolding),
+        ("sweep", params, no_unfolding),
+        ("classify", [THREE_ORBIT_DOC],
+         "config root must be an object, got list"),
+        ("sweep", {"unfolding": {"delta": 2.0}, "eps_list": [0.3, 0.1]},
+         "eps_list: entries must lie in (0, 0.2]"),
+        ("classify", dict(THREE_ORBIT_DOC, output_dir=5),
+         "output_dir: expected a string, got 5"),
+    ]
+    for command, doc, message in refusals:
+        code, _ = run(tmp_path, command, doc)
+        assert code == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_unconverged_quadrature_exits_three(tmp_path, capsys):

@@ -122,6 +122,11 @@ def test_eps_list_must_decrease():
         from_dict(doc)
     doc["eps_list"] = [0.1, 0.05, 0.025]
     assert from_dict(doc).eps_list == (0.1, 0.05, 0.025)
+    for eps_list in ([0.3, 0.1], [0.1, 0.0], [0.1, -0.05]):
+        doc["eps_list"] = eps_list
+        with pytest.raises(ConfigError,
+                           match=r"^eps_list: entries must lie in \(0, 0\.2\]$"):
+            from_dict(doc)
 
 
 def test_type_errors_have_path_context():
@@ -138,6 +143,13 @@ def test_type_errors_have_path_context():
         message = str(info.value)
         assert message.startswith(path + ":"), message
         assert message.count(section) == 1, message
+    doc = dict(minimal_doc(), output_dir=5)
+    with pytest.raises(ConfigError,
+                       match=r"^output_dir: expected a string, got 5$"):
+        from_dict(doc)
+    with pytest.raises(ConfigError,
+                       match=r"^config root must be an object, got list$"):
+        from_dict([minimal_doc()])
 
 
 @pytest.mark.parametrize("block", ["unfolding", "params", "quadrature",
