@@ -13,12 +13,12 @@ small (n, n, m) array, and each point costs one contraction with its
 samples of F1. This sampled path is the reference.
 
 A system that carries its polynomials (see StandardFormSystem), as the
-jerk form does, is not sampled per point: F = sum_k z^E_k C_k(t), E its
-table of exponents, is linear in its coefficient tables, so f and g are
+jerk form does, is not sampled per point: F1 = C1(t) z and
+F2 = C2(t) m2(z) are linear in their coefficient tables, so f and g are
 polynomials in z whose coefficients are theta-means of the tables, taken
 once per system and node count and cached. Each point then costs one
-product with its monomials, which normal_form.monomials evaluates from
-the exponent tables.
+product with z and, at second order, one with its monomials m2(z), which
+the system's own m2 evaluates.
 
 Each result is accepted after an (N, 2N) agreement check. Simple zeros
 of these functions, certified by a nonzero Jacobian determinant,
@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .normal_form import StandardFormSystem, monomials
+from .normal_form import StandardFormSystem
 
 #: (N, 2N) disagreement beyond this raises QuadratureNotConverged
 CONVERGENCE_TOL = 1e-6
@@ -150,26 +150,24 @@ def _rule_nodes(n_nodes: int, period: float):
 def _polynomial_means(sys: StandardFormSystem, n_nodes: int, order: int):
     """Terms of the order-th averaged function as a polynomial in z.
 
-    With sys.polynomials = ((E1, C1), (E2, C2)) on the n_nodes rule and
-    z^E the monomials of an exponent table, f = z^E1 . (C1 @ w) / T and,
-    since DF1 = C1, T g = z^E1 . [((C1 * w) @ S) : C1] + z^E2 . (C2 @ w),
-    where the contraction runs over the component and node axes as in
-    average_second. Returns pairs (coefficients, exponents), the
-    coefficients read-only arrays of shape (n, K), and the exponents None
-    for F1's, as z^E1 = z; _means sums coefficients @ z^E over the pairs,
-    with z^E evaluated once for both node counts. Keyed on the system
-    itself, which the cache holds, so a collected system's id can never
-    return its coefficients for another.
+    With sys.polynomials = (C1, m2, C2) on the n_nodes rule,
+    f = (C1 @ w) z / T and, since DF1 = C1,
+    T g = [((C1 * w) @ S) : C1] z + (C2 @ w) m2(z), where the contraction
+    runs over the component and node axes as in average_second. Returns
+    the coefficients of z and, at order 2, of m2(z), read-only arrays of
+    shape (n, n) and (n, K); _means sums each times its basis, with m2(z)
+    evaluated once for both node counts. Keyed on the system itself,
+    which the cache holds, so a collected system's id can never return
+    its coefficients for another.
     """
     s, w, S = _rule_nodes(n_nodes, sys.period)
-    (_, table1), (e2, table2) = sys.polynomials
+    table1, _, table2 = sys.polynomials
     c1 = table1(s)
     if order == 1:
-        terms = ((c1 @ w, None),)
+        terms = (c1 @ w,)
     else:
-        inner = np.einsum("ijt,jkt->ik", (c1 * w) @ S, c1)
-        terms = ((inner, None), (table2(s) @ w, e2))
-    for coef, _ in terms:
+        terms = (np.einsum("ijt,jkt->ik", (c1 * w) @ S, c1), table2(s) @ w)
+    for coef in terms:
         coef /= sys.period
         coef.flags.writeable = False
     return terms
@@ -181,15 +179,15 @@ def _means(sys: StandardFormSystem, points: np.ndarray, order: int,
 
     points has shape (n, k), k points, and so has each mean, so a point
     is evaluated alike whatever the shape of its batch. With
-    sys.polynomials each term is coefficients @ monomials (see
-    _polynomial_means), the monomials evaluated once for every node
-    count; without, F1, F2 and DF1 are sampled on each rule.
+    sys.polynomials each term is coefficients @ basis (see
+    _polynomial_means), the bases z and m2(z) evaluated once for every
+    node count; without, F1, F2 and DF1 are sampled on each rule.
     """
     if sys.polynomials is not None:
-        basis = (monomials(sys.polynomials[1][0], points) if order == 2
-                 else None)
-        return [sum(coef @ (points if exponents is None else basis)
-                    for coef, exponents in _polynomial_means(sys, nodes, order))
+        bases = ((points, sys.polynomials[1](points)) if order == 2
+                 else (points,))
+        return [sum(coef @ basis for coef, basis
+                    in zip(_polynomial_means(sys, nodes, order), bases))
                 for nodes in node_counts]
     means = []
     for nodes in node_counts:

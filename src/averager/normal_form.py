@@ -14,16 +14,16 @@ Jordan change, the coupling terms h1 and h2 and the exact angular field
 theta_rhs, are the independent derivation the tables are tested against;
 they live in the test suite, in tests/reference.py.
 
-This module owns the polynomial terms of the standard form: their exponent
-tables (H2_EXPONENTS for h2), h2's theta-coefficients (h2_coefficients)
-and monomials, the one evaluator of an exponent table's monomials, which
-the standard form's evaluators and the averaging engine share.
+This module owns the polynomial terms of the standard form: h2's
+theta-coefficients (h2_coefficients) and f2_monomials, the seven
+monomials of (r, w) that F2's coefficients multiply, which the standard
+form's f2 and the averaging engine share. F1 is linear in z, so it needs
+no monomials of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -43,10 +43,6 @@ from .jerk import SystemParams
 #: beyond, as at |a2| > 1e60 with delta > 1e30, a sum can overflow, and
 #: shoot_orbit then drops the seed shift
 MIN_DELTA, MAX_DELTA = 1e-50, 1e50
-
-#: exponents (i, j) of the monomials r^i w^j of h2 at (r cos(theta),
-#: r sin(theta), w), in the order of the rows of h2_coefficients
-H2_EXPONENTS = ((3, 0), (2, 1), (1, 0), (1, 2), (0, 1), (0, 3))
 
 
 @dataclass(frozen=True)
@@ -81,18 +77,15 @@ class StandardFormSystem:
     with respect to z, gives (n, n, *batch, m), or (n, n, m) when it does
     not depend on z. A single state is the case batch = ().
 
-    polynomials, when set, is the pair ((E1, C1), (E2, C2)) of exponent
-    and coefficient tables behind f1 and f2: F(z, t) is the sum over k of
-    z^E[k] C(t)[:, k], where an exponent table is a (K, n) tuple of
-    integer tuples, row k the monomial prod_i z_i^E[k][i] (see monomials;
-    a negative exponent divides), and a coefficient table maps times of
-    shape (m,) to (n, K, m). F1 must be linear, E1 the identity, so that
-    DF1 = C1. The averaging engine then takes the theta-means of the
-    tables once per node set and evaluates every point as a polynomial;
-    without the field it samples f1, f2 and df1 at every point and node,
-    which is the reference path. A copy made with dataclasses.replace
-    keeps the field, so replace f1 or f2 only by callables with the same
-    values.
+    polynomials, when set, is the triple (C1, m2, C2) behind f1 and f2:
+    F1(z, t) = C1(t) z and F2(z, t) = C2(t) m2(z), where C1 maps times of
+    shape (m,) to (n, n, m), so that DF1 = C1, m2 maps points of shape
+    (n, p) to the (K, p) monomials of F2, and C2 maps times to (n, K, m).
+    The averaging engine then takes the theta-means of C1 and C2 once per
+    node set and evaluates every point as a polynomial; without the
+    field it samples f1, f2 and df1 at every point and node, which is the
+    reference path. A copy made with dataclasses.replace keeps the field,
+    so replace f1 or f2 only by callables with the same values.
     """
 
     period: float
@@ -112,7 +105,8 @@ def unfold(u: UnfoldingParams, eps: float) -> SystemParams:
 
 
 def h2_coefficients(unfolding: UnfoldingParams, sin, cos) -> tuple:
-    """The theta-coefficients of h2 over the monomials of H2_EXPONENTS.
+    """The theta-coefficients of h2 over the monomials r^3, r^2 w, r, r w^2,
+    w and w^3, the first six rows of f2_monomials.
 
     With s, c = sin, cos of theta and d = delta, h2 at
     (r c, r s, w) is r^3 A + r^2 w B + r P + r w^2 D + w b2 / d^2
@@ -144,15 +138,15 @@ def jerk_standard_form(unfolding: UnfoldingParams) -> StandardFormSystem:
     f1 and f2 are polynomials in (r, w) whose coefficients depend on theta
     alone, and the system carries them as its polynomials field. With
     s, c = sin(theta), cos(theta) and h1 = hu u + hv v + hw w:
-    h1 = r p + hw w with p = hu c + hv s, so F1 has the exponents
-    (1, 0), (0, 1) of r and w. h2 has those of H2_EXPONENTS and the
-    coefficients of h2_coefficients. The -h1^2 c / r of F2 adds
-    -r p^2 c and -2 hw p c w to the rows of r and w, and -hw^2 c w^2 / r
-    as a seventh monomial, of exponents (-1, 2). Each table is these
-    coefficients times (s, -1/delta) on the given nodes; f1, f2 and df1
-    are built from the same tables, f1 and f2 as one matmul of the
-    (points, monomials) table with them. The reference formulas of h1,
-    h2 and theta_rhs, which the tests hold these tables to, are in
+    h1 = r p + hw w with p = hu c + hv s, so F1 is linear in (r, w). h2
+    has the coefficients of h2_coefficients over the first six of
+    f2_monomials. The -h1^2 c / r of F2 adds -r p^2 c and -2 hw p c w to
+    the rows of r and w, and -hw^2 c w^2 / r over the seventh monomial.
+    Each table is these coefficients times (s, -1/delta) on the given
+    nodes; f1, f2 and df1 are built from the same tables, f1 and f2 as
+    one matmul of the (points, monomials) table with them, the monomials
+    of F1 being z itself. The reference formulas of h1, h2 and
+    theta_rhs, which the tests hold these tables to, are in
     tests/reference.py.
     """
     d = unfolding.delta
@@ -180,81 +174,29 @@ def jerk_standard_form(unfolding: UnfoldingParams) -> StandardFormSystem:
         rows[4] = rows[4] - 2.0 * hw * p_cos
         return (*rows, -hw * hw * cos)
 
-    f1_table = tabulate(f1_coefficients)
-    polynomials = ((((1, 0), (0, 1)), f1_table),
-                   (H2_EXPONENTS + ((-1, 2),), tabulate(f2_coefficients)))
-    f1, f2 = (_polynomial_field(*pair) for pair in polynomials)
+    c1, c2 = tabulate(f1_coefficients), tabulate(f2_coefficients)
+
+    def field(monomials, table):
+        def f(z, theta):
+            th, z = np.asarray(theta, dtype=float), np.asarray(z, dtype=float)
+            values = monomials(z.reshape(len(z), -1)).T @ table(th.ravel())
+            return values.reshape(z.shape + th.shape)
+        return f
 
     def df1(z, theta):
         # F1 is linear in z, so its Jacobian is its table, the same for every z
         th = np.asarray(theta, dtype=float)
-        return f1_table(th.ravel()).reshape((2, 2) + th.shape)
+        return c1(th.ravel()).reshape((2, 2) + th.shape)
 
-    return StandardFormSystem(period=2.0 * np.pi, f1=f1, f2=f2, df1=df1,
-                              polynomials=polynomials)
-
-
-@lru_cache(maxsize=64)
-def _monomial_program(exponents: tuple) -> tuple:
-    """monomials' straight-line code for one table, built once.
-
-    Slot 0 holds ones, made only where an op or a row uses it, and slot
-    1 + i the variable z_i; each op (ufunc, a, b) makes the next slot from
-    slots a and b, and each output row is a slot. A slot is keyed on its
-    factors (i, k), z_i^k, in the order they are taken, k < 0 dividing,
-    so every power, product and quotient is made once however many rows
-    share it.
-    """
-    n, ops = len(exponents[0]), []
-    slots = {(): 0} | {((i, 1),): 1 + i for i in range(n)}
-
-    def slot(key):
-        if key not in slots:
-            *head, (i, k) = key
-            if head or k < 0:  # head times or over one power
-                args = slot(tuple(head)), slot(((i, abs(k)),))
-            else:  # a power, from the one below it
-                args = slot(((i, k - 1),)), 1 + i
-            ops.append((np.divide if k < 0 else np.multiply, *args))
-            slots[key] = n + len(ops)
-        return slots[key]
-
-    rows = []
-    for row in exponents:
-        factors = [(i, e) for i, e in enumerate(row) if e]
-        factors.sort(key=lambda factor: factor[1] < 0)
-        rows.append(slot(tuple(factors)))
-    uses_ones = 0 in {a for _, a, _ in ops} | set(rows)
-    return tuple(ops), tuple(rows), uses_ones
+    return StandardFormSystem(period=2.0 * np.pi, f1=field(np.array, c1),
+                              f2=field(f2_monomials, c2), df1=df1,
+                              polynomials=(c1, f2_monomials, c2))
 
 
-def monomials(exponents: tuple, z):
-    """The monomials of an exponent table at points z.
-
-    exponents is a (K, n) tuple of integer tuples, row k the monomial
-    prod_i z_i^exponents[k][i], and z a float array of shape (n, p).
-    Returns the (K, p) values. Each product is formed in one fixed
-    order: a power z_i^k by repeated multiplication, ((z_i z_i) z_i)...,
-    the powers multiplied in the order of i, then divided by the powers
-    of the negative exponents. So r^2 w is (r r) w, r w^2 is r (w w) and
-    w^2 / r is (w w) / r.
-    """
-    ops, rows, uses_ones = _monomial_program(exponents)
-    slots = [np.ones(z.shape[1]) if uses_ones else None, *z]
-    for ufunc, a, b in ops:
-        slots.append(ufunc(slots[a], slots[b]))
-    return np.array([slots[s] for s in rows])
-
-
-def _polynomial_field(exponents, table) -> Callable:
-    """F(z, theta) = sum_k z^exponents[k] table(theta)[:, k], as an evaluator.
-
-    The result has shape (n, *batch, *theta.shape), z's batch axes ahead
-    of theta's axes.
-    """
-    def field(z, theta):
-        th = np.asarray(theta, dtype=float)
-        z = np.asarray(z, dtype=float)
-        mono = monomials(exponents, z.reshape(len(z), -1))
-        return (mono.T @ table(th.ravel())).reshape(z.shape + th.shape)
-    return field
+def f2_monomials(z):
+    """The monomials of F2 at points z of shape (2, p): the (7, p) rows
+    r^3, r^2 w, r, r w^2, w, w^3 and w^2 / r, each product formed in one
+    fixed order from rr = r r and ww = w w."""
+    r, w = z
+    rr, ww = r * r, w * w
+    return np.array([rr * r, rr * w, r, r * ww, w, ww * w, ww / r])

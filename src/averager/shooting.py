@@ -391,10 +391,10 @@ class HalfReturn(NamedTuple):
 
     start is q and point is T(q) = -m, for m the crossing of the mirrored
     section; flight is the flight time, jac is dT/dq and phi the
-    fundamental matrix over the flight from (q, 0). steps is the pair
-    (lengths, Jacobian series) of the leg's Taylor steps, in order, that
-    _leg_transition takes, and polys holds each step's (x, y, z) Taylor
-    coefficients; a step starts at the sum of the lengths before it.
+    fundamental matrix over the flight from (q, 0). lengths holds the
+    lengths of the leg's Taylor steps, in order, and polys each step's
+    (x, y, z) Taylor coefficients; a step starts at the sum of the lengths
+    before it.
     """
 
     start: np.ndarray
@@ -402,7 +402,7 @@ class HalfReturn(NamedTuple):
     flight: float
     jac: np.ndarray
     phi: np.ndarray
-    steps: tuple
+    lengths: list
     polys: list
 
     #: |T(q) - q|
@@ -466,7 +466,7 @@ def _dense_output(halves, t) -> np.ndarray:
     # each step as the complex number (half, start), and each time as
     # (half, t): numpy orders complex numbers lexicographically
     steps = np.array([complex(k, start) for k, h in enumerate(halves)
-                      for start in accumulate(h.steps[0][:-1], initial=0.0)])
+                      for start in accumulate(h.lengths[:-1], initial=0.0)])
     step = np.searchsorted(steps, half + 1j * t, side="right") - 1
     coef = np.zeros((len(steps), 3, max(len(h.polys[0][0]) for h in halves)))
     for k, h in enumerate(halves):
@@ -510,8 +510,8 @@ def half_return(p: SystemParams, q, spec: IntegratorSpec) -> HalfReturn:
     the fundamental matrix over the flight from (q, 0); jac is
     dT/dq = -dM/dq, where dM/dq is phi projected along the field f at the
     crossing onto the plane z = 0, (phi - outer(f, phi[2]) / f[2])[:2, :2];
-    steps and polys the leg's Taylor steps, which flow samples by Horner's
-    rule.
+    lengths and polys the leg's Taylor steps, which flow samples by
+    Horner's rule.
 
     Raises
     ------
@@ -580,7 +580,7 @@ def half_return(p: SystemParams, q, spec: IntegratorSpec) -> HalfReturn:
     f = vector_field(p, state)
     return HalfReturn(np.asarray(q, dtype=float), -np.array(state[:2]),
                       flight, -(phi - np.outer(f, phi[2]) / f[2])[:2, :2],
-                      phi, (lengths, jacs), polys)
+                      phi, lengths, polys)
 
 
 def poincare_return(p: SystemParams, q, spec: IntegratorSpec,

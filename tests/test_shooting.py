@@ -346,7 +346,7 @@ def test_no_step_holds_two_sign_changes_of_z(tol, monkeypatch):
         if any(np.linalg.norm(start - e) <= 1e-6 * np.linalg.norm(e)
                for e in equilibria(p)):
             continue
-        for length, (_, _, z) in zip(half.steps[0], half.polys):
+        for length, (_, _, z) in zip(half.lengths, half.polys):
             assert length < np.pi / np.sqrt(-p.c)
             signs = np.sign(np.polynomial.polynomial.polyval(
                 fractions * length, z))
@@ -558,7 +558,7 @@ def horner_state(half, t):
     floats: the step is the last whose start, the running sum of the
     lengths before it, is at or before t, and each coordinate is its
     polynomial at the time since that start by Horner's rule."""
-    starts = list(accumulate(half.steps[0][:-1], initial=0.0))
+    starts = list(accumulate(half.lengths[:-1], initial=0.0))
     step = max(i for i, start in enumerate(starts) if start <= t)
     tau = t - starts[step]
     state = []
@@ -581,7 +581,7 @@ def test_flow_is_one_horner_pass_over_the_stored_steps(records):
         first = ret.first.flight
         times = [0.0, first, ret.flight]
         for half, offset in ((ret.first, 0.0), (ret.second, first)):
-            starts = np.array(list(accumulate(half.steps[0][:-1])))
+            starts = np.array(list(accumulate(half.lengths[:-1])))
             assert len(starts) > 5
             t = np.concatenate([[0.0], starts, np.nextafter(starts, 0.0),
                                 [half.flight]])
@@ -874,7 +874,7 @@ def test_the_mirror_orbit_integrates_one_new_leg(records, monkeypatch):
     assert (rec.returns, len(legs), len(transitions)) == (1, 1, 1)
     (start, new_leg), = legs
     assert np.array_equal(start, rec.mirror_leg.start)
-    assert all(a is b for a, b in zip(transitions[0], new_leg.steps))
+    assert transitions[0][0] is new_leg.lengths
     assert np.array_equal(rec.section_point, records[1].mirror_leg.start)
 
 
@@ -1177,7 +1177,8 @@ def test_odd_symmetry_maps_the_plus_w_orbit_onto_the_minus_w_orbit(r, w,
     "by more than 1e-9"))
 @pytest.mark.parametrize("r, w, delta", [(5.65625, 1.59375, 2.3125),
                                          (5.625, 1.625, 2.328125),
-                                         (4.1875, 1.75, 2.0859375)])
+                                         (4.1875, 1.75, 2.0859375),
+                                         (2.75, 1.75, 1.875)])
 def test_odd_symmetry_on_directions_that_item_15_must_mend(r, w, delta):
     """Paired-root directions on which the odd-symmetry property fails
     today. At (5.65625, 1.59375, 2.3125), (a2, b2) about (1.6066, 4.4826),
@@ -1187,9 +1188,12 @@ def test_odd_symmetry_on_directions_that_item_15_must_mend(r, w, delta):
     (1.7205, -0.3399), newton_step 6.16e-9 and the miss 6.23e-9. At
     (5.625, 1.625, 2.328125) the mirror-seeded -w orbit is accepted with
     newton_step 5.14e-9, and the -w orbit its section image alone locates
-    misses it by 5.04e-9. Each runs the property test's own body. ROADMAP
-    item 15's acceptance on location is to turn all three into passes and
-    drop this marker."""
+    misses it by 5.04e-9. At (2.75, 1.75, 1.875), (a2, b2) about
+    (1.8211, -2.5079), the mirror-seeded -w orbit is accepted with
+    newton_step 7.90e-9 and the one its section image alone locates, with
+    newton_step 9.07e-9, misses it by 1.17e-9. Each runs the property
+    test's own body. ROADMAP item 15's acceptance on location is to turn
+    all four into passes and drop this marker."""
     a2, b2 = paired_direction(r, w, delta)
     assert far_from_the_boundaries(a2, b2, delta)
     assert predicted_roots(a2, b2, delta).count is OrbitCount.TWO
