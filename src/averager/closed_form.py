@@ -257,6 +257,10 @@ def predicted_roots(a2: float, b2: float, delta: float) -> OrbitPrediction:
     (a2*delta^2 = b2 or = -2*b2) the count is DEGENERATE, with a reason
     instead of roots, rather than an arbitrary choice of side.
 
+    The roots come in a fixed order, which sweep_epsilon pairs by: the
+    w = 0 root first, when it is real, then the pair (r2, w2), with
+    w2 > 0, directly followed by its mirror (r2, -w2).
+
     Raises
     ------
     HypothesisViolated when delta^2 = 3 or 2*a2*delta^2 = b2 (within

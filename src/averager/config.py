@@ -40,8 +40,9 @@ class RunConfig:
     output_dir: str
 
 
-def _require_keys(mapping: dict, allowed: set, where: str) -> None:
-    unknown = set(mapping) - allowed
+def _require_keys(mapping: dict, cls, where: str) -> None:
+    """Reject the keys of mapping that name no field of the dataclass cls."""
+    unknown = set(mapping) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
 
@@ -81,7 +82,7 @@ def _parse(cls, node: dict, where: str, required=()):
     """
     if not isinstance(node, dict):
         raise ConfigError(f"{where}: expected an object")
-    _require_keys(node, {f.name for f in fields(cls)}, where)
+    _require_keys(node, cls, where)
     values = {}
     for f in fields(cls):
         if f.name in node:
@@ -99,12 +100,7 @@ def from_dict(doc: dict) -> RunConfig:
     """Validate a parsed JSON document into a RunConfig."""
     if not isinstance(doc, dict):
         raise ConfigError(f"config root must be an object, got {type(doc).__name__}")
-    _require_keys(
-        doc,
-        {"unfolding", "params", "eps", "eps_list", "quadrature", "integrator",
-         "output_dir"},
-        "config",
-    )
+    _require_keys(doc, RunConfig, "config")
     if ("unfolding" in doc) == ("params" in doc):
         raise ConfigError("config: exactly one of 'unfolding' or 'params' is required")
     unfolding = None

@@ -90,7 +90,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, pairwise
 from operator import mul
 from typing import Callable, NamedTuple, Optional
 
@@ -629,28 +629,23 @@ def _nontrivial_multipliers(mono: np.ndarray):
     return rest[order], mults[i0]
 
 
-def _newton_return(return_map, q0, tol=SHOOT_TOL, ret=None):
+def _newton_return(return_map, ret, tol):
     """Damped Newton on P(q) - q with the exact Jacobian of the return map.
 
     return_map(q) is the HalfReturn or the Return of a map P of the
-    section, the half map T or the full return; Newton reads its start q,
-    its point P(q), its jac dP/dq and its residual |P(q) - q|. Each step
-    solves (dP/dq - I) dq = -(P(q) - q); the pass of an accepted trial
-    point supplies the next Jacobian, so an undamped step costs one
-    return. A trial whose return fails counts as a trial that does not
-    reduce the residual, so the step is halved. ret, when given, is
-    return_map(q0) already evaluated.
+    section, the half map T or the full return, and ret is the one from
+    the first point, which the caller forms; Newton reads a return's
+    start q, its point P(q), its jac dP/dq and its residual |P(q) - q|.
+    Each step solves (dP/dq - I) dq = -(P(q) - q); the pass of an
+    accepted trial point supplies the next Jacobian, so an undamped step
+    costs one return. A trial whose return fails counts as a trial that
+    does not reduce the residual, so the step is halved.
 
     Returns
     -------
     The return at the first point q with |P(q) - q| below tol, or None
     when Newton fails.
-
-    Raises
-    ------
-    The _RETURN_ERRORS of the return from q0.
     """
-    ret = ret or return_map(np.array(q0, dtype=float))
     try:
         for _ in range(MAX_NEWTON_ITER):
             if ret.residual < tol:
@@ -675,7 +670,7 @@ def shoot_orbit(
     u: UnfoldingParams,
     eps: float,
     seed,
-    spec: Optional[IntegratorSpec] = None,
+    spec: IntegratorSpec = IntegratorSpec(),
     partner: Optional[PeriodicOrbitRecord] = None,
     correction=None,
 ) -> PeriodicOrbitRecord:
@@ -714,7 +709,9 @@ def shoot_orbit(
 
     Whatever the candidate, the orbit is accepted only on its own full
     return with residual below SHOOT_TOL, and everything it reports comes
-    from that return.
+    from that return. Every return is integrated at spec, by default
+    IntegratorSpec(); the class is frozen, so one default serves every
+    call.
 
     Returns
     -------
@@ -737,7 +734,6 @@ def shoot_orbit(
     candidate's failure. ValueError for eps outside (0, MAX_EPS] or a
     partner located at another eps.
     """
-    spec = spec or IntegratorSpec()
     r, w = float(seed[0]), float(seed[1])
     if not (np.isfinite(r) and np.isfinite(w)) or r <= 0.0:
         raise SeedInvalid(f"seed (r, w) = ({r}, {w}) needs finite values, r > 0")
@@ -775,10 +771,9 @@ def shoot_orbit(
     for tag, q0, first in candidates:
         try:
             if w != 0.0:
-                ret = _newton_return(full_map, q0, SHOOT_TOL,
-                                     first and full_map(q0, first))
+                ret = _newton_return(full_map, full_map(q0, first), SHOOT_TOL)
             else:
-                half = _newton_return(half_map, q0, SHOOT_TOL / 2)
+                half = _newton_return(half_map, half_map(q0), SHOOT_TOL / 2)
                 # the one full return: the last half return and one new leg
                 ret = half and full_map(half.start, half)
         except _RETURN_ERRORS as exc:
@@ -868,7 +863,7 @@ def _slope(x, y) -> float:
 def sweep_epsilon(
     u: UnfoldingParams,
     eps_list,
-    spec: Optional[IntegratorSpec] = None,
+    spec: IntegratorSpec = IntegratorSpec(),
 ) -> SweepResult:
     """Shoot all predicted orbits for each eps in a decreasing list.
 
@@ -876,10 +871,12 @@ def sweep_epsilon(
     orbits and sweep commands refuse exactly where it raises, and read the
     case and the roots from the prediction it returns. The corrections
     z1, z2 of the section-image seeds are computed once per root and serve
-    every eps. The roots (r, w2), (r, -w2) of a mirror pair come in that
-    order, and once the +w2 orbit is located at an eps it is the partner
-    of the -w2 one, whose candidates are then mirror and section-image in
-    that order (see shoot_orbit). Shooting failures are recorded per entry
+    every eps, and every return is integrated at spec, IntegratorSpec()
+    by default. predicted_roots emits the +w2 root of a mirror pair
+    directly before its -w2 root, so a root with w < 0 is paired by
+    position: once root i - 1 is located at an eps it is the partner of
+    root i, whose candidates are then mirror and section-image in that
+    order (see shoot_orbit). Shooting failures are recorded per entry
     without aborting the sweep; a -w2 orbit whose partner failed is shot
     from its section image. An orbit whose section point lies within
     DUPLICATE_TOL * eps of an earlier root's at the same eps is that root's
@@ -894,7 +891,6 @@ def sweep_epsilon(
     an empty eps_list, one not strictly decreasing, or one with an eps
     outside (0, MAX_EPS], NaN included, before anything is shot.
     """
-    spec = spec or IntegratorSpec()
     eps_list = [float(e) for e in eps_list]
     if not eps_list or any(not 0.0 < e <= MAX_EPS for e in eps_list):
         raise ValueError(f"eps_list must lie in (0, {MAX_EPS}]")
@@ -911,9 +907,7 @@ def sweep_epsilon(
         records: dict[int, PeriodicOrbitRecord] = {}
         failures: dict[int, str] = {}
         for i, root in enumerate(prediction.roots):
-            paired = (root[1] < 0.0 and i > 0
-                      and prediction.roots[i - 1] == (root[0], -root[1]))
-            partner = records.get(i - 1) if paired else None
+            partner = records.get(i - 1) if root[1] < 0.0 else None
             try:
                 rec = shoot_orbit(u, eps, root, spec, partner, corrections[i])
             except SHOOTING_ERRORS as exc:
@@ -928,31 +922,23 @@ def sweep_epsilon(
                 records[i] = rec
         entries.append(SweepEntry(eps=eps, records=records, failures=failures))
 
-    amp_slopes = {}
-    seed_error_slopes = {}
-    max_coords = {}
+    amp_slopes, seed_error_slopes, max_coords = {}, {}, {}
     monotone = True
-    for i, root in enumerate(prediction.roots):
-        eps_ok, amps, errs, coords = [], [], [], []
-        max_coords[i] = []
-        for entry in entries:
-            rec = entry.records.get(i)
-            if rec is None:
-                max_coords[i].append(math.nan)
-                continue
-            coords.append(float(np.max(np.abs(rec.trace[1]))))
-            max_coords[i].append(coords[-1])
-            eps_ok.append(entry.eps)
-            amps.append(float(np.linalg.norm(rec.section_point)))
-            target = entry.eps * np.array([root[1], root[0]])
-            errs.append(float(np.linalg.norm(rec.section_point - target)))
-        if len(eps_ok) >= 2:
-            log_eps = np.log(eps_ok)
-            amp_slopes[i] = _slope(log_eps, np.log(amps))
-            safe = np.maximum(errs, 1e-300)
-            seed_error_slopes[i] = _slope(log_eps, np.log(safe))
-        if any(b >= a for a, b in zip(coords, coords[1:])):
+    for i, (r, w) in enumerate(prediction.roots):
+        located = [(e.eps, e.records[i]) for e in entries if i in e.records]
+        extent = {eps: float(np.max(np.abs(rec.trace[1])))
+                  for eps, rec in located}
+        max_coords[i] = [extent.get(e.eps, math.nan) for e in entries]
+        if any(b >= a for a, b in pairwise(extent.values())):
             monotone = False
+        if len(located) >= 2:
+            log_eps = np.log([eps for eps, _ in located])
+            amps = [np.linalg.norm(rec.section_point) for _, rec in located]
+            errs = [np.linalg.norm(rec.section_point - eps * np.array([w, r]))
+                    for eps, rec in located]
+            amp_slopes[i] = _slope(log_eps, np.log(amps))
+            seed_error_slopes[i] = _slope(log_eps,
+                                          np.log(np.maximum(errs, 1e-300)))
     return SweepResult(
         prediction=prediction,
         entries=entries,

@@ -432,6 +432,19 @@ def test_find_roots_empty_result():
     assert find_roots(fun, [(-1.0, 1.0), (-1.0, 1.0)], grid=8) == []
 
 
+def test_find_roots_without_seeds_calls_fun_once():
+    """Where fun is NaN on the whole grid no cell seeds Newton: the grid
+    is the one call of fun, and no Newton round runs on an empty batch."""
+    shapes = []
+
+    def fun(z):
+        shapes.append(z.shape)
+        return np.full_like(z, np.nan)
+
+    assert find_roots(fun, [(0.0, 1.0), (0.0, 1.0)], grid=4) == []
+    assert shapes == [(2, 5, 5)]
+
+
 def test_find_roots_negated_function():
     fun = lambda z: g_closed(z[0], z[1], 1.0, 5.0, 2.0)
     neg = lambda z: -fun(z)

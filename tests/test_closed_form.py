@@ -180,6 +180,12 @@ def test_classifier_count_consistency():
             continue
         pred = predicted_roots(a2, b2, delta)
         assert COUNT_OF[pred.count] == len(pred.roots)
+        # the order sweep_epsilon pairs by: a w = 0 root first, and each
+        # root with w < 0 directly after its mirror
+        assert all(w != 0.0 for _, w in pred.roots[1:])
+        for i, (r, w) in enumerate(pred.roots):
+            if w < 0.0:
+                assert i > 0 and pred.roots[i - 1] == (r, -w)
         checked += 1
 
 

@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from averager import shooting
+from averager.cli import _jsonable
 from averager.closed_form import (DegeneratePrediction, HypothesisViolated,
                                   OrbitCount, predicted_roots,
                                   root_corrections)
@@ -317,6 +318,13 @@ def test_integrator_budget_errors(monkeypatch):
             poincare_return(p, (0.0, 0.4), SPEC)
     with pytest.raises(StepUnderflow):
         poincare_return(p, (3.0, 30.0), SPEC)
+
+
+def test_a_non_finite_phi_is_a_step_underflow(monkeypatch):
+    monkeypatch.setattr(shooting, "_leg_transition",
+                        lambda *args: np.full((3, 3), np.inf))
+    with pytest.raises(StepUnderflow, match="non-finite Phi"):
+        poincare_return(unfold(THREE_ORBIT, EPS), (0.05, 0.35), SPEC)
 
 
 @pytest.mark.parametrize("tol", [shooting.MIN_TOL, 1e-11, shooting.MAX_TOL])
@@ -1119,6 +1127,32 @@ def test_every_candidate_failing_names_the_mirror_failure(records,
                        "converge; section-image: Newton did not converge"):
         shoot_orbit(THREE_ORBIT, EPS, records[2].seed, SPEC,
                     partner=records[1])
+
+
+def test_a_singular_newton_system_fails_the_candidate(monkeypatch):
+    """With dP/dq = I, the Newton system dP/dq - I is singular: Newton
+    fails where the first return misses SHOOT_TOL."""
+    root = predicted_roots(THREE_ORBIT.a2, THREE_ORBIT.b2,
+                           THREE_ORBIT.delta).roots[1]
+    monkeypatch.setattr(shooting.Return, "jac",
+                        property(lambda self: np.eye(2)))
+    with pytest.raises(ShootingDiverged,
+                       match="section-image: Newton did not converge"):
+        shoot_orbit(THREE_ORBIT, EPS, root)
+
+
+def test_a_singular_newton_system_at_the_orbit_reports_an_infinite_step(
+        records, monkeypatch):
+    """The -w orbit is accepted on its mirror seed's first return; with
+    dP/dq = I there, its Newton step is inf, which the summary writes as
+    null."""
+    monkeypatch.setattr(shooting.Return, "jac",
+                        property(lambda self: np.eye(2)))
+    rec = shoot_orbit(THREE_ORBIT, EPS, records[2].seed, SPEC,
+                      partner=records[1])
+    assert (rec.seed_candidate, rec.returns) == ("mirror", 1)
+    assert rec.newton_step == math.inf
+    assert _jsonable(rec.newton_step) is None
 
 
 def test_partner_from_another_eps_is_rejected(records):
