@@ -134,49 +134,64 @@ def higher_averages(u: UnfoldingParams, z) -> tuple:
     Df3 = c1 DPhi, D^2f2 is 2 pi times the second derivatives of the
     cubic g_closed, and at c1 = 0, f3 = 0 and Df3 = 0 exactly.
 
-    Each form is evaluated in numpy float64 as a power of 1/d times a
-    polynomial in t = 1 / d^2 by Horner's rule, B_r = d^4 (4 a2 + t (3 r^2
-    - 12 b2 - 36 w^2 - 15 t r^2)) and so on, so that d enters only as d^2
-    and 1/d: no intermediate power of d leaves the double range for any
-    delta in [MIN_DELTA, MAX_DELTA], and a result that does becomes inf
-    or nan, never an OverflowError.
+    Each form is evaluated as a power of 1/d times a polynomial in
+    t = 1 / d^2 by Horner's rule, B_r = d^4 (4 a2 + t (3 r^2 - 12 b2
+    - 36 w^2 - 15 t r^2)) and so on, so that d enters only as d^2 and
+    1/d: no intermediate power of d leaves the double range for any delta
+    in [MIN_DELTA, MAX_DELTA]. The forms are evaluated point by point in
+    Python floats, as the caller has one to three roots, where numpy's
+    cost per call on arrays of that length is most of the work; each
+    takes the operations of a numpy evaluation in the same order, so
+    their bits are those of float64 arrays, and a result that leaves the
+    double range becomes inf or nan, never an OverflowError.
 
     z has shape (2, *batch); f3 and f4 have that shape too, Df3, with
     Df3[i, j] the derivative of f3_i by z_j, the shape (2, 2, *batch),
     and D^2f2, with D^2f2[i, j, k] the derivative of f2_i by z_j and z_k,
     the shape (2, 2, 2, *batch).
     """
-    r, w = np.asarray(z, dtype=float)
-    a2, b2, c1, c2, d = map(np.float64, (u.a2, u.b2, u.c1, u.c2, u.delta))
-    t, rr, ww, rw = 1 / (d * d), r * r, w * w, r * w
+    z = np.asarray(z, dtype=float)
+    a2, b2, c1, c2, d = map(float, (u.a2, u.b2, u.c1, u.c2, u.delta))
+    t = 1 / (d * d)
     s = np.pi * t / d  # pi / d^3
-    b_r = 4 * a2 + 3 * t * (rr - 4 * b2 - 12 * ww - 5 * t * rr)  # B_r / d^4
-    b_w = t * (rr - 2 * b2 - 2 * ww - 5 * t * rr)  # B_w / d^4
-    phi = s / 8 * np.array([-r * b_r, 12 * w * b_w])
-    dphi = s / 8 * np.array([
-        [-b_r - 6 * t * (1 - 5 * t) * rr, 72 * t * rw],
-        [24 * t * (1 - 5 * t) * rw, 12 * (b_w - 4 * t * ww)]])
-    psi = 3 * s * t / 32 * np.array([
-        -r * (4 * a2 + 5 * t * (rr - 4 * b2 - 12 * ww - 7 * t * rr)),
-        20 * w * t * (rr - 2 * b2 - 2 * ww - 7 * t * rr)])
-    # P_r / d^6 and P_w / d^8
-    p_r = -4 * a2 * (3 * b2 + rr + 3 * ww) + t * (
-        96 * a2 * rr + 36 * b2 * b2 - 25 * b2 * rr + 5 * rr * rr - 41 * rr * ww
-        + 36 * ww * (4 * b2 + 3 * ww)
-        + 3 * t * rr * (5 * b2 - 7 * rr - 35 * ww + 14 * t * rr))
-    p_w = 12 * a2 * a2 + t * (
-        24 * ww * (b2 + ww - 6 * a2) - 48 * a2 * b2 + 27 * a2 * rr
-        - 8 * rr * ww + t * (
-            36 * (b2 * b2 + 3 * ww * ww) - 69 * a2 * rr - 35 * b2 * rr
-            + 7 * rr * rr + 39 * rr * ww
-            + t * rr * (5 * (17 * b2 - 7 * rr - 21 * ww) + 42 * t * rr)))
-    dg_g = (g_jacobian(r, w, a2, b2, d) * g_closed(r, w, a2, b2, d)).sum(1)
-    f4 = (2 * np.pi ** 2 * dg_g + c2 * phi + c1 * c1 * psi
-          + s / 12 * np.array([w * p_r, r * p_w]))
     q = 2 * s * (3 * t - 1)  # 2 pi (3 - d^2) / d^5
-    d2f2 = np.array([[[3 * q * r / 4, 6 * s * w], [6 * s * w, 6 * s * r]],
-                     [[-q * w, -q * r], [-q * r, -12 * s * w]]])
-    return c1 * phi, f4, c1 * dphi, d2f2
+    values = []  # per point: f3, f4, Df3 and D^2f2, flattened
+    for r, w in z.reshape(2, -1).T.tolist():
+        rr, ww, rw = r * r, w * w, r * w
+        # B_r / d^4 and B_w / d^4
+        b_r = 4 * a2 + 3 * t * (rr - 4 * b2 - 12 * ww - 5 * t * rr)
+        b_w = t * (rr - 2 * b2 - 2 * ww - 5 * t * rr)
+        phi = [s / 8 * v for v in (-r * b_r, 12 * w * b_w)]
+        dphi = [s / 8 * v for v in (
+            -b_r - 6 * t * (1 - 5 * t) * rr, 72 * t * rw,
+            24 * t * (1 - 5 * t) * rw, 12 * (b_w - 4 * t * ww))]
+        psi = [3 * s * t / 32 * v for v in (
+            -r * (4 * a2 + 5 * t * (rr - 4 * b2 - 12 * ww - 7 * t * rr)),
+            20 * w * t * (rr - 2 * b2 - 2 * ww - 7 * t * rr))]
+        # P_r / d^6 and P_w / d^8
+        p_r = -4 * a2 * (3 * b2 + rr + 3 * ww) + t * (
+            96 * a2 * rr + 36 * b2 * b2 - 25 * b2 * rr + 5 * rr * rr
+            - 41 * rr * ww + 36 * ww * (4 * b2 + 3 * ww)
+            + 3 * t * rr * (5 * b2 - 7 * rr - 35 * ww + 14 * t * rr))
+        p_w = 12 * a2 * a2 + t * (
+            24 * ww * (b2 + ww - 6 * a2) - 48 * a2 * b2 + 27 * a2 * rr
+            - 8 * rr * ww + t * (
+                36 * (b2 * b2 + 3 * ww * ww) - 69 * a2 * rr - 35 * b2 * rr
+                + 7 * rr * rr + 39 * rr * ww
+                + t * rr * (5 * (17 * b2 - 7 * rr - 21 * ww) + 42 * t * rr)))
+        (j00, j01), (j10, j11) = g_jacobian(r, w, a2, b2, d).tolist()
+        g0, g1 = g_closed(r, w, a2, b2, d).tolist()
+        dg_g = (j00 * g0 + j01 * g1, j10 * g0 + j11 * g1)
+        f4 = [2 * np.pi ** 2 * dg + c2 * ph + c1 * c1 * ps + s / 12 * pv
+              for dg, ph, ps, pv in zip(dg_g, phi, psi, (w * p_r, r * p_w))]
+        values.append([*(c1 * v for v in phi), *f4, *(c1 * v for v in dphi),
+                       3 * q * r / 4, 6 * s * w, 6 * s * w, 6 * s * r,
+                       -q * w, -q * r, -q * r, -12 * s * w])
+    # C order, as numpy's evaluation gave: einsum's sums depend on it
+    out = np.array(values, dtype=float).reshape(-1, 16).T.copy()
+    batch = z.shape[1:]
+    return (out[:2].reshape(2, *batch), out[2:4].reshape(2, *batch),
+            out[4:8].reshape(2, 2, *batch), out[8:].reshape(2, 2, 2, *batch))
 
 
 def root_corrections(u: UnfoldingParams, roots) -> list:
@@ -201,8 +216,8 @@ def root_corrections(u: UnfoldingParams, roots) -> list:
     # corrections are then not finite, and shoot_orbit drops such a seed
     # shift
     with np.errstate(over="ignore", invalid="ignore"):
-        jac = 2.0 * np.pi * np.moveaxis(
-            g_jacobian(z0[0], z0[1], u.a2, u.b2, u.delta), 2, 0)
+        jac = 2.0 * np.pi * np.array([g_jacobian(r, w, u.a2, u.b2, u.delta)
+                                      for r, w in z0.T.tolist()])
         f3, f4, df3, d2f2 = higher_averages(u, z0)
         z1 = newton(f3)
         z2 = newton(f4 + np.einsum("ijp,jp->ip", df3, z1)

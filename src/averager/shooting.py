@@ -47,8 +47,10 @@ eps^2 z2: z0 is the averaged root, and z1 and z2 come from the third and
 fourth averaged functions (closed_form.root_corrections), so the seed
 misses the orbit by O(eps^4) where the image of z0 alone misses it by
 O(eps^3). Every orbit is accepted only on its own full return, whatever
-its seed, and a candidate fails where Newton settles within eps r / 10 of
-an equilibrium.
+its seed, and a candidate fails at the first return of its Newton that
+would start within eps r / 10 of an equilibrium, all of which lie on
+y = 0: Newton is walking onto it, as an orbit's section point has y near
+eps r.
 
 The field is a cubic polynomial, so every flow is integrated by a Taylor
 series method (Jorba and Zou, Experimental Mathematics 14, 2005): short
@@ -83,6 +85,15 @@ found, the Taylor coefficients of every step's transition matrix solve
 one lower-triangular system per step, in one batched solve over the leg;
 Phi is the ordered product of the transitions, each evaluated at its
 step length and the last one at the crossing.
+
+What runs in Python floats and what in numpy follows the cost of a
+call: numpy pays for each call on an array, which on 2- and 3-vectors is
+most of the work. So the recurrences and the step rule of a leg run in
+floats, each step's two J series reach the batched solve as one flat
+list, one row of its matrix, and the three Floquet multipliers are
+ordered in Python; the batched solve, Phi, its projection onto the
+section and the Newton step stay in numpy. Every value keeps the bits of
+the numpy form it replaced.
 """
 
 from __future__ import annotations
@@ -182,6 +193,11 @@ class SeedInvalid(ValueError):
     """The averaged seed is unusable (r <= 0 or not finite)."""
 
 
+class _NearEquilibrium(RuntimeError):
+    """A return of Newton would start within eps r / 10 of an
+    equilibrium, which Newton is walking onto."""
+
+
 #: the failures of one return to the section
 _RETURN_ERRORS = (NoReturn, StepLimitExceeded, StepUnderflow)
 
@@ -253,7 +269,8 @@ def _taylor_kernel(order: int) -> Callable:
     The function kernel(a, b, c, s) returns the lists x, y and z of the
     order + 1 Taylor coefficients of each coordinate of the flow of
     SystemParams(a, b, c) at the state s, and jac, the Taylor series of the
-    entries of row 2 of J that vary along that flow, each to order terms.
+    two entries of row 2 of J that vary along that flow, J0 = dz'/dx and
+    J1 = dz'/dy, each to order terms, in one list, J0 first.
     z' = -a z - b x + c y + x (y^2 - x^2) takes two Cauchy products per
     order: y^2 - x^2 as (y - x)(y + x), and x (y^2 - x^2). The entries of
     J are -b + y^2 - 3 x^2 = -b + (y^2 - x^2) - 2 x^2 and c + 2 x y, and as
@@ -280,12 +297,12 @@ def _taylor_kernel(order: int) -> Callable:
                   f"    y{k + 1} = z{k} * {inv}"]
     lines += [f"    s{k} = {_cauchy('x', 'x', k)}" for k in range(order + 1)]
     series = [", ".join(f"{u}{k}" for k in range(order + 1)) for u in "xyz"]
-    jac = [", ".join(["q0 - 2.0 * s0 - b"] + [f"q{k} - 2.0 * s{k}"
-                                               for k in range(1, order)]),
-           ", ".join(["s1 + c"] + [f"{k + 1.0!r} * s{k + 1}"
-                                    for k in range(1, order)])]
+    jac = ", ".join(["q0 - 2.0 * s0 - b"]
+                    + [f"q{k} - 2.0 * s{k}" for k in range(1, order)]
+                    + ["s1 + c"]
+                    + [f"{k + 1.0!r} * s{k + 1}" for k in range(1, order)])
     lines.append(f"    return [{series[0]}], [{series[1]}], [{series[2]}], "
-                 f"([{jac[0]}], [{jac[1]}])")
+                 f"[{jac}]")
     namespace = {}
     exec("\n".join(lines), namespace)
     return namespace["kernel"]
@@ -307,7 +324,7 @@ def _transition_system(order: int):
     is linear in J0, J1 and a.
 
     Returns (fixed, basis, sub, gains): L = fixed + a sub - J @ basis, with
-    J = (J0, J1) flattened to length 2 order and basis reshaped to
+    J the row jac of length 2 order, J0 then J1, and basis reshaped to
     (2 order, n, n) for n = order + 3; and gains, the (order + 1, 3, n)
     array with Psi(tau) = sum_m tau^m gains[m] @ c.
     """
@@ -339,11 +356,10 @@ def _leg_transition(p: SystemParams, lengths: list, jacs: list) -> np.ndarray:
     transition; the matrix is their ordered product.
     """
     jac = np.array(jacs)
-    steps, _, order = jac.shape
+    order = jac.shape[1] // 2
     fixed, basis, sub, gains = _transition_system(order)
     n = len(fixed)
-    lower = (fixed + p.a * sub
-             - (jac.reshape(steps, -1) @ basis).reshape(-1, n, n))
+    lower = fixed + p.a * sub - (jac @ basis).reshape(-1, n, n)
     coef = np.linalg.solve(lower, np.eye(n, 3))
     weights = (np.array(lengths)[:, None] ** np.arange(order + 1)
                @ gains.reshape(order + 1, -1)).reshape(-1, 3, n)
@@ -623,10 +639,11 @@ def poincare_return(p: SystemParams, q, spec: IntegratorSpec,
 def _nontrivial_multipliers(mono: np.ndarray):
     """(two nontrivial multipliers, trivial multiplier closest to 1)."""
     mults = np.linalg.eigvals(mono)
-    i0 = int(np.argmin(np.abs(mults - 1.0)))
-    rest = np.delete(mults, i0)
-    order = np.lexsort((rest.imag, rest.real))
-    return rest[order], mults[i0]
+    values = mults.tolist()
+    i0 = min(range(3), key=lambda i: abs(values[i] - 1.0))
+    rest = sorted((i for i in range(3) if i != i0),
+                  key=lambda i: (values[i].real, values[i].imag))
+    return mults[rest], mults[i0]
 
 
 def _newton_return(return_map, ret, tol):
@@ -728,11 +745,13 @@ def shoot_orbit(
     SeedInvalid for r <= 0 or non-finite seeds; ShootingDiverged when no
     candidate converges: Newton fails (for a root with w = 0, Newton on
     the half map), a return raises one of the _RETURN_ERRORS, the one full
-    return after Newton on the half map misses SHOOT_TOL, or Newton
-    converges to within eps * r / 10 of an equilibrium of the system, the
-    origin or, for b < 0, (+-sqrt(-b), 0, 0). Its message names each
-    candidate's failure. ValueError for eps outside (0, MAX_EPS] or a
-    partner located at another eps.
+    return after Newton on the half map misses SHOOT_TOL, or a return of
+    Newton, the candidate's first included, would start within
+    eps * r / 10 of an equilibrium of the system, the origin or, for
+    b < 0, (+-sqrt(-b), 0, 0): the candidate fails there, before that
+    return is integrated, as "converged to the equilibrium (x, 0.0, 0.0)".
+    Its message names each candidate's failure. ValueError for eps outside
+    (0, MAX_EPS] or a partner located at another eps.
     """
     r, w = float(seed[0]), float(seed[1])
     if not (np.isfinite(r) and np.isfinite(w)) or r <= 0.0:
@@ -742,14 +761,22 @@ def shoot_orbit(
     if partner is not None and partner.eps != eps:
         raise ValueError(f"partner located at eps = {partner.eps}, not {eps}")
     p = unfold(u, eps)
+    # each equilibrium's (x, y), and its (x, y, z) for the failure text
+    centers = [(x[:2].tolist(), tuple(x.tolist())) for x in equilibria(p)]
     returns = []  # the start of every return-map call, half or full
 
-    def full_map(q, first=None):
+    def count(q):
+        for (x, y), point in centers:
+            if math.hypot(q[0] - x, q[1] - y) < 0.1 * eps * r:
+                raise _NearEquilibrium(f"converged to the equilibrium {point}")
         returns.append(q)
+
+    def full_map(q, first=None):
+        count(q)
         return poincare_return(p, q, spec, first)
 
     def half_map(q):
-        returns.append(q)
+        count(q)
         return half_return(p, q, spec)
 
     failures, candidates = [], []
@@ -779,16 +806,15 @@ def shoot_orbit(
         except _RETURN_ERRORS as exc:
             failures.append(f"{tag}: {type(exc).__name__}: {exc}")
             continue
+        except _NearEquilibrium as exc:
+            failures.append(f"{tag}: {exc}")
+            continue
         if ret is None:
             failures.append(f"{tag}: {newton} did not converge")
         elif not ret.residual < SHOOT_TOL:
             failures.append(f"{tag}: the full return after Newton on the "
                             f"half map misses by |P(q) - q| = "
                             f"{ret.residual:.3e}")
-        elif near := [x for x in equilibria(p)
-                      if np.linalg.norm(ret.start - x[:2]) < 0.1 * eps * r]:
-            failures.append(f"{tag}: converged to the equilibrium "
-                            f"{tuple(near[0].tolist())}")
         else:
             break
     else:

@@ -10,10 +10,14 @@ They are the independent derivation the tables are tested against: F1
 and F2 must be the eps-expansion of theta_rhs, and theta_rhs must be the
 vector field through the coordinate chain. jacobian_at is the Jacobian of
 the jerk field, for the variational equations of the DOP853 oracle.
+numpy_higher_averages and numpy_root_corrections are closed_form's
+higher averages and seed corrections as numpy float64 array code, the
+form the Python-float evaluation must reproduce bit for bit.
 """
 
 import numpy as np
 
+from averager.closed_form import g_closed, g_jacobian
 from averager.jerk import SystemParams
 from averager.normal_form import UnfoldingParams
 
@@ -125,3 +129,58 @@ def theta_rhs(cyl, unfolding: UnfoldingParams, eps: float) -> np.ndarray:
         )
     common = eps * H / den
     return np.array([common * r * np.sin(theta), -common * r / d])
+
+
+def numpy_higher_averages(u: UnfoldingParams, z) -> tuple:
+    """(f3, f4, Df3, D^2f2) of closed_form.higher_averages, each form
+    evaluated on float64 arrays over the whole batch z of shape
+    (2, *batch)."""
+    r, w = np.asarray(z, dtype=float)
+    a2, b2, c1, c2, d = map(np.float64, (u.a2, u.b2, u.c1, u.c2, u.delta))
+    t, rr, ww, rw = 1 / (d * d), r * r, w * w, r * w
+    s = np.pi * t / d  # pi / d^3
+    b_r = 4 * a2 + 3 * t * (rr - 4 * b2 - 12 * ww - 5 * t * rr)  # B_r / d^4
+    b_w = t * (rr - 2 * b2 - 2 * ww - 5 * t * rr)  # B_w / d^4
+    phi = s / 8 * np.array([-r * b_r, 12 * w * b_w])
+    dphi = s / 8 * np.array([
+        [-b_r - 6 * t * (1 - 5 * t) * rr, 72 * t * rw],
+        [24 * t * (1 - 5 * t) * rw, 12 * (b_w - 4 * t * ww)]])
+    psi = 3 * s * t / 32 * np.array([
+        -r * (4 * a2 + 5 * t * (rr - 4 * b2 - 12 * ww - 7 * t * rr)),
+        20 * w * t * (rr - 2 * b2 - 2 * ww - 7 * t * rr)])
+    # P_r / d^6 and P_w / d^8
+    p_r = -4 * a2 * (3 * b2 + rr + 3 * ww) + t * (
+        96 * a2 * rr + 36 * b2 * b2 - 25 * b2 * rr + 5 * rr * rr - 41 * rr * ww
+        + 36 * ww * (4 * b2 + 3 * ww)
+        + 3 * t * rr * (5 * b2 - 7 * rr - 35 * ww + 14 * t * rr))
+    p_w = 12 * a2 * a2 + t * (
+        24 * ww * (b2 + ww - 6 * a2) - 48 * a2 * b2 + 27 * a2 * rr
+        - 8 * rr * ww + t * (
+            36 * (b2 * b2 + 3 * ww * ww) - 69 * a2 * rr - 35 * b2 * rr
+            + 7 * rr * rr + 39 * rr * ww
+            + t * rr * (5 * (17 * b2 - 7 * rr - 21 * ww) + 42 * t * rr)))
+    dg_g = (g_jacobian(r, w, a2, b2, d) * g_closed(r, w, a2, b2, d)).sum(1)
+    f4 = (2 * np.pi ** 2 * dg_g + c2 * phi + c1 * c1 * psi
+          + s / 12 * np.array([w * p_r, r * p_w]))
+    q = 2 * s * (3 * t - 1)  # 2 pi (3 - d^2) / d^5
+    d2f2 = np.array([[[3 * q * r / 4, 6 * s * w], [6 * s * w, 6 * s * r]],
+                     [[-q * w, -q * r], [-q * r, -12 * s * w]]])
+    return c1 * phi, f4, c1 * dphi, d2f2
+
+
+def numpy_root_corrections(u: UnfoldingParams, roots) -> list:
+    """closed_form.root_corrections on numpy_higher_averages, with Dg
+    evaluated over the batch of roots."""
+    z0 = np.array(roots, dtype=float).T
+
+    def newton(f):
+        return -np.linalg.solve(jac, f.T[:, :, None])[:, :, 0].T
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        jac = 2.0 * np.pi * np.moveaxis(
+            g_jacobian(z0[0], z0[1], u.a2, u.b2, u.delta), 2, 0)
+        f3, f4, df3, d2f2 = numpy_higher_averages(u, z0)
+        z1 = newton(f3)
+        z2 = newton(f4 + np.einsum("ijp,jp->ip", df3, z1)
+                    + 0.5 * np.einsum("ijkp,jp,kp->ip", d2f2, z1, z1))
+    return [(z1[:, i], z2[:, i]) for i in range(len(roots))]

@@ -11,10 +11,11 @@ from averager.closed_form import (
     g_jacobian,
     higher_averages,
     predicted_roots,
+    root_corrections,
 )
 from averager.normal_form import (MAX_DELTA, MIN_DELTA, UnfoldingParams,
                                   jerk_standard_form)
-from reference import theta_rhs
+from reference import numpy_higher_averages, numpy_root_corrections, theta_rhs
 
 COUNT_OF = {OrbitCount.ZERO: 0, OrbitCount.ONE: 1, OrbitCount.TWO: 2,
             OrbitCount.THREE: 3}
@@ -301,3 +302,48 @@ def test_df3_and_d2f2_are_the_derivatives_of_f3_and_f2():
         central = (jac[1] - jac[0]) / (2.0 * h)
         scale = np.max(np.abs(d2f2))
         assert np.max(np.abs(central - d2f2[:, :, j])) < 1e-12 * scale
+
+
+def same_bits(got, want):
+    return all(a.shape == b.shape and a.tobytes() == b.tobytes()
+               for a, b in zip(got, want, strict=True))
+
+
+def test_float_averages_and_corrections_have_the_bits_of_numpy():
+    """higher_averages and root_corrections, evaluated in Python floats,
+    give the numpy float64 forms' bits and shapes: f3, f4, Df3, D^2f2 at
+    the predicted roots and at drawn points in batches of the shapes (2,),
+    (2, 3) and (2, 2, 2), and (z1, z2) of every root, on the showcase and
+    on 200 drawn directions with c1 and c2 nonzero. On directions so far
+    out that Dg and the averages overflow, the non-finite values match
+    too, and no warning escapes."""
+    rng = np.random.default_rng(44)
+    directions = [SHOWCASE, WITH_C1]
+    while len(directions) < 202:
+        a2, b2, c1, c2 = rng.uniform(-3.0, 3.0, 4)
+        u = UnfoldingParams(a2=a2, b2=b2, c1=c1 / 6.0, c2=c2 / 6.0,
+                            delta=rng.uniform(0.5, 3.0))
+        roots = predicted_roots(u.a2, u.b2, u.delta).roots
+        if roots and u.c1 != 0.0 and u.c2 != 0.0:
+            directions.append(u)
+    for u in directions:
+        roots = predicted_roots(u.a2, u.b2, u.delta).roots
+        points = [np.array(roots).T]
+        points += [rng.uniform(-3.0, 3.0, shape)
+                   for shape in ((2,), (2, 3), (2, 2, 2))]
+        for z in points:
+            assert same_bits(higher_averages(u, z),
+                             numpy_higher_averages(u, z))
+        got = root_corrections(u, roots)
+        want = numpy_root_corrections(u, roots)
+        assert len(got) == len(want)
+        assert all(same_bits(*pair) for pair in zip(got, want))
+    for far in (UnfoldingParams(a2=1e300, b2=5.0, delta=2.0),
+                UnfoldingParams(a2=1e300, b2=-1e300, delta=1e10),
+                UnfoldingParams(a2=-1.0, b2=-1e6, delta=1e-50, c1=-1e300,
+                                c2=-0.3)):
+        roots = predicted_roots(far.a2, far.b2, far.delta).roots
+        got = root_corrections(far, roots)
+        want = numpy_root_corrections(far, roots)
+        assert not all(np.isfinite(np.concatenate(got[0])))
+        assert all(same_bits(*pair) for pair in zip(got, want))

@@ -4,6 +4,7 @@ import math
 import re
 from dataclasses import replace
 from itertools import accumulate
+from operator import mul
 
 import numpy as np
 import pytest
@@ -195,7 +196,9 @@ def four_product_series(p, s, order):
 
 def relative_gap(series, reference):
     """Largest gap between two series, each order against the magnitude of
-    the reference at that order."""
+    the reference at that order; series is read in the reference's shape,
+    as the kernel gives the two J series in one list."""
+    series = np.reshape(series, np.shape(reference))
     scale = np.maximum(np.max(np.abs(reference), axis=0),
                        np.finfo(float).tiny)
     return float(np.max(np.abs(series - reference) / scale))
@@ -277,7 +280,7 @@ def test_taylor_kernel_matches_the_left_to_right_recurrence_bit_for_bit():
         kernel = shooting._taylor_kernel(order)
         for s, (a, b, c) in zip(states, params):
             x, y, z, jac = kernel(a, b, c, list(s))
-            got = [x, y, z, *jac]
+            got = [x, y, z, jac[:order], jac[order:]]
             want = left_to_right_series(SystemParams(a, b, c), s, order)
             assert ([[v.hex() for v in series] for series in got]
                     == [[v.hex() for v in series] for series in want])
@@ -582,13 +585,25 @@ def test_flow_is_one_horner_pass_over_the_stored_steps(records):
     """HalfReturn.flow and Return.flow equal the step-by-step Horner
     evaluation bit for bit: at t = 0, at each step start and one ulp
     before it, at the first half's flight and at the whole flight. The
-    second half of a return is its leg's states negated."""
+    second half of a return is its leg's states negated. Each half's
+    point and jac are, bit for bit, -state[:2] of its crossing state and
+    the projection of phi along the field f there,
+    -(phi - outer(f, phi[2]) / f[2])[:2, :2]; the crossing state is the
+    last step's series at its length, with z = 0."""
     p = unfold(THREE_ORBIT, EPS)
     for rec in records:
         ret = poincare_return(p, rec.section_point, SPEC)
         first = ret.first.flight
         times = [0.0, first, ret.flight]
         for half, offset in ((ret.first, 0.0), (ret.second, first)):
+            tau = half.lengths[-1]
+            state = [sum(map(mul, coef, [tau ** k for k in range(len(coef))]))
+                     for coef in half.polys[-1]]
+            state[2] = 0.0
+            f = vector_field(p, state)
+            assert half.point.tobytes() == (-np.array(state[:2])).tobytes()
+            projected = -(half.phi - np.outer(f, half.phi[2]) / f[2])[:2, :2]
+            assert half.jac.tobytes() == projected.tobytes()
             starts = np.array(list(accumulate(half.lengths[:-1])))
             assert len(starts) > 5
             t = np.concatenate([[0.0], starts, np.nextafter(starts, 0.0),
@@ -743,18 +758,30 @@ def test_the_equilibrium_at_the_origin_is_not_an_orbit():
 NEAR_EQUILIBRIA = UnfoldingParams(a2=0.42, b2=-1.801, delta=1.708)
 
 
-def test_an_equilibrium_off_the_origin_is_not_an_orbit():
-    """From eps (w, r), the +w pair root at eps 0.2 settles on the
-    equilibrium (sqrt(-b), 0, 0), not on the origin; it is rejected and
-    named."""
+def test_an_equilibrium_off_the_origin_is_not_an_orbit(monkeypatch):
+    """From eps (w, r), Newton on the +w pair root at eps 0.2 walks onto
+    the equilibrium (sqrt(-b), 0, 0), not onto the origin; the candidate
+    is failed and the equilibrium named at the first return that would
+    start within eps r / 10 of it, so no leg is integrated from there."""
     eps = 0.2
     roots = predicted_roots(NEAR_EQUILIBRIA.a2, NEAR_EQUILIBRIA.b2,
                             NEAR_EQUILIBRIA.delta).roots
-    x = math.sqrt(-unfold(NEAR_EQUILIBRIA, eps).b)
+    p = unfold(NEAR_EQUILIBRIA, eps)
+    x = math.sqrt(-p.b)
+    starts = []
+
+    def spy(p, q, spec):
+        starts.append(np.asarray(q, dtype=float))
+        return half_return(p, q, spec)
+
+    monkeypatch.setattr(shooting, "half_return", spy)
     with pytest.raises(ShootingDiverged, match=re.escape(
             f"section-image: converged to the equilibrium ({x!r}, 0.0, 0.0)")):
         shoot_orbit(NEAR_EQUILIBRIA, eps, roots[1], SPEC,
                     correction=(np.zeros(2), np.zeros(2)))
+    assert starts
+    assert all(np.linalg.norm(q - e[:2]) >= 0.1 * eps * roots[1][0]
+               for q in starts for e in equilibria(p))
 
 
 def test_a_w0_root_accepts_only_an_orbit_that_is_its_own_reflection():
