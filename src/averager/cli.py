@@ -93,7 +93,7 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (complex, np.complexfloating)):
-        return [float(obj.real), float(obj.imag)]
+        return [_jsonable(obj.real), _jsonable(obj.imag)]
     if isinstance(obj, (float, np.floating)):
         return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, np.integer):

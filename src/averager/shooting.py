@@ -99,6 +99,7 @@ the numpy form it replaced.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, pairwise
@@ -193,9 +194,9 @@ class SeedInvalid(ValueError):
     """The averaged seed is unusable (r <= 0 or not finite)."""
 
 
-class _NearEquilibrium(RuntimeError):
-    """A return of Newton would start within eps r / 10 of an
-    equilibrium, which Newton is walking onto."""
+class _CandidateFailed(RuntimeError):
+    """A candidate seed failed short of a return error; the message is the
+    label of the failure."""
 
 
 #: the failures of one return to the section
@@ -660,10 +661,19 @@ def _newton_return(return_map, ret, tol):
 
     Returns
     -------
-    The return at the first point q with |P(q) - q| below tol, or None
-    when Newton fails.
+    The return at the first point q with |P(q) - q| below tol.
+
+    Raises
+    ------
+    _CandidateFailed "Newton did not converge", or "Newton on the half
+    map did not converge" when ret is a HalfReturn, where no point below
+    tol is reached in MAX_NEWTON_ITER steps, neither a step nor any of
+    its first eleven halvings reduces the residual, or dP/dq - I is
+    singular; whatever return_map raises other than the _RETURN_ERRORS
+    of a trial.
     """
-    try:
+    # a singular dP/dq - I ends the iteration where it stands
+    with suppress(np.linalg.LinAlgError):
         for _ in range(MAX_NEWTON_ITER):
             if ret.residual < tol:
                 break
@@ -676,11 +686,12 @@ def _newton_return(return_map, ret, tol):
                 if trial.residual < ret.residual:
                     break
             else:
-                return None
+                break
             ret = trial
-    except np.linalg.LinAlgError:
-        return None
-    return ret if ret.residual < tol else None
+    if ret.residual < tol:
+        return ret
+    half = " on the half map" if isinstance(ret, HalfReturn) else ""
+    raise _CandidateFailed(f"Newton{half} did not converge")
 
 
 def shoot_orbit(
@@ -743,14 +754,17 @@ def shoot_orbit(
     Raises
     ------
     SeedInvalid for r <= 0 or non-finite seeds; ShootingDiverged when no
-    candidate converges: Newton fails (for a root with w = 0, Newton on
-    the half map), a return raises one of the _RETURN_ERRORS, the one full
-    return after Newton on the half map misses SHOOT_TOL, or a return of
-    Newton, the candidate's first included, would start within
-    eps * r / 10 of an equilibrium of the system, the origin or, for
-    b < 0, (+-sqrt(-b), 0, 0): the candidate fails there, before that
-    return is integrated, as "converged to the equilibrium (x, 0.0, 0.0)".
-    Its message names each candidate's failure. ValueError for eps outside
+    candidate converges. A candidate fails where its failure happens: a
+    return raises one of the _RETURN_ERRORS, or _CandidateFailed is raised
+    with the failure's label where Newton fails (for a root with w = 0,
+    Newton on the half map), where the one full return after Newton on the
+    half map misses SHOOT_TOL, or where a return of Newton, the
+    candidate's first included, would start within eps * r / 10 of an
+    equilibrium of the system, the origin or, for b < 0,
+    (+-sqrt(-b), 0, 0): the candidate fails there, before that return is
+    integrated, as "Newton's next return would start within eps r / 10
+    of the equilibrium (x, 0.0, 0.0)". The message of ShootingDiverged
+    names each candidate's failure. ValueError for eps outside
     (0, MAX_EPS] or a partner located at another eps.
     """
     r, w = float(seed[0]), float(seed[1])
@@ -768,7 +782,8 @@ def shoot_orbit(
     def count(q):
         for (x, y), point in centers:
             if math.hypot(q[0] - x, q[1] - y) < 0.1 * eps * r:
-                raise _NearEquilibrium(f"converged to the equilibrium {point}")
+                raise _CandidateFailed("Newton's next return would start within"
+                                       f" eps r / 10 of the equilibrium {point}")
         returns.append(q)
 
     def full_map(q, first=None):
@@ -794,7 +809,6 @@ def shoot_orbit(
             shift = np.zeros(2)
     candidates.append(("section-image", eps * ((r, w) + shift)[::-1], None))
 
-    newton = "Newton on the half map" if w == 0.0 else "Newton"
     for tag, q0, first in candidates:
         try:
             if w != 0.0:
@@ -802,19 +816,15 @@ def shoot_orbit(
             else:
                 half = _newton_return(half_map, half_map(q0), SHOOT_TOL / 2)
                 # the one full return: the last half return and one new leg
-                ret = half and full_map(half.start, half)
+                ret = full_map(half.start, half)
+                if not ret.residual < SHOOT_TOL:
+                    raise _CandidateFailed(
+                        "the full return after Newton on the half map "
+                        f"misses by |P(q) - q| = {ret.residual:.3e}")
         except _RETURN_ERRORS as exc:
             failures.append(f"{tag}: {type(exc).__name__}: {exc}")
-            continue
-        except _NearEquilibrium as exc:
+        except _CandidateFailed as exc:
             failures.append(f"{tag}: {exc}")
-            continue
-        if ret is None:
-            failures.append(f"{tag}: {newton} did not converge")
-        elif not ret.residual < SHOOT_TOL:
-            failures.append(f"{tag}: the full return after Newton on the "
-                            f"half map misses by |P(q) - q| = "
-                            f"{ret.residual:.3e}")
         else:
             break
     else:

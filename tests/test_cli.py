@@ -1064,7 +1064,13 @@ def test_summary_is_strict_json(tmp_path):
     text = (out / "summary.json").read_text(encoding="utf-8")
     doc = json.loads(text, parse_constant=_reject_constant)
     assert "max_step" not in doc["config"]["integrator"]
-    assert _jsonable({"0": [0.5, math.nan]}) == {"0": [0.5, None]}
+    for value, safe in [
+            ({"0": [0.5, math.nan]}, {"0": [0.5, None]}),
+            (complex(math.nan, 1.0), [None, 1.0]),
+            (complex(1.0, -math.inf), [1.0, None]),
+            (np.complex128(complex(math.inf, math.nan)), [None, None])]:
+        assert _jsonable(value) == safe
+        json.dumps(_jsonable(value), allow_nan=False)
 
 
 def test_reruns_are_byte_identical(tmp_path):

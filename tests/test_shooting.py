@@ -776,7 +776,8 @@ def test_an_equilibrium_off_the_origin_is_not_an_orbit(monkeypatch):
 
     monkeypatch.setattr(shooting, "half_return", spy)
     with pytest.raises(ShootingDiverged, match=re.escape(
-            f"section-image: converged to the equilibrium ({x!r}, 0.0, 0.0)")):
+            f"section-image: Newton's next return would start within "
+            f"eps r / 10 of the equilibrium ({x!r}, 0.0, 0.0)")):
         shoot_orbit(NEAR_EQUILIBRIA, eps, roots[1], SPEC,
                     correction=(np.zeros(2), np.zeros(2)))
     assert starts
@@ -1149,7 +1150,11 @@ def test_every_candidate_failing_names_the_mirror_failure(records,
                            ".*section-image: StepLimitExceeded"):
             shoot_orbit(THREE_ORBIT, EPS, records[2].seed, SPEC,
                         partner=records[1])
-    monkeypatch.setattr(shooting, "_newton_return", lambda *args: None)
+
+    def unconverged(*args):
+        raise shooting._CandidateFailed("Newton did not converge")
+
+    monkeypatch.setattr(shooting, "_newton_return", unconverged)
     with pytest.raises(ShootingDiverged, match="mirror: Newton did not "
                        "converge; section-image: Newton did not converge"):
         shoot_orbit(THREE_ORBIT, EPS, records[2].seed, SPEC,
