@@ -11,7 +11,6 @@ to a JSON config front end.
 from .averaging import (
     AveragedRoot,
     DegreeSign,
-    QuadratureNotConverged,
     QuadratureSpec,
     average_first,
     average_second,
@@ -75,7 +74,6 @@ __all__ = [
     "OrbitCount",
     "OrbitPrediction",
     "PeriodicOrbitRecord",
-    "QuadratureNotConverged",
     "QuadratureSpec",
     "RunConfig",
     "SeedInvalid",

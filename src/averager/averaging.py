@@ -1,35 +1,28 @@
-"""Generic first and second order averaging plus root certification.
+"""First and second order averaging plus root certification.
 
-Works on any StandardFormSystem. The first averaged function is the time
-mean of F1; the second adds the mean of DF1(z, s) . int_0^s F1(z, t) dt
-+ F2(z, s). Both means are Gauss-Legendre quadratures over one period,
-and the inner integral of the second is the spectral integration matrix
-of the same rule, so one node set serves both.
-
-A system without polynomials samples F1, F2 and DF1 at every point and
-node. The second order folds the outer weights and the integration
-matrix into DF1 first; where DF1 does not depend on z this kernel is a
-small (n, n, m) array, and each point costs one contraction with its
-samples of F1. This sampled path is the reference.
-
-A system that carries its polynomials (see StandardFormSystem), as the
-jerk form does, is not sampled per point: F1 = C1(t) z and
-F2 = C2(t) m2(z) are linear in their coefficient tables, so f and g are
-polynomials in z whose coefficients are theta-means of the tables, taken
-once per system and node count and cached. Each point then costs one
+Works on any StandardFormSystem, whose polynomials F1(z, t) = C1(t) z and
+F2(z, t) = C2(t) m2(z) make the averaged functions polynomials in z:
+f = mean(C1) z, and since DF1 = C1,
+g = A z + mean(C2) m2(z) with A = (1/T) int_0^T C1(s) int_0^s C1(t) dt ds.
+The tables are trigonometric polynomials in t of low degree (2 and 4 for
+the jerk standard form), so an equispaced rule samples them exactly: its
+mean is their mean, and its discrete Fourier coefficients c_k are theirs
+(Trefethen and Weideman, SIAM Review 56, 2014). With omega = 2 pi / T
+the inner integral is c_0 s + sum over k != 0 of
+c_k (e^{ik omega s} - 1) / (ik omega), secular term included, so A is a
+closed sum over pairs of coefficients (_iterated_mean). The terms are
+taken once per system and node count and cached, and each point costs a
 product with z and, at second order, one with its monomials m2(z), which
 the system's own m2 evaluates.
 
-Each result is accepted after an (N, 2N) agreement check. Simple zeros
-of these functions, certified by a nonzero Jacobian determinant,
-correspond to periodic solutions of the underlying periodic system for
-small eps.
+Simple zeros of these functions, certified by a nonzero Jacobian
+determinant, correspond to periodic solutions of the underlying periodic
+system for small eps.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, reduce
@@ -40,34 +33,16 @@ import numpy as np
 
 from .normal_form import StandardFormSystem
 
-#: (N, 2N) disagreement beyond this raises QuadratureNotConverged
-CONVERGENCE_TOL = 1e-6
-
-#: (N, 2N) disagreement beyond this merely warns
-ACCURACY_TOL = 1e-12
-
 #: finite-difference step scale for Jacobians
 FD_STEP = 1e-6
 
 #: roots closer than this are considered duplicates
 DEDUP_TOL = 1e-6
 
-#: largest accepted node count; the (N, 2N) check builds a dense 2N x 2N
-#: eigenproblem for the Gauss-Legendre nodes and caches a dense 2N x 2N
-#: integration matrix, whose memory grows as N^2 (8.4 MB at 2N = 1024);
-#: the samples of a batch do not, since MAX_SAMPLES bounds them. Beyond
-#: 512 nodes the roundoff of that matrix, not the integrand, sets the
-#: (N, 2N) agreement: at 1024 the showcase average grid agrees only to
-#: 1.4e-12 and warns, although 64 nodes integrate it exactly
+#: largest accepted node count. The rule is exact at every count from 16
+#: up, since the tables' degrees lie far below half of it; the bound
+#: keeps a configured count to the range it has always had
 MAX_NODES = 512
-
-#: most points x 2N nodes that average_first and average_second sample at
-#: once, for both node counts; a larger batch is evaluated in chunks of
-#: MAX_SAMPLES // (2N) points, each at N and 2N nodes, so peak memory
-#: stops growing with the batch (average_second on the jerk standard form
-#: needs about 17 bytes per sample, its samples of F1, then of F2;
-#: tracemalloc)
-MAX_SAMPLES = 2 ** 18
 
 #: residual bound for accepting a converged root
 ROOT_TOL = 1e-10
@@ -79,14 +54,6 @@ NEWTON_MAX_ITER = 60
 DET_TOL = 1e-8
 
 
-class QuadratureNotConverged(RuntimeError):
-    """Doubling the node count moved the result more than the hard limit."""
-
-
-class QuadratureAccuracyWarning(UserWarning):
-    """Doubling the node count moved the result more than the target accuracy."""
-
-
 class DegreeSign(Enum):
     PLUS = "plus"
     MINUS = "minus"
@@ -95,11 +62,11 @@ class DegreeSign(Enum):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node budget for the averaging quadratures.
+    """Node budget for the averages.
 
-    nodes is the Gauss-Legendre size N, in [16, MAX_NODES], shared by the
-    outer mean and the inner integral of the second average; a result is
-    accepted only after an (N, 2N) agreement check.
+    nodes is the size of the equispaced rule that samples the tables, in
+    [16, MAX_NODES]; every size in range gives the exact averages, to
+    round-off.
     """
 
     nodes: int = 64
@@ -121,156 +88,92 @@ class AveragedRoot:
     degree_sign: DegreeSign
 
 
-@lru_cache(maxsize=64)
-def _rule_nodes(n_nodes: int, period: float):
-    """Gauss-Legendre nodes s, weights w and integration matrix S on [0, period].
+def _iterated_mean(c: np.ndarray, period: float) -> np.ndarray:
+    """A = (1/T) int_0^T C(s) int_0^s C(t) dt ds from C's coefficients.
 
-    For samples f at s, (S @ f)[i] is the integral from 0 to s_i of their
-    degree n_nodes - 1 interpolant (Greengard, SIAM J. Numer. Anal. 28,
-    1991). The rule itself maps the samples to Legendre coefficients,
-    exactly since it integrates degree 2 n_nodes - 1 exactly; they are
-    integrated term by term and evaluated back at the nodes. Cached
-    because building the rule costs far more than applying it when
-    averaging over large evaluation grids. The returned arrays are
-    read-only.
+    c holds the Fourier coefficients c_0, ..., c_K of a real (n, n) table
+    C of period T along its last axis, C(s) = sum over |k| <= K of
+    c_k e^{ik omega s} with omega = 2 pi / T and c_-k the conjugate of
+    c_k. Integrating term by term, with
+    x_k + i y_k = c_k and B = sum over k > 0 of 2 y_k / (k omega),
+    A = (T c_0 / 2 + B) c_0 - c_0 B
+        + sum over k > 0 of 2 (x_k y_k - y_k x_k) / (k omega),
+    every product a matrix product; the first two terms come from the
+    secular c_0 s of the inner integral and vanish with c_0.
     """
-    leg = np.polynomial.legendre
-    x, w = leg.leggauss(n_nodes)
-    k = np.arange(n_nodes)[:, None]
-    coeffs = (k + 0.5) * leg.legvander(x, n_nodes - 1).T * w
-    S = leg.legvander(x, n_nodes) @ leg.legint(coeffs, lbnd=-1.0)
-    S *= 0.5 * period
-    s, w = 0.5 * period * (x + 1.0), 0.5 * period * w
-    for arr in (s, w, S):
-        arr.flags.writeable = False
-    return s, w, S
+    c0 = c[..., 0].real
+    k_omega = np.arange(1, c.shape[-1]) * (2.0 * np.pi / period)
+    # x_k, and 2 y_k / (k omega) in place of y_k
+    x, y = c[..., 1:].real, 2.0 * c[..., 1:].imag / k_omega
+    b = y.sum(axis=-1)
+    return ((0.5 * period * c0 + b) @ c0 - c0 @ b
+            + np.einsum("ijk,jlk->il", x, y) - np.einsum("ijk,jlk->il", y, x))
 
 
 @lru_cache(maxsize=64)
-def _polynomial_means(sys: StandardFormSystem, n_nodes: int, order: int):
+def _polynomial_means(sys: StandardFormSystem, nodes: int, order: int):
     """Terms of the order-th averaged function as a polynomial in z.
 
-    With sys.polynomials = (C1, m2, C2) on the n_nodes rule,
-    f = (C1 @ w) z / T and, since DF1 = C1,
-    T g = [((C1 * w) @ S) : C1] z + (C2 @ w) m2(z), where the contraction
-    runs over the component and node axes as in average_second. Returns
-    the coefficients of z and, at order 2, of m2(z), read-only arrays of
-    shape (n, n) and (n, K); _means sums each times its basis, with m2(z)
-    evaluated once for both node counts. Keyed on the system itself,
-    which the cache holds, so a collected system's id can never return
-    its coefficients for another.
+    With sys.polynomials = (C1, m2, C2) sampled at nodes equispaced angles,
+    the term of f is mean(C1), and those of g are A (see _iterated_mean)
+    and mean(C2): read-only arrays of shape (n, n) and (n, K), which
+    _average multiplies with z and m2(z). The coefficients c_k of C1 are
+    its samples' discrete Fourier transform over nodes, for
+    k < nodes / 2. Keyed on the system itself, which the cache holds, so
+    a collected system's id can never return its terms for another.
     """
-    s, w, S = _rule_nodes(n_nodes, sys.period)
     table1, _, table2 = sys.polynomials
+    s = np.arange(nodes) * (sys.period / nodes)
     c1 = table1(s)
     if order == 1:
-        terms = (c1 @ w,)
+        terms = (c1.mean(axis=-1),)
     else:
-        terms = (np.einsum("ijt,jkt->ik", (c1 * w) @ S, c1), table2(s) @ w)
-    for coef in terms:
-        coef /= sys.period
-        coef.flags.writeable = False
+        coefficients = np.fft.rfft(c1, axis=-1)[..., :(nodes + 1) // 2] / nodes
+        terms = (_iterated_mean(coefficients, sys.period),
+                 table2(s).mean(axis=-1))
+    for term in terms:
+        term.flags.writeable = False
     return terms
 
 
-def _means(sys: StandardFormSystem, points: np.ndarray, order: int,
-           node_counts) -> list:
-    """The order-th mean at points for each node count, in order.
+def _average(sys: StandardFormSystem, z, q: QuadratureSpec,
+             order: int) -> np.ndarray:
+    """The order-th averaged function at z, of shape (n, *batch).
 
-    points has shape (n, k), k points, and so has each mean, so a point
-    is evaluated alike whatever the shape of its batch. With
-    sys.polynomials each term is coefficients @ basis (see
-    _polynomial_means), the bases z and m2(z) evaluated once for every
-    node count; without, F1, F2 and DF1 are sampled on each rule.
-    """
-    if sys.polynomials is not None:
-        bases = ((points, sys.polynomials[1](points)) if order == 2
-                 else (points,))
-        return [sum(coef @ basis for coef, basis
-                    in zip(_polynomial_means(sys, nodes, order), bases))
-                for nodes in node_counts]
-    means = []
-    for nodes in node_counts:
-        s, w, S = _rule_nodes(nodes, sys.period)
-        value = np.asarray(sys.f1(points, s), dtype=float)
-        if order == 1:
-            value = value @ w
-        else:
-            kernel = (np.asarray(sys.df1(points, s), dtype=float) * w) @ S
-            value = np.einsum("ij...t,j...t->i...", kernel, value)
-            value += np.asarray(sys.f2(points, s), dtype=float) @ w
-        means.append(value / sys.period)
-    return means
-
-
-def _refined_mean(sys: StandardFormSystem, z, q: QuadratureSpec, order: int,
-                  what: str) -> np.ndarray:
-    """The order-th mean at z, at N and 2N nodes, accepted after the check.
-
-    _means gets z's points flattened, in chunks of MAX_SAMPLES // (2N)
-    points, each chunk for both node counts; an empty batch is one empty
-    chunk. The chunks' means are joined on their last axis, the points'
-    axis, which a system whose evaluators return no batch axis also has.
+    z's points are flattened to shape (n, k) and the result shaped back,
+    so a point is evaluated alike whatever the shape of its batch.
     """
     z = np.asarray(z, dtype=float)
     flat = z.reshape(len(z), -1)
-    nodes = (q.nodes, 2 * q.nodes)
-    size = max(1, MAX_SAMPLES // nodes[1])
-    # far out the integrands overflow; a non-finite mean fails the check
-    # below, and the failure names the point
+    # far out the tables and the monomials overflow; the caller's oracle
+    # fails a non-finite value
     with np.errstate(over="ignore", invalid="ignore"):
-        parts = zip(*(_means(sys, flat[:, i:i + size], order, nodes)
-                      for i in range(0, max(1, flat.shape[1]), size)))
-        coarse, fine = (np.concatenate(means, axis=-1) for means in parts)
-    coarse, fine = coarse.reshape(z.shape), fine.reshape(z.shape)
-    # thresholds scale with each point's result so that large-amplitude
-    # integrands are judged at the precision floating point can deliver,
-    # and a large point never loosens the threshold of another in its batch.
-    # A non-finite mean gives a NaN or infinite relative disagreement, which
-    # fails every check and is the worst point
-    scale = np.maximum(1.0, np.abs(fine).max(axis=0))
-    with np.errstate(invalid="ignore"):  # inf - inf
-        diff = np.abs(fine - coarse).max(axis=0)
-    relative = diff / scale
-    if np.all(relative <= ACCURACY_TOL):
-        return fine
-    worst = np.argmax(relative)
-    where = (f"{diff.flat[worst]:.3e} at N={q.nodes}, "
-             f"z = {flat[:, worst].tolist()}")
-    if not np.all(relative <= CONVERGENCE_TOL):
-        raise QuadratureNotConverged(f"{what}: (N, 2N) disagreement {where}")
-    warnings.warn(f"{what}: (N, 2N) agreement only {where}",
-                  QuadratureAccuracyWarning, stacklevel=3)
-    return fine
+        terms = _polynomial_means(sys, q.nodes, order)
+        value = terms[0] @ flat
+        if order == 2:
+            value += terms[1] @ sys.polynomials[1](flat)
+    return value.reshape(z.shape)
 
 
 def average_first(sys: StandardFormSystem, z, q: QuadratureSpec) -> np.ndarray:
     """First averaged function f(z) = (1/T) int_0^T F1(z, s) ds.
 
     z is one point of shape (n,) or a batch of shape (n, *batch); the
-    result has the same shape. Each point passes its own (N, 2N) check,
-    and the error or warning names the worst point.
+    result has the same shape.
     """
-    return _refined_mean(sys, z, q, 1, "average_first")
+    return _average(sys, z, q, 1)
 
 
 def average_second(sys: StandardFormSystem, z, q: QuadratureSpec) -> np.ndarray:
     """Second averaged function g(z).
 
-    g(z) = (1/T) int_0^T [ DF1(z, s) . int_0^s F1(z, t) dt + F2(z, s) ] ds.
-    Both integrals use the same nodes: the inner one is the integration
-    matrix S of the rule applied to the samples of F1. With weights w the
-    double sum is reassociated to K = (DF1 * w) @ S, contracted with F1
-    over the component and node axes, so T g = K : F1 + F2 @ w. A DF1
-    that does not depend on z makes K a (n, n, m) array; a z-dependent
-    DF1 of shape (n, n, *batch, m) takes the same line. With
-    sys.polynomials, DF1 = C1 and this contraction is taken once on the
-    coefficient tables (see _polynomial_means). K is built from each
-    pass's own S, so each pass of the (N, 2N) check carries its own inner
-    integral and the check covers both.
-    z is one point or a batch, shaped as in average_first.
+    g(z) = (1/T) int_0^T [ DF1(z, s) . int_0^s F1(z, t) dt + F2(z, s) ] ds,
+    which for F1 = C1 z and F2 = C2 m2(z) is A z + mean(C2) m2(z) (see
+    _polynomial_means). The inner integral keeps its secular term, so g
+    holds off the slice where f vanishes too. z is one point or a batch,
+    shaped as in average_first.
     """
-    return _refined_mean(sys, z, q, 2, "average_second")
+    return _average(sys, z, q, 2)
 
 
 @lru_cache(maxsize=8)

@@ -4,8 +4,7 @@ Subcommands classify, average, orbits and sweep drive the full pipeline
 from a JSON config file. A command fills in a summary document and
 returns its exit code; main writes the document once, as summary.json in
 the output directory, after the command returns or is refused. A run
-refused on the hypotheses (exit 2), or an average whose quadrature did not
-converge (exit 3), records why under "error". average
+refused on the hypotheses (exit 2) records why under "error". average
 additionally writes average_table.csv: a header and 400 rows, one per
 point of the 20 x 20 (r, w) grid, with every number at 17 significant
 digits, the same format as the traces. orbits and sweep additionally
@@ -21,8 +20,7 @@ summary.json, with case degenerate on a collapse boundary; otherwise they
 take the case label and the roots from the prediction it returns.
 
 Exit codes: 0 ok, 1 config error or unwritable output, 2 hypothesis
-violation, 3 oracle mismatch or unconverged quadrature, 4 shooting
-shortfall.
+violation, 3 oracle mismatch, 4 shooting shortfall.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ import argparse
 import json
 import math
 import sys
-import warnings
 from dataclasses import fields, replace
 from enum import Enum
 from functools import cache
@@ -39,12 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .averaging import (
-    QuadratureAccuracyWarning,
-    QuadratureNotConverged,
-    average_first,
-    average_second,
-)
+from .averaging import average_first, average_second
 from .closed_form import (
     DegeneratePrediction,
     HypothesisViolated,
@@ -204,8 +196,8 @@ def _relative_deviation(dev: np.ndarray, closed: np.ndarray) -> float:
     value|) at its point: the quantity the oracle holds to ORACLE_TOL.
 
     dev holds the largest deviation of the components at each point and
-    closed the closed values, components first. That is the scale of the
-    (N, 2N) check of averaging, and g grows like delta^-5. A NaN ratio
+    closed the closed values, components first. g grows like delta^-5,
+    so an absolute bound would judge a large g by round-off. A NaN ratio
     anywhere, inf / inf included (a finite numeric value against an
     infinite closed one), makes it NaN, which fails the oracle;
     cmd_average calls it with numpy's invalid-value warning off.
@@ -224,24 +216,11 @@ def cmd_average(cfg: RunConfig, out_dir: Path, doc: dict, args) -> int:
                    "w": [GRID_W[0], GRID_W[1], GRID_N]}
     z = np.array(np.meshgrid(np.linspace(*GRID_R, GRID_N),
                              np.linspace(*GRID_W, GRID_N), indexing="ij"))
-    caught = []
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", QuadratureAccuracyWarning)
-            f_num = average_first(sys_first, z, cfg.quadrature)
-            g_num = average_second(sys_second, z, cfg.quadrature)
-    finally:
-        # an accuracy warning is one labelled line, without the path and
-        # line of its caller; any other warning is shown as Python would
-        for w in caught:
-            if issubclass(w.category, QuadratureAccuracyWarning):
-                print(f"quadrature accuracy: {w.message}", file=sys.stderr)
-            else:
-                warnings.showwarning(w.message, w.category, w.filename,
-                                     w.lineno)
-    # extreme coefficients (a1 = 1e307) overflow the closed forms, and an
-    # infinite closed value makes a NaN or infinite deviation and ratio
-    # (inf - inf, inf / inf): written as null, they fail the oracle
+    f_num = average_first(sys_first, z, cfg.quadrature)
+    g_num = average_second(sys_second, z, cfg.quadrature)
+    # extreme coefficients (a1 = 1e307) overflow the closed forms or the
+    # means, and an infinite value makes a NaN or infinite deviation and
+    # ratio (inf - inf, inf / inf): written as null, they fail the oracle
     with np.errstate(over="ignore", invalid="ignore"):
         f_ref = f_closed(*z, u.a1, u.b1, u.delta)
         g_ref = g_closed(*z, u.a2, u.b2, u.delta)
@@ -381,10 +360,6 @@ def main(argv=None) -> int:
             doc["error"] = {"kind": type(exc).__name__, "reason": str(exc)}
             _say(args, f"{_REFUSAL_TEXT[type(exc).__name__]}: {exc}")
             code = EXIT_HYPOTHESIS
-        except QuadratureNotConverged as exc:
-            doc["error"] = {"kind": type(exc).__name__, "reason": str(exc)}
-            code = EXIT_ORACLE
-            print(f"quadrature not converged: {exc}", file=sys.stderr)
         _write_summary(out_dir, doc, args)
         return code
     except ConfigError as exc:

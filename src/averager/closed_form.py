@@ -10,7 +10,7 @@ Jacobian of the third and the second derivatives of the second have
 closed forms too, polynomials in (r, w) (higher_averages);
 root_corrections turns them into the second-order corrections of each
 root that seed shooting. This module holds formulas only: it needs
-neither the quadrature engine nor the standard form's tables.
+neither the averaging engine nor the standard form's tables.
 """
 
 from __future__ import annotations

@@ -72,27 +72,26 @@ class UnfoldingParams:
 class StandardFormSystem:
     """A T-periodic field dz/dt = eps F1(z, t) + eps^2 F2(z, t) + O(eps^3).
 
-    Each evaluator takes states z of shape (n, *batch) and times of shape
-    m: f1 and f2 give shape (n, *batch, m), and df1, the Jacobian of f1
-    with respect to z, gives (n, n, *batch, m), or (n, n, m) when it does
-    not depend on z. A single state is the case batch = ().
-
-    polynomials, when set, is the triple (C1, m2, C2) behind f1 and f2:
+    polynomials is the triple (C1, m2, C2) behind F1 and F2:
     F1(z, t) = C1(t) z and F2(z, t) = C2(t) m2(z), where C1 maps times of
     shape (m,) to (n, n, m), so that DF1 = C1, m2 maps points of shape
     (n, p) to the (K, p) monomials of F2, and C2 maps times to (n, K, m).
-    The averaging engine then takes the theta-means of C1 and C2 once per
-    node set and evaluates every point as a polynomial; without the
-    field it samples f1, f2 and df1 at every point and node, which is the
-    reference path. A copy made with dataclasses.replace keeps the field,
-    so replace f1 or f2 only by callables with the same values.
+    The averaging engine reads only the period and this triple.
+
+    f1, f2 and df1 evaluate the same field pointwise, for the sampled
+    reference in tests/reference.py: each takes states z of shape
+    (n, *batch) and times of shape m; f1 and f2 give shape (n, *batch, m),
+    and df1, the Jacobian of f1 with respect to z, gives (n, n, *batch, m),
+    or (n, n, m) when it does not depend on z. A single state is the case
+    batch = (). A copy made with dataclasses.replace keeps the triple, so
+    replace f1 or f2 only by callables with the same values.
     """
 
     period: float
     f1: Callable
     f2: Callable
     df1: Callable
-    polynomials: tuple | None = None
+    polynomials: tuple
 
 
 def unfold(u: UnfoldingParams, eps: float) -> SystemParams:

@@ -13,7 +13,12 @@ the jerk field, for the variational equations of the DOP853 oracle.
 numpy_higher_averages and numpy_root_corrections are closed_form's
 higher averages and seed corrections as numpy float64 array code, the
 form the Python-float evaluation must reproduce bit for bit.
+sampled_average is the averaging engine's reference: it samples a
+standard form's f1, f2 and df1 at every point and Gauss-Legendre node
+instead of reading its polynomial tables.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -184,3 +189,51 @@ def numpy_root_corrections(u: UnfoldingParams, roots) -> list:
         z2 = newton(f4 + np.einsum("ijp,jp->ip", df3, z1)
                     + 0.5 * np.einsum("ijkp,jp,kp->ip", d2f2, z1, z1))
     return [(z1[:, i], z2[:, i]) for i in range(len(roots))]
+
+
+@lru_cache(maxsize=8)
+def gauss_legendre_rule(nodes: int, period: float):
+    """Gauss-Legendre nodes s, weights w and integration matrix S on [0, period].
+
+    For samples f at s, (S @ f)[i] is the integral from 0 to s_i of their
+    degree nodes - 1 interpolant (Greengard, SIAM J. Numer. Anal. 28,
+    1991). The rule itself maps the samples to Legendre coefficients,
+    exactly since it integrates degree 2 nodes - 1 exactly; they are
+    integrated term by term and evaluated back at the nodes. The arrays
+    are read-only, as the cache shares them.
+    """
+    leg = np.polynomial.legendre
+    x, w = leg.leggauss(nodes)
+    k = np.arange(nodes)[:, None]
+    coeffs = (k + 0.5) * leg.legvander(x, nodes - 1).T * w
+    S = leg.legvander(x, nodes) @ leg.legint(coeffs, lbnd=-1.0)
+    S *= 0.5 * period
+    s, w = 0.5 * period * (x + 1.0), 0.5 * period * w
+    for arr in (s, w, S):
+        arr.flags.writeable = False
+    return s, w, S
+
+
+def sampled_average(sys, z, order: int, nodes: int) -> np.ndarray:
+    """The order-th averaged function of sys at z, on the nodes-point
+    Gauss-Legendre rule, from sys.period, f1, f2 and df1 alone.
+
+    f = (F1 @ w) / T. For g the inner integral is the rule's integration
+    matrix S applied to the samples of F1, and with the outer weights
+    folded into DF1 first, T g = K : F1 + F2 @ w with K = (DF1 * w) @ S,
+    contracted over the component and node axes. A DF1 that does not
+    depend on z makes K a (n, n, m) array; a z-dependent DF1 of shape
+    (n, n, *batch, m) takes the same line. z is one point of shape (n,)
+    or a batch of shape (n, *batch), and the result has its shape.
+    """
+    z = np.asarray(z, dtype=float)
+    flat = z.reshape(len(z), -1)
+    s, w, S = gauss_legendre_rule(nodes, sys.period)
+    value = np.asarray(sys.f1(flat, s), dtype=float)
+    if order == 1:
+        value = value @ w
+    else:
+        kernel = (np.asarray(sys.df1(flat, s), dtype=float) * w) @ S
+        value = np.einsum("ij...t,j...t->i...", kernel, value)
+        value += np.asarray(sys.f2(flat, s), dtype=float) @ w
+    return (value / sys.period).reshape(z.shape)

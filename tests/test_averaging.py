@@ -1,9 +1,8 @@
-"""Numeric averaging against the closed forms, plus root certification."""
+"""Averaging against the closed forms and the sampled reference, plus
+root certification."""
 
 import dataclasses
-import re
-import tracemalloc
-import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,39 +10,32 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from averager import averaging
 from averager.averaging import (
     NEWTON_MAX_ITER,
     ROOT_TOL,
     DegreeSign,
-    QuadratureAccuracyWarning,
-    QuadratureNotConverged,
     QuadratureSpec,
     _damped_newton,
     _grid_seeds,
-    _rule_nodes,
     _value_and_jacobian,
     average_first,
     average_second,
     find_roots,
 )
 from averager.closed_form import f_closed, g_closed, predicted_roots
-from averager.normal_form import (
-    StandardFormSystem,
-    UnfoldingParams,
-    jerk_standard_form,
-)
+from averager.normal_form import UnfoldingParams, jerk_standard_form
+from reference import sampled_average
 from test_cli import near_boundary
 
 QUAD = QuadratureSpec()
 
 
-def toy_system(f1, f2):
-    """2-pi periodic system with F1 independent of z, so DF1 is zero."""
-    return StandardFormSystem(
-        period=2.0 * np.pi, f1=f1, f2=f2,
-        df1=lambda z, t: np.zeros((2, 2, np.size(t))),
-    )
+def toy_system(f1, f2, df1=None):
+    """A 2-pi periodic field given only pointwise, for sampled_average;
+    without df1, F1 is independent of z and DF1 is zero."""
+    if df1 is None:
+        df1 = lambda z, t: np.zeros((2, 2, np.size(t)))
+    return SimpleNamespace(period=2.0 * np.pi, f1=f1, f2=f2, df1=df1)
 
 
 def slice_system(a2, b2, delta, c1=0.0, c2=0.0):
@@ -58,7 +50,7 @@ def test_average_first_of_pure_sinusoids():
         f1=lambda z, t: np.array([np.sin(t), np.cos(t)]),
         f2=lambda z, t: np.zeros((2, np.size(t))),
     )
-    val = average_first(sys, np.zeros(2), QUAD)
+    val = sampled_average(sys, np.zeros(2), 1, QUAD.nodes)
     assert np.max(np.abs(val)) < 1e-14
 
 
@@ -113,7 +105,7 @@ def test_average_second_of_constant_f2():
         f1=lambda z, t: np.zeros((2, np.size(t))),
         f2=lambda z, t: np.outer([1.0, -1.0], np.ones(np.size(t))),
     )
-    val = average_second(sys, np.zeros(2), QUAD)
+    val = sampled_average(sys, np.zeros(2), 2, QUAD.nodes)
     assert np.allclose(val, [1.0, -1.0], atol=1e-13)
 
 
@@ -141,32 +133,39 @@ def test_oracle_equivalence_on_grid():
         assert worst < 1e-9
 
 
+def exact(order):
+    """The engine's order-th average as a function of (sys, z, nodes)."""
+    average = (average_first, average_second)[order - 1]
+    return lambda sys, z, nodes: average(sys, z, QuadratureSpec(nodes))
+
+
+def sampled(order):
+    """The sampled reference of the order-th average, called as exact's."""
+    return lambda sys, z, nodes: sampled_average(sys, z, order, nodes)
+
+
 def test_batched_averages_match_per_point_calls():
     """A batch matches one call per point, and a point of shape (2,)
-    matches the same point as a (2, 1) batch bit for bit, on the
-    polynomial and on the sampled path."""
+    matches the same point as a (2, 1) batch bit for bit, on the engine's
+    exact path and on the sampled reference."""
     u = UnfoldingParams(a1=0.3, b1=-0.7, a2=1.2, b2=-0.9, c1=0.4, c2=-0.6,
                         delta=1.3)
+    sys = jerk_standard_form(u)
     z = np.array(np.meshgrid(np.linspace(0.5, 8.0, 20),
                              np.linspace(-2.0, 2.0, 20), indexing="ij"))
-    for sys in (jerk_standard_form(u), sampled(jerk_standard_form(u))):
-        for average in (average_first, average_second):
-            batch = average(sys, z, QUAD)
+    for order in (1, 2):
+        for average in (exact(order), sampled(order)):
+            batch = average(sys, z, QUAD.nodes)
             assert batch.shape == (2, 20, 20)
-            assert average(sys, z[:, :0], QUAD).shape == (2, 0, 20)
+            assert average(sys, z[:, :0], QUAD.nodes).shape == (2, 0, 20)
             for i in range(20):
                 for j in range(20):
-                    single = average(sys, z[:, i, j], QUAD)
+                    single = average(sys, z[:, i, j], QUAD.nodes)
                     assert np.all(np.abs(batch[:, i, j] - single)
                                   <= 1e-12 * np.maximum(1.0, np.abs(single)))
-                    column = average(sys, z[:, i, j, None], QUAD)
+                    column = average(sys, z[:, i, j, None], QUAD.nodes)
                     assert column.shape == (2, 1)
                     assert np.array_equal(column[:, 0], single)
-
-
-def sampled(sys):
-    """The same system without its polynomials: the sampled reference path."""
-    return dataclasses.replace(sys, polynomials=None)
 
 
 def assert_close(got, expected):
@@ -175,38 +174,76 @@ def assert_close(got, expected):
                   <= 1e-12 * np.maximum(1.0, np.abs(expected)))
 
 
-def average_and_warned(average, sys, z, q):
-    """average(sys, z, q) and whether it warned QuadratureAccuracyWarning."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        val = average(sys, z, q)
-    return val, any(issubclass(w.category, QuadratureAccuracyWarning)
-                    for w in caught)
+def oracle_deviation(got, expected):
+    """The largest deviation of got from expected at a point, relative to
+    max(1, largest |expected| component) there: the scale of average's
+    oracle (cli._relative_deviation)."""
+    return float((np.abs(got - expected).max(axis=0)
+                  / np.maximum(1.0, np.abs(expected).max(axis=0))).max())
 
 
 GRID = np.array(np.meshgrid(np.linspace(0.5, 8.0, 20),
                             np.linspace(-2.0, 2.0, 20), indexing="ij"))
 
 
+def criterion_2_draws():
+    """The ten (a1, b1, a2, b2, c1, c2, delta) of acceptance criterion 2."""
+    rng = np.random.default_rng(202)
+    draws = []
+    for _ in range(10):
+        delta = rng.uniform(0.5, 3.0)
+        while abs(delta - np.sqrt(3.0)) < 0.05:
+            delta = rng.uniform(0.5, 3.0)
+        draws.append((*rng.uniform(-2.0, 2.0, 6), delta))
+    return draws
+
+
+@pytest.mark.parametrize("draw", criterion_2_draws())
+def test_exact_averages_match_the_closed_forms(draw):
+    """On acceptance criterion 2's draws and the 20 x 20 grid of average,
+    f and g deviate from f_closed and g_closed by at most 1e-13 relative
+    to max(1, |closed value|) at each point, the scale of average's
+    oracle; g on the slice a1 = b1 = 0, where its closed form holds."""
+    a1, b1, a2, b2, c1, c2, delta = draw
+    first = jerk_standard_form(UnfoldingParams(
+        a1=a1, b1=b1, a2=a2, b2=b2, c1=c1, c2=c2, delta=delta))
+    second = slice_system(a2, b2, delta, c1=c1, c2=c2)
+    assert oracle_deviation(average_first(first, GRID, QUAD),
+                            f_closed(*GRID, a1, b1, delta)) <= 1e-13
+    assert oracle_deviation(average_second(second, GRID, QUAD),
+                            g_closed(*GRID, a2, b2, delta)) <= 1e-13
+
+
+@pytest.mark.parametrize("draw", criterion_2_draws())
+def test_the_rule_agrees_with_its_doubling(draw):
+    """The M-node rule and the 2M-node rule give the same f and g, off
+    the slice, to round-off (at most 3.5e-15 here, on the oracle's
+    scale): the rule is exact at every size, so doubling it moves
+    nothing but the last bits."""
+    a1, b1, a2, b2, c1, c2, delta = draw
+    sys = jerk_standard_form(UnfoldingParams(
+        a1=a1, b1=b1, a2=a2, b2=b2, c1=c1, c2=c2, delta=delta))
+    for order in (1, 2):
+        for nodes in (16, 17, 64, 256):
+            assert oracle_deviation(exact(order)(sys, GRID, nodes),
+                                    exact(order)(sys, GRID, 2 * nodes)) <= 1e-14
+
+
 @settings(max_examples=15)
 @given(coefficients=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
        delta=st.floats(0.5, 3.0))
 def test_polynomial_path_matches_the_sampled_path(coefficients, delta):
-    """The jerk form's precomputed means against sampling f1, f2 and df1
-    at every point and node, on a 20 x 20 grid at 16, 64 and 256 nodes;
-    at 16 nodes both paths warn or neither does."""
+    """The exact averages at 16, 64 and 256 nodes against the sampled
+    reference, which evaluates f1, f2 and df1 at every point and node of
+    the 256-node Gauss-Legendre rule, on a 20 x 20 grid off the slice
+    a1 = b1 = 0, where g's inner integral carries its secular term."""
     a1, b1, a2, b2, c1, c2 = coefficients
     sys = jerk_standard_form(UnfoldingParams(
         a1=a1, b1=b1, a2=a2, b2=b2, c1=c1, c2=c2, delta=delta))
-    assert sys.polynomials is not None
-    for nodes in (16, 64, 256):
-        q = QuadratureSpec(nodes=nodes)
-        for average in (average_first, average_second):
-            fast, fast_warned = average_and_warned(average, sys, GRID, q)
-            ref, ref_warned = average_and_warned(average, sampled(sys), GRID, q)
-            assert_close(fast, ref)
-            if nodes == 16:
-                assert fast_warned == ref_warned
+    for order in (1, 2):
+        ref = sampled_average(sys, GRID, order, 256)
+        for nodes in (16, 64, 256):
+            assert_close(exact(order)(sys, GRID, nodes), ref)
 
 
 def test_cached_means_stay_with_their_system():
@@ -215,7 +252,7 @@ def test_cached_means_stay_with_their_system():
     Two jerk systems, each recreated again and again from its parameters,
     a kept one, and a replace copy of it with wrapped callables, as the
     benchmark tracer makes, each match their own sampled reference; the
-    copy keeps the polynomial path and never calls its callables.
+    copy's averages never call its callables.
     """
     calls = []
 
@@ -237,39 +274,20 @@ def test_cached_means_stay_with_their_system():
     for u in (first, second, first, second, first):
         for sys in (jerk_standard_form(u), base, wrapped):
             assert_close(average_second(sys, z, QUAD),
-                         average_second(sampled(sys), z, QUAD))
+                         sampled_average(sys, z, 2, QUAD.nodes))
             assert_close(average_first(sys, z, QUAD),
-                         average_first(sampled(sys), z, QUAD))
+                         sampled_average(sys, z, 1, QUAD.nodes))
     reference_calls = len(calls)
     average_second(wrapped, z, QUAD)
     average_first(wrapped, z, QUAD)
     assert len(calls) == reference_calls
 
 
-def test_batch_judges_each_point_at_its_own_scale():
-    """A large point in a batch does not hide a small point's warning.
-
-    With F1 = (r + w cos 4t, 0) the mean at N = 16 is off by 6e-11, which
-    only warns for the point (0, 1). A threshold scaled by the batch's
-    largest value, 1e8 at (1e8, 0), would let it pass silently.
-    """
-    def f1(z, t):
-        r, w = np.asarray(z)[..., None]
-        return np.array([r + w * np.cos(4.0 * t), 0.0 * w * t])
-
-    sys = toy_system(f1, f2=None)
-    q = QuadratureSpec(nodes=16)
-    with pytest.warns(QuadratureAccuracyWarning,
-                      match=r"z = \[0\.0, 1\.0\]"):
-        val = average_first(sys, np.array([[1e8, 0.0], [0.0, 1.0]]), q)
-    assert np.allclose(val[0], [1e8, 0.0], atol=1e-9)
-
-
 def second_average_by_ode(sys, z):
     """g(z) from integrating I' = F1, G' = DF1 . I + F2 over one period.
 
-    Independent of the engine's quadrature nodes and of its integration
-    matrix for the inner integral: G(T) / T is the second averaged function.
+    Independent of any quadrature rule and of the closed sums of the
+    engine: G(T) / T is the second averaged function.
     """
     n = len(z)
 
@@ -301,7 +319,8 @@ def test_average_second_matches_independent_oracle():
 
 
 def test_state_dependent_df1_matches_independent_oracle():
-    """A DF1 of shape (n, n, *batch, m) takes the same path as a constant one.
+    """The sampled reference takes a DF1 of shape (n, n, *batch, m) on the
+    same line as a constant one.
 
     F1 = (w r cos t + w^2 sin t, r^2 sin 2t + w cos t) depends on z = (r, w),
     so its Jacobian does too; g is checked point by point on a (2, 3, 4)
@@ -326,11 +345,11 @@ def test_state_dependent_df1_matches_independent_oracle():
         r, w, cos, sin = split(z, t)
         return np.array(np.broadcast_arrays(r * sin * sin, w * w * cos + 0.5))
 
-    sys = StandardFormSystem(period=2.0 * np.pi, f1=f1, f2=f2, df1=df1)
+    sys = toy_system(f1, f2, df1)
     rng = np.random.default_rng(19)
     z = np.array([rng.uniform(0.5, 2.0, (3, 4)), rng.uniform(-1.0, 1.0, (3, 4))])
     assert df1(z, np.zeros(5)).shape == (2, 2, 3, 4, 5)
-    g = average_second(sys, z, QUAD)
+    g = sampled_average(sys, z, 2, QUAD.nodes)
     assert g.shape == z.shape
     for idx in np.ndindex(3, 4):
         point = z[(slice(None),) + idx]
@@ -339,62 +358,31 @@ def test_state_dependent_df1_matches_independent_oracle():
 
 
 def test_inner_integral_resolved_at_the_outer_nodes():
-    """A fast inner integrand is resolved by the nodes that resolve DF1.
+    """In the sampled reference, a fast inner integrand is resolved by the
+    nodes that resolve DF1.
 
     With F1 = (cos 40t, 0) and DF1[1, 0] = sin 40t the mean of
     sin(40 s) * sin(40 s) / 40 is 1 / 80. A separate uniform inner grid of
-    64 samples would alias cos 40t and return about 0 without a warning.
+    64 samples would alias cos 40t and return about 0.
     """
     def df1(z, t):
         jac = np.zeros((2, 2, np.size(t)))
         jac[1, 0] = np.sin(40.0 * t)
         return jac
 
-    sys = StandardFormSystem(
-        period=2.0 * np.pi,
+    sys = toy_system(
         f1=lambda z, t: np.array([np.cos(40.0 * t), np.zeros_like(t)]),
         f2=lambda z, t: np.zeros((2, np.size(t))),
         df1=df1,
     )
-    val = average_second(sys, np.zeros(2), QuadratureSpec(nodes=256))
+    val = sampled_average(sys, np.zeros(2), 2, 256)
     assert np.max(np.abs(val - [0.0, 1.0 / 80.0])) < 1e-12
-
-
-def test_quadrature_divergence_detection():
-    sys = toy_system(
-        f1=lambda z, t: np.array([np.cos(64.0 * t), np.zeros_like(t)]),
-        f2=lambda z, t: np.zeros((2, np.size(t))),
-    )
-    with pytest.raises(QuadratureNotConverged):
-        average_first(sys, np.zeros(2), QuadratureSpec(nodes=64))
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_a_non_finite_mean_is_not_converged(bad):
-    """A NaN or infinite mean passes no (N, 2N) threshold: where the
-    sampled F2 of the showcase is non-finite at one point of the oracle
-    grid, average_second raises and names that point."""
-    sys = sampled(slice_system(1.0, 5.0, 2.0))
-    z = np.array(np.meshgrid(np.linspace(0.5, 8.0, 20),
-                             np.linspace(-2.0, 2.0, 20), indexing="ij"))
-    point = z[:, 3, 7]
-    f2 = sys.f2
-
-    def non_finite_at_one_point(points, s):
-        value = np.array(f2(points, s))
-        value[:, np.all(points.T == point, axis=-1).T] = bad
-        return value
-
-    with pytest.raises(QuadratureNotConverged,
-                       match=re.escape(f"z = {point.tolist()}")):
-        average_second(dataclasses.replace(sys, f2=non_finite_at_one_point),
-                       z, QUAD)
 
 
 def test_quadrature_spec_validates_node_floor():
     with pytest.raises(ValueError):
         QuadratureSpec(nodes=8)
-    # the ceiling bounds the dense eigenproblem behind the Gauss-Legendre nodes
+    # the ceiling keeps a configured count to its documented range
     with pytest.raises(ValueError, match="512"):
         QuadratureSpec(nodes=513)
     assert QuadratureSpec(nodes=512).nodes == 512
@@ -711,35 +699,3 @@ def test_find_roots_finds_the_predicted_roots(a2, b2, delta, near):
         sign = DegreeSign.PLUS if det > 0 else DegreeSign.MINUS
         assert root.degree_sign is sign
         assert np.sign(root.jac_det) == np.sign(det)
-
-
-@pytest.mark.parametrize("path", ["polynomial", "sampled"])
-def test_large_batches_are_evaluated_in_bounded_chunks(monkeypatch, path):
-    """A 1600-point grid at N = 512 (2N = 1024 samples per point) splits
-    into chunks of MAX_SAMPLES // 2N = 256 points, each taken at both node
-    counts: on the sampled path it peaks at about 26 MB when evaluated
-    whole and at about 4 MB in chunks. The polynomial path samples
-    nothing per point but takes the same chunks. A batch of one chunk
-    plus one point, the grid's first 257 points, matches its whole
-    evaluation too."""
-    sys = slice_system(1.0, 5.0, 2.0)
-    if path == "sampled":
-        sys = sampled(sys)
-    q = QuadratureSpec(nodes=512)
-    grid = np.array(np.meshgrid(np.linspace(0.5, 8.0, 40),
-                                np.linspace(-2.0, 2.0, 40), indexing="ij"))
-    for nodes in (512, 1024):  # the cached rules are not batch memory
-        _rule_nodes(nodes, sys.period)
-    for z in (grid, grid.reshape(2, -1)[:, :257]):
-        tracemalloc.start()
-        try:
-            chunked = average_second(sys, z, q)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 20e6
-        with monkeypatch.context() as patch:
-            patch.setattr(averaging, "MAX_SAMPLES", z[0].size * 1024)
-            whole = average_second(sys, z, q)
-        scale = np.max(np.abs(whole), axis=0)
-        assert np.all(np.abs(chunked - whole) <= 1e-15 * scale)

@@ -146,21 +146,28 @@ COLLAPSE = {"a2": 1.0, "b2": 1.0, "delta": 1.0}
                               "delta": 1.3}, "eps": 0.1},
      2, "HypothesisViolated"),
     ("average", {"unfolding": {"a2": 1.0, "b2": 5.0, "delta": 2.0,
-                               "c1": 1e5}}, 3, "QuadratureNotConverged"),
+                               "c1": 1e5}}, 3, None),
 ], ids=["orbits", "sweep", "classify-delta2-3",
         "orbits-a1", "average-unconverged"])
 def test_collapse_boundary_is_refused_as_degenerate(tmp_path, capsys, command,
                                                     doc, expected, kind):
     """classify reports the collapse boundary as degenerate; shooting
     refuses it, and --json prints the refusal's summary.json. Every refused
-    or unconverged run goes through the same write: stdout is exactly
-    summary.json, which records why under error."""
+    run, and an average that fails its oracle, goes through the same
+    write: stdout is exactly summary.json, and stderr is empty. A refusal
+    records why under error; the failed oracle (kind None, at c1 = 1e5,
+    where the c1^2 terms of the means cancel to round-off of 1.5e-7
+    relative) records oracle_ok false and no error."""
     code, out = run(tmp_path, command, doc, extra=["--json"])
     assert code == expected
     text = (out / "summary.json").read_text(encoding="utf-8")
-    assert capsys.readouterr().out == text
+    assert capsys.readouterr() == (text, "")
     summary = json.loads(text)
     assert summary["command"] == command
+    if kind is None:
+        assert "error" not in summary
+        assert summary["oracle_ok"] is False
+        return
     assert summary["error"]["kind"] == kind
     assert summary["error"]["reason"]
     if kind == "DegeneratePrediction":
@@ -555,14 +562,21 @@ def test_a_hopeless_leg_ends_at_the_step_budget(tmp_path, capsys):
     {"a2": -1.0, "b2": -1e6, "delta": 1e-50, "c1": -1e300, "c2": -0.3}])
 def test_an_overflowing_average_fails_with_one_labelled_line(
         tmp_path, capsys, unfolding):
-    """Where the integrands of the means overflow, the non-finite mean
-    fails the (N, 2N) check: average exits 3, and stderr holds the one
-    line that names the point, no numpy warning ahead of it."""
-    code, _ = run(tmp_path, "average", {"unfolding": unfolding})
+    """Where the tables or the monomials of the means overflow, the
+    non-finite mean fails the oracle: average exits 3 with oracle_ok
+    false, its one progress line reads nan for the failing order, and
+    stderr is empty, no numpy warning on it."""
+    out = tmp_path / "out"
+    code = main(["average", "--config",
+                 write_config(tmp_path, {"unfolding": unfolding}),
+                 "--out", str(out)])
     assert code == 3
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert err[0].startswith("quadrature not converged: ")
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    (line,) = captured.out.splitlines()
+    assert line.startswith("max relative deviation: ") and "nan" in line
+    summary = read_summary(out)
+    assert summary["oracle_ok"] is False and "error" not in summary
 
 
 def extreme_magnitude(rng):
@@ -589,7 +603,7 @@ def extreme_direction(rng):
 #: mended: the higher averages behind root_corrections overflowing, Dg
 #: (g_jacobian) overflowing too, the closed f at a1 = 1e307, the
 #: non-finite Phi of seeds near 1e14 and the overflowing means of
-#: _refined_mean
+#: average_first and average_second
 MENDED_INPUTS = [
     ({"a2": 1e300, "b2": 5.0, "delta": 2.0}, 0.1),
     ({"a2": 1e300, "b2": -1e300, "delta": 1e10}, 0.1),
@@ -605,7 +619,7 @@ def test_a_corpus_of_extreme_directions_ends_in_labelled_exits(tmp_path,
     """classify, average, orbits and sweep over 40 seeded extreme
     directions and the mended inputs: no exception escapes main (the
     suite turns every numpy warning into one), each exits 0, 2, 3 or 4,
-    and every stderr line is a labelled quadrature line."""
+    and stderr is empty."""
     rng = random.Random(101)
     corpus = [extreme_direction(rng) for _ in range(40)] + MENDED_INPUTS
     for unfolding, eps in corpus:
@@ -615,9 +629,7 @@ def test_a_corpus_of_extreme_directions_ends_in_labelled_exits(tmp_path,
             code, _ = run(tmp_path, command, {"unfolding": unfolding, **extra})
             err = capsys.readouterr().err
             assert code in (0, 2, 3, 4), (command, unfolding, eps, code)
-            assert all(line.startswith(("quadrature accuracy: ",
-                                        "quadrature not converged: "))
-                       for line in err.splitlines()), (command, unfolding, err)
+            assert err == "", (command, unfolding, err)
 
 
 def test_sweep_requires_eps_list(tmp_path):
@@ -674,41 +686,23 @@ def test_config_errors_exit_one(tmp_path, capsys):
 
 
 def test_unconverged_quadrature_exits_three(tmp_path, capsys):
-    """The run still writes a strict-JSON summary that records why. stderr
-    holds one labelled line per outcome, in order: the accuracy warning of
-    average_first, with no path or line number, then the failure of
-    average_second."""
+    """At c1 = 1e5 the c1^2 terms of the means cancel to a round-off that
+    leaves g 1.5e-7 from g_closed, relative: the oracle fails, average
+    exits 3, and the run writes a strict-JSON summary with oracle_ok
+    false and no error block, and nothing to stderr."""
     doc = {"unfolding": {"a2": 1.0, "b2": 5.0, "delta": 2.0, "c1": 1e5}}
     code, out = run(tmp_path, "average", doc)
     assert code == 3
-    assert capsys.readouterr().err.splitlines() == [
-        "quadrature accuracy: average_first: (N, 2N) agreement only "
-        "7.790e-10 at N=64, z = [8.0, -2.0]",
-        "quadrature not converged: average_second: (N, 2N) disagreement "
-        "1.966e-05 at N=64, z = [8.0, 1.1578947368421053]",
-    ]
+    assert capsys.readouterr().err == ""
     summary = json.loads((out / "summary.json").read_text(encoding="utf-8"),
                          parse_constant=_reject_constant)
     assert summary["command"] == "average"
-    assert summary["error"]["kind"] == "QuadratureNotConverged"
-    assert summary["error"]["reason"].startswith("average_second")
-    assert "oracle_ok" not in summary
+    assert summary["oracle_ok"] is False
+    assert "error" not in summary
+    # the second average fails, the first, zero on the slice, does not
+    assert summary["max_abs_dev_first"] <= summary["tolerance"]
+    assert summary["max_abs_dev_second"] > summary["tolerance"]
 
-
-def test_average_passes_other_warnings_on(tmp_path, monkeypatch, capsys):
-    """average turns only quadrature accuracy warnings into stderr lines;
-    a warning of any other kind reaches the caller as a warning."""
-    average_first = cli.average_first
-
-    def warns(*args):
-        warnings.warn("another warning", UserWarning)
-        return average_first(*args)
-
-    monkeypatch.setattr(cli, "average_first", warns)
-    with pytest.warns(UserWarning, match="another warning"):
-        code, _ = run(tmp_path, "average", THREE_ORBIT_DOC)
-    assert code == 0
-    assert capsys.readouterr().err == ""
 
 def test_a_nan_deviation_fails_the_oracle(tmp_path, monkeypatch):
     """A NaN deviation fails the verdict (exit 3), as max(0.0, nan) = 0.0
@@ -814,12 +808,10 @@ def test_delta_in_its_range_runs(command, delta):
     """At the bounds, and at 1e15, where the seeds lie so far out that
     the variational series overflow and every candidate fails with
     StepUnderflow, each command exits with a labelled code, and stderr
-    holds nothing but labelled quadrature lines."""
+    is empty."""
     code, err = run_at_delta(command, delta)
     assert code in (0, 3, 4)
-    assert all(line.startswith(("quadrature accuracy: ",
-                                "quadrature not converged: "))
-               for line in err.splitlines()), err
+    assert err == ""
 
 
 @settings(max_examples=10)
