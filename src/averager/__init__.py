@@ -47,7 +47,6 @@ from .normal_form import (
 )
 from .shooting import (
     IntegratorSpec,
-    NoReturn,
     PeriodicOrbitRecord,
     SeedInvalid,
     ShootingDiverged,
@@ -69,7 +68,6 @@ __all__ = [
     "EquilibriumKind",
     "HypothesisViolated",
     "IntegratorSpec",
-    "NoReturn",
     "NotAnEquilibrium",
     "OrbitCount",
     "OrbitPrediction",

@@ -84,12 +84,10 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (complex, np.complexfloating)):
+    if isinstance(obj, complex):
         return [_jsonable(obj.real), _jsonable(obj.imag)]
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         return float(obj) if math.isfinite(obj) else None
-    if isinstance(obj, np.integer):
-        return int(obj)
     return obj
 
 

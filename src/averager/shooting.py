@@ -74,7 +74,10 @@ holds at most one sign change of z: on 124 directions at eps 0.2 to
 longest was 0.76 of pi / sqrt(-c), the spacing of the zeros of z in the
 linear flow, legs from an equilibrium aside. That bound lets half_return
 find the first upward crossing of the mirrored section from the signs of
-z at each step's two ends alone; MAX_STEPS bounds the steps of one leg.
+z at each step's two ends alone. A leg has one bound, MAX_STEPS, on its
+steps and none on its flight: a step relative to the state spans a fixed
+share of a turn whatever the turn's length, so a half return of about
+pi / delta takes as few steps at delta = 0.003 as at 2.
 
 The variational equations Phi' = J Phi are linear in Phi, so they need no
 step-by-step recurrence of their own. The same kernel that gives a
@@ -145,13 +148,13 @@ MAX_SEED_SHIFT = 0.25
 #: average-grid bases, 8.5 times below this bound
 DUPLICATE_TOL = 1e-5
 
-#: total flight-time budget of one return to the section
-RETURN_T_MAX = 100.0
-
-#: steps of one half return before it raises StepLimitExceeded; the
-#: bound moves no located orbit, it only ends a hopeless leg. On 120
-#: random directions at eps 0.2 to 0.0125, no completed leg of 2139 took
-#: more than 27 steps, the median 8, so the margin is about 370x
+#: steps of one half return before it raises StepLimitExceeded, the one
+#: bound of a leg: its flight time is not capped. The bound moves no
+#: located orbit, it only ends a hopeless leg. On 120 random directions
+#: at eps 0.2 to 0.0125, no completed leg of 2139 took more than 27
+#: steps, the median 8, so the margin is about 370x; on the (1, -1, delta)
+#: directions at delta = 0.003, 0.01, 0.02 and 0.1, whose half returns
+#: fly about pi / delta, each half of an accepted return takes 6 to 8 steps
 MAX_STEPS = 10_000
 
 #: samples per period in an orbit's trace
@@ -178,12 +181,8 @@ class StepLimitExceeded(RuntimeError):
 
 class StepUnderflow(RuntimeError):
     """A leg left what double precision resolves: a step too short to
-    resolve, non-finite Taylor coefficients or Phi, or a singular step
-    transition."""
-
-
-class NoReturn(RuntimeError):
-    """The trajectory never re-crossed the section within the time budget."""
+    resolve, an infinite one where the field vanishes, non-finite Taylor
+    coefficients or Phi, or a singular step transition."""
 
 
 class ShootingDiverged(RuntimeError):
@@ -200,7 +199,7 @@ class _CandidateFailed(RuntimeError):
 
 
 #: the failures of one return to the section
-_RETURN_ERRORS = (NoReturn, StepLimitExceeded, StepUnderflow)
+_RETURN_ERRORS = (StepLimitExceeded, StepUnderflow)
 
 #: the failures of one orbit's shooting that a caller records and moves past
 SHOOTING_ERRORS = (ShootingDiverged, SeedInvalid)
@@ -532,11 +531,12 @@ def half_return(p: SystemParams, q, spec: IntegratorSpec) -> HalfReturn:
 
     Raises
     ------
-    NoReturn when the flight-time budget RETURN_T_MAX is exhausted without
-    a crossing; StepLimitExceeded when the leg needs more than
-    MAX_STEPS steps; StepUnderflow when a step falls below what
-    double precision resolves, the Taylor coefficients or Phi are not
-    finite, or the system of a step's transition is singular.
+    StepLimitExceeded when MAX_STEPS steps, the one bound of a leg, pass
+    without a crossing; StepUnderflow when a step falls below what double
+    precision resolves, a step is infinite or its powers overflow (from an
+    equilibrium, where every Taylor coefficient beyond order 0 vanishes),
+    the Taylor coefficients or Phi are not finite, or the system of a
+    step's transition is singular.
     """
     order = math.ceil(1.0 - 0.5 * math.log(spec.tol))
     kernel = _taylor_kernel(order)
@@ -546,10 +546,7 @@ def half_return(p: SystemParams, q, spec: IntegratorSpec) -> HalfReturn:
     t = 0.0
     polys = []  # the (x, y, z) coefficients of each step
     lengths, jacs = [], []  # what _leg_transition takes of each step
-    while t < RETURN_T_MAX:
-        if len(polys) == MAX_STEPS:
-            raise StepLimitExceeded(
-                f"more than {MAX_STEPS} steps before t = {RETURN_T_MAX}")
+    for _ in range(MAX_STEPS):
         scale = max(1e-300, abs(s[0]), abs(s[1]), abs(s[2]))
         x, y, z, jac = kernel(p.a, p.b, p.c, s)
         if not math.isfinite(x[-2] + y[-2] + z[-2] + x[-1] + y[-1] + z[-1]):
@@ -563,10 +560,18 @@ def half_return(p: SystemParams, q, spec: IntegratorSpec) -> HalfReturn:
         if not h > 10.0 * math.ulp(t):
             raise StepUnderflow(f"step {h:.3g} below the resolution at "
                                 f"t = {t:.6g}")
-        h = min(h, RETURN_T_MAX - t)
+        # the step is unbounded only where the last two coefficients vanish
+        # against the state: at an equilibrium, or where they underflow
+        try:
+            h_powers = [h ** k for k in powers]
+        except OverflowError:
+            h_powers = [math.inf]
+        if h_powers[-1] == math.inf:
+            raise StepUnderflow(f"infinite step at t = {t:.6g}: the field "
+                                "vanishes there, or its Taylor coefficients "
+                                "underflow")
         polys.append((x, y, z))
         jacs.append(jac)
-        h_powers = [h ** k for k in powers]
         end = [sum(map(mul, coef, h_powers)) for coef in (x, y, z)]
         if s[2] < 0.0 <= end[2]:
             # z as a polynomial in u = tau / h
@@ -578,10 +583,9 @@ def half_return(p: SystemParams, q, spec: IntegratorSpec) -> HalfReturn:
                 break
         lengths.append(h)
         s = end
-        t = t + h if h < RETURN_T_MAX - t else RETURN_T_MAX
+        t += h
     else:
-        raise NoReturn(f"no crossing of the mirrored section within "
-                       f"t_max={RETURN_T_MAX}")
+        raise StepLimitExceeded(f"no crossing in {MAX_STEPS} steps")
     flight = t + lengths[-1]
     state[2] = 0.0
     # far out, the products of the Taylor coefficients can overflow, and

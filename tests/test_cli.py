@@ -557,6 +557,21 @@ def test_a_hopeless_leg_ends_at_the_step_budget(tmp_path, capsys):
     assert "StepLimitExceeded" in json.dumps(read_summary(out))
 
 
+@pytest.mark.parametrize("unfolding, eps", [
+    ({"a2": 1.0, "b2": -1.0, "delta": 0.02}, 5e-4),
+    ({"a2": 1.0, "b2": -1.0, "delta": 0.01}, 2e-4),
+    ({"a2": -1.813916486886403, "b2": -0.6167547886382092,
+      "delta": 0.0063058675665241684, "c2": 1.294906295102943}, 1e-8)])
+def test_orbits_below_delta_pi_over_100_locate_every_orbit(tmp_path,
+                                                           unfolding, eps):
+    """A half return flies about pi / delta, beyond t = 100 at these
+    deltas; its legs are bounded by their step count alone, so orbits
+    locates all three predicted orbits and exits 0."""
+    code, out = run(tmp_path, "orbits", {"unfolding": unfolding, "eps": eps})
+    assert code == 0
+    assert read_summary(out)["located_count"] == 3
+
+
 @pytest.mark.parametrize("unfolding", [
     {"a2": 0.0, "b2": 1e300, "delta": 1e-50, "c2": 1e300},
     {"a2": -1.0, "b2": -1e6, "delta": 1e-50, "c1": -1e300, "c2": -0.3}])

@@ -42,13 +42,14 @@ def records():
     return [shoot_orbit(THREE_ORBIT, EPS, root, SPEC) for root in pred.roots]
 
 
-def dop853_states(p, s0, t):
-    """(len(t), 3) states of the jerk flow from s0, by DOP853 at 1e-13."""
+def dop853_states(p, s0, t, atol=1e-13):
+    """(len(t), 3) states of the jerk flow from s0, by DOP853 at rtol
+    1e-13 and atol."""
     from scipy.integrate import solve_ivp
 
     sol = solve_ivp(lambda _, s: vector_field(p, s), (0.0, t[-1]),
                     np.asarray(s0, dtype=float), method="DOP853", t_eval=t,
-                    rtol=1e-13, atol=1e-13)
+                    rtol=1e-13, atol=atol)
     return sol.y.T
 
 
@@ -328,6 +329,66 @@ def test_a_non_finite_phi_is_a_step_underflow(monkeypatch):
                         lambda *args: np.full((3, 3), np.inf))
     with pytest.raises(StepUnderflow, match="non-finite Phi"):
         poincare_return(unfold(THREE_ORBIT, EPS), (0.05, 0.35), SPEC)
+
+
+def test_a_leg_from_an_equilibrium_is_a_step_underflow():
+    """At (a, b, c) = (0.1, -1, -1) the field vanishes exactly at every
+    equilibrium, the origin and (+-1, 0, 0): a leg from one has no Taylor
+    coefficient beyond order 0, so its first step is infinite. Next to
+    (1, 0, 0), at y = 1e-300, the step is finite but its powers overflow.
+    Either way half_return and poincare_return fail at t = 0 with
+    StepUnderflow, the field named."""
+    p = SystemParams(0.1, -1.0, -1.0)
+    starts = [e[:2] for e in equilibria(p)] + [(1.0, 1e-300)]
+    assert len(starts) == 4
+    assert not any(vector_field(p, [*q, 0.0]).any() for q in starts[:3])
+    for q in starts:
+        for integrate in (half_return, poincare_return):
+            with pytest.raises(StepUnderflow, match=re.escape(
+                    "infinite step at t = 0: the field vanishes there")):
+                integrate(p, q, SPEC)
+
+
+#: (1, -1, delta) directions at an eps where the three orbits are
+#: located, each half return flying about pi / delta
+SMALL_DELTA = [(UnfoldingParams(a2=1.0, b2=-1.0, delta=0.003), 2e-5),
+               (UnfoldingParams(a2=1.0, b2=-1.0, delta=0.01), 2e-4),
+               (UnfoldingParams(a2=1.0, b2=-1.0, delta=0.02), 5e-4),
+               (UnfoldingParams(a2=1.0, b2=-1.0, delta=0.1), 1e-2)]
+
+
+@pytest.mark.parametrize("u, eps", SMALL_DELTA[1:3])
+def test_orbits_below_delta_pi_over_100_close_under_dop853(u, eps):
+    """A half return flies about pi / delta, beyond t = 100 here, and a
+    leg is bounded by its step count alone, so all three orbits are
+    located. Each closes under DOP853, from its section point over its
+    period, to 1e-7 of its size, and its period lies within 1e-3 of
+    2 pi / delta, relative."""
+    entry = sweep_epsilon(u, [eps], SPEC).entries[0]
+    assert not entry.failures and len(entry.records) == 3
+    p = unfold(u, eps)
+    for rec in entry.records.values():
+        size = np.max(np.abs(rec.trace[1]))
+        start = np.array([*rec.section_point, 0.0])
+        end = dop853_states(p, start, [0.0, rec.period], 1e-13 * size)[-1]
+        assert np.max(np.abs(end - start)) < 1e-7 * size
+        assert abs(rec.period * u.delta / (2.0 * np.pi) - 1.0) < 1e-3
+
+
+@pytest.mark.parametrize("u, eps", SMALL_DELTA + [(THREE_ORBIT, EPS)])
+def test_every_accepted_half_return_is_a_short_leg(u, eps):
+    """MAX_STEPS is a leg's one bound because the steps are relative to
+    the state: from delta = 0.003 to the showcase, each half of every
+    accepted return holds at most 27 steps, the longest completed leg
+    that MAX_STEPS' comment cites, whatever its flight."""
+    p = unfold(u, eps)
+    entry = sweep_epsilon(u, [eps], SPEC).entries[0]
+    assert len(entry.records) == 3
+    for rec in entry.records.values():
+        # the first half of the accepted return is the leg from its start
+        first = half_return(p, rec.section_point, SPEC)
+        assert len(first.lengths) <= 27
+        assert len(rec.mirror_leg.lengths) <= 27
 
 
 @pytest.mark.parametrize("tol", [shooting.MIN_TOL, 1e-11, shooting.MAX_TOL])
