@@ -6,100 +6,43 @@ and average it numerically (normal_form, averaging), and confirm each
 simple averaged root as a periodic orbit of the full system by shooting on
 a Poincare section (closed_form, shooting). The cli module ties the stages
 to a JSON config front end.
+
+The names of __all__ resolve at first use, each importing only its own
+module (PEP 562): jerk and config, the scalar layer, import no numpy, so
+neither `import averager` nor a classify run loads it.
 """
 
-from .averaging import (
-    AveragedRoot,
-    DegreeSign,
-    QuadratureSpec,
-    average_first,
-    average_second,
-    find_roots,
-)
-from .closed_form import (
-    DegeneratePrediction,
-    HypothesisViolated,
-    OrbitCount,
-    OrbitPrediction,
-    f_closed,
-    g_closed,
-    g_jacobian,
-    higher_averages,
-    predicted_roots,
-    root_corrections,
-)
-from .config import ConfigError, RunConfig, from_dict, load_config, to_dict
-from .jerk import (
-    EquilibriumClass,
-    EquilibriumKind,
-    NotAnEquilibrium,
-    SystemParams,
-    char_poly,
-    classify_equilibrium,
-    equilibria,
-    vector_field,
-)
-from .normal_form import (
-    StandardFormSystem,
-    UnfoldingParams,
-    jerk_standard_form,
-    unfold,
-)
-from .shooting import (
-    IntegratorSpec,
-    PeriodicOrbitRecord,
-    SeedInvalid,
-    ShootingDiverged,
-    SweepEntry,
-    SweepResult,
-    poincare_return,
-    shoot_orbit,
-    sweep_epsilon,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AveragedRoot",
-    "ConfigError",
-    "DegeneratePrediction",
-    "DegreeSign",
-    "EquilibriumClass",
-    "EquilibriumKind",
-    "HypothesisViolated",
-    "IntegratorSpec",
-    "NotAnEquilibrium",
-    "OrbitCount",
-    "OrbitPrediction",
-    "PeriodicOrbitRecord",
-    "QuadratureSpec",
-    "RunConfig",
-    "SeedInvalid",
-    "ShootingDiverged",
-    "StandardFormSystem",
-    "SweepEntry",
-    "SweepResult",
-    "SystemParams",
-    "UnfoldingParams",
-    "average_first",
-    "average_second",
-    "char_poly",
-    "classify_equilibrium",
-    "equilibria",
-    "f_closed",
-    "find_roots",
-    "from_dict",
-    "g_closed",
-    "g_jacobian",
-    "higher_averages",
-    "jerk_standard_form",
-    "load_config",
-    "poincare_return",
-    "predicted_roots",
-    "root_corrections",
-    "shoot_orbit",
-    "sweep_epsilon",
-    "to_dict",
-    "unfold",
-    "vector_field",
-]
+#: the module that defines each exported name
+_EXPORTS = {
+    "averaging": ["AveragedRoot", "DegreeSign", "average_first",
+                  "average_second", "find_roots"],
+    "closed_form": ["f_closed", "g_closed", "g_jacobian", "higher_averages",
+                    "root_corrections"],
+    "config": ["ConfigError", "IntegratorSpec", "QuadratureSpec", "RunConfig",
+               "from_dict", "load_config", "to_dict"],
+    "jerk": ["DegeneratePrediction", "EquilibriumClass", "EquilibriumKind",
+             "HypothesisViolated", "NotAnEquilibrium", "OrbitCount",
+             "OrbitPrediction", "SystemParams", "UnfoldingParams", "char_poly",
+             "classify_equilibrium", "equilibria", "predicted_roots", "unfold",
+             "vector_field"],
+    "normal_form": ["StandardFormSystem", "jerk_standard_form"],
+    "shooting": ["PeriodicOrbitRecord", "SeedInvalid", "ShootingDiverged",
+                 "SweepEntry", "SweepResult", "poincare_return", "shoot_orbit",
+                 "sweep_epsilon"],
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    """The exported name, from its module, imported on first use."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value

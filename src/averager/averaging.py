@@ -31,6 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .config import QuadratureSpec
 from .normal_form import StandardFormSystem
 
 #: finite-difference step scale for Jacobians
@@ -38,11 +39,6 @@ FD_STEP = 1e-6
 
 #: roots closer than this are considered duplicates
 DEDUP_TOL = 1e-6
-
-#: largest accepted node count. The rule is exact at every count from 16
-#: up, since the tables' degrees lie far below half of it; the bound
-#: keeps a configured count to the range it has always had
-MAX_NODES = 512
 
 #: residual bound for accepting a converged root
 ROOT_TOL = 1e-10
@@ -58,24 +54,6 @@ class DegreeSign(Enum):
     PLUS = "plus"
     MINUS = "minus"
     DEGENERATE = "degenerate"
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Node budget for the averages.
-
-    nodes is the size of the equispaced rule that samples the tables, in
-    [16, MAX_NODES]; every size in range gives the exact averages, to
-    round-off.
-    """
-
-    nodes: int = 64
-
-    def __post_init__(self):
-        if not 16 <= self.nodes <= MAX_NODES:
-            raise ValueError(
-                f"node count must lie in [16, {MAX_NODES}], got {self.nodes}"
-            )
 
 
 @dataclass(frozen=True)

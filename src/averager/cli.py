@@ -19,6 +19,13 @@ theorem's hypotheses before it shoots. Where it refuses they write only
 summary.json, with case degenerate on a collapse boundary; otherwise they
 take the case label and the roots from the prediction it returns.
 
+The module imports no numpy, and neither does classify: it runs on
+jerk and config, the scalar layer. A command that batches imports its
+modules when it runs, past its config checks: average the oracle, which
+brings the averaging engine, the standard form's tables and the closed
+forms, and orbits and sweep the shooter. Each reaches their functions
+through the module at call time, as shooting.sweep_epsilon.
+
 Exit codes: 0 ok, 1 config error or unwritable output, 2 hypothesis
 violation, 3 oracle mismatch, 4 shooting shortfall.
 """
@@ -29,31 +36,23 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from enum import Enum
 from functools import cache
 from pathlib import Path
 
-import numpy as np
-
-from .averaging import average_first, average_second
-from .closed_form import (
-    DegeneratePrediction,
-    HypothesisViolated,
-    OrbitCount,
-    f_closed,
-    g_closed,
-    predicted_roots,
-)
 from .config import ConfigError, RunConfig, load_config, to_dict
 from .jerk import (
+    DegeneratePrediction,
     EquilibriumKind,
+    HypothesisViolated,
     NotAnEquilibrium,
+    OrbitCount,
     classify_equilibrium,
     equilibria,
+    predicted_roots,
+    unfold,
 )
-from .normal_form import jerk_standard_form, unfold
-from .shooting import PeriodicOrbitRecord, sweep_epsilon
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -72,9 +71,9 @@ GRID_N = 20
 def _jsonable(obj):
     """Recursively convert numbers, arrays and enums to JSON-safe values.
 
-    NaN, which marks a missing value such as a failed sweep entry's
-    max_coords, becomes null, and so does an infinity such as an
-    overflowed deviation.
+    An array is anything with a tolist method, as numpy's are. NaN, which
+    marks a missing value such as a failed sweep entry's max_coords,
+    becomes null, and so does an infinity such as an overflowed deviation.
     """
     if isinstance(obj, Enum):
         return obj.value
@@ -82,12 +81,12 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, complex):
         return [_jsonable(obj.real), _jsonable(obj.imag)]
     if isinstance(obj, float):
         return float(obj) if math.isfinite(obj) else None
+    if hasattr(obj, "tolist"):
+        return _jsonable(obj.tolist())
     return obj
 
 
@@ -119,9 +118,12 @@ def _write_csv(path: Path, header: str, rows: str, values: list) -> None:
     path.write_text(header + "\n" + rows % tuple(values), encoding="utf-8")
 
 
-def _write_trace(path: Path, t: np.ndarray, states: np.ndarray) -> None:
-    _write_csv(path, "t,x,y,z", "%.17g,%.17g,%.17g,%.17g\n" * len(t),
-               np.column_stack([t, states]).ravel().tolist())
+def _write_trace(path: Path, t, states) -> None:
+    """The trace file of times t, of shape (k,), and states, (k, 3)."""
+    values = [0.0] * (4 * len(t))
+    values[::4] = t.tolist()
+    values[1::4], values[2::4], values[3::4] = states.T.tolist()
+    _write_csv(path, "t,x,y,z", "%.17g,%.17g,%.17g,%.17g\n" * len(t), values)
 
 
 def _average_rows(r: list, w: list, f1: list, f2: list) -> str:
@@ -142,9 +144,10 @@ def _fields(obj, *drop: str) -> dict:
             if f.name not in drop}
 
 
-def _write_orbit(out_dir: Path, trace: str, rec: PeriodicOrbitRecord) -> dict:
-    """Write rec's trace to out_dir / trace; the orbit's summary record:
-    every field of rec but mirror_leg, with trace the file's name."""
+def _write_orbit(out_dir: Path, trace: str, rec) -> dict:
+    """Write the PeriodicOrbitRecord rec's trace to out_dir / trace; the
+    orbit's summary record: every field of rec but mirror_leg, with trace
+    the file's name."""
     _write_trace(out_dir / trace, *rec.trace)
     return dict(_fields(rec, "mirror_leg"), trace=trace)
 
@@ -189,52 +192,18 @@ def cmd_classify(cfg: RunConfig, out_dir: Path, doc: dict, args) -> int:
     return EXIT_OK
 
 
-def _relative_deviation(dev: np.ndarray, closed: np.ndarray) -> float:
-    """The largest deviation over the grid relative to max(1, |closed
-    value|) at its point: the quantity the oracle holds to ORACLE_TOL.
-
-    dev holds the largest deviation of the components at each point and
-    closed the closed values, components first. g grows like delta^-5,
-    so an absolute bound would judge a large g by round-off. A NaN ratio
-    anywhere, inf / inf included (a finite numeric value against an
-    infinite closed one), makes it NaN, which fails the oracle;
-    cmd_average calls it with numpy's invalid-value warning off.
-    """
-    relative = dev / np.maximum(1.0, np.abs(closed).max(axis=0))
-    return float(np.max(relative))
-
-
 def cmd_average(cfg: RunConfig, out_dir: Path, doc: dict, args) -> int:
     u = _require_unfolding(cfg)
-    sys_first = jerk_standard_form(u)
-    slice_u = replace(u, a1=0.0, b1=0.0)
-    sys_second = jerk_standard_form(slice_u)
+    from . import oracle
 
     doc["grid"] = {"r": [GRID_R[0], GRID_R[1], GRID_N],
                    "w": [GRID_W[0], GRID_W[1], GRID_N]}
-    z = np.array(np.meshgrid(np.linspace(*GRID_R, GRID_N),
-                             np.linspace(*GRID_W, GRID_N), indexing="ij"))
-    f_num = average_first(sys_first, z, cfg.quadrature)
-    g_num = average_second(sys_second, z, cfg.quadrature)
-    # extreme coefficients (a1 = 1e307) overflow the closed forms or the
-    # means, and an infinite value makes a NaN or infinite deviation and
-    # ratio (inf - inf, inf / inf): written as null, they fail the oracle
-    with np.errstate(over="ignore", invalid="ignore"):
-        f_ref = f_closed(*z, u.a1, u.b1, u.delta)
-        g_ref = g_closed(*z, u.a2, u.b2, u.delta)
-        dev_f = np.abs(f_num - f_ref).max(axis=0)
-        dev_g = np.abs(g_num - g_ref).max(axis=0)
-        rel_first = _relative_deviation(dev_f, f_ref)
-        rel_second = _relative_deviation(dev_g, g_ref)
-    dev_first, dev_second = float(dev_f.max()), float(dev_g.max())
-    # r and f1_closed vary along the first grid axis only, w and f2_closed
-    # along the second, so _average_rows formats each of them once
+    axes, values, (dev_first, dev_second), (rel_first, rel_second) = (
+        oracle.compare(u, cfg.quadrature, GRID_R, GRID_W, GRID_N))
     _write_csv(out_dir / "average_table.csv",
                "r,w,f1_num,f2_num,f1_closed,f2_closed,"
                "g1_num,g2_num,g1_closed,g2_closed",
-               _average_rows(z[0][:, 0].tolist(), z[1][0].tolist(),
-                             f_ref[0][:, 0].tolist(), f_ref[1][0].tolist()),
-               np.stack([*f_num, *g_num, *g_ref], axis=-1).ravel().tolist())
+               _average_rows(*axes), values)
 
     ok = rel_first <= ORACLE_TOL and rel_second <= ORACLE_TOL
     doc.update({
@@ -257,7 +226,9 @@ def cmd_orbits(cfg: RunConfig, out_dir: Path, doc: dict, args) -> int:
     u = _require_unfolding(cfg)
     if cfg.eps is None:
         raise ConfigError("orbits needs 'eps'; use the sweep command for eps_list")
-    result = sweep_epsilon(u, [cfg.eps], cfg.integrator)
+    from . import shooting
+
+    result = shooting.sweep_epsilon(u, [cfg.eps], cfg.integrator)
     prediction = result.prediction
     doc["case"] = prediction.count
     entry = result.entries[0]
@@ -284,7 +255,9 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, doc: dict, args) -> int:
     u = _require_unfolding(cfg)
     if cfg.eps_list is None:
         raise ConfigError("sweep needs 'eps_list' in the config")
-    result = sweep_epsilon(u, cfg.eps_list, cfg.integrator)
+    from . import shooting
+
+    result = shooting.sweep_epsilon(u, cfg.eps_list, cfg.integrator)
     doc["case"] = result.prediction.count
     entries = []
     for entry in result.entries:

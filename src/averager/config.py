@@ -1,5 +1,10 @@
 """Run configuration: strict JSON schema with full double precision.
 
+This module and jerk are the package's scalar layer: they import no
+numpy. So config owns the specs it parses, QuadratureSpec for the
+averaging engine and IntegratorSpec for the shooter, with their bounds,
+and MAX_EPS, the range of eps that the shooter accepts.
+
 A config file is a single JSON document. Unknown keys are rejected at
 every level so that a typo cannot silently fall back to a default, and
 numbers survive a parse/emit round trip exactly (JSON floats are emitted
@@ -10,17 +15,70 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Optional
 
-from .averaging import QuadratureSpec
-from .jerk import SystemParams
-from .normal_form import UnfoldingParams
-from .shooting import MAX_EPS, IntegratorSpec
+from .jerk import SystemParams, UnfoldingParams
+
+#: bound on |eps| accepted by the shooter
+MAX_EPS = 0.2
+
+#: largest accepted node count. The rule is exact at every count from 16
+#: up, since the tables' degrees lie far below half of it; the bound
+#: keeps a configured count to the range it has always had
+MAX_NODES = 512
+
+#: smallest tol accepted: an error below 100 units in the last place is
+#: lost in the round-off of the Taylor sums
+MIN_TOL = 100 * sys.float_info.epsilon
+
+#: largest tol accepted. Newton converges at a looser tol too, to a
+#: wrong orbit: on the showcase at eps 0.1 the section point of orbit 0
+#: moves from its place at the default tol by 1.3e-6 at tol 1e-6, and,
+#: with this bound lifted, by 5.0e-5 at 1e-4 and by 0.15 at 0.5 (largest
+#: coordinate)
+MAX_TOL = 1e-6
 
 
 class ConfigError(ValueError):
     """The config file is malformed or fails schema validation."""
+
+
+@dataclass(frozen=True)
+class QuadratureSpec:
+    """Node budget for the averages.
+
+    nodes is the size of the equispaced rule that samples the tables, in
+    [16, MAX_NODES]; every size in range gives the exact averages, to
+    round-off.
+    """
+
+    nodes: int = 64
+
+    def __post_init__(self):
+        if not 16 <= self.nodes <= MAX_NODES:
+            raise ValueError(
+                f"node count must lie in [16, {MAX_NODES}], got {self.nodes}"
+            )
+
+
+@dataclass(frozen=True)
+class IntegratorSpec:
+    """Tolerance of the Taylor integrator.
+
+    tol, in [MIN_TOL, MAX_TOL], sets the order and the step length of
+    every step (see the shooting module docstring); beyond MAX_TOL the
+    located orbits drift from the true ones while Newton still converges.
+    The step budget of a leg is the constant shooting.MAX_STEPS.
+    """
+
+    tol: float = 1e-11
+
+    def __post_init__(self):
+        if not MIN_TOL <= self.tol <= MAX_TOL:
+            raise ValueError(f"tol must be in [{MIN_TOL:.3g}, {MAX_TOL:g}], "
+                             f"got {self.tol}")
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ independent variable. The result is a 2-pi periodic planar system in z = (r, w)
 of the form dz/dtheta = eps F1(z, theta) + eps^2 F2(z, theta) + O(eps^3), which
 is what the averaging engine consumes.
 
-The package runs that chain only as its end result: unfold gives the
-physical parameters, and jerk_standard_form the polynomial tables of F1
-and F2. The step-by-step formulas of the chain, the state scaling, the
+The package runs that chain only as its end result: jerk.unfold gives
+the physical parameters, and jerk_standard_form the polynomial tables of
+F1 and F2. The step-by-step formulas of the chain, the state scaling, the
 Jordan change, the coupling terms h1 and h2 and the exact angular field
 theta_rhs, are the independent derivation the tables are tested against;
 they live in the test suite, in tests/reference.py.
@@ -28,44 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .jerk import SystemParams
-
-#: range of delta accepted. The closed forms and the coefficient tables
-#: take delta to powers up to 6 and down to -6 (the d2 ** 3 of
-#: closed_form.predicted_roots, the s^3 / d^5 row of h2_coefficients
-#: times -1/delta), which must stay doubles with room for the factors
-#: they meet: 1e50 ** 6 = 1e300 lies 1e8 below the largest double, and
-#: 1e-50 ** 6 = 1e-300 above the smallest normal one, 2.2e-308.
-#: closed_form.higher_averages forms only d^2, 1 / d^2, 1 / d^3 and
-#: 1 / d^5 and takes every higher power as a factor of a Horner sum in
-#: 1 / d^2. Its root corrections were finite on every scanned direction
-#: with |a2|, |b2|, |c1|, |c2| <= 1e30 and delta in [1e-30, 1e30]; far
-#: beyond, as at |a2| > 1e60 with delta > 1e30, a sum can overflow, and
-#: shoot_orbit then drops the seed shift
-MIN_DELTA, MAX_DELTA = 1e-50, 1e50
-
-
-@dataclass(frozen=True)
-class UnfoldingParams:
-    """Perturbation coefficients around the zero-Hopf point.
-
-    The physical parameters are recovered through
-    (a, b, c) = (eps*a1 + eps^2*a2, eps*b1 + eps^2*b2,
-                 -delta^2 + eps*c1 + eps^2*c2), see unfold().
-    """
-
-    a1: float = 0.0
-    a2: float = 0.0
-    b1: float = 0.0
-    b2: float = 0.0
-    c1: float = 0.0
-    c2: float = 0.0
-    delta: float = 1.0
-
-    def __post_init__(self):
-        if not MIN_DELTA <= self.delta <= MAX_DELTA:
-            raise ValueError(f"delta must be in [{MIN_DELTA:g}, {MAX_DELTA:g}], "
-                             f"got {self.delta}")
+from .jerk import UnfoldingParams
 
 
 @dataclass(frozen=True)
@@ -92,15 +55,6 @@ class StandardFormSystem:
     f2: Callable
     df1: Callable
     polynomials: tuple
-
-
-def unfold(u: UnfoldingParams, eps: float) -> SystemParams:
-    """Physical (a, b, c) for the perturbation strength eps."""
-    return SystemParams(
-        a=eps * u.a1 + eps * eps * u.a2,
-        b=eps * u.b1 + eps * eps * u.b2,
-        c=-u.delta ** 2 + eps * u.c1 + eps * eps * u.c2,
-    )
 
 
 def h2_coefficients(unfolding: UnfoldingParams, sin, cos) -> tuple:

@@ -111,19 +111,20 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .closed_form import (
+from .closed_form import root_corrections
+from .config import MAX_EPS, IntegratorSpec
+from .jerk import (
     DegeneratePrediction,
     OrbitCount,
     OrbitPrediction,
+    SystemParams,
+    UnfoldingParams,
+    equilibria,
     predicted_roots,
     require_first_order_zero,
-    root_corrections,
+    unfold,
+    vector_field,
 )
-from .jerk import SystemParams, equilibria, vector_field
-from .normal_form import UnfoldingParams, unfold
-
-#: bound on |eps| accepted by the shooter
-MAX_EPS = 0.2
 
 #: residual bound on the return-map displacement
 SHOOT_TOL = 1e-10
@@ -160,17 +161,6 @@ MAX_STEPS = 10_000
 #: samples per period in an orbit's trace
 TRACE_SAMPLES = 512
 
-#: smallest tol accepted: an error below 100 units in the last place is
-#: lost in the round-off of the Taylor sums
-MIN_TOL = 100 * np.finfo(float).eps
-
-#: largest tol accepted. Newton converges at a looser tol too, to a
-#: wrong orbit: on the showcase at eps 0.1 the section point of orbit 0
-#: moves from its place at the default tol by 1.3e-6 at tol 1e-6, and,
-#: with this bound lifted, by 5.0e-5 at 1e-4 and by 0.15 at 0.5 (largest
-#: coordinate)
-MAX_TOL = 1e-6
-
 #: a step is the estimated radius of convergence times this fraction
 _STEP_FRACTION = math.exp(-2.0)
 
@@ -203,24 +193,6 @@ _RETURN_ERRORS = (StepLimitExceeded, StepUnderflow)
 
 #: the failures of one orbit's shooting that a caller records and moves past
 SHOOTING_ERRORS = (ShootingDiverged, SeedInvalid)
-
-
-@dataclass(frozen=True)
-class IntegratorSpec:
-    """Tolerance of the Taylor integrator.
-
-    tol, in [MIN_TOL, MAX_TOL], sets the order and the step length of
-    every step (see the module docstring); beyond MAX_TOL the located
-    orbits drift from the true ones while Newton still converges. The
-    step budget of a leg is the constant MAX_STEPS.
-    """
-
-    tol: float = 1e-11
-
-    def __post_init__(self):
-        if not MIN_TOL <= self.tol <= MAX_TOL:
-            raise ValueError(f"tol must be in [{MIN_TOL:.3g}, {MAX_TOL:g}], "
-                             f"got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -780,7 +752,7 @@ def shoot_orbit(
         raise ValueError(f"partner located at eps = {partner.eps}, not {eps}")
     p = unfold(u, eps)
     # each equilibrium's (x, y), and its (x, y, z) for the failure text
-    centers = [(x[:2].tolist(), tuple(x.tolist())) for x in equilibria(p)]
+    centers = [(x[:2], x) for x in equilibria(p)]
     returns = []  # the start of every return-map call, half or full
 
     def count(q):

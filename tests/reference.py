@@ -9,7 +9,9 @@ to cylindrical coordinates and take theta as the independent variable.
 They are the independent derivation the tables are tested against: F1
 and F2 must be the eps-expansion of theta_rhs, and theta_rhs must be the
 vector field through the coordinate chain. jacobian_at is the Jacobian of
-the jerk field, for the variational equations of the DOP853 oracle.
+the jerk field, for the variational equations of the DOP853 oracle, and
+numpy_eigenvalues the spectrum at an equilibrium as np.roots gives it,
+the reference for the classifier's roots in float and complex arithmetic.
 numpy_higher_averages and numpy_root_corrections are closed_form's
 higher averages and seed corrections as numpy float64 array code, the
 form the Python-float evaluation must reproduce bit for bit.
@@ -23,8 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from averager.closed_form import g_closed, g_jacobian
-from averager.jerk import SystemParams
-from averager.normal_form import UnfoldingParams
+from averager.jerk import SystemParams, UnfoldingParams, char_poly
 
 #: below this magnitude eps is considered degenerate for state scaling
 EPS_FLOOR = 1e-300
@@ -49,6 +50,16 @@ def jacobian_at(p: SystemParams, s) -> np.ndarray:
         [0.0, 0.0, 1.0],
         [-p.b + y * y - 3.0 * x * x, p.c + 2.0 * x * y, -p.a],
     ])
+
+
+def numpy_eigenvalues(p: SystemParams, x: float) -> np.ndarray:
+    """The roots of the characteristic cubic at (x, 0, 0) by np.roots,
+    which takes the eigenvalues of its balanced companion matrix, sorted
+    by real part, then imaginary part: the classifier's roots as the
+    package once computed them."""
+    lams = np.roots(char_poly(p, x))
+    order = np.lexsort((lams.imag, lams.real))
+    return lams[order].astype(complex)
 
 
 def scale_state(s, eps: float) -> np.ndarray:

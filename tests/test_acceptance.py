@@ -9,14 +9,15 @@ import time
 
 import numpy as np
 
-from averager.averaging import (QuadratureSpec, average_first, average_second,
-                                find_roots)
+from averager.averaging import average_first, average_second, find_roots
 from averager.cli import main
-from averager.closed_form import (OrbitCount, f_closed, g_closed,
-                                  predicted_roots)
-from averager.jerk import EquilibriumKind, SystemParams, classify_equilibrium
-from averager.normal_form import UnfoldingParams, jerk_standard_form
-from averager.shooting import IntegratorSpec, sweep_epsilon
+from averager.closed_form import f_closed, g_closed
+from averager.config import IntegratorSpec, QuadratureSpec
+from averager.jerk import (EquilibriumKind, OrbitCount, SystemParams,
+                           UnfoldingParams, classify_equilibrium,
+                           predicted_roots)
+from averager.normal_form import jerk_standard_form
+from averager.shooting import sweep_epsilon
 
 QUAD = QuadratureSpec()
 COUNT_OF = {OrbitCount.ZERO: 0, OrbitCount.ONE: 1, OrbitCount.TWO: 2,

@@ -14,7 +14,6 @@ from averager.averaging import (
     NEWTON_MAX_ITER,
     ROOT_TOL,
     DegreeSign,
-    QuadratureSpec,
     _damped_newton,
     _grid_seeds,
     _value_and_jacobian,
@@ -22,8 +21,10 @@ from averager.averaging import (
     average_second,
     find_roots,
 )
-from averager.closed_form import f_closed, g_closed, predicted_roots
-from averager.normal_form import UnfoldingParams, jerk_standard_form
+from averager.closed_form import f_closed, g_closed
+from averager.config import QuadratureSpec
+from averager.jerk import UnfoldingParams, predicted_roots
+from averager.normal_form import jerk_standard_form
 from reference import sampled_average
 from test_cli import near_boundary
 
@@ -177,7 +178,7 @@ def assert_close(got, expected):
 def oracle_deviation(got, expected):
     """The largest deviation of got from expected at a point, relative to
     max(1, largest |expected| component) there: the scale of average's
-    oracle (cli._relative_deviation)."""
+    oracle (oracle._relative_deviation)."""
     return float((np.abs(got - expected).max(axis=0)
                   / np.maximum(1.0, np.abs(expected).max(axis=0))).max())
 

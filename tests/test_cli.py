@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import averager
-from averager import cli, shooting
+from averager import cli, closed_form, shooting
 from averager.cli import (
     _average_rows,
     _jsonable,
@@ -29,8 +29,7 @@ from averager.cli import (
     main,
 )
 from averager.config import from_dict
-from averager.jerk import EquilibriumClass, SystemParams
-from averager.normal_form import MAX_DELTA, MIN_DELTA
+from averager.jerk import MAX_DELTA, MIN_DELTA, EquilibriumClass, SystemParams
 from averager.shooting import PeriodicOrbitRecord, SweepResult
 
 THREE_ORBIT_DOC = {
@@ -107,6 +106,39 @@ def test_classify_params_mode_far_from_the_origin(tmp_path, capsys):
     assert err.startswith("config error:") and err.count("\n") == 1
     assert "[1e+150, 0.0, 0.0]" in err
     assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("params", [{"a": 0.0, "b": -1e300, "c": -1.0},
+                                    {"a": 1e308, "b": -1e308, "c": 1e308}])
+def test_classify_refuses_an_overflowing_equilibrium(tmp_path, capsys,
+                                                     params):
+    """x^3 leaves the double range at x = sqrt(-b) = 1e150 and 1e154: the
+    field's residual is NaN, and classify exits 1 with the config error
+    line alone on stderr, no traceback or warning."""
+    code, out = run(tmp_path, "classify", {"params": params})
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot classify an equilibrium")
+    assert err.endswith("has field residual nan\n") and err.count("\n") == 1
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("delta", [1e-9] + [
+    pytest.param(delta, marks=pytest.mark.xfail(
+        strict=True, reason="_kind_of bounds the pair's imaginary parts, "
+                            "+-delta, by the absolute TOL_EIG = 1e-10"))
+    for delta in (1e-10, 1e-11, 1e-20)])
+def test_classify_base_point_is_zero_hopf_at_small_delta(tmp_path, delta):
+    """The base point (0, 0, -delta^2) of an unfolding is zero-Hopf at
+    every delta. From delta = 1e-10 down classify reads it as
+    other-nonhyperbolic, a known defect pinned by the strict xfails so
+    that a change of the classifier shows; its mending conflicts with
+    acceptance criterion 1's absolute rule |a|, |b| < 1e-10 and needs a
+    change of its own."""
+    code, out = run(tmp_path, "classify",
+                    {"unfolding": {"a2": 1.0, "b2": 5.0, "delta": delta}})
+    assert code == 0
+    assert read_summary(out)["base_point"]["kind"] == "zero-hopf"
 
 
 def test_classify_zero_hopf_params_mode(tmp_path):
@@ -724,14 +756,14 @@ def test_a_nan_deviation_fails_the_oracle(tmp_path, monkeypatch):
     once let it pass: here the closed g2 is NaN at one grid point. At
     delta = 1e-60 the coefficient tables gave such NaNs, and that delta is
     now refused (test_delta_outside_its_range_is_a_config_error)."""
-    g_closed = cli.g_closed
+    g_closed = closed_form.g_closed
 
     def nan_at_one_point(*args):
         value = g_closed(*args)
         value[1, 3, 7] = math.nan
         return value
 
-    monkeypatch.setattr(cli, "g_closed", nan_at_one_point)
+    monkeypatch.setattr(closed_form, "g_closed", nan_at_one_point)
     code, out = run(tmp_path, "average", THREE_ORBIT_DOC)
     assert code == 3
     summary = json.loads((out / "summary.json").read_text(encoding="utf-8"),
@@ -759,14 +791,14 @@ def test_average_judges_each_point_relative_to_its_closed_value(
     pass prints both within the printed tolerance and a failure does
     not."""
     if factor is not None:
-        g_closed = cli.g_closed
+        g_closed = closed_form.g_closed
 
         def scaled_at_one_point(*args):
             value = g_closed(*args)
             value[1, 3, 7] *= factor
             return value
 
-        monkeypatch.setattr(cli, "g_closed", scaled_at_one_point)
+        monkeypatch.setattr(closed_form, "g_closed", scaled_at_one_point)
     cfg = write_config(tmp_path,
                        {"unfolding": {"a2": 1.0, "b2": 5.0, "delta": delta}})
     out = tmp_path / "out"
@@ -927,6 +959,42 @@ def test_orbits_and_sweep_run_without_scipy(tmp_path):
     assert done.stdout.strip() == "[0, 0, 0] []"
     for i in (0, 1):
         assert read_summary(tmp_path / str(i))["located_count"] == 3
+
+
+def test_classify_runs_without_numpy(tmp_path):
+    """jerk and config, the scalar layer, import no numpy, and neither do
+    the package root and the CLI, which import the batching modules where
+    they are used: in a new interpreter, numpy stays unloaded after
+    importing averager, after importing averager.cli, and after each of
+    classify on a params config, classify on an unfolding config with
+    eps, a refused config (exit 1), and --help."""
+    docs = [{"params": {"a": 0.0, "b": 0.0, "c": -1.0}},
+            {"unfolding": THREE_ORBIT_DOC["unfolding"], "eps": 0.1},
+            {"params": {"a": 0.0, "b": -1e300, "c": -1.0}}]
+    argvs = [["classify", "--config", write_config(tmp_path, doc, f"{i}.json"),
+              "--out", str(tmp_path / str(i)), "--quiet"]
+             for i, doc in enumerate(docs)]
+    argvs += [["--help"], ["classify", "--help"]]
+    done = run_fresh(
+        "import contextlib, io, sys\n"
+        "steps = []\n"
+        "import averager\n"
+        "steps.append('numpy' in sys.modules)\n"
+        "import averager.cli\n"
+        "steps.append('numpy' in sys.modules)\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
+        "            contextlib.redirect_stderr(io.StringIO()):\n"
+        "        code = averager.cli.main(argv)\n"
+        "    steps.append([code, 'numpy' in sys.modules])\n"
+        "print(steps)\n"
+    )
+    assert done.stdout == ("[False, False, [0, False], [0, False], "
+                           "[1, False], [0, False], [0, False]]\n")
+    assert read_summary(tmp_path / "0")["verdict"] == (
+        "zero-Hopf equilibrium at the origin")
+    assert read_summary(tmp_path / "1")["case"] == "three"
+    assert not (tmp_path / "2" / "summary.json").exists()
 
 
 def test_importing_the_cli_builds_no_taylor_kernel():

@@ -4,17 +4,21 @@ import numpy as np
 import pytest
 
 from averager.closed_form import (
-    HypothesisViolated,
-    OrbitCount,
     f_closed,
     g_closed,
     g_jacobian,
     higher_averages,
-    predicted_roots,
     root_corrections,
 )
-from averager.normal_form import (MAX_DELTA, MIN_DELTA, UnfoldingParams,
-                                  jerk_standard_form)
+from averager.jerk import (
+    MAX_DELTA,
+    MIN_DELTA,
+    HypothesisViolated,
+    OrbitCount,
+    UnfoldingParams,
+    predicted_roots,
+)
+from averager.normal_form import jerk_standard_form
 from reference import numpy_higher_averages, numpy_root_corrections, theta_rhs
 
 COUNT_OF = {OrbitCount.ZERO: 0, OrbitCount.ONE: 1, OrbitCount.TWO: 2,

@@ -4,9 +4,15 @@ import json
 
 import pytest
 
-from averager.averaging import QuadratureSpec
-from averager.config import ConfigError, from_dict, load_config, to_dict
-from averager.shooting import MAX_TOL, IntegratorSpec
+from averager.config import (
+    MAX_TOL,
+    ConfigError,
+    IntegratorSpec,
+    QuadratureSpec,
+    from_dict,
+    load_config,
+    to_dict,
+)
 
 
 def minimal_doc():

@@ -1,5 +1,9 @@
 """Vector field, equilibria and eigenvalue classification of the jerk system."""
 
+import math
+import random
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -12,7 +16,7 @@ from averager.jerk import (
     equilibria,
     vector_field,
 )
-from reference import jacobian_at
+from reference import jacobian_at, numpy_eigenvalues
 
 
 def test_vector_field_origin_is_equilibrium():
@@ -49,7 +53,8 @@ def test_jacobian_matches_finite_differences():
         for j in range(3):
             ds = np.zeros(3)
             ds[j] = h
-            fd = (vector_field(p, s + ds) - vector_field(p, s - ds)) / (2 * h)
+            fd = np.subtract(vector_field(p, s + ds),
+                             vector_field(p, s - ds)) / (2 * h)
             assert np.allclose(jac[:, j], fd, atol=1e-8)
 
 
@@ -131,6 +136,18 @@ def test_classify_rejects_non_equilibrium():
     # b x and x^3 overflow at x = sqrt(-b), so the residual is NaN
     with pytest.raises(NotAnEquilibrium, match="residual nan"):
         classify_equilibrium(SystemParams(0.0, -1e300, 1.0), (1e150, 0.0, 0.0))
+    # there x^3 leaves the double range too, as it does at x = 1e154
+    with pytest.raises(NotAnEquilibrium, match="residual nan"):
+        classify_equilibrium(SystemParams(1e308, -1e308, 1e308),
+                             (1e154, 0.0, 0.0))
+
+
+def test_vector_field_overflows_to_infinity():
+    """A Python float's power raises OverflowError where a float64's is
+    infinite; the field keeps the float64 value."""
+    p = SystemParams(0.0, 0.0, 0.0)
+    assert vector_field(p, (1e200, 0.0, 0.0)) == (0.0, 0.0, -math.inf)
+    assert vector_field(p, (-1e200, 0.0, 0.0)) == (0.0, 0.0, math.inf)
 
 
 def test_eigenvalues_satisfy_char_poly():
@@ -179,3 +196,63 @@ def test_zero_hopf_iff_a_b_vanish_and_c_negative():
             expected = (abs(params.a) < 1e-10 and abs(params.b) < 1e-10
                         and params.c < -1e-10)
             assert (cls.kind is EquilibriumKind.ZERO_HOPF) == expected
+
+
+def spectrum_error(p, x):
+    """The distance of the classifier's roots at (x, 0, 0) from np.roots',
+    the largest over the roots, matched in the best order, relative to
+    the largest root of the reference."""
+    ours = classify_equilibrium(p, (x, 0.0, 0.0)).eigenvalues
+    ref = numpy_eigenvalues(p, x).tolist()
+    scale = max(map(abs, ref)) or 1.0
+    return min(max(abs(a - b) for a, b in zip(ours, order))
+               for order in permutations(ref)) / scale
+
+
+def test_roots_match_numpy_on_criterion_1_and_far_equilibria():
+    """The cubic's roots, found in float and complex arithmetic, lie
+    within 1e-13 of the spectrum's scale from np.roots' on acceptance
+    criterion 1's 1006 draws at the origin and on the equilibria of
+    test_equilibria_classify_for_b_down_to_minus_1e12 (both read at most
+    4e-15)."""
+    rng = np.random.default_rng(101)
+    draws = [tuple(rng.uniform(-2.0, 2.0, 3)) for _ in range(1000)]
+    draws += [(0.0, 0.0, -4.0), (0.0, 0.0, -0.31), (0.0, 0.0, 2.0),
+              (0.0, 0.0, 0.0), (1e-12, 0.0, -1.0), (0.0, 1e-12, -1.0)]
+    errors = [spectrum_error(SystemParams(*abc), 0.0) for abc in draws]
+    rng = np.random.default_rng(13)
+    for decade in np.linspace(-2.0, 12.0, 15):
+        for _ in range(20):
+            a, c = rng.uniform(-2.0, 2.0, 2)
+            b = -(10.0 ** rng.uniform(decade - 1.0, decade))
+            p = SystemParams(a, b, c)
+            errors += [spectrum_error(p, x) for x, _, _ in equilibria(p)]
+    assert len(errors) == 1006 + 900
+    assert max(errors) < 1e-13
+
+
+def test_roots_match_numpy_for_params_up_to_1e300():
+    """On 2000 draws of (a, b, c), each 0 or +-10^U(-300, 300), the roots
+    at every equilibrium that classifies (where x^3 stays a double), 3546
+    of them, lie within 1e-13 of the spectrum's scale from np.roots'
+    (they read at most 3.8e-15). The cubic is
+    scaled by a power of two into the unit range, so no intermediate
+    leaves the double range; a root much smaller than the others is
+    polished by Newton and divided out from the constant term."""
+    rng = random.Random(300)
+
+    def magnitude():
+        if rng.random() < 0.1:
+            return 0.0
+        return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 300.0)
+
+    errors = []
+    for _ in range(2000):
+        p = SystemParams(magnitude(), magnitude(), magnitude())
+        for x, _, _ in equilibria(p):
+            try:
+                errors.append(spectrum_error(p, x))
+            except NotAnEquilibrium:
+                pass
+    assert len(errors) > 3000
+    assert max(errors) < 1e-13

@@ -3,15 +3,9 @@
 import numpy as np
 import pytest
 
-from averager.jerk import vector_field
-from averager.normal_form import (
-    MAX_DELTA,
-    MIN_DELTA,
-    UnfoldingParams,
-    f2_monomials,
-    jerk_standard_form,
-    unfold,
-)
+from averager.jerk import (MAX_DELTA, MIN_DELTA, UnfoldingParams, unfold,
+                           vector_field)
+from averager.normal_form import f2_monomials, jerk_standard_form
 from reference import (
     DegenerateEpsilon,
     SingularDenominator,
@@ -109,7 +103,7 @@ def test_jordan_field_pushforward():
         eps = rng.uniform(1e-3, 0.15)
         S = rng.uniform(-2.0, 2.0, 3)
         p = unfold(u, eps)
-        scaled_field = vector_field(p, unscale_state(S, eps)) / eps
+        scaled_field = np.divide(vector_field(p, unscale_state(S, eps)), eps)
         lhs = xyz_to_jordan(scaled_field, u.delta)
         ju, jv, jw = xyz_to_jordan(S, u.delta)
         big_h = h1((ju, jv, jw), u) + eps * h2((ju, jv, jw), u)

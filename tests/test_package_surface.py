@@ -1,9 +1,11 @@
 """The package holds what it runs: every name it defines is used."""
 
 import ast
+import sys
 from pathlib import Path
 
 import averager
+from test_cli import run_fresh
 
 PACKAGE = Path(averager.__file__).resolve().parent
 
@@ -45,3 +47,26 @@ def test_every_top_level_name_is_used_or_exported():
               if name not in used
               and not (name.startswith("__") and name.endswith("__"))]
     assert not unused, unused
+
+
+def test_exports_resolve_lazily_from_their_modules():
+    """Each name of averager.__all__ resolves, on first use, to the object
+    its defining module holds; in a new interpreter,
+    `from averager import *` binds every one of them, and the benchmark
+    child's `from averager import averaging, config, normal_form,
+    shooting` imports those modules."""
+    for name in averager.__all__:
+        value = getattr(averager, name)
+        assert getattr(sys.modules[value.__module__], name) is value, name
+    done = run_fresh(
+        "import types\n"
+        "import averager\n"
+        "from averager import averaging, config, normal_form, shooting\n"
+        "print(all(isinstance(m, types.ModuleType) for m in\n"
+        "          (averaging, config, normal_form, shooting)))\n"
+        "names = {}\n"
+        "exec('from averager import *', names)\n"
+        "print(len(averager.__all__),\n"
+        "      [name for name in averager.__all__ if name not in names])\n"
+    )
+    assert done.stdout == f"True\n{len(averager.__all__)} []\n"

@@ -11,13 +11,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from averager import shooting
+from averager import config, shooting
 from averager.cli import _jsonable
-from averager.closed_form import (DegeneratePrediction, HypothesisViolated,
-                                  OrbitCount, predicted_roots,
-                                  root_corrections)
-from averager.jerk import SystemParams, equilibria, vector_field
-from averager.normal_form import UnfoldingParams, unfold
+from averager.closed_form import root_corrections
+from averager.jerk import (DegeneratePrediction, HypothesisViolated,
+                           OrbitCount, SystemParams, UnfoldingParams,
+                           equilibria, predicted_roots, unfold, vector_field)
 from averager.shooting import (
     IntegratorSpec,
     SeedInvalid,
@@ -206,8 +205,8 @@ def relative_gap(series, reference):
 
 
 #: every order the tol range gives, from MAX_TOL down to MIN_TOL
-ORDERS = range(math.ceil(1.0 - 0.5 * math.log(shooting.MAX_TOL)),
-               math.ceil(1.0 - 0.5 * math.log(shooting.MIN_TOL)) + 1)
+ORDERS = range(math.ceil(1.0 - 0.5 * math.log(config.MAX_TOL)),
+               math.ceil(1.0 - 0.5 * math.log(config.MIN_TOL)) + 1)
 
 
 coordinate = st.floats(-1.5, 1.5)
@@ -341,7 +340,7 @@ def test_a_leg_from_an_equilibrium_is_a_step_underflow():
     p = SystemParams(0.1, -1.0, -1.0)
     starts = [e[:2] for e in equilibria(p)] + [(1.0, 1e-300)]
     assert len(starts) == 4
-    assert not any(vector_field(p, [*q, 0.0]).any() for q in starts[:3])
+    assert not any(any(vector_field(p, [*q, 0.0])) for q in starts[:3])
     for q in starts:
         for integrate in (half_return, poincare_return):
             with pytest.raises(StepUnderflow, match=re.escape(
@@ -391,7 +390,7 @@ def test_every_accepted_half_return_is_a_short_leg(u, eps):
         assert len(rec.mirror_leg.lengths) <= 27
 
 
-@pytest.mark.parametrize("tol", [shooting.MIN_TOL, 1e-11, shooting.MAX_TOL])
+@pytest.mark.parametrize("tol", [config.MIN_TOL, 1e-11, config.MAX_TOL])
 def test_no_step_holds_two_sign_changes_of_z(tol, monkeypatch):
     """half_return reads a crossing off the signs of z at a step's two
     ends, which needs every step to hold at most one sign change of z. On
