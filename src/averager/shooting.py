@@ -676,7 +676,6 @@ def shoot_orbit(
     seed,
     spec: IntegratorSpec = IntegratorSpec(),
     partner: Optional[PeriodicOrbitRecord] = None,
-    correction=None,
 ) -> PeriodicOrbitRecord:
     """Locate the periodic orbit predicted by the averaged root (r, w).
 
@@ -693,11 +692,11 @@ def shoot_orbit(
       the orbit's (r, w) to second order in eps, z0 + eps z1 + eps^2 z2
       with z0 = seed: eps (w, r) + eps^2 (w1, r1) + eps^3 (w2, r2). It
       misses the orbit by O(eps^4), the image eps (w, r) of the root
-      alone by O(eps^3). correction is (z1, z2), as
-      closed_form.root_corrections gives them, computed here when None.
-      Where eps z1 + eps^2 z2 is longer than MAX_SEED_SHIFT * r, so that
-      the expansion does not hold, or Dg is singular, the seed is
-      eps (w, r).
+      alone by O(eps^3). z1 = (r1, w1) and z2 = (r2, w2) are
+      closed_form.root_corrections of the seed. Where the shift
+      eps z1 + eps^2 z2 is not shorter than MAX_SEED_SHIFT * r, so that
+      the expansion does not hold, or not finite, as where Dg is
+      singular, the seed is eps (w, r).
 
     A root with w = 0 is its own mirror image, and so is its orbit: from
     each candidate, Newton runs on the half map T(q) = -M(q) instead, one
@@ -774,16 +773,11 @@ def shoot_orbit(
     if partner is not None:
         candidates.append(("mirror", partner.mirror_leg.start,
                            partner.mirror_leg))
-    try:
-        z1, z2 = correction or root_corrections(u, [(r, w)])[0]
-        shift = eps * (z1 + eps * z2)
-    except np.linalg.LinAlgError:
-        shift = np.zeros(2)
-    # a huge finite shift overflows its norm to inf, which is dropped too
-    with np.errstate(over="ignore"):
-        if not np.linalg.norm(shift) <= MAX_SEED_SHIFT * r:
-            shift = np.zeros(2)
-    candidates.append(("section-image", eps * ((r, w) + shift)[::-1], None))
+    shift = [eps * (a + eps * b) for a, b in zip(*root_corrections(u, r, w))]
+    if not math.hypot(*shift) <= MAX_SEED_SHIFT * r:
+        shift = [0.0, 0.0]
+    candidates.append(("section-image", eps * np.array(
+        [w + shift[1], r + shift[0]]), None))
 
     for tag, q0, first in candidates:
         try:
@@ -881,19 +875,17 @@ def sweep_epsilon(
 
     This is the one check of the theorem's hypotheses before shooting: the
     orbits and sweep commands refuse exactly where it raises, and read the
-    case and the roots from the prediction it returns. The corrections
-    z1, z2 of the section-image seeds are computed once per root and serve
-    every eps, and every return is integrated at spec, IntegratorSpec()
-    by default. predicted_roots emits the +w2 root of a mirror pair
-    directly before its -w2 root, so a root with w < 0 is paired by
-    position: once root i - 1 is located at an eps it is the partner of
-    root i, whose candidates are then mirror and section-image in that
-    order (see shoot_orbit). Shooting failures are recorded per entry
-    without aborting the sweep; a -w2 orbit whose partner failed is shot
-    from its section image. An orbit whose section point lies within
-    DUPLICATE_TOL * eps of an earlier root's at the same eps is that root's
-    orbit, not one of its own: it is recorded as the failure "duplicate of
-    orbit j", so that no orbit is counted twice.
+    case and the roots from the prediction it returns. Every return is
+    integrated at spec, IntegratorSpec() by default. predicted_roots emits
+    the +w2 root of a mirror pair directly before its -w2 root, so a root
+    with w < 0 is paired by position: once root i - 1 is located at an eps
+    it is the partner of root i, whose candidates are then mirror and
+    section-image in that order (see shoot_orbit). Shooting failures are
+    recorded per entry without aborting the sweep; a -w2 orbit whose
+    partner failed is shot from its section image. An orbit whose section
+    point lies within DUPLICATE_TOL * eps of an earlier root's at the same
+    eps is that root's orbit, not one of its own: it is recorded as the
+    failure "duplicate of orbit j", so that no orbit is counted twice.
 
     Raises
     ------
@@ -913,7 +905,6 @@ def sweep_epsilon(
     if prediction.count is OrbitCount.DEGENERATE:
         raise DegeneratePrediction(prediction.degenerate_reason)
 
-    corrections = root_corrections(u, prediction.roots)
     entries = []
     for eps in eps_list:
         records: dict[int, PeriodicOrbitRecord] = {}
@@ -921,7 +912,7 @@ def sweep_epsilon(
         for i, root in enumerate(prediction.roots):
             partner = records.get(i - 1) if root[1] < 0.0 else None
             try:
-                rec = shoot_orbit(u, eps, root, spec, partner, corrections[i])
+                rec = shoot_orbit(u, eps, root, spec, partner)
             except SHOOTING_ERRORS as exc:
                 failures[i] = f"{type(exc).__name__}: {exc}"
                 continue

@@ -13,8 +13,10 @@ the jerk field, for the variational equations of the DOP853 oracle, and
 numpy_eigenvalues the spectrum at an equilibrium as np.roots gives it,
 the reference for the classifier's roots in float and complex arithmetic.
 numpy_higher_averages and numpy_root_corrections are closed_form's
-higher averages and seed corrections as numpy float64 array code, the
-form the Python-float evaluation must reproduce bit for bit.
+higher averages and seed corrections as numpy float64 array code over a
+batch of points, the forms that the Python-float evaluation of one
+point is checked against: the averages bit for bit, the corrections to
+within a multiple of cond(Dg) machine epsilon.
 sampled_average is the averaging engine's reference: it samples a
 standard form's f1, f2 and df1 at every point and Gauss-Legendre node
 instead of reading its polynomial tables.
@@ -185,8 +187,9 @@ def numpy_higher_averages(u: UnfoldingParams, z) -> tuple:
 
 
 def numpy_root_corrections(u: UnfoldingParams, roots) -> list:
-    """closed_form.root_corrections on numpy_higher_averages, with Dg
-    evaluated over the batch of roots."""
+    """The (z1, z2) of closed_form.root_corrections for every root of
+    roots, from numpy_higher_averages and Dg evaluated over the batch and
+    one batched numpy.linalg.solve per order."""
     z0 = np.array(roots, dtype=float).T
 
     def newton(f):

@@ -558,9 +558,10 @@ def test_an_extreme_valid_direction_fails_without_numpy_warnings(
     overflows too, and the roots are infinite: every seed is SeedInvalid.
     At delta = 1.4318e-36 and c2 = -2.7278e18 a step's transition system
     is singular, which fails the leg with StepUnderflow too. In the last
-    two directions the corrections are finite but so large that their
-    norm overflows, and the shift is dropped as one too long. Either way
-    the command exits 4 with an empty stderr, no numpy warning on it."""
+    two directions the corrections are finite, but the shift they give
+    is longer than MAX_SEED_SHIFT * r by 56 and 102 orders of magnitude,
+    and is dropped as one too long. Either way the command exits 4 with
+    an empty stderr, no numpy warning on it."""
     for unfolding, failure in [
             ({"a2": 1e300, "b2": 5.0, "delta": 2.0}, "StepUnderflow"),
             ({"a2": 1e300, "b2": -1e300, "delta": 1e10}, "SeedInvalid"),
@@ -574,6 +575,32 @@ def test_an_extreme_valid_direction_fails_without_numpy_warnings(
         assert code == 4
         assert capsys.readouterr().err == ""
         assert failure in json.dumps(read_summary(out))
+
+
+#: a direction whose one root has a Dg that rounds to an exactly singular
+#: matrix, though |2 a2 delta^2 - b2| = 1.5e-8 lies above DEGENERACY_TOL
+SINGULAR_DG = {"a2": 12500000.0, "b2": 100000000.00000001, "delta": 2.0}
+
+
+def test_a_root_with_a_singular_dg_is_shot_from_eps_w_r(tmp_path, capsys):
+    """classify predicts one orbit at SINGULAR_DG, with jac_det -0.0116,
+    but its seed corrections solve with the rounded, singular Dg: both
+    are NaN, and the section-image seed is eps (w, r). At eps 1e-4 orbits
+    locates the orbit and exits 0; at eps 0.01 it exits 0 or 4, each
+    failure labelled with its error type. stderr stays empty."""
+    code, out = run(tmp_path, "orbits", {"unfolding": SINGULAR_DG,
+                                         "eps": 1e-4})
+    assert capsys.readouterr().err == ""
+    assert code == 0
+    assert read_summary(out)["located_count"] == 1
+    code, out = run(tmp_path, "orbits", {"unfolding": SINGULAR_DG,
+                                         "eps": 0.01})
+    assert capsys.readouterr().err == ""
+    assert code in (0, 4)
+    summary = read_summary(out)
+    failures = summary["failures"].values()
+    assert summary["located_count"] + len(failures) == 1
+    assert all(re.match(r"[A-Za-z]+: ", text) for text in failures)
 
 
 def test_a_hopeless_leg_ends_at_the_step_budget(tmp_path, capsys):
@@ -650,7 +677,8 @@ def extreme_direction(rng):
 #: mended: the higher averages behind root_corrections overflowing, Dg
 #: (g_jacobian) overflowing too, the closed f at a1 = 1e307, the
 #: non-finite Phi of seeds near 1e14 and the overflowing means of
-#: average_first and average_second
+#: average_first and average_second; and SINGULAR_DG, whose singular Dg
+#: raised numpy's LinAlgError out of orbits and sweep
 MENDED_INPUTS = [
     ({"a2": 1e300, "b2": 5.0, "delta": 2.0}, 0.1),
     ({"a2": 1e300, "b2": -1e300, "delta": 1e10}, 0.1),
@@ -658,7 +686,8 @@ MENDED_INPUTS = [
     ({"a2": 1.0, "b2": 5.0, "delta": 1e15}, 0.1),
     ({"a2": 0.0, "b2": 1e300, "delta": 1e-50, "c2": 1e300}, 0.1),
     ({"a2": -1.0, "b2": -1e6, "delta": 1e-50, "c1": -1e300, "c2": -0.3},
-     0.1)]
+     0.1),
+    (SINGULAR_DG, 1e-4)]
 
 
 def test_a_corpus_of_extreme_directions_ends_in_labelled_exits(tmp_path,

@@ -1,5 +1,7 @@
 """Closed-form averaged functions, root families and the case classifier."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -240,10 +242,10 @@ def test_theta_rhs_has_no_third_order_term_without_c1():
             worst.append(remainder)
         ratios[u.c1] = worst[0] / worst[1]
     assert ratios[0.0] > 14.0 and 7.0 < ratios[0.5] < 9.0, ratios
-    z = np.array([[3.0, 5.0, 1.2], [0.5, -0.8, 1.5]])
-    f3, _, df3, _ = higher_averages(UnfoldingParams(a2=1.0, b2=5.0,
-                                                    c2=-0.3, delta=2.0), z)
-    assert not np.any(f3) and not np.any(df3)
+    without = UnfoldingParams(a2=1.0, b2=5.0, c2=-0.3, delta=2.0)
+    for z in ((3.0, 0.5), (5.0, -0.8), (1.2, 1.5)):
+        f3, _, df3, _ = higher_averages(without, *z)
+        assert not np.any(f3) and not np.any(df3)
 
 
 def theta_map_coefficients(u, z):
@@ -277,35 +279,38 @@ def test_higher_averages_match_the_theta_map(u):
     z = (5, -0.8), where |f3| is 2.6 and |f4| 15); the bounds are 1e-5 and
     1e-3 relative to max(1, |f|)."""
     for z in (np.array([3.0, 0.5]), np.array([5.0, -0.8])):
-        for got, fit, bound in zip(higher_averages(u, z),
+        for got, fit, bound in zip(higher_averages(u, *z.tolist()),
                                    theta_map_coefficients(u, z),
                                    (1e-5, 1e-3)):
+            got = np.array(got)
             scale = max(1.0, np.max(np.abs(got)))
             assert np.max(np.abs(got - fit)) < bound * scale
 
 
 def test_df3_and_d2f2_are_the_derivatives_of_f3_and_f2():
-    """Df3 and D^2f2, from the one pass of higher_averages, against
-    central differences at c1 != 0: a five-point one of its f3, a cubic
-    in (r, w), and a two-point one of 2 pi g_jacobian, a quadratic; both
-    are exact up to round-off, at most 3.5e-14 relative here."""
-    z = np.array([[3.0, 5.0, 1.2], [0.5, -0.8, 1.5]])
-    _, _, df3, d2f2 = higher_averages(WITH_C1, z)
-    assert df3.shape == (2, 2, 3) and d2f2.shape == (2, 2, 2, 3)
+    """Df3 and D^2f2, from one higher_averages call at each of three
+    points, against central differences at c1 != 0: a five-point one of
+    its f3, a cubic in (r, w), and a two-point one of 2 pi g_jacobian, a
+    quadratic; both are exact up to round-off, at most 3.5e-14 relative
+    here."""
     h = 1e-2
-    for j in range(2):
-        step = h * np.eye(2)[:, j:j + 1]
-        f = [higher_averages(WITH_C1, z + k * step)[0]
-             for k in (-2, -1, 1, 2)]
-        stencil = (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h)
-        scale = np.max(np.abs(df3))
-        assert np.max(np.abs(stencil - df3[:, j])) < 1e-12 * scale
-        jac = [2.0 * np.pi * g_jacobian(*(z + k * step), WITH_C1.a2,
-                                        WITH_C1.b2, WITH_C1.delta)
-               for k in (-1, 1)]
-        central = (jac[1] - jac[0]) / (2.0 * h)
-        scale = np.max(np.abs(d2f2))
-        assert np.max(np.abs(central - d2f2[:, :, j])) < 1e-12 * scale
+    for z in np.array([[3.0, 0.5], [5.0, -0.8], [1.2, 1.5]]):
+        _, _, df3, d2f2 = map(np.array, higher_averages(WITH_C1, *z.tolist()))
+        assert df3.shape == (2, 2) and d2f2.shape == (2, 2, 2)
+        for j in range(2):
+            step = h * np.eye(2)[j]
+            f = [np.array(higher_averages(WITH_C1,
+                                          *(z + k * step).tolist())[0])
+                 for k in (-2, -1, 1, 2)]
+            stencil = (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h)
+            scale = np.max(np.abs(df3))
+            assert np.max(np.abs(stencil - df3[:, j])) < 1e-12 * scale
+            jac = [2.0 * np.pi * g_jacobian(*(z + k * step), WITH_C1.a2,
+                                            WITH_C1.b2, WITH_C1.delta)
+                   for k in (-1, 1)]
+            central = (jac[1] - jac[0]) / (2.0 * h)
+            scale = np.max(np.abs(d2f2))
+            assert np.max(np.abs(central - d2f2[:, :, j])) < 1e-12 * scale
 
 
 def same_bits(got, want):
@@ -313,14 +318,17 @@ def same_bits(got, want):
                for a, b in zip(got, want, strict=True))
 
 
-def test_float_averages_and_corrections_have_the_bits_of_numpy():
-    """higher_averages and root_corrections, evaluated in Python floats,
-    give the numpy float64 forms' bits and shapes: f3, f4, Df3, D^2f2 at
-    the predicted roots and at drawn points in batches of the shapes (2,),
-    (2, 3) and (2, 2, 2), and (z1, z2) of every root, on the showcase and
-    on 200 drawn directions with c1 and c2 nonzero. On directions so far
-    out that Dg and the averages overflow, the non-finite values match
-    too, and no warning escapes."""
+def test_float_averages_keep_numpy_bits_and_corrections_its_accuracy():
+    """higher_averages, evaluated in Python floats, gives the numpy
+    float64 forms' bits: f3, f4, Df3 and D^2f2 at the predicted roots and
+    at eight drawn points, on the showcase and on 200 drawn directions
+    with c1 and c2 nonzero. root_corrections, a 2 x 2 elimination in
+    floats, gives every root's (z1, z2) within 32 cond(Dg) eps of
+    numpy_root_corrections, relative, and their bits at every w = 0 root
+    with c1 = 0, the case of every benchmark direction, where Dg is
+    diagonal: on the showcase and on each drawn direction with c1 set
+    to 0. On directions so far out that Dg and the averages overflow,
+    the corrections are not finite, and no warning escapes."""
     rng = np.random.default_rng(44)
     directions = [SHOWCASE, WITH_C1]
     while len(directions) < 202:
@@ -330,24 +338,38 @@ def test_float_averages_and_corrections_have_the_bits_of_numpy():
         roots = predicted_roots(u.a2, u.b2, u.delta).roots
         if roots and u.c1 != 0.0 and u.c2 != 0.0:
             directions.append(u)
+    eps = np.finfo(float).eps
+    w0_roots = 0
     for u in directions:
         roots = predicted_roots(u.a2, u.b2, u.delta).roots
         points = [np.array(roots).T]
         points += [rng.uniform(-3.0, 3.0, shape)
                    for shape in ((2,), (2, 3), (2, 2, 2))]
         for z in points:
-            assert same_bits(higher_averages(u, z),
-                             numpy_higher_averages(u, z))
-        got = root_corrections(u, roots)
-        want = numpy_root_corrections(u, roots)
-        assert len(got) == len(want)
-        assert all(same_bits(*pair) for pair in zip(got, want))
+            want = numpy_higher_averages(u, z)
+            for k in np.ndindex(z.shape[1:]):
+                got = higher_averages(u, *z[(slice(None), *k)].tolist())
+                assert same_bits(map(np.array, got),
+                                 [v[(..., *k)] for v in want])
+        for root, got, want in zip(roots, (root_corrections(u, *root)
+                                           for root in roots),
+                                   numpy_root_corrections(u, roots),
+                                   strict=True):
+            cond = np.linalg.cond(g_jacobian(*root, u.a2, u.b2, u.delta))
+            for z_got, z_want in zip(got, want, strict=True):
+                assert (np.linalg.norm(np.subtract(z_got, z_want))
+                        <= 32.0 * cond * eps * np.linalg.norm(z_want))
+        flat = replace(u, c1=0.0)
+        for root, want in zip(roots, numpy_root_corrections(flat, roots)):
+            if root[1] == 0.0:
+                w0_roots += 1
+                got = root_corrections(flat, *root)
+                assert same_bits(map(np.array, got), want)
+    assert w0_roots > 100
     for far in (UnfoldingParams(a2=1e300, b2=5.0, delta=2.0),
                 UnfoldingParams(a2=1e300, b2=-1e300, delta=1e10),
                 UnfoldingParams(a2=-1.0, b2=-1e6, delta=1e-50, c1=-1e300,
                                 c2=-0.3)):
         roots = predicted_roots(far.a2, far.b2, far.delta).roots
-        got = root_corrections(far, roots)
-        want = numpy_root_corrections(far, roots)
-        assert not all(np.isfinite(np.concatenate(got[0])))
-        assert all(same_bits(*pair) for pair in zip(got, want))
+        got = root_corrections(far, *roots[0])
+        assert not all(np.isfinite(np.concatenate(got)))

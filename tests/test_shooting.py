@@ -749,18 +749,18 @@ def test_a_correction_beyond_the_expansion_falls_back_to_eps_w_r(
         monkeypatch):
     """Close to delta^2 = 3 the root is far out and its correction
     longer than MAX_SEED_SHIFT * r, and at (1, 0) of (0, -1, 1) Dg is
-    singular: either way the section-image seed is eps (w, r) itself."""
+    singular, so that both corrections are NaN: either way the
+    section-image seed is eps (w, r) itself."""
     u = UnfoldingParams(a2=1.0, b2=-1.0, delta=math.sqrt(3.0 - 1e-3))
     (root,) = predicted_roots(u.a2, u.b2, u.delta).roots
-    z1, z2 = root_corrections(u, [root])[0]
+    z1, z2 = map(np.array, root_corrections(u, *root))
     eps = 0.05
     shift = np.linalg.norm(eps * (z1 + eps * z2))
     assert shift > shooting.MAX_SEED_SHIFT * root[0]
     assert np.array_equal(first_seed(u, eps, root, monkeypatch),
                           [eps * root[1], eps * root[0]])
     singular = UnfoldingParams(b2=-1.0, delta=1.0)
-    with pytest.raises(np.linalg.LinAlgError):
-        root_corrections(singular, [(1.0, 0.0)])
+    assert np.all(np.isnan(root_corrections(singular, 1.0, 0.0)))
     assert np.array_equal(first_seed(singular, eps, (1.0, 0.0), monkeypatch),
                           [0.0, eps])
 
@@ -835,11 +835,12 @@ def test_an_equilibrium_off_the_origin_is_not_an_orbit(monkeypatch):
         return half_return(p, q, spec)
 
     monkeypatch.setattr(shooting, "half_return", spy)
+    monkeypatch.setattr(shooting, "root_corrections",
+                        lambda u, r, w: ((0.0, 0.0), (0.0, 0.0)))
     with pytest.raises(ShootingDiverged, match=re.escape(
             f"section-image: Newton's next return would start within "
             f"eps r / 10 of the equilibrium ({x!r}, 0.0, 0.0)")):
-        shoot_orbit(NEAR_EQUILIBRIA, eps, roots[1], SPEC,
-                    correction=(np.zeros(2), np.zeros(2)))
+        shoot_orbit(NEAR_EQUILIBRIA, eps, roots[1], SPEC)
     assert starts
     assert all(np.linalg.norm(q - e[:2]) >= 0.1 * eps * roots[1][0]
                for q in starts for e in equilibria(p))
@@ -1022,9 +1023,9 @@ def test_half_map_newton_stops_at_half_the_shooting_tolerance(records,
     monkeypatch.setattr(shooting, "half_return", counted_half)
     # the correction that puts the section-image seed at start
     root = np.array(rec.seed)
-    correction = (np.zeros(2), (start[::-1] / EPS - root) / EPS ** 2)
-    seeded = shoot_orbit(THREE_ORBIT, EPS, rec.seed, SPEC,
-                         correction=correction)
+    monkeypatch.setattr(shooting, "root_corrections", lambda u, r, w: (
+        (0.0, 0.0), tuple((start[::-1] / EPS - root) / EPS ** 2)))
+    seeded = shoot_orbit(THREE_ORBIT, EPS, rec.seed, SPEC)
     assert np.max(np.abs(halves[0] - start)) < 1e-16
     assert seeded.seed_candidate == "section-image"
     assert (seeded.returns, len(full)) == (3, 1)
@@ -1162,11 +1163,11 @@ def test_a_failed_partner_leaves_the_mirror_orbit_to_its_other_seeds(
     original = shooting.shoot_orbit
     partners = []
 
-    def plus_w_fails(u, eps, seed, spec=None, partner=None, correction=None):
+    def plus_w_fails(u, eps, seed, spec=None, partner=None):
         partners.append(partner)
         if seed[1] > 0.0:
             raise ShootingDiverged("the +w orbit is not located")
-        return original(u, eps, seed, spec, partner, correction)
+        return original(u, eps, seed, spec, partner)
 
     monkeypatch.setattr(shooting, "shoot_orbit", plus_w_fails)
     entry = sweep_epsilon(THREE_ORBIT, [EPS], SPEC).entries[0]
