@@ -263,7 +263,10 @@ def _grid_seeds(fun, box, grids):
     """
     n = len(box)
     axes = [np.linspace(lo, hi, g + 1) for (lo, hi), g in zip(box, grids)]
-    mesh = np.array(np.meshgrid(*axes, indexing="ij"))
+    # the ij mesh, each axis broadcast into its slot of one array
+    mesh = np.empty((n, *(len(ax) for ax in axes)))
+    for i, ax in enumerate(axes):
+        mesh[i] = ax.reshape((-1,) + (1,) * (n - 1 - i))
     vals = np.moveaxis(np.asarray(fun(mesh), dtype=float), 0, -1)
     norms = np.linalg.norm(vals, axis=-1)
 

@@ -109,11 +109,21 @@ def jerk_standard_form(unfolding: UnfoldingParams) -> StandardFormSystem:
     hw = unfolding.b1 / d ** 2
 
     def tabulate(coefficients):
-        """(sin, -1/d) * coefficients(sin, cos) on nodes of shape (m,)."""
+        """(sin, -1/d) * coefficients(sin, cos) on nodes of shape (m,).
+
+        The rows go straight into the second half of one array, a scalar
+        row broadcast along the nodes; the first half is them times sin,
+        and then the second half is divided by -d in place.
+        """
         def table(theta):
             sin, cos = np.sin(theta), np.cos(theta)
-            coef = np.array(np.broadcast_arrays(*coefficients(sin, cos)))
-            return np.array([coef * sin, coef / -d])
+            rows = coefficients(sin, cos)
+            out = np.empty((2, len(rows)) + np.shape(sin))
+            for i, row in enumerate(rows):
+                out[1, i] = row
+            np.multiply(out[1], sin, out=out[0])
+            out[1] /= -d
+            return out
         return table
 
     def f1_coefficients(sin, cos):

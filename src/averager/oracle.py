@@ -45,8 +45,10 @@ def compare(u: UnfoldingParams, quadrature: QuadratureSpec, grid_r: tuple,
     dev the largest absolute deviation of the first and of the second
     averages; rel those relative to the closed values (_relative_deviation).
     """
-    z = np.array(np.meshgrid(np.linspace(*grid_r, n), np.linspace(*grid_w, n),
-                             indexing="ij"))
+    # the ij mesh of the two axes, each broadcast into one array
+    z = np.empty((2, n, n))
+    z[0] = np.linspace(*grid_r, n)[:, None]
+    z[1] = np.linspace(*grid_w, n)
     f_num = averaging.average_first(normal_form.jerk_standard_form(u), z,
                                     quadrature)
     g_num = averaging.average_second(

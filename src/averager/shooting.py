@@ -507,8 +507,10 @@ def half_return(p: SystemParams, q, spec: IntegratorSpec) -> HalfReturn:
     without a crossing; StepUnderflow when a step falls below what double
     precision resolves, a step is infinite or its powers overflow (from an
     equilibrium, where every Taylor coefficient beyond order 0 vanishes),
-    the Taylor coefficients or Phi are not finite, or the system of a
-    step's transition is singular.
+    the Taylor coefficients or Phi are not finite, the system of a
+    step's transition is singular, or the leg started on an equilibrium
+    as far as its state resolves: the field at q below the ulp of q's
+    largest coordinate, where the flight would mean nothing.
     """
     order = math.ceil(1.0 - 0.5 * math.log(spec.tol))
     kernel = _taylor_kernel(order)
@@ -558,6 +560,14 @@ def half_return(p: SystemParams, q, spec: IntegratorSpec) -> HalfReturn:
         t += h
     else:
         raise StepLimitExceeded(f"no crossing in {MAX_STEPS} steps")
+    # a start whose field |f| is below the ulp of its state sits on an
+    # equilibrium as far as the state resolves, and steps relative to the
+    # state fly off with no meaning; a section start has |f| >= y ~ eps r.
+    # The first step's series hold the start's state and field (y' = z = 0)
+    x, y, z = polys[0]
+    if max(abs(x[1]), abs(z[1])) <= math.ulp(max(abs(x[0]), abs(y[0]))):
+        point = min(equilibria(p), key=lambda e: abs(e[0] - x[0]))
+        raise StepUnderflow(f"start unresolved from the equilibrium {point}")
     flight = t + lengths[-1]
     state[2] = 0.0
     # far out, the products of the Taylor coefficients can overflow, and

@@ -19,7 +19,9 @@ point is checked against: the averages bit for bit, the corrections to
 within a multiple of cond(Dg) machine epsilon.
 sampled_average is the averaging engine's reference: it samples a
 standard form's f1, f2 and df1 at every point and Gauss-Legendre node
-instead of reading its polynomial tables.
+instead of reading its polynomial tables. stacked_tables is the form in
+which jerk_standard_form once built those tables, which it now writes
+into one array each, to the same bits.
 """
 
 from functools import lru_cache
@@ -28,6 +30,7 @@ import numpy as np
 
 from averager.closed_form import g_closed, g_jacobian
 from averager.jerk import SystemParams, UnfoldingParams, char_poly
+from averager.normal_form import h2_coefficients
 
 #: below this magnitude eps is considered degenerate for state scaling
 EPS_FLOOR = 1e-300
@@ -251,3 +254,30 @@ def sampled_average(sys, z, order: int, nodes: int) -> np.ndarray:
         value = np.einsum("ij...t,j...t->i...", kernel, value)
         value += np.asarray(sys.f2(flat, s), dtype=float) @ w
     return (value / sys.period).reshape(z.shape)
+
+
+def stacked_tables(u: UnfoldingParams, theta) -> tuple:
+    """The C1 and C2 tables of normal_form.jerk_standard_form at theta, in
+    the form the package once built them: each table's coefficient rows
+    stacked by np.array(np.broadcast_arrays(...)), a scalar row copied
+    along theta, and then np.array([coef * sin, coef / -d]).
+
+    The rows are F1's (p, hw) and F2's seven, with h1 = r p + hw w, as
+    jerk_standard_form's docstring derives them; theta is an array of
+    angles or one angle.
+    """
+    d = u.delta
+    hu = -u.c1 / d ** 2
+    hv = u.b1 / d ** 3 - u.a1 / d
+    hw = u.b1 / d ** 2
+    sin, cos = np.sin(theta), np.cos(theta)
+    p = hu * cos + hv * sin
+    p_cos = p * cos
+    rows = list(h2_coefficients(u, sin, cos))
+    rows[2] = rows[2] - p * p_cos
+    rows[4] = rows[4] - 2.0 * hw * p_cos
+    tables = []
+    for coefficients in ((p, hw), (*rows, -hw * hw * cos)):
+        coef = np.array(np.broadcast_arrays(*coefficients))
+        tables.append(np.array([coef * sin, coef / -d]))
+    return tuple(tables)

@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from averager import averaging, oracle
 from averager.averaging import (
     NEWTON_MAX_ITER,
     ROOT_TOL,
@@ -629,6 +630,66 @@ def test_find_roots_in_other_dimensions(fun, box, grid, zs, signs):
     roots = find_roots(fun, box, grid)
     assert [root.degree_sign for root in roots] == signs
     assert np.allclose([root.z for root in roots], zs, atol=1e-10)
+
+
+def ij_mesh(*axes):
+    """The grid of the axes as np.array(np.meshgrid(..., indexing="ij"))
+    stacks it, the form the seeding and oracle grids were once built in."""
+    return np.array(np.meshgrid(*axes, indexing="ij"))
+
+
+@pytest.mark.parametrize("box, grid", [
+    ([(0.5, 8.0), (-2.0, 2.0)], 1),
+    ([(0.5, 8.0), (-2.0, 2.0)], [16, 12]),
+    ([(0.5, 8.0), (-2.0, 2.0)], [1, 5]),
+    ([(-1.0, 1.0)], 16),
+    ([(-1.0, 1.0)], 1),
+    ([(-1.0, 1.0), (-0.3, 2.5), (1e-3, 1e3)], [3, 4, 5]),
+], ids=["one-cell", "per-axis", "one-cell-axis", "line", "one-cell-line",
+        "space"])
+def test_the_seeding_grid_keeps_the_bits_of_meshgrid(box, grid):
+    """find_roots' first call of fun, its seeding grid, is the ij meshgrid
+    of the np.linspace axes to the bit, in one to three dimensions and
+    with one cell or different cell counts per axis."""
+    calls = []
+
+    def fun(z):
+        calls.append(z.copy())
+        return z - 0.25
+
+    find_roots(fun, box, grid)
+    grids = [grid] * len(box) if np.ndim(grid) == 0 else grid
+    want = ij_mesh(*(np.linspace(lo, hi, g + 1)
+                     for (lo, hi), g in zip(box, grids)))
+    assert calls[0].dtype == want.dtype
+    assert calls[0].shape == want.shape
+    assert calls[0].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("grid_r, grid_w, n", [
+    ((0.5, 8.0), (-2.0, 2.0), 20),
+    ((0.5, 8.0), (-2.0, 2.0), 1),
+    ((1e-3, 0.1), (-7.0, 3.0), 2),
+], ids=["average", "one-point", "two-points"])
+def test_the_oracle_grid_keeps_the_bits_of_meshgrid(monkeypatch, grid_r,
+                                                     grid_w, n):
+    """oracle.compare hands the averaging engine the n x n ij meshgrid of
+    its two np.linspace axes, to the bit, and tabulates its axes."""
+    calls = []
+
+    def first(sys, z, q):
+        calls.append(z.copy())
+        return average_first(sys, z, q)
+
+    monkeypatch.setattr(averaging, "average_first", first)
+    u = UnfoldingParams(a1=0.2, a2=1.0, b2=5.0, c1=0.3, delta=2.0)
+    axes, *_ = oracle.compare(u, QUAD, grid_r, grid_w, n)
+    want = ij_mesh(np.linspace(*grid_r, n), np.linspace(*grid_w, n))
+    assert len(calls) == 1
+    assert calls[0].dtype == want.dtype
+    assert calls[0].shape == want.shape
+    assert calls[0].tobytes() == want.tobytes()
+    assert axes[:2] == [want[0][:, 0].tolist(), want[1][0].tolist()]
 
 
 @pytest.mark.parametrize("box, grid, message", [

@@ -13,6 +13,7 @@ from reference import (
     h2,
     jordan_to_xyz,
     scale_state,
+    stacked_tables,
     theta_rhs,
     unscale_state,
     xyz_to_jordan,
@@ -267,6 +268,39 @@ def test_monomials_are_formed_as_the_hand_written_products():
     got, expected = f2_monomials(np.array([r, w])), np.array(f2)
     assert got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
+
+
+#: the unfoldings at the ends of the range: a1 = 1e307 overflows the
+#: tables to inf and NaN, and delta runs to MIN_DELTA and MAX_DELTA
+EXTREME_TABLES = [UnfoldingParams(a1=1e307, a2=1.0, b2=5.0, delta=2.0),
+                  UnfoldingParams(a2=1.0, b2=5.0, c1=0.4, delta=MIN_DELTA),
+                  UnfoldingParams(a1=-0.3, b1=0.7, c2=0.1, delta=MAX_DELTA)]
+
+
+def test_tables_keep_the_bits_of_the_stacked_form():
+    """C1 and C2, each written into one array, equal
+    reference.stacked_tables to the bit: at 64 and 512 equispaced nodes,
+    on 17 drawn angles and on one scalar angle, over 30 drawn unfoldings
+    of every scale and the three extremes."""
+    rng = np.random.default_rng(97)
+    drawn = [UnfoldingParams(*rng.uniform(-1.0, 1.0, 6)
+                             * 10.0 ** rng.uniform(-3.0, 3.0, 6),
+                             delta=10.0 ** rng.uniform(-3.0, 3.0))
+             for _ in range(30)]
+    angles = [np.arange(m) * (2.0 * np.pi / m) for m in (64, 512)]
+    angles += [rng.uniform(0.0, 2.0 * np.pi, 17), rng.uniform(0.0, 2.0 * np.pi)]
+    overflowed = 0
+    with np.errstate(all="ignore"):
+        for u in drawn + EXTREME_TABLES:
+            c1, _, c2 = jerk_standard_form(u).polynomials
+            for theta in angles:
+                for got, want in zip((c1(theta), c2(theta)),
+                                     stacked_tables(u, theta)):
+                    assert got.dtype == want.dtype == np.float64
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+                    overflowed += not np.isfinite(got).all()
+    assert overflowed >= len(angles)
 
 
 def test_f1_vectorized_over_theta():

@@ -348,6 +348,26 @@ def test_a_leg_from_an_equilibrium_is_a_step_underflow():
                 integrate(p, q, SPEC)
 
 
+@pytest.mark.parametrize("params, q, point", [
+    ((0.25, -0.25, -1.0), (0.5, 1e-200), (0.5, 0.0, 0.0)),
+    ((0.1, -1.0, -1.0), (1.0, 1e-200), (1.0, 0.0, 0.0)),
+], ids=["half", "one"])
+def test_a_leg_from_an_unresolved_equilibrium_is_a_step_underflow(params, q,
+                                                                   point):
+    """1e-200 off an equilibrium, the field is finite and nonzero, so every
+    step is finite, but it lies far below what the state resolves: the
+    legs once returned after 3 and 5 steps with flights of about 1e14.
+    half_return and poincare_return now raise StepUnderflow, the
+    equilibrium named."""
+    p = SystemParams(*params)
+    assert point in equilibria(p)
+    assert 0.0 < max(map(abs, vector_field(p, [*q, 0.0]))) < 1e-16
+    for integrate in (half_return, poincare_return):
+        with pytest.raises(StepUnderflow, match=re.escape(
+                f"start unresolved from the equilibrium {point}")):
+            integrate(p, q, SPEC)
+
+
 #: (1, -1, delta) directions at an eps where the three orbits are
 #: located, each half return flying about pi / delta
 SMALL_DELTA = [(UnfoldingParams(a2=1.0, b2=-1.0, delta=0.003), 2e-5),
