@@ -20,10 +20,10 @@ summary.json, with case degenerate on a collapse boundary; otherwise they
 take the case label and the roots from the prediction it returns.
 
 The module imports no numpy, and neither does classify: it runs on
-jerk and config, the scalar layer. A command that batches imports its
-modules when it runs, past its config checks: average the oracle, which
-brings the averaging engine, the standard form's tables and the closed
-forms, and orbits and sweep the shooter. Each reaches their functions
+jerk, closed_form and config, the scalar layer. A command that batches
+imports its modules when it runs, past its config checks: average the
+oracle, which brings the averaging engine and the standard form's
+tables, and orbits and sweep the shooter. Each reaches their functions
 through the module at call time, as shooting.sweep_epsilon.
 
 Exit codes: 0 ok, 1 config error or unwritable output, 2 hypothesis
@@ -41,16 +41,18 @@ from enum import Enum
 from functools import cache
 from pathlib import Path
 
+from .closed_form import (
+    DegeneratePrediction,
+    HypothesisViolated,
+    OrbitCount,
+    predicted_roots,
+)
 from .config import ConfigError, RunConfig, load_config, to_dict
 from .jerk import (
-    DegeneratePrediction,
     EquilibriumKind,
-    HypothesisViolated,
     NotAnEquilibrium,
-    OrbitCount,
     classify_equilibrium,
     equilibria,
-    predicted_roots,
     unfold,
 )
 

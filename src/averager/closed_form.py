@@ -1,17 +1,23 @@
-"""Closed-form averaged functions of the jerk family.
+"""Closed-form averaged functions of the jerk family and their roots.
 
 For the angular standard form of the unfolded jerk system both averaged
-functions have closed forms. The zeros of the second one come in two
+functions have closed forms. The zeros of the second one, g, come in two
 families, a w = 0 family and a pair with opposite w; which of them are
-real, the orbit count, is the scalar jerk.predicted_roots.
+real is the paper's orbit count, predicted_roots, with the boundaries
+where that count degenerates and the refusals it raises there.
 
 On the slice a1 = b1 = 0 the third and fourth averaged functions, the
 Jacobian of the third and the second derivatives of the second have
 closed forms too, polynomials in (r, w) (higher_averages);
 root_corrections turns them into the second-order corrections of a root
-that seed its shot. f_closed, g_closed and g_jacobian return numpy
-arrays, on whole grids for the averaging oracle; higher_averages and
-root_corrections take one root in Python floats. This module holds
+that seed its shot.
+
+This module, jerk and config are the package's scalar layer: they import
+no numpy. f_closed, g_closed and g_jacobian are plain arithmetic on
+their arguments and return tuples, nested for the Jacobian, so one
+expression serves Python floats, as in classify and a shot's seed, and
+numpy arrays, as on the averaging oracle's grid. higher_averages and
+root_corrections take one root in Python floats. The module holds
 formulas only: it needs neither the averaging engine nor the standard
 form's tables.
 """
@@ -19,19 +25,54 @@ form's tables.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from enum import Enum
+from typing import Optional
 
-import numpy as np
+from .jerk import MAX_DELTA, MIN_DELTA, UnfoldingParams
 
-from .jerk import UnfoldingParams
+#: absolute tolerance for the degeneracy checks on the classifier quantities
+DEGENERACY_TOL = 1e-10
 
-def f_closed(r: float, w: float, a1: float, b1: float, delta: float) -> np.ndarray:
+
+class HypothesisViolated(ValueError):
+    """The classifier was called on a degenerate parameter combination."""
+
+
+class DegeneratePrediction(HypothesisViolated):
+    """A root family collapses into r = 0, so no orbit count is predicted.
+
+    Raised on the collapse boundaries, where predicted_roots predicts
+    DEGENERATE; a HypothesisViolated, so handlers of the broader refusal
+    catch it.
+    """
+
+
+class OrbitCount(Enum):
+    THREE = "three"
+    TWO = "two"
+    ONE = "one"
+    ZERO = "zero"
+    DEGENERATE = "degenerate"
+
+
+@dataclass(frozen=True)
+class OrbitPrediction:
+    """Real roots of the second averaged function with their Jacobian data."""
+
+    roots: list
+    jac_dets: list
+    count: OrbitCount
+    degenerate_reason: Optional[str] = None
+
+
+def f_closed(r, w, a1: float, b1: float, delta: float) -> tuple:
     """First averaged function ( r(b1 - a1*delta^2)/(2*delta^3), -b1*w/delta^3 )."""
-    return np.array(
-        [r * (b1 - a1 * delta ** 2) / (2.0 * delta ** 3), -b1 * w / delta ** 3]
-    )
+    return (r * (b1 - a1 * delta ** 2) / (2.0 * delta ** 3),
+            -b1 * w / delta ** 3)
 
 
-def g_closed(r: float, w: float, a2: float, b2: float, delta: float) -> np.ndarray:
+def g_closed(r, w, a2: float, b2: float, delta: float) -> tuple:
     """Second averaged function for the case a1 = b1 = 0.
 
     Independent of c1 and c2. The common prefactor 1/(2*delta^5) is part of
@@ -42,23 +83,100 @@ def g_closed(r: float, w: float, a2: float, b2: float, delta: float) -> np.ndarr
     g1 = pref * r * ((3.0 - d2) * r * r + 4.0 * b2 * d2 - 4.0 * a2 * d2 * d2
                      + 12.0 * d2 * w * w) / 4.0
     g2 = -pref * w * ((3.0 - d2) * r * r + 2.0 * b2 * d2 + 2.0 * d2 * w * w)
-    return np.array([g1, g2])
+    return g1, g2
 
 
-def g_jacobian(r: float, w: float, a2: float, b2: float,
-               delta: float) -> np.ndarray:
-    """Jacobian d(g1, g2)/d(r, w) of g_closed; its determinant at a root is
-    that root's jac_det in predicted_roots. Each entry takes the prefactor
-    in the arithmetic of r and w, so that on Python floats no numpy
-    operation runs and none can warn."""
+def g_jacobian(r, w, a2: float, b2: float, delta: float) -> tuple:
+    """Jacobian d(g1, g2)/d(r, w) of g_closed, rows first. At a root its
+    determinant equals that root's jac_det in predicted_roots, which
+    writes it by hand: at 2*a2*delta^2 -> b2 the determinant of these
+    entries cancels to round-off, and the hand form does not."""
     d2 = delta ** 2
     pref = 1.0 / (2.0 * delta ** 5)
     cubic = (3.0 - d2) * r * r
-    return np.array([[pref * v for v in row] for row in (
+    return tuple(tuple(pref * v for v in row) for row in (
         ((3.0 * cubic + 4.0 * b2 * d2 - 4.0 * a2 * d2 * d2
           + 12.0 * d2 * w * w) / 4.0, 6.0 * d2 * r * w),
         (-2.0 * (3.0 - d2) * r * w,
-         -(cubic + 2.0 * b2 * d2 + 6.0 * d2 * w * w)))])
+         -(cubic + 2.0 * b2 * d2 + 6.0 * d2 * w * w))))
+
+
+def require_first_order_zero(a1: float, b1: float) -> None:
+    """Refuse a direction off the slice a1 = b1 = 0.
+
+    The roots of g_closed, and so those of predicted_roots, are orbits
+    only where the first averaged function vanishes, which needs
+    a1 = b1 = 0; elsewhere f_closed has no simple zero with r > 0.
+
+    Raises
+    ------
+    HypothesisViolated when a1 or b1 is nonzero.
+    """
+    if a1 != 0.0 or b1 != 0.0:
+        raise HypothesisViolated(
+            f"a1 = {a1}, b1 = {b1}: the second-order roots predict orbits "
+            "only when a1 = b1 = 0")
+
+
+def predicted_roots(a2: float, b2: float, delta: float) -> OrbitPrediction:
+    """Real (r, w) roots of g_closed with their Jacobian determinants.
+
+    The w = 0 family has r^2 = 4(a2*delta^2 - b2)*delta^2/(3 - delta^2); the
+    paired family has r^2 = -4(a2*delta^2 + 2*b2)*delta^2/(5(3 - delta^2))
+    and w^2 = (2*a2*delta^2 - b2)/5, contributing both signs of w. Only
+    families with r^2 > 0 and w^2 > 0 are real. The determinants are
+    -(a2*delta^2 - b2)(2*a2*delta^2 - b2)/delta^6 at the w = 0 root and
+    -2(a2*delta^2 + 2*b2)(2*a2*delta^2 - b2)/(5*delta^6) at the pair.
+
+    Four quantities decide the count, each a boundary where it vanishes:
+    3 - delta^2 and 2*a2*delta^2 - b2, where the case analysis does not
+    apply, and the collapse boundaries a2*delta^2 - b2 and
+    a2*delta^2 + 2*b2, where a root family merges into r = 0. Within
+    DEGENERACY_TOL of a collapse boundary the count is DEGENERATE, with a
+    reason instead of roots, rather than an arbitrary choice of side. The
+    roots and determinants are formed from the same four values.
+
+    The roots come in a fixed order, which sweep_epsilon pairs by: the
+    w = 0 root first, when it is real, then the pair (r2, w2), with
+    w2 > 0, directly followed by its mirror (r2, -w2).
+
+    Raises
+    ------
+    HypothesisViolated when delta^2 = 3 or 2*a2*delta^2 = b2 (within
+    DEGENERACY_TOL), where the case analysis does not apply, or when delta
+    lies outside [MIN_DELTA, MAX_DELTA], NaN included.
+    """
+    if not MIN_DELTA <= delta <= MAX_DELTA:
+        raise HypothesisViolated(f"delta must be in [{MIN_DELTA:g}, "
+                                 f"{MAX_DELTA:g}], got {delta}")
+    d2 = delta ** 2
+    cubic, pitchfork = 3.0 - d2, 2.0 * a2 * d2 - b2
+    single, paired = a2 * d2 - b2, a2 * d2 + 2.0 * b2
+    near = [(reason, violates) for value, reason, violates in (
+        (cubic, "delta^2 = 3 (vanishing cubic coefficient)", True),
+        (pitchfork, "2*a2*delta^2 = b2 (paired family at w = 0)", True),
+        (single, "a2*delta^2 = b2 (w = 0 family collapses to r = 0)", False),
+        (paired, "a2*delta^2 = -2*b2 (paired family collapses to r = 0)",
+         False)) if abs(value) <= DEGENERACY_TOL]
+    if near:
+        reason = "; ".join(reason for reason, _ in near)
+        if any(violates for _, violates in near):
+            raise HypothesisViolated(reason)
+        return OrbitPrediction([], [], OrbitCount.DEGENERATE, reason)
+    r1sq = 4.0 * single * d2 / cubic
+    r2sq = -4.0 * paired * d2 / (5.0 * cubic)
+    w2sq = pitchfork / 5.0
+    roots, dets = [], []
+    if r1sq > 0.0:
+        roots.append((math.sqrt(r1sq), 0.0))
+        dets.append(-single * pitchfork / d2 ** 3)
+    if r2sq > 0.0 and w2sq > 0.0:
+        r2, w2 = math.sqrt(r2sq), math.sqrt(w2sq)
+        roots += [(r2, w2), (r2, -w2)]
+        dets += 2 * [-2.0 * paired * pitchfork / (5.0 * d2 ** 3)]
+    count = (OrbitCount.ZERO, OrbitCount.ONE, OrbitCount.TWO,
+             OrbitCount.THREE)[len(roots)]
+    return OrbitPrediction(roots=roots, jac_dets=dets, count=count)
 
 
 def higher_averages(u: UnfoldingParams, r: float, w: float) -> tuple:
@@ -143,9 +261,8 @@ def higher_averages(u: UnfoldingParams, r: float, w: float) -> tuple:
             36 * (b2 * b2 + 3 * ww * ww) - 69 * a2 * rr - 35 * b2 * rr
             + 7 * rr * rr + 39 * rr * ww
             + t * rr * (5 * (17 * b2 - 7 * rr - 21 * ww) + 42 * t * rr)))
-    (j00, j01), (j10, j11) = g_jacobian(r, w, a2, b2, d).tolist()
-    g0, g1 = g_closed(r, w, a2, b2, d).tolist()
-    dg_g = (j00 * g0 + j01 * g1, j10 * g0 + j11 * g1)
+    g0, g1 = g_closed(r, w, a2, b2, d)
+    dg_g = [j0 * g0 + j1 * g1 for j0, j1 in g_jacobian(r, w, a2, b2, d)]
     f4 = tuple(2 * math.pi ** 2 * dg + c2 * ph + c1 * c1 * ps + s / 12 * pv
                for dg, ph, ps, pv in zip(dg_g, phi, psi, (w * p_r, r * p_w)))
     return ((c1 * phi[0], c1 * phi[1]), f4,
@@ -171,8 +288,8 @@ def root_corrections(u: UnfoldingParams, r: float, w: float) -> tuple:
     z1 = 0, and the Df3 and D^2f2 terms of z2 vanish exactly.
     """
     f3, f4, df3, d2f2 = higher_averages(u, r, w)
-    jac = [[2.0 * math.pi * v for v in row] for row in
-           g_jacobian(r, w, *map(float, (u.a2, u.b2, u.delta))).tolist()]
+    jac = [[2.0 * math.pi * v for v in row]
+           for row in g_jacobian(r, w, u.a2, u.b2, u.delta)]
 
     def newton(f):
         # elimination with partial pivoting: the row whose first entry

@@ -1,9 +1,9 @@
 """Run configuration: strict JSON schema with full double precision.
 
-This module and jerk are the package's scalar layer: they import no
-numpy. So config owns the specs it parses, QuadratureSpec for the
-averaging engine and IntegratorSpec for the shooter, with their bounds,
-and MAX_EPS, the range of eps that the shooter accepts.
+This module, jerk and closed_form are the package's scalar layer: they
+import no numpy. So config owns the specs it parses, QuadratureSpec for
+the averaging engine and IntegratorSpec for the shooter, with their
+bounds, and MAX_EPS, the range of eps that the shooter accepts.
 
 A config file is a single JSON document. Unknown keys are rejected at
 every level so that a typo cannot silently fall back to a default, and

@@ -1,18 +1,17 @@
-"""Cubic jerk system: vector field, equilibria and the scalar classifiers.
+"""Cubic jerk system: vector field, equilibria and their classification.
 
 The model is the third order scalar equation x''' = -a x'' - b x + c x' + x x'^2 - x^3
 written as a first order system in (x, y, z) = (position, velocity, acceleration).
 unfold gives its parameter triple (a, b, c) near the zero-Hopf point
 (0, 0, -delta^2) from the perturbation coefficients of UnfoldingParams.
 
-This module and config are the package's scalar layer: they import no
-numpy, so `import averager.cli` and the classify command load none. Both
-of the paper's classifications live here, in Python floats:
-classify_equilibrium, the kind of an equilibrium from the roots of its
-characteristic cubic (_cubic_roots, in float and complex arithmetic), and
-predicted_roots, the orbit count of an unfolding from the closed-form
-root families of the second averaged function. The numpy reference that
-the roots are tested against is numpy_eigenvalues in tests/reference.py.
+This module, closed_form and config are the package's scalar layer: they
+import no numpy, so `import averager.cli` and the classify command load
+none. classify_equilibrium gives the kind of an equilibrium from the
+roots of its characteristic cubic (_cubic_roots, in float and complex
+arithmetic); the paper's other classification, the orbit count of an
+unfolding, is closed_form.predicted_roots. The numpy reference that the
+roots are tested against is numpy_eigenvalues in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 #: tolerance for calling an eigenvalue (or its real part) zero
 TOL_EIG = 1e-10
@@ -29,13 +27,11 @@ TOL_EIG = 1e-10
 #: largest term of the vector field at the state (floored at 1)
 RESIDUAL_TOL = 1e-9
 
-#: absolute tolerance for the degeneracy checks on the classifier quantities
-DEGENERACY_TOL = 1e-10
-
 #: range of delta accepted. The closed forms and the coefficient tables
 #: take delta to powers up to 6 and down to -6 (the d2 ** 3 of
-#: predicted_roots, the s^3 / d^5 row of normal_form.h2_coefficients
-#: times -1/delta), which must stay doubles with room for the factors
+#: closed_form.predicted_roots, the s^3 / d^5 row of
+#: normal_form.h2_coefficients times -1/delta), which must stay doubles
+#: with room for the factors
 #: they meet: 1e50 ** 6 = 1e300 lies 1e8 below the largest double, and
 #: 1e-50 ** 6 = 1e-300 above the smallest normal one, 2.2e-308.
 #: closed_form.higher_averages forms only d^2, 1 / d^2, 1 / d^3 and
@@ -53,31 +49,10 @@ class NotAnEquilibrium(ValueError):
     """The state handed to the classifier does not annihilate the vector field."""
 
 
-class HypothesisViolated(ValueError):
-    """The classifier was called on a degenerate parameter combination."""
-
-
-class DegeneratePrediction(HypothesisViolated):
-    """A root family collapses into r = 0, so no orbit count is predicted.
-
-    Raised on the collapse boundaries, where predicted_roots predicts
-    DEGENERATE; a HypothesisViolated, so handlers of the broader refusal
-    catch it.
-    """
-
-
 class EquilibriumKind(Enum):
     HYPERBOLIC = "hyperbolic"
     ZERO_HOPF = "zero-hopf"
     OTHER_NONHYPERBOLIC = "other-nonhyperbolic"
-
-
-class OrbitCount(Enum):
-    THREE = "three"
-    TWO = "two"
-    ONE = "one"
-    ZERO = "zero"
-    DEGENERATE = "degenerate"
 
 
 @dataclass(frozen=True)
@@ -124,16 +99,6 @@ class EquilibriumClass:
     point: tuple
     eigenvalues: tuple
     kind: EquilibriumKind
-
-
-@dataclass(frozen=True)
-class OrbitPrediction:
-    """Real roots of the second averaged function with their Jacobian data."""
-
-    roots: list
-    jac_dets: list
-    count: OrbitCount
-    degenerate_reason: Optional[str] = None
 
 
 def unfold(u: UnfoldingParams, eps: float) -> SystemParams:
@@ -335,93 +300,3 @@ def classify_equilibrium(p: SystemParams, s) -> EquilibriumClass:
         )
     eigs = _eigenvalues(p, x)
     return EquilibriumClass(point=point, eigenvalues=eigs, kind=_kind_of(eigs))
-
-
-def require_first_order_zero(a1: float, b1: float) -> None:
-    """Refuse a direction off the slice a1 = b1 = 0.
-
-    The roots of closed_form.g_closed, and so those of predicted_roots,
-    are orbits only where the first averaged function vanishes, which
-    needs a1 = b1 = 0; elsewhere closed_form.f_closed has no simple zero
-    with r > 0.
-
-    Raises
-    ------
-    HypothesisViolated when a1 or b1 is nonzero.
-    """
-    if a1 != 0.0 or b1 != 0.0:
-        raise HypothesisViolated(
-            f"a1 = {a1}, b1 = {b1}: the second-order roots predict orbits "
-            "only when a1 = b1 = 0")
-
-
-def _degeneracies(a2: float, b2: float, delta: float):
-    """(reason, violates the case hypotheses) for each boundary within
-    DEGENERACY_TOL.
-
-    On the first two boundaries the case analysis does not apply at all; on
-    the two collapse boundaries a root family merges into r = 0.
-    """
-    d2 = delta ** 2
-    table = [
-        (3.0 - d2, "delta^2 = 3 (vanishing cubic coefficient)", True),
-        (2.0 * a2 * d2 - b2, "2*a2*delta^2 = b2 (paired family at w = 0)", True),
-        (a2 * d2 - b2, "a2*delta^2 = b2 (w = 0 family collapses to r = 0)",
-         False),
-        (a2 * d2 + 2.0 * b2,
-         "a2*delta^2 = -2*b2 (paired family collapses to r = 0)", False),
-    ]
-    return [(reason, violates) for value, reason, violates in table
-            if abs(value) <= DEGENERACY_TOL]
-
-
-def predicted_roots(a2: float, b2: float, delta: float) -> OrbitPrediction:
-    """Real (r, w) roots of closed_form.g_closed with their Jacobian
-    determinants.
-
-    The w = 0 family has r^2 = 4(a2*delta^2 - b2)*delta^2/(3 - delta^2); the
-    paired family has r^2 = -4(a2*delta^2 + 2*b2)*delta^2/(5(3 - delta^2))
-    and w^2 = (2*a2*delta^2 - b2)/5, contributing both signs of w. Only
-    families with r^2 > 0 and w^2 > 0 are real. On the collapse boundaries
-    (a2*delta^2 = b2 or = -2*b2) the count is DEGENERATE, with a reason
-    instead of roots, rather than an arbitrary choice of side.
-
-    The roots come in a fixed order, which sweep_epsilon pairs by: the
-    w = 0 root first, when it is real, then the pair (r2, w2), with
-    w2 > 0, directly followed by its mirror (r2, -w2).
-
-    Raises
-    ------
-    HypothesisViolated when delta^2 = 3 or 2*a2*delta^2 = b2 (within
-    DEGENERACY_TOL), where the case analysis does not apply, or when delta
-    lies outside [MIN_DELTA, MAX_DELTA], NaN included.
-    """
-    if not MIN_DELTA <= delta <= MAX_DELTA:
-        raise HypothesisViolated(f"delta must be in [{MIN_DELTA:g}, "
-                                 f"{MAX_DELTA:g}], got {delta}")
-    reasons = _degeneracies(a2, b2, delta)
-    if any(violates for _, violates in reasons):
-        raise HypothesisViolated("; ".join(reason for reason, _ in reasons))
-    if reasons:
-        return OrbitPrediction(
-            roots=[], jac_dets=[], count=OrbitCount.DEGENERATE,
-            degenerate_reason="; ".join(reason for reason, _ in reasons),
-        )
-    d2 = delta ** 2
-    r1sq = 4.0 * (a2 * d2 - b2) * d2 / (3.0 - d2)
-    r2sq = -4.0 * (a2 * d2 + 2.0 * b2) * d2 / (5.0 * (3.0 - d2))
-    w2sq = (2.0 * a2 * d2 - b2) / 5.0
-    roots = []
-    dets = []
-    if r1sq > 0.0:
-        roots.append((math.sqrt(r1sq), 0.0))
-        dets.append(-(a2 * d2 - b2) * (2.0 * a2 * d2 - b2) / d2 ** 3)
-    if r2sq > 0.0 and w2sq > 0.0:
-        r2 = math.sqrt(r2sq)
-        w2 = math.sqrt(w2sq)
-        det2 = -2.0 * (a2 * d2 + 2.0 * b2) * (2.0 * a2 * d2 - b2) / (5.0 * d2 ** 3)
-        roots.extend([(r2, w2), (r2, -w2)])
-        dets.extend([det2, det2])
-    count = {0: OrbitCount.ZERO, 1: OrbitCount.ONE,
-             2: OrbitCount.TWO, 3: OrbitCount.THREE}[len(roots)]
-    return OrbitPrediction(roots=roots, jac_dets=dets, count=count)

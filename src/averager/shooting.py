@@ -60,11 +60,11 @@ Jorba and Zou's own taylor package, the recurrence of each order is
 generated as straight-line code: _taylor_kernel writes it as one Python
 function and compiles it once per process, at its first use, which costs
 about 1 to 4 ms for the orders 8 to 17 of the tol range. Its Cauchy
-products are summed left to right, as sum() summed floats before Python
-3.12. From 3.12 on, sum() compensates, so there the results may differ
-in the last bits from those of earlier versions of this module, which
-summed with sum(). The tol of an IntegratorSpec sets every step by Jorba
-and Zou's rule with a relative tolerance: the order is
+products, and the step polynomials at a step's end and at a crossing
+(_state_at), are summed left to right in plain loops, as sum() summed
+floats before Python 3.12; from 3.12 on sum() compensates, so a loop
+keeps the same bits on every Python. The tol of an IntegratorSpec sets
+every step by Jorba and Zou's rule with a relative tolerance: the order is
 ceil(1 - ln(tol) / 2), the same for every step of a leg, and the step is
 the radius of convergence estimated from the last two coefficients on
 the scale of the state itself, max(1e-300, |s|_inf), divided by e^2. So
@@ -111,17 +111,19 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .closed_form import root_corrections
-from .config import MAX_EPS, IntegratorSpec
-from .jerk import (
+from .closed_form import (
     DegeneratePrediction,
     OrbitCount,
     OrbitPrediction,
+    predicted_roots,
+    require_first_order_zero,
+    root_corrections,
+)
+from .config import MAX_EPS, IntegratorSpec
+from .jerk import (
     SystemParams,
     UnfoldingParams,
     equilibria,
-    predicted_roots,
-    require_first_order_zero,
     unfold,
     vector_field,
 )
@@ -341,6 +343,18 @@ def _leg_transition(p: SystemParams, lengths: list, jacs: list) -> np.ndarray:
     return phi
 
 
+def _state_at(x: list, y: list, z: list, powers: list) -> list:
+    """[x, y, z] of a step's Taylor series x, y and z at the powers of one
+    time, each summed left to right from 0.0, as sum() summed floats
+    before Python 3.12: the same bits on every Python."""
+    sx = sy = sz = 0.0
+    for cx, cy, cz, power in zip(x, y, z, powers):
+        sx += cx * power
+        sy += cy * power
+        sz += cz * power
+    return [sx, sy, sz]
+
+
 def _crossing_root(poly: list) -> float:
     """Root in [0, 1] of sum(poly[k] u^k), negative at 0 and not at 1: the
     upward crossing of z within a step, in fractions of the step.
@@ -546,12 +560,12 @@ def half_return(p: SystemParams, q, spec: IntegratorSpec) -> HalfReturn:
                                 "underflow")
         polys.append((x, y, z))
         jacs.append(jac)
-        end = [sum(map(mul, coef, h_powers)) for coef in (x, y, z)]
+        end = _state_at(x, y, z, h_powers)
         if s[2] < 0.0 <= end[2]:
             # z as a polynomial in u = tau / h
             u = _crossing_root(list(map(mul, z, h_powers)))
             tau_powers = [(u * h) ** k for k in powers]
-            state = [sum(map(mul, coef, tau_powers)) for coef in (x, y, z)]
+            state = _state_at(x, y, z, tau_powers)
             if state[1] < 0.0:
                 lengths.append(u * h)
                 break

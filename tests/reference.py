@@ -180,7 +180,8 @@ def numpy_higher_averages(u: UnfoldingParams, z) -> tuple:
             36 * (b2 * b2 + 3 * ww * ww) - 69 * a2 * rr - 35 * b2 * rr
             + 7 * rr * rr + 39 * rr * ww
             + t * rr * (5 * (17 * b2 - 7 * rr - 21 * ww) + 42 * t * rr)))
-    dg_g = (g_jacobian(r, w, a2, b2, d) * g_closed(r, w, a2, b2, d)).sum(1)
+    dg_g = (np.asarray(g_jacobian(r, w, a2, b2, d))
+            * np.asarray(g_closed(r, w, a2, b2, d))).sum(1)
     f4 = (2 * np.pi ** 2 * dg_g + c2 * phi + c1 * c1 * psi
           + s / 12 * np.array([w * p_r, r * p_w]))
     q = 2 * s * (3 * t - 1)  # 2 pi (3 - d^2) / d^5

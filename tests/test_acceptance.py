@@ -11,11 +11,11 @@ import numpy as np
 
 from averager.averaging import average_first, average_second, find_roots
 from averager.cli import main
-from averager.closed_form import f_closed, g_closed
+from averager.closed_form import (OrbitCount, f_closed, g_closed,
+                                  predicted_roots)
 from averager.config import IntegratorSpec, QuadratureSpec
-from averager.jerk import (EquilibriumKind, OrbitCount, SystemParams,
-                           UnfoldingParams, classify_equilibrium,
-                           predicted_roots)
+from averager.jerk import (EquilibriumKind, SystemParams, UnfoldingParams,
+                           classify_equilibrium)
 from averager.normal_form import jerk_standard_form
 from averager.shooting import sweep_epsilon
 
@@ -99,7 +99,7 @@ def test_criterion_3_root_formulas():
         for j, dz in enumerate(([h, 0.0], [0.0, h])):
             hi = g_closed(r + dz[0], w + dz[1], 1.0, 5.0, 2.0)
             lo = g_closed(r - dz[0], w - dz[1], 1.0, 5.0, 2.0)
-            jac[:, j] = (hi - lo) / (2.0 * h)
+            jac[:, j] = np.subtract(hi, lo) / (2.0 * h)
         assert abs(np.linalg.det(jac) - det) < 1e-6
     report(3, started, "roots (4,0), (sqrt(224/5), +-sqrt(3/5)); "
                        "determinants 3/64 and -21/80")

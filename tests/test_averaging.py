@@ -22,9 +22,9 @@ from averager.averaging import (
     average_second,
     find_roots,
 )
-from averager.closed_form import f_closed, g_closed
+from averager.closed_form import f_closed, g_closed, predicted_roots
 from averager.config import QuadratureSpec
-from averager.jerk import UnfoldingParams, predicted_roots
+from averager.jerk import UnfoldingParams
 from averager.normal_form import jerk_standard_form
 from reference import sampled_average
 from test_cli import near_boundary
@@ -437,7 +437,7 @@ def test_find_roots_without_seeds_calls_fun_once():
 
 def test_find_roots_negated_function():
     fun = lambda z: g_closed(z[0], z[1], 1.0, 5.0, 2.0)
-    neg = lambda z: -fun(z)
+    neg = lambda z: -np.asarray(fun(z))
     roots = find_roots(fun, [(0.1, 10.0), (-3.0, 3.0)])
     neg_roots = find_roots(neg, [(0.1, 10.0), (-3.0, 3.0)])
     assert len(roots) == len(neg_roots) == 3

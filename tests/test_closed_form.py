@@ -1,25 +1,23 @@
 """Closed-form averaged functions, root families and the case classifier."""
 
+import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from averager.closed_form import (
+    HypothesisViolated,
+    OrbitCount,
     f_closed,
     g_closed,
     g_jacobian,
     higher_averages,
+    predicted_roots,
     root_corrections,
 )
-from averager.jerk import (
-    MAX_DELTA,
-    MIN_DELTA,
-    HypothesisViolated,
-    OrbitCount,
-    UnfoldingParams,
-    predicted_roots,
-)
+from averager.jerk import MAX_DELTA, MIN_DELTA, UnfoldingParams
 from averager.normal_form import jerk_standard_form
 from reference import numpy_higher_averages, numpy_root_corrections, theta_rhs
 
@@ -169,7 +167,7 @@ def test_jacobian_determinants_match_finite_differences():
             for j, dz in enumerate(([h, 0.0], [0.0, h])):
                 hi = g_closed(r + dz[0], w + dz[1], a2, b2, delta)
                 lo = g_closed(r - dz[0], w - dz[1], a2, b2, delta)
-                jac[:, j] = (hi - lo) / (2.0 * h)
+                jac[:, j] = np.subtract(hi, lo) / (2.0 * h)
             fd_det = np.linalg.det(jac)
             assert abs(fd_det - det) < 1e-6 * max(1.0, abs(det))
         checked += 1
@@ -210,6 +208,51 @@ def test_g_jacobian_determinant_is_the_published_one():
             got = np.linalg.det(g_jacobian(r, w, a2, b2, delta))
             assert abs(got - det) < 1e-12 * max(1.0, abs(det))
         checked += 1
+
+
+def exact_root_dets(a2, b2, delta):
+    """det Dg at each real root of g_closed, in predicted_roots' order,
+    in exact rational arithmetic. Dg's diagonal depends on a root (r, w)
+    through r^2 and w^2, and its off-diagonal product through r^2 w^2, so
+    the determinant is rational in the rational r^2 and w^2 of each
+    family."""
+    a2, b2, delta = map(Fraction, (a2, b2, delta))
+    d2 = delta * delta
+    pref = 1 / (2 * d2 * d2 * delta)
+    families = []
+    r1sq = 4 * (a2 * d2 - b2) * d2 / (3 - d2)
+    if r1sq > 0:
+        families.append((r1sq, Fraction(0)))
+    r2sq = -4 * (a2 * d2 + 2 * b2) * d2 / (5 * (3 - d2))
+    w2sq = (2 * a2 * d2 - b2) / 5
+    if r2sq > 0 and w2sq > 0:
+        families += [(r2sq, w2sq)] * 2
+    dets = []
+    for rr, ww in families:
+        j00 = pref * (3 * (3 - d2) * rr + 4 * b2 * d2 - 4 * a2 * d2 * d2
+                      + 12 * d2 * ww) / 4
+        j11 = -pref * ((3 - d2) * rr + 2 * b2 * d2 + 6 * d2 * ww)
+        # -j01 j10 = pref^2 (6 d2 r w) (2 (3 - d2) r w)
+        dets.append(j00 * j11 + pref * pref * 12 * d2 * (3 - d2) * rr * ww)
+    return dets
+
+
+@pytest.mark.parametrize("k", [10, 20, 30])
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_jac_dets_stay_exact_at_the_pitchfork_boundary(k, side):
+    """At (a2, b2, delta) = (1, 8 -+ 2^-k, 2), 2^-k from the boundary
+    2 a2 delta^2 = b2, each jac_det of predicted_roots lies within one ulp
+    of the exact determinant of Dg at its root: three roots below the
+    boundary, one above. That is why the dets are written by hand: the
+    determinant of g_jacobian's entries at the pair cancels, and misses
+    the exact one by 9.0e-14, 3.7e-10 and 5.7e-7 relative at k = 10, 20
+    and 30."""
+    b2 = 8.0 + side * 2.0 ** -k
+    pred = predicted_roots(1.0, b2, 2.0)
+    exact = exact_root_dets(1.0, b2, 2.0)
+    assert len(pred.jac_dets) == len(exact) == (3 if side < 0 else 1)
+    for det, want in zip(pred.jac_dets, exact):
+        assert abs(Fraction(det) - want) <= math.ulp(float(want))
 
 
 #: the showcase direction without and with first-order c1
@@ -258,7 +301,7 @@ def theta_map_coefficients(u, z):
     """
     from scipy.integrate import solve_ivp
 
-    f2 = 2.0 * np.pi * g_closed(z[0], z[1], u.a2, u.b2, u.delta)
+    f2 = 2.0 * np.pi * np.asarray(g_closed(z[0], z[1], u.a2, u.b2, u.delta))
     eps_values = np.array([0.04, 0.03, 0.02, 0.015, 0.01])
     scaled = []
     for eps in eps_values:
@@ -305,8 +348,8 @@ def test_df3_and_d2f2_are_the_derivatives_of_f3_and_f2():
             stencil = (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h)
             scale = np.max(np.abs(df3))
             assert np.max(np.abs(stencil - df3[:, j])) < 1e-12 * scale
-            jac = [2.0 * np.pi * g_jacobian(*(z + k * step), WITH_C1.a2,
-                                            WITH_C1.b2, WITH_C1.delta)
+            jac = [2.0 * np.pi * np.asarray(g_jacobian(
+                       *(z + k * step), WITH_C1.a2, WITH_C1.b2, WITH_C1.delta))
                    for k in (-1, 1)]
             central = (jac[1] - jac[0]) / (2.0 * h)
             scale = np.max(np.abs(d2f2))

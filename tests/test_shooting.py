@@ -1,10 +1,12 @@
 """Full-system confirmation: return map and its flow, shooting, sweep."""
 
 import math
+import random
 import re
 from dataclasses import replace
+from functools import reduce
 from itertools import accumulate
-from operator import mul
+from operator import add, mul
 
 import numpy as np
 import pytest
@@ -13,10 +15,11 @@ from hypothesis import strategies as st
 
 from averager import config, shooting
 from averager.cli import _jsonable
-from averager.closed_form import root_corrections
-from averager.jerk import (DegeneratePrediction, HypothesisViolated,
-                           OrbitCount, SystemParams, UnfoldingParams,
-                           equilibria, predicted_roots, unfold, vector_field)
+from averager.closed_form import (DegeneratePrediction, HypothesisViolated,
+                                  OrbitCount, predicted_roots,
+                                  root_corrections)
+from averager.jerk import (SystemParams, UnfoldingParams, equilibria, unfold,
+                           vector_field)
 from averager.shooting import (
     IntegratorSpec,
     SeedInvalid,
@@ -286,6 +289,22 @@ def test_taylor_kernel_matches_the_left_to_right_recurrence_bit_for_bit():
                     == [[v.hex() for v in series] for series in want])
             overflowed += not all(map(math.isfinite, got[2]))
     assert overflowed >= len(ORDERS)
+
+
+def test_state_at_sums_left_to_right():
+    """_state_at, a step's state at its end and at a crossing, sums each
+    coordinate left to right from 0.0, the fold that sum() made of floats
+    before Python 3.12, which compensates, so that every Python gives the
+    same bits: on 20000 random steps of 15-term series, h in [0.05, 0.5]."""
+    rng = random.Random(3)
+    for _ in range(20000):
+        h = rng.uniform(0.05, 0.5)
+        powers = [h ** k for k in range(15)]
+        series = [[rng.uniform(-1.0, 1.0) for _ in range(15)]
+                  for _ in range(3)]
+        want = [reduce(add, map(mul, coef, powers), 0.0) for coef in series]
+        got = shooting._state_at(*series, powers)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 @pytest.mark.parametrize("amplitude", [1e-6, 1e-12, 1e-100])
