@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, reduce
-from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -154,26 +153,23 @@ def average_second(sys: StandardFormSystem, z, q: QuadratureSpec) -> np.ndarray:
     return _average(sys, z, q, 2)
 
 
-@lru_cache(maxsize=8)
-def _offsets(n: int) -> np.ndarray:
-    """Read-only (n, 1, 2n + 1) unit offsets of a point and its neighbours."""
-    offsets = np.hstack([np.zeros((n, 1)), np.eye(n), -np.eye(n)])[:, None, :]
-    offsets.flags.writeable = False
-    return offsets
+#: read-only (2, 1, 5) unit offsets of a point and its four neighbours
+#: z + e_r, z + e_w, z - e_r, z - e_w
+_OFFSETS = np.hstack([np.zeros((2, 1)), np.eye(2), -np.eye(2)])[:, None, :]
+_OFFSETS.flags.writeable = False
 
 
 def _value_and_jacobian(fun: Callable, z: np.ndarray):
     """fun at the rows of z and its central-difference Jacobians, from one call.
 
-    z has shape (k, n), and each row gets its own step h. fun gets the
-    (n, k, 2n + 1) batch of every row and its 2n neighbours z +- h e_i;
-    the result is the (k, n) values and the (k, n, n) Jacobians.
+    z has shape (k, 2), and each row gets its own step h. fun gets the
+    (2, k, 5) batch of every row and its four neighbours z +- h e_i; the
+    result is the (k, 2) values and the (k, 2, 2) Jacobians.
     """
-    n = z.shape[1]
     h = FD_STEP * (1.0 + np.abs(z).max(axis=1))
-    points = z.T[:, :, None] + h[:, None] * _offsets(n)
+    points = z.T[:, :, None] + h[:, None] * _OFFSETS
     vals = np.asarray(fun(points), float)
-    jac = (vals[:, :, 1:n + 1] - vals[:, :, n + 1:]) / (2.0 * h[:, None])
+    jac = (vals[:, :, 1:3] - vals[:, :, 3:]) / (2.0 * h[:, None])
     return vals[:, :, 0].T, jac.transpose(1, 0, 2)
 
 
@@ -207,7 +203,7 @@ def _newton_steps(jac: np.ndarray, f: np.ndarray) -> np.ndarray:
 def _damped_newton(fun: Callable, seeds) -> list:
     """Newton with step halving from every seed at once.
 
-    seeds has shape (k, n). Each seed runs its own iteration: at most
+    seeds has shape (k, 2). Each seed runs its own iteration: at most
     NEWTON_MAX_ITER accepted steps, each the full Newton step or one of its
     first 29 halvings, and it fails on its own when its step is singular or
     not finite. Returns, per seed in order, (z, |fun(z)|, Jacobian at z)
@@ -256,80 +252,67 @@ def _damped_newton(fun: Callable, seeds) -> list:
         trial = z + lam[:, None] * step
 
 
-def _grid_seeds(fun, box, grids):
+def _grid_seeds(fun, box, cells: int):
     """Seed points from corner sign changes and local minima of |fun|.
 
-    Returned as one (k, n) array, the cell midpoints first.
+    The seeding grid is the (2, cells + 1, cells + 1) ij mesh of the box.
+    Returned as one (k, 2) array, the cell midpoints first.
     """
-    n = len(box)
-    axes = [np.linspace(lo, hi, g + 1) for (lo, hi), g in zip(box, grids)]
-    # the ij mesh, each axis broadcast into its slot of one array
-    mesh = np.empty((n, *(len(ax) for ax in axes)))
-    for i, ax in enumerate(axes):
-        mesh[i] = ax.reshape((-1,) + (1,) * (n - 1 - i))
-    vals = np.moveaxis(np.asarray(fun(mesh), dtype=float), 0, -1)
-    norms = np.linalg.norm(vals, axis=-1)
+    r, w = (np.linspace(lo, hi, cells + 1) for lo, hi in box)
+    mesh = np.empty((2, cells + 1, cells + 1))
+    mesh[0], mesh[1] = r[:, None], w
+    vals = np.asarray(fun(mesh), dtype=float)
+    norms = np.linalg.norm(vals, axis=0)
 
-    # cells where every component straddles zero among the 2^n corners
-    views = [
-        vals[tuple(slice(o, o + g) for o, g in zip(offset, grids))]
-        for offset in product((0, 1), repeat=n)
-    ]
-    straddle = ((reduce(np.minimum, views) <= 0.0)
-                & (reduce(np.maximum, views) >= 0.0)).all(axis=-1)
-    mids = np.array([0.5 * (ax[i] + ax[i + 1])
-                     for ax, i in zip(axes, np.nonzero(straddle))])
-    # grid points that are local minima of the residual norm
-    padded = np.full([g + 3 for g in grids], np.inf)
-    padded[(slice(1, -1),) * n] = norms
-    is_min = np.ones(norms.shape, dtype=bool)
-    for ax in range(n):
-        for off in (-1, 1):
-            sl = [slice(1, -1)] * n
-            sl[ax] = slice(1 + off, padded.shape[ax] - 1 + off)
-            is_min &= norms <= padded[tuple(sl)]
+    # cells where both components straddle zero among the four corners
+    corners = (vals[:, :-1, :-1], vals[:, :-1, 1:], vals[:, 1:, :-1],
+               vals[:, 1:, 1:])
+    straddle = ((reduce(np.minimum, corners) <= 0.0)
+                & (reduce(np.maximum, corners) >= 0.0)).all(axis=0)
+    i, j = straddle.nonzero()
+    mids = np.array([0.5 * (r[i] + r[i + 1]), 0.5 * (w[j] + w[j + 1])])
+    # grid points that are local minima of the residual norm, against
+    # their four neighbours; a point on the edge has an infinite one
+    padded = np.full((cells + 3, cells + 3), np.inf)
+    padded[1:-1, 1:-1] = norms
+    is_min = ((norms <= padded[:-2, 1:-1]) & (norms <= padded[2:, 1:-1])
+              & (norms <= padded[1:-1, :-2]) & (norms <= padded[1:-1, 2:]))
     return np.concatenate([mids, mesh[:, is_min]], axis=1).T
 
 
-def _checked_grids(box: list, grid) -> list:
-    """The per-axis cell counts, after checking the box and the grid.
+def _check_plane(box: list, grid) -> None:
+    """Check the box and the grid of find_roots.
 
-    Raises ValueError, naming the axis, for an interval that is not finite
-    or not increasing, a cell count that is not an integer >= 1 (a bool is
-    not one), or a per-axis grid whose length is not the box's dimension;
-    and for a box without axes.
+    Raises ValueError for a box of other than two axes, for an axis, named
+    in the message, that is not finite or not increasing, and for a grid
+    that is not one integer >= 1 (a bool, a sequence or an array is not).
     """
-    if not box:
-        raise ValueError("find_roots: the box has no axes")
+    if len(box) != 2:
+        raise ValueError(f"find_roots: the box has {len(box)} axes; it "
+                         "needs two, (r, w)")
     for axis, (lo, hi) in enumerate(box):
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"find_roots: box axis {axis} is ({lo}, {hi}); "
                              "it needs finite lo < hi")
-    grids = [grid] * len(box) if np.ndim(grid) == 0 else list(grid)
-    if len(grids) != len(box):
-        raise ValueError(f"find_roots: grid has {len(grids)} entries for a "
-                         f"box of {len(box)} axes")
-    for axis, g in enumerate(grids):
-        if isinstance(g, bool) or not isinstance(g, (int, np.integer)) or g < 1:
-            raise ValueError(f"find_roots: grid axis {axis} has {g!r} cells; "
-                             "it needs an integer >= 1")
-    return grids
+    if (isinstance(grid, bool) or not isinstance(grid, (int, np.integer))
+            or grid < 1):
+        raise ValueError(f"find_roots: grid has {grid!r} cells; it needs "
+                         "one integer >= 1")
 
 
 def find_roots(fun: Callable, box: Sequence, grid=32) -> list[AveragedRoot]:
-    """All zeros of fun inside the box, with degree certificates.
+    """All zeros of fun inside the (r, w) box, with degree certificates.
 
     Parameters
     ----------
-    fun : callable mapping points of shape (n, *batch) to values of shape
-        (n, *batch); it gets the whole seeding grid at once, and then one
-        batch per Newton round, of shape (n, seeds, 2n + 1): the trial
-        point z of every seed still iterating and its 2n central-difference
-        neighbours z +- h e_i
-    box : sequence of at least one (lo, hi) pair, one per coordinate, each
-        finite with lo < hi
-    grid : cells per axis for seeding, an integer >= 1 or a sequence of
-        them with one entry per axis
+    fun : callable mapping points of shape (2, *batch) to values of shape
+        (2, *batch); it gets the whole seeding grid at once, of shape
+        (2, grid + 1, grid + 1), and then one batch per Newton round, of
+        shape (2, seeds, 5): the trial point z of every seed still
+        iterating and its four central-difference neighbours z +- h e_i
+    box : two (lo, hi) pairs, the r axis and the w axis, each finite with
+        lo < hi
+    grid : cells per axis for seeding, one integer >= 1
 
     Returns
     -------
@@ -341,17 +324,17 @@ def find_roots(fun: Callable, box: Sequence, grid=32) -> list[AveragedRoot]:
 
     Raises
     ------
-    ValueError, naming the axis, for a box or grid that breaks the rules
-    above, before fun is called.
+    ValueError for a box or grid that breaks the rules above, before fun
+    is called.
 
     Besides the seeding call, a Newton round costs one call of fun, on
     the seeds still iterating, plus a fixed overhead (see _damped_newton).
     """
     box = [(float(lo), float(hi)) for lo, hi in box]
-    grids = _checked_grids(box, grid)
+    _check_plane(box, grid)
 
     accepted: list[tuple] = []
-    for found in _damped_newton(fun, _grid_seeds(fun, box, grids)):
+    for found in _damped_newton(fun, _grid_seeds(fun, box, grid)):
         if found is None:
             continue
         z = found[0].tolist()

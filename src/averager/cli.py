@@ -18,6 +18,8 @@ orbits and sweep both run shooting.sweep_epsilon, which checks the
 theorem's hypotheses before it shoots. Where it refuses they write only
 summary.json, with case degenerate on a collapse boundary; otherwise they
 take the case label and the roots from the prediction it returns.
+classify reports the case and the roots off the slice a1 = b1 = 0 too,
+where they predict no orbits, and says so under "second_order_note".
 
 The module imports no numpy, and neither does classify: it runs on
 jerk, closed_form and config, the scalar layer. A command that batches
@@ -46,6 +48,7 @@ from .closed_form import (
     HypothesisViolated,
     OrbitCount,
     predicted_roots,
+    require_first_order_zero,
 )
 from .config import ConfigError, RunConfig, load_config, to_dict
 from .jerk import (
@@ -191,6 +194,13 @@ def cmd_classify(cfg: RunConfig, out_dir: Path, doc: dict, args) -> int:
     if prediction.degenerate_reason is not None:
         doc["degenerate_reason"] = prediction.degenerate_reason
     _say(args, f"case: {prediction.count.value}, roots: {doc['roots']}")
+    # off the slice the roots of g are reported all the same, with the
+    # reason orbits and sweep refuse them
+    try:
+        require_first_order_zero(u.a1, u.b1)
+    except HypothesisViolated as exc:
+        doc["second_order_note"] = str(exc)
+        _say(args, f"note: {exc}")
     return EXIT_OK
 
 

@@ -2,6 +2,7 @@
 root certification."""
 
 import dataclasses
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -496,7 +497,7 @@ def test_find_roots_drops_seeds_with_a_singular_jacobian():
     """Two seeds sit where the first component is flat; the others converge."""
     fun = lambda z: np.array([np.maximum(z[0], -0.5) - 0.5, z[1]])
     box = [(-1.0, 1.0), (-1.0, 1.0)]
-    seeds = _grid_seeds(fun, box, [8, 8])
+    seeds = _grid_seeds(fun, box, 8)
     _, jac = _value_and_jacobian(fun, seeds)
     assert len(seeds) == 7
     assert np.count_nonzero(np.linalg.det(jac) == 0.0) == 2
@@ -579,7 +580,7 @@ def test_batched_newton_equals_one_newton_per_seed(fun, box, grid):
     from that seed alone ends, and where one_seed_newton ends. The run
     alone and one_seed_newton call fun once per trial point, the seed's
     included, so they also stop after the same trials."""
-    seeds = _grid_seeds(fun, box, [grid, grid])
+    seeds = _grid_seeds(fun, box, grid)
     together = _damped_newton(fun, seeds)
     assert len(together) == len(seeds)
     for seed, found in zip(seeds, together):
@@ -597,39 +598,25 @@ def test_batched_newton_equals_one_newton_per_seed(fun, box, grid):
 
 
 def test_find_roots_calls_fun_on_the_grid_then_on_newton_batches():
-    """The seeding grid comes first, then one (n, k, 2n + 1) batch per
-    round, k the seeds still iterating: all of them in the first round,
-    never more in a later one."""
+    """The seeding grid comes first, then one (2, k, 5) batch per round,
+    k the seeds still iterating: all of them in the first round, never
+    more in a later one."""
     shapes = []
 
     def fun(z):
         shapes.append(z.shape)
         return average_second(SHOWCASE_SYS, z, QUAD)
 
-    roots = find_roots(fun, SHOWCASE_BOX, grid=[16, 12])
+    roots = find_roots(fun, SHOWCASE_BOX, grid=16)
     assert len(roots) == 3
-    assert shapes[0] == (2, 17, 13)
+    assert shapes[0] == (2, 17, 17)
     rounds = shapes[1:]
-    seeds = len(_grid_seeds(fun, SHOWCASE_BOX, [16, 12]))
+    seeds = len(_grid_seeds(fun, SHOWCASE_BOX, 16))
     assert rounds and all(len(s) == 3 and s[0] == 2 and s[2] == 5
                           for s in rounds)
     active = [s[1] for s in rounds]
     assert active[0] == seeds
     assert active == sorted(active, reverse=True)
-
-
-@pytest.mark.parametrize("fun, box, grid, zs, signs", [
-    # n = 1: two corners per cell and one neighbour on each side
-    (lambda z: z ** 2 - 0.25, [(-1.0, 1.0)], 16, [[-0.5], [0.5]],
-     [DegreeSign.MINUS, DegreeSign.PLUS]),
-    # n = 3: eight corners per cell, and a different cell count per axis
-    (lambda z: z - np.reshape([0.1, -0.2, 0.3], (3,) + (1,) * (z.ndim - 1)),
-     [(-1.0, 1.0)] * 3, [3, 4, 5], [[0.1, -0.2, 0.3]], [DegreeSign.PLUS]),
-], ids=["line", "space"])
-def test_find_roots_in_other_dimensions(fun, box, grid, zs, signs):
-    roots = find_roots(fun, box, grid)
-    assert [root.degree_sign for root in roots] == signs
-    assert np.allclose([root.z for root in roots], zs, atol=1e-10)
 
 
 def ij_mesh(*axes):
@@ -640,17 +627,12 @@ def ij_mesh(*axes):
 
 @pytest.mark.parametrize("box, grid", [
     ([(0.5, 8.0), (-2.0, 2.0)], 1),
-    ([(0.5, 8.0), (-2.0, 2.0)], [16, 12]),
-    ([(0.5, 8.0), (-2.0, 2.0)], [1, 5]),
-    ([(-1.0, 1.0)], 16),
-    ([(-1.0, 1.0)], 1),
-    ([(-1.0, 1.0), (-0.3, 2.5), (1e-3, 1e3)], [3, 4, 5]),
-], ids=["one-cell", "per-axis", "one-cell-axis", "line", "one-cell-line",
-        "space"])
+    ([(-1.0, 1.0), (-0.3, 2.5)], 16),
+    ([(1e-3, 1e3), (-1.0, 1.0)], 5),
+], ids=["one-cell", "plane", "decades"])
 def test_the_seeding_grid_keeps_the_bits_of_meshgrid(box, grid):
     """find_roots' first call of fun, its seeding grid, is the ij meshgrid
-    of the np.linspace axes to the bit, in one to three dimensions and
-    with one cell or different cell counts per axis."""
+    of the np.linspace axes to the bit, with one cell or many."""
     calls = []
 
     def fun(z):
@@ -658,9 +640,7 @@ def test_the_seeding_grid_keeps_the_bits_of_meshgrid(box, grid):
         return z - 0.25
 
     find_roots(fun, box, grid)
-    grids = [grid] * len(box) if np.ndim(grid) == 0 else grid
-    want = ij_mesh(*(np.linspace(lo, hi, g + 1)
-                     for (lo, hi), g in zip(box, grids)))
+    want = ij_mesh(*(np.linspace(lo, hi, grid + 1) for lo, hi in box))
     assert calls[0].dtype == want.dtype
     assert calls[0].shape == want.shape
     assert calls[0].tobytes() == want.tobytes()
@@ -697,30 +677,34 @@ def test_the_oracle_grid_keeps_the_bits_of_meshgrid(monkeypatch, grid_r,
     ([(-1.0, 1.0), (0.5, 0.5)], 4, "box axis 1"),
     ([(-1.0, 1.0), (0.0, np.inf)], 4, "box axis 1"),
     ([(np.nan, 1.0), (-1.0, 1.0)], 4, "box axis 0"),
-    ([(-1.0, 1.0), (-1.0, 1.0)], [4], "1 entries for a box of 2 axes"),
-    ([(-1.0, 1.0), (-1.0, 1.0)], [4, 4, 4], "3 entries for a box of 2 axes"),
-    ([(-1.0, 1.0), (-1.0, 1.0)], 0, "grid axis 0"),
-    ([(-1.0, 1.0), (-1.0, 1.0)], 2.5, "grid axis 0"),
-    ([(-1.0, 1.0), (-1.0, 1.0)], [4, -2], "grid axis 1"),
-    ([(-1.0, 1.0), (-1.0, 1.0)], np.array(4), "grid axis 0"),
-    ([(-1.0, 1.0), (-1.0, 1.0)], True, "grid axis 0"),
-    ([], 4, "no axes"),
+    ([(-1.0, 1.0), (-1.0, 1.0)], [4], "grid has [4] cells"),
+    ([(-1.0, 1.0), (-1.0, 1.0)], [4, 4, 4], "grid has [4, 4, 4] cells"),
+    ([(-1.0, 1.0), (-1.0, 1.0)], 0, "grid has 0 cells"),
+    ([(-1.0, 1.0), (-1.0, 1.0)], 2.5, "grid has 2.5 cells"),
+    ([(-1.0, 1.0), (-1.0, 1.0)], -2, "grid has -2 cells"),
+    ([(-1.0, 1.0), (-1.0, 1.0)], np.array(4), "grid has array(4) cells"),
+    ([(-1.0, 1.0), (-1.0, 1.0)], True, "grid has True cells"),
+    ([], 4, "the box has 0 axes"),
+    ([(-1.0, 1.0)], 4, "the box has 1 axes"),
+    ([(-1.0, 1.0)] * 3, 4, "the box has 3 axes"),
 ], ids=["reversed", "empty", "infinite", "nan", "short-grid", "long-grid",
         "no-cells", "fractional-cells", "negative-cells", "array-cells",
-        "bool-cells", "no-axes"])
+        "bool-cells", "no-axes", "one-axis", "three-axes"])
 def test_find_roots_rejects_a_bad_box_or_grid(box, grid, message):
     """A box or grid find_roots cannot seed from is refused before fun is
-    called, with a ValueError naming the axis. Unchecked, the reversed box
-    gives no root although (0.3, 0.3) lies in it, the short grid fails
-    with an IndexError, the long one drops an entry, and 0 cells, or
-    True, which Python counts as the integer 1, seed from one point."""
+    called, with a ValueError naming the axis of a bad interval. The box
+    is the (r, w) plane and the grid one cell count: a sequence (the
+    short and long grids) or a 0-d array is refused, not read per axis.
+    Unchecked, the reversed box gives no root although (0.3, 0.3) lies in
+    it, and 0 cells, or True, which Python counts as the integer 1, seed
+    from one point."""
     fun = counted(lambda z: z - 0.3)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         find_roots(fun, box, grid)
     assert fun.calls == 0
 
 
-# margins from the boundaries in closed_form._degeneracies and from
+# margins from the boundaries in closed_form.predicted_roots and from
 # delta^2 = 3; the roots lie well inside the box of the test below
 BOUNDARY_MARGIN = 0.5
 DELTA_SQ_MARGIN = 0.4
@@ -728,7 +712,7 @@ DELTA_SQ_MARGIN = 0.4
 
 @settings(max_examples=40)
 @example(a2=1.0, b2=5.0, delta=2.0, near=None)
-# one row per side of each boundary of closed_form._degeneracies, in order
+# one row per side of each boundary of closed_form.predicted_roots, in order
 @example(a2=1.0, b2=1.0, delta=2.0, near=(0, 0.5))
 @example(a2=1.0, b2=1.0, delta=2.0, near=(0, -0.6))
 @example(a2=1.0, b2=1.0, delta=2.0, near=(1, 0.6))

@@ -74,6 +74,31 @@ def test_classify_three_orbit_case(tmp_path):
     assert doc["jacobian_determinants"][0] == pytest.approx(3.0 / 64.0)
 
 
+@pytest.mark.parametrize("a1", [0.0, 0.5], ids=["on-slice", "off-slice"])
+def test_classify_notes_that_roots_off_the_slice_predict_no_orbits(tmp_path,
+                                                                   a1):
+    """Off the slice a1 = b1 = 0 classify still exits 0 with the case and
+    the roots of g, and its summary notes, in the words with which
+    closed_form.require_first_order_zero refuses orbits there, that they
+    predict none; on the slice there is no note."""
+    doc = {"unfolding": dict(THREE_ORBIT_DOC["unfolding"], a1=a1),
+           "eps": 0.1}
+    code, out = run(tmp_path, "classify", doc)
+    assert code == 0
+    summary = read_summary(out)
+    assert summary["case"] == "three"
+    assert summary["roots"][0] == [4.0, 0.0] and len(summary["roots"]) == 3
+    if a1 == 0.0:
+        assert "second_order_note" not in summary
+    else:
+        with pytest.raises(closed_form.HypothesisViolated) as refusal:
+            closed_form.require_first_order_zero(a1, 0.0)
+        assert summary["second_order_note"] == str(refusal.value)
+        # the refusal the note quotes
+        (tmp_path / "orbits").mkdir()
+        assert run(tmp_path / "orbits", "orbits", doc)[0] == 2
+
+
 def test_classify_direct_params_mode(tmp_path):
     code, out = run(tmp_path, "classify",
                     {"params": {"a": 3.6, "b": 1.3, "c": 0.1}})
@@ -221,9 +246,10 @@ def test_nonzero_first_order_coefficients_are_refused(tmp_path, command):
 
 
 def near_boundary(boundary, a2, b2, delta, offset):
-    """(a2, b2, delta) at offset from boundary of closed_form._degeneracies:
-    0 is delta^2 = 3, 1 is 2*a2*delta^2 = b2, 2 is a2*delta^2 = b2 and 3
-    is a2*delta^2 = -2*b2; the offset is that boundary's quantity."""
+    """(a2, b2, delta) at offset from a boundary of the table in
+    closed_form.predicted_roots: 0 is delta^2 = 3, 1 is 2*a2*delta^2 = b2,
+    2 is a2*delta^2 = b2 and 3 is a2*delta^2 = -2*b2; the offset is that
+    boundary's quantity."""
     d2 = delta ** 2
     if boundary == 0:
         return a2, b2, math.sqrt(3.0 - offset)

@@ -1301,7 +1301,7 @@ def paired_direction(r, w, delta):
 
 
 def far_from_the_boundaries(a2, b2, delta):
-    """At least 0.5 from every boundary of closed_form._degeneracies."""
+    """At least 0.5 from every boundary of closed_form.predicted_roots."""
     d2 = delta * delta
     return min(abs(3.0 - d2), abs(2.0 * a2 * d2 - b2), abs(a2 * d2 - b2),
                abs(a2 * d2 + 2.0 * b2)) >= 0.5
