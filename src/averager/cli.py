@@ -23,10 +23,12 @@ where they predict no orbits, and says so under "second_order_note".
 
 The module imports no numpy, and neither does classify: it runs on
 jerk, closed_form and config, the scalar layer. A command that batches
-imports its modules when it runs, past its config checks: average the
-oracle, which brings the averaging engine and the standard form's
-tables, and orbits and sweep the shooter. Each reaches their functions
-through the module at call time, as shooting.sweep_epsilon.
+imports its modules when it runs, past its config checks: average numpy,
+the averaging engine and the standard form's tables, and orbits and
+sweep the shooter. Each reaches their functions, and average those of
+closed_form too, through the module at call time, as
+averaging.average_first and shooting.sweep_epsilon, so a wrapper set on
+a module attribute sees every call.
 
 Exit codes: 0 ok, 1 config error or unwritable output, 2 hypothesis
 violation, 3 oracle mismatch, 4 shooting shortfall.
@@ -38,7 +40,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from enum import Enum
 from functools import cache
 from pathlib import Path
@@ -206,21 +208,50 @@ def cmd_classify(cfg: RunConfig, out_dir: Path, doc: dict, args) -> int:
 
 def cmd_average(cfg: RunConfig, out_dir: Path, doc: dict, args) -> int:
     u = _require_unfolding(cfg)
-    from . import oracle
+    import numpy as np
+
+    from . import averaging, closed_form, normal_form
 
     doc["grid"] = {"r": [GRID_R[0], GRID_R[1], GRID_N],
                    "w": [GRID_W[0], GRID_W[1], GRID_N]}
-    axes, values, (dev_first, dev_second), (rel_first, rel_second) = (
-        oracle.compare(u, cfg.quadrature, GRID_R, GRID_W, GRID_N))
+    # the ij mesh of the two axes, each broadcast into one array
+    z = np.empty((2, GRID_N, GRID_N))
+    z[0] = np.linspace(*GRID_R, GRID_N)[:, None]
+    z[1] = np.linspace(*GRID_W, GRID_N)
+    # f of u; g of u on the slice a1 = b1 = 0, where the closed g is defined
+    f_num = averaging.average_first(normal_form.jerk_standard_form(u), z,
+                                    cfg.quadrature)
+    g_num = averaging.average_second(
+        normal_form.jerk_standard_form(replace(u, a1=0.0, b1=0.0)), z,
+        cfg.quadrature)
+    # each point's largest deviation is judged relative to max(1, |closed
+    # value|) there: g grows like delta^-5, so an absolute bound would judge
+    # a large g by round-off. Extreme coefficients (a1 = 1e307) overflow the
+    # closed forms or the means, and an infinite value makes a NaN or
+    # infinite deviation and ratio (inf - inf, inf / inf), written as null;
+    # a NaN ratio fails the oracle
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_ref = closed_form.f_closed(*z, u.a1, u.b1, u.delta)
+        g_ref = closed_form.g_closed(*z, u.a2, u.b2, u.delta)
+        dev = [np.abs(num - ref).max(axis=0)
+               for num, ref in ((f_num, f_ref), (g_num, g_ref))]
+        rel_first, rel_second = [
+            float(np.max(d / np.maximum(1.0, np.abs(ref).max(axis=0))))
+            for d, ref in zip(dev, (f_ref, g_ref))]
+    # r and f1_closed vary along the first grid axis only, w and f2_closed
+    # along the second, so the template formats each of them once
     _write_csv(out_dir / "average_table.csv",
                "r,w,f1_num,f2_num,f1_closed,f2_closed,"
                "g1_num,g2_num,g1_closed,g2_closed",
-               _average_rows(*axes), values)
+               _average_rows(z[0][:, 0].tolist(), z[1][0].tolist(),
+                             f_ref[0][:, 0].tolist(), f_ref[1][0].tolist()),
+               np.stack([*f_num, *g_num, *g_ref], axis=-1).ravel().tolist())
 
+    # each ratio on its own: a max() over the two would drop a NaN second
     ok = rel_first <= ORACLE_TOL and rel_second <= ORACLE_TOL
     doc.update({
-        "max_abs_dev_first": dev_first,
-        "max_abs_dev_second": dev_second,
+        "max_abs_dev_first": float(dev[0].max()),
+        "max_abs_dev_second": float(dev[1].max()),
         "tolerance": ORACLE_TOL,
         "oracle_ok": ok,
         "table": "average_table.csv",

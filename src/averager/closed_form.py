@@ -16,10 +16,10 @@ This module, jerk and config are the package's scalar layer: they import
 no numpy. f_closed, g_closed and g_jacobian are plain arithmetic on
 their arguments and return tuples, nested for the Jacobian, so one
 expression serves Python floats, as in classify and a shot's seed, and
-numpy arrays, as on the averaging oracle's grid. higher_averages and
-root_corrections take one root in Python floats. The module holds
-formulas only: it needs neither the averaging engine nor the standard
-form's tables.
+numpy arrays, as on the grid the average command checks.
+higher_averages and root_corrections take one root in Python floats.
+The module holds formulas only: it needs neither the averaging engine
+nor the standard form's tables.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from averager import averaging, oracle
+from averager import averaging, cli
 from averager.averaging import (
     NEWTON_MAX_ITER,
     ROOT_TOL,
@@ -28,7 +28,7 @@ from averager.config import QuadratureSpec
 from averager.jerk import UnfoldingParams
 from averager.normal_form import jerk_standard_form
 from reference import sampled_average
-from test_cli import near_boundary
+from test_cli import near_boundary, run
 
 QUAD = QuadratureSpec()
 
@@ -179,8 +179,8 @@ def assert_close(got, expected):
 
 def oracle_deviation(got, expected):
     """The largest deviation of got from expected at a point, relative to
-    max(1, largest |expected| component) there: the scale of average's
-    oracle (oracle._relative_deviation)."""
+    max(1, largest |expected| component) there: the scale on which the
+    average command (cli.cmd_average) judges its numeric means."""
     return float((np.abs(got - expected).max(axis=0)
                   / np.maximum(1.0, np.abs(expected).max(axis=0))).max())
 
@@ -651,10 +651,12 @@ def test_the_seeding_grid_keeps_the_bits_of_meshgrid(box, grid):
     ((0.5, 8.0), (-2.0, 2.0), 1),
     ((1e-3, 0.1), (-7.0, 3.0), 2),
 ], ids=["average", "one-point", "two-points"])
-def test_the_oracle_grid_keeps_the_bits_of_meshgrid(monkeypatch, grid_r,
-                                                     grid_w, n):
-    """oracle.compare hands the averaging engine the n x n ij meshgrid of
-    its two np.linspace axes, to the bit, and tabulates its axes."""
+def test_the_oracle_grid_keeps_the_bits_of_meshgrid(monkeypatch, tmp_path,
+                                                     grid_r, grid_w, n):
+    """average hands the averaging engine the n x n ij meshgrid of its two
+    np.linspace axes, cli.GRID_R by cli.GRID_W with cli.GRID_N points
+    each, to the bit, and the r and w columns of average_table.csv are
+    those axes."""
     calls = []
 
     def first(sys, z, q):
@@ -662,14 +664,20 @@ def test_the_oracle_grid_keeps_the_bits_of_meshgrid(monkeypatch, grid_r,
         return average_first(sys, z, q)
 
     monkeypatch.setattr(averaging, "average_first", first)
-    u = UnfoldingParams(a1=0.2, a2=1.0, b2=5.0, c1=0.3, delta=2.0)
-    axes, *_ = oracle.compare(u, QUAD, grid_r, grid_w, n)
+    monkeypatch.setattr(cli, "GRID_R", grid_r)
+    monkeypatch.setattr(cli, "GRID_W", grid_w)
+    monkeypatch.setattr(cli, "GRID_N", n)
+    code, out = run(tmp_path, "average", {"unfolding": {
+        "a1": 0.2, "a2": 1.0, "b2": 5.0, "c1": 0.3, "delta": 2.0}})
+    assert code == 0
     want = ij_mesh(np.linspace(*grid_r, n), np.linspace(*grid_w, n))
     assert len(calls) == 1
     assert calls[0].dtype == want.dtype
     assert calls[0].shape == want.shape
     assert calls[0].tobytes() == want.tobytes()
-    assert axes[:2] == [want[0][:, 0].tolist(), want[1][0].tolist()]
+    rows = (out / "average_table.csv").read_text().splitlines()[1:]
+    columns = [[float(v) for v in row.split(",")[:2]] for row in rows]
+    assert columns == np.stack([*want], axis=-1).reshape(-1, 2).tolist()
 
 
 @pytest.mark.parametrize("box, grid, message", [

@@ -1034,17 +1034,21 @@ def test_orbits_and_sweep_run_without_scipy(tmp_path):
 def test_classify_runs_without_numpy(tmp_path):
     """jerk, closed_form and config, the scalar layer, import no numpy,
     and neither do the package root and the CLI, which import the batching
-    modules where they are used: in a new interpreter, numpy stays
-    unloaded after importing averager, after importing averager.cli, and
-    after each of classify on a params config, classify on an unfolding
-    config with eps, a refused config (exit 1), and --help."""
+    modules where they are used, past the config checks: in a new
+    interpreter, numpy stays unloaded after importing averager, after
+    importing averager.cli, and after each of classify on a params
+    config, classify on an unfolding config with eps, a refused config
+    (exit 1), average on a params config (exit 1, it needs an unfolding),
+    --help, classify --help and average --help."""
     docs = [{"params": {"a": 0.0, "b": 0.0, "c": -1.0}},
             {"unfolding": THREE_ORBIT_DOC["unfolding"], "eps": 0.1},
             {"params": {"a": 0.0, "b": -1e300, "c": -1.0}}]
     argvs = [["classify", "--config", write_config(tmp_path, doc, f"{i}.json"),
               "--out", str(tmp_path / str(i)), "--quiet"]
              for i, doc in enumerate(docs)]
-    argvs += [["--help"], ["classify", "--help"]]
+    argvs += [["average", "--config", str(tmp_path / "0.json"),
+               "--out", str(tmp_path / "average"), "--quiet"],
+              ["--help"], ["classify", "--help"], ["average", "--help"]]
     done = run_fresh(
         "import contextlib, io, sys\n"
         "steps = []\n"
@@ -1060,7 +1064,8 @@ def test_classify_runs_without_numpy(tmp_path):
         "print(steps)\n"
     )
     assert done.stdout == ("[False, False, [0, False], [0, False], "
-                           "[1, False], [0, False], [0, False]]\n")
+                           "[1, False], [1, False], [0, False], [0, False], "
+                           "[0, False]]\n")
     assert read_summary(tmp_path / "0")["verdict"] == (
         "zero-Hopf equilibrium at the origin")
     assert read_summary(tmp_path / "1")["case"] == "three"

@@ -1344,7 +1344,9 @@ def test_odd_symmetry_maps_the_plus_w_orbit_onto_the_minus_w_orbit(r, w,
 @pytest.mark.parametrize("r, w, delta", [(5.65625, 1.59375, 2.3125),
                                          (5.625, 1.625, 2.328125),
                                          (4.1875, 1.75, 2.0859375),
-                                         (2.75, 1.75, 1.875)])
+                                         (2.75, 1.75, 1.875),
+                                         (4.5625, 1.5, 2.109375),
+                                         (4.625, 1.5, 2.109375)])
 def test_odd_symmetry_on_directions_that_item_15_must_mend(r, w, delta):
     """Paired-root directions on which the odd-symmetry property fails
     today. At (5.65625, 1.59375, 2.3125), (a2, b2) about (1.6066, 4.4826),
@@ -1357,9 +1359,15 @@ def test_odd_symmetry_on_directions_that_item_15_must_mend(r, w, delta):
     misses it by 5.04e-9. At (2.75, 1.75, 1.875), (a2, b2) about
     (1.8211, -2.5079), the mirror-seeded -w orbit is accepted with
     newton_step 7.90e-9 and the one its section image alone locates, with
-    newton_step 9.07e-9, misses it by 1.17e-9. Each runs the property
-    test's own body. ROADMAP item 15's acceptance on location is to turn
-    all four into passes and drop this marker."""
+    newton_step 9.07e-9, misses it by 1.17e-9. At (4.5625, 1.5,
+    2.109375), (a2, b2) about (1.3924, 1.1406), the mirror-seeded -w
+    orbit is accepted with newton_step 4.37e-9, and the one its section
+    image alone locates misses it by 4.26e-9; at (4.625, 1.5, 2.109375),
+    (a2, b2) about (1.4029, 1.2341), the +w orbit is accepted with
+    newton_step 4.53e-9 and its reflected crossing misses the -w orbit by
+    4.54e-9. Each runs the property test's own body. ROADMAP item 15's
+    acceptance on location is to turn all six into passes and drop this
+    marker."""
     a2, b2 = paired_direction(r, w, delta)
     assert far_from_the_boundaries(a2, b2, delta)
     assert predicted_roots(a2, b2, delta).count is OrbitCount.TWO
