@@ -1,9 +1,12 @@
 """Run configuration: strict JSON schema with full double precision.
 
 This module, jerk and closed_form are the package's scalar layer: they
-import no numpy. So config owns the specs it parses, QuadratureSpec for
-the averaging engine and IntegratorSpec for the shooter, with their
-bounds, and MAX_EPS, the range of eps that the shooter accepts.
+import no numpy. So config owns IntegratorSpec, the shooter's spec that
+it parses, with its bounds, MAX_EPS, the range of eps that the shooter
+accepts, and QuadratureSpec, the averaging engine's rule. The rule is
+no config key: the standard form's tables are trigonometric polynomials
+of low degree, so every node count in range gives the same means, and
+RunConfig.quadrature is always the default rule.
 
 A config file is a single JSON document. Unknown keys are rejected at
 every level so that a typo cannot silently fall back to a default, and
@@ -26,7 +29,7 @@ MAX_EPS = 0.2
 
 #: largest accepted node count. The rule is exact at every count from 16
 #: up, since the tables' degrees lie far below half of it; the bound
-#: keeps a configured count to the range it has always had
+#: keeps a caller's count to the range it has always had
 MAX_NODES = 512
 
 #: smallest tol accepted: an error below 100 units in the last place is
@@ -93,9 +96,12 @@ class RunConfig:
     params: Optional[SystemParams]
     eps: Optional[float]
     eps_list: Optional[tuple]
-    quadrature: QuadratureSpec
     integrator: IntegratorSpec
     output_dir: str
+
+    #: the averaging rule of cli.cmd_average, and of bench/child.py until
+    #: ROADMAP item 1 drops that read; no field, so no config key
+    quadrature = QuadratureSpec()
 
 
 def _require_keys(mapping: dict, cls, where: str) -> None:
@@ -122,21 +128,13 @@ def _number(container, key, where: str) -> float:
     return number
 
 
-def _integer(mapping: dict, key: str, where: str) -> int:
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}.{key}: expected an integer, got {value!r}")
-    return value
-
-
 def _parse(cls, node: dict, where: str, required=()):
     """cls built from node, one key per dataclass field.
 
-    node must be an object. Each present key is checked against its
-    field's type; an absent key takes the dataclass default, unless the
-    field has none or is named in required. The dataclass's own ValueError
-    is reported under where; a ConfigError from _number or _integer already
-    names its full path.
+    node must be an object. Each present key is parsed as a number; an
+    absent key takes the dataclass default, unless the field has none or
+    is named in required. The dataclass's own ValueError is reported
+    under where; a ConfigError from _number already names its full path.
     """
     if not isinstance(node, dict):
         raise ConfigError(f"{where}: expected an object")
@@ -144,8 +142,7 @@ def _parse(cls, node: dict, where: str, required=()):
     values = {}
     for f in fields(cls):
         if f.name in node:
-            parse = _integer if f.type == "int" else _number
-            values[f.name] = parse(node, f.name, where)
+            values[f.name] = _number(node, f.name, where)
         elif f.name in required or f.default is MISSING:
             raise ConfigError(f"{where}: missing required key '{f.name}'")
     try:
@@ -188,8 +185,6 @@ def from_dict(doc: dict) -> RunConfig:
             raise ConfigError("eps_list: entries must be strictly decreasing")
         eps_list = tuple(values)
 
-    quadrature = _parse(QuadratureSpec, doc.get("quadrature", {}),
-                        "quadrature")
     integrator = _parse(IntegratorSpec, doc.get("integrator", {}),
                         "integrator")
     output_dir = doc.get("output_dir", "results")
@@ -201,7 +196,6 @@ def from_dict(doc: dict) -> RunConfig:
         params=params,
         eps=eps,
         eps_list=eps_list,
-        quadrature=quadrature,
         integrator=integrator,
         output_dir=output_dir,
     )

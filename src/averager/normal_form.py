@@ -16,15 +16,15 @@ they live in the test suite, in tests/reference.py.
 
 This module owns the polynomial terms of the standard form: h2's
 theta-coefficients (h2_coefficients) and f2_monomials, the seven
-monomials of (r, w) that F2's coefficients multiply, which the standard
-form's f2 and the averaging engine share. F1 is linear in z, so it needs
-no monomials of its own.
+monomials of (r, w) that F2's coefficients multiply, which the averaging
+engine evaluates. F1 is linear in z, so it needs no monomials of its own.
+The standard form is these tables alone; the tests evaluate F1, F2 and
+DF1 pointwise from them (reference.pointwise).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -40,21 +40,14 @@ class StandardFormSystem:
     shape (m,) to (n, n, m), so that DF1 = C1, m2 maps points of shape
     (n, p) to the (K, p) monomials of F2, and C2 maps times to (n, K, m).
     The averaging engine reads only the period and this triple.
-
-    f1, f2 and df1 evaluate the same field pointwise, for the sampled
-    reference in tests/reference.py: each takes states z of shape
-    (n, *batch) and times of shape m; f1 and f2 give shape (n, *batch, m),
-    and df1, the Jacobian of f1 with respect to z, gives (n, n, *batch, m),
-    or (n, n, m) when it does not depend on z. A single state is the case
-    batch = (). A copy made with dataclasses.replace keeps the triple, so
-    replace f1 or f2 only by callables with the same values.
     """
 
     period: float
-    f1: Callable
-    f2: Callable
-    df1: Callable
     polynomials: tuple
+
+    #: no fields: bench/tracer.py reads them and skips a None (ROADMAP
+    #: item 1 removes that reader)
+    f1 = f2 = df1 = None
 
 
 def h2_coefficients(unfolding: UnfoldingParams, sin, cos) -> tuple:
@@ -85,10 +78,10 @@ def jerk_standard_form(unfolding: UnfoldingParams) -> StandardFormSystem:
     h1, h2 evaluated at (r*cos(theta), r*sin(theta), w). These are the first
     and second order terms of the eps-expansion of theta_rhs; a Richardson
     test against the exact quotient pins the O(eps^3) remainder. The domain
-    requires r > 0. df1 is analytic and independent of z since h1 is linear
-    in its arguments, so it has shape (2, 2, m).
+    requires r > 0. DF1 is independent of z since h1 is linear in its
+    arguments.
 
-    f1 and f2 are polynomials in (r, w) whose coefficients depend on theta
+    F1 and F2 are polynomials in (r, w) whose coefficients depend on theta
     alone, and the system carries them as its polynomials field. With
     s, c = sin(theta), cos(theta) and h1 = hu u + hv v + hw w:
     h1 = r p + hw w with p = hu c + hv s, so F1 is linear in (r, w). h2
@@ -96,11 +89,8 @@ def jerk_standard_form(unfolding: UnfoldingParams) -> StandardFormSystem:
     f2_monomials. The -h1^2 c / r of F2 adds -r p^2 c and -2 hw p c w to
     the rows of r and w, and -hw^2 c w^2 / r over the seventh monomial.
     Each table is these coefficients times (s, -1/delta) on the given
-    nodes; f1, f2 and df1 are built from the same tables, f1 and f2 as
-    one matmul of the (points, monomials) table with them, the monomials
-    of F1 being z itself. The reference formulas of h1, h2 and
-    theta_rhs, which the tests hold these tables to, are in
-    tests/reference.py.
+    nodes. The reference formulas of h1, h2 and theta_rhs, which the
+    tests hold these tables to, are in tests/reference.py.
     """
     d = unfolding.delta
     # h1 = hu*u + hv*v + hw*w with constant coefficients
@@ -137,23 +127,9 @@ def jerk_standard_form(unfolding: UnfoldingParams) -> StandardFormSystem:
         rows[4] = rows[4] - 2.0 * hw * p_cos
         return (*rows, -hw * hw * cos)
 
-    c1, c2 = tabulate(f1_coefficients), tabulate(f2_coefficients)
-
-    def field(monomials, table):
-        def f(z, theta):
-            th, z = np.asarray(theta, dtype=float), np.asarray(z, dtype=float)
-            values = monomials(z.reshape(len(z), -1)).T @ table(th.ravel())
-            return values.reshape(z.shape + th.shape)
-        return f
-
-    def df1(z, theta):
-        # F1 is linear in z, so its Jacobian is its table, the same for every z
-        th = np.asarray(theta, dtype=float)
-        return c1(th.ravel()).reshape((2, 2) + th.shape)
-
-    return StandardFormSystem(period=2.0 * np.pi, f1=field(np.array, c1),
-                              f2=field(f2_monomials, c2), df1=df1,
-                              polynomials=(c1, f2_monomials, c2))
+    polynomials = (tabulate(f1_coefficients), f2_monomials,
+                   tabulate(f2_coefficients))
+    return StandardFormSystem(period=2.0 * np.pi, polynomials=polynomials)
 
 
 def f2_monomials(z):

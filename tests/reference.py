@@ -17,14 +17,16 @@ higher averages and seed corrections as numpy float64 array code over a
 batch of points, the forms that the Python-float evaluation of one
 point is checked against: the averages bit for bit, the corrections to
 within a multiple of cond(Dg) machine epsilon.
-sampled_average is the averaging engine's reference: it samples a
-standard form's f1, f2 and df1 at every point and Gauss-Legendre node
-instead of reading its polynomial tables. stacked_tables is the form in
+pointwise evaluates a standard form's tables as the fields F1, F2 and
+DF1 at given states and angles, and sampled_average, the averaging
+engine's reference, samples them at every point and Gauss-Legendre node
+instead of averaging the tables. stacked_tables is the form in
 which jerk_standard_form once built those tables, which it now writes
 into one array each, to the same bits.
 """
 
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -232,9 +234,39 @@ def gauss_legendre_rule(nodes: int, period: float):
     return s, w, S
 
 
+def pointwise(sys) -> SimpleNamespace:
+    """The fields of the standard form sys, evaluated pointwise from its
+    polynomials (C1, m2, C2): period, and f1 = C1 z, f2 = C2 m2(z) and
+    df1 = C1, the Jacobian of f1 with respect to z.
+
+    Each takes states z of shape (n, *batch) and angles of shape m; f1
+    and f2 give shape (n, *batch, m), and df1, the same for every z,
+    gives (n, n, m). A single state is the case batch = (). f1 and f2
+    each multiply the monomials of every point, z itself for F1, with
+    their table in one matmul.
+    """
+    c1, m2, c2 = sys.polynomials
+
+    def field(monomials, table):
+        def f(z, theta):
+            th, z = np.asarray(theta, dtype=float), np.asarray(z, dtype=float)
+            values = monomials(z.reshape(len(z), -1)).T @ table(th.ravel())
+            return values.reshape(z.shape + th.shape)
+        return f
+
+    def df1(z, theta):
+        th = np.asarray(theta, dtype=float)
+        table = c1(th.ravel())
+        return table.reshape(table.shape[:2] + th.shape)
+
+    return SimpleNamespace(period=sys.period, f1=field(np.array, c1),
+                           f2=field(m2, c2), df1=df1)
+
+
 def sampled_average(sys, z, order: int, nodes: int) -> np.ndarray:
     """The order-th averaged function of sys at z, on the nodes-point
-    Gauss-Legendre rule, from sys.period, f1, f2 and df1 alone.
+    Gauss-Legendre rule, from sys.period, f1, f2 and df1 alone; a system
+    without them, such as a standard form, is evaluated through pointwise.
 
     f = (F1 @ w) / T. For g the inner integral is the rule's integration
     matrix S applied to the samples of F1, and with the outer weights
@@ -244,6 +276,8 @@ def sampled_average(sys, z, order: int, nodes: int) -> np.ndarray:
     (n, n, *batch, m) takes the same line. z is one point of shape (n,)
     or a batch of shape (n, *batch), and the result has its shape.
     """
+    if sys.f1 is None:
+        sys = pointwise(sys)
     z = np.asarray(z, dtype=float)
     flat = z.reshape(len(z), -1)
     s, w, S = gauss_legendre_rule(nodes, sys.period)

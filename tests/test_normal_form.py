@@ -12,6 +12,7 @@ from reference import (
     h1,
     h2,
     jordan_to_xyz,
+    pointwise,
     scale_state,
     stacked_tables,
     theta_rhs,
@@ -154,7 +155,7 @@ def test_standard_form_is_first_two_expansion_orders():
     """
     rng = np.random.default_rng(41)
     u = random_unfolding(rng)
-    sys = jerk_standard_form(u)
+    sys = pointwise(jerk_standard_form(u))
     samples = [(rng.uniform(0.5, 3.0), rng.uniform(0.0, 2.0 * np.pi),
                 rng.uniform(-1.5, 1.5)) for _ in range(12)]
     eps_values = np.array([4e-3, 2e-3, 1e-3])
@@ -175,7 +176,7 @@ def test_standard_form_is_first_two_expansion_orders():
 def test_standard_form_periodicity():
     rng = np.random.default_rng(13)
     u = random_unfolding(rng)
-    sys = jerk_standard_form(u)
+    sys = pointwise(jerk_standard_form(u))
     assert np.isclose(sys.period, 2.0 * np.pi)
     z = np.array([1.5, -0.5])
     thetas = np.linspace(0.0, sys.period, 5)
@@ -197,7 +198,7 @@ def test_standard_form_periodicity():
 
 def test_f1_vanishes_where_h1_does():
     u = UnfoldingParams(c1=1.0, delta=1.0)  # h1 = -u
-    sys = jerk_standard_form(u)
+    sys = pointwise(jerk_standard_form(u))
     assert np.allclose(sys.f1(np.array([1.0, 0.0]), np.pi / 2.0), [0.0, 0.0],
                        atol=1e-15)
 
@@ -205,7 +206,7 @@ def test_f1_vanishes_where_h1_does():
 def test_f2_components_at_theta_zero():
     rng = np.random.default_rng(55)
     u = random_unfolding(rng)
-    sys = jerk_standard_form(u)
+    sys = pointwise(jerk_standard_form(u))
     r = 1.7
     z = np.array([r, 0.0])
     val = sys.f2(z, 0.0)
@@ -219,7 +220,7 @@ def test_f2_components_at_theta_zero():
 def test_df1_matches_finite_differences():
     rng = np.random.default_rng(67)
     u = random_unfolding(rng)
-    sys = jerk_standard_form(u)
+    sys = pointwise(jerk_standard_form(u))
     for _ in range(10):
         z = np.array([rng.uniform(0.5, 4.0), rng.uniform(-2.0, 2.0)])
         theta = rng.uniform(0.0, 2.0 * np.pi)
@@ -233,7 +234,8 @@ def test_df1_matches_finite_differences():
 
 
 def test_polynomial_evaluators_match_the_reference_formulas():
-    """f1 and f2 against the reference h1 and h2 at (r cos, r sin, w)."""
+    """The tables, evaluated as f1 and f2 by pointwise, against the
+    reference h1 and h2 at (r cos, r sin, w)."""
     rng = np.random.default_rng(83)
     batch = np.array([rng.uniform(0.5, 4.0, (3, 4)),
                       rng.uniform(-2.0, 2.0, (3, 4))])
@@ -242,7 +244,7 @@ def test_polynomial_evaluators_match_the_reference_formulas():
     theta = rng.uniform(0.0, 2.0 * np.pi)
     for _ in range(20):
         u = random_unfolding(rng)
-        sys = jerk_standard_form(u)
+        sys = pointwise(jerk_standard_form(u))
         for z, th in [(batch, thetas), (point, theta)]:
             r, w = np.reshape(z, np.shape(z) + (1,) * np.ndim(th))
             jordan = (r * np.cos(th), r * np.sin(th), w)
@@ -306,7 +308,7 @@ def test_tables_keep_the_bits_of_the_stacked_form():
 def test_f1_vectorized_over_theta():
     rng = np.random.default_rng(71)
     u = random_unfolding(rng)
-    sys = jerk_standard_form(u)
+    sys = pointwise(jerk_standard_form(u))
     z = np.array([2.0, -0.5])
     thetas = rng.uniform(0.0, 2.0 * np.pi, 16)
     batch = sys.f1(z, thetas)

@@ -10,7 +10,11 @@ order, and a change that moves a draw changes the digest.
 
 Usage: python tools/hypothesis_draws.py [PYTEST ARGS]
 
-The exit status is pytest's.
+The exit status is pytest's. When pytest could not run the tests
+(status 2 or higher: interrupted, an internal or usage error, or no
+tests collected), its status goes to stderr and no count or digest is
+printed, since the examples of a run that did not happen fingerprint
+nothing.
 """
 
 from __future__ import annotations
@@ -53,6 +57,9 @@ def main(argv=None) -> int:
         [sys.executable, "-m", "pytest", "-q", "--hypothesis-verbosity=verbose",
          "-s", *args],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    if run.returncode >= 2:
+        print(f"pytest exited with status {run.returncode}", file=sys.stderr)
+        return run.returncode
     count, sha = digest(run.stdout)
     print(f"examples  {count}")
     print(f"sha256  {sha}")
